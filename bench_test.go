@@ -13,7 +13,6 @@ import (
 	"context"
 	"fmt"
 	"testing"
-	"time"
 
 	"ndpcr/internal/compress"
 	"ndpcr/internal/daly"
@@ -22,6 +21,7 @@ import (
 	"ndpcr/internal/model"
 	"ndpcr/internal/node"
 	"ndpcr/internal/node/iostore"
+	"ndpcr/internal/node/ndp"
 	"ndpcr/internal/node/nvm"
 	"ndpcr/internal/projection"
 	"ndpcr/internal/sim"
@@ -266,11 +266,8 @@ func BenchmarkNodeDrainAndRestore(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		for {
-			if last, ok := n.Engine().LastDrained(); ok && last >= id {
-				break
-			}
-			time.Sleep(50 * time.Microsecond)
+		if err := n.WaitDurableCtx(context.Background(), id, ndp.LevelStore); err != nil {
+			b.Fatal(err)
 		}
 		n.FailLocal()
 		got, _, level, err := n.Restore(context.Background())
@@ -319,11 +316,8 @@ func BenchmarkIncrementalDrain(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				for {
-					if last, ok := n.Engine().LastDrained(); ok && last >= id {
-						break
-					}
-					time.Sleep(20 * time.Microsecond)
+				if err := n.WaitDurableCtx(context.Background(), id, ndp.LevelStore); err != nil {
+					b.Fatal(err)
 				}
 			}
 		})

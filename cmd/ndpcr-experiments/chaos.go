@@ -15,9 +15,18 @@ import (
 	"ndpcr/internal/miniapps"
 	"ndpcr/internal/node"
 	"ndpcr/internal/node/iostore"
+	"ndpcr/internal/node/ndp"
 	"ndpcr/internal/node/nvm"
 	"ndpcr/internal/report"
 )
+
+// waitStore blocks until checkpoint id is on the global store on every
+// rank of c, for at most d.
+func waitStore(c *cluster.Cluster, id uint64, d time.Duration) error {
+	ctx, cancel := context.WithTimeout(context.Background(), d)
+	defer cancel()
+	return c.WaitDurable(ctx, id, ndp.LevelStore)
+}
 
 // defaultFaults is the representative chaos schedule used when -faults is
 // not given: one NVM commit failure on rank 1 at the second coordinated
@@ -108,15 +117,11 @@ func runChaos() error {
 		outcome := "committed"
 		if err != nil {
 			outcome = "ABORTED + rolled back: " + firstLine(err.Error())
-		} else {
-			// Let every NDP finish shipping this checkpoint before the next
+		} else if err := waitStore(c, id, 10*time.Second); err != nil {
+			// Every NDP must finish shipping this checkpoint before the next
 			// round, so the global store deterministically holds every
 			// committed ID when recovery walks the restart lines below.
-			for _, n := range nodes {
-				if n.Engine() != nil {
-					n.Engine().WaitDrained(id, 10*time.Second)
-				}
-			}
+			outcome = "committed, drain incomplete: " + firstLine(err.Error())
 		}
 		tab.AddRow(fmt.Sprintf("%d", r), fmt.Sprintf("%d", step),
 			fmt.Sprintf("%d", id), outcome)

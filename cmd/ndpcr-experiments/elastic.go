@@ -155,11 +155,9 @@ func runElastic() error {
 			src.Close()
 			return err
 		}
-		for i := 0; i < sourceRanks; i++ {
-			if !src.Node(i).Engine().WaitDrained(id, 30*time.Second) {
-				src.Close()
-				return fmt.Errorf("rank %d never drained checkpoint %d", i, id)
-			}
+		if err := waitStore(src, id, 30*time.Second); err != nil {
+			src.Close()
+			return fmt.Errorf("checkpoint %d never drained: %w", id, err)
 		}
 		lines = append(lines, id)
 		fmt.Printf("  step %d: checkpoint %d committed across %d ranks\n", s, id, sourceRanks)

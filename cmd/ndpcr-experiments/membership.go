@@ -138,10 +138,8 @@ func runMembership() error {
 				return err
 			}
 		}
-		for i := 0; i < ranks; i++ {
-			if !c.Node(i).Engine().WaitDrained(id, 30*time.Second) {
-				return fmt.Errorf("rank %d never drained checkpoint %d", i, id)
-			}
+		if err := waitStore(c, id, 30*time.Second); err != nil {
+			return fmt.Errorf("checkpoint %d never drained: %w", id, err)
 		}
 	}
 

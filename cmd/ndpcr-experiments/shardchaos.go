@@ -111,10 +111,8 @@ func runShardChaos() error {
 			fmt.Printf("  >>> killing iod-1 (%s) mid-drain of checkpoint %d\n", addrs[1], id)
 			servers[1].Close()
 		}
-		for i := 0; i < ranks; i++ {
-			if !c.Node(i).Engine().WaitDrained(id, 30*time.Second) {
-				return fmt.Errorf("rank %d never drained checkpoint %d", i, id)
-			}
+		if err := waitStore(c, id, 30*time.Second); err != nil {
+			return fmt.Errorf("checkpoint %d never drained: %w", id, err)
 		}
 	}
 

@@ -22,6 +22,7 @@ import (
 	"ndpcr/internal/miniapps"
 	"ndpcr/internal/node"
 	"ndpcr/internal/node/iostore"
+	"ndpcr/internal/node/ndp"
 	"ndpcr/internal/node/nvm"
 	"ndpcr/internal/shardstore"
 )
@@ -39,7 +40,7 @@ func main() {
 		iodAddr  = flag.String("iod", "", "drain to a remote ndpcr-iod store at this address instead of in-process")
 		iodAddrs = flag.String("iod-addrs", "", "comma-separated ndpcr-iod addresses: drain through the sharded, replicated store tier")
 		replicas = flag.Int("replicas", 2, "replica count R per checkpoint object across -iod-addrs backends")
-		iodLanes = flag.Int("iod-lanes", 2, "concurrent transport lanes to each remote I/O node (1 = serial legacy wire)")
+		iodLanes = flag.Int("iod-lanes", 2, "concurrent transport lanes to each remote I/O node (1 = one serial stream)")
 		drainWin = flag.Int("drain-window", 0, "NDP send window: blocks in flight to the store per drain (0 = default)")
 		async    = flag.Bool("async", false, "commit checkpoints asynchronously: return at NVM durability with admission control instead of ErrFull")
 		drTries  = flag.Int("drain-attempts", 0, "automatic drain retries per checkpoint before permanent failure (0 = no retry)")
@@ -273,8 +274,10 @@ func waitDrain(n *node.Node, want uint64) {
 	if n.Engine() == nil || want == 0 {
 		return
 	}
-	if !n.Engine().WaitDrained(want, 10*time.Second) {
-		fmt.Fprintln(os.Stderr, "warning: drain did not complete before the failure")
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := n.WaitDurableCtx(ctx, want, ndp.LevelStore); err != nil {
+		fmt.Fprintf(os.Stderr, "warning: drain did not complete before the failure: %v\n", err)
 	}
 }
 

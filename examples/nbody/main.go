@@ -20,6 +20,7 @@ import (
 	"ndpcr/internal/compress"
 	"ndpcr/internal/node"
 	"ndpcr/internal/node/iostore"
+	"ndpcr/internal/node/ndp"
 	"ndpcr/internal/node/nvm"
 	"ndpcr/internal/stats"
 )
@@ -139,15 +140,11 @@ func main() {
 		}
 	}
 	// Wait for the NDP to finish draining, then inspect what it shipped.
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		if id, ok := n.Engine().LastDrained(); ok && id >= lastID {
-			break
-		}
-		if time.Now().After(deadline) {
-			log.Fatal("drain never completed")
-		}
-		time.Sleep(time.Millisecond)
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	err = n.WaitDurableCtx(ctx, lastID, ndp.LevelStore)
+	cancel()
+	if err != nil {
+		log.Fatalf("drain never completed: %v", err)
 	}
 	obj, ok, _ := store.Stat(context.Background(), iostore.Key{Job: "nbody", Rank: 0, ID: lastID})
 	if !ok {

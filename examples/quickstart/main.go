@@ -10,11 +10,11 @@ import (
 	"encoding/gob"
 	"fmt"
 	"log"
-	"time"
 
 	"ndpcr/internal/compress"
 	"ndpcr/internal/node"
 	"ndpcr/internal/node/iostore"
+	"ndpcr/internal/node/ndp"
 	"ndpcr/internal/node/nvm"
 )
 
@@ -57,12 +57,10 @@ func main() {
 			state.Iteration, id, buf.Len())
 	}
 
-	// Give the NDP a moment to drain to the global store in the background.
-	for {
-		if id, ok := n.Engine().LastDrained(); ok && id >= 3 {
-			break
-		}
-		time.Sleep(time.Millisecond)
+	// Wait for the NDP's background drain to land the last checkpoint on
+	// the global store.
+	if err := n.WaitDurableCtx(context.Background(), 3, ndp.LevelStore); err != nil {
+		log.Fatal(err)
 	}
 
 	// 3. Disaster: the node dies and local NVM is lost.

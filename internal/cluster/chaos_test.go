@@ -12,6 +12,7 @@ import (
 	"ndpcr/internal/miniapps"
 	"ndpcr/internal/node"
 	"ndpcr/internal/node/iostore"
+	"ndpcr/internal/node/ndp"
 	"ndpcr/internal/node/nvm"
 )
 
@@ -64,14 +65,19 @@ func checkpointRound(t *testing.T, c *Cluster, apps []*appRank) (uint64, error) 
 	if err != nil {
 		return 0, err
 	}
-	for i := range apps {
-		if eng := c.Node(i).Engine(); eng != nil {
-			if !eng.WaitDrained(id, 10*time.Second) {
-				t.Fatalf("rank %d never drained checkpoint %d", i, id)
-			}
-		}
-	}
+	waitStore(t, c, id, 10*time.Second)
 	return id, nil
+}
+
+// waitStore blocks until checkpoint id is on the global store on every
+// rank of c, failing the test after d.
+func waitStore(t *testing.T, c *Cluster, id uint64, d time.Duration) {
+	t.Helper()
+	ctx, cancel := context.WithTimeout(context.Background(), d)
+	defer cancel()
+	if err := c.WaitDurable(ctx, id, ndp.LevelStore); err != nil {
+		t.Fatalf("checkpoint %d never drained: %v", id, err)
+	}
 }
 
 // contains reports whether ids includes id.

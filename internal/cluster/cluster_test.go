@@ -139,11 +139,7 @@ func TestRecoverFromIOAfterNodeLoss(t *testing.T) {
 	// Wait for every rank's drain ack: the store's Latest turns visible at
 	// the first landed block, but only the ack means every block landed
 	// (the windowed sender writes them out of order).
-	for rank := 0; rank < 3; rank++ {
-		if !c.Node(rank).Engine().WaitDrained(id, 5*time.Second) {
-			t.Fatalf("rank %d never drained", rank)
-		}
-	}
+	waitStore(t, c, id, 5*time.Second)
 	if latest, ok, err := store.Latest(context.Background(), "job", 1); err != nil || !ok || latest < id {
 		t.Fatalf("rank 1 drained but store.Latest = %d, %v", latest, ok)
 	}

@@ -112,11 +112,7 @@ func TestShardClusterSurvivesBackendDeathMidDrain(t *testing.T) {
 			// racing the kill. Whatever the interleaving, the committed
 			// line must survive on the other two backends.
 			iods[victim].srv.Close()
-			for i := 0; i < ranks; i++ {
-				if !c.Node(i).Engine().WaitDrained(id, 20*time.Second) {
-					t.Fatalf("rank %d never drained checkpoint %d past the dead backend", i, id)
-				}
-			}
+			waitStore(t, c, id, 20*time.Second)
 
 			// All local state gone: recovery must come from the shard tier.
 			for i := 0; i < ranks; i++ {
@@ -180,11 +176,7 @@ func TestShardClusterMembershipMidDrain(t *testing.T) {
 	if err := store.Decommission(iods[0].addr); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < ranks; i++ {
-		if !c.Node(i).Engine().WaitDrained(id, 20*time.Second) {
-			t.Fatalf("rank %d never drained checkpoint %d through the membership change", i, id)
-		}
-	}
+	waitStore(t, c, id, 20*time.Second)
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
 	defer cancel()
 	if err := store.WaitDecommissioned(ctx, iods[0].addr); err != nil {
@@ -281,11 +273,7 @@ func TestShardClusterBackendDeathMidStreamedRestore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 2; i++ {
-		if !c.Node(i).Engine().WaitDrained(id, 20*time.Second) {
-			t.Fatalf("rank %d never drained", i)
-		}
-	}
+	waitStore(t, c, id, 20*time.Second)
 	for i := 0; i < 2; i++ {
 		if err := c.FailNode(i); err != nil {
 			t.Fatal(err)

@@ -10,9 +10,9 @@ import (
 	"time"
 
 	"ndpcr/internal/compress"
-	"ndpcr/internal/iod/wire"
 	"ndpcr/internal/node"
 	"ndpcr/internal/node/iostore"
+	"ndpcr/internal/node/ndp"
 	"ndpcr/internal/node/nvm"
 )
 
@@ -53,13 +53,6 @@ func (s *latencyStore) GetBlock(ctx context.Context, key iostore.Key, index int)
 // benchServer starts an iod server over a latency-shaped store and a lane
 // pool dialed against it.
 func benchServer(b *testing.B, lanes int, perBlock time.Duration) *Client {
-	return benchServerWire(b, lanes, perBlock, 0)
-}
-
-// benchServerWire is benchServer with the client's offered wire version
-// capped: maxWire 1 reproduces a v1 gob client (the wire benchmark's
-// baseline), 0 or 2 negotiates the current binary protocol.
-func benchServerWire(b *testing.B, lanes int, perBlock time.Duration, maxWire int) *Client {
 	b.Helper()
 	backing := &latencyStore{Store: iostore.New(nvm.Pacer{}), perBlock: perBlock}
 	srv, err := NewServer(backing)
@@ -74,10 +67,7 @@ func benchServerWire(b *testing.B, lanes int, perBlock time.Duration, maxWire in
 		}
 		time.Sleep(time.Millisecond)
 	}
-	if maxWire == 0 {
-		maxWire = wire.Version
-	}
-	client, err := dialPoolWire(srv.Addr().String(), lanes, maxWire)
+	client, err := DialPool(srv.Addr().String(), lanes)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -131,43 +121,38 @@ func BenchmarkDrainLanes(b *testing.B) {
 
 // BenchmarkWireDrain isolates the wire codec: a 4-lane drain against a
 // zero-latency store, so every nanosecond is framing, copying, and
-// allocation — the part of the stack protocol v2 replaces. Blocks are
-// 16 KiB (the experiments' drain block size, where per-block codec
-// overhead is most visible against the loopback syscall floor) and carry
-// a production-shaped metadata map (the NDP engine sends Meta: ckpt.Meta
-// on every PutBlock), which gob re-reflects and re-allocates per block
-// while the binary codec varint-codes flat and memoizes server-side.
-// wire=v1 is the gob baseline via a version-capped client; bench_iod.sh
-// compares the two and gates the v2 number against the recorded v1
-// 4-lane drain baseline.
+// allocation. Blocks are 16 KiB (the experiments' drain block size, where
+// per-block codec overhead is most visible against the loopback syscall
+// floor) and carry a production-shaped metadata map (the NDP engine sends
+// Meta: ckpt.Meta on every PutBlock), which the codec varint-codes flat and
+// the server memoizes. bench_iod.sh reports the number next to the frozen
+// 4-lane figure the retired gob wire last measured.
 func BenchmarkWireDrain(b *testing.B) {
 	const blockSize = 16 << 10
 	block := bytes.Repeat([]byte{0xA5}, blockSize)
-	for _, wireVer := range []int{1, 2} {
-		b.Run(fmt.Sprintf("wire=v%d", wireVer), func(b *testing.B) {
-			client := benchServerWire(b, 4, 0, wireVer)
-			key := iostore.Key{Job: "bench", Rank: 0, ID: 1}
-			meta := iostore.Object{
-				Key: key, OrigSize: blockSize, Codec: "gzip", CodecLevel: 1,
-				// The BLCR-style map node.Metadata.toMap attaches to every
-				// checkpoint, which the engine forwards on every PutBlock.
-				Meta: map[string]string{"job": "bench", "rank": "0", "step": "400", "ckpt": "1"},
-			}
-			var next atomic.Int64
-			b.SetBytes(blockSize)
-			b.SetParallelism(8)
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				for pb.Next() {
-					i := int(next.Add(1))
-					if err := client.PutBlock(context.Background(), key, meta, i%64, block); err != nil {
-						b.Error(err)
-						return
-					}
+	b.Run("wire=v2", func(b *testing.B) {
+		client := benchServer(b, 4, 0)
+		key := iostore.Key{Job: "bench", Rank: 0, ID: 1}
+		meta := iostore.Object{
+			Key: key, OrigSize: blockSize, Codec: "gzip", CodecLevel: 1,
+			// The BLCR-style map node.Metadata.toMap attaches to every
+			// checkpoint, which the engine forwards on every PutBlock.
+			Meta: map[string]string{"job": "bench", "rank": "0", "step": "400", "ckpt": "1"},
+		}
+		var next atomic.Int64
+		b.SetBytes(blockSize)
+		b.SetParallelism(8)
+		b.ResetTimer()
+		b.RunParallel(func(pb *testing.PB) {
+			for pb.Next() {
+				i := int(next.Add(1))
+				if err := client.PutBlock(context.Background(), key, meta, i%64, block); err != nil {
+					b.Error(err)
+					return
 				}
-			})
+			}
 		})
-	}
+	})
 }
 
 // benchSnapshot builds a deterministic, moderately compressible snapshot:
@@ -182,95 +167,50 @@ func benchSnapshot(size int) []byte {
 	return snap
 }
 
-// plainAPI hides the block-read path of the wrapped store: StatBlocks
-// declines every key, so a restore through it takes the monolithic
-// whole-object fallback — what a store predating block streaming looked
-// like.
-type plainAPI struct{ inner iostore.Backend }
-
-func (p plainAPI) Put(ctx context.Context, o iostore.Object) error { return p.inner.Put(ctx, o) }
-func (p plainAPI) PutBlock(ctx context.Context, key iostore.Key, meta iostore.Object, index int, block []byte) error {
-	return p.inner.PutBlock(ctx, key, meta, index, block)
-}
-func (p plainAPI) Delete(ctx context.Context, key iostore.Key) error { return p.inner.Delete(ctx, key) }
-func (p plainAPI) Get(ctx context.Context, key iostore.Key) (iostore.Object, error) {
-	return p.inner.Get(ctx, key)
-}
-func (p plainAPI) Stat(ctx context.Context, key iostore.Key) (iostore.Object, bool, error) {
-	return p.inner.Stat(ctx, key)
-}
-func (p plainAPI) IDs(ctx context.Context, job string, rank int) ([]uint64, error) {
-	return p.inner.IDs(ctx, job, rank)
-}
-func (p plainAPI) Latest(ctx context.Context, job string, rank int) (uint64, bool, error) {
-	return p.inner.Latest(ctx, job, rank)
-}
-func (p plainAPI) Keys(ctx context.Context) ([]iostore.Key, error) { return p.inner.Keys(ctx) }
-func (p plainAPI) StatBlocks(ctx context.Context, key iostore.Key) (iostore.Object, int, bool, error) {
-	return iostore.Object{}, 0, false, nil
-}
-func (p plainAPI) GetBlock(ctx context.Context, key iostore.Key, index int) ([]byte, error) {
-	return nil, iostore.ErrNotFound
-}
-
-// BenchmarkStreamedRestore compares a full node restore through the iod
-// transport in both shapes: mode=streamed fetches blocks individually and
-// overlaps the fetch with the decompression pool; mode=whole is the legacy
-// serial fetch-everything-then-decompress path (BlockReader hidden).
-// Streamed must beat whole: the serial path's time is the SUM of transfer
-// and decompress, the streamed path's is roughly their MAX divided across
-// lanes.
+// BenchmarkStreamedRestore measures a full node restore through the iod
+// transport: blocks are fetched individually through a prefetch window and
+// the fetch overlaps the decompression pool.
 func BenchmarkStreamedRestore(b *testing.B) {
 	gz, err := compress.Lookup("gzip", 1)
 	if err != nil {
 		b.Fatal(err)
 	}
 	snap := benchSnapshot(512 << 10)
-	for _, mode := range []string{"streamed", "whole"} {
-		b.Run("mode="+mode, func(b *testing.B) {
-			client := benchServer(b, 4, 500*time.Microsecond)
-			var store iostore.Backend = client
-			if mode == "whole" {
-				store = plainAPI{inner: client}
-			}
-			n, err := node.New(node.Config{
-				Job: "bench", Rank: 0, Store: store,
-				BlockSize: 8192, Codec: gz,
-				RestoreWorkers: 4, PrefetchBlocks: 8,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.Cleanup(n.Close)
-			// Drain through the real NDP pipeline so the stored object has
-			// the production shape: one independently-compressed block per
-			// BlockSize chunk of the snapshot.
-			id, err := n.Commit(snap, node.Metadata{Step: 1})
-			if err != nil {
-				b.Fatal(err)
-			}
-			deadline := time.Now().Add(30 * time.Second)
-			for {
-				if got, ok := n.Engine().LastDrained(); ok && got >= id {
-					break
-				}
-				if time.Now().After(deadline) {
-					b.Fatal("NDP drain never completed")
-				}
-				time.Sleep(time.Millisecond)
-			}
-			n.FailLocal()
-			b.SetBytes(int64(len(snap)))
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				got, _, _, err := n.Restore(context.Background())
-				if err != nil {
-					b.Fatal(err)
-				}
-				if len(got) != len(snap) {
-					b.Fatalf("restored %d bytes, want %d", len(got), len(snap))
-				}
-			}
+	b.Run("mode=streamed", func(b *testing.B) {
+		client := benchServer(b, 4, 500*time.Microsecond)
+		n, err := node.New(node.Config{
+			Job: "bench", Rank: 0, Store: client,
+			BlockSize: 8192, Codec: gz,
+			RestoreWorkers: 4, PrefetchBlocks: 8,
 		})
-	}
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Cleanup(n.Close)
+		// Drain through the real NDP pipeline so the stored object has
+		// the production shape: one independently-compressed block per
+		// BlockSize chunk of the snapshot.
+		id, err := n.Commit(snap, node.Metadata{Step: 1})
+		if err != nil {
+			b.Fatal(err)
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		err = n.WaitDurableCtx(ctx, id, ndp.LevelStore)
+		cancel()
+		if err != nil {
+			b.Fatalf("NDP drain never completed: %v", err)
+		}
+		n.FailLocal()
+		b.SetBytes(int64(len(snap)))
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			got, _, _, err := n.Restore(context.Background())
+			if err != nil {
+				b.Fatal(err)
+			}
+			if len(got) != len(snap) {
+				b.Fatalf("restored %d bytes, want %d", len(got), len(snap))
+			}
+		}
+	})
 }

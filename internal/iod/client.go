@@ -2,7 +2,6 @@ package iod
 
 import (
 	"context"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"net"
@@ -17,27 +16,19 @@ import (
 )
 
 // lane is one TCP connection in a client's pool, with its own codec state.
-// mu serializes exchanges on the lane (both wire codecs are stateful
-// streams, so a lane carries one request/response at a time); connMu
-// guards only the conn pointer so Close can sever an in-flight exchange
-// without waiting behind it.
+// mu serializes exchanges on the lane (the frame stream is stateful, so a
+// lane carries one request/response at a time); connMu guards only the conn
+// pointer so Close can sever an in-flight exchange without waiting behind
+// it.
 type lane struct {
 	mu sync.Mutex // held for the duration of an exchange or repair
 
 	connMu sync.Mutex
 	conn   net.Conn
 
-	enc *gob.Encoder
-	dec *gob.Decoder
-
-	// wireVer is the protocol negotiated on the current connection: 0 =
-	// not yet negotiated, 1 = gob (a v1 server), 2 = binary frames. Every
-	// fresh connection renegotiates, so a server upgrade or rollback takes
-	// effect at the next redial. Guarded by mu.
-	wireVer int
-	// v2 frames the connection when wireVer == 2. Guarded by mu.
-	v2 *wire.Conn
-	// scratch is the reused v2 request-meta encode buffer; pbuf is the
+	// wc frames the current connection. Guarded by mu.
+	wc *wire.Conn
+	// scratch is the reused request-meta encode buffer; pbuf is the
 	// reused single-entry scatter/gather list for PutBlock payloads (a
 	// drain sends millions of them, so the one-element slice must not be
 	// reallocated per block). Guarded by mu.
@@ -55,17 +46,14 @@ type lane struct {
 
 // setConn installs a fresh connection, closing any previous one. Caller
 // holds ln.mu; connMu bounds the race with Close.
-func (ln *lane) setConn(conn net.Conn) {
+func (ln *lane) setConn(conn net.Conn, arena *wire.Arena) {
 	ln.connMu.Lock()
 	if ln.conn != nil {
 		ln.conn.Close()
 	}
 	ln.conn = conn
 	ln.connMu.Unlock()
-	ln.enc = gob.NewEncoder(conn)
-	ln.dec = gob.NewDecoder(conn)
-	ln.wireVer = 0
-	ln.v2 = nil
+	ln.wc = wire.NewConn(conn, arena)
 }
 
 // markBroken flags the lane for repair before its next exchange. Caller
@@ -91,41 +79,15 @@ func (ln *lane) setDeadline(t time.Time) {
 	ln.connMu.Unlock()
 }
 
-// exchange runs one request/response on the lane through whichever codec
-// the lane negotiated. Caller holds ln.mu. A context deadline is projected
-// onto the connection so a blocked read cannot outlive the caller's budget
-// (the failed read marks the lane broken; the next claimant redials it).
+// exchange runs one request/response on the lane. Caller holds ln.mu. The
+// request's meta section is encoded into the lane's reused scratch buffer,
+// block payloads ride the scatter/gather list untouched, and the response's
+// checksum is verified before decode. A checksum mismatch is a transport
+// error — the caller marks the lane broken and the retry path redials. A
+// context deadline is projected onto the connection so a blocked read
+// cannot outlive the caller's budget (the failed read marks the lane
+// broken; the next claimant redials it).
 func (ln *lane) exchange(ctx context.Context, req *request) (*response, error) {
-	if ln.wireVer == 2 {
-		return ln.exchangeV2(ctx, req)
-	}
-	return ln.exchangeGob(ctx, req)
-}
-
-// exchangeGob is the v1 codec: one gob-encoded request, one gob-encoded
-// response. Also carries the opHello negotiation probe, which is always
-// sent as gob so a v1 server can parse it.
-func (ln *lane) exchangeGob(ctx context.Context, req *request) (*response, error) {
-	if dl, ok := ctx.Deadline(); ok {
-		ln.setDeadline(dl)
-		defer ln.setDeadline(time.Time{})
-	}
-	if err := ln.enc.Encode(req); err != nil {
-		return nil, fmt.Errorf("iod: send: %w", err)
-	}
-	var resp response
-	if err := ln.dec.Decode(&resp); err != nil {
-		return nil, fmt.Errorf("iod: receive: %w", err)
-	}
-	return &resp, nil
-}
-
-// exchangeV2 is the binary codec: the request's meta section is encoded
-// into the lane's reused scratch buffer, block payloads ride the
-// scatter/gather list untouched, and the response's checksum is verified
-// before decode. A checksum mismatch is a transport error — the caller
-// marks the lane broken and the retry path redials.
-func (ln *lane) exchangeV2(ctx context.Context, req *request) (*response, error) {
 	if dl, ok := ctx.Deadline(); ok {
 		ln.setDeadline(dl)
 		defer ln.setDeadline(time.Time{})
@@ -137,12 +99,12 @@ func (ln *lane) exchangeV2(ctx context.Context, req *request) (*response, error)
 		ln.pbuf[0] = req.Block
 		payloads = ln.pbuf[:]
 	}
-	err := ln.v2.WriteFrame(h, ln.scratch, payloads...)
+	err := ln.wc.WriteFrame(h, ln.scratch, payloads...)
 	ln.pbuf[0] = nil
 	if err != nil {
 		return nil, fmt.Errorf("iod: send: %w", err)
 	}
-	rh, rmeta, rpayload, err := ln.v2.ReadFrame()
+	rh, rmeta, rpayload, err := ln.wc.ReadFrame()
 	if err != nil {
 		return nil, fmt.Errorf("iod: receive: %w", err)
 	}
@@ -178,16 +140,8 @@ type Client struct {
 	lanes []*lane
 	next  atomic.Uint64 // round-robin lane cursor
 
-	// maxWire caps the protocol version the client offers at negotiation:
-	// 2 (the default) sends the v2 hello on every fresh connection; 1
-	// skips negotiation and speaks gob, reproducing a v1 client exactly
-	// (compat tests and the v1-vs-v2 benchmark baseline).
-	maxWire int
 	// arena pools receive buffers across every lane's frames.
 	arena *wire.Arena
-	// wireSeen is the highest protocol version any lane has negotiated (0
-	// until the first negotiation), exported as ndpcr_iod_wire_version.
-	wireSeen atomic.Int64
 
 	mu     sync.Mutex
 	closed bool
@@ -224,14 +178,12 @@ func (c *Client) Instrument(r *metrics.Registry) {
 	c.mChecksumErrs = r.Counter("ndpcr_iod_checksum_errors_total",
 		"wire frames whose CRC32C verification failed (corruption caught before it reached a checkpoint)")
 	c.mMaskedInv = r.Counter("ndpcr_iod_masked_inventory_errors_total",
-		"remote Stat/IDs/Latest/StatBlocks errors surfaced to the caller (the v1 client silently read these as absence)")
+		"remote Stat/IDs/Latest/StatBlocks errors surfaced to the caller (read as absence, they would hide a checkpoint from a restore)")
 	c.mInFlight = r.Gauge("ndpcr_iod_inflight_calls", "calls currently on the wire (drain streams in flight)")
 	c.mCallSecs = r.Histogram("ndpcr_iod_call_seconds", "round-trip time per call", metrics.UnitSeconds)
 	r.GaugeFunc("ndpcr_iod_lanes", "TCP lanes in this client's pool", func() float64 {
 		return float64(len(c.lanes))
 	})
-	r.GaugeFunc("ndpcr_iod_wire_version", "highest wire protocol version negotiated on any lane (0 = none yet)",
-		func() float64 { return float64(c.wireSeen.Load()) })
 	c.arena.Hit = r.Counter("ndpcr_iod_arena_hits_total", "wire receive buffers served from the pooled arena")
 	c.arena.Miss = r.Counter("ndpcr_iod_arena_misses_total", "wire receive buffers freshly allocated (pool empty or oversized)")
 }
@@ -270,19 +222,14 @@ func Dial(addr string) (*Client, error) {
 // DialPool connects to an iod server with a pool of n lanes. Lane 0 is
 // dialed eagerly (so a dead server fails fast, as Dial always has); the
 // rest dial lazily on first use, so idle lanes cost the server nothing.
-// Each lane negotiates the wire protocol at first use: v2 binary frames
-// against a current server, gob against a v1 server (see opHello).
+// The first bytes on every connection are a wire frame; there is no
+// handshake, and a peer answering with anything else fails the exchange
+// with wire.ErrBadMagic or wire.ErrBadVersion.
 func DialPool(addr string, n int) (*Client, error) {
-	return dialPoolWire(addr, n, wire.Version)
-}
-
-// dialPoolWire is DialPool with the offered wire version capped: maxWire 1
-// reproduces a v1 gob client (the compat matrix and the bench baseline).
-func dialPoolWire(addr string, n, maxWire int) (*Client, error) {
 	if n < 1 {
 		n = 1
 	}
-	c := &Client{addr: addr, lanes: make([]*lane, n), maxWire: maxWire, arena: wire.NewArena()}
+	c := &Client{addr: addr, lanes: make([]*lane, n), arena: wire.NewArena()}
 	for i := range c.lanes {
 		c.lanes[i] = &lane{broken: true}
 	}
@@ -290,7 +237,7 @@ func dialPoolWire(addr string, n, maxWire int) (*Client, error) {
 	if err != nil {
 		return nil, fmt.Errorf("iod: dial %s: %w", addr, err)
 	}
-	c.lanes[0].setConn(conn)
+	c.lanes[0].setConn(conn, c.arena)
 	c.lanes[0].markHealthy()
 	return c, nil
 }
@@ -356,12 +303,12 @@ func (c *Client) dialRetry(ctx context.Context) (net.Conn, error) {
 }
 
 // NewClient wraps an established connection (tests use net.Pipe). Clients
-// built this way have one lane and do not reconnect, but still negotiate
-// the wire protocol on first use.
+// built this way have one lane and do not reconnect.
 func NewClient(conn net.Conn) *Client {
-	ln := &lane{conn: conn, enc: gob.NewEncoder(conn), dec: gob.NewDecoder(conn)}
-	ln.healthy.Store(true)
-	return &Client{lanes: []*lane{ln}, maxWire: wire.Version, arena: wire.NewArena()}
+	c := &Client{lanes: []*lane{{}}, arena: wire.NewArena()}
+	c.lanes[0].setConn(conn, c.arena)
+	c.lanes[0].markHealthy()
+	return c
 }
 
 // acquireLane claims a lane for one exchange, returning it locked. It
@@ -438,7 +385,7 @@ func (c *Client) repairLane(ctx context.Context, ln *lane) error {
 		conn.Close() // a racing repairer beat us to it
 		return nil
 	}
-	ln.setConn(conn)
+	ln.setConn(conn, c.arena)
 	ln.markHealthy()
 	if c.mReconnects != nil {
 		c.mReconnects.Inc()
@@ -446,59 +393,15 @@ func (c *Client) repairLane(ctx context.Context, ln *lane) error {
 	return nil
 }
 
-// negotiateLane runs the version handshake on a freshly-connected lane.
-// The hello travels as gob so every server generation can parse it: a v2
-// server acks and both sides switch the connection to binary frames; a v1
-// server's unknown-op reply (or any refusal) downgrades the lane to gob.
-// Transport failures bubble up so the caller's retry path redials. Caller
-// holds ln.mu.
-func (c *Client) negotiateLane(ctx context.Context, ln *lane) error {
-	if c.maxWire < 2 {
-		ln.wireVer = 1
-		c.noteWire(1)
-		return nil
-	}
-	resp, err := ln.exchangeGob(ctx, &request{Op: opHello, Index: wire.Version})
-	if err != nil {
-		return err
-	}
-	if resp.Err == "" && resp.OK && resp.NumBlocks >= 2 {
-		ln.wireVer = 2
-		ln.v2 = wire.NewConn(ln.conn, c.arena)
-	} else {
-		ln.wireVer = 1
-	}
-	c.noteWire(ln.wireVer)
-	return nil
-}
-
-// noteWire records the highest negotiated protocol version for the
-// ndpcr_iod_wire_version gauge.
-func (c *Client) noteWire(v int) {
-	for {
-		cur := c.wireSeen.Load()
-		if int64(v) <= cur || c.wireSeen.CompareAndSwap(cur, int64(v)) {
-			return
-		}
-	}
-}
-
 // attempt runs one exchange on one lane, repairing the lane first if it is
-// broken (or was never dialed) and negotiating the wire protocol on a
-// fresh connection. A failed exchange — including a checksum mismatch in
-// either direction — marks the lane broken so the next claimant redials
-// it.
+// broken (or was never dialed). A failed exchange — including a checksum
+// mismatch in either direction — marks the lane broken so the next claimant
+// redials it.
 func (c *Client) attempt(ctx context.Context, req *request) (*response, error) {
 	ln := c.acquireLane()
 	defer ln.mu.Unlock()
 	if ln.broken {
 		if err := c.repairLane(ctx, ln); err != nil {
-			return nil, err
-		}
-	}
-	if ln.wireVer == 0 {
-		if err := c.negotiateLane(ctx, ln); err != nil {
-			ln.markBroken()
 			return nil, err
 		}
 	}
@@ -637,8 +540,7 @@ func (c *Client) PutBlock(ctx context.Context, key iostore.Key, meta iostore.Obj
 // Delete implements iostore.Backend. A failed delete leaks a global
 // object, so it is both returned to the caller (abort/rollback paths can
 // now tell a leaked object from a cleaned one) and counted in
-// ndpcr_iod_delete_errors_total. Servers predating the error-carrying
-// delete response simply report success, as they always did.
+// ndpcr_iod_delete_errors_total.
 func (c *Client) Delete(ctx context.Context, key iostore.Key) error {
 	resp, err := c.call(ctx, &request{Op: opDelete, Key: key})
 	if err == nil && resp.Err != "" {
@@ -697,21 +599,13 @@ func (c *Client) inventoryErr(resp *response) error {
 	return errors.New(resp.Err)
 }
 
-// StatBlocks implements iostore.Backend. ok == false with a nil error
-// covers object absence and — via the unknown-op reply matched on
-// unknownOpPrefix — a pre-streaming server; in both cases the caller falls
-// back to a whole-object Get, so old servers keep working unmodified. Any
-// other remote error is a real failure and surfaces as one: the previous
-// client conflated every remote error with "streaming unsupported", so a
-// briefly-failing backend silently downgraded restores to whole-object
-// fetches.
+// StatBlocks implements iostore.Backend. ok == false with a nil error means
+// the object is absent; any remote error is a real failure and surfaces as
+// one.
 func (c *Client) StatBlocks(ctx context.Context, key iostore.Key) (iostore.Object, int, bool, error) {
 	resp, err := c.call(ctx, &request{Op: opStatBlocks, Key: key})
 	if err != nil {
 		return iostore.Object{}, 0, false, err
-	}
-	if strings.HasPrefix(resp.Err, unknownOpPrefix) {
-		return iostore.Object{}, 0, false, nil
 	}
 	if err := c.inventoryErr(resp); err != nil {
 		return iostore.Object{}, 0, false, err
@@ -749,17 +643,11 @@ func (c *Client) IDs(ctx context.Context, job string, rank int) ([]uint64, error
 }
 
 // Keys implements iostore.Backend: the remote store's full key inventory,
-// the surface shardstore's restart-blind rebalance planner enumerates. A
-// server predating opKeys answers with its unknown-op error, which maps to
-// iostore.ErrUnsupported so planners can tell "cannot enumerate" from "the
-// backend is failing".
+// the surface shardstore's restart-blind rebalance planner enumerates.
 func (c *Client) Keys(ctx context.Context) ([]iostore.Key, error) {
 	resp, err := c.call(ctx, &request{Op: opKeys})
 	if err != nil {
 		return nil, err
-	}
-	if strings.HasPrefix(resp.Err, unknownOpPrefix) {
-		return nil, fmt.Errorf("%w: keys enumeration (server predates opKeys)", iostore.ErrUnsupported)
 	}
 	if err := c.inventoryErr(resp); err != nil {
 		return nil, err

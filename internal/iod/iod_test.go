@@ -13,6 +13,7 @@ import (
 	"ndpcr/internal/metrics"
 	"ndpcr/internal/node"
 	"ndpcr/internal/node/iostore"
+	"ndpcr/internal/node/ndp"
 	"ndpcr/internal/node/nvm"
 )
 
@@ -190,15 +191,11 @@ func TestNodeRuntimeDrainsOverTCP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if last, ok := n.Engine().LastDrained(); ok && last >= id {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("drain over TCP never completed")
-		}
-		time.Sleep(time.Millisecond)
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	err = n.WaitDurableCtx(ctx, id, ndp.LevelStore)
+	cancel()
+	if err != nil {
+		t.Fatalf("drain over TCP never completed: %v", err)
 	}
 	n.FailLocal()
 	got, meta, level, err := n.Restore(context.Background())

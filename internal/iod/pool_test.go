@@ -3,7 +3,6 @@ package iod
 import (
 	"bytes"
 	"context"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"net"
@@ -12,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"ndpcr/internal/iod/wire"
 	"ndpcr/internal/metrics"
 	"ndpcr/internal/node/iostore"
 	"ndpcr/internal/node/nvm"
@@ -106,7 +106,7 @@ func TestDialPoolLazyLanes(t *testing.T) {
 func TestPoolConcurrentInterleavings(t *testing.T) {
 	// Concurrent drain (PutBlock) and inventory/fetch (Stat, Get, GetBlock)
 	// traffic on one pooled client: interleavings must neither corrupt
-	// per-lane gob streams nor cross-deliver responses. Run under -race.
+	// per-lane frame streams nor cross-deliver responses. Run under -race.
 	_, client, _ := startPool(t, 4)
 	var wg sync.WaitGroup
 	errs := make(chan error, 8)
@@ -310,95 +310,8 @@ func TestStreamedGetMatchesWholeGet(t *testing.T) {
 	}
 }
 
-// startOldServer runs a wire-compatible stub of a pre-streaming iod server:
-// it answers the original seven ops against backing and replies with the
-// unknown-op error for anything newer, exactly as the seed server did.
-func startOldServer(t *testing.T, backing iostore.Backend) string {
-	t.Helper()
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { l.Close() })
-	go func() {
-		for {
-			conn, err := l.Accept()
-			if err != nil {
-				return
-			}
-			go func(conn net.Conn) {
-				defer conn.Close()
-				dec := gob.NewDecoder(conn)
-				enc := gob.NewEncoder(conn)
-				for {
-					var req request
-					if err := dec.Decode(&req); err != nil {
-						return
-					}
-					resp := &response{}
-					switch req.Op {
-					case opGet:
-						obj, err := backing.Get(context.Background(), req.Key)
-						switch {
-						case errors.Is(err, iostore.ErrNotFound):
-							resp.NotFound = true
-							resp.Err = err.Error()
-						case err != nil:
-							resp.Err = err.Error()
-						default:
-							resp.Object = obj
-						}
-					case opStat:
-						resp.Object, resp.OK, _ = backing.Stat(context.Background(), req.Key)
-					case opLatest:
-						resp.Latest, resp.OK, _ = backing.Latest(context.Background(), req.Job, req.Rank)
-					case opPutBlock:
-						if err := backing.PutBlock(context.Background(), req.Key, req.Meta, req.Index, req.Block); err != nil {
-							resp.Err = err.Error()
-						}
-					default:
-						resp.Err = fmt.Sprintf("iod: unknown op %d", req.Op)
-					}
-					if err := enc.Encode(resp); err != nil {
-						return
-					}
-				}
-			}(conn)
-		}
-	}()
-	return l.Addr().String()
-}
-
-func TestStatBlocksFallsBackOnOldServer(t *testing.T) {
-	// A client pointed at a pre-streaming server must detect the unknown-op
-	// reply and report "no block reads here" so restores fall back to the
-	// whole-object path — not error, not retry forever.
-	backing := iostore.New(nvm.Pacer{})
-	addr := startOldServer(t, backing)
-	client, err := DialPool(addr, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer client.Close()
-
-	key := iostore.Key{Job: "old", Rank: 0, ID: 1}
-	if err := backing.Put(context.Background(), iostore.Object{Key: key, OrigSize: 4, Blocks: [][]byte{[]byte("data")}}); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, ok, _ := client.StatBlocks(context.Background(), key); ok {
-		t.Fatal("StatBlocks claimed support against a pre-streaming server")
-	}
-	obj, err := client.Get(context.Background(), key)
-	if err != nil {
-		t.Fatalf("whole-object fallback Get: %v", err)
-	}
-	if !bytes.Equal(obj.Blocks[0], []byte("data")) {
-		t.Error("fallback Get returned wrong data")
-	}
-}
-
 func TestKeysEnumerationOverWire(t *testing.T) {
-	// opKeys must cross the wire on both codecs and come back in iostore's
+	// opKeys must cross the wire and come back in iostore's
 	// canonical order — the shard planner's inventory is built from it.
 	_, client, backing := startServer(t)
 	want := []iostore.Key{
@@ -433,20 +346,66 @@ func TestKeysEnumerationOverWire(t *testing.T) {
 	}
 }
 
-func TestKeysUnsupportedOnOldServer(t *testing.T) {
-	// A server predating opKeys answers with the unknown-op error; the
-	// client must surface iostore.ErrUnsupported — a typed "this backend
-	// cannot enumerate" the shard planner treats as a degraded inventory,
-	// not a transport failure.
-	backing := iostore.New(nvm.Pacer{})
-	addr := startOldServer(t, backing)
-	client, err := DialPool(addr, 1)
+// failingBackend errors every inventory read; writes succeed.
+type failingBackend struct {
+	iostore.Backend
+}
+
+func (f failingBackend) Stat(ctx context.Context, key iostore.Key) (iostore.Object, bool, error) {
+	return iostore.Object{}, false, errors.New("backend melted")
+}
+func (f failingBackend) IDs(ctx context.Context, job string, rank int) ([]uint64, error) {
+	return nil, errors.New("backend melted")
+}
+func (f failingBackend) Latest(ctx context.Context, job string, rank int) (uint64, bool, error) {
+	return 0, false, errors.New("backend melted")
+}
+func (f failingBackend) StatBlocks(ctx context.Context, key iostore.Key) (iostore.Object, int, bool, error) {
+	return iostore.Object{}, 0, false, errors.New("backend melted")
+}
+
+// TestRemoteInventoryErrorsSurfaced is the masking regression: a remote
+// Stat/IDs/Latest/StatBlocks failure must surface as an error — read as
+// "nothing stored", a restore coordinator on a sick I/O node would conclude
+// there was no checkpoint to restore.
+func TestRemoteInventoryErrorsSurfaced(t *testing.T) {
+	srv, err := NewServer(failingBackend{iostore.New(nvm.Pacer{})})
+	if err != nil {
+		t.Fatal(err)
+	}
+	go srv.ListenAndServe("127.0.0.1:0")
+	deadline := time.Now().Add(5 * time.Second)
+	for srv.Addr() == nil {
+		if time.Now().After(deadline) {
+			t.Fatal("server never started listening")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	defer srv.Close()
+	client, err := Dial(srv.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer client.Close()
-	if _, err := client.Keys(context.Background()); !errors.Is(err, iostore.ErrUnsupported) {
-		t.Errorf("Keys against old server err = %v, want ErrUnsupported", err)
+	reg := metrics.NewRegistry()
+	client.Instrument(reg)
+
+	ctx := context.Background()
+	key := iostore.Key{Job: "sick", Rank: 0, ID: 1}
+	if _, ok, err := client.Stat(ctx, key); err == nil || ok {
+		t.Error("Stat masked a remote failure as absence")
+	}
+	if ids, err := client.IDs(ctx, "sick", 0); err == nil || ids != nil {
+		t.Error("IDs masked a remote failure as an empty inventory")
+	}
+	if _, ok, err := client.Latest(ctx, "sick", 0); err == nil || ok {
+		t.Error("Latest masked a remote failure as absence")
+	}
+	if _, _, ok, err := client.StatBlocks(ctx, key); err == nil || ok {
+		t.Error("StatBlocks masked a remote failure as absence")
+	}
+	if got := client.mMaskedInv.Value(); got != 4 {
+		t.Errorf("masked-inventory counter = %v, want 4", got)
 	}
 }
 
@@ -507,11 +466,9 @@ func TestServerMaxConnsRejectsSurplus(t *testing.T) {
 	}
 	defer raw.Close()
 	raw.SetDeadline(time.Now().Add(3 * time.Second))
-	enc := gob.NewEncoder(raw)
-	dec := gob.NewDecoder(raw)
-	_ = enc.Encode(&request{Op: opLatest, Job: "cap"})
-	var resp response
-	if err := dec.Decode(&resp); err == nil {
+	wc := wire.NewConn(raw, nil)
+	_ = wc.WriteFrame(wire.Header{Op: uint8(opLatest)}, appendRequestMeta(nil, &request{Op: opLatest, Job: "cap"}))
+	if _, _, _, err := wc.ReadFrame(); err == nil {
 		t.Error("surplus connection was served past the lane budget")
 	}
 	waitFor := time.Now().Add(3 * time.Second)
@@ -524,5 +481,87 @@ func TestServerMaxConnsRejectsSurplus(t *testing.T) {
 	// The funded client keeps working.
 	if latest, ok, _ := client.Latest(context.Background(), "cap", 0); !ok || latest != 1 {
 		t.Errorf("funded client broken after rejection: %d, %v", latest, ok)
+	}
+}
+
+// TestAcquireLanePrefersHealthyWhenAllBusy pins every lane busy and checks
+// the queueing fallback picks the healthy lane, not blindly the cursor's.
+func TestAcquireLanePrefersHealthyWhenAllBusy(t *testing.T) {
+	c := &Client{lanes: []*lane{{}, {}, {}}}
+	for _, ln := range c.lanes {
+		ln.broken = true
+		ln.mu.Lock() // every lane busy
+	}
+	c.lanes[2].healthy.Store(true)
+
+	got := make(chan *lane)
+	go func() { got <- c.acquireLane() }()
+	// The cursor starts at lane 0 (unhealthy, held forever): the old
+	// fallback queued there and would never return. The fixed fallback
+	// queues on the healthy lane 2, so freeing it releases the waiter.
+	select {
+	case <-got:
+		t.Fatal("acquireLane returned while every lane was still held")
+	case <-time.After(50 * time.Millisecond):
+	}
+	c.lanes[2].mu.Unlock()
+	select {
+	case ln := <-got:
+		if ln != c.lanes[2] {
+			t.Error("acquireLane queued on an unhealthy lane instead of the healthy one")
+		}
+		ln.mu.Unlock()
+	case <-time.After(2 * time.Second):
+		t.Fatal("acquireLane never returned after the healthy lane freed (queued on an unhealthy lane?)")
+	}
+}
+
+// exerciseSuite runs one full drain/restore/inventory cycle through a
+// client.
+func exerciseSuite(t *testing.T, client *Client) {
+	t.Helper()
+	ctx := context.Background()
+	key := iostore.Key{Job: "compat", Rank: 2, ID: 7}
+	meta := iostore.Object{Key: key, OrigSize: 12, Meta: map[string]string{"step": "9"}}
+	if err := client.PutBlock(ctx, key, meta, 0, []byte("hello ")); err != nil {
+		t.Fatalf("PutBlock 0: %v", err)
+	}
+	if err := client.PutBlock(ctx, key, meta, 1, []byte("wire!")); err != nil {
+		t.Fatalf("PutBlock 1: %v", err)
+	}
+	obj, err := client.Get(ctx, key)
+	if err != nil {
+		t.Fatalf("Get: %v", err)
+	}
+	if got := string(bytes.Join(obj.Blocks, nil)); got != "hello wire!" {
+		t.Fatalf("Get blocks = %q", got)
+	}
+	if obj.Meta["step"] != "9" {
+		t.Errorf("object meta lost: %v", obj.Meta)
+	}
+	if _, ok, err := client.Stat(ctx, key); err != nil || !ok {
+		t.Fatalf("Stat = %v, %v", ok, err)
+	}
+	if latest, ok, err := client.Latest(ctx, "compat", 2); err != nil || !ok || latest != 7 {
+		t.Fatalf("Latest = %d, %v, %v", latest, ok, err)
+	}
+	if _, err := client.Get(ctx, iostore.Key{Job: "compat", Rank: 2, ID: 404}); !errors.Is(err, iostore.ErrNotFound) {
+		t.Fatalf("missing Get err = %v, want ErrNotFound", err)
+	}
+}
+
+// TestCompatV2BothEnds runs the full cycle over a 2-lane pool: every lane
+// speaks wire frames from its first byte.
+func TestCompatV2BothEnds(t *testing.T) {
+	_, client, _ := startPool(t, 2)
+	exerciseSuite(t, client)
+	warmLane(t, client, 1)
+	for i, ln := range client.lanes {
+		ln.mu.Lock()
+		dialed := ln.wc != nil
+		ln.mu.Unlock()
+		if !dialed {
+			t.Errorf("lane %d never dialed", i)
+		}
 	}
 }

@@ -4,13 +4,12 @@
 // drain engine) can target a remote I/O node instead of an in-process
 // store.
 //
-// Two wire codecs share the port. Protocol v2 (internal/iod/wire) is the
-// default: length-prefixed little-endian binary frames with CRC32C
-// checksums, pooled receive buffers, and scatter/gather sends — the
-// zero-copy wire that lets a drain run at hardware speed. Protocol v1 is
-// the original gob framing, kept for mixed-version fleets: each lane
-// negotiates at connect (see opHello) and falls back to gob when the peer
-// predates v2.
+// There is one wire codec (internal/iod/wire, protocol v2): length-prefixed
+// little-endian binary frames with CRC32C checksums, pooled receive buffers,
+// and scatter/gather sends — the zero-copy wire that lets a drain run at
+// hardware speed. The first bytes on a connection are a frame; every header
+// carries magic and version, and a peer speaking anything else is rejected
+// with wire.ErrBadMagic or wire.ErrBadVersion and a closed socket.
 //
 // This is the substrate behind the paper's §4.2.2 requirement that "the
 // NDP must be able to operate the relevant system code for running the
@@ -26,11 +25,8 @@ import (
 // op identifies a request type.
 type op uint8
 
-// Protocol operations, one per iostore.API method plus the streaming
-// extension. opGetBlock/opStatBlocks were added after the first protocol
-// revision and MUST stay after opLatest: an old server answers them with an
-// unknown-op error, which the client maps to "streaming unsupported" and
-// the restore path falls back to a whole-object opGet.
+// Protocol operations, one per iostore.Backend method. The values are the
+// wire header's op byte.
 const (
 	opPut op = iota + 1
 	opPutBlock
@@ -42,30 +38,18 @@ const (
 	opGetBlock
 	opStatBlocks
 	// opKeys enumerates every key the backing store holds (the inventory
-	// surface behind shardstore's restart-blind rebalance planner). Added
-	// after opStatBlocks, so an old server answers it with an unknown-op
-	// error, which the client maps to iostore.ErrUnsupported.
+	// surface behind shardstore's restart-blind rebalance planner).
 	opKeys
 
 	// opMax is the highest valid op (metric array sizing).
 	opMax = opKeys
 )
 
-// opHello is the wire-v2 negotiation probe: the first request a v2-capable
-// client sends on every fresh connection, as gob, with Index carrying the
-// highest protocol version the client speaks. A v2 server acks it
-// (OK=true, NumBlocks=negotiated version) and switches the connection to
-// binary framing; a v1 server answers with its unknown-op error, which
-// downgrades the lane to gob — the same trick as the opStatBlocks
-// fallback, so mixed-version fleets keep working in both directions. The
-// value sits far above opMax so it can never collide with a real op.
-const opHello op = 0x7F
-
-// checksumErrPrefix opens the error a v2 server returns when a received
+// checksumErrPrefix opens the error the server returns when a received
 // frame fails CRC verification. The client maps it to a transport failure
 // (redial + retry) rather than an application error: corruption on the
-// wire must not fail a drain the way a full disk would. Like
-// unknownOpPrefix, the string is part of the wire contract.
+// wire must not fail a drain the way a full disk would. The string is part
+// of the wire contract.
 const checksumErrPrefix = "iod: payload checksum mismatch"
 
 // opName labels operations in metric series.
@@ -95,8 +79,8 @@ func opName(o op) string {
 	return "unknown"
 }
 
-// request is the wire form of one call. Only the fields relevant to Op are
-// populated; gob omits zero values efficiently.
+// request is the decoded form of one call. Only the fields relevant to Op
+// are populated.
 type request struct {
 	Op   op
 	Key  iostore.Key
@@ -110,7 +94,7 @@ type request struct {
 	Rank int
 }
 
-// response is the wire form of one result.
+// response is the decoded form of one result.
 type response struct {
 	// Err carries the remote error text ("" = success). iostore.ErrNotFound
 	// is mapped by sentinel (NotFound) so errors.Is works across the wire.
@@ -121,17 +105,12 @@ type response struct {
 	IDs      []uint64
 	Latest   uint64
 	// Block is GetBlock's payload; NumBlocks is StatBlocks's block count.
-	// gob omits absent fields, so old servers' responses decode with these
-	// zero — harmless, since old servers also set Err for the unknown op.
 	Block     []byte
 	NumBlocks int
-	// Keys is opKeys' inventory listing. On the v2 wire it travels as a
-	// trailing meta section that absent-field decoders skip, so mixed
-	// versions interoperate the same way gob's omitted fields do.
+	// Keys is opKeys' inventory listing.
 	Keys []iostore.Key
 }
 
-// unknownOpPrefix is how servers report an op they do not understand. The
-// client matches it to detect pre-streaming servers (the string is part of
-// the wire contract: old servers already emit it).
+// unknownOpPrefix opens the server's reply to a frame whose op byte names no
+// operation.
 const unknownOpPrefix = "iod: unknown op"

@@ -3,7 +3,6 @@ package iod
 import (
 	"bytes"
 	"context"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"net"
@@ -34,10 +33,9 @@ type Server struct {
 
 	// connFault, when set, is consulted before each request; drop severs
 	// the connection without responding (fault injection: exercises the
-	// client's reconnect+retry path), corrupt flips a byte of the next v2
+	// client's reconnect+retry path), corrupt flips a byte of the next
 	// response frame after its checksum is computed (exercises the client's
-	// CRC verification; on a gob lane corrupt degrades to drop, since gob
-	// has no checksum to trip).
+	// CRC verification).
 	connFault func() (drop, corrupt bool)
 
 	// maxConns, when > 0, caps concurrently served connections: a lane
@@ -46,7 +44,7 @@ type Server struct {
 	// its surplus lanes break and retries on the funded ones.
 	maxConns int
 
-	// arena pools v2 receive buffers across every connection; request
+	// arena pools receive buffers across every connection; request
 	// payloads are recycled as soon as the handler returns (every
 	// iostore.Backend copies block bytes it keeps, so recycling is safe).
 	arena *wire.Arena
@@ -58,7 +56,6 @@ type Server struct {
 	mReqErrors    *metrics.Counter
 	mRejected     *metrics.Counter
 	mChecksumErrs *metrics.Counter
-	mWireConns    [2]*metrics.Counter // [0]=v1 (gob), [1]=v2 (binary)
 }
 
 // NewServer wraps a backing store (usually *iostore.Store, possibly paced
@@ -81,10 +78,6 @@ func NewServer(backing iostore.Backend) (*Server, error) {
 	s.mRejected = s.reg.Counter("ndpcr_iod_conns_rejected_total", "connections refused by the -max-conns lane budget")
 	s.mChecksumErrs = s.reg.Counter("ndpcr_iod_checksum_errors_total",
 		"received wire frames whose CRC32C verification failed (corruption caught before it reached the store)")
-	s.mWireConns[0] = s.reg.Counter(`ndpcr_iod_wire_conns_total{version="v1"}`,
-		"connections negotiated down to the gob wire, by protocol version")
-	s.mWireConns[1] = s.reg.Counter(`ndpcr_iod_wire_conns_total{version="v2"}`,
-		"connections negotiated up to binary frames, by protocol version")
 	s.arena.Hit = s.reg.Counter("ndpcr_iod_arena_hits_total", "wire receive buffers served from the pooled arena")
 	s.arena.Miss = s.reg.Counter("ndpcr_iod_arena_misses_total", "wire receive buffers freshly allocated (pool empty or oversized)")
 	s.reg.GaugeFunc("ndpcr_iod_connections", "compute-node connections currently open", func() float64 {
@@ -117,7 +110,7 @@ func (s *Server) SetConnDropHook(h func() bool) {
 
 // SetConnFaultHook installs (or, with nil, removes) the full fault hook:
 // drop severs the connection without answering; corrupt flips a byte of
-// the next v2 response frame after its checksum is computed, so the
+// the next response frame after its checksum is computed, so the
 // client's CRC verification — not a codec decode error — must catch it.
 func (s *Server) SetConnFaultHook(h func() (drop, corrupt bool)) {
 	s.mu.Lock()
@@ -196,52 +189,6 @@ func (s *Server) isClosed() bool {
 	return s.closed
 }
 
-func (s *Server) serveConn(conn net.Conn) {
-	defer func() {
-		conn.Close()
-		s.mu.Lock()
-		delete(s.conns, conn)
-		s.mu.Unlock()
-		s.wg.Done()
-	}()
-	dec := gob.NewDecoder(conn)
-	enc := gob.NewEncoder(conn)
-	counted := false
-	for {
-		var req request
-		if err := dec.Decode(&req); err != nil {
-			// EOF and reset are normal client departures.
-			return
-		}
-		if req.Op == opHello && req.Index >= wire.Version {
-			// A v2-capable client's negotiation probe: ack (NumBlocks
-			// carries the agreed version) and switch this connection to
-			// binary frames. The ack itself is gob — the client reads it
-			// with the gob decoder before sending any v2 bytes.
-			if err := enc.Encode(&response{OK: true, NumBlocks: wire.Version}); err != nil {
-				return
-			}
-			s.mWireConns[1].Inc()
-			s.serveV2(conn)
-			return
-		}
-		if !counted {
-			counted = true
-			s.mWireConns[0].Inc()
-		}
-		drop, corrupt := s.fault()
-		if drop || corrupt {
-			// gob has no checksum to trip, so corrupt degrades to drop:
-			// sever without responding and let the client reconnect.
-			return
-		}
-		resp := s.handle(&req)
-		if err := enc.Encode(resp); err != nil {
-			return
-		}
-	}
-}
-
 // fault consults the fault-injection hook, if any.
 func (s *Server) fault() (drop, corrupt bool) {
 	s.mu.Lock()
@@ -253,14 +200,23 @@ func (s *Server) fault() (drop, corrupt bool) {
 	return h()
 }
 
-// serveV2 serves binary frames on a connection that completed the opHello
-// upgrade. Request payloads land in pooled arena buffers and are recycled
-// the moment the handler returns (every iostore.Backend copies block bytes
-// it keeps); response blocks ride the scatter/gather list straight from
-// the backing store. A frame that fails CRC verification is answered with
-// a checksumErrPrefix error — the stream stays aligned, and the client
-// treats the reply as a transport failure and redials.
-func (s *Server) serveV2(conn net.Conn) {
+// serveConn serves one connection's frames until the peer departs or sends
+// bytes that are not a frame (bad magic, version or section length: the
+// socket is closed without a reply). Request payloads land in pooled arena
+// buffers and are recycled the moment the handler returns (every
+// iostore.Backend copies block bytes it keeps); response blocks ride the
+// scatter/gather list straight from the backing store. A frame that fails
+// CRC verification is answered with a checksumErrPrefix error — the stream
+// stays aligned, and the client treats the reply as a transport failure and
+// redials.
+func (s *Server) serveConn(conn net.Conn) {
+	defer func() {
+		conn.Close()
+		s.mu.Lock()
+		delete(s.conns, conn)
+		s.mu.Unlock()
+		s.wg.Done()
+	}()
 	wc := wire.NewConn(conn, s.arena)
 	var scratch []byte // reused response-meta encode buffer
 	reply := func(h wire.Header, resp *response) error {
@@ -338,14 +294,8 @@ func (s *Server) serveV2(conn net.Conn) {
 	}
 }
 
-func (s *Server) handle(req *request) *response {
-	resp := &response{}
-	s.handleInto(req, resp)
-	return resp
-}
-
 // handleInto dispatches req to the backing store, filling resp in place —
-// the v2 serve loop reuses one response per connection, so the steady
+// the serve loop reuses one response per connection, so the steady
 // drain state allocates nothing per block on the reply path.
 func (s *Server) handleInto(req *request, resp *response) {
 	start := time.Now()
@@ -369,8 +319,6 @@ func (s *Server) handleInto(req *request, resp *response) {
 			resp.Err = err.Error()
 		}
 	case opDelete:
-		// Older clients ignore Err on delete responses, so reporting the
-		// failure is wire-compatible in both directions.
 		if err := s.backing.Delete(ctx, req.Key); err != nil {
 			resp.Err = err.Error()
 		}

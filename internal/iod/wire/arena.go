@@ -13,10 +13,10 @@ import (
 var arenaClasses = [...]int{1 << 10, 4 << 10, 16 << 10, 64 << 10, 256 << 10, 1 << 20, 4 << 20}
 
 // Arena is a tiered sync.Pool of []byte buffers, shared by every lane of a
-// client (or every connection of a server). It exists because the gob wire
-// allocated a fresh buffer per received block: at GB/s drain rates that is
-// hundreds of MB/s of garbage on both ends of the connection. All methods
-// are safe for concurrent use; a nil Arena degrades to plain allocation.
+// client (or every connection of a server). A fresh buffer per received
+// block is, at GB/s drain rates, hundreds of MB/s of garbage on both ends
+// of the connection. All methods are safe for concurrent use; a nil Arena
+// degrades to plain allocation.
 type Arena struct {
 	pools [len(arenaClasses)]sync.Pool
 

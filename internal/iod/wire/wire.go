@@ -1,11 +1,8 @@
-// Package wire implements the iod binary wire protocol v2: fixed
-// little-endian frame headers, varint-coded metadata sections, CRC32C
-// frame checksums, and size-class pooled buffer arenas.
-//
-// The v1 iod wire was gob: every block paid reflection encode/decode, a
-// fresh []byte allocation on the receiver, and whole-buffer copies through
-// the codec's internal buffers — at GB/s drain rates the codec, not the
-// network, was the ceiling. A v2 frame is
+// Package wire implements the iod binary wire protocol (version 2, the
+// only one spoken): fixed little-endian frame headers, varint-coded
+// metadata sections, CRC32C frame checksums, and size-class pooled buffer
+// arenas. At GB/s drain rates a reflective codec that allocates and copies
+// per block, not the network, is the ceiling. A frame is
 //
 //	+--------+---------+----+-------+-------+---------+------------+-------+-------+
 //	| magic  | version | op | flags | index | metaLen | payloadLen |  aux  |  crc  |

@@ -7,12 +7,11 @@ import (
 	"ndpcr/internal/node/iostore"
 )
 
-// This file maps the protocol's request/response structs onto v2 wire
+// This file maps the protocol's request/response structs onto wire
 // frames. The encoding is generic rather than per-op: every field is
 // varint- or length-prefix-coded in a fixed order, and absent fields cost a
-// zero byte each — so one codec (and one fuzz surface) covers all nine
-// operations, and the request/response structs stay the lingua franca
-// between the gob and binary paths.
+// zero byte each — so one codec (and one fuzz surface) covers every
+// operation.
 //
 // Block payloads never enter the meta section. A request frame's payload is
 // either the single PutBlock block, or (for whole-object Put) every object
@@ -177,11 +176,8 @@ func appendResponseMeta(b []byte, resp *response) []byte {
 	}
 	b = wire.AppendUvarint(b, resp.Latest)
 	b = wire.AppendInt(b, int64(resp.NumBlocks))
-	// The opKeys inventory rides as a *trailing* section written only when
-	// non-empty: decoders that predate it never see it (only opKeys
-	// responses carry keys, and old clients never send opKeys), and the
-	// current decoder reads it only when bytes remain — the binary-frame
-	// equivalent of gob's omitted absent fields.
+	// The opKeys inventory rides as a trailing section written only when
+	// non-empty; the decoder reads it only when bytes remain.
 	if len(resp.Keys) > 0 {
 		b = wire.AppendUvarint(b, uint64(len(resp.Keys)))
 		for _, k := range resp.Keys {

@@ -3,11 +3,11 @@ package node_test
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"ndpcr/internal/compress"
 	"ndpcr/internal/node"
 	"ndpcr/internal/node/iostore"
+	"ndpcr/internal/node/ndp"
 	"ndpcr/internal/node/nvm"
 )
 
@@ -29,11 +29,8 @@ func Example() {
 	}
 	// The NDP drains in the background; wait for it here so the example
 	// is deterministic.
-	for {
-		if last, ok := n.Engine().LastDrained(); ok && last >= id {
-			break
-		}
-		time.Sleep(time.Millisecond)
+	if err := n.WaitDurableCtx(context.Background(), id, ndp.LevelStore); err != nil {
+		panic(err)
 	}
 
 	n.FailLocal() // the node dies; NVM contents are gone

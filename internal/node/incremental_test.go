@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"testing"
-	"time"
 
 	"ndpcr/internal/compress"
 	"ndpcr/internal/node/iostore"
@@ -39,17 +38,7 @@ func evolvingSnapshot(version int) []byte {
 
 func drainAll(t *testing.T, n *Node, id uint64) {
 	t.Helper()
-	deadline := time.After(5 * time.Second)
-	for {
-		if last, ok := n.Engine().LastDrained(); ok && last >= id {
-			return
-		}
-		select {
-		case <-deadline:
-			t.Fatalf("drain of %d never completed", id)
-		case <-time.After(time.Millisecond):
-		}
-	}
+	waitDrained(t, n, id)
 }
 
 func TestIncrementalDrainShipsLess(t *testing.T) {

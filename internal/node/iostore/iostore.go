@@ -19,12 +19,6 @@ import (
 // ErrNotFound reports a missing object.
 var ErrNotFound = errors.New("iostore: object not found")
 
-// ErrUnsupported reports an operation the backend cannot serve at all —
-// e.g. keys enumeration against an iod server predating opKeys. Callers
-// that can degrade (a rebalance planner falling back to per-scope IDs)
-// match it with errors.Is; everyone else surfaces it like any failure.
-var ErrUnsupported = errors.New("iostore: operation unsupported by this backend")
-
 // Key identifies one rank's checkpoint.
 type Key struct {
 	Job  string
@@ -84,10 +78,8 @@ func (o Object) StoredSize() int64 {
 //     and retry loops in remote implementations honor cancelation and
 //     deadlines.
 //   - Block streaming (StatBlocks/GetBlock) is part of the surface, not an
-//     optional assertion. StatBlocks ok=false with err=nil means "cannot
-//     serve block reads for this key" (absent object, or — for the iod
-//     client — a server predating the streaming ops) and the caller falls
-//     back to a whole-object Get.
+//     optional assertion, and is the one read path restores use. StatBlocks
+//     ok=false with err=nil means the object is absent.
 type Backend interface {
 	Put(ctx context.Context, o Object) error
 	PutBlock(ctx context.Context, key Key, meta Object, index int, block []byte) error
@@ -103,8 +95,7 @@ type Backend interface {
 	// rebalance restart-blind: a fresh shardstore client (empty in-memory
 	// assignment map) can still discover what each backend holds, compute
 	// placement, and fix under-replication for objects written by an
-	// earlier process. Backends that cannot enumerate (an old iod server)
-	// return an error matching ErrUnsupported.
+	// earlier process.
 	Keys(ctx context.Context) ([]Key, error)
 }
 

@@ -38,19 +38,18 @@ func testRig(t *testing.T, codec compress.Codec, serialize bool) (*nvm.Device, *
 	return dev, store, eng
 }
 
+// waitStore blocks until checkpoint id (or newer) is on the global store,
+// for at most d.
+func waitStore(eng *Engine, id uint64, d time.Duration) error {
+	ctx, cancel := context.WithTimeout(context.Background(), d)
+	defer cancel()
+	return eng.Tracker().WaitDurableCtx(ctx, id, LevelStore)
+}
+
 func waitDrain(t *testing.T, eng *Engine, want uint64) {
 	t.Helper()
-	deadline := time.After(5 * time.Second)
-	for {
-		if id, ok := eng.LastDrained(); ok && id >= want {
-			return
-		}
-		select {
-		case <-deadline:
-			id, ok := eng.LastDrained()
-			t.Fatalf("drain of %d never completed (last=%d ok=%v)", want, id, ok)
-		case <-time.After(time.Millisecond):
-		}
+	if err := waitStore(eng, want, 5*time.Second); err != nil {
+		t.Fatalf("drain of %d never completed: %v", want, err)
 	}
 }
 
@@ -171,22 +170,6 @@ func TestDrainUnlocksCheckpoint(t *testing.T) {
 	}
 }
 
-func TestDrainedEventChannel(t *testing.T) {
-	dev, _, eng := testRig(t, nil, false)
-	if err := dev.Put(nvm.Checkpoint{ID: 1, Data: ckptData(100)}); err != nil {
-		t.Fatal(err)
-	}
-	eng.Notify()
-	select {
-	case id := <-eng.Drained():
-		if id != 1 {
-			t.Errorf("drained id = %d", id)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("no drain event")
-	}
-}
-
 func TestWipeDuringIdleIsSafe(t *testing.T) {
 	dev, _, eng := testRig(t, nil, false)
 	dev.Put(nvm.Checkpoint{ID: 1, Data: ckptData(100)})
@@ -195,7 +178,7 @@ func TestWipeDuringIdleIsSafe(t *testing.T) {
 	dev.Wipe()
 	eng.Notify() // nothing to drain; must not wedge or error fatally
 	time.Sleep(10 * time.Millisecond)
-	if id, ok := eng.LastDrained(); !ok || id != 1 {
+	if id, ok := eng.Tracker().Watermark(LevelStore); !ok || id != 1 {
 		t.Errorf("last drained = %d, %v", id, ok)
 	}
 }
@@ -209,7 +192,7 @@ func TestPauseResumeNVM(t *testing.T) {
 	}
 	eng.Notify()
 	time.Sleep(20 * time.Millisecond) // engine should be blocked at the gate
-	if _, ok := eng.LastDrained(); ok {
+	if _, ok := eng.Tracker().Watermark(LevelStore); ok {
 		t.Error("drain completed while NVM was paused")
 	}
 	eng.ResumeNVM()

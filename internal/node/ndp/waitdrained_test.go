@@ -2,6 +2,7 @@ package ndp
 
 import (
 	"context"
+	"errors"
 	"testing"
 	"time"
 
@@ -15,12 +16,12 @@ func TestWaitDrainedCompletes(t *testing.T) {
 		t.Fatal(err)
 	}
 	eng.Notify()
-	if !eng.WaitDrained(1, 5*time.Second) {
-		t.Fatal("WaitDrained(1) reported timeout")
+	if err := waitStore(eng, 1, 5*time.Second); err != nil {
+		t.Fatalf("wait for 1: %v", err)
 	}
 	// Fast path: already drained, no waiter parked.
-	if !eng.WaitDrained(1, time.Millisecond) {
-		t.Error("WaitDrained(1) false after the drain completed")
+	if err := waitStore(eng, 1, time.Millisecond); err != nil {
+		t.Errorf("wait for 1 after the drain completed: %v", err)
 	}
 }
 
@@ -33,19 +34,19 @@ func TestWaitDrainedSatisfiedByNewerDrain(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	done := make(chan bool, 1)
-	go func() { done <- eng.WaitDrained(1, 5*time.Second) }()
+	done := make(chan error, 1)
+	go func() { done <- waitStore(eng, 1, 5*time.Second) }()
 	eng.Notify()
-	if ok := <-done; !ok {
-		t.Error("waiter on skipped checkpoint 1 not released by the drain of 2")
+	if err := <-done; err != nil {
+		t.Errorf("waiter on skipped checkpoint 1 not released by the drain of 2: %v", err)
 	}
 }
 
 func TestWaitDrainedTimesOut(t *testing.T) {
 	_, _, eng := testRig(t, nil, false)
 	start := time.Now()
-	if eng.WaitDrained(1, 20*time.Millisecond) {
-		t.Fatal("WaitDrained succeeded with nothing committed")
+	if err := waitStore(eng, 1, 20*time.Millisecond); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("wait with nothing committed: %v, want deadline exceeded", err)
 	}
 	if time.Since(start) > time.Second {
 		t.Error("timeout wait overshot")
@@ -54,17 +55,17 @@ func TestWaitDrainedTimesOut(t *testing.T) {
 
 func TestWaitDrainedUnblocksOnClose(t *testing.T) {
 	_, _, eng := testRig(t, nil, false)
-	done := make(chan bool, 1)
-	go func() { done <- eng.WaitDrained(42, time.Minute) }()
+	done := make(chan error, 1)
+	go func() { done <- waitStore(eng, 42, time.Minute) }()
 	time.Sleep(5 * time.Millisecond) // let the waiter park
 	eng.Close()
 	select {
-	case ok := <-done:
-		if ok {
-			t.Error("WaitDrained reported success after Close")
+	case err := <-done:
+		if !errors.Is(err, ErrStopped) {
+			t.Errorf("wait after Close: %v, want ErrStopped", err)
 		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("WaitDrained still blocked after Close")
+		t.Fatal("wait still blocked after Close")
 	}
 }
 
@@ -75,25 +76,25 @@ func TestDiscardedCheckpointNeverDrains(t *testing.T) {
 	}
 	eng.Discard(1)
 	eng.Notify()
-	if eng.WaitDrained(1, 50*time.Millisecond) {
-		t.Fatal("discarded checkpoint was acknowledged as drained")
+	if err := waitStore(eng, 1, 50*time.Millisecond); !errors.Is(err, ErrCheckpointFailed) {
+		t.Fatalf("wait on discarded checkpoint: %v, want ErrCheckpointFailed", err)
 	}
 	if _, err := store.Get(context.Background(), iostore.Key{Job: "job", Rank: 0, ID: 1}); err == nil {
 		t.Error("discarded checkpoint reached global I/O")
 	}
 	// The poisoned ID must not wedge the drain: a later commit drains
-	// normally and wakes waiters on the dead ID too.
+	// normally, and the dead ID keeps reporting its cause.
 	if err := dev.Put(nvm.Checkpoint{ID: 2, Data: ckptData(1000)}); err != nil {
 		t.Fatal(err)
 	}
 	eng.Notify()
-	if !eng.WaitDrained(2, 5*time.Second) {
-		t.Fatal("drain after a discarded checkpoint never completed")
+	if err := waitStore(eng, 2, 5*time.Second); err != nil {
+		t.Fatalf("drain after a discarded checkpoint never completed: %v", err)
 	}
 	if _, err := store.Get(context.Background(), iostore.Key{Job: "job", Rank: 0, ID: 2}); err != nil {
 		t.Errorf("checkpoint 2 missing from global I/O: %v", err)
 	}
-	if !eng.WaitDrained(1, time.Millisecond) {
-		t.Error("waiter on discarded ID not satisfied by the newer drain")
+	if err := waitStore(eng, 1, time.Millisecond); !errors.Is(err, ErrCheckpointFailed) {
+		t.Errorf("discarded ID after a newer drain: %v, want ErrCheckpointFailed", err)
 	}
 }

@@ -114,11 +114,9 @@ type Config struct {
 	// (default 8; the paper fans blocks out across host cores, §4.3).
 	RestoreWorkers int
 	// PrefetchBlocks bounds how many fetched-but-not-yet-consumed blocks a
-	// streamed restore keeps in flight (default 2×RestoreWorkers): it is
-	// both the block-fetch parallelism and the memory bound on the
-	// fetch→decompress pipeline. When the store declines block reads for
-	// a key (StatBlocks ok == false), restores fall back to a
-	// whole-object fetch.
+	// restore keeps in flight (default 2×RestoreWorkers): it is both the
+	// block-fetch parallelism and the memory bound on the fetch→decompress
+	// pipeline.
 	PrefetchBlocks int
 	// DrainWindow bounds how many store writes an NDP drain keeps in
 	// flight at once (default 4; see ndp.Config.SendWindow). 1 restores
@@ -314,8 +312,8 @@ func (n *Node) Device() *nvm.Device { return n.device }
 func (n *Node) Engine() *ndp.Engine { return n.engine }
 
 // Durability exposes the node's durability tracker: per-level watermarks,
-// per-ID failure state, and awaitable completion — the single surface that
-// replaces ad-hoc WaitDrained plumbing for async checkpointing.
+// per-ID failure state, and awaitable completion — the one waiter for
+// "is checkpoint id at level L yet".
 func (n *Node) Durability() *ndp.Tracker { return n.dur }
 
 // DurableAt reports whether checkpoint id is durable at the given level
@@ -726,83 +724,6 @@ func (n *Node) fetchFromIO(ctx context.Context, rank int, id uint64) (_ []byte, 
 // metadata cycles.
 const maxPatchChain = 1024
 
-// fetchObject retrieves one object's decompressed payload plus its
-// metadata and delta base (0 for full checkpoints). traceID keys the
-// restore timeline (the originally requested checkpoint), while id is the
-// patch-chain link being fetched. The streamed path (fetch overlapped with
-// decompression) is tried first; a store that declines block reads for the
-// key (StatBlocks ok == false) gets the monolithic whole-object fetch.
-func (n *Node) fetchObject(ctx context.Context, rank int, traceID, id uint64) ([]byte, Metadata, uint64, error) {
-	if out, meta, base, handled, err := n.fetchObjectStreamed(ctx, rank, traceID, id); handled {
-		if err == nil {
-			n.mStreamedRestores.Inc()
-		}
-		return out, meta, base, err
-	}
-	fetchStart := time.Now()
-	key := iostore.Key{Job: n.cfg.Job, Rank: rank, ID: id}
-	obj, err := n.cfg.Store.Get(ctx, key)
-	if err != nil {
-		return nil, Metadata{}, 0, fmt.Errorf("node: restore %d from I/O: %w", id, err)
-	}
-	n.restoreSpan(traceID, metrics.PhaseFetch, fetchStart)
-	meta, err := metadataFrom(obj.Meta)
-	if err != nil {
-		n.mMetaErrs.Inc()
-		return nil, Metadata{}, 0, fmt.Errorf("node: restore %d: %w", id, err)
-	}
-	if obj.Codec == "" {
-		out := make([]byte, 0, obj.OrigSize)
-		for _, b := range obj.Blocks {
-			out = append(out, b...)
-		}
-		return out, meta, obj.DeltaBase, nil
-	}
-	codec, err := compress.Lookup(obj.Codec, obj.CodecLevel)
-	if err != nil {
-		return nil, Metadata{}, 0, fmt.Errorf("node: restore %d: %w", id, err)
-	}
-	// Pipelined host decompression: each block to a different core (§4.3).
-	decompressStart := time.Now()
-	plain := make([][]byte, len(obj.Blocks))
-	errs := make([]error, len(obj.Blocks))
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	workers := n.cfg.RestoreWorkers
-	if workers > len(obj.Blocks) {
-		workers = len(obj.Blocks)
-	}
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				t0 := time.Now()
-				plain[i], errs[i] = codec.Decompress(nil, obj.Blocks[i])
-				n.mDecompressSecs.ObserveSince(t0)
-			}
-		}()
-	}
-	for i := range obj.Blocks {
-		idx <- i
-	}
-	close(idx)
-	wg.Wait()
-	n.restoreSpan(traceID, metrics.PhaseDecompress, decompressStart)
-	out := make([]byte, 0, obj.OrigSize)
-	for i, p := range plain {
-		if errs[i] != nil {
-			return nil, Metadata{}, 0, fmt.Errorf("node: restore %d block %d: %w", id, i, errs[i])
-		}
-		out = append(out, p...)
-	}
-	if int64(len(out)) != obj.OrigSize {
-		return nil, Metadata{}, 0, fmt.Errorf("node: restore %d: reassembled %d bytes, expected %d",
-			id, len(out), obj.OrigSize)
-	}
-	return out, meta, obj.DeltaBase, nil
-}
-
 // envelope tracks the wall-clock envelope of overlapping operations (the
 // streamed restore's fetchers or decompress workers): earliest start,
 // latest end. On an overlapped restore the fetch and decompress spans
@@ -827,32 +748,61 @@ func (c *envelope) mark(start, end time.Time) {
 	c.marked = true
 }
 
-// fetchObjectStreamed fetches an object block by block, feeding each block
-// into the decompression pool as it lands so decompressing block i
-// overlaps fetching block i+1 (§4.3 mirrored onto the restore path). The
-// in-flight window is bounded by PrefetchBlocks: that many fetchers run
-// concurrently (parallel GetBlocks spread across the iod client's lanes)
-// and at most that many fetched blocks wait un-decompressed.
-//
-// handled == false means the store declined block reads for this key
-// (pre-streaming iod server, absent object, transport failure) and the
-// caller must fall back to the monolithic fetch.
-func (n *Node) fetchObjectStreamed(ctx context.Context, rank int, traceID, id uint64) (_ []byte, _ Metadata, _ uint64, handled bool, err error) {
+// ErrBadObject reports a stored object whose block count or payload size
+// cannot describe a checkpoint: negative, blocks without bytes or bytes
+// without blocks, or larger than anything this node could have committed.
+var ErrBadObject = errors.New("node: stored object has an impossible shape")
+
+// checkObjectShape validates the counts a store reports for an object before
+// the restore sizes any buffer from them: they arrive off the wire, and a
+// corrupt or hostile reply must fail the restore, not the process. Every
+// block of a multi-block object carries at least one payload byte, and a
+// payload (a checkpoint, or a patch against one) that exceeds this node's
+// NVM could never have been committed here.
+func (n *Node) checkObjectShape(numBlocks int, origSize int64) error {
+	switch {
+	case numBlocks < 0 || origSize < 0,
+		numBlocks == 0 && origSize > 0,
+		numBlocks > 1 && int64(numBlocks) > origSize,
+		origSize > n.device.Capacity():
+		return fmt.Errorf("%w: %d blocks, %d bytes (NVM capacity %d)",
+			ErrBadObject, numBlocks, origSize, n.device.Capacity())
+	}
+	return nil
+}
+
+// fetchObject retrieves one object's decompressed payload plus its metadata
+// and delta base (0 for full checkpoints). traceID keys the restore
+// timeline (the originally requested checkpoint), while id is the
+// patch-chain link being fetched. The object is fetched block by block,
+// each block fed into the decompression pool as it lands so decompressing
+// block i overlaps fetching block i+1 (§4.3 mirrored onto the restore
+// path). The in-flight window is bounded by PrefetchBlocks: that many
+// fetchers run concurrently (parallel GetBlocks spread across the iod
+// client's lanes) and at most that many fetched blocks wait
+// un-decompressed.
+func (n *Node) fetchObject(ctx context.Context, rank int, traceID, id uint64) ([]byte, Metadata, uint64, error) {
 	key := iostore.Key{Job: n.cfg.Job, Rank: rank, ID: id}
-	obj, numBlocks, ok, serr := n.cfg.Store.StatBlocks(ctx, key)
-	if serr != nil || !ok {
-		return nil, Metadata{}, 0, false, nil
+	obj, numBlocks, ok, err := n.cfg.Store.StatBlocks(ctx, key)
+	if err != nil {
+		return nil, Metadata{}, 0, fmt.Errorf("node: restore %d from I/O: %w", id, err)
+	}
+	if !ok {
+		return nil, Metadata{}, 0, fmt.Errorf("node: restore %d from I/O: %w: %s", id, iostore.ErrNotFound, key)
+	}
+	if err := n.checkObjectShape(numBlocks, obj.OrigSize); err != nil {
+		return nil, Metadata{}, 0, fmt.Errorf("node: restore %d: %w", id, err)
 	}
 	meta, err := metadataFrom(obj.Meta)
 	if err != nil {
 		n.mMetaErrs.Inc()
-		return nil, Metadata{}, 0, true, fmt.Errorf("node: restore %d: %w", id, err)
+		return nil, Metadata{}, 0, fmt.Errorf("node: restore %d: %w", id, err)
 	}
 	var codec compress.Codec
 	if obj.Codec != "" {
 		codec, err = compress.Lookup(obj.Codec, obj.CodecLevel)
 		if err != nil {
-			return nil, Metadata{}, 0, true, fmt.Errorf("node: restore %d: %w", id, err)
+			return nil, Metadata{}, 0, fmt.Errorf("node: restore %d: %w", id, err)
 		}
 	}
 
@@ -957,7 +907,7 @@ func (n *Node) fetchObjectStreamed(ctx context.Context, rank int, traceID, id ui
 	}
 	for i, berr := range blockErrs {
 		if berr != nil {
-			return nil, Metadata{}, 0, true, fmt.Errorf("node: restore %d block %d: %w", id, i, berr)
+			return nil, Metadata{}, 0, fmt.Errorf("node: restore %d block %d: %w", id, i, berr)
 		}
 	}
 	out := make([]byte, 0, obj.OrigSize)
@@ -965,10 +915,11 @@ func (n *Node) fetchObjectStreamed(ctx context.Context, rank int, traceID, id ui
 		out = append(out, p...)
 	}
 	if int64(len(out)) != obj.OrigSize {
-		return nil, Metadata{}, 0, true, fmt.Errorf("node: restore %d: reassembled %d bytes, expected %d",
+		return nil, Metadata{}, 0, fmt.Errorf("node: restore %d: reassembled %d bytes, expected %d",
 			id, len(out), obj.OrigSize)
 	}
-	return out, meta, obj.DeltaBase, true, nil
+	n.mStreamedRestores.Inc()
+	return out, meta, obj.DeltaBase, nil
 }
 
 // FailLocal simulates a node failure that destroys local state: the NVM is

@@ -9,6 +9,7 @@ import (
 
 	"ndpcr/internal/compress"
 	"ndpcr/internal/node/iostore"
+	"ndpcr/internal/node/ndp"
 	"ndpcr/internal/node/nvm"
 )
 
@@ -43,16 +44,10 @@ func snapshot(n int, tag byte) []byte {
 
 func waitDrained(t *testing.T, n *Node, id uint64) {
 	t.Helper()
-	deadline := time.After(5 * time.Second)
-	for {
-		if last, ok := n.Engine().LastDrained(); ok && last >= id {
-			return
-		}
-		select {
-		case <-deadline:
-			t.Fatalf("checkpoint %d never drained", id)
-		case <-time.After(time.Millisecond):
-		}
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if err := n.WaitDurableCtx(ctx, id, ndp.LevelStore); err != nil {
+		t.Fatalf("checkpoint %d never drained: %v", id, err)
 	}
 }
 

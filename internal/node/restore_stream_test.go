@@ -3,6 +3,7 @@ package node
 import (
 	"bytes"
 	"context"
+	"errors"
 	"testing"
 
 	"ndpcr/internal/compress"
@@ -11,44 +12,11 @@ import (
 	"ndpcr/internal/node/nvm"
 )
 
-// plainStore hides the block-read path of the wrapped store: StatBlocks
-// declines every key, so a restore through it takes the monolithic
-// whole-object fallback — what a store predating block streaming looked
-// like.
-type plainStore struct{ inner iostore.Backend }
-
-func (p plainStore) Put(ctx context.Context, o iostore.Object) error { return p.inner.Put(ctx, o) }
-func (p plainStore) PutBlock(ctx context.Context, key iostore.Key, meta iostore.Object, index int, block []byte) error {
-	return p.inner.PutBlock(ctx, key, meta, index, block)
-}
-func (p plainStore) Delete(ctx context.Context, key iostore.Key) error {
-	return p.inner.Delete(ctx, key)
-}
-func (p plainStore) Get(ctx context.Context, key iostore.Key) (iostore.Object, error) {
-	return p.inner.Get(ctx, key)
-}
-func (p plainStore) Stat(ctx context.Context, key iostore.Key) (iostore.Object, bool, error) {
-	return p.inner.Stat(ctx, key)
-}
-func (p plainStore) IDs(ctx context.Context, job string, rank int) ([]uint64, error) {
-	return p.inner.IDs(ctx, job, rank)
-}
-func (p plainStore) Latest(ctx context.Context, job string, rank int) (uint64, bool, error) {
-	return p.inner.Latest(ctx, job, rank)
-}
-func (p plainStore) Keys(ctx context.Context) ([]iostore.Key, error) { return p.inner.Keys(ctx) }
-func (p plainStore) StatBlocks(ctx context.Context, key iostore.Key) (iostore.Object, int, bool, error) {
-	return iostore.Object{}, 0, false, nil
-}
-func (p plainStore) GetBlock(ctx context.Context, key iostore.Key, index int) ([]byte, error) {
-	return nil, iostore.ErrNotFound
-}
-
 func TestStreamedRestoreMatchesWholeObject(t *testing.T) {
 	// The streamed restore (StatBlocks + per-block GetBlock feeding the
-	// decompression pool) must reproduce exactly what the monolithic
-	// whole-object fetch reproduces — same store, same checkpoint, one
-	// node seeing BlockReader and one with it hidden.
+	// decompression pool) must reproduce the committed snapshot byte for
+	// byte — on the node that drained it and on a fresh node that only
+	// shares the store.
 	gz, _ := compress.Lookup("gzip", 1)
 	n, store := newNode(t, func(c *Config) { c.Codec = gz })
 	snap := snapshot(300_000, 7)
@@ -59,33 +27,101 @@ func TestStreamedRestoreMatchesWholeObject(t *testing.T) {
 	waitDrained(t, n, id)
 	n.FailLocal()
 
-	got, meta, level, err := n.Restore(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if level != LevelIO || meta.Step != 3 || !bytes.Equal(got, snap) {
-		t.Errorf("streamed restore: level=%v step=%d match=%v", level, meta.Step, bytes.Equal(got, snap))
-	}
-	if v := n.Metrics().Counter("ndpcr_node_streamed_restores_total", "").Value(); v == 0 {
-		t.Error("restore did not take the streamed path despite a BlockReader store")
-	}
-
-	// Same store with BlockReader hidden: the fallback must produce the
-	// identical snapshot and never count a streamed restore.
-	n2, err := New(Config{Job: "job", Rank: 0, Store: plainStore{store}, DisableNDP: true})
+	n2, err := New(Config{Job: "job", Rank: 0, Store: store, DisableNDP: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer n2.Close()
-	got2, meta2, level2, err := n2.Restore(context.Background())
-	if err != nil {
-		t.Fatal(err)
+	for name, r := range map[string]*Node{"draining node": n, "fresh node": n2} {
+		got, meta, level, err := r.Restore(context.Background())
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if level != LevelIO || meta.Step != 3 || !bytes.Equal(got, snap) {
+			t.Errorf("%s: level=%v step=%d match=%v", name, level, meta.Step, bytes.Equal(got, snap))
+		}
+		if v := r.Metrics().Counter("ndpcr_node_streamed_restores_total", "").Value(); v != 1 {
+			t.Errorf("%s: streamed restores = %v, want 1", name, v)
+		}
 	}
-	if level2 != LevelIO || meta2.Step != 3 || !bytes.Equal(got2, snap) {
-		t.Error("fallback restore diverged from streamed restore")
+}
+
+// statBlocksStore answers StatBlocks from a script and counts the calls;
+// every other operation goes to the embedded store.
+type statBlocksStore struct {
+	iostore.Backend
+	reply func(iostore.Key) (iostore.Object, int, bool, error)
+	calls int
+}
+
+func (s *statBlocksStore) StatBlocks(ctx context.Context, key iostore.Key) (iostore.Object, int, bool, error) {
+	s.calls++
+	return s.reply(key)
+}
+
+func TestRestoreSurfacesStatBlocksOutcome(t *testing.T) {
+	// One read path: an absent key is ErrNotFound, and a StatBlocks failure
+	// is that failure — asked once, with no second attempt through Get.
+	melted := errors.New("tier melted")
+	for name, tc := range map[string]struct {
+		ok   bool
+		err  error
+		want error
+	}{
+		"absent":  {false, nil, iostore.ErrNotFound},
+		"failing": {false, melted, melted},
+	} {
+		store := &statBlocksStore{Backend: iostore.New(nvm.Pacer{})}
+		store.reply = func(iostore.Key) (iostore.Object, int, bool, error) {
+			return iostore.Object{}, 0, tc.ok, tc.err
+		}
+		n, err := New(Config{Job: "job", Rank: 0, Store: store, DisableNDP: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, _, _, err = n.RestoreID(context.Background(), 9)
+		if !errors.Is(err, tc.want) {
+			t.Errorf("%s: restore err = %v, want %v", name, err, tc.want)
+		}
+		if store.calls != 1 {
+			t.Errorf("%s: StatBlocks asked %d times, want 1", name, store.calls)
+		}
+		n.Close()
 	}
-	if v := n2.Metrics().Counter("ndpcr_node_streamed_restores_total", "").Value(); v != 0 {
-		t.Errorf("fallback restore counted as streamed (%v)", v)
+}
+
+func TestRestoreRejectsHostileObjectShape(t *testing.T) {
+	// Block count and payload size arrive off the wire; a store that lies
+	// about them must fail the restore with ErrBadObject — not panic the
+	// process sizing a buffer — and leave no restore timeline open.
+	const nvmCap = 1 << 20
+	meta := Metadata{Job: "job", Rank: 0, Step: 1}.toMap(5)
+	for name, tc := range map[string]struct {
+		blocks int
+		size   int64
+	}{
+		"negative blocks":        {-1, 100},
+		"negative size":          {1, -1},
+		"bytes without blocks":   {0, 100},
+		"more blocks than bytes": {1 << 40, 100},
+		"size beyond NVM":        {4, nvmCap + 1},
+		"absurd size":            {1 << 20, 1 << 60},
+	} {
+		store := &statBlocksStore{Backend: iostore.New(nvm.Pacer{})}
+		store.reply = func(key iostore.Key) (iostore.Object, int, bool, error) {
+			return iostore.Object{Key: key, OrigSize: tc.size, Meta: meta}, tc.blocks, true, nil
+		}
+		n, err := New(Config{Job: "job", Rank: 0, Store: store, DisableNDP: true, NVMCapacity: nvmCap})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, _, err := n.RestoreID(context.Background(), 5); !errors.Is(err, ErrBadObject) {
+			t.Errorf("%s: restore err = %v, want ErrBadObject", name, err)
+		}
+		if open := n.Timelines().Open(metrics.KindRestore); open != 0 {
+			t.Errorf("%s: %d restore timeline(s) left open", name, open)
+		}
+		n.Close()
 	}
 }
 

@@ -69,11 +69,7 @@ func (s *Store) PlanRebalance(ctx context.Context) (*Plan, error) {
 			keys, err := b.store.Keys(cctx)
 			if err != nil {
 				errs[i] = err
-				// A backend that predates the Keys op is degraded for
-				// planning but proven reachable — don't smear its health.
-				if !errors.Is(err, iostore.ErrUnsupported) {
-					s.blame(ctx, b, err)
-				}
+				s.blame(ctx, b, err)
 				return
 			}
 			listings[i] = keys

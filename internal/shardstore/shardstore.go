@@ -750,16 +750,14 @@ func (s *Store) GetBlock(ctx context.Context, key iostore.Key, index int) ([]byt
 	return out, err
 }
 
-// errAbsent is an internal sentinel: a replica answered "no such object /
-// cannot serve block reads" (ok=false), which readFrom must treat like
-// not-found, not like a transport failure.
+// errAbsent is an internal sentinel: a replica answered "no such object"
+// (ok=false), which Stat and StatBlocks report as absence, not as a
+// failure.
 var errAbsent = errors.New("shardstore: absent")
 
-// StatBlocks implements iostore.Backend. ok=false with nil error (the
-// fall-back-to-Get contract) is reported only when some replica answered;
-// transport failure of every candidate surfaces as ok=false too — the
-// monolithic Get fallback will produce the real error with its own
-// failover pass.
+// StatBlocks implements iostore.Backend with Stat's semantics: ok=false
+// with a nil error means the replicas agree the object is absent; a tier
+// that cannot answer surfaces its error after the one failover pass.
 func (s *Store) StatBlocks(ctx context.Context, key iostore.Key) (iostore.Object, int, bool, error) {
 	var (
 		meta   iostore.Object
@@ -776,10 +774,14 @@ func (s *Store) StatBlocks(ctx context.Context, key iostore.Key) (iostore.Object
 		meta, blocks = o, n
 		return nil
 	})
-	if err != nil {
+	switch {
+	case err == nil:
+		return meta, blocks, true, nil
+	case errors.Is(err, errAbsent), errors.Is(err, iostore.ErrNotFound):
 		return iostore.Object{}, 0, false, nil
+	default:
+		return iostore.Object{}, 0, false, err
 	}
-	return meta, blocks, true, nil
 }
 
 // Stat implements iostore.Backend.
@@ -922,9 +924,7 @@ func (s *Store) Latest(ctx context.Context, job string, rank int) (uint64, bool,
 }
 
 // Keys implements iostore.Backend: the union of every reachable backend's
-// key listing, with inventory's <R unreachable tolerance. A backend whose
-// server predates the Keys op counts as unreachable for the merge (its
-// holdings are unknown) without being blamed as unhealthy.
+// key listing, with inventory's <R unreachable tolerance.
 func (s *Store) Keys(ctx context.Context) ([]iostore.Key, error) {
 	if s.closed.Load() {
 		return nil, errors.New("shardstore: closed")
@@ -942,9 +942,7 @@ func (s *Store) Keys(ctx context.Context) ([]iostore.Key, error) {
 			out, err := b.store.Keys(cctx)
 			if err != nil {
 				errs[i] = err
-				if !errors.Is(err, iostore.ErrUnsupported) {
-					s.blame(ctx, b, err)
-				}
+				s.blame(ctx, b, err)
 				return
 			}
 			listings[i] = out

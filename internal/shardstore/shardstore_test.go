@@ -457,6 +457,22 @@ func TestStreamedRestoreSurfaceFailsOver(t *testing.T) {
 	}
 }
 
+func TestStatBlocksAbsenceVersusDeadTier(t *testing.T) {
+	// The restore path has no second read to produce "the real error":
+	// every replica answering "no such object" is absence (ok=false, nil),
+	// every replica down is the transport failure.
+	s, flakies, _ := rig(t, 3, Config{Replicas: 2})
+	if _, _, ok, err := s.StatBlocks(context.Background(), key(404)); ok || err != nil {
+		t.Fatalf("StatBlocks of an absent key = %v, %v; want false, nil", ok, err)
+	}
+	for _, f := range flakies {
+		f.down.Store(true)
+	}
+	if _, _, ok, err := s.StatBlocks(context.Background(), key(404)); ok || !errors.Is(err, errDown) {
+		t.Fatalf("StatBlocks with every replica down = %v, %v; want false, %v", ok, err, errDown)
+	}
+}
+
 func TestChaosStalledReplicaDoesNotBlockReads(t *testing.T) {
 	// Exactly one backend stalls on every read (faultinject ModeStall).
 	// CallTimeout bounds the damage: reads fail over to a prompt replica

@@ -16,16 +16,21 @@ fi
 
 go vet ./...
 
-go test -race ./internal/cluster/... ./internal/node/... ./internal/erasure/... \
-    ./internal/metrics/... ./internal/iod/... ./internal/faultinject/... \
+go test -race ./internal/erasure/... ./internal/metrics/... ./internal/faultinject/...
+
+# The packages whose concurrency is the riskiest in the tree (membership
+# drain controller and mover, durability tracker and async commits, NVM
+# admission, the QoS drain scheduler, the elastic restore planner, the iod
+# lanes and their corruption recovery) run twice under the race detector,
+# whole packages at a time: a -run regex silently stops matching the day a
+# test is renamed.
+go test -race -count=2 ./internal/cluster/... ./internal/node/... ./internal/iod/... \
     ./internal/shardstore/... ./internal/gateway/...
 
-# Membership drain controller under the race detector, re-run explicitly:
-# join/decommission mid-drain, the restart-blind inventory repair, and the
-# mover-vs-stream void protocol are the riskiest interleavings in the
-# tree, so they get their own -count=2 stress on top of the package run.
-go test -race -count=2 -run 'TestShardClusterMembership|TestAddBackend|TestDecommission|TestRestartBlindRepair|TestRebalanceMover' \
-    ./internal/cluster/ ./internal/shardstore/
+# The benchmark is a module of its own (cmd/ndpcr-bench/go.mod), invisible
+# to ./... above: build and test it here so an internal-API change that
+# breaks it fails the gate, not the next benchmark run.
+(cd cmd/ndpcr-bench && go vet . && go test .)
 
 # Membership chaos experiment: a backend joins and another is
 # decommissioned while a live multi-rank drain is in flight; zero lost
@@ -33,22 +38,6 @@ go test -race -count=2 -run 'TestShardClusterMembership|TestAddBackend|TestDecom
 # inventory-driven repair restores R copies.
 go run ./cmd/ndpcr-experiments -quick membership > /dev/null
 echo "check.sh: membership experiment green"
-
-# Async checkpoint mode under the race detector, re-run explicitly: the
-# durability tracker's waiter lifecycle, NVM admission control, deferred
-# aborts in background propagation, the QoS drain scheduler, and the
-# gateway's async-ack/shutdown paths are all fresh concurrency, so they
-# get their own -count=2 stress on top of the package run above.
-go test -race -count=2 -run 'TestTracker|TestEngineWaitDrained|TestEngineStopDuringWait|TestEngineDrainRetry|TestWaitAdmit|TestCommitAsync|TestCheckpointAsync|TestAsync|TestDrainScheduler|TestSyncSaveShutdown|TestSyncOverride|TestDurabilityEndpoint' \
-    ./internal/node/... ./internal/cluster/ ./internal/gateway/
-
-# Elastic restore planner under the race detector, re-run explicitly:
-# the N→M recovery path (parallel per-target plan execution, restart-line
-# fallback mid-reshape, post-recovery ID resync) and the gateway restore
-# endpoint are fresh concurrency, so they get their own -count=2 stress
-# on top of the package runs above.
-go test -race -count=2 -run 'TestElasticRecover|TestRecoverPinnedLine|TestPlanShards|TestSplitMerge|TestRestorePlanAndMembers|TestResumeFallsBack' \
-    ./internal/cluster/... ./internal/gateway/
 
 # Elastic restart experiment: a job checkpointed at N=8 over 3 live iod
 # backends (R=2) restarts at M=4 and M=12 through the restore planner —
@@ -64,16 +53,8 @@ echo "check.sh: elastic experiment green"
 go run ./cmd/ndpcr-experiments -quick asyncchaos > /dev/null
 echo "check.sh: asyncchaos experiment green"
 
-# Wire-version compat matrix under the race detector, re-run explicitly:
-# v2<->v2, v2 client -> v1 server (gob downgrade), v1 client -> v2 server,
-# and the corruption/checksum recovery paths. A mixed-version fleet rides
-# on exactly these transitions, so they get their own -count=2 stress on
-# top of the package run above.
-go test -race -count=2 -run 'TestCompat|TestCorruptFault|TestServerRejectsCorrupt' \
-    ./internal/iod/
-
 # Transport benchmarks: regenerates BENCH_iod.json and fails if lane
-# scaling or the streamed-restore win regressed.
+# scaling regressed.
 scripts/bench_iod.sh
 
 # Shard-tier benchmarks: regenerates BENCH_shard.json and fails if drain
