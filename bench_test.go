@@ -245,7 +245,7 @@ func BenchmarkNodeCommit(b *testing.B) {
 	data := checkpointData(b, miniapps.Small)
 	b.SetBytes(int64(len(data)))
 	for i := 0; i < b.N; i++ {
-		if _, err := n.Commit(data, node.Metadata{Step: i}); err != nil {
+		if _, err := n.Commit(context.Background(), data, node.Metadata{Step: i}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -262,7 +262,7 @@ func BenchmarkNodeDrainAndRestore(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		id, err := n.Commit(data, node.Metadata{Step: i})
+		id, err := n.Commit(context.Background(), data, node.Metadata{Step: i})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -312,7 +312,7 @@ func BenchmarkIncrementalDrain(b *testing.B) {
 			b.SetBytes(int64(len(data)))
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				id, err := n.Commit(evolve(i+1), node.Metadata{Step: i})
+				id, err := n.Commit(context.Background(), evolve(i+1), node.Metadata{Step: i})
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -107,6 +107,7 @@ func runElastic() error {
 	}
 	defer store.Close()
 	reg := metrics.NewRegistry()
+	store.Instrument(reg)
 
 	gz, _ := compress.Lookup("gzip", 1)
 	newCluster := func(m int) (*cluster.Cluster, []*elasticRank, error) {
@@ -129,10 +130,6 @@ func runElastic() error {
 		if err != nil {
 			return nil, nil, err
 		}
-		// Re-instrument after the node.New calls: live counters land in
-		// the most recent registration, and the registry dedupes by name,
-		// so counts keep accumulating in reg across cluster rebuilds.
-		store.Instrument(reg)
 		return c, apps, nil
 	}
 

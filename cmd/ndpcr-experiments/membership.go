@@ -99,9 +99,6 @@ func runMembership() error {
 	}
 	defer c.Close()
 
-	// Instrument last: every node.New also instruments the shared store
-	// into its own registry, and the live counters are wherever the most
-	// recent registration put them.
 	reg := metrics.NewRegistry()
 	store.Instrument(reg)
 

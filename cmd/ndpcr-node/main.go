@@ -19,6 +19,7 @@ import (
 	"ndpcr/internal/compress"
 	"ndpcr/internal/iod"
 	"ndpcr/internal/lifecycle"
+	"ndpcr/internal/metrics"
 	"ndpcr/internal/miniapps"
 	"ndpcr/internal/node"
 	"ndpcr/internal/node/iostore"
@@ -42,7 +43,6 @@ func main() {
 		replicas = flag.Int("replicas", 2, "replica count R per checkpoint object across -iod-addrs backends")
 		iodLanes = flag.Int("iod-lanes", 2, "concurrent transport lanes to each remote I/O node (1 = one serial stream)")
 		drainWin = flag.Int("drain-window", 0, "NDP send window: blocks in flight to the store per drain (0 = default)")
-		async    = flag.Bool("async", false, "commit checkpoints asynchronously: return at NVM durability with admission control instead of ErrFull")
 		drTries  = flag.Int("drain-attempts", 0, "automatic drain retries per checkpoint before permanent failure (0 = no retry)")
 		dumpMet  = flag.Bool("metrics", false, "print per-checkpoint phase timelines and pipeline metrics after the run")
 		rrRanks  = flag.Int("restart-ranks", 0, "commit elastic (framed) checkpoints and, at -fail-at, restart through the restore planner onto this many in-process targets instead of the same-shape path (0 = classic restore)")
@@ -94,8 +94,10 @@ func main() {
 		store = client
 		fmt.Printf("draining to remote I/O node at %s over %d lane(s)\n", *iodAddr, client.Lanes())
 	}
+	reg := metrics.NewRegistry()
+	iostore.Instrument(store, reg)
 	n, err := node.New(node.Config{
-		Job: "demo", Rank: 0, Store: store, Codec: codec,
+		Job: "demo", Rank: 0, Store: store, Codec: codec, Metrics: reg,
 		Incremental:      *incr,
 		DrainWindow:      *drainWin,
 		MaxDrainAttempts: *drTries,
@@ -155,12 +157,7 @@ func main() {
 					fatal(err)
 				}
 			}
-			var id uint64
-			if *async {
-				id, err = n.CommitAsync(ctx, payload, meta)
-			} else {
-				id, err = n.Commit(payload, meta)
-			}
+			id, err := n.Commit(ctx, payload, meta)
 			if err != nil {
 				fatal(err)
 			}

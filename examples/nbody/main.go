@@ -130,7 +130,7 @@ func main() {
 		sys.stepOnce()
 		if s%*every == 0 {
 			snap := sys.snapshot()
-			id, err := n.Commit(snap, node.Metadata{Step: s})
+			id, err := n.Commit(context.Background(), snap, node.Metadata{Step: s})
 			if err != nil {
 				log.Fatal(err)
 			}

@@ -49,7 +49,7 @@ func main() {
 		if err := gob.NewEncoder(&buf).Encode(state); err != nil {
 			log.Fatal(err)
 		}
-		id, err := n.Commit(buf.Bytes(), node.Metadata{Step: state.Iteration})
+		id, err := n.Commit(context.Background(), buf.Bytes(), node.Metadata{Step: state.Iteration})
 		if err != nil {
 			log.Fatal(err)
 		}

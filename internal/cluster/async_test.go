@@ -3,6 +3,7 @@ package cluster
 import (
 	"context"
 	"errors"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -74,14 +75,13 @@ func (r *fixedRank) set(data []byte) {
 	r.mu.Unlock()
 }
 
-// TestCheckpointAsyncDeferredAbort forces a partner-copy failure in the
-// background propagation round: rank 0's snapshot fits its own NVM but not
-// its buddy's (smaller) partner region. The barrier has already acked, so
-// the failure must surface as a deferred abort — the round rolled back, the
-// ID permanently failed on every rank's tracker, and the error reported
-// through WithOnAsyncError. No silent loss: waiters learn the checkpoint is
-// gone instead of blocking or being told it is durable.
-func TestCheckpointAsyncDeferredAbort(t *testing.T) {
+// partnerFailCluster builds a two-rank partner-replicated cluster in which
+// rank 0's snapshot fits its own NVM but not its buddy's (smaller) partner
+// region, so the commit barrier succeeds and the partner copy fails in the
+// propagation round. Shrinking ranks[0] makes later rounds succeed. errCh
+// receives WithOnAsyncError reports.
+func partnerFailCluster(t *testing.T) (*Cluster, []*fixedRank, *iostore.Store, chan error) {
+	t.Helper()
 	store := iostore.New(nvm.Pacer{})
 	caps := []int64{1 << 20, 32 << 10} // rank 1's partner region: 32 KiB
 	nodes := make([]*node.Node, 2)
@@ -111,6 +111,17 @@ func TestCheckpointAsyncDeferredAbort(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(c.Close)
+	return c, ranks, store, errCh
+}
+
+// TestCheckpointAsyncDeferredAbort forces a partner-copy failure in the
+// background propagation round. The barrier has already acked, so the
+// failure must surface as a deferred abort — the round rolled back, the ID
+// permanently failed on every rank's tracker, and the error reported
+// through WithOnAsyncError. No silent loss: waiters learn the checkpoint is
+// gone instead of blocking or being told it is durable.
+func TestCheckpointAsyncDeferredAbort(t *testing.T) {
+	c, ranks, _, errCh := partnerFailCluster(t)
 
 	id, err := c.CheckpointAsync(context.Background(), 1)
 	if err != nil {
@@ -179,6 +190,61 @@ func TestCheckpointAsyncRoundsSerialize(t *testing.T) {
 		}
 		if err := c.WaitDurable(ctx, id, ndp.LevelPartner); err != nil {
 			t.Fatalf("checkpoint %d never partner-durable: %v", id, err)
+		}
+	}
+}
+
+// TestCheckpointSyncPropagationFailure: the synchronous Checkpoint is the
+// async path plus a wait, so a partner-copy failure — which now happens in
+// the propagation round, after the barrier — must still come back as the
+// call's error, naming its cause, only after the rollback left zero residue
+// at every level; and the next Checkpoint gets a strictly larger ID.
+func TestCheckpointSyncPropagationFailure(t *testing.T) {
+	c, ranks, store, _ := partnerFailCluster(t)
+	ctx := context.Background()
+
+	_, err := c.Checkpoint(ctx, 1)
+	if err == nil {
+		t.Fatal("Checkpoint succeeded although rank 0's partner copy cannot fit")
+	}
+	if !errors.Is(err, nvm.ErrTooLarge) || !strings.Contains(err.Error(), "partner copy") {
+		t.Fatalf("Checkpoint error does not name the cause (partner copy, too large): %v", err)
+	}
+	const dead = 1
+	// NVM and partner residue must be gone by the time the error returns.
+	for i := 0; i < 2; i++ {
+		if contains(c.Node(i).Device().IDs(), dead) {
+			t.Errorf("rank %d NVM still holds aborted checkpoint %d", i, dead)
+		}
+		if contains(c.Node((i+1)%2).PartnerCopyIDs(i), dead) {
+			t.Errorf("rank %d partner copy of aborted checkpoint %d survives", i, dead)
+		}
+		if c.Node(i).DurableAt(dead, ndp.LevelNVM) {
+			t.Errorf("rank %d still reports aborted checkpoint %d durable", i, dead)
+		}
+	}
+
+	ranks[0].set(make([]byte, 4<<10))
+	id2, err := c.Checkpoint(ctx, 2)
+	if err != nil {
+		t.Fatalf("checkpoint after the aborted round: %v", err)
+	}
+	if id2 <= dead {
+		t.Fatalf("next ID %d not larger than aborted %d", id2, dead)
+	}
+	if !c.DurableAt(id2, ndp.LevelPartner) {
+		t.Error("synchronous Checkpoint returned before the partner level was durable")
+	}
+	// Each engine drains serially, so once id2 is on the store any drain of
+	// the dead ID has finished — and must have deleted what it shipped.
+	waitStore(t, c, id2, 10*time.Second)
+	for i := 0; i < 2; i++ {
+		ids, err := store.IDs(ctx, "job", i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if contains(ids, dead) {
+			t.Errorf("rank %d global object for aborted checkpoint %d survives", i, dead)
 		}
 	}
 }

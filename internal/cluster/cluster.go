@@ -10,7 +10,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 	"time"
 
@@ -62,7 +61,7 @@ type Cluster struct {
 	nextID uint64
 	closed bool
 
-	// Async-mode state: propMu serializes background propagation rounds
+	// Propagation state: propMu serializes background propagation rounds
 	// (partner copies + erasure encode run in commit order), propWG tracks
 	// them so Close waits instead of wiping state under a live round, and
 	// onAsyncErr receives deferred-abort errors.
@@ -97,9 +96,11 @@ func WithPartnerReplication() Option {
 }
 
 // WithOnAsyncError registers a handler for deferred-abort errors: a
-// CheckpointAsync whose background propagation fails rolls the round back
-// and reports the cause here (waiters also observe it as a permanent
-// failure on every rank's durability tracker).
+// checkpoint whose background propagation fails rolls the round back and
+// reports the cause here (waiters also observe it as a permanent failure on
+// every rank's durability tracker). It is invoked for every failed round —
+// including one a synchronous Checkpoint waited on and also returns, so a
+// caller whose context ended mid-round still has somewhere to learn of it.
 func WithOnAsyncError(fn func(error)) Option {
 	return func(c *Cluster) { c.onAsyncErr = fn }
 }
@@ -132,7 +133,7 @@ func New(job string, store iostore.Backend, nodes []*node.Node, ranks []Rank, op
 	c.mLeakedDeletes = c.reg.Counter("ndpcr_cluster_rollback_leaked_deletes_total",
 		"rollback deletes that failed, leaving a global object leaked")
 	c.mBarrierSecs = c.reg.Histogram("ndpcr_cluster_barrier_seconds",
-		"coordination barrier: slowest rank's snapshot+commit wall time", metrics.UnitSeconds)
+		"coordination barrier: slowest rank's snapshot + NVM commit wall time", metrics.UnitSeconds)
 	c.mEncodeSecs = c.reg.Histogram("ndpcr_cluster_erasure_encode_seconds",
 		"Reed-Solomon split+encode wall time per rank", metrics.UnitSeconds)
 	c.mPlaceSecs = c.reg.Histogram("ndpcr_cluster_erasure_place_seconds",
@@ -180,10 +181,12 @@ func (c *Cluster) Node(i int) *node.Node {
 	return c.nodes[i]
 }
 
-// Checkpoint performs one coordinated checkpoint: all ranks snapshot and
-// commit in parallel under the same global ID (the application is assumed
-// paused for the duration, as in Figure 3's timeline). It returns the
-// global checkpoint ID.
+// Checkpoint performs one coordinated checkpoint synchronously: it is
+// CheckpointAsync plus a wait for that round's background propagation, so
+// it returns once the checkpoint holds every configured local level
+// (erasure set, else partner copies, else NVM alone). The NDP drain to
+// global I/O stays in the background either way; follow with
+// WaitDurable(ctx, id, ndp.LevelStore) for durable-at-I/O.
 //
 // Checkpoint is failure-atomic: if any rank's snapshot, commit, partner
 // copy, or erasure encode fails, every trace of the aborted global ID is
@@ -191,84 +194,26 @@ func (c *Cluster) Node(i int) *node.Node {
 // any blocks an NDP drain already shipped to global I/O (best-effort
 // delete) — and all nodes' checkpoint counters are resynchronized past the
 // aborted ID, so the next Checkpoint succeeds with a strictly larger ID
-// instead of failing "nodes out of sync" forever.
+// instead of failing "nodes out of sync" forever. The error names the
+// failure that caused the abort and is returned after the rollback.
 //
-// The context bounds store-side work (rollback deletes on the abort path);
-// the snapshot/commit barrier itself is local and runs to completion.
+// The context bounds each rank's NVM admission wait and the wait for the
+// round; if it ends mid-round the round still resolves in the background
+// (a failure then reaches only WithOnAsyncError).
 func (c *Cluster) Checkpoint(ctx context.Context, step int) (uint64, error) {
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return 0, errors.New("cluster: closed")
+	id, round, err := c.checkpoint(ctx, step)
+	if err != nil {
+		return 0, err
 	}
-	want := c.nextID
-	c.nextID++
-	c.mu.Unlock()
-
-	barrierStart := time.Now()
-	errs := make([]error, len(c.ranks))
-	snaps := make([][]byte, len(c.ranks))
-	committed := make([]uint64, len(c.ranks)) // 0 = this rank never committed
-	var wg sync.WaitGroup
-	for i := range c.ranks {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			snap, err := c.ranks[i].Snapshot()
-			if err != nil {
-				errs[i] = fmt.Errorf("cluster: rank %d snapshot: %w", i, err)
-				return
-			}
-			snaps[i] = snap
-			meta := node.Metadata{Job: c.job, Rank: i, Step: step}
-			if meta.Shards, errs[i] = c.shardCount(i, snap); errs[i] != nil {
-				return
-			}
-			id, err := c.nodes[i].Commit(snap, meta)
-			if err != nil {
-				errs[i] = fmt.Errorf("cluster: rank %d commit: %w", i, err)
-				return
-			}
-			committed[i] = id
-			if id != want {
-				errs[i] = fmt.Errorf("cluster: rank %d committed id %d, expected %d (nodes out of sync)",
-					i, id, want)
-				return
-			}
-			if c.partner {
-				buddy := c.nodes[(i+1)%len(c.nodes)]
-				if err := buddy.StorePartnerCopy(i, id, snap, meta); err != nil {
-					errs[i] = fmt.Errorf("cluster: rank %d partner copy: %w", i, err)
-					return
-				}
-				c.nodes[i].Durability().MarkDurable(ndp.LevelPartner, id)
-			}
-		}(i)
+	select {
+	case err = <-round:
+	case <-ctx.Done():
+		err = fmt.Errorf("cluster: checkpoint %d: waiting for propagation: %w", id, ctx.Err())
 	}
-	wg.Wait()
-	// The barrier is the slowest rank's snapshot+commit: every rank stays
-	// paused until all have committed (Fig. 3's coordinated timeline).
-	c.mBarrierSecs.ObserveSince(barrierStart)
-	for _, err := range errs {
-		if err != nil {
-			c.mCkptErrors.Inc()
-			c.rollback(want, committed)
-			return 0, err
-		}
+	if err != nil {
+		return 0, err
 	}
-	// Erasure encode runs after every local commit succeeded, so the
-	// coordinated checkpoint is never visible at the erasure level in a
-	// half-committed state (shards of ID n imply all ranks committed n).
-	if c.eraCode != nil {
-		if err := c.encodeErasure(want, step, snaps); err != nil {
-			c.mCkptErrors.Inc()
-			c.rollback(want, committed)
-			return 0, err
-		}
-		c.markDurable(ndp.LevelErasure, want)
-	}
-	c.mCkpts.Inc()
-	return want, nil
+	return id, nil
 }
 
 // shardCount validates a PartitionedRank's snapshot frame and returns its
@@ -296,8 +241,8 @@ func (c *Cluster) markDurable(level ndp.Level, id uint64) {
 // rollback erases every trace of an aborted coordinated checkpoint and
 // realigns the checkpoint counters. committed[i] is the ID rank i actually
 // committed (0 if it never did — discards there are no-ops). Each level's
-// removal is idempotent, and the NDP's Discard guarantees a drain still in
-// flight deletes rather than acknowledges the dead ID. A failed global
+// removal is idempotent, and DiscardCommit's tracker failure guarantees a
+// drain still in flight deletes rather than acknowledges the dead ID. A failed global
 // delete (a leaked object on an unreachable store) is now visible — counted
 // and surfaced through mInvErrors-adjacent accounting rather than silently
 // dropped.
@@ -334,6 +279,13 @@ func (c *Cluster) rollback(id uint64, committed []uint64) {
 			next = nid
 		}
 	}
+	c.resync(next)
+	c.mRollbacks.Inc()
+}
+
+// resync raises every node's checkpoint counter, and the cluster's, to at
+// least next.
+func (c *Cluster) resync(next uint64) {
 	for _, n := range c.nodes {
 		n.ResyncNextID(next)
 	}
@@ -342,7 +294,6 @@ func (c *Cluster) rollback(id uint64, committed []uint64) {
 		c.nextID = next
 	}
 	c.mu.Unlock()
-	c.mRollbacks.Inc()
 }
 
 // available reports the checkpoint IDs rank i can restore from any level:
@@ -402,24 +353,7 @@ var ErrLevelUnavailable = errors.New("cluster: storage level unreachable")
 // Lines found despite an inventory failure are genuinely restorable — the
 // surviving levels vouch for them — so recovery can still proceed on them.
 func (c *Cluster) restartLines(ctx context.Context) ([]uint64, error) {
-	common, invErr := c.available(ctx, 0)
-	for i := 1; i < len(c.ranks) && len(common) > 0; i++ {
-		avail, err := c.available(ctx, i)
-		if err != nil && invErr == nil {
-			invErr = err
-		}
-		for id := range common {
-			if !avail[id] {
-				delete(common, id)
-			}
-		}
-	}
-	out := make([]uint64, 0, len(common))
-	for id := range common {
-		out = append(out, id)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] > out[j] })
-	return out, invErr
+	return commonLines(len(c.ranks), func(i int) (map[uint64]bool, error) { return c.available(ctx, i) })
 }
 
 // RestartLines returns every checkpoint ID restorable by all ranks, newest
@@ -488,16 +422,19 @@ type RecoverOptions struct {
 }
 
 // Recover rolls every rank back to a common restart line in parallel,
-// walking the restart-line ladder newest to oldest: if any rank fails to
-// restore at a line (corrupt object, insufficient erasure shards, buddy
-// gone), the cluster falls back to the next-older common line instead of
-// aborting — the multilevel hierarchy keeps recovery progressing through
+// walking the restart-line ladder newest to oldest (WalkLines): if any rank
+// fails to restore at a line (corrupt object, insufficient erasure shards,
+// buddy gone), the cluster falls back to the next-older common line instead
+// of aborting — the multilevel hierarchy keeps recovery progressing through
 // partial damage. Per-line attempts and fallbacks are recorded in metrics.
 //
-// With zero-value options this is the classic same-shape recovery over
-// every storage level. Options select an elastic N→M restore instead: the
-// planner (PlanRestore) re-shards opts.SourceRanks checkpointed snapshots
-// onto this cluster's ranks from the global store, and the checkpoint
+// Every recovery is one restore plan per line, executed by recoverPlan.
+// With zero-value options the lines come from every storage level and the
+// plan is the identity — each rank restores its own checkpoint through the
+// full multilevel hierarchy. Options select an elastic N→M restore instead:
+// lines come from the global store (the only level that survives a
+// topology change), the planner (PlanRestore) re-shards opts.SourceRanks
+// checkpointed snapshots onto this cluster's ranks, and the checkpoint
 // counters resynchronize past the source job's newest ID so the restarted
 // job appends rather than overwrites.
 //
@@ -507,99 +444,94 @@ type RecoverOptions struct {
 func (c *Cluster) Recover(ctx context.Context, opts RecoverOptions) (RecoverOutcome, error) {
 	recoverStart := time.Now()
 	defer c.mRecoverSecs.ObserveSince(recoverStart)
-	if opts.StoreOnly || opts.SourceRanks != 0 {
-		return c.recoverElastic(ctx, opts)
+	planned := opts.StoreOnly || opts.SourceRanks != 0
+	sources := opts.SourceRanks
+	if sources == 0 {
+		sources = len(c.ranks)
 	}
-	var lines []uint64
-	if opts.Line != 0 {
-		lines = []uint64{opts.Line}
-	} else {
-		var invErr error
-		lines, invErr = c.restartLines(ctx)
-		if len(lines) == 0 {
-			if invErr != nil {
-				// "Unknown, not absent": with a level unreachable, an empty
-				// intersection proves nothing — report the outage, not a
-				// (possibly false) absence of restart lines.
-				return RecoverOutcome{}, invErr
-			}
-			return RecoverOutcome{}, ErrNoRestartLine
-		}
+	inventory := func() ([]uint64, error) { return c.restartLines(ctx) }
+	if planned {
+		inventory = func() ([]uint64, error) { return StoreRestartLines(ctx, c.store, c.job, sources) }
 	}
-	var failed []uint64
-	var lastErr error
-	for _, line := range lines {
+	var out RecoverOutcome
+	failed, err := WalkLines(ctx, opts.Line, inventory, c.mFallbacks, func(line uint64) error {
 		c.mLineAttempts.Inc()
-		out, err := c.recoverAt(ctx, line)
-		if err == nil {
-			out.FailedLines = failed
-			c.mRecoveries.Inc()
-			return out, nil
-		}
-		lastErr = err
-		failed = append(failed, line)
-		c.mFallbacks.Inc()
-	}
-	return RecoverOutcome{}, fmt.Errorf(
-		"cluster: all %d restart lines failed (newest to oldest %v): %w",
-		len(lines), lines, lastErr)
-}
-
-// recoverElastic is the planner-driven recovery: restart lines come from
-// the global store (the only level that survives a topology change), each
-// line is planned with PlanRestore and executed by every node's elastic
-// executor in parallel, and an unreadable line — plan failure or fetch/
-// decode failure on any target — falls back to the next-older line exactly
-// like the classic path.
-func (c *Cluster) recoverElastic(ctx context.Context, opts RecoverOptions) (RecoverOutcome, error) {
-	n := opts.SourceRanks
-	if n == 0 {
-		n = len(c.ranks)
-	}
-	var lines []uint64
-	if opts.Line != 0 {
-		lines = []uint64{opts.Line}
-	} else {
-		var invErr error
-		lines, invErr = StoreRestartLines(ctx, c.store, c.job, n)
-		if len(lines) == 0 {
-			if invErr != nil {
-				return RecoverOutcome{}, invErr
-			}
-			return RecoverOutcome{}, ErrNoRestartLine
-		}
-	}
-	var failed []uint64
-	var lastErr error
-	for _, line := range lines {
-		c.mLineAttempts.Inc()
+		// Same-shape specs plan as identity without touching the store, so
+		// the classic path costs no Stat calls here.
 		plan, err := PlanRestore(ctx, c.store, c.job, RestoreSpec{
-			SourceRanks: n, TargetRanks: len(c.ranks), Line: line,
+			SourceRanks: sources, TargetRanks: len(c.ranks), Line: line,
 		})
-		if err == nil {
-			var out RecoverOutcome
-			out, err = c.recoverPlan(ctx, plan, opts.StoreOnly)
-			if err == nil {
-				out.FailedLines = failed
-				c.resyncAfterElastic(ctx, n, line)
-				c.mRecoveries.Inc()
-				return out, nil
-			}
+		if err != nil {
+			return err
 		}
-		lastErr = err
-		failed = append(failed, line)
-		c.mFallbacks.Inc()
+		if out, err = c.recoverPlan(ctx, plan, opts.StoreOnly); err != nil {
+			return err
+		}
+		if planned {
+			out.Plan = &plan
+		}
+		return nil
+	})
+	if err != nil {
+		return RecoverOutcome{}, err
 	}
-	return RecoverOutcome{}, fmt.Errorf(
-		"cluster: all %d restart lines failed elastically (newest to oldest %v): %w",
-		len(lines), lines, lastErr)
+	out.FailedLines = failed
+	if planned {
+		c.resyncAfterElastic(ctx, sources, out.ID)
+	}
+	c.mRecoveries.Inc()
+	return out, nil
 }
 
-// recoverPlan executes one restore plan across all ranks in parallel.
-// Targets that own no shards restore the empty frame with a synthetic
-// step of -1; the step-consistency check skips them.
+// WalkLines is the recovery ladder of §4.2.3, the one newest-to-oldest loop
+// every restart-line walk runs: try the newest line every rank can restore,
+// fall back to the next-older one when it turns out unreadable. The lines
+// are the pinned one alone — a pinned line never falls back — or, with
+// pinned zero, whatever inventory reports, newest first. The first line try
+// accepts ends the walk; failed lists the lines abandoned before it, and
+// fallbacks counts each line abandoned for an older one. A context that
+// ends stops the walk: older lines cannot help a caller that is gone.
+//
+// An empty inventory reports its own error when it has one: with a level
+// unreachable an empty intersection proves nothing, so the outage is
+// reported, not a possibly false ErrNoRestartLine.
+func WalkLines(ctx context.Context, pinned uint64, inventory func() ([]uint64, error),
+	fallbacks *metrics.Counter, try func(line uint64) error) (failed []uint64, err error) {
+	lines := []uint64{pinned}
+	if pinned == 0 {
+		var invErr error
+		lines, invErr = inventory()
+		if len(lines) == 0 {
+			if invErr != nil {
+				return nil, invErr
+			}
+			return nil, ErrNoRestartLine
+		}
+	}
+	for i, line := range lines {
+		if i > 0 {
+			fallbacks.Inc()
+		}
+		if err = try(line); err == nil {
+			return failed, nil
+		}
+		failed = append(failed, line)
+		if ctx.Err() != nil {
+			break
+		}
+	}
+	return failed, fmt.Errorf("cluster: %d restart line(s) failed (newest to oldest %v): %w",
+		len(failed), failed, err)
+}
+
+// recoverPlan executes one restore plan across all ranks in parallel. A
+// rank whose state was already replaced by a newer, partially-successful
+// attempt is simply re-restored: Rank.Restore replaces state wholesale, so
+// the last fully-successful line wins. Targets that own no shards restore
+// the empty frame with a synthetic step of -1; the step-consistency check
+// skips them.
 func (c *Cluster) recoverPlan(ctx context.Context, plan RestorePlan, storeOnly bool) (RecoverOutcome, error) {
-	out := RecoverOutcome{ID: plan.Line, Step: -1, Levels: make([]node.Level, len(c.ranks)), Plan: &plan}
+	out := RecoverOutcome{ID: plan.Line, Step: -1, Levels: make([]node.Level, len(c.ranks))}
 	errs := make([]error, len(c.ranks))
 	steps := make([]int, len(c.ranks))
 	var wg sync.WaitGroup
@@ -654,58 +586,7 @@ func (c *Cluster) resyncAfterElastic(ctx context.Context, sourceRanks int, line 
 			next = id + 1
 		}
 	}
-	for _, n := range c.nodes {
-		n.ResyncNextID(next)
-	}
-	c.mu.Lock()
-	if next > c.nextID {
-		c.nextID = next
-	}
-	c.mu.Unlock()
-}
-
-// recoverAt rolls every rank back to one specific line. A rank whose state
-// was already replaced by a newer, partially-successful attempt is simply
-// re-restored: Rank.Restore replaces state wholesale, so the last
-// fully-successful line wins.
-func (c *Cluster) recoverAt(ctx context.Context, line uint64) (RecoverOutcome, error) {
-	out := RecoverOutcome{ID: line, Levels: make([]node.Level, len(c.ranks))}
-	errs := make([]error, len(c.ranks))
-	steps := make([]int, len(c.ranks))
-	var wg sync.WaitGroup
-	for i := range c.ranks {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			data, meta, level, err := c.nodes[i].RestoreID(ctx, line)
-			if err != nil {
-				errs[i] = fmt.Errorf("cluster: rank %d restore %d: %w", i, line, err)
-				return
-			}
-			if err := c.ranks[i].Restore(data); err != nil {
-				errs[i] = fmt.Errorf("cluster: rank %d apply restore: %w", i, err)
-				return
-			}
-			out.Levels[i] = level
-			steps[i] = meta.Step
-		}(i)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return RecoverOutcome{}, err
-		}
-	}
-	for i, s := range steps {
-		if i == 0 {
-			out.Step = s
-		} else if s != out.Step {
-			return RecoverOutcome{}, fmt.Errorf(
-				"cluster: inconsistent restart line: rank 0 at step %d, rank %d at step %d",
-				out.Step, i, s)
-		}
-	}
-	return out, nil
+	c.resync(next)
 }
 
 // FailNode injects a node-local failure on rank i: its NVM is wiped and any

@@ -155,14 +155,14 @@ func TestPartnerPrefersNewestAcrossLevels(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	id1, err := a.Commit([]byte("version-one"), node.Metadata{Step: 1})
+	id1, err := a.Commit(context.Background(), []byte("version-one"), node.Metadata{Step: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := a.WriteThrough(context.Background(), id1); err != nil {
 		t.Fatal(err)
 	}
-	id2, err := a.Commit([]byte("version-two"), node.Metadata{Step: 2})
+	id2, err := a.Commit(context.Background(), []byte("version-two"), node.Metadata{Step: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -24,43 +24,48 @@ func StoreRestartLines(ctx context.Context, store iostore.Backend, job string, r
 	if ranks <= 0 {
 		return nil, fmt.Errorf("cluster: StoreRestartLines: ranks must be positive, got %d", ranks)
 	}
-	var common map[uint64]bool
-	var invErr error
-	for i := 0; i < ranks; i++ {
+	return commonLines(ranks, func(i int) (map[uint64]bool, error) {
 		ids, err := store.IDs(ctx, job, i)
 		if err != nil {
-			// Unknown, not absent: an unreachable rank inventory must not
-			// veto every line with a vacuously empty set. Skip its
-			// constraint, keep the error so the caller knows the returned
-			// lines are vouched for only by the ranks that answered.
-			if invErr == nil {
-				invErr = fmt.Errorf("%w: rank %d global-store inventory: %v", ErrLevelUnavailable, i, err)
-			}
-			continue
-		}
-		if common == nil {
-			common = make(map[uint64]bool, len(ids))
-			for _, id := range ids {
-				common[id] = true
-			}
-			continue
+			return nil, fmt.Errorf("%w: rank %d global-store inventory: %v", ErrLevelUnavailable, i, err)
 		}
 		avail := make(map[uint64]bool, len(ids))
 		for _, id := range ids {
 			avail[id] = true
 		}
-		for id := range common {
-			if !avail[id] {
-				delete(common, id)
-			}
+		return avail, nil
+	})
+}
+
+// commonLines intersects the restorable-ID sets of ranks [0, ranks), newest
+// first, and returns the first inventory error alongside. avail may return
+// a partial set with its error (the levels that answered), or nil when the
+// rank's inventory is wholly unknown — unknown, not absent: such a rank
+// must not veto every line with a vacuously empty set, so its constraint is
+// skipped and the error tells the caller the returned lines are vouched for
+// only by the ranks that answered. If every rank is unknown, nothing is
+// known (nil lines), not "nothing exists".
+func commonLines(ranks int, avail func(rank int) (map[uint64]bool, error)) ([]uint64, error) {
+	var common map[uint64]bool
+	var invErr error
+	for i := 0; i < ranks && (common == nil || len(common) > 0); i++ {
+		ids, err := avail(i)
+		if err != nil && invErr == nil {
+			invErr = err
 		}
-		if len(common) == 0 {
-			break
+		switch {
+		case ids == nil:
+		case common == nil:
+			common = ids
+		default:
+			for id := range common {
+				if !ids[id] {
+					delete(common, id)
+				}
+			}
 		}
 	}
 	if common == nil {
-		// Every rank's inventory failed: nothing is known, not "nothing
-		// exists".
 		return nil, invErr
 	}
 	out := make([]uint64, 0, len(common))

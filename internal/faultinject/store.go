@@ -45,9 +45,7 @@ var _ iostore.Backend = (*Store)(nil)
 // Instrument forwards to the inner store when it is instrumentable, so
 // wrapping does not hide store metrics.
 func (s *Store) Instrument(r *metrics.Registry) {
-	if i, ok := s.inner.(interface{ Instrument(*metrics.Registry) }); ok {
-		i.Instrument(r)
-	}
+	iostore.Instrument(s.inner, r)
 }
 
 // Put implements iostore.Backend.

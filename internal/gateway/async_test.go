@@ -96,37 +96,38 @@ func TestSyncOverrideOnAsyncServer(t *testing.T) {
 
 // TestAsyncSaveBackpressure429: when the session NVM is pinned by
 // drain-locked residents and admission cannot succeed within the bound, the
-// async save is rejected with the typed 429 backpressure code — a signal to
-// back off, distinct from quota and rate-limit rejections.
+// save is rejected with the typed 429 backpressure code — a signal to back
+// off, distinct from quota and rate-limit rejections. Both acknowledgment
+// modes commit through the same admission control, so a synchronous save
+// gets the same 429 (never a 500 from a full device).
 func TestAsyncSaveBackpressure429(t *testing.T) {
-	in := faultinject.New(11,
-		faultinject.Rule{Site: faultinject.SiteStorePut, Mode: faultinject.ModeStall, Delay: 2 * time.Second},
-		faultinject.Rule{Site: faultinject.SiteStorePutBlock, Mode: faultinject.ModeStall, Delay: 2 * time.Second},
-	)
-	_, ts := newTestServer(t, func(c *Config) {
-		c.Store = faultinject.WrapStore(iostore.New(nvm.Pacer{}), in)
-		c.Codec = nil
-		c.AsyncAck = true
-		c.SessionNVM = 100 << 10
-		c.DrainTimeout = 100 * time.Millisecond // admission bound
-		c.AsyncDrainTimeout = 5 * time.Second
-	})
-	c := NewClient(ts.URL, "tok-acme")
-	ctx := context.Background()
-	big := bytes.Repeat([]byte("z"), 70<<10)
+	for _, mode := range []string{"nvm", "store"} {
+		t.Run("durable="+mode, func(t *testing.T) {
+			srv, c, gs, _ := newGatedServer(t, func(c *Config) {
+				c.SessionNVM = 100 << 10
+				c.DrainTimeout = 100 * time.Millisecond // admission bound
+				c.AsyncDrainTimeout = 5 * time.Second
+			})
+			ctx := context.Background()
+			big := bytes.Repeat([]byte("z"), 70<<10)
 
-	if _, err := c.SaveAsync(ctx, "acme", "run1", 0, 1, big); err != nil {
-		t.Fatalf("first async save: %v", err)
-	}
-	// The stalled store holds the drain lock on checkpoint 1 far past the
-	// admission bound: the second save must be told to back off.
-	_, err := c.SaveAsync(ctx, "acme", "run1", 0, 2, big)
-	var apiErr *APIError
-	if !errors.As(err, &apiErr) {
-		t.Fatalf("second async save: got %v, want APIError", err)
-	}
-	if apiErr.Status != http.StatusTooManyRequests || apiErr.Code != "backpressure" {
-		t.Fatalf("second async save = %d %q, want 429 backpressure", apiErr.Status, apiErr.Code)
+			gs.block()
+			if _, err := c.SaveAsync(ctx, "acme", "run1", 0, 1, big); err != nil {
+				t.Fatalf("first async save: %v", err)
+			}
+			// The blocked store holds the drain lock on checkpoint 1 past
+			// the admission bound: the second save must be told to back off.
+			n := sessionNode(t, srv, "run1", 0)
+			waitFor(t, "the drain to lock the resident", func() bool { return n.Device().LockedBytes() > 0 })
+			_, err := c.save(ctx, "acme", "run1", 0, 2, big, "&durable="+mode)
+			var apiErr *APIError
+			if !errors.As(err, &apiErr) {
+				t.Fatalf("second save: got %v, want APIError", err)
+			}
+			if apiErr.Status != http.StatusTooManyRequests || apiErr.Code != "backpressure" {
+				t.Fatalf("second save = %d %q, want 429 backpressure", apiErr.Status, apiErr.Code)
+			}
+		})
 	}
 }
 

@@ -86,18 +86,7 @@ func decodeJSON(resp *http.Response, v any) error {
 // Save writes one snapshot as rank's next checkpoint of ns/run and returns
 // the durable checkpoint ID.
 func (c *Client) Save(ctx context.Context, ns, run string, rank, step int, snapshot []byte) (uint64, error) {
-	u := c.runURL(ns, run, "/checkpoints") + "?rank=" + strconv.Itoa(rank) + "&step=" + strconv.Itoa(step)
-	resp, err := c.do(ctx, http.MethodPost, u, snapshot)
-	if err != nil {
-		return 0, err
-	}
-	var out struct {
-		ID uint64 `json:"id"`
-	}
-	if err := decodeJSON(resp, &out); err != nil {
-		return 0, fmt.Errorf("gateway: decoding save response: %w", err)
-	}
-	return out.ID, nil
+	return c.save(ctx, ns, run, rank, step, snapshot, "")
 }
 
 // SaveAsync writes one snapshot with asynchronous acknowledgment
@@ -106,8 +95,13 @@ func (c *Client) Save(ctx context.Context, ns, run string, rank, step int, snaps
 // background. Poll Durability (or call it with wait="store") to learn when
 // — or whether — the checkpoint became store-durable.
 func (c *Client) SaveAsync(ctx context.Context, ns, run string, rank, step int, snapshot []byte) (uint64, error) {
-	u := c.runURL(ns, run, "/checkpoints") + "?rank=" + strconv.Itoa(rank) +
-		"&step=" + strconv.Itoa(step) + "&durable=nvm"
+	return c.save(ctx, ns, run, rank, step, snapshot, "&durable=nvm")
+}
+
+// save is the one save request; mode is the durable= query suffix that
+// picks who waits for the drain.
+func (c *Client) save(ctx context.Context, ns, run string, rank, step int, snapshot []byte, mode string) (uint64, error) {
+	u := c.runURL(ns, run, "/checkpoints") + "?rank=" + strconv.Itoa(rank) + "&step=" + strconv.Itoa(step) + mode
 	resp, err := c.do(ctx, http.MethodPost, u, snapshot)
 	if err != nil {
 		return 0, err

@@ -152,6 +152,9 @@ func New(cfg Config) (*Server, error) {
 	for _, t := range cfg.Tenants {
 		s.byToken[t.Token] = newTenantState(t, s.now())
 	}
+	// Every session node shares the store, so its metrics are registered
+	// here, once, before any session writes through it.
+	iostore.Instrument(cfg.Store, s.reg)
 	s.mAuthFailures = s.reg.Counter("ndpcr_gateway_auth_failures_total",
 		"requests rejected for a missing or unknown bearer token")
 	s.mRateRejects = s.reg.Counter("ndpcr_gateway_rate_limit_rejections_total",
@@ -167,7 +170,7 @@ func New(cfg Config) (*Server, error) {
 	s.mAsyncFails = s.reg.Counter("ndpcr_gateway_async_failures_total",
 		"async-acked saves rolled back because the store drain failed or timed out")
 	s.mBackpressure = s.reg.Counter("ndpcr_gateway_backpressure_rejections_total",
-		"async saves rejected because NVM admission control timed out")
+		"saves rejected because NVM admission control timed out")
 	s.mRestoreFallbacks = s.reg.Counter("ndpcr_gateway_restore_fallbacks_total",
 		"restart lines abandoned for an older line while serving restore/resume requests")
 	if cfg.DrainSlots > 0 {
@@ -495,17 +498,18 @@ func mapStoreErr(err error, what string) *apiError {
 	}
 }
 
-// handleSave commits one checkpoint snapshot (the request body). In the
-// default synchronous mode it waits for the NDP drain to land the
-// checkpoint in the global store before acknowledging: a 200 means durable
-// at the I/O level, not merely accepted, and a failed or timed-out drain
-// rolls the commit back so the run's checkpoint sequence holds only durable
-// IDs. In async mode (Config.AsyncAck or ?durable=nvm) the save returns 202
-// as soon as the snapshot is NVM-durable — under admission control, so a
-// full device blocks (bounded by DrainTimeout) instead of failing — and the
-// drain to the store resolves in the background: the acked ID either
-// reaches store durability or is rolled back and reported failed through
-// the durability endpoint, never silently lost.
+// handleSave commits one checkpoint snapshot (the request body) — one NVM
+// commit under admission control, so a device crowded by drain-locked
+// residents blocks (bounded by DrainTimeout, then 429 backpressure) instead
+// of failing — and then resolves it, the two modes differing only in who
+// waits. In the default synchronous mode the request does: a 200 means
+// durable at the I/O level, not merely accepted, and a failed or timed-out
+// drain rolls the commit back so the run's checkpoint sequence holds only
+// durable IDs. In async mode (Config.AsyncAck or ?durable=nvm) the save
+// returns 202 as soon as the snapshot is NVM-durable and the same resolve
+// runs in the background: the acked ID either reaches store durability or is
+// rolled back and reported failed through the durability endpoint, never
+// silently lost.
 func (s *Server) handleSave(w http.ResponseWriter, r *http.Request, st *tenantState) *apiError {
 	job, rank, aerr := reqScope(r)
 	if aerr != nil {
@@ -559,20 +563,30 @@ func (s *Server) handleSave(w http.ResponseWriter, r *http.Request, st *tenantSt
 		}
 	}
 
-	if async {
-		actx, cancel := context.WithTimeout(r.Context(), s.cfg.DrainTimeout)
-		id, err := n.CommitAsync(actx, body, meta)
-		cancel()
-		if err != nil {
-			release()
-			if errors.Is(err, nvm.ErrBackpressure) {
-				s.mBackpressure.Inc()
-				return errf(http.StatusTooManyRequests, "backpressure",
-					"NVM admission wait expired (drain-locked residents hold the device): %v", err)
-			}
-			return mapStoreErr(err, "commit")
+	actx, cancel := context.WithTimeout(r.Context(), s.cfg.DrainTimeout)
+	id, err := n.Commit(actx, body, meta)
+	cancel()
+	if err != nil {
+		release()
+		if errors.Is(err, nvm.ErrBackpressure) {
+			s.mBackpressure.Inc()
+			return errf(http.StatusTooManyRequests, "backpressure",
+				"NVM admission wait expired (drain-locked residents hold the device): %v", err)
 		}
-		s.finishAsync(n, id, release)
+		return mapStoreErr(err, "commit")
+	}
+	if async {
+		s.asyncWG.Add(1)
+		s.mAsyncPending.Inc()
+		go func() {
+			defer s.asyncWG.Done()
+			defer s.mAsyncPending.Dec()
+			ctx, cancel := context.WithTimeout(context.Background(), s.cfg.AsyncDrainTimeout)
+			defer cancel()
+			if s.resolve(ctx, n, id, release) != nil {
+				s.mAsyncFails.Inc()
+			}
+		}()
 		s.tenantBytes(st, "in", len(body))
 		writeJSON(w, http.StatusAccepted, map[string]any{
 			"id": id, "bytes": len(body), "step": step, "durable": "nvm",
@@ -580,25 +594,9 @@ func (s *Server) handleSave(w http.ResponseWriter, r *http.Request, st *tenantSt
 		return nil
 	}
 
-	id, err := n.Commit(body, meta)
-	if err != nil {
-		release()
-		return mapStoreErr(err, "commit")
-	}
 	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.DrainTimeout)
 	defer cancel()
-	var werr error
-	if n.Engine() != nil {
-		werr = n.WaitDurableCtx(ctx, id, ndp.LevelStore)
-	}
-	if werr != nil && !n.DurableAt(id, ndp.LevelStore) {
-		// Not durable at the I/O level: roll the checkpoint back rather
-		// than acknowledge state the store may not hold. The DurableAt
-		// re-check above keeps a drain that completed in the same instant
-		// the wait aborted (engine stop, ctx expiry) acknowledged instead
-		// of rolled back.
-		n.DiscardCommit(id)
-		release()
+	if werr := s.resolve(ctx, n, id, release); werr != nil {
 		switch {
 		case r.Context().Err() != nil:
 			return errf(http.StatusServiceUnavailable, "canceled",
@@ -614,36 +612,30 @@ func (s *Server) handleSave(w http.ResponseWriter, r *http.Request, st *tenantSt
 				"checkpoint %d not drained within %s; rolled back", id, s.cfg.DrainTimeout)
 		}
 	}
-	s.evictLocal(n, id)
-
 	s.tenantBytes(st, "in", len(body))
 	writeJSON(w, http.StatusOK, map[string]any{"id": id, "bytes": len(body), "step": step, "durable": "store"})
 	return nil
 }
 
-// finishAsync resolves one async-acked save in the background: wait
-// (bounded by AsyncDrainTimeout) for store durability, then either trim the
-// local restore cache like a synchronous save, or — on permanent drain
-// failure, shutdown, or timeout without durability — roll the checkpoint
-// back and return its quota, leaving the ID marked failed on the node's
-// durability tracker so pollers see an explicit failure, not silence.
-func (s *Server) finishAsync(n *node.Node, id uint64, release func()) {
-	s.asyncWG.Add(1)
-	s.mAsyncPending.Inc()
-	go func() {
-		defer s.asyncWG.Done()
-		defer s.mAsyncPending.Dec()
-		ctx, cancel := context.WithTimeout(context.Background(), s.cfg.AsyncDrainTimeout)
-		defer cancel()
-		err := n.WaitDurableCtx(ctx, id, ndp.LevelStore)
-		if err == nil || n.DurableAt(id, ndp.LevelStore) {
-			s.evictLocal(n, id)
-			return
-		}
-		s.mAsyncFails.Inc()
-		n.DiscardCommit(id)
-		release()
-	}()
+// resolve settles one committed save: wait (bounded by ctx) for store
+// durability, then either trim the local restore cache, or — on permanent
+// drain failure, shutdown, or timeout without durability — roll the
+// checkpoint back rather than keep state the store may not hold, return its
+// quota, and report why. The rolled-back ID stays failed on the node's
+// durability tracker, so pollers see an explicit failure, not silence. The
+// DurableAt re-check keeps a drain that completed in the same instant the
+// wait aborted (engine stop, ctx expiry) acknowledged instead of rolled back.
+func (s *Server) resolve(ctx context.Context, n *node.Node, id uint64, release func()) error {
+	err := n.WaitDurableCtx(ctx, id, ndp.LevelStore)
+	if err == nil || n.DurableAt(id, ndp.LevelStore) {
+		s.evictLocal(n, id)
+		return nil
+	}
+	// Best effort: a failed global delete leaves an object the store's own
+	// error counters show; this request can do nothing more about it.
+	_ = n.DiscardCommit(id)
+	release()
+	return err
 }
 
 // handleDurability reports one checkpoint's per-level durability:
@@ -827,57 +819,31 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request, st *tenant
 }
 
 // handleResume restores the newest usable checkpoint. With ?ranks=N it is
-// a thin wrapper over the restore planner: the identity (N→N) plan member
-// for this rank is served from the newest store restart line common to
-// ranks [0,N), walking lines newest-to-oldest when one turns out
-// unreadable — the same fallback ladder Cluster.Recover walks, with each
-// abandoned line counted in ndpcr_gateway_restore_fallbacks_total.
-// Without ?ranks= it serves this rank's newest checkpoint.
+// handleRestore's member mode for the identity (N→N) plan: this rank's
+// member is served from the newest restart line common to ranks [0,N),
+// through the same fallback ladder, with the session's local levels in play
+// (a resuming rank may still hold the line in NVM). Without ?ranks= it
+// serves this rank's newest checkpoint, labeled with the ID it restored.
 func (s *Server) handleResume(w http.ResponseWriter, r *http.Request, st *tenantState) *apiError {
 	job, rank, aerr := reqScope(r)
 	if aerr != nil {
 		return aerr
-	}
-	n, err := s.session(r.Context(), job, rank, st)
-	if err != nil {
-		return mapStoreErr(err, "session")
 	}
 	if v := r.URL.Query().Get("ranks"); v != "" {
 		ranks, err := strconv.Atoi(v)
 		if err != nil || ranks <= 0 || rank >= ranks {
 			return errf(http.StatusBadRequest, "bad_request", "invalid ranks %q for rank %d", v, rank)
 		}
-		lines, lerr := cluster.StoreRestartLines(r.Context(), s.cfg.Store, job, ranks)
-		if len(lines) == 0 {
-			if lerr != nil {
-				return mapStoreErr(lerr, "restart line")
-			}
-			return errf(http.StatusNotFound, "not_found", "no restart line common to %d ranks", ranks)
-		}
-		var lastErr error
-		for i, line := range lines {
-			if i > 0 {
-				s.mRestoreFallbacks.Inc()
-			}
-			data, meta, level, err := n.RestoreID(r.Context(), line)
-			if err == nil {
-				s.serveSnapshot(w, st, data, line, meta, level)
-				return nil
-			}
-			lastErr = err
-			if r.Context().Err() != nil {
-				break // the client is gone; older lines won't help it
-			}
-		}
-		return mapStoreErr(lastErr, fmt.Sprintf("restore across %d restart lines", len(lines)))
+		return s.restore(w, r, st, job, restoreRequest{Ranks: ranks, TargetRanks: ranks}, rank, false)
+	}
+	n, err := s.session(r.Context(), job, rank, st)
+	if err != nil {
+		return mapStoreErr(err, "session")
 	}
 	data, meta, level, err := n.Restore(r.Context())
 	if err != nil {
 		return mapStoreErr(err, "resume")
 	}
-	// The restored ID travels in metadata-adjacent headers; Restore picks
-	// the newest, which the store's Latest identifies.
-	id, _, _ := s.cfg.Store.Latest(r.Context(), job, rank)
-	s.serveSnapshot(w, st, data, id, meta, level)
+	s.serveSnapshot(w, st, data, meta.ID, meta, level)
 	return nil
 }

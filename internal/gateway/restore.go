@@ -2,12 +2,11 @@ package gateway
 
 import (
 	"encoding/json"
-	"fmt"
 	"net/http"
 	"strconv"
 
 	"ndpcr/internal/cluster"
-	"ndpcr/internal/cluster/elastic"
+	"ndpcr/internal/node"
 )
 
 // restoreRequest is the POST /restore body: the checkpointed topology, the
@@ -19,16 +18,12 @@ type restoreRequest struct {
 	Line        uint64 `json:"line,omitempty"`
 }
 
-// restoreResponse is the plan-mode response: the chosen line and the full
-// source-shard map (which source ranks' shard ranges each target fetches).
+// restoreResponse is the plan-mode response: the plan — the chosen line and
+// the full source-shard map (which source ranks' shard ranges each target
+// fetches) — plus the newer lines abandoned before it.
 type restoreResponse struct {
-	Line        uint64               `json:"line"`
-	SourceRanks int                  `json:"source_ranks"`
-	TargetRanks int                  `json:"target_ranks"`
-	TotalShards int                  `json:"total_shards"`
-	Identity    bool                 `json:"identity,omitempty"`
-	FailedLines []uint64             `json:"failed_lines,omitempty"`
-	Targets     []elastic.TargetPlan `json:"targets"`
+	cluster.RestorePlan
+	FailedLines []uint64 `json:"failed_lines,omitempty"`
 }
 
 // handleRestore is the elastic restore endpoint:
@@ -43,11 +38,11 @@ type restoreResponse struct {
 // the member snapshot the T-th restart rank boots from, with the chosen
 // line and step in the usual snapshot headers.
 //
-// Both modes walk restart lines newest to oldest when no line is pinned:
-// a line whose plan or payload turns out unreadable is abandoned (counted
-// in ndpcr_gateway_restore_fallbacks_total) in favor of the next-older
-// one. Clients restoring many members should plan once and pin the
-// returned line so every member restores the same cut.
+// Both modes walk restart lines newest to oldest when no line is pinned
+// (cluster.WalkLines): a line whose plan or payload turns out unreadable is
+// abandoned (counted in ndpcr_gateway_restore_fallbacks_total) in favor of
+// the next-older one. Clients restoring many members should plan once and
+// pin the returned line so every member restores the same cut.
 func (s *Server) handleRestore(w http.ResponseWriter, r *http.Request, st *tenantState) *apiError {
 	job, _, aerr := reqScope(r)
 	if aerr != nil {
@@ -75,64 +70,54 @@ func (s *Server) handleRestore(w http.ResponseWriter, r *http.Request, st *tenan
 		}
 		member = m
 	}
+	// Store-only: the member's future NVM does not hold the source job's
+	// state.
+	return s.restore(w, r, st, job, req, member, true)
+}
 
-	// The fallback ladder: the pinned line alone, or every store restart
-	// line newest first.
-	var lines []uint64
-	if req.Line != 0 {
-		lines = []uint64{req.Line}
-	} else {
-		var lerr error
-		lines, lerr = cluster.StoreRestartLines(r.Context(), s.cfg.Store, job, req.Ranks)
-		if len(lines) == 0 {
-			if lerr != nil {
-				return mapStoreErr(lerr, "restart line")
-			}
-			return errf(http.StatusNotFound, "not_found", "no restart line common to %d ranks", req.Ranks)
+// restore walks the recovery ladder over the store's restart lines for
+// req's topology (or req's pinned line alone), planning each line. With
+// member < 0 the first plannable line's plan is the response. Otherwise the
+// plan's slice for that member is executed through a session node keyed by
+// the member's rank — storeOnly keeps the session's local levels out of a
+// whole-snapshot fetch of its own rank — and the first line that restores is
+// served as the member snapshot, with line and step in the usual headers.
+func (s *Server) restore(w http.ResponseWriter, r *http.Request, st *tenantState,
+	job string, req restoreRequest, member int, storeOnly bool) *apiError {
+	ctx := r.Context()
+	var n *node.Node
+	if member >= 0 {
+		var err error
+		if n, err = s.session(ctx, job, member, st); err != nil {
+			return mapStoreErr(err, "session")
 		}
 	}
-
-	var failed []uint64
-	var lastErr error
-	for i, line := range lines {
-		if i > 0 {
-			s.mRestoreFallbacks.Inc()
-		}
-		plan, err := cluster.PlanRestore(r.Context(), s.cfg.Store, job, cluster.RestoreSpec{
-			SourceRanks: req.Ranks, TargetRanks: req.TargetRanks, Line: line,
-		})
-		if err != nil {
-			lastErr = err
-			failed = append(failed, line)
-			continue
-		}
-		if member < 0 {
-			writeJSON(w, http.StatusOK, restoreResponse{
-				Line:        plan.Line,
-				SourceRanks: plan.SourceRanks,
-				TargetRanks: plan.TargetRanks,
-				TotalShards: plan.TotalShards,
-				Identity:    plan.Identity,
-				FailedLines: failed,
-				Targets:     plan.Targets,
+	var (
+		plan  cluster.RestorePlan
+		data  []byte
+		meta  node.Metadata
+		level node.Level
+	)
+	failed, err := cluster.WalkLines(ctx, req.Line,
+		func() ([]uint64, error) { return cluster.StoreRestartLines(ctx, s.cfg.Store, job, req.Ranks) },
+		s.mRestoreFallbacks,
+		func(line uint64) (err error) {
+			plan, err = cluster.PlanRestore(ctx, s.cfg.Store, job, cluster.RestoreSpec{
+				SourceRanks: req.Ranks, TargetRanks: req.TargetRanks, Line: line,
 			})
-			return nil
-		}
-		// Member mode: execute this target's fetches through a session node
-		// keyed by the member's rank — store-only, since the member's future
-		// NVM does not hold the source job's state.
-		n, serr := s.session(r.Context(), job, member, st)
-		if serr != nil {
-			return mapStoreErr(serr, "session")
-		}
-		data, meta, level, err := n.RestoreElastic(r.Context(), plan.Targets[member], true)
-		if err != nil {
-			lastErr = err
-			failed = append(failed, line)
-			continue
-		}
-		s.serveSnapshot(w, st, data, plan.Line, meta, level)
+			if err != nil || member < 0 {
+				return err
+			}
+			data, meta, level, err = n.RestoreElastic(ctx, plan.Targets[member], storeOnly)
+			return err
+		})
+	if err != nil {
+		return mapStoreErr(err, "restore")
+	}
+	if member < 0 {
+		writeJSON(w, http.StatusOK, restoreResponse{RestorePlan: plan, FailedLines: failed})
 		return nil
 	}
-	return mapStoreErr(lastErr, fmt.Sprintf("restore across %d restart lines", len(lines)))
+	s.serveSnapshot(w, st, data, plan.Line, meta, level)
+	return nil
 }

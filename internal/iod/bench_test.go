@@ -190,7 +190,7 @@ func BenchmarkStreamedRestore(b *testing.B) {
 		// Drain through the real NDP pipeline so the stored object has
 		// the production shape: one independently-compressed block per
 		// BlockSize chunk of the snapshot.
-		id, err := n.Commit(snap, node.Metadata{Step: 1})
+		id, err := n.Commit(context.Background(), snap, node.Metadata{Step: 1})
 		if err != nil {
 			b.Fatal(err)
 		}

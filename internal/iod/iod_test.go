@@ -187,7 +187,7 @@ func TestNodeRuntimeDrainsOverTCP(t *testing.T) {
 	for i := range snap {
 		snap[i] = byte(i / 100)
 	}
-	id, err := n.Commit(snap, node.Metadata{Step: 4})
+	id, err := n.Commit(context.Background(), snap, node.Metadata{Step: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,7 +21,7 @@ func TestPhaseTimingsSumToTotal(t *testing.T) {
 		c.SerializeDrain = true
 	})
 	wallStart := time.Now()
-	id, err := n.Commit(snapshot(300_000, 2), Metadata{Step: 1})
+	id, err := n.Commit(context.Background(), snapshot(300_000, 2), Metadata{Step: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +87,7 @@ func TestPhaseTimingsSumToTotal(t *testing.T) {
 func TestPhaseTimelineOverlappedDrain(t *testing.T) {
 	gz, _ := compress.Lookup("gzip", 1)
 	n, _ := newNode(t, func(c *Config) { c.Codec = gz })
-	id, err := n.Commit(snapshot(300_000, 5), Metadata{Step: 1})
+	id, err := n.Commit(context.Background(), snapshot(300_000, 5), Metadata{Step: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

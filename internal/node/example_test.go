@@ -23,7 +23,7 @@ func Example() {
 	defer n.Close()
 
 	snapshot := make([]byte, 64<<10) // the application's serialized state
-	id, err := n.Commit(snapshot, node.Metadata{Step: 12})
+	id, err := n.Commit(context.Background(), snapshot, node.Metadata{Step: 12})
 	if err != nil {
 		panic(err)
 	}

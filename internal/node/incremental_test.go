@@ -45,7 +45,7 @@ func TestIncrementalDrainShipsLess(t *testing.T) {
 	n, store := incrementalNode(t, nil, 100)
 	var lastID uint64
 	for v := 1; v <= 4; v++ {
-		id, err := n.Commit(evolvingSnapshot(v), Metadata{Step: v})
+		id, err := n.Commit(context.Background(), evolvingSnapshot(v), Metadata{Step: v})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -83,7 +83,7 @@ func TestIncrementalRestoreReconstructsChain(t *testing.T) {
 		var lastID uint64
 		for v := 1; v <= 5; v++ {
 			want = evolvingSnapshot(v)
-			id, err := n.Commit(want, Metadata{Step: v})
+			id, err := n.Commit(context.Background(), want, Metadata{Step: v})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -109,7 +109,7 @@ func TestIncrementalRestoreReconstructsChain(t *testing.T) {
 func TestIncrementalFullEveryBoundsChains(t *testing.T) {
 	n, store := incrementalNode(t, nil, 2)
 	for v := 1; v <= 7; v++ {
-		id, err := n.Commit(evolvingSnapshot(v), Metadata{Step: v})
+		id, err := n.Commit(context.Background(), evolvingSnapshot(v), Metadata{Step: v})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -146,7 +146,7 @@ func TestIncrementalSkipsStillReconstruct(t *testing.T) {
 	// Commit three versions quickly; the engine may coalesce.
 	var lastID uint64
 	for v := 1; v <= 3; v++ {
-		id, err := n.Commit(evolvingSnapshot(v), Metadata{Step: v})
+		id, err := n.Commit(context.Background(), evolvingSnapshot(v), Metadata{Step: v})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -169,7 +169,7 @@ func TestIncrementalAfterIOLevelRecovery(t *testing.T) {
 	// the pre-failure lineage; subsequent incremental drains must still
 	// reconstruct correctly (diffs are content-based).
 	n, _ := incrementalNode(t, nil, 100)
-	id, err := n.Commit(evolvingSnapshot(1), Metadata{Step: 1})
+	id, err := n.Commit(context.Background(), evolvingSnapshot(1), Metadata{Step: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +180,7 @@ func TestIncrementalAfterIOLevelRecovery(t *testing.T) {
 	}
 	// New lineage: different content evolution after restart.
 	want := evolvingSnapshot(9)
-	id2, err := n.Commit(want, Metadata{Step: 2})
+	id2, err := n.Commit(context.Background(), want, Metadata{Step: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -99,6 +99,15 @@ type Backend interface {
 	Keys(ctx context.Context) ([]Key, error)
 }
 
+// Instrument registers b's metrics with r when the backend has any. A store
+// is shared by many nodes, so whoever assembles it calls this once, before
+// traffic: registering again swaps the counters under in-flight calls.
+func Instrument(b Backend, r *metrics.Registry) {
+	if i, ok := b.(interface{ Instrument(*metrics.Registry) }); ok {
+		i.Instrument(r)
+	}
+}
+
 // Store is the shared global store. All methods are safe for concurrent
 // use by many node goroutines.
 type Store struct {
@@ -159,12 +168,15 @@ func (s *Store) Put(ctx context.Context, o Object) error {
 			cp.Meta[k] = v
 		}
 	}
+	// Sized before the object is published: a concurrent PutBlock on the
+	// same key writes into the stored Blocks slice.
+	size := cp.StoredSize()
 	s.mu.Lock()
 	s.objects[o.Key] = cp
 	s.mu.Unlock()
-	s.pacer.Move(int(cp.StoredSize()))
+	s.pacer.Move(int(size))
 	if s.mWriteBytes != nil {
-		s.mWriteBytes.Observe(cp.StoredSize())
+		s.mWriteBytes.Observe(size)
 	}
 	return nil
 }

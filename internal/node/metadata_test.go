@@ -18,14 +18,15 @@ func TestMetadataFromRejectsCorrupt(t *testing.T) {
 		{"job": "j", "rank": "banana", "step": "3"},
 		{"job": "j", "rank": "0", "step": ""},
 		{"job": "j"}, // both fields missing entirely
+		{"job": "j", "rank": "0", "step": "3", "ckpt": "seven"},
 	}
 	for _, mm := range cases {
 		if _, err := metadataFrom(mm); !errors.Is(err, ErrBadMetadata) {
 			t.Errorf("metadataFrom(%v) err = %v, want ErrBadMetadata", mm, err)
 		}
 	}
-	m, err := metadataFrom(map[string]string{"job": "j", "rank": "2", "step": "41"})
-	if err != nil || m.Rank != 2 || m.Step != 41 || m.Job != "j" {
+	m, err := metadataFrom(map[string]string{"job": "j", "rank": "2", "step": "41", "ckpt": "9"})
+	if err != nil || m.Rank != 2 || m.Step != 41 || m.Job != "j" || m.ID != 9 {
 		t.Errorf("metadataFrom(valid) = %+v, %v", m, err)
 	}
 }

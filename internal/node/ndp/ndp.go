@@ -129,20 +129,14 @@ type Engine struct {
 	runCtx    context.Context
 	runCancel context.CancelFunc
 
-	mu sync.Mutex
-	// discarded holds checkpoint IDs whose coordinated checkpoint aborted:
-	// they must never be marked drained, and any blocks already shipped are
-	// deleted. IDs are never reused after an abort (the cluster resyncs
-	// counters forward), so entries are permanent and the set stays tiny.
-	discarded map[uint64]bool
-	// attempts counts consecutive drain failures per ID; failed holds IDs
-	// that exhausted MaxDrainAttempts and must be skipped like discards.
-	attempts map[uint64]int
-	failed   map[uint64]bool
-
-	// Incremental-drain state: the digest table of the last drained
-	// checkpoint and the number of patches since the last full drain.
-	// Only the run goroutine touches these.
+	// Only the run goroutine touches the three below. attempts counts
+	// consecutive drain failures per ID; an ID that exhausts
+	// MaxDrainAttempts — or is rolled back by its owner — is failed on the
+	// tracker, the one record of IDs that must never be drained or
+	// acknowledged (IDs are never reused, so it stays tiny). tbl and
+	// sinceFull are the incremental-drain state: the digest table of the
+	// last drained checkpoint and the patches since the last full drain.
+	attempts  map[uint64]int
 	tbl       *delta.Table
 	sinceFull int
 
@@ -186,13 +180,11 @@ func New(cfg Config) (*Engine, error) {
 		cfg.DeltaBlockSize = delta.DefaultBlockSize
 	}
 	e := &Engine{
-		cfg:       cfg,
-		bell:      make(chan struct{}, 1),
-		stop:      make(chan struct{}),
-		done:      make(chan struct{}),
-		discarded: make(map[uint64]bool),
-		attempts:  make(map[uint64]int),
-		failed:    make(map[uint64]bool),
+		cfg:      cfg,
+		bell:     make(chan struct{}, 1),
+		stop:     make(chan struct{}),
+		done:     make(chan struct{}),
+		attempts: make(map[uint64]int),
 	}
 	e.tracker = cfg.Tracker
 	if e.tracker == nil {
@@ -234,26 +226,12 @@ func (e *Engine) Notify() {
 // discarded or permanently failed ID with its cause.
 func (e *Engine) Tracker() *Tracker { return e.tracker }
 
-// Discard poisons a checkpoint ID whose coordinated checkpoint aborted: the
-// engine will not start draining it, and a drain already in flight deletes
-// whatever it shipped instead of acknowledging. The caller guarantees the
-// ID is never committed again (the cluster resynchronizes checkpoint
-// counters past it).
-func (e *Engine) Discard(id uint64) {
-	e.mu.Lock()
-	e.discarded[id] = true
-	e.mu.Unlock()
-	// Waiters on the dead ID learn it will never arrive, instead of
-	// blocking until their deadline.
-	e.tracker.Fail(id, ErrDiscarded)
-}
-
-// isDiscarded reports whether id was poisoned by Discard.
-func (e *Engine) isDiscarded(id uint64) bool {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.discarded[id]
-}
+// dead reports whether id was permanently failed on the tracker: rolled
+// back by its owner (ErrDiscarded — the caller guarantees the ID is never
+// committed again) or out of drain retries. The engine never starts
+// draining a dead ID, and a drain already in flight deletes whatever it
+// shipped instead of acknowledging.
+func (e *Engine) dead(id uint64) bool { return e.tracker.FailedErr(id) != nil }
 
 // PauseNVM blocks NDP reads of the NVM; the host calls it around its own
 // commits so the full device bandwidth serves the application (§4.2.1).
@@ -313,9 +291,7 @@ func (e *Engine) run() {
 				}
 				break // back to the doorbell (a scheduled retry rings it)
 			}
-			e.mu.Lock()
 			delete(e.attempts, id)
-			e.mu.Unlock()
 			select {
 			case <-e.stop:
 				return
@@ -347,20 +323,16 @@ func (e *Engine) retryOrFail(id uint64, cause error) bool {
 	if max <= 0 {
 		return false // legacy: wait for the next doorbell edge
 	}
-	e.mu.Lock()
 	e.attempts[id]++
 	n := e.attempts[id]
 	if n >= max {
 		delete(e.attempts, id)
-		e.failed[id] = true
-		e.mu.Unlock()
 		e.tracker.Fail(id, cause)
 		if e.mPermFailures != nil {
 			e.mPermFailures.Inc()
 		}
 		return true
 	}
-	e.mu.Unlock()
 	if e.mRetries != nil {
 		e.mRetries.Inc()
 	}
@@ -389,10 +361,7 @@ func (e *Engine) nextUndrained() (uint64, bool) {
 		return 0, false
 	}
 	wm, drainedAny := e.tracker.Watermark(LevelStore)
-	e.mu.Lock()
-	stale := (drainedAny && latest.ID <= wm) || e.discarded[latest.ID] || e.failed[latest.ID]
-	e.mu.Unlock()
-	if stale {
+	if (drainedAny && latest.ID <= wm) || e.dead(latest.ID) {
 		if err := e.cfg.Device.Unlock(latest.ID); err != nil {
 			e.reportError(fmt.Errorf("ndp: unlock stale %d: %w", latest.ID, err))
 		}
@@ -410,8 +379,8 @@ func (e *Engine) drain(id uint64) error {
 			e.reportError(fmt.Errorf("ndp: unlock %d: %w", id, err))
 		}
 	}()
-	if e.isDiscarded(id) {
-		// Poisoned between pick and drain: clean any shipped blocks. A
+	if e.dead(id) {
+		// Rolled back between pick and drain: clean any shipped blocks. A
 		// failed cleanup leaks a torn object — surface it.
 		key := iostore.Key{Job: e.cfg.Job, Rank: e.cfg.Rank, ID: id}
 		if derr := e.cfg.Store.Delete(context.Background(), key); derr != nil {
@@ -514,9 +483,9 @@ func (e *Engine) drain(id uint64) error {
 		return fmt.Errorf("ndp: drain %d: %w", id, err)
 	}
 	ackStart := time.Now()
-	if e.isDiscarded(id) {
-		// The coordinated checkpoint for this ID aborted while the drain
-		// was in flight: the shipped object is poison, not progress.
+	if e.dead(id) {
+		// The checkpoint was rolled back while the drain was in flight: the
+		// shipped object is poison, not progress.
 		if derr := e.cfg.Store.Delete(context.Background(), key); derr != nil {
 			e.reportError(fmt.Errorf("ndp: discard cleanup %d: %w", id, derr))
 		}

@@ -74,7 +74,7 @@ func TestDiscardedCheckpointNeverDrains(t *testing.T) {
 	if err := dev.Put(nvm.Checkpoint{ID: 1, Data: ckptData(1000)}); err != nil {
 		t.Fatal(err)
 	}
-	eng.Discard(1)
+	eng.Tracker().Fail(1, ErrDiscarded)
 	eng.Notify()
 	if err := waitStore(eng, 1, 50*time.Millisecond); !errors.Is(err, ErrCheckpointFailed) {
 		t.Fatalf("wait on discarded checkpoint: %v, want ErrCheckpointFailed", err)

@@ -30,6 +30,10 @@ import (
 type Metadata struct {
 	Job  string
 	Rank int
+	// ID is the checkpoint ID the snapshot was committed under. Restores
+	// report it so a caller labels the bytes it got with the checkpoint they
+	// came from; Commit ignores it (the node assigns IDs).
+	ID uint64
 	// Step is the application's own progress marker (iteration count).
 	Step int
 	// Shards is the shard count of a partitionable snapshot (the elastic
@@ -68,8 +72,14 @@ func metadataFrom(mm map[string]string) (Metadata, error) {
 	if m.Step, err = strconv.Atoi(mm["step"]); err != nil {
 		return Metadata{}, fmt.Errorf("%w: step %q: %v", ErrBadMetadata, mm["step"], err)
 	}
-	// "shards" is optional (pre-elastic checkpoints omit it) but must parse
-	// when present: a garbled count would mis-plan every elastic restore.
+	// "ckpt" and "shards" are optional (hand-built and pre-elastic objects
+	// omit them) but must parse when present: a garbled ID would mislabel
+	// the restored bytes, a garbled count mis-plan every elastic restore.
+	if s, ok := mm["ckpt"]; ok {
+		if m.ID, err = strconv.ParseUint(s, 10, 64); err != nil {
+			return Metadata{}, fmt.Errorf("%w: ckpt %q", ErrBadMetadata, s)
+		}
+	}
 	if s, ok := mm["shards"]; ok {
 		if m.Shards, err = strconv.Atoi(s); err != nil || m.Shards < 0 {
 			return Metadata{}, fmt.Errorf("%w: shards %q", ErrBadMetadata, s)
@@ -160,7 +170,9 @@ type Config struct {
 	// Metrics, when non-nil, is the registry every layer of this node
 	// (NVM, NIC, NDP, restores) reports into; cluster passes one registry
 	// to all its nodes so per-node series aggregate. Nil creates a private
-	// registry, exposed via Node.Metrics.
+	// registry, exposed via Node.Metrics. The store is not the node's to
+	// instrument: it is shared, and whoever assembled it registers its
+	// metrics once (re-registering swaps counters under in-flight writes).
 	Metrics *metrics.Registry
 	// Timelines, when non-nil, collects per-checkpoint phase timelines.
 	// Nil creates a private set, exposed via Node.Timelines.
@@ -259,9 +271,6 @@ func New(cfg Config) (*Node, error) {
 	device.Instrument(n.reg)
 	link.Instrument(n.reg)
 	n.dur.Instrument(n.reg)
-	if s, ok := cfg.Store.(interface{ Instrument(*metrics.Registry) }); ok {
-		s.Instrument(n.reg)
-	}
 	n.mCommits = n.reg.Counter("ndpcr_node_commits_total", "snapshots committed to local NVM")
 	n.mCommitSecs = n.reg.Histogram("ndpcr_node_commit_seconds", "host pause per NVM commit", metrics.UnitSeconds)
 	n.mCommitBytes = n.reg.Histogram("ndpcr_node_commit_bytes", "snapshot sizes committed", metrics.UnitBytes)
@@ -337,43 +346,35 @@ func (n *Node) Timelines() *metrics.TimelineSet { return n.timelines }
 
 // Commit writes one application snapshot to local NVM and notifies the
 // NDP. The host "pauses" for the NVM write — any concurrent NDP NVM access
-// is excluded for the duration (§4.2.1). It returns the checkpoint ID.
+// is excluded for the duration (§4.2.1). It returns the checkpoint ID as
+// soon as the write lands (the checkpoint is durable at ndp.LevelNVM);
+// background propagation carries it to the higher levels, observable via
+// the durability tracker — a caller that wants the synchronous guarantee
+// follows with WaitDurableCtx.
+//
+// Commit is admission-controlled: when NVM occupancy minus drain-locked
+// residents cannot admit the snapshot, it blocks until drains release space
+// or ctx ends — the latter surfaces a typed nvm.ErrBackpressure. A snapshot
+// larger than the device fails immediately with nvm.ErrTooLarge.
 //
 // The ID is reserved only once the NVM write succeeds: a failed Commit
 // leaves nextID untouched, so the same ID is offered again on retry and a
 // single rank's NVM failure cannot desynchronize a coordinated checkpoint's
 // ID sequence.
-func (n *Node) Commit(snapshot []byte, meta Metadata) (uint64, error) {
+func (n *Node) Commit(ctx context.Context, snapshot []byte, meta Metadata) (uint64, error) {
 	n.commitMu.Lock()
 	defer n.commitMu.Unlock()
-	id, ok := n.reserveID()
-	if !ok {
+	// The ID is only read here, not consumed: finishCommit advances nextID.
+	n.mu.Lock()
+	id, closed := n.nextID, n.closed
+	n.mu.Unlock()
+	if closed {
 		return 0, errors.New("node: closed")
 	}
-	n.fillMeta(&meta)
-	start := time.Now()
-	if err := n.putNVM(id, snapshot, meta); err != nil {
-		return 0, fmt.Errorf("node: commit %d: %w", id, err)
+	if meta.Job == "" {
+		meta.Job = n.cfg.Job
+		meta.Rank = n.cfg.Rank
 	}
-	n.finishCommit(id, len(snapshot), start)
-	return id, nil
-}
-
-// CommitAsync is Commit with admission control instead of ErrFull: when
-// NVM occupancy minus drain-locked residents cannot admit the snapshot,
-// the commit blocks until drains release space or ctx ends — the latter
-// surfaces a typed nvm.ErrBackpressure instead of failing. The commit
-// returns as soon as the NVM write lands (the checkpoint is durable at
-// ndp.LevelNVM); background propagation carries it to the higher levels,
-// observable via the durability tracker.
-func (n *Node) CommitAsync(ctx context.Context, snapshot []byte, meta Metadata) (uint64, error) {
-	n.commitMu.Lock()
-	defer n.commitMu.Unlock()
-	id, ok := n.reserveID()
-	if !ok {
-		return 0, errors.New("node: closed")
-	}
-	n.fillMeta(&meta)
 	start := time.Now()
 	for {
 		// Admission is checked without holding the NVM pause gate: a drain
@@ -394,24 +395,6 @@ func (n *Node) CommitAsync(ctx context.Context, snapshot []byte, meta Metadata) 
 	}
 	n.finishCommit(id, len(snapshot), start)
 	return id, nil
-}
-
-// reserveID returns the ID the commit will use without consuming it (a
-// failed NVM write must not burn an ID); ok is false on a closed node.
-func (n *Node) reserveID() (uint64, bool) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if n.closed {
-		return 0, false
-	}
-	return n.nextID, true
-}
-
-func (n *Node) fillMeta(meta *Metadata) {
-	if meta.Job == "" {
-		meta.Job = n.cfg.Job
-		meta.Rank = n.cfg.Rank
-	}
 }
 
 // putNVM performs the paused NVM write (§4.2.1: the host gets the full
@@ -463,18 +446,15 @@ func (n *Node) ResyncNextID(next uint64) {
 }
 
 // DiscardCommit rolls one committed checkpoint back out of this node: the
-// NDP is told never to acknowledge a drain of the ID (deleting anything it
-// already shipped), the NVM entry is force-removed, and the global object
-// is deleted. It is the per-node abort path of a failed coordinated
-// checkpoint; discarding an ID that was never committed here is a no-op.
+// ID is failed on the durability tracker — which is what tells the NDP never
+// to acknowledge a drain of it (deleting anything it already shipped) — the
+// NVM entry is force-removed, and the global object is deleted. It is the
+// per-node abort path of a failed coordinated checkpoint; discarding an ID
+// that was never committed here is a no-op.
 // The returned error reports a failed global delete — a leaked object the
 // caller can now see (and a cluster rollback counts).
 func (n *Node) DiscardCommit(id uint64) error {
-	if n.engine != nil {
-		n.engine.Discard(id) // also fails the ID on the shared tracker
-	} else {
-		n.dur.Fail(id, ndp.ErrDiscarded)
-	}
+	n.dur.Fail(id, ndp.ErrDiscarded)
 	n.device.Discard(id)
 	return n.cfg.Store.Delete(context.Background(),
 		iostore.Key{Job: n.cfg.Job, Rank: n.cfg.Rank, ID: id})

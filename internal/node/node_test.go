@@ -63,7 +63,7 @@ func TestConfigValidation(t *testing.T) {
 func TestCommitRestoreLocal(t *testing.T) {
 	n, _ := newNode(t, nil)
 	snap := snapshot(50000, 1)
-	id, err := n.Commit(snap, Metadata{Step: 7})
+	id, err := n.Commit(context.Background(), snap, Metadata{Step: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,15 +80,15 @@ func TestCommitRestoreLocal(t *testing.T) {
 	if !bytes.Equal(data, snap) {
 		t.Error("restored bytes differ")
 	}
-	if meta.Step != 7 || meta.Job != "job" {
-		t.Errorf("meta = %+v", meta)
+	if meta.Step != 7 || meta.Job != "job" || meta.ID != id {
+		t.Errorf("meta = %+v, want step 7 of job under checkpoint %d", meta, id)
 	}
 }
 
 func TestRestorePrefersNewestLocal(t *testing.T) {
 	n, _ := newNode(t, nil)
-	n.Commit(snapshot(1000, 1), Metadata{Step: 1})
-	n.Commit(snapshot(1000, 2), Metadata{Step: 2})
+	n.Commit(context.Background(), snapshot(1000, 1), Metadata{Step: 1})
+	n.Commit(context.Background(), snapshot(1000, 2), Metadata{Step: 2})
 	data, meta, _, err := n.Restore(context.Background())
 	if err != nil {
 		t.Fatal(err)
@@ -102,7 +102,7 @@ func TestRestoreFromIOAfterLocalLoss(t *testing.T) {
 	gz, _ := compress.Lookup("gzip", 1)
 	n, _ := newNode(t, func(c *Config) { c.Codec = gz })
 	snap := snapshot(200000, 3)
-	id, err := n.Commit(snap, Metadata{Step: 5})
+	id, err := n.Commit(context.Background(), snap, Metadata{Step: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +128,7 @@ func TestRestoreFromIOAfterLocalLoss(t *testing.T) {
 func TestRestoreUncompressedFromIO(t *testing.T) {
 	n, _ := newNode(t, nil) // no codec: drains raw
 	snap := snapshot(100000, 4)
-	id, _ := n.Commit(snap, Metadata{})
+	id, _ := n.Commit(context.Background(), snap, Metadata{})
 	waitDrained(t, n, id)
 	n.FailLocal()
 	data, _, level, err := n.Restore(context.Background())
@@ -149,8 +149,8 @@ func TestRestoreNoCheckpoint(t *testing.T) {
 
 func TestRestoreID(t *testing.T) {
 	n, _ := newNode(t, nil)
-	id1, _ := n.Commit(snapshot(1000, 1), Metadata{Step: 1})
-	n.Commit(snapshot(1000, 2), Metadata{Step: 2})
+	id1, _ := n.Commit(context.Background(), snapshot(1000, 1), Metadata{Step: 1})
+	n.Commit(context.Background(), snapshot(1000, 2), Metadata{Step: 2})
 	data, meta, level, err := n.RestoreID(context.Background(), id1)
 	if err != nil {
 		t.Fatal(err)
@@ -169,7 +169,7 @@ func TestWriteThroughWithoutNDP(t *testing.T) {
 		t.Fatal("engine exists despite DisableNDP")
 	}
 	snap := snapshot(50000, 6)
-	id, err := n.Commit(snap, Metadata{Step: 9})
+	id, err := n.Commit(context.Background(), snap, Metadata{Step: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +209,7 @@ func TestRestoreThenStepEquivalence(t *testing.T) {
 	if err := appTwin.Checkpoint(&buf); err != nil {
 		t.Fatal(err)
 	}
-	id, err := n.Commit(buf.Bytes(), Metadata{Step: appTwin.StepCount()})
+	id, err := n.Commit(context.Background(), buf.Bytes(), Metadata{Step: appTwin.StepCount()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +239,7 @@ func TestRestoreThenStepEquivalence(t *testing.T) {
 func TestCommitAfterCloseFails(t *testing.T) {
 	n, _ := newNode(t, nil)
 	n.Close()
-	if _, err := n.Commit([]byte("x"), Metadata{}); err == nil {
+	if _, err := n.Commit(context.Background(), []byte("x"), Metadata{}); err == nil {
 		t.Error("commit after close accepted")
 	}
 	n.Close() // idempotent

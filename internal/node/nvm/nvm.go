@@ -29,7 +29,7 @@ var (
 	ErrTooLarge = errors.New("nvm: checkpoint exceeds device capacity")
 	// ErrBackpressure reports that admission control gave up waiting for
 	// space: occupancy minus drain-locked residents could not admit the
-	// write before the caller's deadline. The async commit path surfaces
+	// write before the caller's deadline. The node commit path surfaces
 	// this typed error instead of ErrFull.
 	ErrBackpressure = errors.New("nvm: admission backpressure (locked residents exceed free space)")
 )
@@ -153,9 +153,9 @@ func (d *Device) Instrument(r *metrics.Registry) {
 	d.mLockConflicts = r.Counter("ndpcr_nvm_lock_conflicts_total", "writes that skipped or collided with a locked checkpoint")
 	d.mWriteBytes = r.Histogram("ndpcr_nvm_write_bytes", "checkpoint sizes written to NVM", metrics.UnitBytes)
 	d.mReadBytes = r.Histogram("ndpcr_nvm_read_bytes", "checkpoint sizes read from NVM", metrics.UnitBytes)
-	d.mAdmitWaits = r.Counter("ndpcr_nvm_admission_waits_total", "async commits that had to wait for drain-locked space")
+	d.mAdmitWaits = r.Counter("ndpcr_nvm_admission_waits_total", "commits that had to wait for drain-locked space")
 	d.mBackpressure = r.Counter("ndpcr_nvm_backpressure_total", "admission waits abandoned at the caller's deadline (ErrBackpressure)")
-	d.mAdmitWaitSecs = r.Histogram("ndpcr_nvm_admission_wait_seconds", "time async commits spent blocked on admission", metrics.UnitSeconds)
+	d.mAdmitWaitSecs = r.Histogram("ndpcr_nvm_admission_wait_seconds", "time commits spent blocked on admission", metrics.UnitSeconds)
 }
 
 // SetFaultHook installs (or, with nil, removes) a failure-injection hook
@@ -232,7 +232,7 @@ func (d *Device) signalAdmitLocked() {
 
 // WaitAdmit blocks until a write of size bytes is admissible — free space
 // plus evictable (unlocked) residents covers it — or ctx ends, returning
-// an ErrBackpressure-wrapped error in the latter case. It is the async
+// an ErrBackpressure-wrapped error in the latter case. It is the node
 // commit path's admission control: instead of failing ErrFull when drain
 // locks pin the space, the committer parks here and is woken as drains
 // release their locks. Admission is advisory, not a reservation: the

@@ -314,8 +314,8 @@ func Dial(addrs []string, lanes int, cfg Config) (*Store, error) {
 var _ iostore.Backend = (*Store)(nil)
 
 // Instrument registers the shard tier's placement/failover/re-replication
-// metrics with r. Registration is idempotent, so every node of a cluster
-// can instrument the shared store into the same registry.
+// metrics with r. Call it once, before traffic (see iostore.Instrument): it
+// assigns the counters the write and read paths bump.
 func (s *Store) Instrument(r *metrics.Registry) {
 	r.GaugeFunc("ndpcr_shardstore_backends", "I/O backends in the shard set", func() float64 {
 		return float64(len(s.snapshot()))
@@ -750,11 +750,6 @@ func (s *Store) GetBlock(ctx context.Context, key iostore.Key, index int) ([]byt
 	return out, err
 }
 
-// errAbsent is an internal sentinel: a replica answered "no such object"
-// (ok=false), which Stat and StatBlocks report as absence, not as a
-// failure.
-var errAbsent = errors.New("shardstore: absent")
-
 // StatBlocks implements iostore.Backend with Stat's semantics: ok=false
 // with a nil error means the replicas agree the object is absent; a tier
 // that cannot answer surfaces its error after the one failover pass.
@@ -769,7 +764,9 @@ func (s *Store) StatBlocks(ctx context.Context, key iostore.Key) (iostore.Object
 			return err
 		}
 		if !ok {
-			return errAbsent
+			// An honest "no such object" is an answer, not a fault: readFrom
+			// must not blame the replica for it.
+			return iostore.ErrNotFound
 		}
 		meta, blocks = o, n
 		return nil
@@ -777,7 +774,7 @@ func (s *Store) StatBlocks(ctx context.Context, key iostore.Key) (iostore.Object
 	switch {
 	case err == nil:
 		return meta, blocks, true, nil
-	case errors.Is(err, errAbsent), errors.Is(err, iostore.ErrNotFound):
+	case errors.Is(err, iostore.ErrNotFound):
 		return iostore.Object{}, 0, false, nil
 	default:
 		return iostore.Object{}, 0, false, err
@@ -795,7 +792,9 @@ func (s *Store) Stat(ctx context.Context, key iostore.Key) (iostore.Object, bool
 			return err
 		}
 		if !ok {
-			return errAbsent
+			// An honest "no such object" is an answer, not a fault: readFrom
+			// must not blame the replica for it.
+			return iostore.ErrNotFound
 		}
 		meta = o
 		return nil
@@ -803,7 +802,7 @@ func (s *Store) Stat(ctx context.Context, key iostore.Key) (iostore.Object, bool
 	switch {
 	case err == nil:
 		return meta, true, nil
-	case errors.Is(err, errAbsent), errors.Is(err, iostore.ErrNotFound):
+	case errors.Is(err, iostore.ErrNotFound):
 		return iostore.Object{}, false, nil
 	default:
 		return iostore.Object{}, false, err

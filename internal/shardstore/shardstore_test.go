@@ -473,6 +473,30 @@ func TestStatBlocksAbsenceVersusDeadTier(t *testing.T) {
 	}
 }
 
+// TestAbsentAnswerBlamesNobody: a replica that truthfully answers "no such
+// object" to Stat or StatBlocks has not failed. The gateway issues exactly
+// this call whenever a client polls the durability of an ID that has not
+// drained yet; blaming the replicas for it marked the whole tier unhealthy.
+func TestAbsentAnswerBlamesNobody(t *testing.T) {
+	s, _, _ := rig(t, 3, Config{Replicas: 2})
+	reg := metrics.NewRegistry()
+	s.Instrument(reg)
+	if _, ok, err := s.Stat(context.Background(), key(404)); ok || err != nil {
+		t.Fatalf("Stat of an absent key = %v, %v; want false, nil", ok, err)
+	}
+	if _, _, ok, err := s.StatBlocks(context.Background(), key(404)); ok || err != nil {
+		t.Fatalf("StatBlocks of an absent key = %v, %v; want false, nil", ok, err)
+	}
+	for _, name := range s.Members() {
+		if !s.Healthy(name) {
+			t.Errorf("backend %s marked unhealthy for answering \"absent\"", name)
+		}
+	}
+	if v := reg.Counter("ndpcr_shardstore_replica_errors_total", "").Value(); v != 0 {
+		t.Errorf("replica_errors_total = %d after honest absences, want 0", v)
+	}
+}
+
 func TestChaosStalledReplicaDoesNotBlockReads(t *testing.T) {
 	// Exactly one backend stalls on every read (faultinject ModeStall).
 	// CallTimeout bounds the damage: reads fail over to a prompt replica
