@@ -163,37 +163,66 @@ func (c *Client) List(ctx context.Context, ns, run string, rank int) ([]uint64, 
 	return out.IDs, nil
 }
 
-// snapshotFrom decodes a snapshot-bearing response.
-func snapshotFrom(resp *http.Response) (Checkpoint, error) {
+// streamSnapshot decodes a snapshot-bearing response, streaming the payload
+// into w; the returned Checkpoint has the identity and no Data. A body short
+// of its Content-Length (a restore that failed mid-stream) is an error.
+func streamSnapshot(resp *http.Response, w io.Writer) (Checkpoint, error) {
 	defer resp.Body.Close()
-	data, err := io.ReadAll(resp.Body)
+	id, err := strconv.ParseUint(resp.Header.Get("X-Ndpcr-Checkpoint"), 10, 64)
 	if err != nil {
+		return Checkpoint{}, fmt.Errorf("gateway: snapshot response: X-Ndpcr-Checkpoint: %w", err)
+	}
+	step, err := strconv.Atoi(resp.Header.Get("X-Ndpcr-Step"))
+	if err != nil {
+		return Checkpoint{}, fmt.Errorf("gateway: snapshot response: X-Ndpcr-Step: %w", err)
+	}
+	// A bytes.Buffer takes the body in one allocation (MinRead to spare, or
+	// ReadFrom regrows it all to see EOF); no lying header sizes it.
+	if g, ok := w.(interface{ Grow(int) }); ok && resp.ContentLength > 0 && resp.ContentLength < 1<<32 {
+		g.Grow(int(resp.ContentLength) + bytes.MinRead)
+	}
+	if _, err := io.Copy(w, resp.Body); err != nil {
 		return Checkpoint{}, fmt.Errorf("gateway: reading snapshot: %w", err)
 	}
-	id, _ := strconv.ParseUint(resp.Header.Get("X-Ndpcr-Checkpoint"), 10, 64)
-	step, _ := strconv.Atoi(resp.Header.Get("X-Ndpcr-Step"))
-	return Checkpoint{
-		ID:    id,
-		Step:  step,
-		Level: resp.Header.Get("X-Ndpcr-Level"),
-		Data:  data,
-	}, nil
+	return Checkpoint{ID: id, Step: step, Level: resp.Header.Get("X-Ndpcr-Level")}, nil
+}
+
+// snapshotFrom reads a snapshot-bearing response into memory.
+func snapshotFrom(resp *http.Response, err error) (Checkpoint, error) {
+	if err != nil {
+		return Checkpoint{}, err
+	}
+	var buf bytes.Buffer
+	ck, err := streamSnapshot(resp, &buf)
+	if err != nil {
+		return Checkpoint{}, err
+	}
+	ck.Data = buf.Bytes()
+	return ck, nil
+}
+
+func (c *Client) ckptURL(ns, run string, rank int, id uint64) string {
+	return c.runURL(ns, run, "/checkpoints/"+strconv.FormatUint(id, 10)) + "?rank=" + strconv.Itoa(rank)
 }
 
 // Load restores one specific checkpoint ID.
 func (c *Client) Load(ctx context.Context, ns, run string, rank int, id uint64) (Checkpoint, error) {
-	u := c.runURL(ns, run, "/checkpoints/"+strconv.FormatUint(id, 10)) + "?rank=" + strconv.Itoa(rank)
-	resp, err := c.do(ctx, http.MethodGet, u, nil)
+	return snapshotFrom(c.do(ctx, http.MethodGet, c.ckptURL(ns, run, rank, id), nil))
+}
+
+// LoadTo is Load streaming the payload into w as the gateway streams it out
+// of the store. On error w may hold a prefix of the snapshot.
+func (c *Client) LoadTo(ctx context.Context, ns, run string, rank int, id uint64, w io.Writer) (Checkpoint, error) {
+	resp, err := c.do(ctx, http.MethodGet, c.ckptURL(ns, run, rank, id), nil)
 	if err != nil {
 		return Checkpoint{}, err
 	}
-	return snapshotFrom(resp)
+	return streamSnapshot(resp, w)
 }
 
 // Delete removes one checkpoint.
 func (c *Client) Delete(ctx context.Context, ns, run string, rank int, id uint64) error {
-	u := c.runURL(ns, run, "/checkpoints/"+strconv.FormatUint(id, 10)) + "?rank=" + strconv.Itoa(rank)
-	resp, err := c.do(ctx, http.MethodDelete, u, nil)
+	resp, err := c.do(ctx, http.MethodDelete, c.ckptURL(ns, run, rank, id), nil)
 	if err != nil {
 		return err
 	}
@@ -208,11 +237,7 @@ func (c *Client) Resume(ctx context.Context, ns, run string, rank, ranks int) (C
 	if ranks > 0 {
 		u += "&ranks=" + strconv.Itoa(ranks)
 	}
-	resp, err := c.do(ctx, http.MethodGet, u, nil)
-	if err != nil {
-		return Checkpoint{}, err
-	}
-	return snapshotFrom(resp)
+	return snapshotFrom(c.do(ctx, http.MethodGet, u, nil))
 }
 
 // RestorePlan mirrors the restore endpoint's plan-mode response.
@@ -266,9 +291,5 @@ func (c *Client) PlanRestore(ctx context.Context, ns, run string, ranks, targetR
 // the same cut.
 func (c *Client) RestoreMember(ctx context.Context, ns, run string, ranks, targetRanks, member int, line uint64) (Checkpoint, error) {
 	u := c.runURL(ns, run, "/restore") + "?member=" + strconv.Itoa(member)
-	resp, err := c.do(ctx, http.MethodPost, u, restoreBody(ranks, targetRanks, line))
-	if err != nil {
-		return Checkpoint{}, err
-	}
-	return snapshotFrom(resp)
+	return snapshotFrom(c.do(ctx, http.MethodPost, u, restoreBody(ranks, targetRanks, line)))
 }

@@ -46,7 +46,7 @@ type Config struct {
 	// DrainWindow bounds in-flight drain writes (node default when zero).
 	DrainWindow int
 	// SessionNVM sizes each session's local NVM region (node default
-	// when zero).
+	// when zero). It is also the largest snapshot a save accepts.
 	SessionNVM int64
 	// RetainLocal bounds how many drained checkpoints each session keeps
 	// in local NVM as a restore cache; older ones are evicted once their
@@ -135,6 +135,9 @@ func New(cfg Config) (*Server, error) {
 	}
 	if cfg.RetainLocal == 0 {
 		cfg.RetainLocal = 4
+	}
+	if cfg.SessionNVM == 0 {
+		cfg.SessionNVM = node.DefaultNVMCapacity
 	}
 	s := &Server{
 		cfg:      cfg,
@@ -303,9 +306,13 @@ func (s *Server) wrap(op string, fn func(w http.ResponseWriter, r *http.Request,
 
 // fail writes an apiError response and counts it by code.
 func (s *Server) fail(w http.ResponseWriter, e *apiError) {
-	s.reg.Counter(fmt.Sprintf("ndpcr_gateway_request_errors_total{code=%q}", e.code),
-		"API requests rejected or failed, by error code").Inc()
+	s.countError(e.code)
 	writeJSON(w, e.status, map[string]string{"error": e.code, "message": e.msg})
+}
+
+func (s *Server) countError(code string) {
+	s.reg.Counter(fmt.Sprintf("ndpcr_gateway_request_errors_total{code=%q}", code),
+		"API requests rejected or failed, by error code").Inc()
 }
 
 // quotaReject counts one quota rejection of the given kind.
@@ -315,7 +322,7 @@ func (s *Server) quotaReject(kind string) {
 }
 
 // tenantBytes counts payload bytes moved for a tenant (dir in|out).
-func (s *Server) tenantBytes(st *tenantState, dir string, n int) {
+func (s *Server) tenantBytes(st *tenantState, dir string, n int64) {
 	s.reg.Counter(fmt.Sprintf("ndpcr_gateway_tenant_bytes_total{tenant=%q,dir=%q}", st.Name, dir),
 		"checkpoint payload bytes moved, by tenant and direction").Add(uint64(n))
 }
@@ -501,8 +508,9 @@ func mapStoreErr(err error, what string) *apiError {
 // handleSave commits one checkpoint snapshot (the request body) — one NVM
 // commit under admission control, so a device crowded by drain-locked
 // residents blocks (bounded by DrainTimeout, then 429 backpressure) instead
-// of failing — and then resolves it, the two modes differing only in who
-// waits. In the default synchronous mode the request does: a 200 means
+// of failing, the body read once, straight into the reserved region — and
+// then resolves it, the two modes differing only in who waits. In the
+// default synchronous mode the request does: a 200 means
 // durable at the I/O level, not merely accepted, and a failed or timed-out
 // drain rolls the commit back so the run's checkpoint sequence holds only
 // durable IDs. In async mode (Config.AsyncAck or ?durable=nvm) the save
@@ -533,25 +541,61 @@ func (s *Server) handleSave(w http.ResponseWriter, r *http.Request, st *tenantSt
 		return errf(http.StatusBadRequest, "bad_request",
 			"invalid durable mode %q (want nvm or store)", v)
 	}
-	body, err := io.ReadAll(r.Body)
-	if err != nil {
-		return errf(http.StatusBadRequest, "bad_request", "reading snapshot: %v", err)
+	// Everything is decided from the declared length, before a byte is read.
+	// A chunked upload declares none: its body is read first, NVM-bounded.
+	size := r.ContentLength
+	var chunked []byte
+	if size < 0 {
+		var err error
+		chunked, err = io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.SessionNVM))
+		if size = int64(len(chunked)); errors.As(err, new(*http.MaxBytesError)) {
+			size++ // the cap was hit: too_large, below
+		} else if err != nil {
+			return errf(http.StatusBadRequest, "bad_request", "reading snapshot: %v", err)
+		}
 	}
-	if len(body) == 0 {
+	switch {
+	case size == 0:
 		return errf(http.StatusBadRequest, "bad_request", "empty snapshot")
+	case size > s.cfg.SessionNVM:
+		return errf(http.StatusRequestEntityTooLarge, "too_large",
+			"snapshot exceeds the session's %d-byte NVM", s.cfg.SessionNVM)
 	}
 
-	release, kind, ok := st.reserve(int64(len(body)))
+	release, kind, ok := st.reserve(size)
 	if !ok {
 		s.quotaReject(kind)
 		return errf(http.StatusForbidden, "quota_"+kind,
 			"tenant %q would exceed its %s quota", st.Name, kind)
 	}
+	committed := false
+	defer func() {
+		if !committed {
+			release()
+		}
+	}()
 
 	n, err := s.session(r.Context(), job, rank, st)
 	if err != nil {
-		release()
 		return mapStoreErr(err, "session")
+	}
+	actx, cancel := context.WithTimeout(r.Context(), s.cfg.DrainTimeout)
+	res, err := n.Reserve(actx, size)
+	cancel()
+	if err != nil {
+		if errors.Is(err, nvm.ErrBackpressure) {
+			s.mBackpressure.Inc()
+			return errf(http.StatusTooManyRequests, "backpressure",
+				"NVM admission wait expired (drain-locked residents hold the device): %v", err)
+		}
+		return mapStoreErr(err, "commit")
+	}
+	defer res.Release()
+	body := res.Data
+	if chunked != nil {
+		copy(body, chunked)
+	} else if _, err := io.ReadFull(r.Body, body); err != nil {
+		return errf(http.StatusBadRequest, "bad_request", "reading snapshot: %v", err)
 	}
 	meta := node.Metadata{Job: job, Rank: rank, Step: step}
 	// A snapshot framed by the client (elastic.Encode) self-describes its
@@ -562,19 +606,11 @@ func (s *Server) handleSave(w http.ResponseWriter, r *http.Request, st *tenantSt
 			meta.Shards = shards
 		}
 	}
-
-	actx, cancel := context.WithTimeout(r.Context(), s.cfg.DrainTimeout)
-	id, err := n.Commit(actx, body, meta)
-	cancel()
+	id, err := n.Publish(res, meta)
 	if err != nil {
-		release()
-		if errors.Is(err, nvm.ErrBackpressure) {
-			s.mBackpressure.Inc()
-			return errf(http.StatusTooManyRequests, "backpressure",
-				"NVM admission wait expired (drain-locked residents hold the device): %v", err)
-		}
 		return mapStoreErr(err, "commit")
 	}
+	committed = true
 	if async {
 		s.asyncWG.Add(1)
 		s.mAsyncPending.Inc()
@@ -587,9 +623,9 @@ func (s *Server) handleSave(w http.ResponseWriter, r *http.Request, st *tenantSt
 				s.mAsyncFails.Inc()
 			}
 		}()
-		s.tenantBytes(st, "in", len(body))
+		s.tenantBytes(st, "in", size)
 		writeJSON(w, http.StatusAccepted, map[string]any{
-			"id": id, "bytes": len(body), "step": step, "durable": "nvm",
+			"id": id, "bytes": size, "step": step, "durable": "nvm",
 		})
 		return nil
 	}
@@ -612,8 +648,8 @@ func (s *Server) handleSave(w http.ResponseWriter, r *http.Request, st *tenantSt
 				"checkpoint %d not drained within %s; rolled back", id, s.cfg.DrainTimeout)
 		}
 	}
-	s.tenantBytes(st, "in", len(body))
-	writeJSON(w, http.StatusOK, map[string]any{"id": id, "bytes": len(body), "step": step, "durable": "store"})
+	s.tenantBytes(st, "in", size)
+	writeJSON(w, http.StatusOK, map[string]any{"id": id, "bytes": size, "step": step, "durable": "store"})
 	return nil
 }
 
@@ -737,18 +773,64 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request, st *tenantSt
 	return nil
 }
 
-// serveSnapshot writes a restored checkpoint as the response body with its
-// identity in headers.
-func (s *Server) serveSnapshot(w http.ResponseWriter, st *tenantState, data []byte, id uint64, meta node.Metadata, level node.Level) {
-	h := w.Header()
-	h.Set("Content-Type", "application/octet-stream")
-	h.Set("X-Ndpcr-Checkpoint", strconv.FormatUint(id, 10))
-	h.Set("X-Ndpcr-Step", strconv.Itoa(meta.Step))
-	h.Set("X-Ndpcr-Level", level.String())
-	h.Set("Content-Length", strconv.Itoa(len(data)))
-	w.WriteHeader(http.StatusOK)
-	w.Write(data)
-	s.tenantBytes(st, "out", len(data))
+// snapshotResponse is how every snapshot-serving endpoint (load, resume,
+// member restore) answers: the restore streams into sink — identity headers
+// and Content-Length from what the node knows before the first payload
+// byte, then the payload as it arrives — and finish settles its outcome.
+type snapshotResponse struct {
+	s  *Server
+	w  http.ResponseWriter
+	st *tenantState
+	id uint64 // labels the snapshot; zero takes the restored checkpoint's own
+	// head writes the response head — with the first payload piece, so a
+	// restore failing before it still gets a typed error or an older line.
+	head    func()
+	started bool
+	sent    int64
+}
+
+func (o *snapshotResponse) sink(meta node.Metadata, size int64, level node.Level) (func([]byte) error, error) {
+	id := o.id
+	if id == 0 {
+		id = meta.ID
+	}
+	o.head = func() {
+		h := o.w.Header()
+		h.Set("Content-Type", "application/octet-stream")
+		h.Set("X-Ndpcr-Checkpoint", strconv.FormatUint(id, 10))
+		h.Set("X-Ndpcr-Step", strconv.Itoa(meta.Step))
+		h.Set("X-Ndpcr-Level", level.String())
+		h.Set("Content-Length", strconv.FormatInt(size, 10))
+		o.w.WriteHeader(http.StatusOK)
+		o.started = true
+	}
+	return func(piece []byte) error {
+		if !o.started {
+			o.head()
+		}
+		n, err := o.w.Write(piece)
+		o.sent += int64(n)
+		return err
+	}, nil
+}
+
+// finish books the bytes actually written and turns the restore's error, if
+// any, into the response. Once the head has promised bytes that will not
+// all come, the only honest answer is to kill the connection: the client
+// sees a short body, never a complete-looking wrong snapshot.
+func (o *snapshotResponse) finish(err error, what string) *apiError {
+	if err != nil && !o.started {
+		return mapStoreErr(err, what)
+	}
+	if !o.started {
+		o.head() // an empty snapshot: no piece came
+	}
+	o.s.tenantBytes(o.st, "out", o.sent)
+	if err != nil {
+		o.s.countError("aborted")
+		panic(http.ErrAbortHandler)
+	}
+	return nil
 }
 
 func parseID(r *http.Request) (uint64, *apiError) {
@@ -773,12 +855,8 @@ func (s *Server) handleLoad(w http.ResponseWriter, r *http.Request, st *tenantSt
 	if err != nil {
 		return mapStoreErr(err, "session")
 	}
-	data, meta, level, err := n.RestoreID(r.Context(), id)
-	if err != nil {
-		return mapStoreErr(err, fmt.Sprintf("restore %d", id))
-	}
-	s.serveSnapshot(w, st, data, id, meta, level)
-	return nil
+	out := snapshotResponse{s: s, w: w, st: st, id: id}
+	return out.finish(n.RestoreIDTo(r.Context(), id, out.sink), fmt.Sprintf("restore %d", id))
 }
 
 // handleDelete removes one checkpoint and returns its quota to the tenant.
@@ -840,10 +918,6 @@ func (s *Server) handleResume(w http.ResponseWriter, r *http.Request, st *tenant
 	if err != nil {
 		return mapStoreErr(err, "session")
 	}
-	data, meta, level, err := n.Restore(r.Context())
-	if err != nil {
-		return mapStoreErr(err, "resume")
-	}
-	s.serveSnapshot(w, st, data, meta.ID, meta, level)
-	return nil
+	out := snapshotResponse{s: s, w: w, st: st}
+	return out.finish(n.RestoreTo(r.Context(), out.sink), "resume")
 }

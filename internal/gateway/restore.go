@@ -92,12 +92,8 @@ func (s *Server) restore(w http.ResponseWriter, r *http.Request, st *tenantState
 			return mapStoreErr(err, "session")
 		}
 	}
-	var (
-		plan  cluster.RestorePlan
-		data  []byte
-		meta  node.Metadata
-		level node.Level
-	)
+	var plan cluster.RestorePlan
+	out := snapshotResponse{s: s, w: w, st: st}
 	failed, err := cluster.WalkLines(ctx, req.Line,
 		func() ([]uint64, error) { return cluster.StoreRestartLines(ctx, s.cfg.Store, job, req.Ranks) },
 		s.mRestoreFallbacks,
@@ -108,16 +104,20 @@ func (s *Server) restore(w http.ResponseWriter, r *http.Request, st *tenantState
 			if err != nil || member < 0 {
 				return err
 			}
-			data, meta, level, err = n.RestoreElastic(ctx, plan.Targets[member], storeOnly)
+			out.id = plan.Line
+			err = n.RestoreElasticTo(ctx, plan.Targets[member], storeOnly, out.sink)
+			if err != nil && out.started {
+				// Bytes are out: no older line can take over, kill the connection.
+				out.finish(err, "restore")
+			}
 			return err
 		})
+	if member >= 0 {
+		return out.finish(err, "restore")
+	}
 	if err != nil {
 		return mapStoreErr(err, "restore")
 	}
-	if member < 0 {
-		writeJSON(w, http.StatusOK, restoreResponse{RestorePlan: plan, FailedLines: failed})
-		return nil
-	}
-	s.serveSnapshot(w, st, data, plan.Line, meta, level)
+	writeJSON(w, http.StatusOK, restoreResponse{RestorePlan: plan, FailedLines: failed})
 	return nil
 }

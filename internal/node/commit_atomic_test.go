@@ -1,6 +1,7 @@
 package node
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -129,5 +130,57 @@ func TestCommitIDsStayDenseAcrossFailures(t *testing.T) {
 		if id != want {
 			t.Errorf("commit got id %d, want %d", id, want)
 		}
+	}
+}
+
+// TestAbandonedReservationDoesNotBurnID is the aborted-body case: a commit
+// whose bytes never all arrive (the reservation is released, never
+// published) leaves the ID counter and the device's occupancy where they
+// were, and the next commit gets the ID the abandoned one would have.
+func TestAbandonedReservationDoesNotBurnID(t *testing.T) {
+	n, _ := newNode(t, func(cfg *Config) { cfg.DisableNDP = true })
+	if id, err := n.Commit(context.Background(), snapshot(1000, 1), Metadata{Step: 1}); err != nil || id != 1 {
+		t.Fatalf("commit 1: id=%d err=%v", id, err)
+	}
+	used := n.Device().Used()
+	r, err := n.Reserve(context.Background(), 5000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	copy(r.Data, snapshot(2500, 2)) // half a body, then the reader errors
+	r.Release()
+	if got := n.NextID(); got != 2 {
+		t.Errorf("NextID after an abandoned reservation = %d, want 2", got)
+	}
+	if got := n.Device().Used(); got != used {
+		t.Errorf("NVM used = %d after an abandoned reservation, want %d", got, used)
+	}
+	if id, err := n.Commit(context.Background(), snapshot(1000, 3), Metadata{Step: 2}); err != nil || id != 2 {
+		t.Errorf("commit after the abandoned one: id=%d err=%v, want 2", id, err)
+	}
+}
+
+// TestConcurrentFillsPublishInOrder: reservations fill in parallel, holding
+// nothing, and IDs are handed out in publish order, dense.
+func TestConcurrentFillsPublishInOrder(t *testing.T) {
+	n, _ := newNode(t, func(cfg *Config) { cfg.DisableNDP = true })
+	var rs []*nvm.Reservation
+	for i := 0; i < 4; i++ {
+		r, err := n.Reserve(context.Background(), 100)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rs = append(rs, r)
+	}
+	for i := len(rs) - 1; i >= 0; i-- { // last reserved, first published
+		copy(rs[i].Data, snapshot(100, byte(i)))
+		id, err := n.Publish(rs[i], Metadata{Step: i})
+		if want := uint64(len(rs) - i); err != nil || id != want {
+			t.Fatalf("publish of reservation %d: id=%d err=%v, want id %d", i, id, err, want)
+		}
+	}
+	got, meta, _, err := n.RestoreID(context.Background(), 1)
+	if err != nil || meta.Step != 3 || !bytes.Equal(got, snapshot(100, 3)) {
+		t.Errorf("checkpoint 1 = step %d, err %v; want the last reservation's bytes", meta.Step, err)
 	}
 }

@@ -9,24 +9,18 @@ import (
 	"ndpcr/internal/metrics"
 )
 
-// FetchRank retrieves an arbitrary source rank's checkpoint payload from
-// the global store, replaying incremental patch chains to the full state.
+// fetchRankTo streams an arbitrary source rank's checkpoint from the global
+// store into sink, replaying incremental patch chains to the full state.
 // Unlike Restore/RestoreID it never consults this node's local levels —
 // another rank's NVM, partner copy, or erasure shards live on machines
 // that no longer exist after an elastic reshape, so the store is the only
 // authoritative source. It is the fetch primitive the elastic restore
-// executor is built on. The returned level is always LevelIO on success.
-func (n *Node) FetchRank(ctx context.Context, rank int, id uint64) ([]byte, Metadata, Level, error) {
+// executor is built on; the level is always LevelIO on success.
+func (n *Node) fetchRankTo(ctx context.Context, rank int, id uint64, sink Sink) error {
 	start := time.Now()
-	data, meta, err := n.fetchFromIO(ctx, rank, id)
-	level := LevelIO
-	if err != nil {
-		level = LevelNone
-	} else {
-		n.timelines.Finish(metrics.KindRestore, id)
-	}
+	level, err := n.serveIO(ctx, rank, id, sink)
 	n.recordRestore(level, start, err)
-	return data, meta, level, err
+	return err
 }
 
 // RestoreElastic executes one target's slice of an elastic restore plan:
@@ -36,25 +30,33 @@ func (n *Node) FetchRank(ctx context.Context, rank int, id uint64) ([]byte, Meta
 // Fetch routing: a Whole fetch of this node's own rank uses the full
 // restore hierarchy (NVM → partner → erasure → I/O) unless storeOnly is
 // set, so same-shape plans keep today's multilevel behavior; every other
-// fetch is store-only via FetchRank. A source payload that fails frame
+// fetch is store-only (fetchRankTo). A source payload that fails frame
 // decoding, or a shard range the payload cannot satisfy, is an error — the
 // cluster treats it as an unreadable restart line and falls back to an
 // older one.
 func (n *Node) RestoreElastic(ctx context.Context, tp elastic.TargetPlan, storeOnly bool) ([]byte, Metadata, Level, error) {
+	return collect(func(sink Sink) error { return n.RestoreElasticTo(ctx, tp, storeOnly, sink) })
+}
+
+// RestoreElasticTo is RestoreElastic streaming into sink (a Whole fetch).
+func (n *Node) RestoreElasticTo(ctx context.Context, tp elastic.TargetPlan, storeOnly bool, sink Sink) error {
 	if len(tp.Fetches) == 1 && tp.Fetches[0].Whole {
 		f := tp.Fetches[0]
 		if f.SourceRank == n.cfg.Rank && !storeOnly {
-			return n.RestoreID(ctx, f.Line)
+			return n.RestoreIDTo(ctx, f.Line, sink)
 		}
-		return n.FetchRank(ctx, f.SourceRank, f.Line)
+		return n.fetchRankTo(ctx, f.SourceRank, f.Line, sink)
 	}
 	start := time.Now()
-	data, meta, level, err := n.restoreElastic(ctx, tp, storeOnly)
+	data, meta, level, err := n.restoreElastic(ctx, tp)
+	if err == nil {
+		err = sink.whole(data, meta, level)
+	}
 	n.recordRestore(level, start, err)
-	return data, meta, level, err
+	return err
 }
 
-func (n *Node) restoreElastic(ctx context.Context, tp elastic.TargetPlan, storeOnly bool) ([]byte, Metadata, Level, error) {
+func (n *Node) restoreElastic(ctx context.Context, tp elastic.TargetPlan) ([]byte, Metadata, Level, error) {
 	if len(tp.Fetches) == 0 {
 		// M exceeds the global shard count: this target owns nothing and
 		// restores the empty frame. Step -1 marks the metadata synthetic so
@@ -68,7 +70,7 @@ func (n *Node) restoreElastic(ctx context.Context, tp elastic.TargetPlan, storeO
 			return nil, Metadata{}, LevelNone, fmt.Errorf(
 				"node: elastic restore target %d: whole fetch mixed with shard fetches", tp.Target)
 		}
-		payload, m, err := n.fetchFromIO(ctx, f.SourceRank, f.Line)
+		payload, m, _, err := collect(func(sink Sink) error { return n.fetchFromIO(ctx, f.SourceRank, f.Line, sink) })
 		if err != nil {
 			return nil, Metadata{}, LevelNone, fmt.Errorf(
 				"node: elastic restore target %d: source %d: %w", tp.Target, f.SourceRank, err)

@@ -191,6 +191,9 @@ func (s *Store) PutBlock(ctx context.Context, key Key, meta Object, index int, b
 	if key.Job == "" {
 		return errors.New("iostore: empty job name")
 	}
+	// Copied before the lock: every lane writing to this backend shares
+	// s.mu, and a block-sized memcpy under it serialises them all.
+	stored := append([]byte(nil), block...)
 	s.mu.Lock()
 	o, ok := s.objects[key]
 	if !ok {
@@ -201,7 +204,7 @@ func (s *Store) PutBlock(ctx context.Context, key Key, meta Object, index int, b
 	for len(o.Blocks) <= index {
 		o.Blocks = append(o.Blocks, nil)
 	}
-	o.Blocks[index] = append([]byte(nil), block...)
+	o.Blocks[index] = stored
 	s.objects[key] = o
 	s.mu.Unlock()
 	s.pacer.Move(len(block))

@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"ndpcr/internal/compress"
@@ -91,6 +92,9 @@ func metadataFrom(mm map[string]string) (Metadata, error) {
 // MetadataFromMap decodes a store meta map into Metadata — the exported
 // form the restore planner uses to read shard counts off Stat results.
 func MetadataFromMap(mm map[string]string) (Metadata, error) { return metadataFrom(mm) }
+
+// DefaultNVMCapacity is what a zero Config.NVMCapacity selects.
+const DefaultNVMCapacity = 4 << 30
 
 // Config assembles a node.
 type Config struct {
@@ -205,9 +209,9 @@ type Node struct {
 	erasure erasureRegion
 	eraSet  ErasureSet
 
-	// commitMu serializes Commit's reserve-ID → NVM-write → confirm
-	// sequence so a failed NVM Put never burns a checkpoint ID (the ID is
-	// only consumed once the write succeeded).
+	// commitMu serializes Publish's read-ID → NVM-write → confirm sequence
+	// so a failed NVM write never burns a checkpoint ID (the ID is only
+	// consumed once the write succeeded).
 	commitMu sync.Mutex
 
 	mu     sync.Mutex
@@ -236,7 +240,7 @@ func New(cfg Config) (*Node, error) {
 		return nil, errors.New("node: Job is required")
 	}
 	if cfg.NVMCapacity == 0 {
-		cfg.NVMCapacity = 4 << 30
+		cfg.NVMCapacity = DefaultNVMCapacity
 	}
 	if cfg.NDPWorkers == 0 {
 		cfg.NDPWorkers = 4
@@ -345,26 +349,43 @@ func (n *Node) Metrics() *metrics.Registry { return n.reg }
 func (n *Node) Timelines() *metrics.TimelineSet { return n.timelines }
 
 // Commit writes one application snapshot to local NVM and notifies the
-// NDP. The host "pauses" for the NVM write — any concurrent NDP NVM access
-// is excluded for the duration (§4.2.1). It returns the checkpoint ID as
-// soon as the write lands (the checkpoint is durable at ndp.LevelNVM);
-// background propagation carries it to the higher levels, observable via
-// the durability tracker — a caller that wants the synchronous guarantee
-// follows with WaitDurableCtx.
-//
-// Commit is admission-controlled: when NVM occupancy minus drain-locked
-// residents cannot admit the snapshot, it blocks until drains release space
-// or ctx ends — the latter surfaces a typed nvm.ErrBackpressure. A snapshot
-// larger than the device fails immediately with nvm.ErrTooLarge.
-//
-// The ID is reserved only once the NVM write succeeds: a failed Commit
-// leaves nextID untouched, so the same ID is offered again on retry and a
-// single rank's NVM failure cannot desynchronize a coordinated checkpoint's
-// ID sequence.
+// NDP: Reserve, one copy into the reserved region, Publish. It returns the
+// checkpoint ID as soon as the write lands (the checkpoint is durable at
+// ndp.LevelNVM); background propagation carries it to the higher levels,
+// observable via the durability tracker — a caller that wants the
+// synchronous guarantee follows with WaitDurableCtx.
 func (n *Node) Commit(ctx context.Context, snapshot []byte, meta Metadata) (uint64, error) {
+	r, err := n.Reserve(ctx, int64(len(snapshot)))
+	if err != nil {
+		return 0, err
+	}
+	defer r.Release()
+	copy(r.Data, snapshot)
+	return n.Publish(r, meta)
+}
+
+// Reserve starts a commit: it claims size bytes of local NVM for a snapshot
+// still to arrive. The caller fills Data (a copy, a request body) and
+// Publishes, or Releases (a no-op after Publish, so defer it). Reserve is
+// admission-controlled: when NVM occupancy minus drain-locked residents
+// cannot admit the snapshot, it blocks until drains release space or ctx
+// ends (a typed nvm.ErrBackpressure); a snapshot larger than the device
+// fails at once, nvm.ErrTooLarge. Nothing is held while waiting or filling:
+// a drain needs the NVM pause gate, and its progress is what frees space.
+func (n *Node) Reserve(ctx context.Context, size int64) (*nvm.Reservation, error) {
+	return n.device.Reserve(ctx, size)
+}
+
+// Publish commits a filled reservation as the node's next checkpoint. The
+// host "pauses" for the NVM write — any concurrent NDP NVM access is
+// excluded for the duration (§4.2.1). The ID is read here and consumed only
+// once the write succeeds: a failed Publish — or a reservation released
+// because its bytes never arrived — leaves nextID untouched, so the same ID
+// is offered again and a single rank's NVM failure cannot desynchronize a
+// coordinated checkpoint's ID sequence.
+func (n *Node) Publish(r *nvm.Reservation, meta Metadata) (uint64, error) {
 	n.commitMu.Lock()
 	defer n.commitMu.Unlock()
-	// The ID is only read here, not consumed: finishCommit advances nextID.
 	n.mu.Lock()
 	id, closed := n.nextID, n.closed
 	n.mu.Unlock()
@@ -375,52 +396,29 @@ func (n *Node) Commit(ctx context.Context, snapshot []byte, meta Metadata) (uint
 		meta.Job = n.cfg.Job
 		meta.Rank = n.cfg.Rank
 	}
-	start := time.Now()
-	for {
-		// Admission is checked without holding the NVM pause gate: a drain
-		// needs gate read access to make progress, and its progress is what
-		// frees the space being waited for.
-		if err := n.device.WaitAdmit(ctx, int64(len(snapshot))); err != nil {
-			return 0, fmt.Errorf("node: commit %d: %w", id, err)
-		}
-		err := n.putNVM(id, snapshot, meta)
-		if err == nil {
-			break
-		}
-		if !errors.Is(err, nvm.ErrFull) {
-			return 0, fmt.Errorf("node: commit %d: %w", id, err)
-		}
-		// A drain locked a new resident between the admission check and
-		// the write; WaitAdmit sees the changed state and parks again.
-	}
-	n.finishCommit(id, len(snapshot), start)
-	return id, nil
-}
-
-// putNVM performs the paused NVM write (§4.2.1: the host gets the full
-// device bandwidth; concurrent NDP reads are excluded).
-func (n *Node) putNVM(id uint64, snapshot []byte, meta Metadata) error {
+	size := len(r.Data)
 	if n.engine != nil {
 		n.engine.PauseNVM()
-		defer n.engine.ResumeNVM()
 	}
-	return n.device.Put(nvm.Checkpoint{ID: id, Data: snapshot, Meta: meta.toMap(id)})
-}
-
-// finishCommit confirms the ID, marks NVM-durable, records commit metrics,
-// and rings the NDP doorbell.
-func (n *Node) finishCommit(id uint64, size int, start time.Time) {
+	err := r.Publish(id, meta.toMap(id))
+	if n.engine != nil {
+		n.engine.ResumeNVM()
+	}
+	if err != nil {
+		return 0, fmt.Errorf("node: commit %d: %w", id, err)
+	}
 	n.mu.Lock()
 	n.nextID = id + 1
 	n.mu.Unlock()
 	n.dur.MarkDurable(ndp.LevelNVM, id)
-	n.timelines.Observe(metrics.KindCheckpoint, id, metrics.PhaseCommit, start, time.Now())
+	n.timelines.Observe(metrics.KindCheckpoint, id, metrics.PhaseCommit, r.Start, time.Now())
 	n.mCommits.Inc()
-	n.mCommitSecs.ObserveSince(start)
+	n.mCommitSecs.ObserveSince(r.Start)
 	n.mCommitBytes.Observe(int64(size))
 	if n.engine != nil {
 		n.engine.Notify()
 	}
+	return id, nil
 }
 
 // NextID returns the checkpoint ID the next successful Commit will use.
@@ -484,6 +482,37 @@ func (n *Node) WriteThrough(ctx context.Context, id uint64) error {
 // ErrNoCheckpoint reports that neither level holds a restorable checkpoint.
 var ErrNoCheckpoint = errors.New("node: no checkpoint available at any level")
 
+// Sink receives one restored snapshot. It is called once, when the
+// snapshot's identity, level and exact size are known and before any
+// payload; the emit function it returns is then handed the payload in
+// order, in pieces that sum to size. A piece aliases device or store memory
+// (keep it, never change it). A failed restore emitted at most a prefix.
+type Sink func(meta Metadata, size int64, level Level) (emit func(piece []byte) error, err error)
+
+// collect runs a streaming restore into memory: a local level's one piece
+// as is (aliasing device memory, like Device.Get), the I/O level's blocks
+// copied, once, into one buffer of the object's size.
+func collect(restore func(Sink) error) (data []byte, meta Metadata, level Level, err error) {
+	err = restore(func(m Metadata, size int64, l Level) (func([]byte) error, error) {
+		meta, level = m, l
+		if l == LevelIO {
+			data = make([]byte, 0, size)
+		}
+		return func(piece []byte) error {
+			if data == nil {
+				data = piece
+			} else {
+				data = append(data, piece...)
+			}
+			return nil
+		}, nil
+	})
+	if err != nil {
+		return nil, Metadata{}, LevelNone, err
+	}
+	return data, meta, level, nil
+}
+
 // Restore returns the newest restorable snapshot, walking the §4.2.3
 // recovery hierarchy: local NVM, then the buddy node's partner copy
 // (§3.4), then the erasure set, then global I/O with pipelined host
@@ -491,27 +520,22 @@ var ErrNoCheckpoint = errors.New("node: no checkpoint available at any level")
 // context bounds the global-I/O leg (fetches, shard failover, reconnect
 // backoff).
 func (n *Node) Restore(ctx context.Context) ([]byte, Metadata, Level, error) {
-	start := time.Now()
-	data, meta, level, err := n.restore(ctx)
-	n.recordRestore(level, start, err)
-	return data, meta, level, err
+	return collect(func(sink Sink) error { return n.RestoreTo(ctx, sink) })
 }
 
-func (n *Node) restore(ctx context.Context) ([]byte, Metadata, Level, error) {
+// RestoreTo is Restore streaming into sink (I/O-level blocks as they land).
+func (n *Node) RestoreTo(ctx context.Context, sink Sink) error {
+	start := time.Now()
+	level, err := n.restore(ctx, sink)
+	n.recordRestore(level, start, err)
+	return err
+}
+
+func (n *Node) restore(ctx context.Context, sink Sink) (Level, error) {
 	if ckpt, ok := n.device.Latest(); ok {
-		// Local path: one paced NVM read.
 		t0 := time.Now()
-		data, err := n.device.Get(ckpt.ID)
-		if err == nil {
-			meta, merr := metadataFrom(data.Meta)
-			if merr == nil {
-				n.restoreSpan(ckpt.ID, metrics.PhaseFetch, t0)
-				n.timelines.Finish(metrics.KindRestore, ckpt.ID)
-				return data.Data, meta, LevelLocal, nil
-			}
-			// Corrupt local metadata is a level miss, not a wrong-rank
-			// restore: fall through the hierarchy.
-			n.mMetaErrs.Inc()
+		if data, meta, ok := n.restoreFromLocal(ckpt.ID); ok {
+			return n.serveWhole(ckpt.ID, t0, sink, data, meta, LevelLocal)
 		}
 	}
 	// Pick the newest checkpoint across the partner, erasure, and I/O
@@ -537,72 +561,89 @@ func (n *Node) restore(ctx context.Context) ([]byte, Metadata, Level, error) {
 	if pOK && (!eOK || pLatest >= eLatest) && (!ioOK || pLatest >= ioLatest) {
 		t0 := time.Now()
 		if data, meta, ok := n.restoreFromPartner(pLatest); ok {
-			n.restoreSpan(pLatest, metrics.PhaseFetch, t0)
-			n.timelines.Finish(metrics.KindRestore, pLatest)
-			return data, meta, LevelPartner, nil
+			return n.serveWhole(pLatest, t0, sink, data, meta, LevelPartner)
 		}
 	}
 	if eOK && (!ioOK || eLatest >= ioLatest) {
 		t0 := time.Now()
 		if data, meta, ok := n.restoreFromErasure(eLatest); ok {
-			n.restoreSpan(eLatest, metrics.PhaseFetch, t0)
-			n.timelines.Finish(metrics.KindRestore, eLatest)
-			return data, meta, LevelErasure, nil
+			return n.serveWhole(eLatest, t0, sink, data, meta, LevelErasure)
 		}
 	}
 	if !ioOK {
 		if ioErr != nil {
-			return nil, Metadata{}, LevelNone, fmt.Errorf("%w (I/O level unreachable: %v)", ErrNoCheckpoint, ioErr)
+			return LevelNone, fmt.Errorf("%w (I/O level unreachable: %v)", ErrNoCheckpoint, ioErr)
 		}
-		return nil, Metadata{}, LevelNone, ErrNoCheckpoint
+		return LevelNone, ErrNoCheckpoint
 	}
-	data, meta, err := n.fetchFromIO(ctx, n.cfg.Rank, ioLatest)
-	if err != nil {
-		return nil, Metadata{}, LevelNone, err
-	}
-	n.timelines.Finish(metrics.KindRestore, ioLatest)
-	return data, meta, LevelIO, nil
+	return n.serveIO(ctx, n.cfg.Rank, ioLatest, sink)
 }
 
 // RestoreID restores a specific checkpoint ID: local, then partner, then
 // the erasure set, then global I/O.
 func (n *Node) RestoreID(ctx context.Context, id uint64) ([]byte, Metadata, Level, error) {
-	start := time.Now()
-	data, meta, level, err := n.restoreByID(ctx, id)
-	n.recordRestore(level, start, err)
-	return data, meta, level, err
+	return collect(func(sink Sink) error { return n.RestoreIDTo(ctx, id, sink) })
 }
 
-func (n *Node) restoreByID(ctx context.Context, id uint64) ([]byte, Metadata, Level, error) {
-	t0 := time.Now()
-	if data, err := n.device.Get(id); err == nil {
-		meta, merr := metadataFrom(data.Meta)
-		if merr == nil {
-			n.restoreSpan(id, metrics.PhaseFetch, t0)
-			n.timelines.Finish(metrics.KindRestore, id)
-			return data.Data, meta, LevelLocal, nil
+// RestoreIDTo is RestoreID streaming into sink.
+func (n *Node) RestoreIDTo(ctx context.Context, id uint64, sink Sink) error {
+	start := time.Now()
+	level, err := n.restoreByID(ctx, id, sink)
+	n.recordRestore(level, start, err)
+	return err
+}
+
+func (n *Node) restoreByID(ctx context.Context, id uint64, sink Sink) (Level, error) {
+	for _, lv := range []struct {
+		level Level
+		get   func(uint64) ([]byte, Metadata, bool)
+	}{{LevelLocal, n.restoreFromLocal}, {LevelPartner, n.restoreFromPartner}, {LevelErasure, n.restoreFromErasure}} {
+		t0 := time.Now()
+		if data, meta, ok := lv.get(id); ok {
+			return n.serveWhole(id, t0, sink, data, meta, lv.level)
 		}
-		// Fall through: corrupt local metadata is a level miss.
-		n.mMetaErrs.Inc()
 	}
-	t0 = time.Now()
-	if data, meta, ok := n.restoreFromPartner(id); ok {
-		n.restoreSpan(id, metrics.PhaseFetch, t0)
-		n.timelines.Finish(metrics.KindRestore, id)
-		return data, meta, LevelPartner, nil
-	}
-	t0 = time.Now()
-	if data, meta, ok := n.restoreFromErasure(id); ok {
-		n.restoreSpan(id, metrics.PhaseFetch, t0)
-		n.timelines.Finish(metrics.KindRestore, id)
-		return data, meta, LevelErasure, nil
-	}
-	data, meta, err := n.fetchFromIO(ctx, n.cfg.Rank, id)
+	return n.serveIO(ctx, n.cfg.Rank, id, sink)
+}
+
+// restoreFromLocal is the local level: one paced NVM read. Corrupt local
+// metadata is a level miss, not a wrong-rank restore.
+func (n *Node) restoreFromLocal(id uint64) ([]byte, Metadata, bool) {
+	ckpt, err := n.device.Get(id)
 	if err != nil {
-		return nil, Metadata{}, LevelNone, err
+		return nil, Metadata{}, false
+	}
+	meta, err := metadataFrom(ckpt.Meta)
+	if err != nil {
+		n.mMetaErrs.Inc()
+		return nil, Metadata{}, false
+	}
+	return ckpt.Data, meta, true
+}
+
+// serveWhole serves a level that produced the snapshot in memory.
+func (n *Node) serveWhole(id uint64, t0 time.Time, sink Sink, data []byte, meta Metadata, level Level) (Level, error) {
+	n.restoreSpan(id, metrics.PhaseFetch, t0)
+	n.timelines.Finish(metrics.KindRestore, id)
+	return level, sink.whole(data, meta, level)
+}
+
+// whole hands sink a snapshot that is already in memory, as one piece.
+func (sink Sink) whole(data []byte, meta Metadata, level Level) error {
+	emit, err := sink(meta, int64(len(data)), level)
+	if err != nil {
+		return err
+	}
+	return emit(data)
+}
+
+// serveIO streams rank's checkpoint id from the global store into sink.
+func (n *Node) serveIO(ctx context.Context, rank int, id uint64, sink Sink) (Level, error) {
+	if err := n.fetchFromIO(ctx, rank, id, sink); err != nil {
+		return LevelNone, err
 	}
 	n.timelines.Finish(metrics.KindRestore, id)
-	return data, meta, LevelIO, nil
+	return LevelIO, nil
 }
 
 // restoreSpan records one restore-path phase span ending now.
@@ -647,16 +688,17 @@ func (l Level) String() string {
 
 // fetchFromIO streams rank's checkpoint from the global store (usually
 // this node's own rank; an elastic restore fetches other source ranks'
-// objects through the same path), decompressing across a host worker pool
-// and, for incremental objects, walking the patch chain back to its full
-// base and replaying it forward.
+// objects through the same path) into sink, decompressing across a host
+// worker pool. A full checkpoint goes to sink block by block as it lands;
+// an incremental object's patch chain is walked back to its full base, each
+// link collected in memory, and the replayed result is one piece.
 //
 // Finish-or-discard: a failed fetch discards the restore timeline it
 // opened. The success paths Finish it (in the callers); without the
 // discard, every failed restore left an open timeline behind forever —
 // residue that DiscardOlder never collects, since failures don't advance
 // the finished-ID watermark.
-func (n *Node) fetchFromIO(ctx context.Context, rank int, id uint64) (_ []byte, _ Metadata, err error) {
+func (n *Node) fetchFromIO(ctx context.Context, rank int, id uint64, sink Sink) (err error) {
 	defer func() {
 		if err != nil {
 			n.timelines.Discard(metrics.KindRestore, id)
@@ -667,15 +709,23 @@ func (n *Node) fetchFromIO(ctx context.Context, rank int, id uint64) (_ []byte, 
 	curID := id
 	for depth := 0; ; depth++ {
 		if depth > maxPatchChain {
-			return nil, Metadata{}, fmt.Errorf(
-				"node: restore %d: patch chain exceeds %d links", id, maxPatchChain)
+			return fmt.Errorf("node: restore %d: patch chain exceeds %d links", id, maxPatchChain)
 		}
-		payload, m, base, err := n.fetchObject(ctx, rank, id, curID)
-		if err != nil {
-			return nil, Metadata{}, err
-		}
-		if depth == 0 {
-			meta = m // the requested checkpoint's metadata wins
+		var payload []byte
+		var base uint64
+		err := n.fetchObject(ctx, rank, id, curID, func(m Metadata, size int64, b uint64) (func([]byte) error, error) {
+			base = b
+			if depth == 0 {
+				meta = m // the requested checkpoint's metadata wins
+				if b == 0 {
+					return sink(m, size, LevelIO)
+				}
+			}
+			payload = make([]byte, 0, size)
+			return func(p []byte) error { payload = append(payload, p...); return nil }, nil
+		})
+		if err != nil || depth == 0 && base == 0 {
+			return err
 		}
 		if base == 0 {
 			// Full checkpoint: replay the collected patches (newest was
@@ -685,15 +735,15 @@ func (n *Node) fetchFromIO(ctx context.Context, rank int, id uint64) (_ []byte, 
 			for i := len(patches) - 1; i >= 0; i-- {
 				data, err = delta.Apply(data, patches[i])
 				if err != nil {
-					return nil, Metadata{}, fmt.Errorf("node: restore %d: %w", id, err)
+					return fmt.Errorf("node: restore %d: %w", id, err)
 				}
 			}
 			n.restoreSpan(id, metrics.PhaseApply, applyStart)
-			return data, meta, nil
+			return sink.whole(data, meta, LevelIO)
 		}
 		p, err := delta.Decode(payload)
 		if err != nil {
-			return nil, Metadata{}, fmt.Errorf("node: restore %d: %w", id, err)
+			return fmt.Errorf("node: restore %d: %w", id, err)
 		}
 		patches = append(patches, p)
 		curID = base
@@ -751,55 +801,54 @@ func (n *Node) checkObjectShape(numBlocks int, origSize int64) error {
 	return nil
 }
 
-// fetchObject retrieves one object's decompressed payload plus its metadata
-// and delta base (0 for full checkpoints). traceID keys the restore
-// timeline (the originally requested checkpoint), while id is the
-// patch-chain link being fetched. The object is fetched block by block,
-// each block fed into the decompression pool as it lands so decompressing
-// block i overlaps fetching block i+1 (§4.3 mirrored onto the restore
-// path). The in-flight window is bounded by PrefetchBlocks: that many
-// fetchers run concurrently (parallel GetBlocks spread across the iod
-// client's lanes) and at most that many fetched blocks wait
-// un-decompressed.
-func (n *Node) fetchObject(ctx context.Context, rank int, traceID, id uint64) ([]byte, Metadata, uint64, error) {
+// fetchObject streams one stored object's decompressed payload, in order,
+// to the emit function open returns. open is called once — after the
+// StatBlocks answer passed every shape check, before any block is fetched —
+// with the object's metadata, exact payload size and delta base (0 for full
+// checkpoints). traceID keys the restore timeline (the originally requested
+// checkpoint), while id is the patch-chain link being fetched. The object
+// is fetched block by block, each block fed into the decompression pool as
+// it lands so decompressing block i overlaps fetching block i+1 (§4.3
+// mirrored onto the restore path), and emitted by the calling goroutine
+// once every earlier block has been. PrefetchBlocks fetchers run
+// concurrently (parallel GetBlocks spread across the iod client's lanes),
+// each block against one of 2×PrefetchBlocks tokens returned when it has
+// been emitted: a slow consumer holds the fetchers — and the restore's
+// memory — to that many blocks ahead of it. No byte past the declared size
+// is emitted; a shortfall is an error after the fact.
+func (n *Node) fetchObject(ctx context.Context, rank int, traceID, id uint64,
+	open func(meta Metadata, size int64, base uint64) (func([]byte) error, error)) error {
 	key := iostore.Key{Job: n.cfg.Job, Rank: rank, ID: id}
 	obj, numBlocks, ok, err := n.cfg.Store.StatBlocks(ctx, key)
 	if err != nil {
-		return nil, Metadata{}, 0, fmt.Errorf("node: restore %d from I/O: %w", id, err)
+		return fmt.Errorf("node: restore %d from I/O: %w", id, err)
 	}
 	if !ok {
-		return nil, Metadata{}, 0, fmt.Errorf("node: restore %d from I/O: %w: %s", id, iostore.ErrNotFound, key)
+		return fmt.Errorf("node: restore %d from I/O: %w: %s", id, iostore.ErrNotFound, key)
 	}
 	if err := n.checkObjectShape(numBlocks, obj.OrigSize); err != nil {
-		return nil, Metadata{}, 0, fmt.Errorf("node: restore %d: %w", id, err)
+		return fmt.Errorf("node: restore %d: %w", id, err)
 	}
 	meta, err := metadataFrom(obj.Meta)
 	if err != nil {
 		n.mMetaErrs.Inc()
-		return nil, Metadata{}, 0, fmt.Errorf("node: restore %d: %w", id, err)
+		return fmt.Errorf("node: restore %d: %w", id, err)
 	}
 	var codec compress.Codec
 	if obj.Codec != "" {
 		codec, err = compress.Lookup(obj.Codec, obj.CodecLevel)
 		if err != nil {
-			return nil, Metadata{}, 0, fmt.Errorf("node: restore %d: %w", id, err)
+			return fmt.Errorf("node: restore %d: %w", id, err)
 		}
 	}
+	emit, err := open(meta, obj.OrigSize, obj.DeltaBase)
+	if err != nil {
+		return err
+	}
 
-	window := n.cfg.PrefetchBlocks
-	if window > numBlocks {
-		window = numBlocks
-	}
-	if window < 1 {
-		window = 1
-	}
-	workers := n.cfg.RestoreWorkers
-	if workers > numBlocks {
-		workers = numBlocks
-	}
-	if workers < 1 {
-		workers = 1
-	}
+	window := max(1, min(n.cfg.PrefetchBlocks, numBlocks))
+	workers := max(1, min(n.cfg.RestoreWorkers, numBlocks))
+	ahead := 2 * window
 
 	type block struct {
 		idx  int
@@ -807,27 +856,41 @@ func (n *Node) fetchObject(ctx context.Context, rank int, traceID, id uint64) ([
 	}
 	var (
 		fetchClock, decClock envelope
-		plain                = make([][]byte, numBlocks)
-		blockErrs            = make([]error, numBlocks)
-		indices              = make(chan int)
+		tokens               = make(chan struct{}, ahead)
+		next                 atomic.Int64 // next block index to fetch
 		fetched              = make(chan block, window)
-		stop                 = make(chan struct{})
-		stopOnce             sync.Once
+		// Block i lands in ready[i%ahead]. It was claimed under a token, so
+		// block i-ahead has been emitted: the slot is free, no send blocks.
+		ready    = make([]chan []byte, ahead)
+		stop     = make(chan struct{})
+		stopOnce sync.Once
+		failure  error // why stop was closed; read only after <-stop
 	)
-	abort := func() { stopOnce.Do(func() { close(stop) }) }
+	for i := range ready {
+		ready[i] = make(chan []byte, 1)
+	}
+	abort := func(err error) { stopOnce.Do(func() { failure = err; close(stop) }) }
 
 	var fwg sync.WaitGroup
 	for f := 0; f < window; f++ {
 		fwg.Add(1)
 		go func() {
 			defer fwg.Done()
-			for i := range indices {
+			for {
+				select {
+				case tokens <- struct{}{}:
+				case <-stop:
+					return
+				}
+				i := int(next.Add(1)) - 1
+				if i >= numBlocks {
+					return
+				}
 				t0 := time.Now()
 				b, ferr := n.cfg.Store.GetBlock(ctx, key, i)
 				fetchClock.mark(t0, time.Now())
 				if ferr != nil {
-					blockErrs[i] = ferr
-					abort()
+					abort(fmt.Errorf("block %d: %w", i, ferr))
 					return
 				}
 				select {
@@ -839,16 +902,6 @@ func (n *Node) fetchObject(ctx context.Context, rank int, traceID, id uint64) ([
 		}()
 	}
 	go func() {
-		defer close(indices)
-		for i := 0; i < numBlocks; i++ {
-			select {
-			case indices <- i:
-			case <-stop:
-				return
-			}
-		}
-	}()
-	go func() {
 		fwg.Wait()
 		close(fetched)
 	}()
@@ -859,22 +912,42 @@ func (n *Node) fetchObject(ctx context.Context, rank int, traceID, id uint64) ([
 		go func() {
 			defer dwg.Done()
 			for blk := range fetched {
-				if codec == nil {
-					plain[blk.idx] = blk.data
-					continue
+				if codec != nil {
+					t0 := time.Now()
+					p, derr := codec.Decompress(nil, blk.data)
+					decClock.mark(t0, time.Now())
+					n.mDecompressSecs.ObserveSince(t0)
+					if derr != nil {
+						abort(fmt.Errorf("block %d: %w", blk.idx, derr))
+						return
+					}
+					blk.data = p
 				}
-				t0 := time.Now()
-				p, derr := codec.Decompress(nil, blk.data)
-				decClock.mark(t0, time.Now())
-				n.mDecompressSecs.ObserveSince(t0)
-				if derr != nil {
-					blockErrs[blk.idx] = derr
-					abort()
-					return
-				}
-				plain[blk.idx] = p
+				ready[blk.idx%ahead] <- blk.data
 			}
 		}()
+	}
+
+	var emitted int64
+emitting:
+	for i := 0; i < numBlocks; i++ {
+		select {
+		case p := <-ready[i%ahead]:
+			var err error
+			if emitted += int64(len(p)); emitted > obj.OrigSize {
+				err = fmt.Errorf("%w: block %d takes the payload past its declared %d bytes",
+					ErrBadObject, i, obj.OrigSize)
+			} else {
+				err = emit(p)
+			}
+			if err != nil {
+				abort(err)
+				break emitting
+			}
+			<-tokens
+		case <-stop:
+			break emitting
+		}
 	}
 	fwg.Wait()
 	dwg.Wait()
@@ -885,21 +958,17 @@ func (n *Node) fetchObject(ctx context.Context, rank int, traceID, id uint64) ([
 	if decClock.marked {
 		n.timelines.Observe(metrics.KindRestore, traceID, metrics.PhaseDecompress, decClock.start, decClock.end)
 	}
-	for i, berr := range blockErrs {
-		if berr != nil {
-			return nil, Metadata{}, 0, fmt.Errorf("node: restore %d block %d: %w", id, i, berr)
-		}
+	select {
+	case <-stop:
+		return fmt.Errorf("node: restore %d: %w", id, failure)
+	default:
 	}
-	out := make([]byte, 0, obj.OrigSize)
-	for _, p := range plain {
-		out = append(out, p...)
-	}
-	if int64(len(out)) != obj.OrigSize {
-		return nil, Metadata{}, 0, fmt.Errorf("node: restore %d: reassembled %d bytes, expected %d",
-			id, len(out), obj.OrigSize)
+	if emitted != obj.OrigSize {
+		return fmt.Errorf("node: restore %d: %w: blocks hold %d bytes, %d declared",
+			id, ErrBadObject, emitted, obj.OrigSize)
 	}
 	n.mStreamedRestores.Inc()
-	return out, meta, obj.DeltaBase, nil
+	return nil
 }
 
 // FailLocal simulates a node failure that destroys local state: the NVM is

@@ -8,16 +8,26 @@ import (
 	"time"
 )
 
+// waitAdmit is admission without the write: reserve, then hand the bytes
+// straight back.
+func waitAdmit(d *Device, ctx context.Context, size int64) error {
+	r, err := d.Reserve(ctx, size)
+	if err == nil {
+		r.Release()
+	}
+	return err
+}
+
 func TestWaitAdmitImmediateWhenSpaceFree(t *testing.T) {
 	d := mk(t, 1000)
-	if err := d.WaitAdmit(context.Background(), 500); err != nil {
+	if err := waitAdmit(d, context.Background(), 500); err != nil {
 		t.Fatalf("admission with a free device: %v", err)
 	}
 }
 
 func TestWaitAdmitRejectsOversized(t *testing.T) {
 	d := mk(t, 100)
-	if err := d.WaitAdmit(context.Background(), 200); !errors.Is(err, ErrTooLarge) {
+	if err := waitAdmit(d, context.Background(), 200); !errors.Is(err, ErrTooLarge) {
 		t.Fatalf("got %v, want ErrTooLarge", err)
 	}
 }
@@ -29,7 +39,7 @@ func TestWaitAdmitCountsEvictableResidents(t *testing.T) {
 	if err := d.Put(Checkpoint{ID: 1, Data: make([]byte, 90)}); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.WaitAdmit(context.Background(), 80); err != nil {
+	if err := waitAdmit(d, context.Background(), 80); err != nil {
 		t.Fatalf("admission over an evictable resident: %v", err)
 	}
 }
@@ -44,7 +54,7 @@ func TestWaitAdmitBackpressureOnLockedResidents(t *testing.T) {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
-	err := d.WaitAdmit(ctx, 80)
+	err := waitAdmit(d, ctx, 80)
 	if !errors.Is(err, ErrBackpressure) {
 		t.Fatalf("got %v, want ErrBackpressure", err)
 	}
@@ -65,7 +75,7 @@ func TestWaitAdmitBlocksThenAdmitsOnUnlock(t *testing.T) {
 		t.Fatal(err)
 	}
 	done := make(chan error, 1)
-	go func() { done <- d.WaitAdmit(context.Background(), 80) }()
+	go func() { done <- waitAdmit(d, context.Background(), 80) }()
 	select {
 	case err := <-done:
 		t.Fatalf("admission did not block on a locked full device (err=%v)", err)
@@ -93,7 +103,7 @@ func TestWaitAdmitWokenByDiscard(t *testing.T) {
 		t.Fatal(err)
 	}
 	done := make(chan error, 1)
-	go func() { done <- d.WaitAdmit(context.Background(), 50) }()
+	go func() { done <- waitAdmit(d, context.Background(), 50) }()
 	time.Sleep(5 * time.Millisecond)
 	d.Discard(1) // rollback path: locked resident dropped outright
 	select {
@@ -125,7 +135,7 @@ func TestWaitAdmitConcurrentCommitters(t *testing.T) {
 			defer wg.Done()
 			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 			defer cancel()
-			errs[i] = d.WaitAdmit(ctx, 40)
+			errs[i] = waitAdmit(d, ctx, 40)
 		}(i)
 	}
 	time.Sleep(5 * time.Millisecond)

@@ -83,7 +83,7 @@ type Device struct {
 	// default costs one mutex-protected load per operation.
 	faultHook func(op string, id uint64) error
 
-	// admit, when non-nil, is a broadcast channel WaitAdmit callers park
+	// admit, when non-nil, is a broadcast channel admission waiters park
 	// on; it is closed (and nilled) whenever space may have been released
 	// (an unlock, a discard, a wipe), waking every waiter to re-check.
 	admit chan struct{}
@@ -201,27 +201,7 @@ func (d *Device) LockedBytes() int64 {
 	return n
 }
 
-// admissibleLocked reports whether a write of size bytes could succeed
-// right now: free space plus every unlocked (evictable) resident covers
-// it. This is exactly Put's evict-until-fit feasibility condition, checked
-// without mutating. Caller holds d.mu.
-func (d *Device) admissibleLocked(size int64) bool {
-	free := d.capacity - d.used
-	if free >= size {
-		return true
-	}
-	for _, e := range d.ckpts {
-		if e.locks == 0 {
-			free += int64(len(e.ckpt.Data))
-			if free >= size {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-// signalAdmitLocked wakes every WaitAdmit caller to re-check. Caller holds
+// signalAdmitLocked wakes every admission waiter to re-check. Caller holds
 // d.mu and has just released space or a lock.
 func (d *Device) signalAdmitLocked() {
 	if d.admit != nil {
@@ -230,27 +210,54 @@ func (d *Device) signalAdmitLocked() {
 	}
 }
 
-// WaitAdmit blocks until a write of size bytes is admissible — free space
-// plus evictable (unlocked) residents covers it — or ctx ends, returning
-// an ErrBackpressure-wrapped error in the latter case. It is the node
-// commit path's admission control: instead of failing ErrFull when drain
-// locks pin the space, the committer parks here and is woken as drains
-// release their locks. Admission is advisory, not a reservation: the
-// caller re-runs Put and, if a new lock raced in between, waits again.
-func (d *Device) WaitAdmit(ctx context.Context, size int64) error {
-	if size > d.capacity {
-		return fmt.Errorf("%w: %d > %d", ErrTooLarge, size, d.capacity)
+// claimLocked (caller holds d.mu) takes size bytes out of the device if free
+// space plus every unlocked (evictable) resident covers them, evicting the
+// oldest to make room (circular-buffer semantics). Claimed bytes count as
+// used and belong to no resident: nothing evicts them, none are overcommitted.
+func (d *Device) claimLocked(size int64) bool {
+	free := d.capacity - d.used
+	for _, e := range d.ckpts {
+		if e.locks == 0 {
+			free += int64(len(e.ckpt.Data))
+		}
 	}
-	var start time.Time
+	if free < size {
+		return false
+	}
+	for d.used+size > d.capacity {
+		d.evictOldestUnlocked()
+	}
+	d.used += size
+	return true
+}
+
+// Reservation is a claimed region no reader can see yet: the writer fills
+// Data holding no device lock, then Publishes or Releases it.
+type Reservation struct {
+	Data  []byte    // exactly the reserved size; nil once published or released
+	Start time.Time // when Reserve was called: the commit's start
+	d     *Device
+}
+
+// Reserve claims size bytes for one write, blocking until they can be or
+// ctx ends (an ErrBackpressure-wrapped error). It is the node commit path's
+// admission control: instead of failing ErrFull when drain locks pin the
+// space, the committer parks here and is woken as drains release their
+// locks or reservations are released. Publish cannot find the device full.
+func (d *Device) Reserve(ctx context.Context, size int64) (*Reservation, error) {
+	if size > d.capacity {
+		return nil, fmt.Errorf("%w: %d > %d", ErrTooLarge, size, d.capacity)
+	}
+	start := time.Now()
 	waited := false
 	for {
 		d.mu.Lock()
-		if d.admissibleLocked(size) {
+		if d.claimLocked(size) {
 			d.mu.Unlock()
 			if waited && d.mAdmitWaitSecs != nil {
 				d.mAdmitWaitSecs.ObserveSince(start)
 			}
-			return nil
+			return &Reservation{Data: make([]byte, size), Start: start, d: d}, nil
 		}
 		if d.admit == nil {
 			d.admit = make(chan struct{})
@@ -259,7 +266,6 @@ func (d *Device) WaitAdmit(ctx context.Context, size int64) error {
 		d.mu.Unlock()
 		if !waited {
 			waited = true
-			start = time.Now()
 			if d.mAdmitWaits != nil {
 				d.mAdmitWaits.Inc()
 			}
@@ -273,63 +279,86 @@ func (d *Device) WaitAdmit(ctx context.Context, size int64) error {
 			if d.mAdmitWaitSecs != nil {
 				d.mAdmitWaitSecs.ObserveSince(start)
 			}
-			return fmt.Errorf("%w: %d bytes not admissible: %w", ErrBackpressure, size, ctx.Err())
+			return nil, fmt.Errorf("%w: %d bytes not admissible: %w", ErrBackpressure, size, ctx.Err())
 		}
 	}
 }
 
-// Put writes a checkpoint, evicting the oldest unlocked checkpoints as
-// needed (circular-buffer semantics). It returns ErrTooLarge for oversized
-// checkpoints and ErrFull when locked residents block the space. The data
-// slice is copied; callers may reuse it.
-func (d *Device) Put(ckpt Checkpoint) error {
-	if err := d.checkFault("put", ckpt.ID); err != nil {
-		return fmt.Errorf("nvm: put %d: %w", ckpt.ID, err)
+// Release returns an unpublished reservation's bytes, waking admission
+// waiters; a no-op after Publish, so writers defer it.
+func (r *Reservation) Release() {
+	if r.Data == nil {
+		return
 	}
-	size := int64(len(ckpt.Data))
-	if size > d.capacity {
-		return fmt.Errorf("%w: %d > %d", ErrTooLarge, size, d.capacity)
+	r.d.mu.Lock()
+	r.d.used -= int64(len(r.Data))
+	r.d.signalAdmitLocked()
+	r.d.mu.Unlock()
+	r.Data = nil
+}
+
+// Publish makes the filled region visible as checkpoint id; the region
+// becomes the resident data, nothing is copied. On failure (fault hook,
+// locked resident of the same ID) the reservation stays held.
+func (r *Reservation) Publish(id uint64, meta map[string]string) error {
+	d := r.d
+	if err := d.checkFault("put", id); err != nil {
+		return fmt.Errorf("nvm: put %d: %w", id, err)
+	}
+	stored := Checkpoint{ID: id, Data: r.Data}
+	if meta != nil {
+		stored.Meta = make(map[string]string, len(meta))
+		for k, v := range meta {
+			stored.Meta[k] = v
+		}
 	}
 	d.mu.Lock()
-	if old, exists := d.ckpts[ckpt.ID]; exists {
+	if old, exists := d.ckpts[id]; exists {
 		if old.locks > 0 {
 			d.mu.Unlock()
 			if d.mLockConflicts != nil {
 				d.mLockConflicts.Inc()
 			}
-			return fmt.Errorf("nvm: checkpoint %d is locked and cannot be overwritten", ckpt.ID)
+			return fmt.Errorf("nvm: checkpoint %d is locked and cannot be overwritten", id)
 		}
-		d.removeLocked(ckpt.ID)
+		d.removeLocked(id)
 	}
-	// Evict oldest unlocked until the new checkpoint fits.
-	for d.used+size > d.capacity {
-		if !d.evictOldestUnlocked() {
-			d.mu.Unlock()
-			if d.mFull != nil {
-				d.mFull.Inc()
-			}
-			return ErrFull
-		}
-	}
-	stored := Checkpoint{ID: ckpt.ID, Data: append([]byte(nil), ckpt.Data...)}
-	if ckpt.Meta != nil {
-		stored.Meta = make(map[string]string, len(ckpt.Meta))
-		for k, v := range ckpt.Meta {
-			stored.Meta[k] = v
-		}
-	}
-	d.ckpts[ckpt.ID] = &entry{ckpt: stored}
-	d.order = append(d.order, ckpt.ID)
-	d.used += size
+	d.ckpts[id] = &entry{ckpt: stored}
+	d.order = append(d.order, id)
 	d.mu.Unlock()
+	r.Data = nil
 
 	// Pace outside the lock: the simulated transfer time must not block
 	// metadata readers.
-	d.pacer.Move(len(ckpt.Data))
+	d.pacer.Move(len(stored.Data))
 	if d.mWriteBytes != nil {
-		d.mWriteBytes.Observe(size)
+		d.mWriteBytes.Observe(int64(len(stored.Data)))
 	}
 	return nil
+}
+
+// Put writes a checkpoint without waiting for admission: claim, copy
+// (outside the device mutex; callers may reuse the slice), publish. It
+// returns ErrTooLarge when oversized, ErrFull when locked residents block.
+func (d *Device) Put(ckpt Checkpoint) error {
+	size := int64(len(ckpt.Data))
+	if size > d.capacity {
+		return fmt.Errorf("%w: %d > %d", ErrTooLarge, size, d.capacity)
+	}
+	d.mu.Lock()
+	ok := d.claimLocked(size)
+	d.mu.Unlock()
+	if !ok {
+		if d.mFull != nil {
+			d.mFull.Inc()
+		}
+		return ErrFull
+	}
+	data := make([]byte, len(ckpt.Data))
+	copy(data, ckpt.Data)
+	r := &Reservation{Data: data, d: d}
+	defer r.Release()
+	return r.Publish(ckpt.ID, ckpt.Meta)
 }
 
 // evictOldestUnlocked removes the oldest unlocked checkpoint; it reports

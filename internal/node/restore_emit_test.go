@@ -1,0 +1,232 @@
+package node
+
+import (
+	"bytes"
+	"context"
+	"errors"
+	"runtime"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"ndpcr/internal/compress"
+	"ndpcr/internal/node/iostore"
+	"ndpcr/internal/node/nvm"
+)
+
+// pieces is a Sink that records how it was called and what it was handed.
+type pieces struct {
+	opened int
+	size   int64
+	level  Level
+	meta   Metadata
+	n      int // pieces emitted
+	data   []byte
+}
+
+func (p *pieces) sink(meta Metadata, size int64, level Level) (func([]byte) error, error) {
+	p.opened++
+	p.meta, p.size, p.level = meta, size, level
+	return func(b []byte) error {
+		p.n++
+		p.data = append(p.data, b...)
+		return nil
+	}, nil
+}
+
+// TestStreamedEqualsAssembled: for every object shape the drain produces,
+// the pieces the emitter hands a sink, concatenated, are the committed
+// snapshot — the same bytes the []byte restore returns — and the sink was
+// told the exact size before the first of them.
+func TestStreamedEqualsAssembled(t *testing.T) {
+	gz, _ := compress.Lookup("gzip", 1)
+	for name, tc := range map[string]struct {
+		codec       compress.Codec
+		incremental bool
+		sizes       []int // one commit each; the last is restored
+		multiPiece  bool
+	}{
+		"raw, short last block": {sizes: []int{10_000}, multiPiece: true},
+		"raw, whole blocks":     {sizes: []int{8192}, multiPiece: true},
+		"raw, single block":     {sizes: []int{1000}},
+		"gzip":                  {codec: gz, sizes: []int{300_000}, multiPiece: true},
+		"delta chain":           {incremental: true, sizes: []int{0, 0, 0}},
+	} {
+		t.Run(name, func(t *testing.T) {
+			n, _ := newNode(t, func(c *Config) {
+				c.Codec = tc.codec
+				c.Incremental = tc.incremental
+				c.FullEvery = 100
+				c.DeltaBlockSize = 4096
+			})
+			var snap []byte
+			var id uint64
+			for v, size := range tc.sizes {
+				snap = snapshot(size, byte(v))
+				if tc.incremental {
+					snap = evolvingSnapshot(v + 1)
+				}
+				var err error
+				if id, err = n.Commit(context.Background(), snap, Metadata{Step: v}); err != nil {
+					t.Fatal(err)
+				}
+				waitDrained(t, n, id)
+			}
+			n.FailLocal()
+
+			var got pieces
+			if err := n.RestoreIDTo(context.Background(), id, got.sink); err != nil {
+				t.Fatal(err)
+			}
+			if got.opened != 1 || got.size != int64(len(snap)) || got.level != LevelIO || got.meta.ID != id {
+				t.Errorf("sink opened %d times with size %d, level %v, id %d; want once, %d, io, %d",
+					got.opened, got.size, got.level, got.meta.ID, len(snap), id)
+			}
+			if !bytes.Equal(got.data, snap) {
+				t.Error("streamed pieces differ from the committed snapshot")
+			}
+			if tc.multiPiece && got.n < 2 {
+				t.Errorf("a multi-block object arrived in %d piece(s): assembled, not streamed", got.n)
+			}
+			whole, _, level, err := n.RestoreID(context.Background(), id)
+			if err != nil || level != LevelIO || !bytes.Equal(whole, snap) {
+				t.Errorf("RestoreID: level %v, err %v, match %v", level, err, bytes.Equal(whole, snap))
+			}
+		})
+	}
+}
+
+// blockStore counts GetBlock calls and can fail one block index.
+type blockStore struct {
+	iostore.Backend
+	calls  atomic.Int64
+	failAt int // -1: none
+}
+
+var errBlockGone = errors.New("block gone")
+
+func (s *blockStore) GetBlock(ctx context.Context, key iostore.Key, index int) ([]byte, error) {
+	s.calls.Add(1)
+	if index == s.failAt {
+		return nil, errBlockGone
+	}
+	return s.Backend.GetBlock(ctx, key, index)
+}
+
+// putRaw stores an uncompressed object of the given blocks claiming origSize.
+func putRaw(t *testing.T, store iostore.Backend, id uint64, origSize int64, blocks [][]byte) {
+	t.Helper()
+	if err := store.Put(context.Background(), iostore.Object{
+		Key:      iostore.Key{Job: "job", Rank: 0, ID: id},
+		OrigSize: origSize,
+		Blocks:   blocks,
+		Meta:     Metadata{Job: "job", Rank: 0, Step: 1}.toMap(id),
+	}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func rawBlocks(count, size int) [][]byte {
+	blocks := make([][]byte, count)
+	for i := range blocks {
+		blocks[i] = bytes.Repeat([]byte{byte(i)}, size)
+	}
+	return blocks
+}
+
+// TestBlockErrorNeverYieldsShortData: a block that cannot be fetched fails
+// the restore — the []byte form returns no data, the streaming form reports
+// the error after a prefix, never a clean end.
+func TestBlockErrorNeverYieldsShortData(t *testing.T) {
+	store := &blockStore{Backend: iostore.New(nvm.Pacer{}), failAt: 5}
+	n, err := New(Config{Job: "job", Rank: 0, Store: store, DisableNDP: true, PrefetchBlocks: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.Close()
+	putRaw(t, store, 3, 10*100, rawBlocks(10, 100))
+
+	data, _, level, err := n.RestoreID(context.Background(), 3)
+	if !errors.Is(err, errBlockGone) || data != nil || level != LevelNone {
+		t.Errorf("RestoreID = %d bytes, level %v, err %v; want no data and the block's error", len(data), level, err)
+	}
+	var got pieces
+	if err := n.RestoreIDTo(context.Background(), 3, got.sink); !errors.Is(err, errBlockGone) {
+		t.Errorf("RestoreIDTo err = %v, want the block's error", err)
+	}
+	if len(got.data) >= 1000 || !bytes.Equal(got.data, bytes.Join(rawBlocks(10, 100), nil)[:len(got.data)]) {
+		t.Errorf("a failed stream emitted %d bytes that are not a proper prefix", len(got.data))
+	}
+}
+
+// TestSlowConsumerBoundsFetchAhead gates the consumer and counts the
+// store's GetBlock calls: with the consumer holding block i, the fetchers
+// run ahead to block i+2×window and no further.
+func TestSlowConsumerBoundsFetchAhead(t *testing.T) {
+	const window, numBlocks = 2, 24
+	store := &blockStore{Backend: iostore.New(nvm.Pacer{}), failAt: -1}
+	n, err := New(Config{Job: "job", Rank: 0, Store: store, DisableNDP: true, PrefetchBlocks: window})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.Close()
+	putRaw(t, store, 1, numBlocks*64, rawBlocks(numBlocks, 64))
+
+	deadline := time.Now().Add(10 * time.Second)
+	i := 0
+	err = n.RestoreIDTo(context.Background(), 1, func(Metadata, int64, Level) (func([]byte) error, error) {
+		return func([]byte) error {
+			want := int64(i + 2*window)
+			if want > numBlocks {
+				want = numBlocks
+			}
+			// The fetchers get as far ahead as their tokens let them...
+			for store.calls.Load() < want {
+				if time.Now().After(deadline) {
+					t.Fatalf("consumer at block %d: %d blocks fetched, never reached %d", i, store.calls.Load(), want)
+				}
+				runtime.Gosched()
+			}
+			// ...and, given every chance to, no further.
+			for k := 0; k < 200; k++ {
+				runtime.Gosched()
+			}
+			if got := store.calls.Load(); got != want {
+				t.Errorf("consumer at block %d: %d blocks fetched, want %d (2×window ahead)", i, got, want)
+			}
+			i++
+			return nil
+		}, nil
+	})
+	if err != nil || i != numBlocks {
+		t.Fatalf("restore: %d pieces, err %v", i, err)
+	}
+}
+
+// TestBlocksMustSumToDeclaredSize: blocks that run past the size the object
+// declares fail the restore before the excess reaches the sink; blocks that
+// fall short fail it at the end. Both are ErrBadObject.
+func TestBlocksMustSumToDeclaredSize(t *testing.T) {
+	n, store := newNode(t, func(c *Config) { c.DisableNDP = true })
+	for name, tc := range map[string]struct {
+		declared   int64
+		maxEmitted int
+	}{
+		"past the declared size":     {250, 200},
+		"short of the declared size": {1000, 400},
+	} {
+		putRaw(t, store, 9, tc.declared, rawBlocks(4, 100))
+		var got pieces
+		err := n.RestoreIDTo(context.Background(), 9, got.sink)
+		if !errors.Is(err, ErrBadObject) {
+			t.Errorf("%s: err = %v, want ErrBadObject", name, err)
+		}
+		if got.size != tc.declared || len(got.data) > tc.maxEmitted {
+			t.Errorf("%s: sink promised %d bytes and handed %d, want at most %d",
+				name, got.size, len(got.data), tc.maxEmitted)
+		}
+		if data, _, _, err := n.RestoreID(context.Background(), 9); err == nil || data != nil {
+			t.Errorf("%s: RestoreID returned %d bytes, err %v", name, len(data), err)
+		}
+	}
+}

@@ -27,6 +27,10 @@ go test -race ./internal/erasure/... ./internal/metrics/... ./internal/faultinje
 go test -race -count=2 ./internal/cluster/... ./internal/node/... ./internal/iod/... \
     ./internal/shardstore/... ./internal/gateway/...
 
+# Allocation budget of the HTTP save/load path (a count; skipped under -race
+# above): a whole-object buffer coming back fails here, not in the next bench.
+go test -run AllocBudget ./internal/gateway
+
 # The benchmark is a module of its own (cmd/ndpcr-bench/go.mod), invisible
 # to ./... above: build and test it here so an internal-API change that
 # breaks it fails the gate, not the next benchmark run.
