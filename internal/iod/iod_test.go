@@ -95,6 +95,28 @@ func TestNotFoundCrossesWire(t *testing.T) {
 	}
 }
 
+// TestBlockGapIsNotFoundAcrossWire: a block the remote object does not hold
+// (a gap a dead writer left, or past its end) comes back as the ErrNotFound
+// sentinel — an answer shardstore fails over on without blaming the backend.
+func TestBlockGapIsNotFoundAcrossWire(t *testing.T) {
+	_, client, _ := startServer(t)
+	ctx := context.Background()
+	key := iostore.Key{Job: "j", Rank: 0, ID: 4}
+	for _, index := range []int{0, 2} {
+		if err := client.PutBlock(ctx, key, iostore.Object{}, index, []byte("abc")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, index := range []int{1, 3} {
+		if b, err := client.GetBlock(ctx, key, index); !errors.Is(err, iostore.ErrNotFound) {
+			t.Errorf("GetBlock(%d) of a block never written = %q, %v; want ErrNotFound", index, b, err)
+		}
+	}
+	if b, err := client.GetBlock(ctx, key, 2); err != nil || !bytes.Equal(b, []byte("abc")) {
+		t.Errorf("GetBlock(2) = %q, %v", b, err)
+	}
+}
+
 func TestPutBlockStreamingOverTCP(t *testing.T) {
 	_, client, backing := startServer(t)
 	key := iostore.Key{Job: "j", Rank: 0, ID: 3}

@@ -291,7 +291,8 @@ func (s *DedupStore) StatBlocks(ctx context.Context, key Key) (Object, int, bool
 }
 
 // GetBlock reconstructs one block from the content table, pacing its
-// logical size.
+// logical size. A block the object does not hold (past its end, or a gap no
+// PutBlock filled) is ErrNotFound.
 func (s *DedupStore) GetBlock(ctx context.Context, key Key, index int) ([]byte, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -302,13 +303,9 @@ func (s *DedupStore) GetBlock(ctx context.Context, key Key, index int) ([]byte, 
 		s.mu.Unlock()
 		return nil, fmt.Errorf("%w: %s", ErrNotFound, key)
 	}
-	if index < 0 || index >= len(o.digests) {
+	if index < 0 || index >= len(o.digests) || !o.present[index] {
 		s.mu.Unlock()
-		return nil, fmt.Errorf("iostore: %s block %d out of range (object has %d)", key, index, len(o.digests))
-	}
-	if !o.present[index] {
-		s.mu.Unlock()
-		return nil, fmt.Errorf("iostore: dedup block missing for %s[%d]", key, index)
+		return nil, fmt.Errorf("%w: %s holds no block %d", ErrNotFound, key, index)
 	}
 	rb, exists := s.blocks[o.digests[index]]
 	if !exists {

@@ -79,7 +79,11 @@ func (o Object) StoredSize() int64 {
 //     deadlines.
 //   - Block streaming (StatBlocks/GetBlock) is part of the surface, not an
 //     optional assertion, and is the one read path restores use. StatBlocks
-//     ok=false with err=nil means the object is absent.
+//     ok=false with err=nil means the object is absent. GetBlock of a block
+//     the backend does not hold — no such object, an index past its end, or
+//     a gap inside it that no PutBlock ever filled (windowed writes land out
+//     of order, so a writer that died mid-object leaves gaps) — wraps
+//     ErrNotFound: a gap is never served as an empty block.
 type Backend interface {
 	Put(ctx context.Context, o Object) error
 	PutBlock(ctx context.Context, key Key, meta Object, index int, block []byte) error
@@ -149,7 +153,9 @@ func New(pacer nvm.Pacer) *Store {
 	return &Store{objects: make(map[Key]Object), pacer: pacer}
 }
 
-// Put stores an object, replacing any previous version. Blocks are copied.
+// Put stores an object, replacing any previous version. Blocks are copied
+// (into non-nil slices: a nil entry of the stored Blocks is a gap, see
+// PutBlock).
 func (s *Store) Put(ctx context.Context, o Object) error {
 	if err := ctx.Err(); err != nil {
 		return err
@@ -160,7 +166,7 @@ func (s *Store) Put(ctx context.Context, o Object) error {
 	cp := o
 	cp.Blocks = make([][]byte, len(o.Blocks))
 	for i, b := range o.Blocks {
-		cp.Blocks[i] = append([]byte(nil), b...)
+		cp.Blocks[i] = append([]byte{}, b...)
 	}
 	if o.Meta != nil {
 		cp.Meta = make(map[string]string, len(o.Meta))
@@ -181,9 +187,11 @@ func (s *Store) Put(ctx context.Context, o Object) error {
 	return nil
 }
 
-// PutBlock appends one block to an object, creating it on first use. This
-// is the streaming path the NDP uses: blocks arrive as they are compressed
-// (§4.2.2), each paced individually.
+// PutBlock writes one block of an object by index, creating the object on
+// first use. This is the streaming path the NDP uses: blocks arrive as they
+// are compressed (§4.2.2), each paced individually. Indexes below it that
+// nothing has written yet stay nil — gaps GetBlock refuses to serve — while
+// a written block is never nil, however empty.
 func (s *Store) PutBlock(ctx context.Context, key Key, meta Object, index int, block []byte) error {
 	if err := ctx.Err(); err != nil {
 		return err
@@ -193,7 +201,7 @@ func (s *Store) PutBlock(ctx context.Context, key Key, meta Object, index int, b
 	}
 	// Copied before the lock: every lane writing to this backend shares
 	// s.mu, and a block-sized memcpy under it serialises them all.
-	stored := append([]byte(nil), block...)
+	stored := append([]byte{}, block...)
 	s.mu.Lock()
 	o, ok := s.objects[key]
 	if !ok {
@@ -334,21 +342,25 @@ func (s *Store) StatBlocks(ctx context.Context, key Key) (Object, int, bool, err
 }
 
 // GetBlock returns one block's payload, paced individually so a streamed
-// restore pays the same total transfer cost as a whole-object Get.
+// restore pays the same total transfer cost as a whole-object Get. A block
+// the object does not hold (past its end, or a gap) is ErrNotFound.
 func (s *Store) GetBlock(ctx context.Context, key Key, index int) ([]byte, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
+	var b []byte
 	s.mu.Lock()
 	o, ok := s.objects[key]
+	if ok && index >= 0 && index < len(o.Blocks) {
+		b = o.Blocks[index]
+	}
 	s.mu.Unlock()
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrNotFound, key)
 	}
-	if index < 0 || index >= len(o.Blocks) {
-		return nil, fmt.Errorf("iostore: %s block %d out of range (object has %d)", key, index, len(o.Blocks))
+	if b == nil {
+		return nil, fmt.Errorf("%w: %s holds no block %d", ErrNotFound, key, index)
 	}
-	b := o.Blocks[index]
 	s.pacer.Move(len(b))
 	if s.mReadBytes != nil {
 		s.mReadBytes.Observe(int64(len(b)))

@@ -166,3 +166,41 @@ func TestConcurrentUse(t *testing.T) {
 		}
 	}
 }
+
+// TestGetBlockNeverServesAGap: windowed block writes land out of order, so a
+// writer that dies mid-object leaves indexes nothing ever wrote. Reading one
+// — or an index past the end — is ErrNotFound in both stores, never an empty
+// block and never a generic fault; a block that was written empty is served.
+func TestGetBlockNeverServesAGap(t *testing.T) {
+	ctx := context.Background()
+	for name, s := range map[string]Backend{"Store": New(nvm.Pacer{}), "DedupStore": NewDedup(nvm.Pacer{})} {
+		key := Key{Job: "j", Rank: 0, ID: 1}
+		for _, w := range []struct {
+			index int
+			block []byte
+		}{{0, []byte("abc")}, {2, nil}, {4, []byte("ghi")}} {
+			if err := s.PutBlock(ctx, key, Object{}, w.index, w.block); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, index := range []int{1, 3, 5, -1} {
+			if b, err := s.GetBlock(ctx, key, index); !errors.Is(err, ErrNotFound) {
+				t.Errorf("%s: GetBlock(%d) of a block never written = %q, %v; want ErrNotFound", name, index, b, err)
+			}
+		}
+		if b, err := s.GetBlock(ctx, key, 2); err != nil || len(b) != 0 {
+			t.Errorf("%s: GetBlock of a block written empty = %q, %v", name, b, err)
+		}
+		if b, err := s.GetBlock(ctx, key, 4); err != nil || !bytes.Equal(b, []byte("ghi")) {
+			t.Errorf("%s: GetBlock(4) = %q, %v", name, b, err)
+		}
+		// A whole-object Put writes every block it lists, empty ones included.
+		whole := Key{Job: "j", Rank: 0, ID: 2}
+		if err := s.Put(ctx, Object{Key: whole, Blocks: [][]byte{nil}}); err != nil {
+			t.Fatal(err)
+		}
+		if b, err := s.GetBlock(ctx, whole, 0); err != nil || len(b) != 0 {
+			t.Errorf("%s: GetBlock of a Put empty block = %q, %v", name, b, err)
+		}
+	}
+}

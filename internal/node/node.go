@@ -869,7 +869,11 @@ func (n *Node) fetchObject(ctx context.Context, rank int, traceID, id uint64,
 	for i := range ready {
 		ready[i] = make(chan []byte, 1)
 	}
-	abort := func(err error) { stopOnce.Do(func() { failure = err; close(stop) }) }
+	// The fetchers' context ends with the restore: a fetch still in flight
+	// when another block has failed it is abandoned, not waited out.
+	fctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	abort := func(err error) { stopOnce.Do(func() { failure = err; close(stop); cancel() }) }
 
 	var fwg sync.WaitGroup
 	for f := 0; f < window; f++ {
@@ -887,7 +891,7 @@ func (n *Node) fetchObject(ctx context.Context, rank int, traceID, id uint64,
 					return
 				}
 				t0 := time.Now()
-				b, ferr := n.cfg.Store.GetBlock(ctx, key, i)
+				b, ferr := n.cfg.Store.GetBlock(fctx, key, i)
 				fetchClock.mark(t0, time.Now())
 				if ferr != nil {
 					abort(fmt.Errorf("block %d: %w", i, ferr))

@@ -230,3 +230,51 @@ func TestBlocksMustSumToDeclaredSize(t *testing.T) {
 		}
 	}
 }
+
+// abandonStore fails block 1 — once block 2's fetch is under way — and holds
+// block 2 until its context ends: the stalled replica a failed restore must
+// not wait out.
+type abandonStore struct {
+	iostore.Backend
+	entered   chan struct{} // closed when GetBlock(2) is in flight
+	cancelled atomic.Bool   // GetBlock(2) saw its context end
+}
+
+func (s *abandonStore) GetBlock(ctx context.Context, key iostore.Key, index int) ([]byte, error) {
+	switch index {
+	case 1:
+		<-s.entered
+		return nil, errBlockGone
+	case 2:
+		close(s.entered)
+		select {
+		case <-ctx.Done():
+			s.cancelled.Store(true)
+			return nil, ctx.Err()
+		case <-time.After(10 * time.Second): // watchdog: nobody cancelled
+			return nil, errors.New("fetch of block 2 was never cancelled")
+		}
+	}
+	return s.Backend.GetBlock(ctx, key, index)
+}
+
+// TestFailedRestoreStopsItsFetchers: a restore that fails on one block
+// cancels the fetches still in flight instead of waiting for each to come
+// back (up to one store CallTimeout per stalled replica).
+func TestFailedRestoreStopsItsFetchers(t *testing.T) {
+	store := &abandonStore{Backend: iostore.New(nvm.Pacer{}), entered: make(chan struct{})}
+	n, err := New(Config{Job: "job", Rank: 0, Store: store, DisableNDP: true, PrefetchBlocks: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.Close()
+	putRaw(t, store, 3, 8*100, rawBlocks(8, 100))
+
+	var got pieces
+	if err := n.RestoreIDTo(context.Background(), 3, got.sink); !errors.Is(err, errBlockGone) {
+		t.Errorf("RestoreIDTo err = %v, want block 1's error", err)
+	}
+	if !store.cancelled.Load() {
+		t.Error("the restore waited out an in-flight fetch instead of cancelling it")
+	}
+}

@@ -156,49 +156,3 @@ func BenchmarkShardDrainRebalance(b *testing.B) {
 		}
 	})
 }
-
-// BenchmarkShardRead measures replicated read throughput: every read is
-// served by the fastest healthy replica, so adding backends spreads read
-// load the same way it spreads writes.
-func BenchmarkShardRead(b *testing.B) {
-	const payloadSize = 1 << 20
-	payload := make([]byte, payloadSize)
-	for _, n := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("backends=%d", n), func(b *testing.B) {
-			members := make([]Member, n)
-			for i := range members {
-				members[i] = Member{
-					Name:  fmt.Sprintf("iod-%d", i),
-					Store: iostore.New(nvm.Pacer{}),
-				}
-			}
-			s, err := New(members, Config{Replicas: 2, Probe: -1})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer s.Close()
-			const objects = 64
-			for id := uint64(1); id <= objects; id++ {
-				obj := iostore.Object{
-					Key:      iostore.Key{Job: "bench", Rank: 0, ID: id},
-					OrigSize: payloadSize,
-					Blocks:   [][]byte{payload},
-				}
-				if err := s.Put(context.Background(), obj); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.SetBytes(payloadSize)
-			var seq atomic.Uint64
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				for pb.Next() {
-					id := seq.Add(1)%objects + 1
-					if _, err := s.Get(context.Background(), iostore.Key{Job: "bench", Rank: 0, ID: id}); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		})
-	}
-}

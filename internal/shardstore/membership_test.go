@@ -299,28 +299,6 @@ func TestDropReplicaSurvivesReassignment(t *testing.T) {
 	s.dropReplica(k, victim)
 }
 
-func TestObserveLatencyConcurrentSamples(t *testing.T) {
-	// Hammer one backend's EWMA from many goroutines: every sample must
-	// land (the CAS loops), so the EWMA ends inside the sampled range —
-	// a lossy CAS under contention leaves it pinned at the initial value.
-	b := &backend{}
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < 1000; i++ {
-				b.observeLatency(time.Duration(1+g) * time.Millisecond)
-			}
-		}(g)
-	}
-	wg.Wait()
-	got := time.Duration(b.latency())
-	if got < 1*time.Millisecond || got > 8*time.Millisecond {
-		t.Errorf("EWMA after concurrent samples = %v, want within [1ms, 8ms]", got)
-	}
-}
-
 // halfUpBackend answers reads and inventory but fails every write: the
 // probe's cheap IDs call looks fine while the backend is still broken.
 type halfUpBackend struct {

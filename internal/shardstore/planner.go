@@ -69,7 +69,7 @@ func (s *Store) PlanRebalance(ctx context.Context) (*Plan, error) {
 			keys, err := b.store.Keys(cctx)
 			if err != nil {
 				errs[i] = err
-				s.blame(ctx, b, err)
+				s.blame(ctx, b)
 				return
 			}
 			listings[i] = keys
@@ -286,7 +286,7 @@ func (s *Store) moveKey(ctx context.Context, kp keyPlan) (moved, dropped int, er
 			cancel()
 			if err != nil {
 				readErr = fmt.Errorf("shardstore: move %s: read from %s: %w", kp.key, cand.name, err)
-				s.blame(ctx, cand, err)
+				s.blame(ctx, cand)
 				continue
 			}
 			obj, src = o, cand
@@ -300,7 +300,7 @@ func (s *Store) moveKey(ctx context.Context, kp keyPlan) (moved, dropped int, er
 		meta.Blocks = nil
 		for _, dst := range kp.adds {
 			if err := s.copyObject(ctx, dst, obj, meta); err != nil {
-				s.blame(ctx, dst, err)
+				s.blame(ctx, dst)
 				s.cleanupAdds(ctx, kp)
 				return fail(fmt.Errorf("shardstore: move %s to %s: %w", kp.key, dst.name, err))
 			}
@@ -328,7 +328,7 @@ func (s *Store) moveKey(ctx context.Context, kp keyPlan) (moved, dropped int, er
 		err := src.store.Delete(cctx, kp.key)
 		cancel()
 		if err != nil && !errors.Is(err, iostore.ErrNotFound) {
-			s.blame(ctx, src, err)
+			s.blame(ctx, src)
 			return fail(fmt.Errorf("shardstore: drop %s from %s: %w", kp.key, src.name, err))
 		}
 		dropped++
@@ -365,7 +365,7 @@ func (s *Store) cleanupAdds(ctx context.Context, kp keyPlan) {
 		err := dst.store.Delete(cctx, kp.key)
 		cancel()
 		if err != nil && !errors.Is(err, iostore.ErrNotFound) {
-			s.blame(ctx, dst, err)
+			s.blame(ctx, dst)
 		}
 	}
 }

@@ -18,9 +18,14 @@
 // re-replication copies the object back up to R replicas once a healthy
 // backend is available.
 //
-// Reads try the fastest healthy replica first (EWMA of observed call
-// latency) and fail over down the candidate list on transport errors;
-// "not found" is reported only when every reachable candidate agrees.
+// Reads are dealt across the key's read set — the healthy members of its
+// sticky assignment, or of its top-R HRW ranking when this client never
+// wrote the key — to the member with the fewest calls in flight (ties go to
+// block index mod set size), so a block-streamed restore uses every healthy
+// holder's lanes. Behind that first choice a read fails over down the rest
+// of the set, the unhealthy holders and every other backend on transport
+// errors and on "absent" answers; "not found" is reported only when every
+// reachable candidate agrees.
 package shardstore
 
 import (
@@ -28,7 +33,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
-	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -111,7 +115,7 @@ type Member struct {
 	Close func() error
 }
 
-// backend is one member plus its health/latency/membership state.
+// backend is one member plus its health/load/membership state.
 type backend struct {
 	name  string
 	store iostore.Backend
@@ -130,9 +134,12 @@ type backend struct {
 	// everRejoined marks a backend that has been probed back to healthy
 	// at least once: a later health loss on such a backend is a flap.
 	everRejoined atomic.Bool
-	// ewmaNanos is the smoothed observed call latency (float64 bits);
-	// zero means "no observation yet" and sorts as fast.
-	ewmaNanos atomic.Uint64
+	// inflight counts this client's read and write calls outstanding against
+	// the backend; a read goes to the healthy holder with the fewest. A count
+	// reacts within one call, and a holder that stops being chosen drains to
+	// zero and is chosen again — an average of observed latency that orders
+	// reads starves the slow replica of the samples it needs to recover.
+	inflight atomic.Int32
 }
 
 func (b *backend) memberState() MemberState { return MemberState(b.state.Load()) }
@@ -143,31 +150,6 @@ func (b *backend) memberState() MemberState { return MemberState(b.state.Load())
 func (b *backend) eligible() bool {
 	st := b.memberState()
 	return st == StateJoining || st == StateActive
-}
-
-// observeLatency folds one latency sample into the EWMA. The CAS MUST
-// loop: a single compare-and-swap that gives up when it loses a race
-// silently discards the sample, and under concurrent reads the loser is
-// systematically the slow replica's sample — starving the EWMA that
-// drives fastest-replica ordering (regression-tested by
-// TestObserveLatencyConcurrentSamples).
-func (b *backend) observeLatency(d time.Duration) {
-	const alpha = 0.25
-	for {
-		old := b.ewmaNanos.Load()
-		prev := math.Float64frombits(old)
-		next := float64(d.Nanoseconds())
-		if old != 0 {
-			next = alpha*next + (1-alpha)*prev
-		}
-		if b.ewmaNanos.CompareAndSwap(old, math.Float64bits(next)) {
-			return
-		}
-	}
-}
-
-func (b *backend) latency() float64 {
-	return math.Float64frombits(b.ewmaNanos.Load())
 }
 
 // objState is the sticky replica assignment of one object.
@@ -445,16 +427,30 @@ func (s *Store) callCtx(ctx context.Context) (context.Context, context.CancelFun
 	return context.WithTimeout(ctx, s.cfg.CallTimeout)
 }
 
+// call runs one read or write against b under callCtx, counted in b's
+// in-flight total while it lasts.
+func (s *Store) call(ctx context.Context, b *backend, op func(ctx context.Context, b *backend) error) error {
+	cctx, cancel := s.callCtx(ctx)
+	defer cancel()
+	b.inflight.Add(1)
+	defer b.inflight.Add(-1)
+	t0 := time.Now()
+	err := op(cctx, b)
+	if err == nil && s.mCallSecs != nil {
+		s.mCallSecs.ObserveSince(t0)
+	}
+	return err
+}
+
 // blame marks b unhealthy after a failed call — unless the caller's own
 // context ended, in which case the failure proves nothing about b. A
 // backend that loses health after having been probed back in is a flap:
 // counted, and its probe streak restarts from zero.
-func (s *Store) blame(ctx context.Context, b *backend, err error) {
+func (s *Store) blame(ctx context.Context, b *backend) {
 	inc(s.mReplicaErrs)
 	if ctx.Err() != nil {
 		return
 	}
-	_ = err
 	b.probeStreak.Store(0)
 	if b.healthy.Swap(false) && b.everRejoined.Load() {
 		inc(s.mFlaps)
@@ -597,19 +593,10 @@ func (s *Store) fanOutWrite(ctx context.Context, key iostore.Key,
 		wg.Add(1)
 		go func(i int, b *backend) {
 			defer wg.Done()
-			cctx, cancel := s.callCtx(ctx)
-			defer cancel()
-			t0 := time.Now()
-			err := write(cctx, b)
-			if err == nil {
-				b.observeLatency(time.Since(t0))
-				if s.mCallSecs != nil {
-					s.mCallSecs.ObserveSince(t0)
-				}
-				return
+			if err := s.call(ctx, b, write); err != nil {
+				errs[i] = err
+				s.blame(ctx, b)
 			}
-			errs[i] = err
-			s.blame(ctx, b, err)
 		}(i, b)
 	}
 	wg.Wait()
@@ -650,57 +637,99 @@ func (s *Store) PutBlock(ctx context.Context, key iostore.Key, meta iostore.Obje
 	})
 }
 
-// readCandidates orders backends for a read of key: the sticky replica set
-// first (healthy before unhealthy, then by EWMA latency — the "fastest
-// healthy replica" order), then every other backend in HRW order as a last
-// resort (this client may not have written the object).
-func (s *Store) readCandidates(key iostore.Key) []*backend {
-	assigned := s.replicasOf(key)
-	inSet := make(map[*backend]bool, len(assigned))
-	for _, b := range assigned {
-		inSet[b] = true
+// readOrder starts the candidate list of a read of key with the key's
+// holders: the sticky assignment when this client has one, otherwise the top
+// R of the key's HRW ranking — where the writer put it unless a backend was
+// down or the membership has changed since, and a wrong guess costs that
+// read one "absent" round trip. The healthy holders are the read set and
+// lead the list, the one with the fewest calls in flight first; ties go to
+// index mod the set's size, so the blocks of a streamed restore that starts
+// cold are dealt round-robin. An untracked key's list is already complete
+// (full): the rest of its ranking follows the holders. A tracked key's is
+// not: the other backends are ranked by readFrom, and only once every holder
+// has failed. buf is the caller's stack space for the common case.
+func (s *Store) readOrder(key iostore.Key, index int, buf []*backend) (cands []*backend, full bool) {
+	s.mu.Lock()
+	st, tracked := s.objs[key]
+	if tracked {
+		cands = append(buf, st.replicas...)
 	}
-	sort.SliceStable(assigned, func(i, j int) bool {
-		hi, hj := assigned[i].healthy.Load(), assigned[j].healthy.Load()
-		if hi != hj {
-			return hi
-		}
-		return assigned[i].latency() < assigned[j].latency()
-	})
-	out := assigned
-	for _, b := range s.ranking(key) {
-		if !inSet[b] {
-			out = append(out, b)
+	s.mu.Unlock()
+	holders := len(cands)
+	if !tracked {
+		cands, full = s.ranking(key), true
+		holders = min(s.cfg.Replicas, len(cands))
+	}
+	healthy := 0
+	for i, b := range cands[:holders] { // stable partition, healthy first
+		if b.healthy.Load() {
+			copy(cands[healthy+1:i+1], cands[healthy:i])
+			cands[healthy] = b
+			healthy++
 		}
 	}
-	return out
+	if healthy > 1 {
+		best := int(uint(index) % uint(healthy))
+		for j := 1; j < healthy; j++ {
+			k := int(uint(index+j) % uint(healthy))
+			if cands[k].inflight.Load() < cands[best].inflight.Load() {
+				best = k
+			}
+		}
+		cands[0], cands[best] = cands[best], cands[0]
+	}
+	return cands, full
 }
 
-// readFrom tries candidates in order until one serves the read. Transport
-// errors fail over to the next candidate; "not found" answers are
-// remembered and only reported when no candidate errored (a replica that
-// is missing the object while another is unreachable proves nothing).
-func (s *Store) readFrom(ctx context.Context, key iostore.Key,
+// appendOthers completes a tracked key's candidate list: every backend not
+// already on it, in HRW order (re-replication or a rebalance by another
+// client may have moved the object).
+func (s *Store) appendOthers(cands []*backend, key iostore.Key) []*backend {
+	holders := cands
+ranked:
+	for _, b := range s.ranking(key) {
+		for _, h := range holders {
+			if h == b {
+				continue ranked
+			}
+		}
+		cands = append(cands, b)
+	}
+	return cands
+}
+
+// readFrom deals one read of key to the least busy member of its read set
+// (readOrder; index is the block for GetBlock, 0 otherwise), so every healthy
+// holder's lanes carry a streamed restore. Behind that choice the read fails
+// over, one CallTimeout each at most, to the rest of the read set, then the
+// unhealthy holders, then every other backend in HRW order. Transport errors
+// blame the candidate; "not found" answers (a replica that never got the
+// object, or lacks this block of it) do not, and are reported only when no
+// candidate errored — a replica that is missing the object while another is
+// unreachable proves nothing.
+func (s *Store) readFrom(ctx context.Context, key iostore.Key, index int,
 	read func(ctx context.Context, b *backend) error) error {
 	if s.closed.Load() {
 		return errors.New("shardstore: closed")
 	}
+	var buf [4]*backend
+	cands, full := s.readOrder(key, index, buf[:0])
 	var lastErr error
 	notFound := false
-	for i, b := range s.readCandidates(key) {
+	for i := 0; ; i++ {
+		if i == len(cands) && !full {
+			cands, full = s.appendOthers(cands, key), true
+		}
+		if i == len(cands) {
+			break
+		}
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		cctx, cancel := s.callCtx(ctx)
-		t0 := time.Now()
-		err := read(cctx, b)
-		cancel()
+		b := cands[i]
+		err := s.call(ctx, b, read)
 		switch {
 		case err == nil:
-			b.observeLatency(time.Since(t0))
-			if s.mCallSecs != nil {
-				s.mCallSecs.ObserveSince(t0)
-			}
 			inc(s.mReads)
 			if i > 0 {
 				inc(s.mFailovers)
@@ -709,7 +738,7 @@ func (s *Store) readFrom(ctx context.Context, key iostore.Key,
 		case errors.Is(err, iostore.ErrNotFound):
 			notFound = true
 		default:
-			s.blame(ctx, b, err)
+			s.blame(ctx, b)
 			lastErr = err
 		}
 	}
@@ -725,7 +754,7 @@ func (s *Store) readFrom(ctx context.Context, key iostore.Key,
 // Get implements iostore.Backend.
 func (s *Store) Get(ctx context.Context, key iostore.Key) (iostore.Object, error) {
 	var out iostore.Object
-	err := s.readFrom(ctx, key, func(ctx context.Context, b *backend) error {
+	err := s.readFrom(ctx, key, 0, func(ctx context.Context, b *backend) error {
 		o, err := b.store.Get(ctx, key)
 		if err == nil {
 			out = o
@@ -735,12 +764,14 @@ func (s *Store) Get(ctx context.Context, key iostore.Key) (iostore.Object, error
 	return out, err
 }
 
-// GetBlock implements iostore.Backend (the streamed-restore fetch path;
-// each block fails over independently, so a backend dying mid-restore
-// costs one failover, not the restore).
+// GetBlock implements iostore.Backend (the streamed-restore fetch path):
+// the blocks of one object are dealt across its healthy holders, and each
+// block fails over independently, so a backend dying mid-restore — or a
+// holder torn mid-write that lacks this block — costs a failover per block
+// dealt to it, not the restore.
 func (s *Store) GetBlock(ctx context.Context, key iostore.Key, index int) ([]byte, error) {
 	var out []byte
-	err := s.readFrom(ctx, key, func(ctx context.Context, b *backend) error {
+	err := s.readFrom(ctx, key, index, func(ctx context.Context, b *backend) error {
 		blk, err := b.store.GetBlock(ctx, key, index)
 		if err == nil {
 			out = blk
@@ -758,7 +789,7 @@ func (s *Store) StatBlocks(ctx context.Context, key iostore.Key) (iostore.Object
 		meta   iostore.Object
 		blocks int
 	)
-	err := s.readFrom(ctx, key, func(ctx context.Context, b *backend) error {
+	err := s.readFrom(ctx, key, 0, func(ctx context.Context, b *backend) error {
 		o, n, ok, err := b.store.StatBlocks(ctx, key)
 		if err != nil {
 			return err
@@ -786,7 +817,7 @@ func (s *Store) Stat(ctx context.Context, key iostore.Key) (iostore.Object, bool
 	var (
 		meta iostore.Object
 	)
-	err := s.readFrom(ctx, key, func(ctx context.Context, b *backend) error {
+	err := s.readFrom(ctx, key, 0, func(ctx context.Context, b *backend) error {
 		o, ok, err := b.store.Stat(ctx, key)
 		if err != nil {
 			return err
@@ -835,7 +866,7 @@ func (s *Store) Delete(ctx context.Context, key iostore.Key) error {
 				// is. Without an inventory we must assume the worst and
 				// report it.
 				errs[i] = fmt.Errorf("shardstore: delete %s on %s: %w", key, b.name, err)
-				s.blame(ctx, b, err)
+				s.blame(ctx, b)
 			}
 		}(i, b)
 	}
@@ -865,7 +896,7 @@ func (s *Store) inventory(ctx context.Context, list func(ctx context.Context, b 
 			out, err := list(cctx, b)
 			if err != nil {
 				errs[i] = err
-				s.blame(ctx, b, err)
+				s.blame(ctx, b)
 				return
 			}
 			ids[i] = out
@@ -941,7 +972,7 @@ func (s *Store) Keys(ctx context.Context) ([]iostore.Key, error) {
 			out, err := b.store.Keys(cctx)
 			if err != nil {
 				errs[i] = err
-				s.blame(ctx, b, err)
+				s.blame(ctx, b)
 				return
 			}
 			listings[i] = out
@@ -1149,7 +1180,7 @@ func (s *Store) repairObject(ctx context.Context, key iostore.Key) (bool, error)
 		err := b.store.Put(cctx, obj)
 		cancel()
 		if err != nil {
-			s.blame(ctx, b, err)
+			s.blame(ctx, b)
 			continue
 		}
 		holders[b] = true

@@ -264,8 +264,9 @@ func TestReadFailsOverToSurvivingReplica(t *testing.T) {
 	if err := s.Put(context.Background(), obj(9, "precious")); err != nil {
 		t.Fatal(err)
 	}
-	// Kill the replica the read would try first.
-	first := s.readCandidates(k)[0]
+	// Kill the replica the read would be dealt to.
+	order, _ := s.readOrder(k, 0, nil)
+	first := order[0]
 	for i, f := range flakies {
 		if fmt.Sprintf("iod-%d", i) == first.name {
 			f.down.Store(true)
