@@ -23,7 +23,8 @@ import (
 // coordinated cluster draining through the tier. One backend is killed
 // while the NDP engines are mid-drain; the run asserts no committed
 // restart line is lost, recovers the cluster from the surviving replicas,
-// and re-replicates every object back to R copies.
+// and fails unless the repair pass returns every committed object to R whole
+// copies.
 func runShardChaos() error {
 	const (
 		ranks    = 2
@@ -146,15 +147,23 @@ func runShardChaos() error {
 	}
 	fmt.Printf("  recovered checkpoint %d (step %d) from the I/O level with iod-1 dead\n", out.ID, out.Step)
 
-	// Re-replicate what the dead backend held back up to R.
-	fixed, err := store.Rereplicate(context.Background())
+	// Repair what the dead backend held back up to R whole copies: every
+	// committed key, not just the recovered line, and a torn copy does not
+	// count as one.
+	moved, err := store.RepairInventory(context.Background())
 	if err != nil {
-		fmt.Printf("  rereplicate note: %v\n", err)
+		return fmt.Errorf("repair after backend death: %w", err)
 	}
-	fmt.Printf("  re-replicated %d objects back to 2 copies\n", fixed)
-	for i := 0; i < ranks; i++ {
-		k := iostore.Key{Job: "shardchaos", Rank: i, ID: out.ID}
-		fmt.Printf("  rank %d checkpoint %d now on %d backends\n", i, out.ID, store.ReplicaCount(context.Background(), k))
+	fmt.Printf("  repair created %d object copies\n", moved)
+	for _, id := range committed {
+		for i := 0; i < ranks; i++ {
+			k := iostore.Key{Job: "shardchaos", Rank: i, ID: id}
+			n := store.ReplicaCount(context.Background(), k)
+			fmt.Printf("  rank %d checkpoint %d now on %d backends\n", i, id, n)
+			if n < 2 {
+				return fmt.Errorf("shard-chaos: rank %d checkpoint %d on %d whole replicas after repair, want 2", i, id, n)
+			}
+		}
 	}
 
 	fmt.Println("\n--- shardstore metrics ---")

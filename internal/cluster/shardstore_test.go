@@ -55,7 +55,7 @@ func shardCluster(t *testing.T, ranks, backends int) (*Cluster, []*appRank, *sha
 	store, err := shardstore.Dial(addrs, 2, shardstore.Config{
 		Replicas:    2,
 		CallTimeout: 300 * time.Millisecond,
-		Probe:       -1, // tests drive Rereplicate explicitly
+		Probe:       -1, // tests drive RepairInventory explicitly
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -93,7 +93,7 @@ func shardCluster(t *testing.T, ranks, backends int) (*Cluster, []*appRank, *sha
 // scenario: with 3 backends and R=2, killing any single I/O node while the
 // NDP engines are draining a committed checkpoint must lose no restart
 // line — the drain completes on surviving replicas, recovery succeeds from
-// the I/O level, and re-replication returns every object to 2 copies.
+// the I/O level, and the repair pass returns every object to 2 whole copies.
 func TestShardClusterSurvivesBackendDeathMidDrain(t *testing.T) {
 	const ranks, backends = 2, 3
 	for victim := 0; victim < backends; victim++ {
@@ -133,10 +133,10 @@ func TestShardClusterSurvivesBackendDeathMidDrain(t *testing.T) {
 				}
 			}
 
-			// Re-replication restores every surviving object to R copies
-			// across the two live backends.
-			if _, err := store.Rereplicate(context.Background()); err != nil {
-				t.Fatalf("rereplicate: %v", err)
+			// The repair pass restores every surviving object to R whole
+			// copies across the two live backends.
+			if _, err := store.RepairInventory(context.Background()); err != nil {
+				t.Fatalf("repair: %v", err)
 			}
 			for i := 0; i < ranks; i++ {
 				k := iostore.Key{Job: "shardjob", Rank: i, ID: id}

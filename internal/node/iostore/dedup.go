@@ -275,8 +275,8 @@ func (s *DedupStore) Latest(ctx context.Context, job string, rank int) (uint64, 
 	return ids[len(ids)-1], true, nil
 }
 
-// StatBlocks reports metadata plus block count; DedupStore serves block
-// reads from its content table.
+// StatBlocks reports metadata plus the count of blocks held (a gap is not
+// one); DedupStore serves block reads from its content table.
 func (s *DedupStore) StatBlocks(ctx context.Context, key Key) (Object, int, bool, error) {
 	if err := ctx.Err(); err != nil {
 		return Object{}, 0, false, err
@@ -287,7 +287,13 @@ func (s *DedupStore) StatBlocks(ctx context.Context, key Key) (Object, int, bool
 	if !ok {
 		return Object{}, 0, false, nil
 	}
-	return o.meta, len(o.digests), true, nil
+	n := 0
+	for _, held := range o.present {
+		if held {
+			n++
+		}
+	}
+	return o.meta, n, true, nil
 }
 
 // GetBlock reconstructs one block from the content table, pacing its

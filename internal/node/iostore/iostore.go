@@ -79,7 +79,9 @@ func (o Object) StoredSize() int64 {
 //     deadlines.
 //   - Block streaming (StatBlocks/GetBlock) is part of the surface, not an
 //     optional assertion, and is the one read path restores use. StatBlocks
-//     ok=false with err=nil means the object is absent. GetBlock of a block
+//     ok=false with err=nil means the object is absent; its count is the
+//     blocks the backend holds, not the object's length, so a copy with a gap
+//     or a short tail reports fewer than a whole one. GetBlock of a block
 //     the backend does not hold — no such object, an index past its end, or
 //     a gap inside it that no PutBlock ever filled (windowed writes land out
 //     of order, so a writer that died mid-object leaves gaps) — wraps
@@ -324,8 +326,9 @@ func (s *Store) Latest(ctx context.Context, job string, rank int) (uint64, bool,
 	return ids[len(ids)-1], true, nil
 }
 
-// StatBlocks returns metadata plus block count, no payload and no pacing
-// (pacing charges the blocks as they are fetched).
+// StatBlocks returns metadata plus the count of blocks held (a gap is not
+// one), no payload and no pacing (pacing charges the blocks as they are
+// fetched).
 func (s *Store) StatBlocks(ctx context.Context, key Key) (Object, int, bool, error) {
 	if err := ctx.Err(); err != nil {
 		return Object{}, 0, false, err
@@ -336,7 +339,12 @@ func (s *Store) StatBlocks(ctx context.Context, key Key) (Object, int, bool, err
 	if !ok {
 		return Object{}, 0, false, nil
 	}
-	n := len(o.Blocks)
+	n := 0
+	for _, b := range o.Blocks {
+		if b != nil {
+			n++
+		}
+	}
 	o.Blocks = nil
 	return o, n, true, nil
 }

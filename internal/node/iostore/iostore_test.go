@@ -188,6 +188,11 @@ func TestGetBlockNeverServesAGap(t *testing.T) {
 				t.Errorf("%s: GetBlock(%d) of a block never written = %q, %v; want ErrNotFound", name, index, b, err)
 			}
 		}
+		// StatBlocks counts the blocks held (0, 2, 4), not the length: a copy
+		// with gaps disagrees with a whole one.
+		if _, n, ok, err := s.StatBlocks(ctx, key); err != nil || !ok || n != 3 {
+			t.Errorf("%s: StatBlocks of 3 blocks held over 5 indexes = %d, %v, %v; want 3", name, n, ok, err)
+		}
 		if b, err := s.GetBlock(ctx, key, 2); err != nil || len(b) != 0 {
 			t.Errorf("%s: GetBlock of a block written empty = %q, %v", name, b, err)
 		}

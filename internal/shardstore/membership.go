@@ -17,14 +17,14 @@ import (
 //	                                                        │
 //	                              removed ◀── drained ◀─────┘ (store empty)
 //
-// — driven by a single watcher goroutine. The watcher plans key moves from
-// the *store inventory* (every backend's Keys listing merged), not from the
-// in-memory sticky-assignment map, so it repairs and rebalances objects this
-// client has never written — including everything written before a client
-// restart. Moves are throttled by Config.MoverBudget and run through the
-// repair-style copy path; a draining backend gives up a replica only after
-// R copies are confirmed elsewhere, so a crash mid-drain never drops the
-// last copy.
+// — driven by the controller goroutine (watcher), the one goroutine a Store
+// owns and the only thing that migrates data. After a membership change it
+// runs the repair pass (planner.go) over the *store inventory*, so it
+// rebalances objects this client has never written — including everything
+// written before a client restart; on the probe tick it probes unhealthy
+// members and runs the same pass over the keys this client tracks that are
+// short of R. A draining backend gives up a replica only after R whole copies
+// are confirmed elsewhere, so a crash mid-drain never drops the last copy.
 
 // MemberState is a backend's membership state. The zero value is
 // StateActive: backends present at construction are full members.
@@ -96,8 +96,8 @@ func (s *Store) emit(ev Event) {
 	}
 }
 
-// kickWatcher nudges the membership watcher without blocking (the channel
-// holds one pending kick; a second is redundant).
+// kickWatcher nudges the controller without blocking (the channel holds one
+// pending kick; a second is redundant).
 func (s *Store) kickWatcher() {
 	select {
 	case s.memberKick <- struct{}{}:
@@ -205,7 +205,7 @@ func (s *Store) WaitDecommissioned(ctx context.Context, name string) error {
 		case <-ctx.Done():
 			st, _ := s.MemberState(name)
 			return fmt.Errorf("shardstore: decommission of %q incomplete (state %s): %w", name, st, ctx.Err())
-		case <-s.stop:
+		case <-s.runCtx.Done():
 			return errors.New("shardstore: closed")
 		case <-tick.C:
 		}
@@ -235,22 +235,30 @@ func (s *Store) MemberState(name string) (MemberState, bool) {
 	return 0, false
 }
 
-// watcher is the drain controller: one goroutine that, on every kick (and
-// on a retry timer while work is pending), plans a rebalance from the
-// store inventory, executes it under the mover budget, and settles state
-// transitions — joining backends activate once their backfill drains,
-// draining backends are removed once their store is empty.
+// watcher is the controller: the one goroutine that repairs and rebalances.
+// It wakes on a membership kick — and on a retry timer while that work is
+// pending — to run an inventory pass and settle state transitions (joining
+// backends activate once their backfill drains, draining backends are
+// removed once their store is empty), and, when Probe > 0, on the probe tick.
+// With Probe < 0 and no kick it never wakes and calls no backend.
 func (s *Store) watcher() {
 	defer close(s.watcherDone)
-	retry := s.cfg.Probe
-	if retry <= 0 {
-		retry = 200 * time.Millisecond
+	retry := 200 * time.Millisecond
+	var tick <-chan time.Time
+	if s.cfg.Probe > 0 {
+		retry = s.cfg.Probe
+		t := time.NewTicker(s.cfg.Probe)
+		defer t.Stop()
+		tick = t.C
 	}
 	var timer <-chan time.Time
 	for {
 		select {
-		case <-s.stop:
+		case <-s.runCtx.Done():
 			return
+		case <-tick:
+			s.probeTick(s.runCtx)
+			continue
 		case <-s.memberKick:
 		case <-timer:
 		}
@@ -262,30 +270,41 @@ func (s *Store) watcher() {
 	}
 }
 
-// rebalancePass runs one plan→execute→settle cycle. It reports whether
-// membership is settled (no pending moves, no joining/draining members).
+// probeTick is the time-triggered pass: probe unhealthy members back in, then
+// repair the keys this client tracks that are short of R or name an unhealthy
+// member (a replica dropped mid-write is healed here). Failed moves are
+// counted and retried by the next tick.
+func (s *Store) probeTick(ctx context.Context) {
+	s.probe(ctx)
+	if plan, err := s.plan(ctx, s.suspectKeys); err == nil {
+		s.executePlan(ctx, plan)
+	}
+}
+
+// rebalancePass runs one inventory plan→execute→settle cycle. It reports
+// whether membership is settled (no pending moves, no joining/draining
+// members).
 func (s *Store) rebalancePass(ctx context.Context) (bool, error) {
-	plan, err := s.PlanRebalance(ctx)
+	plan, err := s.plan(ctx, s.listedKeys)
 	if err != nil {
 		return false, err
 	}
+	pendingDrops := 0
+	for _, kp := range plan {
+		pendingDrops += len(kp.removes)
+	}
 	if s.mDrainRemain != nil {
-		_, pendingDrops := plan.Summary()
 		s.mDrainRemain.Set(int64(pendingDrops))
 	}
-	moved, dropped, execErr := s.executePlan(ctx, plan)
+	_, dropped, execErr := s.executePlan(ctx, plan)
 	if s.mDrainRemain != nil {
-		_, pendingDrops := plan.Summary()
 		s.mDrainRemain.Set(int64(pendingDrops - dropped))
-	}
-	if moved > 0 || dropped > 0 {
-		s.emit(Event{Kind: EventRebalanced, Moved: moved, Dropped: dropped})
 	}
 	settled, err := s.settleMembership(ctx)
 	if execErr != nil {
 		return false, execErr
 	}
-	return settled && len(plan.keys) == 0, err
+	return settled && len(plan) == 0, err
 }
 
 // settleMembership promotes joining members whose backfill has drained and
@@ -294,28 +313,30 @@ func (s *Store) rebalancePass(ctx context.Context) (bool, error) {
 func (s *Store) settleMembership(ctx context.Context) (bool, error) {
 	settled := true
 	var firstErr error
+	// pending counts the copies one fresh plan still schedules onto each
+	// member: a joining member with none is fully backfilled.
+	var pending map[*backend]int
 	for _, b := range s.snapshot() {
 		switch b.memberState() {
 		case StateJoining:
-			// The pass above executed every planned move; if planning now
-			// finds nothing left for this backend it is fully backfilled.
-			// Cheap check: a joining backend with a reachable store and no
-			// planned moves is promoted by the next empty plan — so promote
-			// here if the fresh plan is empty for it.
-			n, err := s.pendingMovesTo(ctx, b)
-			if err != nil {
-				settled = false
-				if firstErr == nil {
-					firstErr = err
+			if pending == nil {
+				plan, err := s.plan(ctx, s.listedKeys)
+				if err != nil {
+					return false, err
 				}
+				pending = make(map[*backend]int)
+				for _, kp := range plan {
+					for _, dst := range kp.adds {
+						pending[dst]++
+					}
+				}
+			}
+			if pending[b] > 0 {
+				settled = false
 				continue
 			}
-			if n == 0 {
-				b.state.Store(int32(StateActive))
-				s.emit(Event{Kind: EventActivated, Backend: b.name})
-			} else {
-				settled = false
-			}
+			b.state.Store(int32(StateActive))
+			s.emit(Event{Kind: EventActivated, Backend: b.name})
 		case StateDraining:
 			cctx, cancel := s.callCtx(ctx)
 			keys, err := b.store.Keys(cctx)
@@ -339,24 +360,6 @@ func (s *Store) settleMembership(ctx context.Context) (bool, error) {
 	return settled, firstErr
 }
 
-// pendingMovesTo counts planned moves targeting b (is a joining backend's
-// backfill done?).
-func (s *Store) pendingMovesTo(ctx context.Context, b *backend) (int, error) {
-	plan, err := s.PlanRebalance(ctx)
-	if err != nil {
-		return 0, err
-	}
-	n := 0
-	for _, kp := range plan.keys {
-		for _, t := range kp.adds {
-			if t == b {
-				n++
-			}
-		}
-	}
-	return n, nil
-}
-
 // removeBackend takes a drained backend out of the set, scrubs it from
 // every sticky replica assignment, and closes its connection.
 func (s *Store) removeBackend(b *backend) {
@@ -372,9 +375,6 @@ func (s *Store) removeBackend(b *backend) {
 		for i, r := range st.replicas {
 			if r == b {
 				st.replicas = append(st.replicas[:i], st.replicas[i+1:]...)
-				if len(st.replicas) < s.cfg.Replicas {
-					st.under = true
-				}
 				break
 			}
 		}

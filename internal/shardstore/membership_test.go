@@ -183,19 +183,10 @@ func TestNewWritesAvoidDrainingBackend(t *testing.T) {
 // TestRestartBlindRepair is the regression for the standing gap the
 // planner closes: a fresh client (empty sticky-assignment map) must
 // discover and re-replicate under-replicated objects written by a previous
-// process. Rereplicate walks the in-memory map and is provably blind;
-// RepairInventory asks the stores.
+// process — RepairInventory asks the stores — while its background pass,
+// which is scoped to the keys the client tracks, must leave them alone.
 func TestRestartBlindRepair(t *testing.T) {
-	inners := make([]*iostore.Store, 3)
-	members := make([]Member, 3)
-	for i := range inners {
-		inners[i] = iostore.New(nvm.Pacer{})
-		members[i] = Member{Name: fmt.Sprintf("iod-%d", i), Store: inners[i]}
-	}
-	writer, err := New(members, Config{Replicas: 2, Probe: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	writer, flakies, inners := rig(t, 3, Config{Replicas: 2})
 	for id := uint64(1); id <= 12; id++ {
 		if err := writer.Put(context.Background(), obj(id, "from-the-past")); err != nil {
 			t.Fatal(err)
@@ -220,14 +211,19 @@ func TestRestartBlindRepair(t *testing.T) {
 		t.Fatalf("damaged %d/12 objects", damaged)
 	}
 
-	fresh, err := New(members, Config{Replicas: 2, Probe: -1})
-	if err != nil {
-		t.Fatal(err)
+	fresh := clientOver(t, flakies, Config{Replicas: 2})
+	// A probe-tick pass on a client that tracks nothing lists no inventory
+	// (and asks nobody anything): every rank runs a client over the same
+	// stores, and they must not all repair each other's objects in the
+	// background.
+	for _, f := range flakies {
+		f.calls.Store(0)
 	}
-	defer fresh.Close()
-	// The old repair path cannot see any of it: its map is empty.
-	if fixed, err := fresh.Rereplicate(context.Background()); err != nil || fixed != 0 {
-		t.Fatalf("Rereplicate on a fresh client = %d, %v; want 0 (it is blind)", fixed, err)
+	fresh.probeTick(context.Background())
+	for i, f := range flakies {
+		if n := f.calls.Load(); n != 0 {
+			t.Errorf("backend %d was handed %d calls by a probe tick that tracks no key (%d listings)", i, n, f.lists.Load())
+		}
 	}
 	if n := fresh.ReplicaCount(context.Background(), key(1)); n != 1 {
 		t.Fatalf("precondition: object 1 has %d replicas, want 1", n)
@@ -329,7 +325,7 @@ func TestProbeFlapDampingCountsFlaps(t *testing.T) {
 		{Name: "iod-ok", Store: iostore.New(nvm.Pacer{})},
 		{Name: "iod-ok2", Store: iostore.New(nvm.Pacer{})},
 	}
-	s, err := New(members, Config{Replicas: 2, Probe: -1, RejoinProbes: 3})
+	s, err := New(members, Config{Replicas: 2, Probe: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -347,7 +343,7 @@ func TestProbeFlapDampingCountsFlaps(t *testing.T) {
 		t.Fatal("write-broken backend still healthy")
 	}
 	// Its IDs path answers, so probes succeed — but damping holds it out
-	// until RejoinProbes consecutive successes.
+	// until rejoinProbes consecutive successes.
 	if n := s.probe(context.Background()); n != 0 {
 		t.Fatalf("first probe re-admitted %d backends", n)
 	}

@@ -4,143 +4,149 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 
 	"ndpcr/internal/node/iostore"
 )
 
-// The rebalance planner computes key moves from the *store inventory* — the
-// union of every backend's Keys listing — not from the in-memory sticky
-// assignment map. The distinction matters after a client restart: the objs
-// map starts empty, so Rereplicate (which walks objs) cannot see, let alone
-// repair, anything written by the previous process. The planner can: it
-// asks the backends what they actually hold, compares that against the HRW
-// placement the current member set implies, and schedules copies until
-// every key has R replicas on eligible backends — and deletes to empty
-// draining backends once those copies are confirmed.
+// Repair, join backfill and drain-off are one algorithm, run by the
+// controller goroutine (watcher, membership.go) and by RepairInventory:
+// verify who holds a key whole (Store.verify — never a Keys listing, never
+// this process's memory of what it wrote), plan by comparing those holders
+// with the HRW placement the current member set implies (planKey, place),
+// move block by block under the write-generation guard (moveKey). Which keys
+// a pass looks at is a parameter (keySource), not a second path.
 
 // keyPlan is the planned work for one object: copy it to adds (from one of
 // sources), then — only if every add landed — delete it from removes.
 type keyPlan struct {
 	key     iostore.Key
-	sources []*backend // reachable holders, preferred read order
-	adds    []*backend // desired holders currently missing the object
-	removes []*backend // draining/drained holders to empty afterwards
+	meta    iostore.Object // the holders' StatBlocks answer: metadata, no payload…
+	blocks  int            // …and how many blocks a whole copy has
+	sources []*backend     // healthy verified holders, preferred read order
+	adds    []*backend     // desired homes without a whole copy
+	torn    []*backend     // backends holding a torn copy (an add among them is completed in place)
+	removes []*backend     // draining holders and stray torn copies to delete afterwards
 }
 
-// Plan is one rebalance schedule. Opaque outside the package: tests and
-// operators observe it through Summary counts.
-type Plan struct {
-	keys []keyPlan
-	// degraded counts backends whose inventory was unreachable (the plan
-	// skips drops that their unknown holdings could make unsafe).
-	degraded int
-}
+func (kp keyPlan) idle() bool { return len(kp.adds) == 0 && len(kp.removes) == 0 }
 
-// Summary reports the plan's size: objects to copy, replicas to drop.
-func (p *Plan) Summary() (moves, drops int) {
-	for _, kp := range p.keys {
-		moves += len(kp.adds)
-		drops += len(kp.removes)
-	}
-	return moves, drops
-}
+// keySource names the keys one pass looks at, each with the backends that
+// may hold it, and whether some member's holdings are out of its sight.
+type keySource func(ctx context.Context) (cands map[iostore.Key][]*backend, blind bool, err error)
 
-// PlanRebalance builds a rebalance plan from the live store inventory. It
-// tolerates up to R-1 unreachable backends (every key still has a
-// reachable replica, so the union is complete); at R the inventory is
-// incomplete and planning fails rather than scheduling deletes against a
-// listing that may be missing live objects.
-func (s *Store) PlanRebalance(ctx context.Context) (*Plan, error) {
-	if s.closed.Load() {
-		return nil, errors.New("shardstore: closed")
-	}
-	backends := s.snapshot()
-	listings := make([][]iostore.Key, len(backends))
-	errs := make([]error, len(backends))
-	var wg sync.WaitGroup
-	for i, b := range backends {
-		wg.Add(1)
-		go func(i int, b *backend) {
-			defer wg.Done()
-			cctx, cancel := s.callCtx(ctx)
-			defer cancel()
-			keys, err := b.store.Keys(cctx)
-			if err != nil {
-				errs[i] = err
-				s.blame(ctx, b)
-				return
-			}
-			listings[i] = keys
-		}(i, b)
-	}
-	wg.Wait()
-
-	unreachable := 0
-	var firstErr error
-	reachable := make(map[*backend]bool, len(backends))
-	for i, err := range errs {
-		if err != nil {
-			unreachable++
-			if firstErr == nil {
-				firstErr = fmt.Errorf("shardstore: inventory on %s: %w", backends[i].name, err)
-			}
-			continue
-		}
-		reachable[backends[i]] = true
-	}
-	if unreachable >= s.cfg.Replicas {
-		return nil, fmt.Errorf("shardstore: %d/%d backends unreachable (replication factor %d, inventory incomplete): %w",
-			unreachable, len(backends), s.cfg.Replicas, firstErr)
-	}
-	if unreachable > 0 {
-		inc(s.mInvDegraded)
-	}
-
-	holders := make(map[iostore.Key][]*backend)
+// listedKeys is the inventory source: every key any member lists, with the
+// members that list it (gather's ≥ R unreachable rule: past that a listing
+// may be missing live objects, and planning deletes against it is refused).
+func (s *Store) listedKeys(ctx context.Context) (map[iostore.Key][]*backend, bool, error) {
+	backends, listings, unreachable, err := gather(ctx, s, func(ctx context.Context, b *backend) ([]iostore.Key, error) {
+		return b.store.Keys(ctx)
+	})
+	cands := make(map[iostore.Key][]*backend)
 	for i, keys := range listings {
 		for _, k := range keys {
-			holders[k] = append(holders[k], backends[i])
+			cands[k] = append(cands[k], backends[i])
 		}
 	}
+	return cands, unreachable > 0, err
+}
 
-	plan := &Plan{degraded: unreachable}
-	for key, hs := range holders {
-		kp := s.planKey(backends, key, hs, unreachable)
-		if len(kp.adds) > 0 || len(kp.removes) > 0 {
-			plan.keys = append(plan.keys, kp)
+// suspectKeys is the background source: the keys this client tracks whose
+// sticky set is short of R or names an unhealthy member, each with every
+// healthy member as a candidate (an unhealthy one can be neither source nor
+// target, and asking a dead one costs a CallTimeout per key). The scoping is
+// deliberate: every ndpcr-node rank runs its own client over shared iod
+// servers, and a background pass over the whole inventory on every rank
+// would have N processes racing to repair each other's objects.
+func (s *Store) suspectKeys(context.Context) (map[iostore.Key][]*backend, bool, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	unhealthy := func(b *backend) bool { return !b.healthy.Load() }
+	healthy := slices.DeleteFunc(slices.Clone(s.backends), unhealthy)
+	cands := make(map[iostore.Key][]*backend)
+	for key, st := range s.objs {
+		if len(st.replicas) < s.cfg.Replicas || slices.ContainsFunc(st.replicas, unhealthy) {
+			cands[key] = healthy
 		}
 	}
-	// Deterministic execution order (map iteration above is not).
-	sort.Slice(plan.keys, func(i, j int) bool {
-		a, b := plan.keys[i].key, plan.keys[j].key
-		if a.Job != b.Job {
-			return a.Job < b.Job
+	return cands, len(healthy) < len(s.backends), nil
+}
+
+// sortedKeys lists a source's keys in the canonical (job, rank, ID) order.
+func sortedKeys(cands map[iostore.Key][]*backend) []iostore.Key {
+	keys := make([]iostore.Key, 0, len(cands))
+	for k := range cands {
+		keys = append(keys, k)
+	}
+	iostore.SortKeys(keys)
+	return keys
+}
+
+// plan builds the work list for source's keys, in key order. A pass whose
+// context ends mid-way is abandoned; the sets it verified stay installed, so
+// the next pass resumes rather than restarts.
+func (s *Store) plan(ctx context.Context, source keySource) ([]keyPlan, error) {
+	cands, blind, err := source(ctx)
+	if err != nil {
+		return nil, err
+	}
+	backends := s.snapshot()
+	var plan []keyPlan
+	for _, key := range sortedKeys(cands) {
+		if err := ctx.Err(); err != nil {
+			return nil, err
 		}
-		if a.Rank != b.Rank {
-			return a.Rank < b.Rank
+		if kp := s.planKey(ctx, backends, key, cands[key], blind); !kp.idle() {
+			plan = append(plan, kp)
 		}
-		return a.ID < b.ID
-	})
+	}
 	return plan, nil
 }
 
-// planKey decides one object's moves. Desired placement is the top R
-// healthy+eligible backends in HRW order; holders outside that set are
-// dropped only when draining (surplus copies on active backends are
-// harmless — Delete fans everywhere — but a draining backend must end
-// empty).
-func (s *Store) planKey(backends []*backend, key iostore.Key, hs []*backend, degraded int) keyPlan {
-	kp := keyPlan{key: key}
-	holding := make(map[*backend]bool, len(hs))
-	for _, b := range hs {
-		holding[b] = true
+// planKey verifies one key's candidates and plans its moves. A key whose
+// candidates are exactly the sticky set this client wrote, moved or verified
+// earlier, and which needs nothing, is not re-statted: a settled tier costs a
+// pass its listings and nothing more. A fresh client pays candidates ×
+// StatBlocks once per key, and installs what it verified.
+func (s *Store) planKey(ctx context.Context, backends []*backend, key iostore.Key, cands []*backend, blind bool) keyPlan {
+	gen, _, tracked := s.genOf(key)
+	if sameSet(s.replicasOf(key), cands) {
+		if kp := s.place(backends, key, cands, nil, blind); kp.idle() {
+			return kp
+		}
 	}
-	// Desired placement: top-R healthy eligible homes. An unhealthy
-	// eligible backend is never a copy target (the copy would just fail);
-	// if that leaves fewer than R homes the key stays partially placed and
-	// the watcher's next pass finishes the job after the backend heals.
+	c := s.verify(ctx, key, cands)
+	blind = blind || c.err != nil
+	kp := s.place(backends, key, c.whole, c.torn, blind)
+	kp.meta, kp.blocks = c.meta, c.blocks
+	if len(c.whole) == 0 && !blind {
+		// Every member answered and none holds it: another client deleted
+		// the object. Nothing to copy from, nothing to keep tracking.
+		kp.adds = nil
+	}
+	if kp.idle() {
+		s.installAssignment(key, kp.sources, gen, tracked)
+	}
+	return kp
+}
+
+// sameSet reports whether a and b (neither repeats a member) hold the same
+// backends.
+func sameSet(a, b []*backend) bool {
+	return len(a) == len(b) && !slices.ContainsFunc(a, func(x *backend) bool { return !slices.Contains(b, x) })
+}
+
+// place decides one object's moves from its verified copies. Desired
+// placement is the top R healthy+eligible backends in HRW order. An unhealthy
+// eligible backend is never a copy target (the copy would just fail); if that
+// leaves fewer than R homes the key stays partially placed and a later pass
+// finishes the job after the backend heals. Whole copies outside the desired
+// set are dropped only when draining (surplus copies on active backends are
+// harmless — Delete fans everywhere — but a draining backend must end empty);
+// torn copies outside it are garbage wherever they are.
+func (s *Store) place(backends []*backend, key iostore.Key, whole, torn []*backend, blind bool) keyPlan {
+	kp := keyPlan{key: key, torn: torn}
 	rank := rankingOf(backends, key)
 	var desired []*backend
 	for _, b := range rank {
@@ -153,7 +159,7 @@ func (s *Store) planKey(backends []*backend, key iostore.Key, hs []*backend, deg
 	}
 	safeCopies := 0
 	for _, b := range desired {
-		if holding[b] {
+		if slices.Contains(whole, b) {
 			safeCopies++
 		} else {
 			kp.adds = append(kp.adds, b)
@@ -161,102 +167,114 @@ func (s *Store) planKey(backends []*backend, key iostore.Key, hs []*backend, deg
 	}
 	// Preferred read order for the copy source: healthy holders first.
 	for _, b := range rank {
-		if holding[b] && b.healthy.Load() {
+		if slices.Contains(whole, b) && b.healthy.Load() {
 			kp.sources = append(kp.sources, b)
 		}
 	}
-	for _, b := range hs {
-		switch b.memberState() {
-		case StateDraining, StateDrained:
+	for _, b := range whole {
+		if !b.eligible() { // draining: must end empty
+			kp.removes = append(kp.removes, b)
+		}
+	}
+	for _, b := range torn {
+		if !slices.Contains(desired, b) {
 			kp.removes = append(kp.removes, b)
 		}
 	}
 	// A drop is only safe when, after the planned adds land, at least R
-	// copies live outside the draining holders (Decommission guarantees R
+	// whole copies live on the desired homes (Decommission guarantees R
 	// eligible homes remain, so a stalled drain means an unhealthy home,
-	// not an impossible one). With a degraded inventory an unlisted
-	// backend might be a holder we are counting on — hold the drops until
-	// every backend answers.
-	if degraded > 0 || safeCopies+len(kp.adds) < s.cfg.Replicas {
+	// not an impossible one). A member the pass could not see might be a
+	// holder we are counting on — hold the drops until every one answers.
+	if blind || safeCopies+len(kp.adds) < s.cfg.Replicas {
 		kp.removes = nil
 	}
 	return kp
 }
 
-// executePlan runs the plan's per-key copy/drop work, at most MoverBudget
-// objects in flight at once. Each key: read the object from a holder, copy
-// it to every missing desired replica, and only if all copies landed delete
-// it from the draining holders; the sticky assignment is then reinstalled
-// from the verified holder set. Failed keys are retried by the watcher's
+// executePlan runs the plan's per-key copy/drop work, at most moverBudget
+// objects in flight at once. Failed keys are retried by the controller's
 // next pass.
-func (s *Store) executePlan(ctx context.Context, plan *Plan) (moved, dropped int, err error) {
-	if len(plan.keys) == 0 {
-		return 0, 0, nil
-	}
+func (s *Store) executePlan(ctx context.Context, plan []keyPlan) (moved, dropped int, err error) {
 	var (
-		mu       sync.Mutex
-		firstErr error
-		wg       sync.WaitGroup
+		mu sync.Mutex // guards the three results while movers run
+		wg sync.WaitGroup
 	)
-	sem := make(chan struct{}, s.cfg.MoverBudget)
-	for i := range plan.keys {
-		kp := plan.keys[i]
+	sem := make(chan struct{}, moverBudget)
+	for _, kp := range plan {
 		select {
 		case <-ctx.Done():
-			return moved, dropped, ctx.Err()
 		case sem <- struct{}{}:
+		}
+		if ctx.Err() != nil {
+			break
 		}
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			defer func() { <-sem }()
-			m, d, err := s.moveKey(ctx, kp)
+			m, d, moveErr := s.moveKey(ctx, kp)
 			mu.Lock()
 			moved += m
 			dropped += d
-			if err != nil && firstErr == nil {
-				firstErr = err
+			if err == nil {
+				err = moveErr
 			}
 			mu.Unlock()
 		}()
 	}
 	wg.Wait()
-	if s.mMoved != nil {
-		s.mMoved.Add(uint64(moved))
+	if err == nil {
+		err = ctx.Err()
 	}
-	if s.mRebalDropped != nil {
+	if s.mMoved != nil { // Instrument sets both
+		s.mMoved.Add(uint64(moved))
 		s.mRebalDropped.Add(uint64(dropped))
 	}
-	return moved, dropped, firstErr
+	if moved > 0 || dropped > 0 {
+		s.emit(Event{Kind: EventRebalanced, Moved: moved, Dropped: dropped})
+	}
+	return moved, dropped, err
 }
 
 // moveKey executes one keyPlan. The ordering is what makes a move safe
 // against an in-flight multi-block write stream of the same object:
 //
 //  1. Record the key's write generation — voiding outright if any write
-//     is in flight — then snapshot the object from a holder and copy it
-//     to every missing desired replica. The stream (if any) keeps
-//     writing to the *old* replica set the whole time, so the copy
-//     targets never receive interleaved direct writes — the copy is
-//     either a faithful replica of the snapshot or cleaned up below.
+//     is in flight — then stream the object's blocks from a verified
+//     holder to every add. The stream (if any) keeps writing to the *old*
+//     replica set the whole time, so the copy targets never receive
+//     interleaved direct writes — the copy is either a faithful replica
+//     of what was verified or cleaned up below.
 //  2. Re-stat the source: if the object grew while we copied, a stream
-//     raced us and the snapshot is a prefix — void the move.
+//     raced us and the copy is a prefix — void the move.
 //  3. Install the post-move sticky assignment if and only if the write
 //     generation is unchanged and no write is in flight (checked under
 //     the same lock writers bump them, so no block write can slip
 //     between the check and the install). From here on stream blocks
 //     land on the new set directly.
-//  4. Only then delete from the draining holders.
+//  4. Only then delete from the removes.
 //
-// A voided move deletes whatever it copied: a half-copied object must not
-// be listed by the target's inventory, or the next planning pass would
-// trust it as a full replica. The void is cheap — the watcher's next pass
-// replans and recopies once the stream has quiesced.
+// A voided move deletes the copies it created, not a torn copy it was
+// completing: that one may be another process's in-flight stream, and
+// same-index PutBlocks of the same bytes are idempotent. Targets in the key's
+// *live* replica set are skipped too: a writer installed them and owns the
+// data there now. The void is cheap — the controller's next pass replans and
+// recopies once the stream has quiesced.
 func (s *Store) moveKey(ctx context.Context, kp keyPlan) (moved, dropped int, err error) {
 	fail := func(err error) (int, int, error) {
 		inc(s.mMoveErrs)
 		s.emit(Event{Kind: EventMoveFailed, Err: err})
 		return moved, dropped, err
+	}
+	void := func(err error) (int, int, error) {
+		live := s.replicasOf(kp.key)
+		for _, dst := range kp.adds {
+			if !slices.Contains(kp.torn, dst) && !slices.Contains(live, dst) {
+				s.deleteCopy(ctx, dst, kp.key)
+			}
+		}
+		return fail(err)
 	}
 	if s.cfg.MoveFault != nil {
 		if err := s.cfg.MoveFault(kp.key); err != nil {
@@ -265,80 +283,64 @@ func (s *Store) moveKey(ctx context.Context, kp keyPlan) (moved, dropped int, er
 	}
 	genBefore, busy, tracked := s.genOf(kp.key)
 	if busy {
-		// A block write is in flight against the pre-move replica set; a
-		// snapshot taken now could carry a transient nil-padded gap (the
-		// NDP sender's windowed writes land out of order). Void cheaply
-		// before copying anything; the watcher retries after the stream
-		// quiesces.
+		// A block write is in flight against the pre-move replica set: the
+		// windowed writes land out of order, so what was verified is already
+		// stale. Void cheaply before copying anything; the controller
+		// retries after the stream quiesces.
 		return fail(fmt.Errorf("shardstore: move %s: write stream in flight, voiding", kp.key))
 	}
-	copied := 0
 	if len(kp.adds) > 0 {
 		if len(kp.sources) == 0 {
 			return fail(fmt.Errorf("shardstore: move %s: no reachable replica holds the object", kp.key))
 		}
-		var obj iostore.Object
-		var src *backend
-		var readErr error
-		for _, cand := range kp.sources {
-			cctx, cancel := s.callCtx(ctx)
-			o, err := cand.store.Get(cctx, kp.key)
-			cancel()
-			if err != nil {
-				readErr = fmt.Errorf("shardstore: move %s: read from %s: %w", kp.key, cand.name, err)
-				s.blame(ctx, cand)
-				continue
-			}
-			obj, src = o, cand
-			obj.Key = kp.key
-			break
+		passed, err := s.copyBlocks(ctx, kp)
+		if err != nil {
+			return void(err)
 		}
-		if src == nil {
-			return fail(readErr)
-		}
-		meta := obj
-		meta.Blocks = nil
-		for _, dst := range kp.adds {
-			if err := s.copyObject(ctx, dst, obj, meta); err != nil {
-				s.blame(ctx, dst)
-				s.cleanupAdds(ctx, kp)
-				return fail(fmt.Errorf("shardstore: move %s to %s: %w", kp.key, dst.name, err))
-			}
-			copied++
-		}
+		// The sources the copy had to pass over are torn or unreachable.
+		kp.sources = kp.sources[passed:]
 		cctx, cancel := s.callCtx(ctx)
-		_, n, ok, statErr := src.store.StatBlocks(cctx, kp.key)
+		_, n, ok, statErr := kp.sources[0].store.StatBlocks(cctx, kp.key)
 		cancel()
-		if statErr == nil && ok && n != len(obj.Blocks) {
-			s.cleanupAdds(ctx, kp)
-			return fail(fmt.Errorf("shardstore: move %s: object grew %d -> %d blocks mid-copy",
-				kp.key, len(obj.Blocks), n))
+		if statErr == nil && ok && n != kp.blocks {
+			return void(fmt.Errorf("shardstore: move %s: object grew %d -> %d blocks mid-copy", kp.key, kp.blocks, n))
 		}
 	}
-	if !s.installAssignment(kp, genBefore, tracked) {
-		s.cleanupAdds(ctx, kp)
-		return fail(fmt.Errorf("shardstore: move %s: a write stream raced the copy, voiding", kp.key))
+	holders := slices.DeleteFunc(slices.Concat(kp.adds, kp.sources), func(b *backend) bool {
+		return slices.Contains(kp.removes, b)
+	})
+	if !s.installAssignment(kp.key, holders, genBefore, tracked) {
+		return void(fmt.Errorf("shardstore: move %s: a write stream raced the copy, voiding", kp.key))
 	}
-	moved += copied
-	// All adds landed and the assignment switched: the planner already
-	// proved R copies exist outside the draining holders, so the drops
-	// are safe, and no future block write routes to them.
-	for _, src := range kp.removes {
-		cctx, cancel := s.callCtx(ctx)
-		err := src.store.Delete(cctx, kp.key)
-		cancel()
-		if err != nil && !errors.Is(err, iostore.ErrNotFound) {
-			s.blame(ctx, src)
-			return fail(fmt.Errorf("shardstore: drop %s from %s: %w", kp.key, src.name, err))
+	moved = len(kp.adds)
+	// All adds landed and the assignment switched: the plan already proved
+	// R whole copies exist on the desired homes, so the drops are safe, and
+	// no future block write routes to them.
+	for _, b := range kp.removes {
+		if err := s.deleteCopy(ctx, b, kp.key); err != nil {
+			return fail(fmt.Errorf("shardstore: drop %s from %s: %w", kp.key, b.name, err))
 		}
 		dropped++
 	}
 	return moved, dropped, nil
 }
 
+// deleteCopy deletes b's copy of key (already absent is fine), blaming b if
+// it cannot.
+func (s *Store) deleteCopy(ctx context.Context, b *backend, key iostore.Key) error {
+	cctx, cancel := s.callCtx(ctx)
+	defer cancel()
+	err := b.store.Delete(cctx, key)
+	if err == nil || errors.Is(err, iostore.ErrNotFound) {
+		return nil
+	}
+	s.blame(ctx, b)
+	return err
+}
+
 // genOf reads key's current write generation and whether any write is in
-// flight right now (tracked=false when no writer in this process has an
-// assignment for it).
+// flight right now (tracked=false when this client has no assignment for
+// it).
 func (s *Store) genOf(key iostore.Key) (gen uint64, busy, tracked bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -348,103 +350,103 @@ func (s *Store) genOf(key iostore.Key) (gen uint64, busy, tracked bool) {
 	return 0, false, false
 }
 
-// cleanupAdds deletes a voided move's partial copies from its targets so
-// their inventory listings stay truthful. Targets that are in the key's
-// *live* replica set are skipped: a writer installed them and owns the
-// data there now.
-func (s *Store) cleanupAdds(ctx context.Context, kp keyPlan) {
-	live := make(map[*backend]bool)
-	for _, b := range s.replicasOf(kp.key) {
-		live[b] = true
-	}
-	for _, dst := range kp.adds {
-		if live[dst] {
-			continue
+// copyBlocks lands kp's object on every add, one block at a time — the
+// mover never buffers an object — and returns how many sources it had to
+// pass over. A source that answers "absent" for a block is torn after all
+// and one that errors is blamed; either way the copy carries on from the
+// next source, and fails when none is left: a torn source cannot complete a
+// copy, by construction.
+func (s *Store) copyBlocks(ctx context.Context, kp keyPlan) (passed int, err error) {
+	// land writes one piece of the object on every add.
+	land := func(write func(ctx context.Context, dst *backend) error) error {
+		for _, dst := range kp.adds {
+			cctx, cancel := s.callCtx(ctx)
+			err := write(cctx, dst)
+			cancel()
+			if err != nil {
+				s.blame(ctx, dst)
+				return fmt.Errorf("shardstore: move %s to %s: %w", kp.key, dst.name, err)
+			}
 		}
-		cctx, cancel := s.callCtx(ctx)
-		err := dst.store.Delete(cctx, kp.key)
-		cancel()
-		if err != nil && !errors.Is(err, iostore.ErrNotFound) {
-			s.blame(ctx, dst)
+		return nil
+	}
+	meta := kp.meta
+	meta.Key = kp.key
+	if kp.blocks == 0 {
+		// A blockless object is its metadata: nothing to stream.
+		return 0, land(func(ctx context.Context, dst *backend) error { return dst.store.Put(ctx, meta) })
+	}
+	for i := 0; i < kp.blocks; i++ {
+		var blk []byte
+		for {
+			src := kp.sources[passed]
+			cctx, cancel := s.callCtx(ctx)
+			blk, err = src.store.GetBlock(cctx, kp.key, i)
+			cancel()
+			if err == nil {
+				break
+			}
+			if !errors.Is(err, iostore.ErrNotFound) {
+				s.blame(ctx, src)
+			}
+			if passed++; passed == len(kp.sources) {
+				return passed, fmt.Errorf("shardstore: move %s: block %d from %s: %w", kp.key, i, src.name, err)
+			}
+		}
+		if err := land(func(ctx context.Context, dst *backend) error {
+			return dst.store.PutBlock(ctx, kp.key, meta, i, blk)
+		}); err != nil {
+			return passed, err
 		}
 	}
+	return passed, nil
 }
 
-// copyObject lands one object replica on dst. Multi-block objects copy
-// block-by-block (idempotent per index, safe under a concurrent stream);
-// blockless objects fall back to a whole-object Put.
-func (s *Store) copyObject(ctx context.Context, dst *backend, obj, meta iostore.Object) error {
-	if len(obj.Blocks) == 0 {
-		cctx, cancel := s.callCtx(ctx)
-		defer cancel()
-		return dst.store.Put(cctx, obj)
-	}
-	for i, blk := range obj.Blocks {
-		cctx, cancel := s.callCtx(ctx)
-		err := dst.store.PutBlock(cctx, obj.Key, meta, i, blk)
-		cancel()
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// installAssignment commits the post-move sticky replica set, so that
-// subsequent block writes of the object land where the planner put it —
-// and so a restart-blind repair leaves the in-memory map agreeing with
-// the stores. It reports false (and installs nothing) if a writer raced
-// the move: the write generation moved past genBefore, or — for a key the
-// mover found untracked — a writer created an assignment mid-copy. The
-// generation check happens under the same lock writeSnapshot bumps it, so
-// every block write either predates the install (and voids it) or routes
-// to the post-move set.
-func (s *Store) installAssignment(kp keyPlan, genBefore uint64, tracked bool) bool {
-	removed := make(map[*backend]bool, len(kp.removes))
-	for _, b := range kp.removes {
-		removed[b] = true
-	}
-	holders := make(map[*backend]bool, len(kp.sources)+len(kp.adds))
-	for _, b := range kp.sources {
-		if !removed[b] {
-			holders[b] = true
-		}
-	}
-	for _, b := range kp.adds {
-		holders[b] = true
-	}
+// installAssignment commits holders as key's sticky replica set, so that
+// later block writes of the object land where the plan put it, reads are
+// dealt to whole copies only, and the next pass need not verify them again;
+// an object nobody holds is not tracked. It reports false (and changes
+// nothing) if a writer raced the caller: the write generation moved past
+// genBefore, or — for a key found untracked — a writer created an assignment
+// meanwhile. The check happens under the lock writeSnapshot bumps them with,
+// so every block write either predates the install (and voids it) or routes
+// to the installed set.
+func (s *Store) installAssignment(key iostore.Key, holders []*backend, genBefore uint64, tracked bool) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	st, ok := s.objs[kp.key]
-	if tracked {
-		if !ok || st.gen != genBefore || st.writers != 0 {
-			return false
-		}
-	} else {
-		if ok {
-			return false
-		}
+	st, ok := s.objs[key]
+	if ok != tracked || ok && (st.gen != genBefore || st.writers != 0) {
+		return false
+	}
+	if len(holders) == 0 {
+		delete(s.objs, key)
+		return true
+	}
+	if !ok {
 		st = &objState{}
-		s.objs[kp.key] = st
+		s.objs[key] = st
 	}
 	st.replicas = st.replicas[:0]
-	for _, b := range rankingOf(s.backends, kp.key) { // deterministic order
-		if holders[b] {
+	for _, b := range rankingOf(s.backends, key) { // deterministic order
+		if slices.Contains(holders, b) {
 			st.replicas = append(st.replicas, b)
 		}
 	}
-	st.under = len(st.replicas) < s.cfg.Replicas
 	return true
 }
 
-// RepairInventory runs one inventory-driven plan→execute cycle and returns
-// how many object copies were created. Unlike Rereplicate — which only
-// walks the in-memory assignment map — this discovers and repairs
-// under-replicated objects written by *previous* processes: a fresh client
-// over a degraded store heals it. Operators reach this through the
-// gateway's admin endpoint; the membership watcher runs the same cycle.
+// RepairInventory probes unhealthy backends, then runs one verify → plan →
+// move pass over the merged store inventory and returns how many object
+// copies it created. It is restart-blind — a fresh client over a degraded
+// store heals what earlier processes wrote — and the single explicit entry
+// point: tests, the chaos experiments and the gateway's admin endpoint
+// drive it, and the controller runs the same pass after a membership change.
 func (s *Store) RepairInventory(ctx context.Context) (int, error) {
-	plan, err := s.PlanRebalance(ctx)
+	if s.closed.Load() {
+		return 0, errors.New("shardstore: closed")
+	}
+	s.probe(ctx)
+	plan, err := s.plan(ctx, s.listedKeys)
 	if err != nil {
 		return 0, err
 	}

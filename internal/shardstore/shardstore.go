@@ -14,9 +14,9 @@
 // subsequent block of that object lands on the same replicas, so a
 // multi-block drain never scatters an object. A replica that fails
 // mid-object is dropped from the set (the write continues on the
-// survivors) and the key is flagged under-replicated; background
-// re-replication copies the object back up to R replicas once a healthy
-// backend is available.
+// survivors) and the key is left short of R; the repair pass (planner.go)
+// copies the object back up to R whole replicas once a healthy backend is
+// available.
 //
 // Reads are dealt across the key's read set — the healthy members of its
 // sticky assignment, or of its top-R HRW ranking when this client never
@@ -33,6 +33,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -53,26 +54,15 @@ type Config struct {
 	// client's full reconnect schedule — the retry loops inside iod.Client
 	// select on this deadline and abort early.
 	CallTimeout time.Duration
-	// Probe is the health-probe and re-replication interval of the
-	// background repair loop (default 2s; negative disables the loop —
-	// Rereplicate can still be driven explicitly).
+	// Probe is the interval at which the controller probes unhealthy
+	// backends and repairs the keys this client tracks that are short of R
+	// (default 2s; negative disables every time-triggered pass — membership
+	// changes and RepairInventory still run theirs).
 	Probe time.Duration
-	// RejoinProbes is how many *consecutive* successful probes an
-	// unhealthy backend must answer before it is re-admitted (default 3).
-	// One lucky inventory call must not rejoin a backend that still fails
-	// writes — without damping such a backend flaps healthy/unhealthy on
-	// every probe tick and every flap re-routes placement.
-	RejoinProbes int
-	// MoverBudget caps concurrent object copies during a membership
-	// rebalance (join backfill, decommission drain-off); default 2. The
-	// mover shares backend bandwidth with live drains, so the budget is
-	// the throttle that keeps a rebalance from starving checkpoint
-	// traffic.
-	MoverBudget int
-	// MoveFault, when non-nil, is consulted before every rebalance object
-	// move (faultinject.Injector.ShardMoveHook wires the shard.move site
-	// here). A returned error fails that move; the drain controller
-	// counts it and retries on its next pass.
+	// MoveFault, when non-nil, is consulted before every object move
+	// (faultinject.Injector.ShardMoveHook wires the shard.move site here).
+	// A returned error fails that move; the controller counts it and
+	// retries on its next pass.
 	MoveFault func(key iostore.Key) error
 	// OnEvent, when non-nil, receives membership and rebalance progress
 	// events. It is called synchronously from the drain controller (and
@@ -94,13 +84,20 @@ func (cfg *Config) fill(n int) {
 	if cfg.Probe == 0 {
 		cfg.Probe = 2 * time.Second
 	}
-	if cfg.RejoinProbes <= 0 {
-		cfg.RejoinProbes = 3
-	}
-	if cfg.MoverBudget <= 0 {
-		cfg.MoverBudget = 2
-	}
 }
+
+const (
+	// rejoinProbes is how many *consecutive* successful probes an unhealthy
+	// backend must answer before it is re-admitted. One lucky inventory call
+	// must not rejoin a backend that still fails writes — without damping
+	// such a backend flaps healthy/unhealthy on every probe tick and every
+	// flap re-routes placement.
+	rejoinProbes = 3
+	// moverBudget caps concurrent object copies in one repair pass. The
+	// mover shares backend bandwidth with live drains, so the budget is the
+	// throttle that keeps a rebalance from starving checkpoint traffic.
+	moverBudget = 2
+)
 
 // Member is one backend of the shard set.
 type Member struct {
@@ -129,7 +126,7 @@ type backend struct {
 	// sets off.
 	state atomic.Int32
 	// probeStreak counts consecutive successful probes while unhealthy;
-	// re-admission requires Config.RejoinProbes in a row (flap damping).
+	// re-admission requires rejoinProbes in a row (flap damping).
 	probeStreak atomic.Int32
 	// everRejoined marks a backend that has been probed back to healthy
 	// at least once: a later health loss on such a backend is a flap.
@@ -154,11 +151,11 @@ func (b *backend) eligible() bool {
 
 // objState is the sticky replica assignment of one object.
 type objState struct {
+	// replicas are the backends this client knows to hold the object whole:
+	// the ones that acknowledged every write of it, or the holders a repair
+	// pass verified. Fewer than R (a replica died mid-write, or placement
+	// found too few healthy backends) marks the key for the next repair pass.
 	replicas []*backend
-	// under marks the object as holding fewer than R intact copies
-	// (a replica died mid-write, or placement found too few healthy
-	// backends); the repair loop re-replicates it.
-	under bool
 	// gen counts write snapshots taken against this assignment, and
 	// writers counts writes currently in flight. Together they serialise
 	// the rebalance mover against the drain stream: the mover refuses to
@@ -185,12 +182,8 @@ type Store struct {
 	backends []*backend
 	objs     map[iostore.Key]*objState
 
-	stop     chan struct{}
-	stopOnce sync.Once
-	done     chan struct{}
-
-	// Membership watcher plumbing: kicks wake the drain controller,
-	// runCtx cancels its in-flight pass on Close.
+	// Controller plumbing (watcher, membership.go): kicks wake it, runCtx
+	// stops it — and cancels its in-flight pass — on Close.
 	memberKick  chan struct{}
 	watcherDone chan struct{}
 	runCtx      context.Context
@@ -204,9 +197,7 @@ type Store struct {
 	mFailovers    *metrics.Counter
 	mReplicaErrs  *metrics.Counter
 	mDropped      *metrics.Counter
-	mRereplicated *metrics.Counter
 	mRejoins      *metrics.Counter
-	mRepairErrs   *metrics.Counter
 	mInvDegraded  *metrics.Counter
 	mFlaps        *metrics.Counter
 	mMoved        *metrics.Counter
@@ -237,8 +228,6 @@ func New(members []Member, cfg Config) (*Store, error) {
 	s := &Store{
 		cfg:         cfg,
 		objs:        make(map[iostore.Key]*objState),
-		stop:        make(chan struct{}),
-		done:        make(chan struct{}),
 		memberKick:  make(chan struct{}, 1),
 		watcherDone: make(chan struct{}),
 	}
@@ -257,13 +246,8 @@ func New(members []Member, cfg Config) (*Store, error) {
 		b.healthy.Store(true)
 		s.backends = append(s.backends, b)
 	}
-	if cfg.Probe > 0 {
-		go s.repairLoop()
-	} else {
-		close(s.done)
-	}
-	// The membership watcher runs even with the repair loop disabled:
-	// AddBackend/Decommission must make progress in Probe<0 test rigs.
+	// The controller runs even with Probe < 0 (it then never wakes on its
+	// own): AddBackend/Decommission must make progress in such test rigs.
 	go s.watcher()
 	return s, nil
 }
@@ -295,7 +279,7 @@ func Dial(addrs []string, lanes int, cfg Config) (*Store, error) {
 
 var _ iostore.Backend = (*Store)(nil)
 
-// Instrument registers the shard tier's placement/failover/re-replication
+// Instrument registers the shard tier's placement/failover/repair
 // metrics with r. Call it once, before traffic (see iostore.Instrument): it
 // assigns the counters the write and read paths bump.
 func (s *Store) Instrument(r *metrics.Registry) {
@@ -330,7 +314,7 @@ func (s *Store) Instrument(r *metrics.Registry) {
 			defer s.mu.Unlock()
 			n := 0
 			for _, st := range s.objs {
-				if st.under {
+				if len(st.replicas) < s.cfg.Replicas {
 					n++
 				}
 			}
@@ -344,22 +328,18 @@ func (s *Store) Instrument(r *metrics.Registry) {
 		"per-replica calls that failed (transport errors, timeouts)")
 	s.mDropped = r.Counter("ndpcr_shardstore_replicas_dropped_total",
 		"replicas dropped from an object's set after a mid-write failure")
-	s.mRereplicated = r.Counter("ndpcr_shardstore_rereplications_total",
-		"objects copied back up to R replicas by the repair pass")
 	s.mRejoins = r.Counter("ndpcr_shardstore_backend_rejoins_total",
 		"backends probed back to healthy after an outage")
-	s.mRepairErrs = r.Counter("ndpcr_shardstore_repair_errors_total",
-		"re-replication attempts that failed (retried next pass)")
 	s.mInvDegraded = r.Counter("ndpcr_shardstore_degraded_inventories_total",
 		"inventory merges that ran with some backends unreachable (but < R, so the merge is complete)")
 	s.mFlaps = r.Counter("ndpcr_shardstore_backend_flaps_total",
 		"backends that lost health again after being probed back in (rejoin flaps)")
 	s.mMoved = r.Counter("ndpcr_shardstore_rebalance_moved_total",
-		"object copies created by the membership rebalance planner")
+		"object copies created by the repair pass (re-replication, join backfill, drain-off)")
 	s.mRebalDropped = r.Counter("ndpcr_shardstore_rebalance_dropped_total",
-		"replicas deleted off draining backends after R copies were confirmed elsewhere")
+		"copies deleted after R whole ones were confirmed elsewhere (draining holders, stray torn copies)")
 	s.mMoveErrs = r.Counter("ndpcr_shardstore_rebalance_errors_total",
-		"rebalance object moves that failed (retried on the watcher's next pass)")
+		"object moves that failed (retried on the controller's next pass)")
 	s.mDrainRemain = r.Gauge("ndpcr_shardstore_drain_remaining_objects",
 		"objects still to migrate off draining backends (0 when no drain is active)")
 	s.mCallSecs = r.Histogram("ndpcr_shardstore_call_seconds", "per-replica call latency", metrics.UnitSeconds)
@@ -492,15 +472,12 @@ func (s *Store) assignLocked(key iostore.Key) *objState {
 			st.replicas = append(st.replicas, b)
 		}
 	}
-	if len(st.replicas) < s.cfg.Replicas {
-		st.under = true
-	}
 	s.objs[key] = st
 	return st
 }
 
 // dropReplica removes b from key's *current* replica set after a mid-write
-// failure and flags the object under-replicated. The objState is looked up
+// failure, which leaves the key short of R. The objState is looked up
 // by key under the lock, never taken from the caller: fanOutWrite's
 // reassignment path (and the planner's installAssignment) can replace the
 // key's objState while a concurrent writer still holds a pointer to the
@@ -523,7 +500,6 @@ func (s *Store) dropReplica(key iostore.Key, b *backend) {
 		inc(s.mDropped)
 	}
 	st.replicas = kept
-	st.under = true
 }
 
 // writeSnapshot atomically takes key's assignment for one write: it
@@ -619,7 +595,7 @@ func (s *Store) fanOutWrite(ctx context.Context, key iostore.Key,
 }
 
 // Put implements iostore.Backend: the object lands on R replicas (or as
-// many as survive the write — the repair loop restores R later).
+// many as survive the write — the repair pass restores R later).
 func (s *Store) Put(ctx context.Context, o iostore.Object) error {
 	return s.fanOutWrite(ctx, o.Key, func(ctx context.Context, b *backend) error {
 		return b.store.Put(ctx, o)
@@ -629,8 +605,8 @@ func (s *Store) Put(ctx context.Context, o iostore.Object) error {
 // PutBlock implements iostore.Backend: every block of an object streams to
 // the same sticky replica set, so a windowed NDP drain builds R identical
 // copies block by block. A replica failing mid-stream is dropped — blocks
-// it already holds are torn, but the survivors hold the full object and
-// re-replication copies it back to R once the stream commits.
+// it already holds are torn, but the survivors hold the full object and the
+// repair pass copies it back to R once the stream commits.
 func (s *Store) PutBlock(ctx context.Context, key iostore.Key, meta iostore.Object, index int, block []byte) error {
 	return s.fanOutWrite(ctx, key, func(ctx context.Context, b *backend) error {
 		return b.store.PutBlock(ctx, key, meta, index, block)
@@ -783,8 +759,12 @@ func (s *Store) GetBlock(ctx context.Context, key iostore.Key, index int) ([]byt
 
 // StatBlocks implements iostore.Backend with Stat's semantics: ok=false
 // with a nil error means the replicas agree the object is absent; a tier
-// that cannot answer surfaces its error after the one failover pass.
+// that cannot answer surfaces its error after the one failover pass. A
+// tracked key costs one backend call: its sticky set holds only whole copies.
 func (s *Store) StatBlocks(ctx context.Context, key iostore.Key) (iostore.Object, int, bool, error) {
+	if _, _, tracked := s.genOf(key); !tracked {
+		return s.statUntracked(ctx, key)
+	}
 	var (
 		meta   iostore.Object
 		blocks int
@@ -802,47 +782,144 @@ func (s *Store) StatBlocks(ctx context.Context, key iostore.Key) (iostore.Object
 		meta, blocks = o, n
 		return nil
 	})
-	switch {
-	case err == nil:
-		return meta, blocks, true, nil
-	case errors.Is(err, iostore.ErrNotFound):
+	if errors.Is(err, iostore.ErrNotFound) {
 		return iostore.Object{}, 0, false, nil
-	default:
-		return iostore.Object{}, 0, false, err
 	}
+	return meta, blocks, err == nil, err
 }
 
-// Stat implements iostore.Backend.
-func (s *Store) Stat(ctx context.Context, key iostore.Key) (iostore.Object, bool, error) {
-	var (
-		meta iostore.Object
-	)
-	err := s.readFrom(ctx, key, 0, func(ctx context.Context, b *backend) error {
-		o, ok, err := b.store.Stat(ctx, key)
-		if err != nil {
-			return err
-		}
-		if !ok {
-			// An honest "no such object" is an answer, not a fault: readFrom
-			// must not blame the replica for it.
-			return iostore.ErrNotFound
-		}
-		meta = o
-		return nil
-	})
-	switch {
-	case err == nil:
-		return meta, true, nil
-	case errors.Is(err, iostore.ErrNotFound):
-		return iostore.Object{}, false, nil
-	default:
-		return iostore.Object{}, false, err
+// statUntracked describes a key this client never wrote (the restart case)
+// from the most complete answer of its read set — the healthy members of its
+// top-R ranking, all asked at once: any one of them may hold the torn copy of
+// a replica that died mid-write and came back, and a restore sized from that
+// fails while a whole copy sits one backend over. When nobody in the read set
+// has the object (the writer placed around a down backend) everyone else is
+// asked. The verified holders become the key's assignment, so the block reads
+// that follow are dealt to whole copies only.
+func (s *Store) statUntracked(ctx context.Context, key iostore.Key) (iostore.Object, int, bool, error) {
+	if s.closed.Load() {
+		return iostore.Object{}, 0, false, errors.New("shardstore: closed")
 	}
+	var readSet, others []*backend
+	for i, b := range s.ranking(key) {
+		if i < s.cfg.Replicas && b.healthy.Load() {
+			readSet = append(readSet, b)
+		} else {
+			others = append(others, b)
+		}
+	}
+	c := s.verify(ctx, key, readSet)
+	if len(c.whole) == 0 {
+		firstErr := c.err
+		if c = s.verify(ctx, key, others); c.err == nil {
+			c.err = firstErr
+		}
+		if len(c.whole) > 0 {
+			inc(s.mFailovers)
+		}
+	}
+	if len(c.whole) == 0 {
+		if c.err != nil {
+			// A replica missing the object while another is unreachable
+			// proves nothing (readFrom's rule).
+			c.err = fmt.Errorf("shardstore: read %s: %w", key, c.err)
+		}
+		return iostore.Object{}, 0, false, c.err
+	}
+	inc(s.mReads)
+	s.installAssignment(key, c.whole, 0, false)
+	return c.meta, c.blocks, true, nil
+}
+
+// Stat implements iostore.Backend: StatBlocks minus the count.
+func (s *Store) Stat(ctx context.Context, key iostore.Key) (iostore.Object, bool, error) {
+	meta, _, ok, err := s.StatBlocks(ctx, key)
+	return meta, ok, err
+}
+
+// askAll runs ask against every given backend in parallel, each call under
+// its own callCtx, and blames the backends whose call fails (errs[i] is
+// backends[i]'s error).
+func (s *Store) askAll(ctx context.Context, backends []*backend, ask func(ctx context.Context, i int, b *backend) error) []error {
+	errs := make([]error, len(backends))
+	var wg sync.WaitGroup
+	for i, b := range backends {
+		wg.Add(1)
+		go func(i int, b *backend) {
+			defer wg.Done()
+			cctx, cancel := s.callCtx(ctx)
+			defer cancel()
+			if errs[i] = ask(cctx, i, b); errs[i] != nil {
+				s.blame(ctx, b)
+			}
+		}(i, b)
+	}
+	wg.Wait()
+	return errs
+}
+
+// copies is what a key's candidates answered when asked what they hold.
+type copies struct {
+	whole  []*backend     // the verified holders, in candidate order
+	torn   []*backend     // candidates holding a less complete (or otherwise different) copy
+	meta   iostore.Object // the holders' answer: metadata, no payload…
+	blocks int            // …and the blocks each of them holds
+	err    error          // the first error of a candidate that failed to answer (blamed)
+}
+
+// verify answers "who holds key whole" from cands. A holder is a backend
+// whose StatBlocks answer — blocks held, OrigSize, codec, delta base — equals
+// the most complete answer among the candidates; a Keys entry or a bare
+// "exists" is not evidence, because a replica that died mid-write and came
+// back lists the key and holds a gap or a short tail. An honest "absent" is
+// an answer (not a holder, no blame); a transport error blames the candidate.
+func (s *Store) verify(ctx context.Context, key iostore.Key, cands []*backend) copies {
+	// shape is a StatBlocks answer reduced to what whole copies agree on.
+	type shape struct {
+		blocks   int
+		origSize int64
+		codec    string
+		level    int
+		base     uint64
+	}
+	shapes := make([]*shape, len(cands)) // nil: absent, or no answer
+	metas := make([]iostore.Object, len(cands))
+	errs := s.askAll(ctx, cands, func(ctx context.Context, i int, b *backend) error {
+		o, n, ok, err := b.store.StatBlocks(ctx, key)
+		if err == nil && ok {
+			metas[i], shapes[i] = o, &shape{n, o.OrigSize, o.Codec, o.CodecLevel, o.DeltaBase}
+		}
+		return err
+	})
+	var c copies
+	best := -1
+	for i, sh := range shapes {
+		if c.err == nil {
+			c.err = errs[i]
+		}
+		if sh != nil && (best < 0 || sh.blocks > shapes[best].blocks) {
+			best = i
+		}
+	}
+	if best < 0 {
+		return c
+	}
+	c.meta, c.blocks = metas[best], shapes[best].blocks
+	for i, sh := range shapes {
+		switch {
+		case sh == nil:
+		case *sh == *shapes[best]:
+			c.whole = append(c.whole, cands[i])
+		default:
+			c.torn = append(c.torn, cands[i])
+		}
+	}
+	return c
 }
 
 // Delete implements iostore.Backend: the delete fans to every backend (an
-// object may have lived on backends outside its current assignment after
-// re-replication), and the first failure is returned — a leaked replica is
+// object may have lived on backends outside its current assignment after a
+// repair or rebalance), and every failure is returned — a leaked replica is
 // a visible error now, not a silent best-effort.
 func (s *Store) Delete(ctx context.Context, key iostore.Key) error {
 	if s.closed.Load() {
@@ -851,97 +928,70 @@ func (s *Store) Delete(ctx context.Context, key iostore.Key) error {
 	s.mu.Lock()
 	delete(s.objs, key)
 	s.mu.Unlock()
-	backends := s.snapshot()
-	errs := make([]error, len(backends))
-	var wg sync.WaitGroup
-	for i, b := range backends {
-		wg.Add(1)
-		go func(i int, b *backend) {
-			defer wg.Done()
-			cctx, cancel := s.callCtx(ctx)
-			defer cancel()
-			if err := b.store.Delete(cctx, key); err != nil && !errors.Is(err, iostore.ErrNotFound) {
-				// A delete on an unreachable backend of an object that was
-				// never placed there is not a leak; one holding a replica
-				// is. Without an inventory we must assume the worst and
-				// report it.
-				errs[i] = fmt.Errorf("shardstore: delete %s on %s: %w", key, b.name, err)
-				s.blame(ctx, b)
-			}
-		}(i, b)
-	}
-	wg.Wait()
+	errs := s.askAll(ctx, s.snapshot(), func(ctx context.Context, _ int, b *backend) error {
+		if err := b.store.Delete(ctx, key); err != nil && !errors.Is(err, iostore.ErrNotFound) {
+			// A delete on an unreachable backend of an object that was
+			// never placed there is not a leak; one holding a replica
+			// is. Without an inventory we must assume the worst and
+			// report it.
+			return fmt.Errorf("shardstore: delete %s on %s: %w", key, b.name, err)
+		}
+		return nil
+	})
 	return errors.Join(errs...)
 }
 
-// inventory merges a per-backend listing across the shard set. The merge
-// errors only when the unreachable-backend count reaches R: below that,
-// every object still has at least one reachable replica, so the union is
-// complete — "one replica unreachable" must not read as "level
-// unavailable" to the restart-line planner.
-func (s *Store) inventory(ctx context.Context, list func(ctx context.Context, b *backend) ([]uint64, error)) ([]uint64, error) {
+// gather asks every member for a listing, in parallel. It errors only when
+// the unreachable-backend count reaches R: below that, every object still
+// has at least one reachable replica, so the listings together are complete
+// — "one replica unreachable" must not read as "level unavailable" to the
+// restart-line planner, and at R a merge may be missing live objects.
+// parts[i] is backends[i]'s listing (nil if it did not answer).
+func gather[T any](ctx context.Context, s *Store,
+	list func(ctx context.Context, b *backend) ([]T, error)) (backends []*backend, parts [][]T, unreachable int, err error) {
 	if s.closed.Load() {
-		return nil, errors.New("shardstore: closed")
+		return nil, nil, 0, errors.New("shardstore: closed")
 	}
-	backends := s.snapshot()
-	ids := make([][]uint64, len(backends))
-	errs := make([]error, len(backends))
-	var wg sync.WaitGroup
-	for i, b := range backends {
-		wg.Add(1)
-		go func(i int, b *backend) {
-			defer wg.Done()
-			cctx, cancel := s.callCtx(ctx)
-			defer cancel()
-			out, err := list(cctx, b)
-			if err != nil {
-				errs[i] = err
-				s.blame(ctx, b)
-				return
-			}
-			ids[i] = out
-		}(i, b)
-	}
-	wg.Wait()
-	unreachable := 0
+	backends = s.snapshot()
+	parts = make([][]T, len(backends))
+	errs := s.askAll(ctx, backends, func(ctx context.Context, i int, b *backend) (err error) {
+		parts[i], err = list(ctx, b)
+		return err
+	})
 	var firstErr error
-	for _, err := range errs {
+	for i, err := range errs {
 		if err != nil {
-			unreachable++
-			if firstErr == nil {
-				firstErr = err
+			parts[i] = nil
+			if unreachable++; firstErr == nil {
+				firstErr = fmt.Errorf("inventory on %s: %w", backends[i].name, err)
 			}
 		}
 	}
 	if unreachable >= s.cfg.Replicas {
-		return nil, fmt.Errorf("shardstore: %d/%d backends unreachable (replication factor %d, inventory incomplete): %w",
+		return nil, nil, 0, fmt.Errorf("shardstore: %d/%d backends unreachable (replication factor %d, inventory incomplete): %w",
 			unreachable, len(backends), s.cfg.Replicas, firstErr)
 	}
 	if unreachable > 0 {
 		inc(s.mInvDegraded)
 	}
-	seen := make(map[uint64]bool)
-	var union []uint64
-	for _, part := range ids {
-		for _, id := range part {
-			if !seen[id] {
-				seen[id] = true
-				union = append(union, id)
-			}
-		}
-	}
-	sort.Slice(union, func(i, j int) bool { return union[i] < union[j] })
-	return union, nil
+	return backends, parts, unreachable, nil
 }
 
 // IDs implements iostore.Backend: the union of every reachable backend's
-// listing, erroring only when ≥ R backends are unreachable (below that
-// every replica set still has a reachable member, so the union is
-// complete).
+// listing, with gather's < R unreachable tolerance.
 func (s *Store) IDs(ctx context.Context, job string, rank int) ([]uint64, error) {
-	return s.inventory(ctx, func(ctx context.Context, b *backend) ([]uint64, error) {
+	_, parts, _, err := gather(ctx, s, func(ctx context.Context, b *backend) ([]uint64, error) {
 		return b.store.IDs(ctx, job, rank)
 	})
+	if err != nil {
+		return nil, err
+	}
+	var ids []uint64
+	for _, part := range parts {
+		ids = append(ids, part...)
+	}
+	slices.Sort(ids)
+	return slices.Compact(ids), nil // replicas list the same ID
 }
 
 // Latest implements iostore.Backend with IDs' merge semantics.
@@ -954,83 +1004,18 @@ func (s *Store) Latest(ctx context.Context, job string, rank int) (uint64, bool,
 }
 
 // Keys implements iostore.Backend: the union of every reachable backend's
-// key listing, with inventory's <R unreachable tolerance.
+// key listing, with gather's < R unreachable tolerance.
 func (s *Store) Keys(ctx context.Context) ([]iostore.Key, error) {
-	if s.closed.Load() {
-		return nil, errors.New("shardstore: closed")
+	cands, _, err := s.listedKeys(ctx)
+	if err != nil {
+		return nil, err
 	}
-	backends := s.snapshot()
-	listings := make([][]iostore.Key, len(backends))
-	errs := make([]error, len(backends))
-	var wg sync.WaitGroup
-	for i, b := range backends {
-		wg.Add(1)
-		go func(i int, b *backend) {
-			defer wg.Done()
-			cctx, cancel := s.callCtx(ctx)
-			defer cancel()
-			out, err := b.store.Keys(cctx)
-			if err != nil {
-				errs[i] = err
-				s.blame(ctx, b)
-				return
-			}
-			listings[i] = out
-		}(i, b)
-	}
-	wg.Wait()
-	unreachable := 0
-	var firstErr error
-	for _, err := range errs {
-		if err != nil {
-			unreachable++
-			if firstErr == nil {
-				firstErr = err
-			}
-		}
-	}
-	if unreachable >= s.cfg.Replicas {
-		return nil, fmt.Errorf("shardstore: %d/%d backends unreachable (replication factor %d, inventory incomplete): %w",
-			unreachable, len(backends), s.cfg.Replicas, firstErr)
-	}
-	if unreachable > 0 {
-		inc(s.mInvDegraded)
-	}
-	seen := make(map[iostore.Key]bool)
-	var union []iostore.Key
-	for _, part := range listings {
-		for _, k := range part {
-			if !seen[k] {
-				seen[k] = true
-				union = append(union, k)
-			}
-		}
-	}
-	iostore.SortKeys(union)
-	return union, nil
-}
-
-// repairLoop probes unhealthy backends and re-replicates under-replicated
-// objects every Probe interval until Close.
-func (s *Store) repairLoop() {
-	defer close(s.done)
-	ticker := time.NewTicker(s.cfg.Probe)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-s.stop:
-			return
-		case <-ticker.C:
-		}
-		ctx, cancel := context.WithTimeout(context.Background(), s.cfg.Probe)
-		_, _ = s.Rereplicate(ctx)
-		cancel()
-	}
+	return sortedKeys(cands), nil
 }
 
 // probe re-checks every unhealthy backend with a cheap inventory call and
 // reports how many rejoined. Re-admission is damped: a backend must answer
-// RejoinProbes *consecutive* probes before it counts as healthy again. One
+// rejoinProbes *consecutive* probes before it counts as healthy again. One
 // lucky inventory call proves very little — a backend whose writes still
 // fail would otherwise flap healthy/unhealthy on every probe tick, and
 // each flap re-routes placement for every key it wins.
@@ -1047,7 +1032,7 @@ func (s *Store) probe(ctx context.Context) int {
 			b.probeStreak.Store(0)
 			continue
 		}
-		if b.probeStreak.Add(1) < int32(s.cfg.RejoinProbes) {
+		if b.probeStreak.Add(1) < rejoinProbes {
 			continue
 		}
 		b.probeStreak.Store(0)
@@ -1059,173 +1044,15 @@ func (s *Store) probe(ctx context.Context) int {
 	return rejoined
 }
 
-// Rereplicate probes unhealthy backends, then copies every tracked
-// under-replicated object — and every object whose sticky set references a
-// now-unhealthy backend — back up to R reachable replicas. It returns the
-// number of objects restored to full replication. The background repair
-// loop calls it on every Probe tick; tests and operators can drive it
-// explicitly.
-func (s *Store) Rereplicate(ctx context.Context) (int, error) {
-	if s.closed.Load() {
-		return 0, errors.New("shardstore: closed")
-	}
-	s.probe(ctx)
-
-	// Snapshot the keys needing work; the per-object repair re-checks
-	// under the lock.
-	s.mu.Lock()
-	var todo []iostore.Key
-	for key, st := range s.objs {
-		needs := st.under
-		for _, b := range st.replicas {
-			if !b.healthy.Load() {
-				needs = true
-			}
-		}
-		if needs {
-			todo = append(todo, key)
-		}
-	}
-	s.mu.Unlock()
-
-	fixed := 0
-	var firstErr error
-	for _, key := range todo {
-		if err := ctx.Err(); err != nil {
-			return fixed, err
-		}
-		ok, err := s.repairObject(ctx, key)
-		if err != nil {
-			inc(s.mRepairErrs)
-			if firstErr == nil {
-				firstErr = err
-			}
-			continue
-		}
-		if ok {
-			fixed++
-			inc(s.mRereplicated)
-		}
-	}
-	return fixed, firstErr
-}
-
-// repairObject restores one object to R healthy replicas: verify which
-// assigned replicas actually hold it, read it from one of them, and copy
-// it to the next-ranked healthy backends until R copies exist. It reports
-// whether the object transitioned back to fully replicated.
-func (s *Store) repairObject(ctx context.Context, key iostore.Key) (bool, error) {
-	holders := make(map[*backend]bool)
-	for _, b := range s.replicasOf(key) {
-		if !b.healthy.Load() {
-			continue
-		}
-		cctx, cancel := s.callCtx(ctx)
-		_, ok, err := b.store.Stat(cctx, key)
-		cancel()
-		if err == nil && ok {
-			holders[b] = true
-		}
-	}
-	if len(holders) == 0 {
-		// The tracked replicas lost it (or are all down): scan the whole
-		// set — re-replication by another client, or a rejoined backend,
-		// may hold a copy.
-		for _, b := range s.ranking(key) {
-			if holders[b] || !b.healthy.Load() {
-				continue
-			}
-			cctx, cancel := s.callCtx(ctx)
-			_, ok, err := b.store.Stat(cctx, key)
-			cancel()
-			if err == nil && ok {
-				holders[b] = true
-				break
-			}
-		}
-	}
-	if len(holders) == 0 {
-		return false, fmt.Errorf("shardstore: repair %s: no reachable replica holds the object", key)
-	}
-
-	// Copy to the best-ranked healthy non-holders until R copies exist.
-	var src *backend
-	for b := range holders {
-		src = b
-		break
-	}
-	var obj iostore.Object
-	loaded := false
-	for _, b := range s.ranking(key) {
-		if len(holders) >= s.cfg.Replicas {
-			break
-		}
-		// Copy targets must be eligible: repairing an object *onto* a
-		// draining backend is work the drain controller immediately
-		// undoes. (Draining holders still count and serve as sources.)
-		if holders[b] || !b.healthy.Load() || !b.eligible() {
-			continue
-		}
-		if !loaded {
-			cctx, cancel := s.callCtx(ctx)
-			o, err := src.store.Get(cctx, key)
-			cancel()
-			if err != nil {
-				return false, fmt.Errorf("shardstore: repair %s: read from %s: %w", key, src.name, err)
-			}
-			obj, loaded = o, true
-			obj.Key = key
-		}
-		cctx, cancel := s.callCtx(ctx)
-		err := b.store.Put(cctx, obj)
-		cancel()
-		if err != nil {
-			s.blame(ctx, b)
-			continue
-		}
-		holders[b] = true
-	}
-
-	// Install the verified holder set as the new sticky assignment.
-	s.mu.Lock()
-	st, ok := s.objs[key]
-	if !ok {
-		st = &objState{}
-		s.objs[key] = st
-	}
-	st.replicas = st.replicas[:0]
-	for _, b := range rankingOf(s.backends, key) { // deterministic order
-		if holders[b] {
-			st.replicas = append(st.replicas, b)
-		}
-	}
-	full := len(st.replicas) >= s.cfg.Replicas
-	st.under = !full
-	s.mu.Unlock()
-	if !full {
-		return false, fmt.Errorf("shardstore: repair %s: only %d/%d replicas placeable",
-			key, len(holders), s.cfg.Replicas)
-	}
-	return true, nil
-}
-
-// ReplicaCount reports how many backends currently hold an intact copy of
-// key (tests assert re-replication restored R).
+// ReplicaCount reports how many backends currently hold a whole copy of key
+// (tests and the chaos experiments assert a repair restored R): every member
+// is asked, and a torn copy does not count.
 func (s *Store) ReplicaCount(ctx context.Context, key iostore.Key) int {
-	n := 0
-	for _, b := range s.snapshot() {
-		cctx, cancel := s.callCtx(ctx)
-		_, ok, err := b.store.Stat(cctx, key)
-		cancel()
-		if err == nil && ok {
-			n++
-		}
-	}
-	return n
+	return len(s.verify(ctx, key, s.snapshot()).whole)
 }
 
 // MarkUnhealthy force-marks a backend unhealthy by name (tests, operator
-// tooling); the probe loop re-admits it when it answers again.
+// tooling); the controller's probe re-admits it when it answers again.
 func (s *Store) MarkUnhealthy(name string) {
 	for _, b := range s.snapshot() {
 		if b.name == name {
@@ -1245,15 +1072,12 @@ func (s *Store) Healthy(name string) bool {
 	return false
 }
 
-// Close stops the repair loop and the membership watcher, then tears down
-// every backend connection.
+// Close stops the controller, then tears down every backend connection.
 func (s *Store) Close() error {
 	if s.closed.Swap(true) {
 		return nil
 	}
 	s.runCancel()
-	s.stopOnce.Do(func() { close(s.stop) })
-	<-s.done
 	<-s.watcherDone
 	var first error
 	for _, b := range s.snapshot() {

@@ -17,15 +17,20 @@ import (
 
 // flakyBackend wraps an in-process store with a kill switch: while down,
 // every call fails with a transport-style error — the in-process stand-in
-// for an ndpcr-iod whose TCP connection died.
+// for an ndpcr-iod whose TCP connection died. It also counts what it is
+// asked, so tests can assert on calls instead of clocks.
 type flakyBackend struct {
 	inner iostore.Backend
 	down  atomic.Bool
+	calls atomic.Int64 // every call, whatever the method
+	lists atomic.Int64 // Keys calls
+	stats atomic.Int64 // StatBlocks calls
 }
 
 var errDown = errors.New("flaky: connection refused")
 
 func (f *flakyBackend) guard() error {
+	f.calls.Add(1)
 	if f.down.Load() {
 		return errDown
 	}
@@ -82,6 +87,7 @@ func (f *flakyBackend) Latest(ctx context.Context, job string, rank int) (uint64
 }
 
 func (f *flakyBackend) StatBlocks(ctx context.Context, key iostore.Key) (iostore.Object, int, bool, error) {
+	f.stats.Add(1)
 	if err := f.guard(); err != nil {
 		return iostore.Object{}, 0, false, err
 	}
@@ -96,6 +102,7 @@ func (f *flakyBackend) GetBlock(ctx context.Context, key iostore.Key, index int)
 }
 
 func (f *flakyBackend) Keys(ctx context.Context) ([]iostore.Key, error) {
+	f.lists.Add(1)
 	if err := f.guard(); err != nil {
 		return nil, err
 	}
@@ -103,8 +110,29 @@ func (f *flakyBackend) Keys(ctx context.Context) ([]iostore.Key, error) {
 }
 
 // rig builds a shard client over n in-process flaky backends with the
-// background repair loop disabled (tests drive Rereplicate explicitly).
+// controller's probe tick disabled (tests drive RepairInventory and
+// probeTick explicitly).
 func rig(t *testing.T, n int, cfg Config) (*Store, []*flakyBackend, []*iostore.Store) {
+	t.Helper()
+	flakies := newFlakies(n)
+	inners := make([]*iostore.Store, n)
+	for i, f := range flakies {
+		inners[i] = f.inner.(*iostore.Store)
+	}
+	return clientOver(t, flakies, cfg), flakies, inners
+}
+
+func newFlakies(n int) []*flakyBackend {
+	flakies := make([]*flakyBackend, n)
+	for i := range flakies {
+		flakies[i] = &flakyBackend{inner: iostore.New(nvm.Pacer{})}
+	}
+	return flakies
+}
+
+// clientOver opens a shard client over existing backends. A second client
+// over the same backends is a restarted process: it tracks no key.
+func clientOver(t *testing.T, flakies []*flakyBackend, cfg Config) *Store {
 	t.Helper()
 	if cfg.Probe == 0 {
 		cfg.Probe = -1
@@ -112,20 +140,16 @@ func rig(t *testing.T, n int, cfg Config) (*Store, []*flakyBackend, []*iostore.S
 	if cfg.CallTimeout == 0 {
 		cfg.CallTimeout = 500 * time.Millisecond
 	}
-	flakies := make([]*flakyBackend, n)
-	inners := make([]*iostore.Store, n)
-	members := make([]Member, n)
-	for i := range members {
-		inners[i] = iostore.New(nvm.Pacer{})
-		flakies[i] = &flakyBackend{inner: inners[i]}
-		members[i] = Member{Name: fmt.Sprintf("iod-%d", i), Store: flakies[i]}
+	members := make([]Member, len(flakies))
+	for i, f := range flakies {
+		members[i] = Member{Name: fmt.Sprintf("iod-%d", i), Store: f}
 	}
 	s, err := New(members, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { s.Close() })
-	return s, flakies, inners
+	return s
 }
 
 func key(id uint64) iostore.Key { return iostore.Key{Job: "j", Rank: 0, ID: id} }
@@ -242,17 +266,27 @@ func TestWriteSurvivesReplicaDeathMidStream(t *testing.T) {
 		t.Fatalf("survivor holds %d/4 blocks", len(got.Blocks))
 	}
 
-	// Re-replication copies the object back up to R once the dead backend
-	// rejoins (or a third backend takes over — here the third is healthy).
-	fixed, err := s.Rereplicate(context.Background())
+	// Nothing kicks a repair: the key stays on one whole copy — the victim's
+	// block 0, once it answers again, is a torn copy and does not count —
+	// until a pass runs.
+	for _, f := range flakies {
+		f.down.Store(false)
+	}
+	if n := s.ReplicaCount(context.Background(), k); n != 1 {
+		t.Fatalf("whole replicas before repair = %d, want 1", n)
+	}
+	// The repair pass copies the object back up to R (the victim is still
+	// marked unhealthy — one probe does not rejoin it — so the third backend
+	// takes over).
+	moved, err := s.RepairInventory(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fixed != 1 {
-		t.Errorf("rereplicate fixed %d objects, want 1", fixed)
+	if moved != 1 {
+		t.Errorf("repair created %d copies, want 1", moved)
 	}
 	if n := s.ReplicaCount(context.Background(), k); n != 2 {
-		t.Errorf("replicas after repair = %d, want 2", n)
+		t.Errorf("whole replicas after repair = %d, want 2", n)
 	}
 }
 
@@ -335,7 +369,7 @@ func TestInventoryToleratesFewerThanRUnreachable(t *testing.T) {
 	}
 }
 
-func TestRereplicateAfterBackendDeath(t *testing.T) {
+func TestRepairAfterBackendDeath(t *testing.T) {
 	s, flakies, inners := rig(t, 3, Config{Replicas: 2})
 	reg := metrics.NewRegistry()
 	s.Instrument(reg)
@@ -347,8 +381,8 @@ func TestRereplicateAfterBackendDeath(t *testing.T) {
 	// Backend 0 dies for good: every object it held is down to one copy.
 	flakies[0].down.Store(true)
 	s.MarkUnhealthy("iod-0")
-	if _, err := s.Rereplicate(context.Background()); err != nil {
-		t.Fatalf("rereplicate: %v", err)
+	if _, err := s.RepairInventory(context.Background()); err != nil {
+		t.Fatalf("repair: %v", err)
 	}
 	for id := uint64(1); id <= 12; id++ {
 		n := 0
@@ -364,7 +398,7 @@ func TestRereplicateAfterBackendDeath(t *testing.T) {
 			t.Errorf("object %d has %d live replicas after repair, want 2", id, n)
 		}
 	}
-	if v := reg.Counter("ndpcr_shardstore_rereplications_total", "").Value(); v == 0 {
+	if v := reg.Counter("ndpcr_shardstore_rebalance_moved_total", "").Value(); v == 0 {
 		t.Error("repairs not counted")
 	}
 }
@@ -381,17 +415,19 @@ func TestProbeRejoinsRecoveredBackend(t *testing.T) {
 		t.Fatal("dead backend still healthy after failed write")
 	}
 	// The backend comes back. Re-admission is damped: the first
-	// RejoinProbes-1 probe passes must NOT rejoin it (Rereplicate also
-	// errors on those passes — with only one healthy backend there is
-	// nowhere to restore R=2); the RejoinProbes-th pass does.
+	// rejoinProbes-1 passes must NOT rejoin it (and copy nothing — with only
+	// one healthy backend there is nowhere to restore R=2); the
+	// rejoinProbes-th pass does, and repairs in the same breath.
 	flakies[1].down.Store(false)
-	for i := 1; i < s.cfg.RejoinProbes; i++ {
-		_, _ = s.Rereplicate(context.Background())
+	for i := 1; i < rejoinProbes; i++ {
+		if moved, err := s.RepairInventory(context.Background()); err != nil || moved != 0 {
+			t.Fatalf("pass %d = %d copies, %v; want none yet", i, moved, err)
+		}
 		if s.Healthy("iod-1") {
-			t.Fatalf("backend re-admitted after %d probes, want damping to %d", i, s.cfg.RejoinProbes)
+			t.Fatalf("backend re-admitted after %d probes, want damping to %d", i, rejoinProbes)
 		}
 	}
-	if _, err := s.Rereplicate(context.Background()); err != nil {
+	if _, err := s.RepairInventory(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	if !s.Healthy("iod-1") {

@@ -43,6 +43,12 @@ go test -run AllocBudget ./internal/gateway
 go run ./cmd/ndpcr-experiments -quick membership > /dev/null
 echo "check.sh: membership experiment green"
 
+# Shard chaos experiment: the one live scenario that kills a backend
+# (mid-drain) and then repairs; it fails unless every committed key is back
+# on R whole holders after RepairInventory.
+go run ./cmd/ndpcr-experiments -quick shardchaos > /dev/null
+echo "check.sh: shardchaos experiment green"
+
 # Elastic restart experiment: a job checkpointed at N=8 over 3 live iod
 # backends (R=2) restarts at M=4 and M=12 through the restore planner —
 # merged state byte-identical both ways, and the poisoned newest line
