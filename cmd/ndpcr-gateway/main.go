@@ -44,10 +44,10 @@ func main() {
 		iodAddrs  = flag.String("iod-addrs", "", "comma-separated ndpcr-iod addresses: store checkpoints in the sharded, replicated tier")
 		iodAddr   = flag.String("iod", "", "single ndpcr-iod address (unsharded remote store)")
 		replicas  = flag.Int("replicas", 2, "replica count R per checkpoint object across -iod-addrs backends")
-		iodLanes  = flag.Int("iod-lanes", 2, "concurrent transport lanes to each remote I/O node")
+		iodLanes  = flag.Int("iod-lanes", 2, "TCP connections to each remote I/O node (each carries up to 16 exchanges at once)")
 		codecID   = flag.String("codec", "gzip", "drain compression codec name (empty = none)")
 		level     = flag.Int("level", 1, "codec level")
-		drainWin  = flag.Int("drain-window", 0, "NDP send window per session drain (0 = default)")
+		drainWin  = flag.Int("drain-window", 0, "NDP send window per session drain, in blocks (0 = as many as fit 4 MiB, between 4 and 16)")
 		drainTO   = flag.Duration("drain-timeout", 30*time.Second, "how long a save may wait for its drain to reach the store")
 		asyncAck  = flag.Bool("async-ack", false, "acknowledge saves at NVM durability (202) and drain to the store in the background")
 		asyncTO   = flag.Duration("async-drain-timeout", 0, "background store-drain bound for async-acked saves (0 = 4x -drain-timeout)")

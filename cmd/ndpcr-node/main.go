@@ -41,8 +41,8 @@ func main() {
 		iodAddr  = flag.String("iod", "", "drain to a remote ndpcr-iod store at this address instead of in-process")
 		iodAddrs = flag.String("iod-addrs", "", "comma-separated ndpcr-iod addresses: drain through the sharded, replicated store tier")
 		replicas = flag.Int("replicas", 2, "replica count R per checkpoint object across -iod-addrs backends")
-		iodLanes = flag.Int("iod-lanes", 2, "concurrent transport lanes to each remote I/O node (1 = one serial stream)")
-		drainWin = flag.Int("drain-window", 0, "NDP send window: blocks in flight to the store per drain (0 = default)")
+		iodLanes = flag.Int("iod-lanes", 2, "TCP connections to each remote I/O node (each carries up to 16 exchanges at once)")
+		drainWin = flag.Int("drain-window", 0, "NDP send window: blocks in flight to the store per drain (0 = as many as fit 4 MiB, between 4 and 16)")
 		drTries  = flag.Int("drain-attempts", 0, "automatic drain retries per checkpoint before permanent failure (0 = no retry)")
 		dumpMet  = flag.Bool("metrics", false, "print per-checkpoint phase timelines and pipeline metrics after the run")
 		rrRanks  = flag.Int("restart-ranks", 0, "commit elastic (framed) checkpoints and, at -fail-at, restart through the restore planner onto this many in-process targets instead of the same-shape path (0 = classic restore)")

@@ -15,140 +15,145 @@ import (
 	"ndpcr/internal/node/iostore"
 )
 
-// lane is one TCP connection in a client's pool, with its own codec state.
-// mu serializes exchanges on the lane (the frame stream is stateful, so a
-// lane carries one request/response at a time); connMu guards only the conn
-// pointer so Close can sever an in-flight exchange without waiting behind
-// it.
+// lane is one slot of a client's pool: a TCP connection shared by up to
+// laneDepth exchanges at once. All of it is guarded by Client.mu.
 type lane struct {
-	mu sync.Mutex // held for the duration of an exchange or repair
+	// link is the current connection; nil marks the lane as needing a
+	// (re)dial before its next exchange. Lazily-dialed pool lanes start nil.
+	link *link
+	// inflight counts the calls that hold the lane, one of which may be
+	// dialing it.
+	inflight int
+	// pending maps the ID of every request written (or about to be) on
+	// link to the call waiting for its reply. Whoever deletes an entry
+	// owns completing that call: the reader with the reply, failLane with
+	// a transport error, or the call itself when it is abandoned. IDs
+	// start at 1 and are never reused on a lane.
+	pending map[uint64]*call
+	nextID  uint64
+}
 
-	connMu sync.Mutex
-	conn   net.Conn
+// link is one connection of a lane. Its reader goroutine owns wc's read
+// half; wmu admits one writer at a time to the write half and to the encode
+// state below it.
+type link struct {
+	conn net.Conn
+	wc   *wire.Conn
 
-	// wc frames the current connection. Guarded by mu.
-	wc *wire.Conn
-	// scratch is the reused request-meta encode buffer; pbuf is the
-	// reused single-entry scatter/gather list for PutBlock payloads (a
-	// drain sends millions of them, so the one-element slice must not be
-	// reallocated per block). Guarded by mu.
+	wmu sync.Mutex
+	// scratch is the reused request-meta encode buffer; pbuf is the reused
+	// single-entry scatter/gather list for PutBlock payloads (a drain sends
+	// millions of them, so the one-element slice must not be reallocated
+	// per block).
 	scratch []byte
 	pbuf    [1][]byte
-
-	// broken marks the lane as needing a (re)dial before its next
-	// exchange. Lazily-dialed pool lanes start broken with no conn.
-	// Guarded by mu; healthy mirrors !broken lock-free so acquireLane's
-	// all-busy fallback can avoid queueing behind a lane stuck in redial
-	// backoff.
-	broken  bool
-	healthy atomic.Bool
+	// deadlined records that conn carries a write deadline some earlier
+	// call set, which a call without one must clear.
+	deadlined bool
 }
 
-// setConn installs a fresh connection, closing any previous one. Caller
-// holds ln.mu; connMu bounds the race with Close.
-func (ln *lane) setConn(conn net.Conn, arena *wire.Arena) {
-	ln.connMu.Lock()
-	if ln.conn != nil {
-		ln.conn.Close()
+// call is one exchange waiting for its reply. Pooled: whoever takes the call
+// out of lane.pending sets resp or err and sends on done exactly once, and
+// the waiter puts the call back only after receiving that (or after taking
+// it out of pending itself), so done is always empty in the pool.
+type call struct {
+	id   uint64        // its key in lane.pending, the request's aux
+	done chan struct{} // capacity 1: completing never blocks
+	resp *response
+	err  error
+}
+
+var callPool = sync.Pool{New: func() any { return &call{done: make(chan struct{}, 1)} }}
+
+// wait blocks until the call is completed, then takes its result.
+func (cl *call) wait() (*response, error) {
+	<-cl.done
+	return cl.take()
+}
+
+// take returns what a completed call brought and recycles it. The caller
+// has received from done.
+func (cl *call) take() (*response, error) {
+	resp, err := cl.resp, cl.err
+	cl.resp, cl.err = nil, nil
+	callPool.Put(cl)
+	return resp, err
+}
+
+// send writes one request frame under the link's write lock, so the caller's
+// block slice is not read after send returns. The request's meta section is
+// encoded into the reused scratch buffer and block payloads ride the
+// scatter/gather list untouched. A context deadline bounds the write.
+func (lk *link) send(ctx context.Context, id uint64, req *request) error {
+	lk.wmu.Lock()
+	defer lk.wmu.Unlock()
+	if dl, ok := ctx.Deadline(); ok || lk.deadlined {
+		lk.conn.SetWriteDeadline(dl) // the zero time clears it; a dead conn fails the write below
+		lk.deadlined = ok
 	}
-	ln.conn = conn
-	ln.connMu.Unlock()
-	ln.wc = wire.NewConn(conn, arena)
-}
-
-// markBroken flags the lane for repair before its next exchange. Caller
-// holds ln.mu.
-func (ln *lane) markBroken() {
-	ln.broken = true
-	ln.healthy.Store(false)
-}
-
-// markHealthy clears the repair flag. Caller holds ln.mu.
-func (ln *lane) markHealthy() {
-	ln.broken = false
-	ln.healthy.Store(true)
-}
-
-// setDeadline applies (or clears) an I/O deadline on the lane's current
-// connection. Caller holds ln.mu; connMu bounds the race with Close.
-func (ln *lane) setDeadline(t time.Time) {
-	ln.connMu.Lock()
-	if ln.conn != nil {
-		ln.conn.SetDeadline(t)
-	}
-	ln.connMu.Unlock()
-}
-
-// exchange runs one request/response on the lane. Caller holds ln.mu. The
-// request's meta section is encoded into the lane's reused scratch buffer,
-// block payloads ride the scatter/gather list untouched, and the response's
-// checksum is verified before decode. A checksum mismatch is a transport
-// error — the caller marks the lane broken and the retry path redials. A
-// context deadline is projected onto the connection so a blocked read
-// cannot outlive the caller's budget (the failed read marks the lane
-// broken; the next claimant redials it).
-func (ln *lane) exchange(ctx context.Context, req *request) (*response, error) {
-	if dl, ok := ctx.Deadline(); ok {
-		ln.setDeadline(dl)
-		defer ln.setDeadline(time.Time{})
-	}
-	ln.scratch = appendRequestMeta(ln.scratch[:0], req)
-	h := wire.Header{Op: uint8(req.Op), Index: uint32(int32(req.Index))}
+	lk.scratch = appendRequestMeta(lk.scratch[:0], req)
+	h := wire.Header{Op: uint8(req.Op), Index: uint32(int32(req.Index)), Aux: id}
 	payloads := req.Meta.Blocks
 	if len(payloads) == 0 && req.Block != nil {
-		ln.pbuf[0] = req.Block
-		payloads = ln.pbuf[:]
+		lk.pbuf[0] = req.Block
+		payloads = lk.pbuf[:]
 	}
-	err := ln.wc.WriteFrame(h, ln.scratch, payloads...)
-	ln.pbuf[0] = nil
-	if err != nil {
-		return nil, fmt.Errorf("iod: send: %w", err)
-	}
-	rh, rmeta, rpayload, err := ln.wc.ReadFrame()
-	if err != nil {
-		return nil, fmt.Errorf("iod: receive: %w", err)
-	}
-	resp, err := decodeResponseWire(rh, rmeta, rpayload)
-	if err != nil {
-		return nil, fmt.Errorf("iod: receive: %w", err)
-	}
-	return resp, nil
+	err := lk.wc.WriteFrame(h, lk.scratch, payloads...)
+	lk.pbuf[0] = nil
+	return err
 }
 
 // Client talks to an iod server and satisfies iostore.Backend, so a node
 // runtime can be pointed at a remote I/O node transparently. A client owns
-// a pool of lanes (TCP connections): each call claims a free lane, so
-// concurrent PutBlocks from a windowed drain — or block fetches from a
-// streamed restore — proceed in parallel instead of serializing behind one
-// in-flight exchange. Dial builds a single-lane client (the original wire
-// behavior); DialPool sizes the pool explicitly.
+// a pool of lanes (TCP connections), each a full-duplex stream: a caller
+// writes its own request frame, one reader goroutine per lane matches every
+// reply to the call its request ID names, and a lane carries up to
+// laneDepth exchanges at once — so the PutBlocks of a windowed drain and the
+// block fetches of a streamed restore are all on the wire together, on
+// however few connections the pool has. Dial builds a single-lane client;
+// DialPool sizes the pool explicitly.
 //
-// Clients created with Dial/DialPool reconnect automatically: if a call
-// fails on a broken lane, the client runs capped-backoff redial+retry
-// cycles — rotating to other lanes, so a retried exchange can resume on a
-// healthy lane while the broken one repairs — until the exchange succeeds,
-// the retry budget is exhausted, the call's context is canceled, or Close
-// is called. Every operation is an idempotent request/response (PutBlock
-// writes by index), so retrying a failed exchange resumes an in-flight
-// drain stream instead of abandoning it — an I/O node restart mid-drain
-// costs only the retry window, not the checkpoint. All backoff sleeps
-// happen with no lane held and select on the context, so a deadline cuts
+// Clients created with Dial/DialPool reconnect automatically. A transport
+// failure on a lane fails every exchange pending on it, and each of those
+// calls runs capped-backoff redial+retry cycles — rotating to other lanes,
+// so a retried exchange resumes on a healthy lane while the broken one
+// repairs — until the exchange succeeds, the retry budget is exhausted, the
+// call's context is canceled, or Close is called. Every operation is
+// idempotent (PutBlock writes by index), so retrying a failed exchange
+// resumes an in-flight drain stream instead of abandoning it — an I/O node
+// restart mid-drain costs only the retry window, not the checkpoint. All
+// backoff sleeps hold no lane and select on the context, so a deadline cuts
 // the whole retry schedule short — which is what lets a sharded store fail
 // over to a replica in milliseconds instead of serving out the schedule.
+//
+// A call's deadline bounds its frame write and its wait for the reply, and
+// its expiry severs the lane (the peer is stalled; the next caller redials).
+// A canceled read returns at once and abandons its request ID: the late
+// reply is dropped and the lane keeps serving. A canceled write (Put,
+// PutBlock, Delete) still waits for its reply or its deadline — a write
+// running on the server after its call returned could re-create an object
+// the caller has since deleted.
 type Client struct {
-	addr  string // "" disables reconnection (NewClient-wrapped conns)
-	lanes []*lane
-	next  atomic.Uint64 // round-robin lane cursor
+	addr string // "" disables reconnection (NewClient-wrapped conns)
+	// dial opens one connection to addr; tests substitute it.
+	dial func(ctx context.Context) (net.Conn, error)
 
 	// arena pools receive buffers across every lane's frames.
 	arena *wire.Arena
 
-	mu     sync.Mutex
-	closed bool
+	// slots holds one token per exchange in flight, laneDepth per lane: a
+	// call that holds a token is sure to find a lane with room.
+	slots chan struct{}
+
+	mu      sync.Mutex // guards every lane's fields and next
+	lanes   []*lane
+	next    uint64         // round-robin lane cursor
+	readers sync.WaitGroup // one per link; Close joins them
 
 	// closing is set before Close takes any lock, so retry loops sleeping
 	// between redial cycles notice the shutdown and abort instead of
-	// serving out their whole backoff schedule.
+	// serving out their whole backoff schedule, and a redial that completes
+	// afterwards (it checks under mu) installs nothing Close would miss.
 	closing atomic.Bool
 
 	// Metrics (nil until Instrument is called).
@@ -174,7 +179,7 @@ func (c *Client) Instrument(r *metrics.Registry) {
 	c.mDeleteErrs = r.Counter("ndpcr_iod_delete_errors_total",
 		"deletes that failed (global objects possibly leaked by an abort cleanup)")
 	c.mLaneWaits = r.Counter("ndpcr_iod_lane_waits_total",
-		"calls that found every lane busy and had to queue")
+		"calls that found every lane full and had to queue")
 	c.mChecksumErrs = r.Counter("ndpcr_iod_checksum_errors_total",
 		"wire frames whose CRC32C verification failed (corruption caught before it reached a checkpoint)")
 	c.mMaskedInv = r.Counter("ndpcr_iod_masked_inventory_errors_total",
@@ -214,7 +219,8 @@ const (
 
 // Dial connects to an iod server with a single lane, retrying transient
 // connect failures with capped exponential backoff. Equivalent to
-// DialPool(addr, 1): one ordered stream, the original wire behavior.
+// DialPool(addr, 1): one connection, still carrying up to laneDepth
+// exchanges at once.
 func Dial(addr string) (*Client, error) {
 	return DialPool(addr, 1)
 }
@@ -223,23 +229,44 @@ func Dial(addr string) (*Client, error) {
 // dialed eagerly (so a dead server fails fast, as Dial always has); the
 // rest dial lazily on first use, so idle lanes cost the server nothing.
 // The first bytes on every connection are a wire frame; there is no
-// handshake, and a peer answering with anything else fails the exchange
-// with wire.ErrBadMagic or wire.ErrBadVersion.
+// handshake, and a peer answering with anything else fails the lane with
+// wire.ErrBadMagic or wire.ErrBadVersion.
 func DialPool(addr string, n int) (*Client, error) {
-	if n < 1 {
-		n = 1
-	}
-	c := &Client{addr: addr, lanes: make([]*lane, n), arena: wire.NewArena()}
-	for i := range c.lanes {
-		c.lanes[i] = &lane{broken: true}
-	}
+	c := newClient(addr, max(n, 1))
 	conn, err := c.dialRetry(context.Background())
 	if err != nil {
 		return nil, fmt.Errorf("iod: dial %s: %w", addr, err)
 	}
-	c.lanes[0].setConn(conn, c.arena)
-	c.lanes[0].markHealthy()
+	c.install(c.lanes[0], conn)
 	return c, nil
+}
+
+// NewClient wraps an established connection (tests use net.Pipe). Clients
+// built this way have one lane and do not reconnect.
+func NewClient(conn net.Conn) *Client {
+	c := newClient("", 1)
+	c.install(c.lanes[0], conn)
+	return c
+}
+
+func newClient(addr string, n int) *Client {
+	c := &Client{addr: addr, arena: wire.NewArena(), lanes: make([]*lane, n), slots: make(chan struct{}, n*laneDepth)}
+	c.dial = func(ctx context.Context) (net.Conn, error) {
+		var d net.Dialer
+		return d.DialContext(ctx, "tcp", addr)
+	}
+	for i := range c.lanes {
+		c.lanes[i] = &lane{pending: make(map[uint64]*call)}
+	}
+	return c
+}
+
+// install makes conn the lane's link and starts its reader. Caller holds
+// c.mu (or, in a constructor, the only reference to c).
+func (c *Client) install(ln *lane, conn net.Conn) {
+	ln.link = &link{conn: conn, wc: wire.NewConn(conn, c.arena)}
+	c.readers.Add(1)
+	go c.readLoop(ln, ln.link)
 }
 
 // Lanes reports the pool size.
@@ -265,8 +292,8 @@ func (c *Client) sleepCtx(ctx context.Context, d time.Duration) bool {
 // dialRetry attempts the TCP connect up to dialAttempts times, sleeping
 // the backoff schedule between failures; it returns the last error if all
 // attempts fail, the context ends, or the client is closing. Callers must
-// not hold any lane lock: the sleeps here are exactly the stalls that used
-// to freeze every caller when they ran under the client mutex.
+// not hold c.mu: the sleeps here are exactly the stalls that used to freeze
+// every caller when they ran under the client mutex.
 func (c *Client) dialRetry(ctx context.Context) (net.Conn, error) {
 	backoff := dialBackoffBase
 	var lastErr error
@@ -292,8 +319,7 @@ func (c *Client) dialRetry(ctx context.Context) (net.Conn, error) {
 			}
 			break
 		}
-		var d net.Dialer
-		conn, err := d.DialContext(ctx, "tcp", c.addr)
+		conn, err := c.dial(ctx)
 		if err == nil {
 			return conn, nil
 		}
@@ -302,169 +328,250 @@ func (c *Client) dialRetry(ctx context.Context) (net.Conn, error) {
 	return nil, fmt.Errorf("%w (after retries)", lastErr)
 }
 
-// NewClient wraps an established connection (tests use net.Pipe). Clients
-// built this way have one lane and do not reconnect.
-func NewClient(conn net.Conn) *Client {
-	c := &Client{lanes: []*lane{{}}, arena: wire.NewArena()}
-	c.lanes[0].setConn(conn, c.arena)
-	c.lanes[0].markHealthy()
-	return c
+// claimLane picks the lane for one exchange and counts the call onto it.
+// Depth comes after width: an idle healthy lane first (round-robin from a
+// shared cursor), then an idle broken or never-dialed one (which the caller
+// will dial — also how lazy lanes come up), then the healthy lane with the
+// fewest exchanges in flight, and a broken lane someone is already dialing
+// only when no healthy lane has room. So large transfers spread over every
+// socket before any lane carries two, and a lane stuck in redial backoff
+// captures no call a healthy lane can carry. The call queues only when
+// every lane is full.
+func (c *Client) claimLane(ctx context.Context) (*lane, error) {
+	select {
+	case c.slots <- struct{}{}:
+	default:
+		if c.mLaneWaits != nil {
+			c.mLaneWaits.Inc()
+		}
+		select {
+		case c.slots <- struct{}{}:
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		}
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	n := uint64(len(c.lanes))
+	var idleBroken, best *lane
+scan:
+	for i := uint64(0); i < n; i++ {
+		ln := c.lanes[(c.next+i)%n]
+		switch {
+		case ln.inflight == 0 && ln.link != nil:
+			best = ln
+			break scan
+		case ln.inflight == 0:
+			if idleBroken == nil {
+				idleBroken = ln
+			}
+		case ln.inflight < laneDepth && (best == nil || ln.lighterThan(best)):
+			best = ln
+		}
+	}
+	if idleBroken != nil && (best == nil || best.inflight > 0) {
+		best = idleBroken
+	}
+	c.next++
+	best.inflight++
+	return best, nil
 }
 
-// acquireLane claims a lane for one exchange, returning it locked. It
-// prefers a free healthy lane (scanning round-robin from a shared cursor),
-// then a free broken one (which the caller will repair — also how lazy
-// lanes get their first dial), and only queues behind an in-flight
-// exchange when every lane is busy. Preferring healthy lanes means a lane
-// stuck in a redial backoff does not capture new calls while an idle
-// healthy lane sits next to it.
-func (c *Client) acquireLane() *lane {
-	start := c.next.Add(1) - 1
-	n := uint64(len(c.lanes))
-	var brokenFree *lane
-	for i := uint64(0); i < n; i++ {
-		ln := c.lanes[(start+i)%n]
-		if !ln.mu.TryLock() {
+// lighterThan orders two busy lanes: a healthy one before a broken one,
+// then the one with fewer exchanges in flight.
+func (ln *lane) lighterThan(o *lane) bool {
+	if (ln.link != nil) != (o.link != nil) {
+		return ln.link != nil
+	}
+	return ln.inflight < o.inflight
+}
+
+// releaseLane undoes claimLane once the call is done with the lane.
+func (c *Client) releaseLane(ln *lane) {
+	c.mu.Lock()
+	ln.inflight--
+	c.mu.Unlock()
+	<-c.slots
+}
+
+// enroll readies ln for one exchange — dialing it first if it is broken or
+// was never dialed — and registers the pending call under a fresh request
+// ID. The dial and its backoff sleeps run with c.mu released, so other
+// callers can claim and even dial this lane meanwhile (the re-check after
+// relocking discards the surplus connection in that case).
+func (c *Client) enroll(ctx context.Context, ln *lane) (*link, *call, error) {
+	c.mu.Lock()
+	if ln.link == nil {
+		c.mu.Unlock()
+		if c.addr == "" {
+			return nil, nil, errors.New("iod: connection broken (no address to redial)")
+		}
+		conn, err := c.dialRetry(ctx)
+		if err != nil {
+			return nil, nil, fmt.Errorf("iod: redial %s: %w", c.addr, err)
+		}
+		c.mu.Lock()
+		switch {
+		case c.closing.Load():
+			c.mu.Unlock()
+			conn.Close()
+			return nil, nil, errors.New("iod: client closed")
+		case ln.link != nil:
+			conn.Close() // a racing dialer beat us to it
+		default:
+			c.install(ln, conn)
+			if c.mReconnects != nil {
+				c.mReconnects.Inc()
+			}
+		}
+	}
+	cl := callPool.Get().(*call)
+	ln.nextID++
+	cl.id = ln.nextID
+	ln.pending[cl.id] = cl
+	lk := ln.link
+	c.mu.Unlock()
+	return lk, cl, nil
+}
+
+// failLane severs lk and fails every exchange pending on it with err; the
+// lane's next caller redials. It does nothing if lk is no longer the lane's
+// link: whoever replaced it has already failed what was pending.
+func (c *Client) failLane(ln *lane, lk *link, err error) {
+	c.mu.Lock()
+	if ln.link != lk {
+		c.mu.Unlock()
+		return
+	}
+	ln.link = nil
+	failed := ln.pending
+	ln.pending = make(map[uint64]*call)
+	c.mu.Unlock()
+	lk.conn.Close()
+	for _, cl := range failed {
+		cl.err = err
+		cl.done <- struct{}{}
+	}
+}
+
+// readLoop is lk's one reader: it decodes each reply — before reading on,
+// since a frame's meta section lives in the wire.Conn's scratch — and
+// completes the pending call its request ID names. A reply that names none
+// (abandoned by a canceled read, a duplicate, ID 0, or anything else a
+// broken peer invents) is dropped and its payload recycled. Any read error,
+// a checksum mismatch in either direction (the ID in a corrupt header
+// cannot be trusted, so a bad frame costs the lane, not one call) or an
+// undecodable reply fails the whole lane and ends the loop.
+func (c *Client) readLoop(ln *lane, lk *link) {
+	defer c.readers.Done()
+	for {
+		h, meta, payload, err := lk.wc.ReadFrame()
+		var resp *response
+		if err == nil {
+			if resp, err = decodeResponseWire(h, meta, payload); err != nil {
+				c.arena.Put(payload)
+			} else if strings.HasPrefix(resp.Err, checksumErrPrefix) {
+				// The server read a corrupted frame from us.
+				err = fmt.Errorf("%w: peer reports %s", wire.ErrChecksum, resp.Err)
+			}
+		}
+		if err != nil {
+			if errors.Is(err, wire.ErrChecksum) && c.mChecksumErrs != nil {
+				c.mChecksumErrs.Inc()
+			}
+			c.failLane(ln, lk, fmt.Errorf("iod: receive: %w", err))
+			return
+		}
+		c.mu.Lock()
+		var cl *call
+		if ln.link == lk {
+			cl = ln.pending[h.Aux]
+			delete(ln.pending, h.Aux)
+		}
+		c.mu.Unlock()
+		if cl == nil {
+			c.arena.Put(payload)
 			continue
 		}
-		if !ln.broken {
-			if brokenFree != nil {
-				brokenFree.mu.Unlock()
-			}
-			return ln
-		}
-		if brokenFree == nil {
-			brokenFree = ln // hold it locked in case no healthy lane is free
-		} else {
-			ln.mu.Unlock()
-		}
+		cl.resp = resp
+		cl.done <- struct{}{}
 	}
-	if brokenFree != nil {
-		return brokenFree
-	}
-	if c.mLaneWaits != nil {
-		c.mLaneWaits.Inc()
-	}
-	// Every lane is busy: queue behind an in-flight exchange. Prefer a
-	// healthy lane (round-robin from the cursor) — blindly queueing on
-	// lanes[start%n] could park the call behind a lane stuck in redial
-	// backoff while a healthy lane would have freed up in microseconds.
-	// healthy is a lock-free snapshot, so this is a heuristic: a lane that
-	// breaks after the check still fails over through the retry path.
-	for i := uint64(0); i < n; i++ {
-		ln := c.lanes[(start+i)%n]
-		if ln.healthy.Load() {
-			ln.mu.Lock()
-			return ln
-		}
-	}
-	ln := c.lanes[start%n]
-	ln.mu.Lock()
-	return ln
 }
 
-// repairLane (re)dials a broken lane. Called with ln.mu held; the dial —
-// and its backoff sleeps — run with the lane unlocked, so other callers
-// can claim and even repair this lane meanwhile (the post-relock broken
-// re-check discards the surplus connection in that case).
-func (c *Client) repairLane(ctx context.Context, ln *lane) error {
-	if c.addr == "" {
-		return errors.New("iod: connection broken (no address to redial)")
-	}
-	ln.mu.Unlock()
-	conn, err := c.dialRetry(ctx)
-	ln.mu.Lock()
+// attempt runs one exchange on one lane: claim, enroll, write the request,
+// wait for the reply. The wait ends early only as the Client comment says:
+// on the deadline (severing the lane), or at once for a canceled read.
+func (c *Client) attempt(ctx context.Context, req *request) (*response, error) {
+	ln, err := c.claimLane(ctx)
 	if err != nil {
-		return fmt.Errorf("iod: redial %s: %w", c.addr, err)
+		return nil, err
 	}
-	if c.closing.Load() {
-		conn.Close()
-		return errors.New("iod: client closed")
+	defer c.releaseLane(ln)
+	lk, cl, err := c.enroll(ctx, ln)
+	if err != nil {
+		return nil, err
 	}
-	if !ln.broken {
-		conn.Close() // a racing repairer beat us to it
-		return nil
+	if err := lk.send(ctx, cl.id, req); err != nil {
+		c.failLane(ln, lk, fmt.Errorf("iod: send: %w", err))
+		return cl.wait()
 	}
-	ln.setConn(conn, c.arena)
-	ln.markHealthy()
-	if c.mReconnects != nil {
-		c.mReconnects.Inc()
+	select {
+	case <-cl.done:
+		return cl.take()
+	case <-ctx.Done():
 	}
+	if ctx.Err() == context.Canceled {
+		if req.Op != opPut && req.Op != opPutBlock && req.Op != opDelete {
+			c.mu.Lock()
+			abandoned := ln.pending[cl.id] == cl
+			if abandoned {
+				delete(ln.pending, cl.id)
+			}
+			c.mu.Unlock()
+			if abandoned {
+				callPool.Put(cl)
+				return nil, ctx.Err()
+			}
+			return cl.wait() // the reply won the race
+		}
+		dl, ok := ctx.Deadline()
+		if !ok {
+			return cl.wait()
+		}
+		timer := time.NewTimer(time.Until(dl))
+		defer timer.Stop()
+		select {
+		case <-cl.done:
+			return cl.take()
+		case <-timer.C:
+		}
+	}
+	c.failLane(ln, lk, errors.New("iod: lane severed: a call's deadline passed with no reply"))
+	return cl.wait()
+}
+
+// Close shuts every lane down and joins their readers; in-flight calls
+// fail. closing is flagged first so retry loops abort at their next check.
+func (c *Client) Close() error {
+	c.closing.Store(true)
+	for _, ln := range c.lanes {
+		c.mu.Lock()
+		lk := ln.link
+		c.mu.Unlock()
+		if lk != nil {
+			c.failLane(ln, lk, errors.New("iod: client closed"))
+		}
+	}
+	c.readers.Wait()
 	return nil
 }
 
-// attempt runs one exchange on one lane, repairing the lane first if it is
-// broken (or was never dialed). A failed exchange — including a checksum
-// mismatch in either direction — marks the lane broken so the next claimant
-// redials it.
-func (c *Client) attempt(ctx context.Context, req *request) (*response, error) {
-	ln := c.acquireLane()
-	defer ln.mu.Unlock()
-	if ln.broken {
-		if err := c.repairLane(ctx, ln); err != nil {
-			return nil, err
-		}
-	}
-	resp, err := ln.exchange(ctx, req)
-	if err != nil {
-		if errors.Is(err, wire.ErrChecksum) && c.mChecksumErrs != nil {
-			c.mChecksumErrs.Inc()
-		}
-		ln.markBroken()
-		return nil, err
-	}
-	if strings.HasPrefix(resp.Err, checksumErrPrefix) {
-		// The server read a corrupted frame from us: integrity of the lane
-		// is suspect, so treat it like a transport failure and let the
-		// retry cycle redial and resend.
-		if c.mChecksumErrs != nil {
-			c.mChecksumErrs.Inc()
-		}
-		ln.markBroken()
-		return nil, errors.New(resp.Err)
-	}
-	return resp, nil
-}
-
-// Close shuts every lane down; in-flight calls fail. Lane locks are not
-// taken (an exchange or repair may hold them for a while): closing is
-// flagged first so retry loops abort at their next check, then each lane's
-// connection is severed under connMu, failing any blocked read.
-func (c *Client) Close() error {
-	c.closing.Store(true)
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return nil
-	}
-	c.closed = true
-	c.mu.Unlock()
-	var first error
-	for _, ln := range c.lanes {
-		ln.connMu.Lock()
-		if ln.conn != nil {
-			if err := ln.conn.Close(); err != nil && first == nil {
-				first = err
-			}
-		}
-		ln.connMu.Unlock()
-	}
-	return first
-}
-
-func (c *Client) isClosed() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.closed
-}
-
-// call performs one request/response exchange. A failed exchange triggers
-// redial+retry cycles with capped backoff: the protocol is strictly
-// request/response and every operation idempotent, so a retried exchange
-// after an I/O node restart resumes exactly where the drain stream broke.
-// Each retry claims a lane afresh, so a stream broken on one lane resumes
-// on whichever lane is healthy first. Backoff sleeps hold no locks and
-// select on ctx, so cancelation or a deadline aborts the schedule
+// call performs one exchange. A failed exchange triggers redial+retry
+// cycles with capped backoff: every operation is idempotent, so a retried
+// exchange after an I/O node restart resumes exactly where the drain stream
+// broke. Each retry claims a lane afresh, so a stream broken on one lane
+// resumes on whichever lane is healthy first. Backoff sleeps hold no lane
+// and select on ctx, so cancelation or a deadline aborts the schedule
 // immediately.
 func (c *Client) call(ctx context.Context, req *request) (*response, error) {
 	if c.mInFlight != nil {
@@ -473,7 +580,7 @@ func (c *Client) call(ctx context.Context, req *request) (*response, error) {
 		start := time.Now()
 		defer func() { c.mCallSecs.ObserveSince(start) }()
 	}
-	if c.isClosed() {
+	if c.closing.Load() {
 		return nil, errors.New("iod: client closed")
 	}
 	if err := ctx.Err(); err != nil {
@@ -510,7 +617,7 @@ func (c *Client) call(ctx context.Context, req *request) (*response, error) {
 		}
 		err = rerr
 	}
-	if cerr := ctx.Err(); cerr != nil {
+	if cerr := ctx.Err(); cerr != nil && !errors.Is(err, cerr) {
 		err = fmt.Errorf("%w (last transport error: %v)", cerr, err)
 	}
 	if c.mCallErrs != nil {

@@ -140,17 +140,19 @@ func TestCorruptFaultTripsChecksumAndRecovers(t *testing.T) {
 }
 
 // TestServerRejectsCorruptRequestFrame corrupts a client->server frame:
-// the server must answer with the checksum error (stream aligned, counted)
-// and the client must treat it as a transport failure and retry to
-// success.
+// the server must answer with the checksum error (stream aligned, counted,
+// under request ID 0) and the client must treat it as a transport failure
+// of the lane and retry to success.
 func TestServerRejectsCorruptRequestFrame(t *testing.T) {
 	srv, client, backing := startPool(t, 1)
 	reg := metrics.NewRegistry()
 	client.Instrument(reg)
-	ln := client.lanes[0]
-	ln.mu.Lock()
-	ln.wc.CorruptNext = true
-	ln.mu.Unlock()
+	client.mu.Lock()
+	lk := client.lanes[0].link
+	client.mu.Unlock()
+	lk.wmu.Lock()
+	lk.wc.CorruptNext = true
+	lk.wmu.Unlock()
 
 	key := iostore.Key{Job: "crc", Rank: 0, ID: 2}
 	if err := client.PutBlock(context.Background(), key, iostore.Object{Key: key, OrigSize: 4}, 0, []byte("data")); err != nil {
@@ -159,13 +161,7 @@ func TestServerRejectsCorruptRequestFrame(t *testing.T) {
 	if got := client.mChecksumErrs.Value(); got != 1 {
 		t.Errorf("client checksum errors = %v, want 1", got)
 	}
-	waitFor := time.Now().Add(3 * time.Second)
-	for srv.mChecksumErrs.Value() == 0 {
-		if time.Now().After(waitFor) {
-			t.Fatal("server never counted the checksum failure")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	eventually(t, "server counted the checksum failure", func() bool { return srv.mChecksumErrs.Value() > 0 })
 	if obj, err := backing.Get(context.Background(), key); err != nil || string(obj.Blocks[0]) != "data" {
 		t.Errorf("stored object wrong after recovery: %v, %v", obj, err)
 	}

@@ -238,10 +238,7 @@ func TestClientReconnects(t *testing.T) {
 	// Break the connection out from under the client: the next call must
 	// redial transparently (the client was built with Dial, so it knows
 	// the address).
-	ln := client.lanes[0]
-	ln.connMu.Lock()
-	ln.conn.Close()
-	ln.connMu.Unlock()
+	severLane(t, client, 0)
 
 	got, err := client.Get(context.Background(), key)
 	if err != nil {

@@ -17,66 +17,13 @@ import (
 	"ndpcr/internal/node/nvm"
 )
 
-// startPool launches a server and returns a connected n-lane client.
+// startPool launches a server over a plain in-memory store and returns a
+// connected n-lane client.
 func startPool(t *testing.T, n int) (*Server, *Client, *iostore.Store) {
 	t.Helper()
 	backing := iostore.New(nvm.Pacer{})
-	srv, err := NewServer(backing)
-	if err != nil {
-		t.Fatal(err)
-	}
-	go srv.ListenAndServe("127.0.0.1:0")
-	deadline := time.Now().Add(5 * time.Second)
-	for srv.Addr() == nil {
-		if time.Now().After(deadline) {
-			t.Fatal("server never started listening")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	client, err := DialPool(srv.Addr().String(), n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() {
-		client.Close()
-		srv.Close()
-	})
+	srv, client := startPoolOver(t, backing, n)
 	return srv, client, backing
-}
-
-// warmLane forces the lazy dial of pool lane i by keeping every other lane
-// busy while one call runs.
-func warmLane(t *testing.T, c *Client, i int) {
-	t.Helper()
-	for j, ln := range c.lanes {
-		if j != i {
-			ln.mu.Lock()
-		}
-	}
-	c.Latest(context.Background(), "warm", 0)
-	for j, ln := range c.lanes {
-		if j != i {
-			ln.mu.Unlock()
-		}
-	}
-	c.lanes[i].mu.Lock()
-	broken := c.lanes[i].broken
-	c.lanes[i].mu.Unlock()
-	if broken {
-		t.Fatalf("lane %d still broken after warm-up call", i)
-	}
-}
-
-// deadAddr returns a localhost address that refuses connections.
-func deadAddr(t *testing.T) string {
-	t.Helper()
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr := l.Addr().String()
-	l.Close()
-	return addr
 }
 
 func TestDialPoolLazyLanes(t *testing.T) {
@@ -94,12 +41,10 @@ func TestDialPoolLazyLanes(t *testing.T) {
 	if v := reg.Counter("ndpcr_iod_reconnects_total", "").Value(); v != 0 {
 		t.Errorf("sequential calls dialed %v lazy lanes; want 0", v)
 	}
-	for i, ln := range client.lanes[1:] {
-		ln.mu.Lock()
-		if ln.conn != nil {
-			t.Errorf("lazy lane %d has a connection before any concurrent load", i+1)
+	for i := 1; i < client.Lanes(); i++ {
+		if laneDialed(client, i) {
+			t.Errorf("lazy lane %d has a connection before any concurrent load", i)
 		}
-		ln.mu.Unlock()
 	}
 }
 
@@ -152,107 +97,99 @@ func TestPoolConcurrentInterleavings(t *testing.T) {
 }
 
 func TestLaneFailureMidStreamResumesOnAnotherLane(t *testing.T) {
-	_, client, backing := startPool(t, 2)
+	g := newGatedStore()
+	_, client := startPoolOver(t, g, 2)
 	reg := metrics.NewRegistry()
 	client.Instrument(reg)
-	warmLane(t, client, 1) // both lanes now connected
-
 	key := iostore.Key{Job: "failover", Rank: 0, ID: 1}
-	if err := backing.Put(context.Background(), iostore.Object{Key: key, OrigSize: 4, Blocks: [][]byte{[]byte("data")}}); err != nil {
-		t.Fatal(err)
-	}
+	putBlocks(t, g.Backend, key, 2)
+	warmLanes(t, client, g, key) // both lanes now connected
 
-	// Sever lane 0 out from under the client and aim the cursor at it: the
-	// first exchange fails mid-stream, and the retry must resume on healthy
-	// lane 1 instead of stalling to redial lane 0 first.
-	ln0 := client.lanes[0]
-	ln0.connMu.Lock()
-	ln0.conn.Close()
-	ln0.connMu.Unlock()
-	client.next.Store(0)
-
+	// Park a fetch at the backing store, then sever the lane that carries
+	// it: the exchange fails mid-stream, and the retry must resume on the
+	// healthy lane instead of stalling to redial the broken one first.
+	g.gate(1)
 	reconBefore := reg.Counter("ndpcr_iod_reconnects_total", "").Value()
-	obj, err := client.Get(context.Background(), key)
-	if err != nil {
-		t.Fatalf("Get across lane failure: %v", err)
+	got := make(chan error, 1)
+	go func() {
+		b, err := client.GetBlock(context.Background(), key, 1)
+		if err == nil && !bytes.Equal(b, []byte{1}) {
+			err = fmt.Errorf("failover read returned %v", b)
+		}
+		got <- err
+	}()
+	g.awaitArrivals(t, 1)
+	broken := busyLane(t, client)
+	severLane(t, client, broken)
+	g.awaitArrivals(t, 1) // the retry, over the other lane
+	g.release(1)
+	if err := <-got; err != nil {
+		t.Fatalf("GetBlock across lane failure: %v", err)
 	}
-	if !bytes.Equal(obj.Blocks[0], []byte("data")) {
-		t.Error("failover read returned wrong data")
-	}
-	if v := reg.Counter("ndpcr_iod_call_retries_total", "").Value(); v == 0 {
-		t.Error("no retry counted; the severed lane was never hit")
+	if v := reg.Counter("ndpcr_iod_call_retries_total", "").Value(); v != 1 {
+		t.Errorf("%v retries counted, want 1", v)
 	}
 	if v := reg.Counter("ndpcr_iod_reconnects_total", "").Value(); v != reconBefore {
 		t.Errorf("retry redialed the broken lane (%v reconnects) instead of resuming on the healthy one", v-reconBefore)
 	}
-	ln0.mu.Lock()
-	broken := ln0.broken
-	ln0.mu.Unlock()
-	if !broken {
-		t.Error("severed lane not marked broken for later repair")
+	if laneDialed(client, broken) {
+		t.Error("severed lane not left broken for later repair")
 	}
 }
 
+// TestBrokenLaneBackoffDoesNotBlockHealthyLane is an ordering, not a
+// timing: while one caller sits inside the redial of a broken lane (a dial
+// hook holds it there), a second call completes over the healthy lane —
+// though that lane is busy and the broken one is not.
 func TestBrokenLaneBackoffDoesNotBlockHealthyLane(t *testing.T) {
-	// Regression for the lock-hold bug: reconnect backoff used to sleep
-	// holding the client mutex, so one broken exchange froze every caller
-	// for the full ~4.5 s retry window. With per-lane state and unlocked
-	// sleeps, a call riding out a redial on one lane must not delay an
-	// inventory call on a healthy lane.
-	_, client, backing := startPool(t, 2)
-	warmLane(t, client, 1)
-
+	g := newGatedStore()
+	_, client := startPoolOver(t, g, 2)
 	key := iostore.Key{Job: "nb", Rank: 0, ID: 1}
-	if err := backing.Put(context.Background(), iostore.Object{Key: key, OrigSize: 1, Blocks: [][]byte{{1}}}); err != nil {
-		t.Fatal(err)
+	putBlocks(t, g.Backend, key, 2)
+	warmLanes(t, client, g, key)
+	severLane(t, client, 0)
+
+	dialing, finishDial := make(chan struct{}), make(chan struct{})
+	realDial := client.dial
+	client.dial = func(ctx context.Context) (net.Conn, error) {
+		close(dialing)
+		<-finishDial
+		return realDial(ctx)
 	}
 
-	// Break lane 0 and point redials at a dead address, so its repair runs
-	// the full dial backoff schedule (~0.8 s of sleeping).
-	ln0 := client.lanes[0]
-	ln0.connMu.Lock()
-	ln0.conn.Close()
-	ln0.connMu.Unlock()
-	ln0.mu.Lock()
-	ln0.broken = true
-	ln0.mu.Unlock()
-	client.addr = deadAddr(t)
-
-	// Force caller A onto broken lane 0 by keeping lane 1 busy, then let A
-	// sink into the repair backoff.
-	client.lanes[1].mu.Lock()
+	// Keep healthy lane 1 busy, so caller A takes idle broken lane 0 and
+	// sinks into its redial.
+	g.gate(1)
+	parked := make(chan error, 1)
+	go func() {
+		_, err := client.GetBlock(context.Background(), key, 1)
+		parked <- err
+	}()
+	g.awaitArrivals(t, 1)
 	aDone := make(chan error, 1)
 	go func() {
-		_, err := client.Get(context.Background(), key)
+		_, _, err := client.Stat(context.Background(), key)
 		aDone <- err
 	}()
-	time.Sleep(150 * time.Millisecond)
-	client.lanes[1].mu.Unlock()
+	<-dialing
 
-	// Caller B on the healthy lane must answer promptly while A is still
-	// inside its backoff window.
-	start := time.Now()
-	if _, ok, _ := client.Stat(context.Background(), key); !ok {
-		t.Error("Stat on healthy lane failed")
-	}
-	if d := time.Since(start); d > 500*time.Millisecond {
-		t.Errorf("healthy-lane Stat took %v; broken lane's backoff is blocking the pool", d)
+	// Caller B finds lane 0 broken and claimed, lane 1 healthy and busy: it
+	// must ride lane 1 and answer while A is still dialing.
+	if _, ok, err := client.Stat(context.Background(), key); err != nil || !ok {
+		t.Fatalf("Stat over the healthy lane = %v, %v", ok, err)
 	}
 	select {
 	case err := <-aDone:
-		t.Fatalf("caller on broken lane finished before its dial backoff could run (err=%v)", err)
+		t.Fatalf("caller on the broken lane finished before its dial did (err=%v)", err)
 	default:
 	}
-
-	// A's retry cycle must eventually succeed by resuming on the healthy
-	// lane (lane 0 stays unrepairable), not fail the call.
-	select {
-	case err := <-aDone:
-		if err != nil {
-			t.Fatalf("call on broken lane never recovered: %v", err)
-		}
-	case <-time.After(15 * time.Second):
-		t.Fatal("call on broken lane still blocked")
+	close(finishDial)
+	if err := <-aDone; err != nil {
+		t.Fatalf("call on the redialed lane: %v", err)
+	}
+	g.release(1)
+	if err := <-parked; err != nil {
+		t.Fatalf("parked fetch: %v", err)
 	}
 }
 
@@ -369,24 +306,7 @@ func (f failingBackend) StatBlocks(ctx context.Context, key iostore.Key) (iostor
 // "nothing stored", a restore coordinator on a sick I/O node would conclude
 // there was no checkpoint to restore.
 func TestRemoteInventoryErrorsSurfaced(t *testing.T) {
-	srv, err := NewServer(failingBackend{iostore.New(nvm.Pacer{})})
-	if err != nil {
-		t.Fatal(err)
-	}
-	go srv.ListenAndServe("127.0.0.1:0")
-	deadline := time.Now().Add(5 * time.Second)
-	for srv.Addr() == nil {
-		if time.Now().After(deadline) {
-			t.Fatal("server never started listening")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	defer srv.Close()
-	client, err := Dial(srv.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer client.Close()
+	_, client := startPoolOver(t, failingBackend{iostore.New(nvm.Pacer{})}, 1)
 	reg := metrics.NewRegistry()
 	client.Instrument(reg)
 
@@ -471,48 +391,45 @@ func TestServerMaxConnsRejectsSurplus(t *testing.T) {
 	if _, _, _, err := wc.ReadFrame(); err == nil {
 		t.Error("surplus connection was served past the lane budget")
 	}
-	waitFor := time.Now().Add(3 * time.Second)
-	for srv.mRejected.Value() == 0 {
-		if time.Now().After(waitFor) {
-			t.Fatal("rejected connection never counted")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
+	eventually(t, "rejected connection counted", func() bool { return srv.mRejected.Value() > 0 })
 	// The funded client keeps working.
 	if latest, ok, _ := client.Latest(context.Background(), "cap", 0); !ok || latest != 1 {
 		t.Errorf("funded client broken after rejection: %d, %v", latest, ok)
 	}
 }
 
-// TestAcquireLanePrefersHealthyWhenAllBusy pins every lane busy and checks
-// the queueing fallback picks the healthy lane, not blindly the cursor's.
+// TestAcquireLanePrefersHealthyWhenAllBusy checks the lane choice once no
+// lane is idle: the healthy lane with the fewest exchanges in flight, and a
+// broken lane someone is already dialing only when no healthy lane has
+// room.
 func TestAcquireLanePrefersHealthyWhenAllBusy(t *testing.T) {
-	c := &Client{lanes: []*lane{{}, {}, {}}}
-	for _, ln := range c.lanes {
-		ln.broken = true
-		ln.mu.Lock() // every lane busy
-	}
-	c.lanes[2].healthy.Store(true)
-
-	got := make(chan *lane)
-	go func() { got <- c.acquireLane() }()
-	// The cursor starts at lane 0 (unhealthy, held forever): the old
-	// fallback queued there and would never return. The fixed fallback
-	// queues on the healthy lane 2, so freeing it releases the waiter.
-	select {
-	case <-got:
-		t.Fatal("acquireLane returned while every lane was still held")
-	case <-time.After(50 * time.Millisecond):
-	}
-	c.lanes[2].mu.Unlock()
-	select {
-	case ln := <-got:
-		if ln != c.lanes[2] {
-			t.Error("acquireLane queued on an unhealthy lane instead of the healthy one")
+	healthy := &link{}
+	for _, tc := range []struct {
+		name     string
+		links    []*link
+		inflight []int
+		want     int
+	}{
+		{"healthy beats a lighter broken lane", []*link{nil, nil, healthy}, []int{1, 1, 5}, 2},
+		{"fewest in flight among healthy", []*link{healthy, healthy, healthy}, []int{3, 2, 4}, 1},
+		{"full healthy lanes leave the broken one", []*link{healthy, nil, healthy}, []int{laneDepth, 2, laneDepth}, 1},
+		{"idle broken lane before a busy healthy one", []*link{healthy, nil, healthy}, []int{1, 0, 1}, 1},
+		{"idle healthy lane before everything", []*link{nil, healthy, healthy}, []int{0, 3, 0}, 2},
+	} {
+		c := newClient("", len(tc.links))
+		for i, ln := range c.lanes {
+			ln.link, ln.inflight = tc.links[i], tc.inflight[i]
 		}
-		ln.mu.Unlock()
-	case <-time.After(2 * time.Second):
-		t.Fatal("acquireLane never returned after the healthy lane freed (queued on an unhealthy lane?)")
+		got, err := c.claimLane(context.Background())
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if got != c.lanes[tc.want] {
+			t.Errorf("%s: claimed the wrong lane, want lane %d", tc.name, tc.want)
+		}
+		if got.inflight != tc.inflight[tc.want]+1 {
+			t.Errorf("%s: claim not counted onto the lane", tc.name)
+		}
 	}
 }
 
@@ -550,18 +467,13 @@ func exerciseSuite(t *testing.T, client *Client) {
 	}
 }
 
-// TestCompatV2BothEnds runs the full cycle over a 2-lane pool: every lane
-// speaks wire frames from its first byte.
-func TestCompatV2BothEnds(t *testing.T) {
-	_, client, _ := startPool(t, 2)
+// TestFullCycleOverEveryLane runs the full cycle over a 2-lane pool whose
+// lanes are both up: every lane speaks wire frames from its first byte.
+func TestFullCycleOverEveryLane(t *testing.T) {
+	g := newGatedStore()
+	_, client := startPoolOver(t, g, 2)
+	key := iostore.Key{Job: "warm", Rank: 0, ID: 1}
+	putBlocks(t, g.Backend, key, 1)
+	warmLanes(t, client, g, key)
 	exerciseSuite(t, client)
-	warmLane(t, client, 1)
-	for i, ln := range client.lanes {
-		ln.mu.Lock()
-		dialed := ln.wc != nil
-		ln.mu.Unlock()
-		if !dialed {
-			t.Errorf("lane %d never dialed", i)
-		}
-	}
 }

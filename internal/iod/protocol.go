@@ -4,12 +4,14 @@
 // drain engine) can target a remote I/O node instead of an in-process
 // store.
 //
-// There is one wire codec (internal/iod/wire, protocol v2): length-prefixed
+// There is one wire codec (internal/iod/wire, protocol v3): length-prefixed
 // little-endian binary frames with CRC32C checksums, pooled receive buffers,
 // and scatter/gather sends — the zero-copy wire that lets a drain run at
 // hardware speed. The first bytes on a connection are a frame; every header
 // carries magic and version, and a peer speaking anything else is rejected
-// with wire.ErrBadMagic or wire.ErrBadVersion and a closed socket.
+// with wire.ErrBadMagic or wire.ErrBadVersion and a closed socket. A
+// connection is full duplex: it carries up to laneDepth exchanges at once,
+// each reply matched to its request by the ID in the header's aux field.
 //
 // This is the substrate behind the paper's §4.2.2 requirement that "the
 // NDP must be able to operate the relevant system code for running the
@@ -45,11 +47,18 @@ const (
 	opMax = opKeys
 )
 
+// laneDepth bounds the exchanges one connection carries at once. The client
+// queues a call only when every lane holds this many; the server stops
+// reading a connection while this many of its requests are being handled, so
+// a peer that ignores the bound meets TCP backpressure, not more goroutines.
+const laneDepth = 16
+
 // checksumErrPrefix opens the error the server returns when a received
-// frame fails CRC verification. The client maps it to a transport failure
-// (redial + retry) rather than an application error: corruption on the
-// wire must not fail a drain the way a full disk would. The string is part
-// of the wire contract.
+// frame fails CRC verification — under request ID 0, since no field of a
+// corrupt header can be trusted. The client maps it to a transport failure
+// of the whole lane (every pending exchange redials and retries) rather
+// than an application error: corruption on the wire must not fail a drain
+// the way a full disk would. The string is part of the wire contract.
 const checksumErrPrefix = "iod: payload checksum mismatch"
 
 // opName labels operations in metric series.

@@ -14,9 +14,11 @@ import (
 	"ndpcr/internal/node/iostore"
 )
 
-// Server serves the iostore API over TCP. Each connection gets its own
-// goroutine and processes requests sequentially; concurrency comes from
-// many connections (one per compute node, as on a real I/O node).
+// Server serves the iostore API over TCP. Each connection gets a reader
+// goroutine that hands every request to a handler goroutine of its own, up
+// to laneDepth at a time, and replies go out as their handlers finish, in
+// any order: concurrency comes from the requests a client keeps in flight,
+// on however few connections it opens.
 type Server struct {
 	backing iostore.Backend
 
@@ -31,11 +33,11 @@ type Server struct {
 	closed   bool
 	wg       sync.WaitGroup
 
-	// connFault, when set, is consulted before each request; drop severs
-	// the connection without responding (fault injection: exercises the
-	// client's reconnect+retry path), corrupt flips a byte of the next
-	// response frame after its checksum is computed (exercises the client's
-	// CRC verification).
+	// connFault, when set, is consulted once per request; drop severs the
+	// connection without responding, failing every exchange in flight on it
+	// (fault injection: exercises the client's reconnect+retry path),
+	// corrupt flips a byte of that request's response frame after its
+	// checksum is computed (exercises the client's CRC verification).
 	connFault func() (drop, corrupt bool)
 
 	// maxConns, when > 0, caps concurrently served connections: a lane
@@ -44,10 +46,13 @@ type Server struct {
 	// its surplus lanes break and retries on the funded ones.
 	maxConns int
 
-	// arena pools receive buffers across every connection; request
-	// payloads are recycled as soon as the handler returns (every
+	// arena pools receive buffers across every connection; a request's
+	// payload is recycled as soon as its handler returns (every
 	// iostore.Backend copies block bytes it keeps, so recycling is safe).
 	arena *wire.Arena
+	// calls pools the per-request state (*srvCall), so the steady drain
+	// state allocates nothing per block on either path.
+	calls sync.Pool
 
 	reg           *metrics.Registry
 	mRequests     [opMax + 1]*metrics.Counter
@@ -65,6 +70,7 @@ func NewServer(backing iostore.Backend) (*Server, error) {
 		return nil, errors.New("iod: backing store is required")
 	}
 	s := &Server{backing: backing, conns: make(map[net.Conn]struct{}), arena: wire.NewArena()}
+	s.calls.New = func() any { return new(srvCall) }
 	s.ctx, s.cancel = context.WithCancel(context.Background())
 	s.reg = metrics.NewRegistry()
 	for op := opPut; op <= opMax; op++ {
@@ -110,7 +116,7 @@ func (s *Server) SetConnDropHook(h func() bool) {
 
 // SetConnFaultHook installs (or, with nil, removes) the full fault hook:
 // drop severs the connection without answering; corrupt flips a byte of
-// the next response frame after its checksum is computed, so the
+// that request's response frame after its checksum is computed, so the
 // client's CRC verification — not a codec decode error — must catch it.
 func (s *Server) SetConnFaultHook(h func() (drop, corrupt bool)) {
 	s.mu.Lock()
@@ -200,15 +206,40 @@ func (s *Server) fault() (drop, corrupt bool) {
 	return h()
 }
 
-// serveConn serves one connection's frames until the peer departs or sends
-// bytes that are not a frame (bad magic, version or section length: the
-// socket is closed without a reply). Request payloads land in pooled arena
-// buffers and are recycled the moment the handler returns (every
-// iostore.Backend copies block bytes it keeps); response blocks ride the
-// scatter/gather list straight from the backing store. A frame that fails
-// CRC verification is answered with a checksumErrPrefix error — the stream
-// stays aligned, and the client treats the reply as a transport failure and
-// redials.
+// srvConn is one served connection: serveConn is the only reader of wc,
+// wmu admits one reply writer at a time, and slots holds a token per request
+// being handled.
+type srvConn struct {
+	conn  net.Conn
+	wc    *wire.Conn
+	wmu   sync.Mutex
+	slots chan struct{} // capacity laneDepth
+}
+
+// srvCall is the state of one request from dispatch to reply. Pooled.
+type srvCall struct {
+	req     request
+	resp    response
+	op      uint8
+	id      uint64 // echoed in the reply's aux
+	corrupt bool   // fault injection: corrupt this reply
+	payload []byte // the request's arena buffer
+	scratch []byte // reused response-meta encode buffer
+}
+
+// serveConn reads one connection's frames until the peer departs, a fault
+// drops it, or it sends bytes that are not a frame (bad magic, version or
+// section length: the socket is closed without a reply), handing each
+// request to its own handler goroutine. Before every read it takes one of
+// laneDepth slots, returned when that request's reply has been written, so
+// a peer that keeps sending past the bound is simply not read: TCP
+// backpressure is the refusal. The reader decodes (or memo-hits) before it
+// reads on, because a frame's meta section is only valid until the next
+// ReadFrame. Request payloads land in pooled arena buffers and are recycled
+// the moment their handler returns; response blocks ride the scatter/gather
+// list straight from the backing store. A frame that fails CRC verification
+// is answered with a checksumErrPrefix error under request ID 0 — the
+// stream stays aligned, and the client fails and redials the lane.
 func (s *Server) serveConn(conn net.Conn) {
 	defer func() {
 		conn.Close()
@@ -217,12 +248,7 @@ func (s *Server) serveConn(conn net.Conn) {
 		s.mu.Unlock()
 		s.wg.Done()
 	}()
-	wc := wire.NewConn(conn, s.arena)
-	var scratch []byte // reused response-meta encode buffer
-	reply := func(h wire.Header, resp *response) error {
-		scratch = appendResponseMeta(scratch[:0], resp)
-		return wc.WriteFrame(h, scratch, responsePayload(resp)...)
-	}
+	sc := &srvConn{conn: conn, wc: wire.NewConn(conn, s.arena), slots: make(chan struct{}, laneDepth)}
 	// A drain (or streamed restore) repeats a byte-identical meta section
 	// on every block — same key, same checkpoint metadata, only the header
 	// index and the payload change. Memoize the last decoded request per
@@ -236,67 +262,84 @@ func (s *Server) serveConn(conn net.Conn) {
 		lastOp    uint8
 		cached    request
 		haveCache bool
-		memoReq   request
-		connResp  response // reused reply struct; done with once reply() returns
 	)
 	for {
-		h, meta, payload, err := wc.ReadFrame()
-		if err != nil {
-			if errors.Is(err, wire.ErrChecksum) {
-				s.mChecksumErrs.Inc()
-				resp := &response{Err: fmt.Sprintf("%s: op %d", checksumErrPrefix, h.Op)}
-				if werr := reply(wire.Header{Op: h.Op}, resp); werr != nil {
-					return
-				}
-				continue
-			}
+		sc.slots <- struct{}{}
+		h, meta, payload, err := sc.wc.ReadFrame()
+		if err != nil && !errors.Is(err, wire.ErrChecksum) {
 			// EOF and reset are normal client departures; framing errors
 			// mean the stream is unrecoverable either way.
 			return
 		}
-		var req *request
+		call := s.calls.Get().(*srvCall)
+		call.op, call.id, call.payload = h.Op, h.Aux, payload
+		if err != nil {
+			s.mChecksumErrs.Inc()
+			call.id = 0 // no field of a corrupt header can be trusted
+			call.resp = response{Err: fmt.Sprintf("%s: op %d", checksumErrPrefix, h.Op)}
+			s.reply(sc, call)
+			continue
+		}
 		if haveCache && h.Op == lastOp && bytes.Equal(meta, lastMeta) {
-			memoReq = cached
-			memoReq.Index = int(int32(h.Index))
+			call.req = cached
+			call.req.Index = int(int32(h.Index))
 			if h.PayloadLen > 0 {
-				memoReq.Block = payload
+				call.req.Block = payload
 			}
-			req = &memoReq
-		} else if req, err = decodeRequestWire(h, meta, payload); err != nil {
+		} else if req, err := decodeRequestWire(h, meta, payload); err != nil {
 			// CRC passed but the meta section is structurally invalid: a
 			// codec bug or a hostile peer. The stream is still aligned, so
 			// answer with the error rather than dying.
-			s.arena.Put(payload)
-			if werr := reply(wire.Header{Op: h.Op}, &response{Err: err.Error()}); werr != nil {
-				return
-			}
+			call.resp = response{Err: err.Error()}
+			s.reply(sc, call)
 			continue
-		} else if req.Meta.Blocks == nil {
-			lastMeta = append(lastMeta[:0], meta...)
-			lastOp = h.Op
-			cached = *req
-			cached.Index, cached.Block = 0, nil
-			haveCache = true
 		} else {
-			haveCache = false
+			call.req = *req
+			if haveCache = req.Meta.Blocks == nil; haveCache {
+				lastMeta = append(lastMeta[:0], meta...)
+				lastOp = h.Op
+				cached = *req
+				cached.Index, cached.Block = 0, nil
+			}
 		}
 		drop, corrupt := s.fault()
 		if drop {
 			s.arena.Put(payload)
 			return // sever without responding: the client must reconnect
 		}
-		s.handleInto(req, &connResp)
-		s.arena.Put(payload)
-		wc.CorruptNext = corrupt
-		if err := reply(wire.Header{Op: h.Op, Flags: respFlags(&connResp)}, &connResp); err != nil {
-			return
-		}
+		call.corrupt = corrupt
+		s.wg.Add(1)
+		// The reader goes on to block in the poller, so the handler usually
+		// runs next on this P: a hop, not a migration.
+		go func() {
+			defer s.wg.Done()
+			s.handleInto(&call.req, &call.resp)
+			s.reply(sc, call)
+		}()
 	}
 }
 
-// handleInto dispatches req to the backing store, filling resp in place —
-// the serve loop reuses one response per connection, so the steady
-// drain state allocates nothing per block on the reply path.
+// reply recycles the request's payload, writes call's response under the
+// connection's write lock, and returns the call to the pool and its slot to
+// the connection. A failed write closes the connection, which ends its
+// reader.
+func (s *Server) reply(sc *srvConn, call *srvCall) {
+	s.arena.Put(call.payload)
+	sc.wmu.Lock()
+	call.scratch = appendResponseMeta(call.scratch[:0], &call.resp)
+	sc.wc.CorruptNext = call.corrupt
+	h := wire.Header{Op: call.op, Flags: respFlags(&call.resp), Aux: call.id}
+	err := sc.wc.WriteFrame(h, call.scratch, responsePayload(&call.resp)...)
+	sc.wmu.Unlock()
+	if err != nil {
+		sc.conn.Close()
+	}
+	*call = srvCall{scratch: call.scratch}
+	s.calls.Put(call)
+	<-sc.slots
+}
+
+// handleInto dispatches req to the backing store, filling resp in place.
 func (s *Server) handleInto(req *request, resp *response) {
 	start := time.Now()
 	s.mInFlight.Inc()

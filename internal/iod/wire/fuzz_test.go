@@ -9,10 +9,11 @@ import (
 // must never panic or over-allocate: any input either yields a frame whose
 // checksum verified, or a decode error with the Conn still usable.
 func FuzzWireDecode(f *testing.F) {
-	// Seed with a valid frame, a truncated one, and a corrupted one.
+	// Seed with a valid frame (carrying a request ID), a truncated one, a
+	// corrupted one, and last the same frame as the previous version's peer sent it.
 	var buf bytes.Buffer
 	tx := NewConn(pipeConn{Writer: &buf}, nil)
-	if err := tx.WriteFrame(Header{Op: 4, Index: 7}, []byte("meta"), []byte("payload")); err != nil {
+	if err := tx.WriteFrame(Header{Op: 4, Index: 7, Aux: 0x1122334455}, []byte("meta"), []byte("payload")); err != nil {
 		f.Fatal(err)
 	}
 	valid := append([]byte(nil), buf.Bytes()...)
@@ -23,6 +24,9 @@ func FuzzWireDecode(f *testing.F) {
 	f.Add(flipped)
 	f.Add([]byte{})
 	f.Add(bytes.Repeat([]byte{0xff}, HeaderSize+8))
+	old := append([]byte(nil), valid...)
+	old[4] = Version - 1
+	f.Add(old)
 
 	arena := NewArena()
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -1,4 +1,4 @@
-// Package wire implements the iod binary wire protocol (version 2, the
+// Package wire implements the iod binary wire protocol (version 3, the
 // only one spoken): fixed little-endian frame headers, varint-coded
 // metadata sections, CRC32C frame checksums, and size-class pooled buffer
 // arenas. At GB/s drain rates a reflective codec that allocates and copies
@@ -15,7 +15,9 @@
 //
 // so a sender ships header+meta+payload with a single scatter/gather
 // (writev) system call and zero intermediate copies, and a receiver reads
-// the payload straight into a pooled arena buffer. The crc field is CRC32C
+// the payload straight into a pooled arena buffer. aux is the request ID:
+// a connection carries many exchanges at once, a reply echoes its request's
+// aux, and the iod client matches the two by it. The crc field is CRC32C
 // (Castagnoli) over the header (with the crc field itself zeroed), then
 // meta, then payload, verified on every receive: silent wire corruption —
 // including a flipped bit in the header's op, flags, index, or aux fields,
@@ -35,10 +37,11 @@ import (
 )
 
 const (
-	// Magic leads every v2 frame: "NDP2" read as a little-endian uint32.
+	// Magic leads every frame: "NDP2" read as a little-endian uint32.
 	Magic uint32 = 0x3250444e
-	// Version is the protocol revision carried in every header.
-	Version = 2
+	// Version is the protocol revision carried in every header. A peer of
+	// another revision fails DecodeHeader with ErrBadVersion.
+	Version = 3
 	// HeaderSize is the fixed frame header length in bytes.
 	HeaderSize = 32
 
@@ -116,7 +119,7 @@ func EncodeHeader(dst []byte, h Header) {
 
 // DecodeHeader parses and validates a frame header: magic, version, and
 // the section-size caps. A failed validation means the stream is not (or no
-// longer) carrying v2 frames, so the connection must be dropped.
+// longer) carrying frames of this version, so the connection must be dropped.
 func DecodeHeader(src []byte) (Header, error) {
 	if len(src) < HeaderSize {
 		return Header{}, fmt.Errorf("%w: header needs %d bytes, have %d", ErrTruncated, HeaderSize, len(src))
@@ -145,9 +148,11 @@ func DecodeHeader(src []byte) (Header, error) {
 	return h, nil
 }
 
-// Conn frames one side of a v2 connection. It is not safe for concurrent
-// use: the iod client serializes exchanges per lane, and the iod server
-// serves each connection from one goroutine.
+// Conn frames one side of a connection. Its read half (br, hdrR, meta) and
+// its write half (hdrW, bufs, CorruptNext) share nothing, so one goroutine
+// may be in ReadFrame while another is in WriteFrame — but never two in
+// either: both iod ends keep one reader per connection and serialize
+// writers behind a lock.
 type Conn struct {
 	w     io.Writer
 	br    *bufio.Reader

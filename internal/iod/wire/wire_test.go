@@ -45,7 +45,11 @@ func TestDecodeHeaderRejects(t *testing.T) {
 	}{
 		{"short", make([]byte, HeaderSize-1), ErrTruncated},
 		{"magic", mk(func(h *Header) { h.Magic = 0x12345678 }), ErrBadMagic},
-		{"version", mk(func(h *Header) { h.Version = 3 }), ErrBadVersion},
+		// The previous version's peer matched replies by order and left aux
+		// zero: it must be refused outright, not answered as request ID 0
+		// forever.
+		{"previous version's peer", mk(func(h *Header) { h.Version = Version - 1 }), ErrBadVersion},
+		{"future version", mk(func(h *Header) { h.Version = Version + 1 }), ErrBadVersion},
 		{"meta cap", mk(func(h *Header) { h.MetaLen = MaxMetaLen + 1 }), ErrFrameTooLarge},
 		{"payload cap", mk(func(h *Header) { h.PayloadLen = MaxPayloadLen + 1 }), ErrFrameTooLarge},
 	}

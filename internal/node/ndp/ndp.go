@@ -48,12 +48,14 @@ type Config struct {
 	Serialize bool
 
 	// SendWindow bounds how many store writes a drain keeps in flight at
-	// once (default 4). The NIC transmit stays serial and in order — the
-	// window overlaps the store's per-block write latency (a network round
-	// trip on an iod transport), not the wire — and a drain acks only after
-	// every outstanding write lands. 1 restores the fully serial sender.
-	// Pair a window of W with an iod client of ~W lanes so the writes do
-	// not re-serialize at the transport.
+	// once. The NIC transmit stays serial and in order — the window
+	// overlaps the store's per-block write latency (a network round trip on
+	// an iod transport), not the wire — and a drain acks only after every
+	// outstanding write lands. 1 restores the fully serial sender. Zero
+	// sizes the window from bytes in flight: as many blocks as fit
+	// sendBudget, at least 4 and at most 16 — small blocks need depth to
+	// hide latency, large ones only cost memory and CPU contention past a
+	// few. An iod client carries the window on however many lanes it has.
 	SendWindow int
 
 	// Incremental enables block-level incremental drains (the paper's
@@ -156,6 +158,10 @@ type Engine struct {
 	mPermFailures *metrics.Counter
 }
 
+// sendBudget is the drain's default byte budget of store writes in flight
+// (see Config.SendWindow): 4 blocks at the default 1 MiB, 16 at 64 KiB.
+const sendBudget = 4 << 20
+
 // New creates and starts an engine.
 func New(cfg Config) (*Engine, error) {
 	if cfg.Device == nil || cfg.Store == nil {
@@ -171,7 +177,7 @@ func New(cfg Config) (*Engine, error) {
 		cfg.BlockSize = 1 << 20
 	}
 	if cfg.SendWindow <= 0 {
-		cfg.SendWindow = 4
+		cfg.SendWindow = min(max(sendBudget/cfg.BlockSize, 4), 16)
 	}
 	if cfg.FullEvery <= 0 {
 		cfg.FullEvery = 8

@@ -71,6 +71,30 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
+// TestSendWindowDefaultIsSizedInBytes: an unset window is as many blocks as
+// fit sendBudget, between 4 and 16; an explicit one is a block count.
+func TestSendWindowDefaultIsSizedInBytes(t *testing.T) {
+	for _, tc := range []struct{ blockSize, set, want int }{
+		{0, 0, 4}, // the 1 MiB default block
+		{4 << 20, 0, 4},
+		{512 << 10, 0, 8},
+		{64 << 10, 0, 16},
+		{4096, 0, 16},
+		{64 << 10, 7, 7},
+		{64 << 10, 1, 1},
+	} {
+		dev, _ := nvm.NewDevice(1024, nvm.Pacer{})
+		eng, err := New(Config{Job: "job", Device: dev, Store: iostore.New(nvm.Pacer{}), BlockSize: tc.blockSize, SendWindow: tc.set})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := eng.cfg.SendWindow; got != tc.want {
+			t.Errorf("block size %d, SendWindow %d: window %d, want %d", tc.blockSize, tc.set, got, tc.want)
+		}
+		eng.Close()
+	}
+}
+
 func TestDrainUncompressed(t *testing.T) {
 	dev, store, eng := testRig(t, nil, false)
 	data := ckptData(20000)

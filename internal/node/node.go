@@ -127,14 +127,15 @@ type Config struct {
 	// RestoreWorkers sizes the host-side decompression pool on restore
 	// (default 8; the paper fans blocks out across host cores, §4.3).
 	RestoreWorkers int
-	// PrefetchBlocks bounds how many fetched-but-not-yet-consumed blocks a
-	// restore keeps in flight (default 2×RestoreWorkers): it is both the
-	// block-fetch parallelism and the memory bound on the fetch→decompress
-	// pipeline.
+	// PrefetchBlocks is the restore's fetch window in blocks: how many
+	// GetBlocks it keeps in flight, and (doubled) how far fetched blocks may
+	// run ahead of the consumer. Zero sizes the window per object from
+	// bytes in flight: as many blocks as fit fetchBudget, at least 4 and at
+	// most 2×RestoreWorkers.
 	PrefetchBlocks int
-	// DrainWindow bounds how many store writes an NDP drain keeps in
-	// flight at once (default 4; see ndp.Config.SendWindow). 1 restores
-	// the fully serial sender.
+	// DrainWindow bounds, in blocks, how many store writes an NDP drain
+	// keeps in flight at once; zero sizes it from bytes in flight (see
+	// ndp.Config.SendWindow). 1 restores the fully serial sender.
 	DrainWindow int
 	// SerializeDrain disables the compress/send overlap (ablation).
 	SerializeDrain bool
@@ -247,9 +248,6 @@ func New(cfg Config) (*Node, error) {
 	}
 	if cfg.RestoreWorkers <= 0 {
 		cfg.RestoreWorkers = 8
-	}
-	if cfg.PrefetchBlocks <= 0 {
-		cfg.PrefetchBlocks = 2 * cfg.RestoreWorkers
 	}
 	if cfg.NICBuffer == 0 {
 		cfg.NICBuffer = 8 << 20
@@ -801,6 +799,12 @@ func (n *Node) checkObjectShape(numBlocks int, origSize int64) error {
 	return nil
 }
 
+// fetchBudget is a restore's default byte budget of block fetches in flight
+// (see Config.PrefetchBlocks), in payload bytes: 8 blocks of 1 MiB — what the
+// CPU-bound restore of large blocks can use — and the 2×RestoreWorkers cap
+// from 512 KiB blocks down, where depth is what hides device latency.
+const fetchBudget = 8 << 20
+
 // fetchObject streams one stored object's decompressed payload, in order,
 // to the emit function open returns. open is called once — after the
 // StatBlocks answer passed every shape check, before any block is fetched —
@@ -810,9 +814,9 @@ func (n *Node) checkObjectShape(numBlocks int, origSize int64) error {
 // is fetched block by block, each block fed into the decompression pool as
 // it lands so decompressing block i overlaps fetching block i+1 (§4.3
 // mirrored onto the restore path), and emitted by the calling goroutine
-// once every earlier block has been. PrefetchBlocks fetchers run
-// concurrently (parallel GetBlocks spread across the iod client's lanes),
-// each block against one of 2×PrefetchBlocks tokens returned when it has
+// once every earlier block has been. A window of fetchers runs concurrently
+// (parallel GetBlocks, all on the wire at once over the iod client's
+// lanes), each block against one of 2×window tokens returned when it has
 // been emitted: a slow consumer holds the fetchers — and the restore's
 // memory — to that many blocks ahead of it. No byte past the declared size
 // is emitted; a shortfall is an error after the fact.
@@ -846,7 +850,12 @@ func (n *Node) fetchObject(ctx context.Context, rank int, traceID, id uint64,
 		return err
 	}
 
-	window := max(1, min(n.cfg.PrefetchBlocks, numBlocks))
+	window := n.cfg.PrefetchBlocks
+	if window <= 0 {
+		blockSize := max(obj.OrigSize/int64(max(numBlocks, 1)), 1)
+		window = int(min(max(fetchBudget/blockSize, 4), int64(2*n.cfg.RestoreWorkers)))
+	}
+	window = max(1, min(window, numBlocks))
 	workers := max(1, min(n.cfg.RestoreWorkers, numBlocks))
 	ahead := 2 * window
 

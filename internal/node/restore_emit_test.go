@@ -161,45 +161,59 @@ func TestBlockErrorNeverYieldsShortData(t *testing.T) {
 
 // TestSlowConsumerBoundsFetchAhead gates the consumer and counts the
 // store's GetBlock calls: with the consumer holding block i, the fetchers
-// run ahead to block i+2×window and no further.
+// run ahead to block i+2×window and no further. An explicit PrefetchBlocks
+// is the window, in blocks; the default sizes it per object from bytes in
+// flight — as many blocks as fit fetchBudget, at least 4, at most
+// 2×RestoreWorkers.
 func TestSlowConsumerBoundsFetchAhead(t *testing.T) {
-	const window, numBlocks = 2, 24
-	store := &blockStore{Backend: iostore.New(nvm.Pacer{}), failAt: -1}
-	n, err := New(Config{Job: "job", Rank: 0, Store: store, DisableNDP: true, PrefetchBlocks: window})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer n.Close()
-	putRaw(t, store, 1, numBlocks*64, rawBlocks(numBlocks, 64))
+	for _, tc := range []struct {
+		name                 string
+		prefetch             int
+		numBlocks, blockSize int
+		window               int
+	}{
+		{"explicit block count", 2, 24, 64, 2},
+		{"default, small blocks: the worker cap", 0, 40, 64, 16},
+		{"default, 1 MiB blocks: the byte budget", 0, 20, 1 << 20, 8},
+		{"default, 4 MiB blocks: the floor", 0, 10, 4 << 20, 4},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			window, numBlocks := tc.window, tc.numBlocks
+			store := &blockStore{Backend: iostore.New(nvm.Pacer{}), failAt: -1}
+			n, err := New(Config{Job: "job", Rank: 0, Store: store, DisableNDP: true, PrefetchBlocks: tc.prefetch})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer n.Close()
+			putRaw(t, store, 1, int64(numBlocks*tc.blockSize), rawBlocks(numBlocks, tc.blockSize))
 
-	deadline := time.Now().Add(10 * time.Second)
-	i := 0
-	err = n.RestoreIDTo(context.Background(), 1, func(Metadata, int64, Level) (func([]byte) error, error) {
-		return func([]byte) error {
-			want := int64(i + 2*window)
-			if want > numBlocks {
-				want = numBlocks
+			deadline := time.Now().Add(10 * time.Second)
+			i := 0
+			err = n.RestoreIDTo(context.Background(), 1, func(Metadata, int64, Level) (func([]byte) error, error) {
+				return func([]byte) error {
+					want := int64(min(i+2*window, numBlocks))
+					// The fetchers get as far ahead as their tokens let them...
+					for store.calls.Load() < want {
+						if time.Now().After(deadline) {
+							t.Fatalf("consumer at block %d: %d blocks fetched, never reached %d", i, store.calls.Load(), want)
+						}
+						runtime.Gosched()
+					}
+					// ...and, given every chance to, no further.
+					for k := 0; k < 200; k++ {
+						runtime.Gosched()
+					}
+					if got := store.calls.Load(); got != want {
+						t.Errorf("consumer at block %d: %d blocks fetched, want %d (2×window ahead)", i, got, want)
+					}
+					i++
+					return nil
+				}, nil
+			})
+			if err != nil || i != numBlocks {
+				t.Fatalf("restore: %d pieces, err %v", i, err)
 			}
-			// The fetchers get as far ahead as their tokens let them...
-			for store.calls.Load() < want {
-				if time.Now().After(deadline) {
-					t.Fatalf("consumer at block %d: %d blocks fetched, never reached %d", i, store.calls.Load(), want)
-				}
-				runtime.Gosched()
-			}
-			// ...and, given every chance to, no further.
-			for k := 0; k < 200; k++ {
-				runtime.Gosched()
-			}
-			if got := store.calls.Load(); got != want {
-				t.Errorf("consumer at block %d: %d blocks fetched, want %d (2×window ahead)", i, got, want)
-			}
-			i++
-			return nil
-		}, nil
-	})
-	if err != nil || i != numBlocks {
-		t.Fatalf("restore: %d pieces, err %v", i, err)
+		})
 	}
 }
 

@@ -27,6 +27,10 @@ go test -race ./internal/erasure/... ./internal/metrics/... ./internal/faultinje
 go test -race -count=2 ./internal/cluster/... ./internal/node/... ./internal/iod/... \
     ./internal/shardstore/... ./internal/gateway/...
 
+# The iod lanes hand every reply from a reader goroutine to a waiting caller:
+# one core is the schedule most likely to show a lost wake-up between them.
+go test -race -count=3 -cpu 1 ./internal/iod/...
+
 # Allocation budget of the HTTP save/load path (a count; skipped under -race
 # above): a whole-object buffer coming back fails here, not in the next bench.
 go test -run AllocBudget ./internal/gateway
@@ -62,10 +66,6 @@ echo "check.sh: elastic experiment green"
 # zero silent losses.
 go run ./cmd/ndpcr-experiments -quick asyncchaos > /dev/null
 echo "check.sh: asyncchaos experiment green"
-
-# Transport benchmarks: regenerates BENCH_iod.json and fails if lane
-# scaling regressed.
-scripts/bench_iod.sh
 
 # Shard-tier benchmarks: regenerates BENCH_shard.json and fails if drain
 # throughput stopped scaling with the backend count.
