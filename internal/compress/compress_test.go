@@ -8,6 +8,8 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
+
+	"ndpcr/internal/compress/inflate"
 )
 
 func sampleData() []byte {
@@ -136,6 +138,43 @@ func TestCodecConcurrency(t *testing.T) {
 			}()
 		}
 		wg.Wait()
+	}
+}
+
+// TestGzipRefusesTrailingBytes: bytes after the final DEFLATE block — a torn
+// or concatenated tail — are corrupt input. compress/flate's reader, which
+// gzip decoded with before package inflate, stopped reading at the final
+// block and returned such a block as if it were whole.
+func TestGzipRefusesTrailingBytes(t *testing.T) {
+	for _, level := range []int{1, 6} {
+		c, _ := Lookup("gzip", level)
+		valid, err := c.Compress(nil, sampleData())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for name, src := range map[string][]byte{
+			"one more byte":    append(append([]byte(nil), valid...), 0),
+			"the stream twice": append(append([]byte(nil), valid...), valid...),
+		} {
+			if out, err := c.Decompress(nil, src); !errors.Is(err, inflate.ErrCorrupt) || out != nil {
+				t.Errorf("%s, %s: decompressed to %d bytes, err %v; want inflate.ErrCorrupt", ID(c), name, len(out), err)
+			}
+		}
+	}
+}
+
+// TestGzipAppendsBehindPrefix: both directions size their output buffer
+// themselves when dst's spare capacity is short, and keep what dst held.
+func TestGzipAppendsBehindPrefix(t *testing.T) {
+	c, _ := Lookup("gzip", 1)
+	data, prefix := sampleData(), []byte("prefix")
+	comp, err := c.Compress(append([]byte(nil), prefix...), data)
+	if err != nil || !bytes.HasPrefix(comp, prefix) {
+		t.Fatalf("Compress behind a prefix: err %v, prefix kept %v", err, bytes.HasPrefix(comp, prefix))
+	}
+	got, err := c.Decompress(append([]byte(nil), prefix...), comp[len(prefix):])
+	if err != nil || !bytes.Equal(got, append(prefix, data...)) {
+		t.Fatalf("Decompress behind a prefix: err %v", err)
 	}
 }
 

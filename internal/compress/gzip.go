@@ -6,12 +6,16 @@ import (
 	"fmt"
 	"io"
 	"sync"
+
+	"ndpcr/internal/compress/inflate"
 )
 
-// gzipCodec wraps the standard library DEFLATE implementation. The paper's
-// gzip measurements are DEFLATE-dominated (the gzip wrapper adds a fixed
-// 18-byte header/trailer), so compress/flate at the same level is the same
-// algorithm at the same setting.
+// gzipCodec is raw DEFLATE: the standard library's writer, and this repo's
+// one-shot reader (package inflate) — a block to decompress is always whole
+// in memory, and a streaming reader pays for generality that cannot be used.
+// The paper's gzip measurements are DEFLATE-dominated (the gzip wrapper adds
+// a fixed 18-byte header/trailer), so compress/flate at the same level is the
+// same algorithm at the same setting.
 type gzipCodec struct {
 	level int
 	// flate.Writer allocation is expensive; pool per-codec since level is
@@ -37,6 +41,9 @@ func (c *gzipCodec) Level() int   { return c.level }
 
 func (c *gzipCodec) Compress(dst, src []byte) ([]byte, error) {
 	buf := bytes.NewBuffer(dst)
+	// One allocation when the input halves, as checkpoints do; the buffer
+	// still grows on demand when it does not.
+	buf.Grow(len(src)/2 + 1024)
 	w := c.writers.Get().(*flate.Writer)
 	defer c.writers.Put(w)
 	w.Reset(buf)
@@ -50,13 +57,11 @@ func (c *gzipCodec) Compress(dst, src []byte) ([]byte, error) {
 }
 
 func (c *gzipCodec) Decompress(dst, src []byte) ([]byte, error) {
-	r := flate.NewReader(bytes.NewReader(src))
-	defer r.Close()
-	buf := bytes.NewBuffer(dst)
-	if _, err := io.Copy(buf, r); err != nil {
+	out, err := inflate.Decode(dst, src)
+	if err != nil {
 		return nil, fmt.Errorf("compress: gzip(%d) decompress: %w", c.level, err)
 	}
-	return buf.Bytes(), nil
+	return out, nil
 }
 
 func init() {

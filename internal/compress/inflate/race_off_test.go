@@ -1,0 +1,5 @@
+//go:build !race
+
+package inflate
+
+const raceEnabled = false

@@ -874,7 +874,12 @@ func (n *Node) fetchObject(ctx context.Context, rank int, traceID, id uint64,
 		stop     = make(chan struct{})
 		stopOnce sync.Once
 		failure  error // why stop was closed; read only after <-stop
+		// Capacity a block is decompressed into, so its output is allocated
+		// once: the largest decoded block so far, starting from the mean. A
+		// hint, never a limit; workers racing to raise it differ by a block.
+		decHint atomic.Int64
 	)
+	decHint.Store((obj.OrigSize + int64(numBlocks) - 1) / int64(max(numBlocks, 1)))
 	for i := range ready {
 		ready[i] = make(chan []byte, 1)
 	}
@@ -927,12 +932,15 @@ func (n *Node) fetchObject(ctx context.Context, rank int, traceID, id uint64,
 			for blk := range fetched {
 				if codec != nil {
 					t0 := time.Now()
-					p, derr := codec.Decompress(nil, blk.data)
+					p, derr := codec.Decompress(make([]byte, 0, decHint.Load()), blk.data)
 					decClock.mark(t0, time.Now())
 					n.mDecompressSecs.ObserveSince(t0)
 					if derr != nil {
 						abort(fmt.Errorf("block %d: %w", blk.idx, derr))
 						return
+					}
+					if int64(len(p)) > decHint.Load() {
+						decHint.Store(int64(len(p)))
 					}
 					blk.data = p
 				}

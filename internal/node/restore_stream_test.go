@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"strings"
 	"testing"
 
 	"ndpcr/internal/compress"
@@ -190,6 +191,50 @@ func TestFailedRestoreDiscardsTimeline(t *testing.T) {
 	}
 	if open := n.Timelines().Open(metrics.KindRestore); open != 0 {
 		t.Errorf("%d restore timeline(s) still open after a finished restore", open)
+	}
+}
+
+// TestRestoreRefusesBlockWithTail: bytes after a compressed block's final
+// DEFLATE block — a torn or concatenated write — fail the restore naming the
+// block. The streaming reader gzip used to decode with stopped at the final
+// block and restored such an object as if it were whole.
+func TestRestoreRefusesBlockWithTail(t *testing.T) {
+	gz, _ := compress.Lookup("gzip", 1)
+	n, store := newNode(t, func(c *Config) { c.DisableNDP = true })
+	var payload []byte
+	blocks := make([][]byte, 3)
+	for i := range blocks {
+		part := snapshot(5000, byte(i))
+		payload = append(payload, part...)
+		var err error
+		if blocks[i], err = gz.Compress(nil, part); err != nil {
+			t.Fatal(err)
+		}
+	}
+	blocks[1] = append(blocks[1], blocks[1]...) // the block written twice over
+	if err := store.Put(context.Background(), iostore.Object{
+		Key:        iostore.Key{Job: "job", Rank: 0, ID: 5},
+		Codec:      "gzip",
+		CodecLevel: 1,
+		OrigSize:   int64(len(payload)),
+		Blocks:     blocks,
+		Meta:       Metadata{Job: "job", Rank: 0, Step: 2}.toMap(5),
+	}); err != nil {
+		t.Fatal(err)
+	}
+	data, _, _, err := n.RestoreID(context.Background(), 5)
+	if err == nil || data != nil || !strings.Contains(err.Error(), "block 1") {
+		t.Errorf("RestoreID = %d bytes, err %v; want no data and an error naming block 1", len(data), err)
+	}
+	var got pieces
+	if err := n.RestoreIDTo(context.Background(), 5, got.sink); err == nil || !strings.Contains(err.Error(), "block 1") {
+		t.Errorf("RestoreIDTo err = %v, want an error naming block 1", err)
+	}
+	if len(got.data) >= len(payload) || !bytes.Equal(got.data, payload[:len(got.data)]) {
+		t.Errorf("a failed stream emitted %d bytes that are not a proper prefix", len(got.data))
+	}
+	if open := n.Timelines().Open(metrics.KindRestore); open != 0 {
+		t.Errorf("failed restores leaked %d open restore timeline(s)", open)
 	}
 }
 

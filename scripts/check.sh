@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Pre-PR gate: formatting, vet, and race-stressed tests for the packages
 # with the most concurrency (cluster coordination, node runtime, erasure
-# coding, metrics collection, the iod network service). Run from the repo
-# root before sending a PR; the full suite is still `go test ./...`.
+# coding, metrics collection, the iod network service, the codecs). Run from
+# the repo root before sending a PR; the full suite is still `go test ./...`.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -31,8 +31,19 @@ go test -race -count=2 ./internal/cluster/... ./internal/node/... ./internal/iod
 # one core is the schedule most likely to show a lost wake-up between them.
 go test -race -count=3 -cpu 1 ./internal/iod/...
 
-# Allocation budget of the HTTP save/load path (a count; skipped under -race
-# above): a whole-object buffer coming back fails here, not in the next bench.
+# The codecs are called by 8 restore workers and the NDP's compress workers
+# at once, over pooled compressors and pooled inflate tables.
+go test -race ./internal/compress/...
+
+# inflate reads bytes off the store: a 10 s smoke of its differential and
+# round-trip fuzz targets against compress/flate (the long runs are per PR).
+# The minimiser is capped: by default it may spend a minute on one new input.
+go test -run '^$' -fuzz FuzzDecodeAgainstFlate -fuzztime 10s -fuzzminimizetime 1s ./internal/compress/inflate
+go test -run '^$' -fuzz FuzzRoundTrip -fuzztime 10s -fuzzminimizetime 1s ./internal/compress/inflate
+
+# Allocation budgets of the HTTP save/load path, raw and through gzip (counts;
+# skipped under -race above): a whole-object buffer or a codec buffer grown
+# from nil coming back fails here, not in the next bench.
 go test -run AllocBudget ./internal/gateway
 
 # The benchmark is a module of its own (cmd/ndpcr-bench/go.mod), invisible
