@@ -281,49 +281,6 @@ func BenchmarkNodeDrainAndRestore(b *testing.B) {
 	}
 }
 
-func BenchmarkIncrementalDrain(b *testing.B) {
-	// Ablation: full vs incremental drains of an evolving checkpoint
-	// (the conclusion's proposed NDP extension). Reported bytes are the
-	// input checkpoint size; the interesting contrast is ns/op.
-	data := checkpointData(b, miniapps.Small)
-	evolve := func(v int) []byte {
-		out := append([]byte(nil), data...)
-		lo := (v * 4096) % (len(out) - 8192)
-		for i := lo; i < lo+8192; i++ {
-			out[i] ^= byte(v)
-		}
-		return out
-	}
-	for _, incremental := range []bool{false, true} {
-		name := "full"
-		if incremental {
-			name = "incremental"
-		}
-		b.Run(name, func(b *testing.B) {
-			store := iostore.New(nvm.Pacer{})
-			n, err := node.New(node.Config{
-				Job: "bench", Store: store, Incremental: incremental,
-				FullEvery: 1 << 30, DeltaBlockSize: 4096, NVMCapacity: 1 << 30,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer n.Close()
-			b.SetBytes(int64(len(data)))
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				id, err := n.Commit(context.Background(), evolve(i+1), node.Metadata{Step: i})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if err := n.WaitDurableCtx(context.Background(), id, ndp.LevelStore); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 func BenchmarkMiniAppStep(b *testing.B) {
 	for _, name := range miniapps.Names() {
 		name := name

@@ -12,10 +12,7 @@ import (
 
 	"ndpcr/internal/compress"
 	"ndpcr/internal/gateway"
-	"ndpcr/internal/iod"
 	"ndpcr/internal/metrics"
-	"ndpcr/internal/node/iostore"
-	"ndpcr/internal/node/nvm"
 	"ndpcr/internal/shardstore"
 )
 
@@ -43,22 +40,11 @@ func runAsyncChaos() error {
 
 	// Live I/O nodes on loopback TCP, fronted by the shard tier. The short
 	// call timeout keeps drains from hanging on the dead backend's socket.
-	servers := make([]*iod.Server, backends)
-	addrs := make([]string, backends)
-	for i := range servers {
-		srv, err := iod.NewServer(iostore.New(nvm.Pacer{}))
-		if err != nil {
-			return err
-		}
-		go srv.ListenAndServe("127.0.0.1:0")
-		for srv.Addr() == nil {
-			time.Sleep(time.Millisecond)
-		}
-		servers[i] = srv
-		addrs[i] = srv.Addr().String()
-		defer srv.Close()
-		fmt.Printf("  iod-%d listening on %s\n", i, addrs[i])
+	servers, addrs, err := startIODs(backends)
+	if err != nil {
+		return err
 	}
+	defer closeIODs(servers)
 	store, err := shardstore.Dial(addrs, 2, shardstore.Config{
 		Replicas:    2,
 		CallTimeout: 300 * time.Millisecond,

@@ -10,11 +10,9 @@ import (
 	"ndpcr/internal/cluster"
 	"ndpcr/internal/cluster/elastic"
 	"ndpcr/internal/compress"
-	"ndpcr/internal/iod"
 	"ndpcr/internal/metrics"
 	"ndpcr/internal/node"
 	"ndpcr/internal/node/iostore"
-	"ndpcr/internal/node/nvm"
 	"ndpcr/internal/shardstore"
 )
 
@@ -77,26 +75,11 @@ func runElastic() error {
 	fmt.Printf("elastic: N=%d ranks, %d shards, over %d iod backends R=2; restart at M=4 and M=12\n\n",
 		sourceRanks, total, backends)
 
-	servers := make([]*iod.Server, 0, backends)
-	addrs := make([]string, backends)
-	for i := range addrs {
-		srv, err := iod.NewServer(iostore.New(nvm.Pacer{}))
-		if err != nil {
-			return err
-		}
-		go srv.ListenAndServe("127.0.0.1:0")
-		for srv.Addr() == nil {
-			time.Sleep(time.Millisecond)
-		}
-		servers = append(servers, srv)
-		addrs[i] = srv.Addr().String()
-		fmt.Printf("  iod-%d listening on %s\n", i, addrs[i])
+	servers, addrs, err := startIODs(backends)
+	if err != nil {
+		return err
 	}
-	defer func() {
-		for _, srv := range servers {
-			srv.Close()
-		}
-	}()
+	defer closeIODs(servers)
 
 	store, err := shardstore.Dial(addrs, 2, shardstore.Config{
 		Replicas:    2,

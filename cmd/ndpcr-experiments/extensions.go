@@ -5,9 +5,7 @@ import (
 	"context"
 	"fmt"
 	"os"
-	"time"
 
-	"ndpcr/internal/delta"
 	"ndpcr/internal/miniapps"
 	"ndpcr/internal/model"
 	"ndpcr/internal/node/iostore"
@@ -19,12 +17,11 @@ import (
 // runExt evaluates the extension/ablation studies DESIGN.md calls out,
 // beyond the paper's published figures. An optional section narrows the
 // run: "ablations" (the original studies), "erasure" (the redundancy-set
-// level sweep), "elastic" (the N→M restart reshape-cost sweep), or
-// "delta" (delta-chain vs full-checkpoint restore on live mini-apps).
+// level sweep), or "elastic" (the N→M restart reshape-cost sweep).
 func runExt(section string) error {
 	switch section {
 	case "":
-		for i, f := range []func() error{runExtAblations, runExtErasure, runExtElastic, runExtDelta} {
+		for i, f := range []func() error{runExtAblations, runExtErasure, runExtElastic} {
 			if i > 0 {
 				fmt.Println()
 			}
@@ -39,10 +36,8 @@ func runExt(section string) error {
 		return runExtErasure()
 	case "elastic":
 		return runExtElastic()
-	case "delta":
-		return runExtDelta()
 	}
-	return fmt.Errorf("unknown ext section %q (sections: ablations, erasure, elastic, delta)", section)
+	return fmt.Errorf("unknown ext section %q (sections: ablations, erasure, elastic)", section)
 }
 
 // runExtAblations covers the original studies:
@@ -50,8 +45,9 @@ func runExt(section string) error {
 //  1. serializing vs overlapping the NDP's compression and transmission
 //     (§4.2.2's design choice);
 //  2. NVM-bandwidth exclusivity during host commits (§4.2.1);
-//  3. incremental NDP drains (the conclusion's proposed extension),
-//     swept over the per-interval change ratio.
+//  3. incremental NDP drains (the conclusion's proposed extension) as a
+//     model what-if, swept over the per-interval change ratio — the live
+//     stack stores full checkpoints only (EXPERIMENTS.md has the reason).
 func runExtAblations() error {
 	p := params()
 	p.PLocal = 0.85
@@ -98,7 +94,7 @@ func runExtAblations() error {
 	fmt.Println("why §4.2.1 can afford to give the host all NVM bandwidth.)")
 
 	// 3. Incremental drains.
-	fmt.Println("\nExtension: incremental NDP drains (conclusion's proposal), factor 73%")
+	fmt.Println("\nExtension: incremental NDP drains (conclusion's proposal; modelled, not built), factor 73%")
 	tab3 := &report.Table{Headers: []string{"Change ratio", "Drain time", "NDP ratio", "Progress"}}
 	for _, ratio := range []float64{0, 0.5, 0.25, 0.10, 0.05} {
 		pv := model.WithCompression(p, 0.73)
@@ -117,6 +113,9 @@ func runExtAblations() error {
 	tab3.Fprint(os.Stdout)
 	fmt.Println("\nIncremental drains shrink the I/O checkpoint lag toward the local")
 	fmt.Println("cadence, squeezing the residual rerun-from-I/O overhead toward zero.")
+	fmt.Println("(A model what-if: it charges a restore one checkpoint whatever the")
+	fmt.Println("drain shipped. The live stack stores full checkpoints only; the dedup")
+	fmt.Println("table below measures how much consecutive checkpoints really share.)")
 
 	// 3b. Restore pipelining (§4.3's design discussion): the naive restore
 	// stages and then decompresses; the paper's pipelined restore costs
@@ -214,17 +213,21 @@ func runExtErasure() error {
 }
 
 // runDedupStudy drains consecutive checkpoints of each mini-app into a
-// DedupStore and reports the physical-vs-logical savings.
+// DedupStore and reports the physical-vs-logical savings: 8 checkpoints at
+// Medium size, 3 at Small under -quick.
 func runDedupStudy() error {
 	const blockSize = 64 << 10
-	tab := &report.Table{Headers: []string{"Mini-app", "Ckpts", "Logical", "Physical", "Dedup factor"}}
+	size, ckpts := miniapps.Medium, uint64(8)
+	if *flagQuick {
+		size, ckpts = miniapps.Small, 3
+	}
+	tab := &report.Table{Headers: []string{"Mini-app", "Ckpts", "Logical", "Physical", "Stored", "Dedup factor"}}
 	for _, name := range miniapps.Names() {
-		app, err := miniapps.New(name, miniapps.Small, *flagSeed)
+		app, err := miniapps.New(name, size, *flagSeed)
 		if err != nil {
 			return err
 		}
 		store := iostore.NewDedup(nvm.Pacer{})
-		const ckpts = 3
 		for id := uint64(1); id <= ckpts; id++ {
 			for s := 0; s < 2; s++ {
 				if err := app.Step(); err != nil {
@@ -251,13 +254,13 @@ func runDedupStudy() error {
 		st := store.Stats()
 		tab.AddRow(name, fmt.Sprintf("%d", ckpts),
 			units.Bytes(st.LogicalBytes).String(), units.Bytes(st.PhysicalBytes).String(),
-			fmt.Sprintf("%.1f%%", st.Factor()*100))
+			fmt.Sprintf("%.1f%%", (1-st.Factor())*100), fmt.Sprintf("%.1f%%", st.Factor()*100))
 	}
 	tab.Fprint(os.Stdout)
 	fmt.Println("(Dedup across consecutive checkpoints is workload-dependent: apps")
 	fmt.Println("whose state evolves everywhere — CG Krylov vectors, MD positions —")
-	fmt.Println("dedup poorly; apps with stable regions dedup well. The NDP-side")
-	fmt.Println("incremental drain above exploits the same redundancy at the source.)")
+	fmt.Println("dedup poorly; apps with stable regions dedup well. Every object stays")
+	fmt.Println("a full checkpoint: a restore is one lookup per block, never a chain.)")
 	return nil
 }
 
@@ -292,85 +295,5 @@ func runExtElastic() error {
 	fmt.Println("\nShrinking the restart concentrates the whole job's state onto fewer")
 	fmt.Println("ranks — the per-target fetch dominates; growing it spreads the fetch")
 	fmt.Println("until the reshape pass is all that separates it from same-shape.")
-	return nil
-}
-
-// runExtDelta compares delta-chain restore (internal/delta.Chain: fetch a
-// full base plus the ordered patch chain and replay) against
-// full-checkpoint restore on live mini-app checkpoints — the ROADMAP 1(b)
-// groundwork for a content-defined chunk store. Restore-from-I/O cost is
-// dominated by bytes fetched, so the table reports both byte counts, the
-// chain's savings, and the measured host-side replay time.
-func runExtDelta() error {
-	const (
-		blockSize = 64 << 10
-		ckpts     = 4
-	)
-	fmt.Println("Extension: delta-chain vs full-checkpoint restore (64 KiB blocks, live mini-apps)")
-	tab := &report.Table{Headers: []string{"Mini-app", "Ckpts", "Full restore", "Chain restore", "Fetched", "Change ratio", "Apply"}}
-	for _, name := range miniapps.Names() {
-		app, err := miniapps.New(name, miniapps.Small, *flagSeed)
-		if err != nil {
-			return err
-		}
-		var (
-			base, latest []byte
-			tbl          *delta.Table
-			patches      []*delta.Patch
-			chainBytes   int
-		)
-		for id := uint64(1); id <= ckpts; id++ {
-			for s := 0; s < 2; s++ {
-				if err := app.Step(); err != nil {
-					return err
-				}
-			}
-			var buf bytes.Buffer
-			if err := app.Checkpoint(&buf); err != nil {
-				return err
-			}
-			latest = append([]byte(nil), buf.Bytes()...)
-			if id == 1 {
-				base = latest
-				tbl = delta.Snapshot(id, latest, blockSize)
-				chainBytes = len(latest)
-				continue
-			}
-			var patch *delta.Patch
-			if patch, tbl, err = delta.Diff(tbl, id, latest); err != nil {
-				return err
-			}
-			patches = append(patches, patch)
-			chainBytes += len(patch.Encode(nil))
-		}
-		start := time.Now()
-		got, err := delta.Chain(base, 1, patches)
-		applyTime := time.Since(start)
-		if err != nil {
-			return fmt.Errorf("delta chain replay (%s): %w", name, err)
-		}
-		if !bytes.Equal(got, latest) {
-			return fmt.Errorf("delta chain replay (%s): restored state differs from checkpoint %d", name, ckpts)
-		}
-		change := 0.0
-		for _, patch := range patches {
-			change += patch.Ratio()
-		}
-		change /= float64(len(patches))
-		tab.AddRow(name, fmt.Sprintf("%d", ckpts),
-			units.Bytes(len(latest)).String(), units.Bytes(chainBytes).String(),
-			fmt.Sprintf("%.1f%%", float64(chainBytes)/float64(len(latest))*100),
-			fmt.Sprintf("%.1f%%", change*100),
-			applyTime.Round(10*time.Microsecond).String())
-	}
-	tab.Fprint(os.Stdout)
-	fmt.Println("\nA chain of k patches fetches base + k·change·size, so it beats a")
-	fmt.Println("full checkpoint only when the per-interval change ratio stays under")
-	fmt.Println("1/k — and these mini-apps churn (nearly) every block every interval,")
-	fmt.Println("so whole-state chains lose outright here. The win needs sub-block")
-	fmt.Println("addressing: the content-defined chunk store (ROADMAP 1(b)) that")
-	fmt.Println("dedups the unchanged bytes these 64 KiB blocks can't isolate.")
-	fmt.Println("Replay itself is memory-bandwidth-bound (µs against a 100 MB/s")
-	fmt.Println("store fetch) and never the bottleneck.")
 	return nil
 }

@@ -55,9 +55,8 @@ experiments:
   fig9     sensitivity to MTTI
   ext      ablations + extensions beyond the paper; optional section arg:
            "ext ablations" (drain/restore/dedup studies),
-           "ext erasure" (redundancy-set level sweep),
-           "ext elastic" (N->M restart reshape-cost model sweep), or
-           "ext delta" (delta-chain vs full restore on live mini-apps)
+           "ext erasure" (redundancy-set level sweep), or
+           "ext elastic" (N->M restart reshape-cost model sweep)
   elastic  elastic N->M restart over 3 live iod backends (R=2): a job
            checkpointed at N=8 restarts at M=4 and M=12 through the
            restore planner with byte-identical merged state, falling

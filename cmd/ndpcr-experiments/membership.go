@@ -13,7 +13,6 @@ import (
 	"ndpcr/internal/miniapps"
 	"ndpcr/internal/node"
 	"ndpcr/internal/node/iostore"
-	"ndpcr/internal/node/nvm"
 	"ndpcr/internal/shardstore"
 )
 
@@ -37,33 +36,11 @@ func runMembership() error {
 
 	fmt.Printf("membership: %d ranks over %d iod backends R=2; join + decommission land mid-drain\n\n", ranks, backends)
 
-	servers := make([]*iod.Server, 0, backends+1)
-	startBackend := func(tag string) (*iod.Server, string, error) {
-		srv, err := iod.NewServer(iostore.New(nvm.Pacer{}))
-		if err != nil {
-			return nil, "", err
-		}
-		go srv.ListenAndServe("127.0.0.1:0")
-		for srv.Addr() == nil {
-			time.Sleep(time.Millisecond)
-		}
-		servers = append(servers, srv)
-		fmt.Printf("  %s listening on %s\n", tag, srv.Addr().String())
-		return srv, srv.Addr().String(), nil
+	servers, addrs, err := startIODs(backends)
+	if err != nil {
+		return err
 	}
-	defer func() {
-		for _, srv := range servers {
-			srv.Close()
-		}
-	}()
-
-	addrs := make([]string, backends)
-	for i := range addrs {
-		var err error
-		if _, addrs[i], err = startBackend(fmt.Sprintf("iod-%d", i)); err != nil {
-			return err
-		}
-	}
+	defer func() { closeIODs(servers) }() // a closure: the joiner is appended below
 
 	store, err := shardstore.Dial(addrs, 2, shardstore.Config{
 		Replicas:    2,
@@ -122,10 +99,10 @@ func runMembership() error {
 			// The membership changes land while the final drain is in
 			// flight: a new backend joins and iod-0 is decommissioned.
 			var joiner *iod.Server
-			if joiner, joinerAddr, err = startBackend("joiner"); err != nil {
+			if joiner, joinerAddr, err = startIOD("joiner"); err != nil {
 				return err
 			}
-			_ = joiner
+			servers = append(servers, joiner)
 			fmt.Printf("  >>> adding %s and decommissioning iod-0 (%s) mid-drain of checkpoint %d\n",
 				joinerAddr, addrs[0], id)
 			if err := store.AddBackendAddr(joinerAddr, 2); err != nil {

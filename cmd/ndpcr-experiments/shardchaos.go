@@ -8,12 +8,10 @@ import (
 
 	"ndpcr/internal/cluster"
 	"ndpcr/internal/compress"
-	"ndpcr/internal/iod"
 	"ndpcr/internal/metrics"
 	"ndpcr/internal/miniapps"
 	"ndpcr/internal/node"
 	"ndpcr/internal/node/iostore"
-	"ndpcr/internal/node/nvm"
 	"ndpcr/internal/shardstore"
 )
 
@@ -35,22 +33,11 @@ func runShardChaos() error {
 	fmt.Printf("shard-chaos: %d ranks draining through %d iod backends, R=2\n\n", ranks, backends)
 
 	// Live I/O nodes on loopback TCP.
-	servers := make([]*iod.Server, backends)
-	addrs := make([]string, backends)
-	for i := range servers {
-		srv, err := iod.NewServer(iostore.New(nvm.Pacer{}))
-		if err != nil {
-			return err
-		}
-		go srv.ListenAndServe("127.0.0.1:0")
-		for srv.Addr() == nil {
-			time.Sleep(time.Millisecond)
-		}
-		servers[i] = srv
-		addrs[i] = srv.Addr().String()
-		defer srv.Close()
-		fmt.Printf("  iod-%d listening on %s\n", i, addrs[i])
+	servers, addrs, err := startIODs(backends)
+	if err != nil {
+		return err
 	}
+	defer closeIODs(servers)
 
 	store, err := shardstore.Dial(addrs, 2, shardstore.Config{
 		Replicas:    2,

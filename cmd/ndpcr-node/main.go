@@ -37,7 +37,6 @@ func main() {
 		level    = flag.Int("level", 1, "codec level")
 		failAt   = flag.Int("fail-at", 7, "step at which the node failure strikes (0 = never)")
 		seed     = flag.Uint64("seed", 42, "app seed")
-		incr     = flag.Bool("incremental", false, "drain incrementally (changed blocks only)")
 		iodAddr  = flag.String("iod", "", "drain to a remote ndpcr-iod store at this address instead of in-process")
 		iodAddrs = flag.String("iod-addrs", "", "comma-separated ndpcr-iod addresses: drain through the sharded, replicated store tier")
 		replicas = flag.Int("replicas", 2, "replica count R per checkpoint object across -iod-addrs backends")
@@ -98,7 +97,6 @@ func main() {
 	iostore.Instrument(store, reg)
 	n, err := node.New(node.Config{
 		Job: "demo", Rank: 0, Store: store, Codec: codec, Metrics: reg,
-		Incremental:      *incr,
 		DrainWindow:      *drainWin,
 		MaxDrainAttempts: *drTries,
 		OnError:          func(err error) { fmt.Fprintf(os.Stderr, "ndp async error: %v\n", err) },

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"math"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -114,6 +116,34 @@ func TestBlockGapIsNotFoundAcrossWire(t *testing.T) {
 	}
 	if b, err := client.GetBlock(ctx, key, 2); err != nil || !bytes.Equal(b, []byte("abc")) {
 		t.Errorf("GetBlock(2) = %q, %v", b, err)
+	}
+}
+
+// TestBadBlockIndexIsAnErrorReply: the block index is a header field any peer
+// can set. One the store refuses (a -1 used to panic a handler goroutine —
+// the whole process, with every other tenant's lanes) comes back as an error
+// reply, and the same client's next call on the same lane succeeds.
+func TestBadBlockIndexIsAnErrorReply(t *testing.T) {
+	srv, client, _ := startServer(t)
+	ctx := context.Background()
+	key := iostore.Key{Job: "j", Rank: 0, ID: 9}
+	for _, index := range []int{-1, iostore.MaxBlocks, math.MaxInt32} {
+		err := client.PutBlock(ctx, key, iostore.Object{}, index, []byte("abc"))
+		if err == nil || !strings.Contains(err.Error(), "block index") {
+			t.Errorf("PutBlock at index %d = %v; want the store's block-index error", index, err)
+		}
+	}
+	if err := client.PutBlock(ctx, key, iostore.Object{}, 0, []byte("abc")); err != nil {
+		t.Fatalf("PutBlock after the refused frames: %v", err)
+	}
+	if b, err := client.GetBlock(ctx, key, 0); err != nil || !bytes.Equal(b, []byte("abc")) {
+		t.Errorf("GetBlock(0) after the refused frames = %q, %v", b, err)
+	}
+	if _, n, ok, err := client.StatBlocks(ctx, key); err != nil || !ok || n != 1 {
+		t.Errorf("StatBlocks after the refused frames = %d, %v, %v; want the one block", n, ok, err)
+	}
+	if v := srv.mReqErrors.Value(); v != 3 {
+		t.Errorf("request errors = %d, want the 3 refused frames", v)
 	}
 }
 

@@ -4,7 +4,7 @@
 // drain engine) can target a remote I/O node instead of an in-process
 // store.
 //
-// There is one wire codec (internal/iod/wire, protocol v3): length-prefixed
+// There is one wire codec (internal/iod/wire, protocol v4): length-prefixed
 // little-endian binary frames with CRC32C checksums, pooled receive buffers,
 // and scatter/gather sends — the zero-copy wire that lets a drain run at
 // hardware speed. The first bytes on a connection are a frame; every header

@@ -1,4 +1,4 @@
-// Package wire implements the iod binary wire protocol (version 3, the
+// Package wire implements the iod binary wire protocol (version 4, the
 // only one spoken): fixed little-endian frame headers, varint-coded
 // metadata sections, CRC32C frame checksums, and size-class pooled buffer
 // arenas. At GB/s drain rates a reflective codec that allocates and copies
@@ -41,7 +41,7 @@ const (
 	Magic uint32 = 0x3250444e
 	// Version is the protocol revision carried in every header. A peer of
 	// another revision fails DecodeHeader with ErrBadVersion.
-	Version = 3
+	Version = 4
 	// HeaderSize is the fixed frame header length in bytes.
 	HeaderSize = 32
 

@@ -29,7 +29,6 @@ func appendObjectMeta(b []byte, o *iostore.Object) []byte {
 	b = wire.AppendString(b, o.Codec)
 	b = wire.AppendInt(b, int64(o.CodecLevel))
 	b = wire.AppendInt(b, o.OrigSize)
-	b = wire.AppendUvarint(b, o.DeltaBase)
 	b = wire.AppendUvarint(b, uint64(len(o.Meta)))
 	for k, v := range o.Meta {
 		b = wire.AppendString(b, k)
@@ -52,7 +51,6 @@ func readObjectMeta(r *wire.Reader) (iostore.Object, []int) {
 	o.Codec = r.String()
 	o.CodecLevel = int(r.Int())
 	o.OrigSize = r.Int()
-	o.DeltaBase = r.Uvarint()
 	nMeta := r.Uvarint()
 	if nMeta > uint64(r.Len())/2 { // every map entry costs >= 2 bytes
 		r.Fail("meta-map count overruns section")

@@ -5,6 +5,7 @@ import (
 
 	"ndpcr/internal/iod/wire"
 	"ndpcr/internal/node/iostore"
+	"ndpcr/internal/node/nvm"
 )
 
 // The wire package's FuzzWireDecode covers the frame primitives; these two
@@ -13,7 +14,10 @@ import (
 // A frame can carry a valid CRC and still be hostile (a peer can *send*
 // anything), so decodeRequestWire and decodeResponseWire must reject every
 // malformed meta section or block-length table with an error, never a
-// panic: the server decodes peer frames on a goroutine with no recover.
+// panic: the server decodes peer frames — and handles what decodes — on
+// goroutines with no recover. So the request target also dispatches: every
+// request that decodes goes through handleInto over a fresh in-memory store
+// and must come back, whatever block index, key or op the frame carried.
 
 // fuzzHeader reconstitutes the header fields a decoder actually consumes.
 func fuzzHeader(op uint8, flags uint16, index uint32, meta, payload []byte) wire.Header {
@@ -56,19 +60,30 @@ func FuzzDecodeRequestWire(f *testing.F) {
 	hostile = wire.AppendString(hostile, "")       // codec
 	hostile = wire.AppendInt(hostile, 0)           // codec level
 	hostile = wire.AppendInt(hostile, 8)           // orig size
-	hostile = wire.AppendUvarint(hostile, 0)       // delta base
 	hostile = wire.AppendUvarint(hostile, 0)       // meta map
 	hostile = wire.AppendUvarint(hostile, 2)       // block count
 	hostile = wire.AppendUvarint(hostile, 1)       // block 0 length
 	hostile = wire.AppendUvarint(hostile, 1<<63-1) // block 1 length: MaxInt64
 	f.Add(uint8(opPut), uint32(0), hostile, []byte("payload"))
+	// The frame that used to kill the server: a PutBlock at index -1.
+	f.Add(uint8(opPutBlock), ^uint32(0), appendRequestMeta(nil, &request{Key: obj.Key}), []byte("payload!"))
 
+	srv, err := NewServer(iostore.New(nvm.Pacer{}))
+	if err != nil {
+		f.Fatal(err)
+	}
 	f.Fuzz(func(t *testing.T, op uint8, index uint32, meta, payload []byte) {
 		h := fuzzHeader(op, 0, index, meta, payload)
 		req, err := decodeRequestWire(h, meta, payload)
-		if err == nil && req == nil {
+		if err != nil {
+			return
+		}
+		if req == nil {
 			t.Fatal("nil request with nil error")
 		}
+		srv.backing = iostore.New(nvm.Pacer{})
+		var resp response
+		srv.handleInto(req, &resp)
 	})
 }
 

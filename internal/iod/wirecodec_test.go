@@ -43,7 +43,6 @@ func TestRequestWireRoundTripAllOps(t *testing.T) {
 		Codec:      "zstd",
 		CodecLevel: 3,
 		OrigSize:   1 << 20,
-		DeltaBase:  16,
 		Meta:       map[string]string{"step": "400", "epoch": "7"},
 		Blocks:     [][]byte{[]byte("block-zero"), []byte("b1"), {}, []byte("three")},
 	}

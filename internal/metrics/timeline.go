@@ -21,7 +21,6 @@ const (
 	PhaseWait     Phase = "wait"     // gap between spans (queueing)
 	PhasePause    Phase = "pause"    // NDP excluded from NVM by a host commit
 	PhaseRead     Phase = "read"     // NDP reads the checkpoint from NVM
-	PhaseDiff     Phase = "diff"     // incremental block-digest diff
 	PhaseCompress Phase = "compress" // NDP compression
 	PhaseXmit     Phase = "xmit"     // NIC send + store write
 	PhaseAck      Phase = "ack"      // drain finalization and completion event
@@ -31,7 +30,6 @@ const (
 const (
 	PhaseFetch      Phase = "fetch"      // retrieval from a storage level
 	PhaseDecompress Phase = "decompress" // host-side parallel decompression
-	PhaseApply      Phase = "apply"      // application state replacement
 )
 
 // Timeline kinds.
@@ -122,6 +120,44 @@ func NewTimelineSet(capacity int) *TimelineSet {
 		capacity = 64
 	}
 	return &TimelineSet{capacity: capacity, open: make(map[timelineKey]*Timeline)}
+}
+
+// Envelope tracks the wall-clock envelope of a set of overlapping operations
+// (the drain pipeline's compression workers or its windowed sender, the
+// streamed restore's fetchers or decompress workers): the earliest Mark start
+// and the latest Mark end. Recorded as one span per phase, overlapping
+// envelopes make a timeline's Sum exceed its Total by the realized overlap.
+// The zero value is ready to use.
+type Envelope struct {
+	mu     sync.Mutex
+	marked bool
+	start  time.Time
+	end    time.Time
+}
+
+// Mark widens the envelope to cover [start, end].
+func (c *Envelope) Mark(start, end time.Time) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if !c.marked || start.Before(c.start) {
+		c.start = start
+	}
+	if !c.marked || end.After(c.end) {
+		c.end = end
+	}
+	c.marked = true
+}
+
+// ObserveEnvelope records env as one phase span of the (kind, id) timeline;
+// an envelope nothing marked records nothing. It reads the envelope under
+// its lock: on an early return workers may still be marking concurrently.
+func (ts *TimelineSet) ObserveEnvelope(kind string, id uint64, phase Phase, env *Envelope) {
+	env.mu.Lock()
+	start, end, marked := env.start, env.end, env.marked
+	env.mu.Unlock()
+	if marked {
+		ts.Observe(kind, id, phase, start, end)
+	}
 }
 
 // Observe appends one phase span to the (kind, id) timeline, opening it on

@@ -9,16 +9,17 @@ import (
 	"ndpcr/internal/metrics"
 )
 
-// End-to-end observability check: with the drain serialized (no
-// compress/transmit overlap), every phase of a checkpoint's trip through
-// the pipeline is a distinct span and the gap-filled timeline must tile the
-// checkpoint's full wall-clock duration — the per-phase timings sum to the
-// total, so the breakdown can be trusted for bottleneck attribution.
+// End-to-end observability check: on a one-block drain (nothing for
+// compression and transmission to overlap), every phase of a checkpoint's
+// trip through the pipeline is a distinct span and the gap-filled timeline
+// must tile the checkpoint's full wall-clock duration — the per-phase timings
+// sum to the total, so the breakdown can be trusted for bottleneck
+// attribution.
 func TestPhaseTimingsSumToTotal(t *testing.T) {
 	gz, _ := compress.Lookup("gzip", 1)
 	n, _ := newNode(t, func(c *Config) {
 		c.Codec = gz
-		c.SerializeDrain = true
+		c.BlockSize = 1 << 20 // the 300 KB snapshot below is one block
 	})
 	wallStart := time.Now()
 	id, err := n.Commit(context.Background(), snapshot(300_000, 2), Metadata{Step: 1})
@@ -52,7 +53,7 @@ func TestPhaseTimingsSumToTotal(t *testing.T) {
 	}
 	const eps = time.Millisecond
 	if diff := (tl.Sum() - tl.Total()).Abs(); diff > eps {
-		t.Errorf("serialized phases sum to %v but total is %v (diff %v > %v)",
+		t.Errorf("one-block phases sum to %v but total is %v (diff %v > %v)",
 			tl.Sum(), tl.Total(), diff, eps)
 	}
 	if tl.Total() <= 0 || tl.Total() > wall+eps {

@@ -10,7 +10,7 @@ import (
 )
 
 // fetchRankTo streams an arbitrary source rank's checkpoint from the global
-// store into sink, replaying incremental patch chains to the full state.
+// store into sink.
 // Unlike Restore/RestoreID it never consults this node's local levels —
 // another rank's NVM, partner copy, or erasure shards live on machines
 // that no longer exist after an elastic reshape, so the store is the only

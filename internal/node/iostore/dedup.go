@@ -3,7 +3,6 @@ package iostore
 import (
 	"context"
 	"crypto/sha256"
-	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -72,20 +71,21 @@ func NewDedup(pacer nvm.Pacer) *DedupStore {
 	}
 }
 
-// Put stores a whole object.
+// Put stores a whole object, replacing any previous version: the old
+// object's content references are released and the new metadata taken before
+// the blocks go in.
 func (s *DedupStore) Put(ctx context.Context, o Object) error {
-	if o.Key.Job == "" {
-		return errors.New("iostore: empty job name")
+	if err := checkWrite(ctx, o.Key, 0, len(o.Blocks)-1); err != nil {
+		return err
 	}
+	s.mu.Lock()
+	s.dropLocked(o.Key)
+	s.objects[o.Key] = dedupObject{meta: metaOnly(o, o.Key)}
+	s.mu.Unlock()
 	for i, b := range o.Blocks {
 		if err := s.PutBlock(ctx, o.Key, o, i, b); err != nil {
 			return err
 		}
-	}
-	if len(o.Blocks) == 0 {
-		s.mu.Lock()
-		s.objects[o.Key] = dedupObject{meta: metaOnly(o, o.Key)}
-		s.mu.Unlock()
 	}
 	return nil
 }
@@ -106,11 +106,8 @@ func metaOnly(meta Object, key Key) Object {
 // PutBlock stores one block, deduplicating by content. Only first-seen
 // content is paced (it is the only content that moves).
 func (s *DedupStore) PutBlock(ctx context.Context, key Key, meta Object, index int, block []byte) error {
-	if err := ctx.Err(); err != nil {
+	if err := checkWrite(ctx, key, index, index); err != nil {
 		return err
-	}
-	if key.Job == "" {
-		return errors.New("iostore: empty job name")
 	}
 	digest := sha256.Sum256(block)
 
@@ -174,18 +171,21 @@ func (s *DedupStore) Delete(ctx context.Context, key Key) error {
 		return err
 	}
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	o, ok := s.objects[key]
-	if !ok {
-		return nil
-	}
+	s.dropLocked(key)
+	s.mu.Unlock()
+	return nil
+}
+
+// dropLocked removes key's object, if any, releasing its content
+// references; caller holds s.mu.
+func (s *DedupStore) dropLocked(key Key) {
+	o := s.objects[key]
 	for i, d := range o.digests {
 		if o.present[i] {
 			s.releaseLocked(d)
 		}
 	}
 	delete(s.objects, key)
-	return nil
 }
 
 // Get reconstructs an object, pacing the full logical transfer (the reader

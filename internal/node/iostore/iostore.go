@@ -35,12 +35,8 @@ type Object struct {
 	Codec string
 	// CodecLevel is the codec's level (meaningful when Codec != "").
 	CodecLevel int
-	// OrigSize is the uncompressed payload size (the checkpoint for full
-	// objects, the encoded patch for incremental ones).
+	// OrigSize is the uncompressed checkpoint size.
 	OrigSize int64
-	// DeltaBase, when non-zero, marks this object as an incremental
-	// patch applying on top of checkpoint DeltaBase (same job/rank).
-	DeltaBase uint64
 	// Blocks holds the (possibly compressed) data blocks in order. Blocks
 	// are independent so restore can decompress them in parallel (§4.3).
 	Blocks [][]byte
@@ -155,15 +151,37 @@ func New(pacer nvm.Pacer) *Store {
 	return &Store{objects: make(map[Key]Object), pacer: pacer}
 }
 
+// MaxBlocks bounds an object's block count (64 GiB of 64 KiB blocks). A
+// block index arrives off the wire: one below zero or at or past the bound
+// is refused before the object is touched, so a hostile frame can neither
+// index out of range nor make a store append billions of empty slots.
+const MaxBlocks = 1 << 20
+
+// checkWrite is what every write validates first: a live context, a named
+// job, and the block indexes it writes (first..last: one index for PutBlock,
+// 0..len-1 for Put) inside 0..MaxBlocks-1.
+func checkWrite(ctx context.Context, key Key, first, last int) error {
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	if key.Job == "" {
+		return errors.New("iostore: empty job name")
+	}
+	switch {
+	case first < 0:
+		return fmt.Errorf("iostore: %s: block index %d is negative", key, first)
+	case last >= MaxBlocks:
+		return fmt.Errorf("iostore: %s: block index %d is past the %d-block bound", key, last, MaxBlocks)
+	}
+	return nil
+}
+
 // Put stores an object, replacing any previous version. Blocks are copied
 // (into non-nil slices: a nil entry of the stored Blocks is a gap, see
 // PutBlock).
 func (s *Store) Put(ctx context.Context, o Object) error {
-	if err := ctx.Err(); err != nil {
+	if err := checkWrite(ctx, o.Key, 0, len(o.Blocks)-1); err != nil {
 		return err
-	}
-	if o.Key.Job == "" {
-		return errors.New("iostore: empty job name")
 	}
 	cp := o
 	cp.Blocks = make([][]byte, len(o.Blocks))
@@ -195,11 +213,8 @@ func (s *Store) Put(ctx context.Context, o Object) error {
 // nothing has written yet stay nil — gaps GetBlock refuses to serve — while
 // a written block is never nil, however empty.
 func (s *Store) PutBlock(ctx context.Context, key Key, meta Object, index int, block []byte) error {
-	if err := ctx.Err(); err != nil {
+	if err := checkWrite(ctx, key, index, index); err != nil {
 		return err
-	}
-	if key.Job == "" {
-		return errors.New("iostore: empty job name")
 	}
 	// Copied before the lock: every lane writing to this backend shares
 	// s.mu, and a block-sized memcpy under it serialises them all.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"math"
 	"sync"
 	"testing"
 
@@ -173,7 +174,8 @@ func TestConcurrentUse(t *testing.T) {
 // block and never a generic fault; a block that was written empty is served.
 func TestGetBlockNeverServesAGap(t *testing.T) {
 	ctx := context.Background()
-	for name, s := range map[string]Backend{"Store": New(nvm.Pacer{}), "DedupStore": NewDedup(nvm.Pacer{})} {
+	dedup := NewDedup(nvm.Pacer{})
+	for name, s := range map[string]Backend{"Store": New(nvm.Pacer{}), "DedupStore": dedup} {
 		key := Key{Job: "j", Rank: 0, ID: 1}
 		for _, w := range []struct {
 			index int
@@ -207,5 +209,64 @@ func TestGetBlockNeverServesAGap(t *testing.T) {
 		if b, err := s.GetBlock(ctx, whole, 0); err != nil || len(b) != 0 {
 			t.Errorf("%s: GetBlock of a Put empty block = %q, %v", name, b, err)
 		}
+		// ... and replaces what was there: a shorter re-Put under the same key
+		// keeps neither the old metadata nor the old tail.
+		if err := s.Put(ctx, Object{Key: whole, OrigSize: 3, Blocks: [][]byte{{'a'}, {'b'}, {'c'}}}); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Put(ctx, Object{Key: whole, OrigSize: 1, Blocks: [][]byte{{'z'}}}); err != nil {
+			t.Fatal(err)
+		}
+		if o, n, ok, err := s.StatBlocks(ctx, whole); err != nil || !ok || n != 1 || o.OrigSize != 1 {
+			t.Errorf("%s: StatBlocks after a 1-block re-Put over 3 blocks = %d blocks, OrigSize %d, %v, %v; want 1, 1",
+				name, n, o.OrigSize, ok, err)
+		}
+		if b, err := s.GetBlock(ctx, whole, 1); !errors.Is(err, ErrNotFound) {
+			t.Errorf("%s: GetBlock(1) after the re-Put = %q, %v; want ErrNotFound", name, b, err)
+		}
+	}
+	// The replaced blocks' references were released: "abc", "", "ghi" and "z".
+	if st := dedup.Stats(); st.LogicalBytes != 7 || st.PhysicalBytes != 7 || st.UniqueBlocks != 4 {
+		t.Errorf("dedup accounting after the re-Put = %+v; want 7 logical, 7 physical, 4 blocks", st)
+	}
+}
+
+// TestPutBlockRejectsIndexOutOfRange: a block index arrives off the wire. One
+// below zero or at or past MaxBlocks is an error in both stores — not an
+// index-out-of-range panic, not a billion appended slots — and the object is
+// left as it was.
+func TestPutBlockRejectsIndexOutOfRange(t *testing.T) {
+	ctx := context.Background()
+	dedup := NewDedup(nvm.Pacer{})
+	for name, s := range map[string]Backend{"Store": New(nvm.Pacer{}), "DedupStore": dedup} {
+		key := Key{Job: "j", Rank: 0, ID: 1}
+		if err := s.PutBlock(ctx, key, Object{OrigSize: 3}, 0, []byte("abc")); err != nil {
+			t.Fatal(err)
+		}
+		for _, index := range []int{-1, MaxBlocks, math.MaxInt32} {
+			if err := s.PutBlock(ctx, key, Object{OrigSize: 3}, index, []byte("xyz")); err == nil {
+				t.Errorf("%s: PutBlock at index %d accepted", name, index)
+			}
+			if err := s.PutBlock(ctx, Key{Job: "j", Rank: 0, ID: 2}, Object{}, index, nil); err == nil {
+				t.Errorf("%s: PutBlock at index %d of a new object accepted", name, index)
+			}
+		}
+		if o, n, ok, err := s.StatBlocks(ctx, key); err != nil || !ok || n != 1 || o.OrigSize != 3 {
+			t.Errorf("%s: StatBlocks after the refused writes = %d blocks, OrigSize %d, %v, %v; want 1, 3", name, n, o.OrigSize, ok, err)
+		}
+		if b, err := s.GetBlock(ctx, key, 0); err != nil || !bytes.Equal(b, []byte("abc")) {
+			t.Errorf("%s: GetBlock(0) after the refused writes = %q, %v", name, b, err)
+		}
+		if keys, err := s.Keys(ctx); err != nil || len(keys) != 1 {
+			t.Errorf("%s: Keys after the refused writes = %v, %v; want the one object", name, keys, err)
+		}
+	}
+	// The bound is exact (checked on the shared validation: a store would
+	// grow a million slots to take the write).
+	if err := checkWrite(ctx, Key{Job: "j"}, MaxBlocks-1, MaxBlocks-1); err != nil {
+		t.Errorf("the last legal index is refused: %v", err)
+	}
+	if st := dedup.Stats(); st.LogicalBytes != 3 || st.PhysicalBytes != 3 {
+		t.Errorf("dedup accounting after the refused writes = %+v; want 3 logical, 3 physical", st)
 	}
 }

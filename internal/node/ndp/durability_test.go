@@ -145,7 +145,7 @@ func TestTrackerAbandonedWaitersDoNotLeak(t *testing.T) {
 // cannot complete (empty device, nothing to drain) must leave no waiter
 // behind.
 func TestEngineWaitDrainedCtxAbandonDoesNotLeak(t *testing.T) {
-	_, _, eng := testRig(t, nil, false)
+	_, _, eng := testRig(t, nil)
 	var wg sync.WaitGroup
 	for i := 0; i < 100; i++ {
 		wg.Add(1)
@@ -168,7 +168,7 @@ func TestEngineWaitDrainedCtxAbandonDoesNotLeak(t *testing.T) {
 // misreport: when the engine stops in the same instant a drain completes,
 // the waiter must see the completed drain, not a false timeout.
 func TestEngineStopDuringWaitReportsDurableDrain(t *testing.T) {
-	dev, _, eng := testRig(t, nil, false)
+	dev, _, eng := testRig(t, nil)
 	if err := dev.Put(nvm.Checkpoint{ID: 1, Data: ckptData(1000)}); err != nil {
 		t.Fatal(err)
 	}

@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"ndpcr/internal/compress"
-	"ndpcr/internal/delta"
 	"ndpcr/internal/metrics"
 	"ndpcr/internal/node/iostore"
 	"ndpcr/internal/node/nic"
@@ -42,11 +41,6 @@ type Config struct {
 	// selects 1 MB.
 	BlockSize int
 
-	// Serialize disables the compress/transmit overlap: the whole
-	// checkpoint is compressed before any block is sent (the §4.2.2
-	// alternative, kept as an ablation).
-	Serialize bool
-
 	// SendWindow bounds how many store writes a drain keeps in flight at
 	// once. The NIC transmit stays serial and in order — the window
 	// overlaps the store's per-block write latency (a network round trip on
@@ -57,18 +51,6 @@ type Config struct {
 	// hide latency, large ones only cost memory and CPU contention past a
 	// few. An iod client carries the window on however many lanes it has.
 	SendWindow int
-
-	// Incremental enables block-level incremental drains (the paper's
-	// conclusion's proposed NDP extension): after a full checkpoint
-	// reaches I/O, subsequent drains ship only the blocks that changed,
-	// with a full checkpoint every FullEvery drains to bound restore
-	// chains.
-	Incremental bool
-	// FullEvery bounds the patch-chain length (default 8).
-	FullEvery int
-	// DeltaBlockSize is the dedup granularity (default
-	// delta.DefaultBlockSize).
-	DeltaBlockSize int
 
 	// OnError receives asynchronous drain errors; nil discards them.
 	OnError func(error)
@@ -102,7 +84,7 @@ type Config struct {
 	// latency/byte histograms.
 	Metrics *metrics.Registry
 	// Timelines, when non-nil, receives per-checkpoint phase spans
-	// (pause → read → diff → compress → xmit → ack); the host records the
+	// (pause → read → compress → xmit → ack); the host records the
 	// commit span into the same set, so a drained checkpoint's timeline
 	// covers its whole trip through the pipeline.
 	Timelines *metrics.TimelineSet
@@ -131,16 +113,12 @@ type Engine struct {
 	runCtx    context.Context
 	runCancel context.CancelFunc
 
-	// Only the run goroutine touches the three below. attempts counts
-	// consecutive drain failures per ID; an ID that exhausts
-	// MaxDrainAttempts — or is rolled back by its owner — is failed on the
-	// tracker, the one record of IDs that must never be drained or
-	// acknowledged (IDs are never reused, so it stays tiny). tbl and
-	// sinceFull are the incremental-drain state: the digest table of the
-	// last drained checkpoint and the patches since the last full drain.
-	attempts  map[uint64]int
-	tbl       *delta.Table
-	sinceFull int
+	// Only the run goroutine touches attempts: consecutive drain failures
+	// per ID. An ID that exhausts MaxDrainAttempts — or is rolled back by
+	// its owner — is failed on the tracker, the one record of IDs that must
+	// never be drained or acknowledged (IDs are never reused, so it stays
+	// tiny).
+	attempts map[uint64]int
 
 	// Metrics (nil when Config.Metrics is nil).
 	mDrains       *metrics.Counter
@@ -178,12 +156,6 @@ func New(cfg Config) (*Engine, error) {
 	}
 	if cfg.SendWindow <= 0 {
 		cfg.SendWindow = min(max(sendBudget/cfg.BlockSize, 4), 16)
-	}
-	if cfg.FullEvery <= 0 {
-		cfg.FullEvery = 8
-	}
-	if cfg.DeltaBlockSize <= 0 {
-		cfg.DeltaBlockSize = delta.DefaultBlockSize
 	}
 	e := &Engine{
 		cfg:      cfg,
@@ -425,30 +397,9 @@ func (e *Engine) drain(id uint64) error {
 		meta.Codec = e.cfg.Codec.Name()
 		meta.CodecLevel = e.cfg.Codec.Level()
 	}
-
-	// Incremental drains ship a patch against the last drained checkpoint
-	// instead of the full data (conclusion's proposed NDP optimization).
-	payload := ckpt.Data
-	var nextTbl *delta.Table
-	if e.cfg.Incremental && e.tbl != nil && e.sinceFull < e.cfg.FullEvery {
-		diffStart := time.Now()
-		patch, t2, derr := delta.Diff(e.tbl, id, ckpt.Data)
-		if derr != nil {
-			return fmt.Errorf("ndp: diff %d: %w", id, derr)
-		}
-		payload = patch.Encode(nil)
-		meta.DeltaBase = e.tbl.BaseID
-		meta.OrigSize = int64(len(payload))
-		nextTbl = t2
-		e.span(id, metrics.PhaseDiff, diffStart, time.Now())
-	} else if e.cfg.Incremental {
-		diffStart := time.Now()
-		nextTbl = delta.Snapshot(id, ckpt.Data, e.cfg.DeltaBlockSize)
-		e.span(id, metrics.PhaseDiff, diffStart, time.Now())
-	}
 	if e.mPauseWait != nil {
 		e.mPauseWait.ObserveDuration(gateHeld.Sub(drainStart))
-		e.mInBytes.Observe(int64(len(payload)))
+		e.mInBytes.Observe(int64(len(ckpt.Data)))
 	}
 
 	ctx, cancel := context.WithCancel(context.Background())
@@ -461,22 +412,7 @@ func (e *Engine) drain(id uint64) error {
 		}
 	}()
 
-	var blocks [][]byte
-	if e.cfg.Serialize {
-		compressStart := time.Now()
-		blocks, err = e.compressAll(payload)
-		if e.cfg.Codec != nil {
-			e.span(id, metrics.PhaseCompress, compressStart, time.Now())
-		}
-		if err == nil {
-			xmitStart := time.Now()
-			err = e.sendBlocks(ctx, key, meta, blocks, 0)
-			e.span(id, metrics.PhaseXmit, xmitStart, time.Now())
-		}
-	} else {
-		err = e.pipeline(ctx, id, key, meta, payload)
-	}
-	if err != nil {
+	if err := e.pipeline(ctx, id, key, meta, ckpt.Data); err != nil {
 		// A torn object must not be restorable. The delete runs on a fresh
 		// context: the drain ctx may already be canceled (engine shutdown),
 		// but the cleanup must still be attempted.
@@ -497,36 +433,21 @@ func (e *Engine) drain(id uint64) error {
 		}
 		return nil
 	}
-	if e.cfg.Incremental {
-		if meta.DeltaBase != 0 {
-			e.sinceFull++
-		} else {
-			e.sinceFull = 0
-		}
-		e.tbl = nextTbl
-	}
-
 	skipped := uint64(0)
 	if wm, has := e.tracker.Watermark(LevelStore); has && id > wm+1 {
 		skipped = id - wm - 1
 	}
-	e.tracker.MarkDurable(LevelStore, id)
 	e.span(id, metrics.PhaseAck, ackStart, time.Now())
 	if ts := e.cfg.Timelines; ts != nil {
 		ts.Finish(metrics.KindCheckpoint, id)
 		ts.DiscardOlder(metrics.KindCheckpoint, id)
 	}
+	// Last, so a waiter this releases finds the timeline completed.
+	e.tracker.MarkDurable(LevelStore, id)
 	if e.mDrains != nil {
 		e.mDrains.Inc()
 		e.mSkipped.Add(skipped)
 		e.mDrainSecs.ObserveSince(drainStart)
-		var out int64
-		for _, b := range blocks {
-			out += int64(len(b))
-		}
-		if e.cfg.Serialize {
-			e.mOutBytes.Observe(out)
-		}
 	}
 	return nil
 }
@@ -556,43 +477,6 @@ func (e *Engine) splitBlocks(data []byte) [][]byte {
 	return out
 }
 
-// compressAll compresses every block before any transmission (Serialize
-// mode).
-func (e *Engine) compressAll(data []byte) ([][]byte, error) {
-	raw := e.splitBlocks(data)
-	if e.cfg.Codec == nil {
-		return raw, nil
-	}
-	out := make([][]byte, len(raw))
-	errs := make([]error, len(raw))
-	var wg sync.WaitGroup
-	idx := make(chan int)
-	for w := 0; w < e.cfg.Workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				t0 := time.Now()
-				out[i], errs[i] = e.cfg.Codec.Compress(nil, raw[i])
-				if e.mCompressSecs != nil {
-					e.mCompressSecs.ObserveSince(t0)
-				}
-			}
-		}()
-	}
-	for i := range raw {
-		idx <- i
-	}
-	close(idx)
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
-}
-
 // sender ships one drain's blocks: NIC transmission is serial and in order
 // (one wire), while store writes run asynchronously behind it, bounded by
 // SendWindow. PutBlock writes by index, so out-of-order completion of the
@@ -604,13 +488,13 @@ type sender struct {
 	meta  iostore.Object
 	sem   chan struct{}
 	wg    sync.WaitGroup
-	clock *spanClock // optional xmit envelope across NIC + store spans
+	clock *metrics.Envelope // optional xmit envelope across NIC + store spans
 
 	errMu sync.Mutex
 	err   error
 }
 
-func (e *Engine) newSender(key iostore.Key, meta iostore.Object, clock *spanClock) *sender {
+func (e *Engine) newSender(key iostore.Key, meta iostore.Object, clock *metrics.Envelope) *sender {
 	return &sender{e: e, key: key, meta: meta, sem: make(chan struct{}, e.cfg.SendWindow), clock: clock}
 }
 
@@ -649,7 +533,7 @@ func (s *sender) send(ctx context.Context, idx int, b []byte) error {
 			e.mNICSendSecs.ObserveSince(t0)
 		}
 		if s.clock != nil {
-			s.clock.mark(t0, time.Now())
+			s.clock.Mark(t0, time.Now())
 		}
 	}
 	select {
@@ -672,7 +556,7 @@ func (s *sender) send(ctx context.Context, idx int, b []byte) error {
 			e.mStoreSecs.ObserveSince(t1)
 		}
 		if s.clock != nil {
-			s.clock.mark(t1, time.Now())
+			s.clock.Mark(t1, time.Now())
 		}
 	}()
 	return nil
@@ -689,45 +573,15 @@ func (s *sender) wait() error {
 // finalizing the object metadata on completion. Store writes overlap up to
 // SendWindow deep; the call returns only once all of them have landed, so
 // callers keep the strict completed-means-durable semantics.
-func (e *Engine) sendBlocks(ctx context.Context, key iostore.Key, meta iostore.Object, blocks [][]byte, startIdx int) error {
+func (e *Engine) sendBlocks(ctx context.Context, key iostore.Key, meta iostore.Object, blocks [][]byte) error {
 	s := e.newSender(key, meta, nil)
 	defer s.wg.Wait() // never return with writes still in flight
 	for i, b := range blocks {
-		if err := s.send(ctx, startIdx+i, b); err != nil {
+		if err := s.send(ctx, i, b); err != nil {
 			return err
 		}
 	}
 	return s.wait()
-}
-
-// spanClock tracks the wall-clock envelope of a set of overlapping
-// operations (the pipeline's compression workers, or its in-order sender):
-// the earliest mark start and the latest mark end.
-type spanClock struct {
-	mu     sync.Mutex
-	marked bool
-	start  time.Time
-	end    time.Time
-}
-
-func (c *spanClock) mark(start, end time.Time) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if !c.marked || start.Before(c.start) {
-		c.start = start
-	}
-	if !c.marked || end.After(c.end) {
-		c.end = end
-	}
-	c.marked = true
-}
-
-// snapshot reads the envelope under the lock: on an early pipeline return
-// (context cancel, send error) workers may still be marking concurrently.
-func (c *spanClock) snapshot() (start, end time.Time, marked bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.start, c.end, c.marked
 }
 
 // pipeline overlaps block compression (Workers cores) with in-order
@@ -739,27 +593,21 @@ func (e *Engine) pipeline(ctx context.Context, id uint64, key iostore.Key, meta 
 	raw := e.splitBlocks(data)
 	if e.cfg.Codec == nil {
 		xmitStart := time.Now()
-		err := e.sendBlocks(ctx, key, meta, raw, 0)
+		err := e.sendBlocks(ctx, key, meta, raw)
 		e.span(id, metrics.PhaseXmit, xmitStart, time.Now())
 		if err == nil && e.mOutBytes != nil {
-			var out int64
-			for _, b := range raw {
-				out += int64(len(b))
-			}
-			e.mOutBytes.Observe(out)
+			e.mOutBytes.Observe(int64(len(data)))
 		}
 		return err
 	}
 
-	var compressClock, xmitClock spanClock
-	defer func() {
-		if start, end, marked := compressClock.snapshot(); marked {
-			e.span(id, metrics.PhaseCompress, start, end)
-		}
-		if start, end, marked := xmitClock.snapshot(); marked {
-			e.span(id, metrics.PhaseXmit, start, end)
-		}
-	}()
+	var compressClock, xmitClock metrics.Envelope
+	if ts := e.cfg.Timelines; ts != nil {
+		defer func() {
+			ts.ObserveEnvelope(metrics.KindCheckpoint, id, metrics.PhaseCompress, &compressClock)
+			ts.ObserveEnvelope(metrics.KindCheckpoint, id, metrics.PhaseXmit, &xmitClock)
+		}()
+	}
 
 	type result struct {
 		idx  int
@@ -776,7 +624,7 @@ func (e *Engine) pipeline(ctx context.Context, id uint64, key iostore.Key, meta 
 			for i := range jobs {
 				t0 := time.Now()
 				c, err := e.cfg.Codec.Compress(nil, raw[i])
-				compressClock.mark(t0, time.Now())
+				compressClock.Mark(t0, time.Now())
 				if e.mCompressSecs != nil {
 					e.mCompressSecs.ObserveSince(t0)
 				}

@@ -13,7 +13,7 @@ import (
 	"ndpcr/internal/node/nvm"
 )
 
-func testRig(t *testing.T, codec compress.Codec, serialize bool) (*nvm.Device, *iostore.Store, *Engine) {
+func testRig(t *testing.T, codec compress.Codec) (*nvm.Device, *iostore.Store, *Engine) {
 	t.Helper()
 	dev, err := nvm.NewDevice(64<<20, nvm.Pacer{})
 	if err != nil {
@@ -28,8 +28,7 @@ func testRig(t *testing.T, codec compress.Codec, serialize bool) (*nvm.Device, *
 		Job: "job", Rank: 0,
 		Device: dev, Store: store, Link: link,
 		Codec: codec, Workers: 4, BlockSize: 4096,
-		Serialize: serialize,
-		OnError:   func(err error) { t.Logf("ndp error: %v", err) },
+		OnError: func(err error) { t.Logf("ndp error: %v", err) },
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -96,7 +95,7 @@ func TestSendWindowDefaultIsSizedInBytes(t *testing.T) {
 }
 
 func TestDrainUncompressed(t *testing.T) {
-	dev, store, eng := testRig(t, nil, false)
+	dev, store, eng := testRig(t, nil)
 	data := ckptData(20000)
 	meta := map[string]string{"step": "3"}
 	if err := dev.Put(nvm.Checkpoint{ID: 1, Data: data, Meta: meta}); err != nil {
@@ -126,41 +125,39 @@ func TestDrainUncompressed(t *testing.T) {
 
 func TestDrainCompressedRoundTrip(t *testing.T) {
 	gz, _ := compress.Lookup("gzip", 1)
-	for _, serialize := range []bool{false, true} {
-		dev, store, eng := testRig(t, gz, serialize)
-		data := ckptData(100000)
-		if err := dev.Put(nvm.Checkpoint{ID: 1, Data: data}); err != nil {
-			t.Fatal(err)
-		}
-		eng.Notify()
-		waitDrain(t, eng, 1)
+	dev, store, eng := testRig(t, gz)
+	data := ckptData(100000)
+	if err := dev.Put(nvm.Checkpoint{ID: 1, Data: data}); err != nil {
+		t.Fatal(err)
+	}
+	eng.Notify()
+	waitDrain(t, eng, 1)
 
-		obj, err := store.Get(context.Background(), iostore.Key{Job: "job", Rank: 0, ID: 1})
+	obj, err := store.Get(context.Background(), iostore.Key{Job: "job", Rank: 0, ID: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if obj.Codec != "gzip" || obj.CodecLevel != 1 {
+		t.Fatalf("codec = %s(%d)", obj.Codec, obj.CodecLevel)
+	}
+	if obj.StoredSize() >= int64(len(data)) {
+		t.Error("compression did not shrink the checkpoint")
+	}
+	var joined []byte
+	for i, b := range obj.Blocks {
+		plain, err := gz.Decompress(nil, b)
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("block %d: %v", i, err)
 		}
-		if obj.Codec != "gzip" || obj.CodecLevel != 1 {
-			t.Fatalf("codec = %s(%d)", obj.Codec, obj.CodecLevel)
-		}
-		if obj.StoredSize() >= int64(len(data)) {
-			t.Error("compression did not shrink the checkpoint")
-		}
-		var joined []byte
-		for i, b := range obj.Blocks {
-			plain, err := gz.Decompress(nil, b)
-			if err != nil {
-				t.Fatalf("block %d: %v", i, err)
-			}
-			joined = append(joined, plain...)
-		}
-		if !bytes.Equal(joined, data) {
-			t.Errorf("serialize=%v: reassembled bytes differ", serialize)
-		}
+		joined = append(joined, plain...)
+	}
+	if !bytes.Equal(joined, data) {
+		t.Error("reassembled bytes differ")
 	}
 }
 
 func TestDrainSkipsToLatest(t *testing.T) {
-	dev, store, eng := testRig(t, nil, false)
+	dev, store, eng := testRig(t, nil)
 	// Commit three checkpoints before ringing the bell: the engine should
 	// drain the newest (policy: as fresh as possible).
 	for id := uint64(1); id <= 3; id++ {
@@ -180,7 +177,7 @@ func TestDrainSkipsToLatest(t *testing.T) {
 }
 
 func TestDrainUnlocksCheckpoint(t *testing.T) {
-	dev, _, eng := testRig(t, nil, false)
+	dev, _, eng := testRig(t, nil)
 	if err := dev.Put(nvm.Checkpoint{ID: 1, Data: ckptData(1000)}); err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +192,7 @@ func TestDrainUnlocksCheckpoint(t *testing.T) {
 }
 
 func TestWipeDuringIdleIsSafe(t *testing.T) {
-	dev, _, eng := testRig(t, nil, false)
+	dev, _, eng := testRig(t, nil)
 	dev.Put(nvm.Checkpoint{ID: 1, Data: ckptData(100)})
 	eng.Notify()
 	waitDrain(t, eng, 1)
@@ -208,7 +205,7 @@ func TestWipeDuringIdleIsSafe(t *testing.T) {
 }
 
 func TestPauseResumeNVM(t *testing.T) {
-	dev, _, eng := testRig(t, nil, false)
+	dev, _, eng := testRig(t, nil)
 	// Pause, commit while paused, resume: drain must proceed afterwards.
 	eng.PauseNVM()
 	if err := dev.Put(nvm.Checkpoint{ID: 1, Data: ckptData(5000)}); err != nil {
@@ -224,7 +221,7 @@ func TestPauseResumeNVM(t *testing.T) {
 }
 
 func TestConcurrentCommitsAllEventuallyDrainLatest(t *testing.T) {
-	dev, store, eng := testRig(t, nil, false)
+	dev, store, eng := testRig(t, nil)
 	var wg sync.WaitGroup
 	const n = 20
 	for i := 1; i <= n; i++ {
@@ -245,7 +242,7 @@ func TestConcurrentCommitsAllEventuallyDrainLatest(t *testing.T) {
 }
 
 func TestCloseIsIdempotent(t *testing.T) {
-	_, _, eng := testRig(t, nil, false)
+	_, _, eng := testRig(t, nil)
 	eng.Close()
 	eng.Close()
 }

@@ -11,7 +11,7 @@ import (
 )
 
 func TestWaitDrainedCompletes(t *testing.T) {
-	dev, _, eng := testRig(t, nil, false)
+	dev, _, eng := testRig(t, nil)
 	if err := dev.Put(nvm.Checkpoint{ID: 1, Data: ckptData(5000)}); err != nil {
 		t.Fatal(err)
 	}
@@ -26,7 +26,7 @@ func TestWaitDrainedCompletes(t *testing.T) {
 }
 
 func TestWaitDrainedSatisfiedByNewerDrain(t *testing.T) {
-	dev, _, eng := testRig(t, nil, false)
+	dev, _, eng := testRig(t, nil)
 	// Both checkpoints are resident before the bell rings, so the engine
 	// skips straight to 2; the waiter on 1 must still be released.
 	for id := uint64(1); id <= 2; id++ {
@@ -43,7 +43,7 @@ func TestWaitDrainedSatisfiedByNewerDrain(t *testing.T) {
 }
 
 func TestWaitDrainedTimesOut(t *testing.T) {
-	_, _, eng := testRig(t, nil, false)
+	_, _, eng := testRig(t, nil)
 	start := time.Now()
 	if err := waitStore(eng, 1, 20*time.Millisecond); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("wait with nothing committed: %v, want deadline exceeded", err)
@@ -54,7 +54,7 @@ func TestWaitDrainedTimesOut(t *testing.T) {
 }
 
 func TestWaitDrainedUnblocksOnClose(t *testing.T) {
-	_, _, eng := testRig(t, nil, false)
+	_, _, eng := testRig(t, nil)
 	done := make(chan error, 1)
 	go func() { done <- waitStore(eng, 42, time.Minute) }()
 	time.Sleep(5 * time.Millisecond) // let the waiter park
@@ -70,7 +70,7 @@ func TestWaitDrainedUnblocksOnClose(t *testing.T) {
 }
 
 func TestDiscardedCheckpointNeverDrains(t *testing.T) {
-	dev, store, eng := testRig(t, nil, false)
+	dev, store, eng := testRig(t, nil)
 	if err := dev.Put(nvm.Checkpoint{ID: 1, Data: ckptData(1000)}); err != nil {
 		t.Fatal(err)
 	}

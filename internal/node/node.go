@@ -16,7 +16,6 @@ import (
 	"time"
 
 	"ndpcr/internal/compress"
-	"ndpcr/internal/delta"
 	"ndpcr/internal/metrics"
 	"ndpcr/internal/node/iostore"
 	"ndpcr/internal/node/ndp"
@@ -137,17 +136,6 @@ type Config struct {
 	// keeps in flight at once; zero sizes it from bytes in flight (see
 	// ndp.Config.SendWindow). 1 restores the fully serial sender.
 	DrainWindow int
-	// SerializeDrain disables the compress/send overlap (ablation).
-	SerializeDrain bool
-	// Incremental enables block-level incremental drains: after a full
-	// checkpoint reaches I/O, the NDP ships only changed blocks, with a
-	// full checkpoint every FullEvery drains (the paper conclusion's
-	// proposed NDP extension).
-	Incremental bool
-	// FullEvery bounds incremental patch chains (default 8).
-	FullEvery int
-	// DeltaBlockSize is the incremental-dedup granularity (default 64 KiB).
-	DeltaBlockSize int
 	// DisableNDP turns the background drain off entirely: checkpoints
 	// reach I/O only via explicit host writes (the conventional
 	// multilevel baseline).
@@ -296,11 +284,7 @@ func New(cfg Config) (*Node, error) {
 			Codec:             cfg.Codec,
 			Workers:           cfg.NDPWorkers,
 			BlockSize:         cfg.BlockSize,
-			Serialize:         cfg.SerializeDrain,
 			SendWindow:        cfg.DrainWindow,
-			Incremental:       cfg.Incremental,
-			FullEvery:         cfg.FullEvery,
-			DeltaBlockSize:    cfg.DeltaBlockSize,
 			OnError:           cfg.OnError,
 			Tracker:           n.dur,
 			Gate:              cfg.DrainGate,
@@ -686,94 +670,19 @@ func (l Level) String() string {
 
 // fetchFromIO streams rank's checkpoint from the global store (usually
 // this node's own rank; an elastic restore fetches other source ranks'
-// objects through the same path) into sink, decompressing across a host
-// worker pool. A full checkpoint goes to sink block by block as it lands;
-// an incremental object's patch chain is walked back to its full base, each
-// link collected in memory, and the replayed result is one piece.
+// objects through the same path) into sink, block by block as it lands.
 //
 // Finish-or-discard: a failed fetch discards the restore timeline it
 // opened. The success paths Finish it (in the callers); without the
 // discard, every failed restore left an open timeline behind forever —
 // residue that DiscardOlder never collects, since failures don't advance
 // the finished-ID watermark.
-func (n *Node) fetchFromIO(ctx context.Context, rank int, id uint64, sink Sink) (err error) {
-	defer func() {
-		if err != nil {
-			n.timelines.Discard(metrics.KindRestore, id)
-		}
-	}()
-	var patches []*delta.Patch
-	var meta Metadata
-	curID := id
-	for depth := 0; ; depth++ {
-		if depth > maxPatchChain {
-			return fmt.Errorf("node: restore %d: patch chain exceeds %d links", id, maxPatchChain)
-		}
-		var payload []byte
-		var base uint64
-		err := n.fetchObject(ctx, rank, id, curID, func(m Metadata, size int64, b uint64) (func([]byte) error, error) {
-			base = b
-			if depth == 0 {
-				meta = m // the requested checkpoint's metadata wins
-				if b == 0 {
-					return sink(m, size, LevelIO)
-				}
-			}
-			payload = make([]byte, 0, size)
-			return func(p []byte) error { payload = append(payload, p...); return nil }, nil
-		})
-		if err != nil || depth == 0 && base == 0 {
-			return err
-		}
-		if base == 0 {
-			// Full checkpoint: replay the collected patches (newest was
-			// appended first, so walk backwards).
-			applyStart := time.Now()
-			data := payload
-			for i := len(patches) - 1; i >= 0; i-- {
-				data, err = delta.Apply(data, patches[i])
-				if err != nil {
-					return fmt.Errorf("node: restore %d: %w", id, err)
-				}
-			}
-			n.restoreSpan(id, metrics.PhaseApply, applyStart)
-			return sink.whole(data, meta, LevelIO)
-		}
-		p, err := delta.Decode(payload)
-		if err != nil {
-			return fmt.Errorf("node: restore %d: %w", id, err)
-		}
-		patches = append(patches, p)
-		curID = base
+func (n *Node) fetchFromIO(ctx context.Context, rank int, id uint64, sink Sink) error {
+	err := n.fetchObject(ctx, rank, id, sink)
+	if err != nil {
+		n.timelines.Discard(metrics.KindRestore, id)
 	}
-}
-
-// maxPatchChain bounds incremental-restore recursion against corrupt
-// metadata cycles.
-const maxPatchChain = 1024
-
-// envelope tracks the wall-clock envelope of overlapping operations (the
-// streamed restore's fetchers or decompress workers): earliest start,
-// latest end. On an overlapped restore the fetch and decompress spans
-// overlap, so the timeline's Sum exceeds its Total by the realized overlap
-// — the same signature the NDP drain pipeline leaves on the commit side.
-type envelope struct {
-	mu     sync.Mutex
-	marked bool
-	start  time.Time
-	end    time.Time
-}
-
-func (c *envelope) mark(start, end time.Time) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if !c.marked || start.Before(c.start) {
-		c.start = start
-	}
-	if !c.marked || end.After(c.end) {
-		c.end = end
-	}
-	c.marked = true
+	return err
 }
 
 // ErrBadObject reports a stored object whose block count or payload size
@@ -785,8 +694,7 @@ var ErrBadObject = errors.New("node: stored object has an impossible shape")
 // the restore sizes any buffer from them: they arrive off the wire, and a
 // corrupt or hostile reply must fail the restore, not the process. Every
 // block of a multi-block object carries at least one payload byte, and a
-// payload (a checkpoint, or a patch against one) that exceeds this node's
-// NVM could never have been committed here.
+// payload that exceeds this node's NVM could never have been committed here.
 func (n *Node) checkObjectShape(numBlocks int, origSize int64) error {
 	switch {
 	case numBlocks < 0 || origSize < 0,
@@ -806,12 +714,10 @@ func (n *Node) checkObjectShape(numBlocks int, origSize int64) error {
 const fetchBudget = 8 << 20
 
 // fetchObject streams one stored object's decompressed payload, in order,
-// to the emit function open returns. open is called once — after the
+// to the emit function sink returns. sink is called once — after the
 // StatBlocks answer passed every shape check, before any block is fetched —
-// with the object's metadata, exact payload size and delta base (0 for full
-// checkpoints). traceID keys the restore timeline (the originally requested
-// checkpoint), while id is the patch-chain link being fetched. The object
-// is fetched block by block, each block fed into the decompression pool as
+// with the object's metadata and exact payload size. The object is fetched
+// block by block, each block fed into the decompression pool as
 // it lands so decompressing block i overlaps fetching block i+1 (§4.3
 // mirrored onto the restore path), and emitted by the calling goroutine
 // once every earlier block has been. A window of fetchers runs concurrently
@@ -820,8 +726,7 @@ const fetchBudget = 8 << 20
 // been emitted: a slow consumer holds the fetchers — and the restore's
 // memory — to that many blocks ahead of it. No byte past the declared size
 // is emitted; a shortfall is an error after the fact.
-func (n *Node) fetchObject(ctx context.Context, rank int, traceID, id uint64,
-	open func(meta Metadata, size int64, base uint64) (func([]byte) error, error)) error {
+func (n *Node) fetchObject(ctx context.Context, rank int, id uint64, sink Sink) error {
 	key := iostore.Key{Job: n.cfg.Job, Rank: rank, ID: id}
 	obj, numBlocks, ok, err := n.cfg.Store.StatBlocks(ctx, key)
 	if err != nil {
@@ -845,7 +750,7 @@ func (n *Node) fetchObject(ctx context.Context, rank int, traceID, id uint64,
 			return fmt.Errorf("node: restore %d: %w", id, err)
 		}
 	}
-	emit, err := open(meta, obj.OrigSize, obj.DeltaBase)
+	emit, err := sink(meta, obj.OrigSize, LevelIO)
 	if err != nil {
 		return err
 	}
@@ -864,7 +769,7 @@ func (n *Node) fetchObject(ctx context.Context, rank int, traceID, id uint64,
 		data []byte
 	}
 	var (
-		fetchClock, decClock envelope
+		fetchClock, decClock metrics.Envelope
 		tokens               = make(chan struct{}, ahead)
 		next                 atomic.Int64 // next block index to fetch
 		fetched              = make(chan block, window)
@@ -906,7 +811,7 @@ func (n *Node) fetchObject(ctx context.Context, rank int, traceID, id uint64,
 				}
 				t0 := time.Now()
 				b, ferr := n.cfg.Store.GetBlock(fctx, key, i)
-				fetchClock.mark(t0, time.Now())
+				fetchClock.Mark(t0, time.Now())
 				if ferr != nil {
 					abort(fmt.Errorf("block %d: %w", i, ferr))
 					return
@@ -933,7 +838,7 @@ func (n *Node) fetchObject(ctx context.Context, rank int, traceID, id uint64,
 				if codec != nil {
 					t0 := time.Now()
 					p, derr := codec.Decompress(make([]byte, 0, decHint.Load()), blk.data)
-					decClock.mark(t0, time.Now())
+					decClock.Mark(t0, time.Now())
 					n.mDecompressSecs.ObserveSince(t0)
 					if derr != nil {
 						abort(fmt.Errorf("block %d: %w", blk.idx, derr))
@@ -973,12 +878,8 @@ emitting:
 	fwg.Wait()
 	dwg.Wait()
 
-	if fetchClock.marked {
-		n.timelines.Observe(metrics.KindRestore, traceID, metrics.PhaseFetch, fetchClock.start, fetchClock.end)
-	}
-	if decClock.marked {
-		n.timelines.Observe(metrics.KindRestore, traceID, metrics.PhaseDecompress, decClock.start, decClock.end)
-	}
+	n.timelines.ObserveEnvelope(metrics.KindRestore, id, metrics.PhaseFetch, &fetchClock)
+	n.timelines.ObserveEnvelope(metrics.KindRestore, id, metrics.PhaseDecompress, &decClock)
 	select {
 	case <-stop:
 		return fmt.Errorf("node: restore %d: %w", id, failure)

@@ -163,6 +163,49 @@ func TestRestoreID(t *testing.T) {
 	}
 }
 
+// TestStoredCheckpointsRestoreIndependently: a stored object is a full
+// checkpoint in independent blocks, so a store-durable checkpoint restores
+// byte-identical from I/O whatever became of its predecessors. Here both are
+// rolled back — DiscardCommit deletes their global objects, as a cluster
+// rollback and the gateway's delete do — before the node loses its local
+// state. (With patch-chain drains this failed: checkpoint 3 was acknowledged
+// store-durable, and its restore walked back to a deleted base.)
+func TestStoredCheckpointsRestoreIndependently(t *testing.T) {
+	gz, _ := compress.Lookup("gzip", 1)
+	n, store := newNode(t, func(c *Config) { c.Codec = gz })
+	ctx := context.Background()
+	var snap []byte
+	for v := 1; v <= 3; v++ {
+		snap = snapshot(20_000, 0) // five blocks, a few bytes changed a round
+		snap[v*5000] ^= 0xff
+		id, err := n.Commit(ctx, snap, Metadata{Step: v})
+		if err != nil || id != uint64(v) {
+			t.Fatalf("commit %d: id %d, %v", v, id, err)
+		}
+		waitDrained(t, n, id)
+	}
+	for _, id := range []uint64{1, 2} {
+		if err := n.DiscardCommit(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !n.DurableAt(3, ndp.LevelStore) {
+		t.Fatal("checkpoint 3 is not store-durable after its predecessors were discarded")
+	}
+	if keys, err := store.Keys(ctx); err != nil || len(keys) != 1 || keys[0].ID != 3 {
+		t.Fatalf("store holds %v, %v; want checkpoint 3 alone", keys, err)
+	}
+	n.FailLocal()
+	data, meta, level, err := n.RestoreID(ctx, 3)
+	if err != nil {
+		t.Fatalf("restore of a store-durable checkpoint: %v", err)
+	}
+	if level != LevelIO || meta.ID != 3 || meta.Step != 3 || !bytes.Equal(data, snap) {
+		t.Errorf("restored level %v, id %d, step %d, bytes match %v; want io, 3, 3, true",
+			level, meta.ID, meta.Step, bytes.Equal(data, snap))
+	}
+}
+
 func TestWriteThroughWithoutNDP(t *testing.T) {
 	n, store := newNode(t, func(c *Config) { c.DisableNDP = true })
 	if n.Engine() != nil {

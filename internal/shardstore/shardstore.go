@@ -868,7 +868,7 @@ type copies struct {
 }
 
 // verify answers "who holds key whole" from cands. A holder is a backend
-// whose StatBlocks answer — blocks held, OrigSize, codec, delta base — equals
+// whose StatBlocks answer — blocks held, OrigSize, codec — equals
 // the most complete answer among the candidates; a Keys entry or a bare
 // "exists" is not evidence, because a replica that died mid-write and came
 // back lists the key and holds a gap or a short tail. An honest "absent" is
@@ -880,14 +880,13 @@ func (s *Store) verify(ctx context.Context, key iostore.Key, cands []*backend) c
 		origSize int64
 		codec    string
 		level    int
-		base     uint64
 	}
 	shapes := make([]*shape, len(cands)) // nil: absent, or no answer
 	metas := make([]iostore.Object, len(cands))
 	errs := s.askAll(ctx, cands, func(ctx context.Context, i int, b *backend) error {
 		o, n, ok, err := b.store.StatBlocks(ctx, key)
 		if err == nil && ok {
-			metas[i], shapes[i] = o, &shape{n, o.OrigSize, o.Codec, o.CodecLevel, o.DeltaBase}
+			metas[i], shapes[i] = o, &shape{n, o.OrigSize, o.Codec, o.CodecLevel}
 		}
 		return err
 	})

@@ -41,6 +41,12 @@ go test -race ./internal/compress/...
 go test -run '^$' -fuzz FuzzDecodeAgainstFlate -fuzztime 10s -fuzzminimizetime 1s ./internal/compress/inflate
 go test -run '^$' -fuzz FuzzRoundTrip -fuzztime 10s -fuzzminimizetime 1s ./internal/compress/inflate
 
+# The iod codec reads frames any peer can send, on goroutines with no
+# recover: the same smoke for its two targets (the request one also
+# dispatches what it decodes to a store).
+go test -run '^$' -fuzz FuzzDecodeRequestWire -fuzztime 10s -fuzzminimizetime 1s ./internal/iod
+go test -run '^$' -fuzz FuzzDecodeResponseWire -fuzztime 10s -fuzzminimizetime 1s ./internal/iod
+
 # Allocation budgets of the HTTP save/load path, raw and through gzip (counts;
 # skipped under -race above): a whole-object buffer or a codec buffer grown
 # from nil coming back fails here, not in the next bench.
