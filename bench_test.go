@@ -11,7 +11,6 @@ package ndpcr_test
 import (
 	"bytes"
 	"context"
-	"fmt"
 	"testing"
 
 	"ndpcr/internal/compress"
@@ -186,26 +185,6 @@ func BenchmarkCodecs(b *testing.B) {
 			var dst []byte
 			for i := 0; i < b.N; i++ {
 				dst, err = c.Decompress(dst[:0], comp)
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-func BenchmarkParallelCompression(b *testing.B) {
-	// The NDP-cores scaling claim behind Table 3: gzip(1) across workers.
-	data := checkpointData(b, miniapps.Medium)
-	gz, _ := compress.Lookup("gzip", 1)
-	for _, workers := range []int{1, 2, 4, 8} {
-		p := compress.NewParallel(gz, workers, 1<<20)
-		b.Run(fmt.Sprintf("gzip1-workers-%d", workers), func(b *testing.B) {
-			b.SetBytes(int64(len(data)))
-			var dst []byte
-			for i := 0; i < b.N; i++ {
-				var err error
-				dst, err = p.Compress(dst[:0], data)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -13,7 +13,6 @@ import (
 	"ndpcr/internal/compress"
 	"ndpcr/internal/gateway"
 	"ndpcr/internal/metrics"
-	"ndpcr/internal/shardstore"
 )
 
 // runAsyncChaos stresses the async-acknowledge contract under backend
@@ -38,17 +37,13 @@ func runAsyncChaos() error {
 	fmt.Printf("async-chaos: %d async-acked saves through %d iod backends (R=2), killing one mid-propagation\n\n",
 		rounds, backends)
 
-	// Live I/O nodes on loopback TCP, fronted by the shard tier. The short
-	// call timeout keeps drains from hanging on the dead backend's socket.
+	// Live I/O nodes on loopback TCP, fronted by the shard tier.
 	servers, addrs, err := startIODs(backends)
 	if err != nil {
 		return err
 	}
 	defer closeIODs(servers)
-	store, err := shardstore.Dial(addrs, 2, shardstore.Config{
-		Replicas:    2,
-		CallTimeout: 300 * time.Millisecond,
-	})
+	store, err := dialTier(addrs)
 	if err != nil {
 		return err
 	}

@@ -53,6 +53,19 @@ func (r *chaosRank) Restore(data []byte) error {
 	return r.app.Restore(bytes.NewReader(data))
 }
 
+// chaosApps builds one HPCCG mini-app per rank, rank i seeded seed+i.
+func chaosApps(ranks int, seed uint64) ([]*chaosRank, error) {
+	apps := make([]*chaosRank, ranks)
+	for i := range apps {
+		app, err := miniapps.New("HPCCG", miniapps.Small, seed+uint64(i))
+		if err != nil {
+			return nil, err
+		}
+		apps[i] = &chaosRank{app: app}
+	}
+	return apps, nil
+}
+
 // runChaos drives the functional coordinated-checkpoint cluster under a
 // deterministic injected failure schedule (-faults, -seed): every rank is a
 // live mini-app, the global store is wrapped with the injector, and each
@@ -78,15 +91,13 @@ func runChaos() error {
 	if err != nil {
 		return err
 	}
+	apps, err := chaosApps(ranks, *flagSeed)
+	if err != nil {
+		return err
+	}
 	nodes := make([]*node.Node, ranks)
 	rankIfaces := make([]cluster.Rank, ranks)
-	apps := make([]*chaosRank, ranks)
 	for i := 0; i < ranks; i++ {
-		app, err := miniapps.New("HPCCG", miniapps.Small, *flagSeed+uint64(i))
-		if err != nil {
-			return err
-		}
-		apps[i] = &chaosRank{app: app}
 		rankIfaces[i] = apps[i]
 		nodes[i], err = node.New(node.Config{
 			Job: "chaos", Rank: i, Store: store,

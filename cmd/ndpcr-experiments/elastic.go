@@ -9,11 +9,7 @@ import (
 
 	"ndpcr/internal/cluster"
 	"ndpcr/internal/cluster/elastic"
-	"ndpcr/internal/compress"
-	"ndpcr/internal/metrics"
-	"ndpcr/internal/node"
 	"ndpcr/internal/node/iostore"
-	"ndpcr/internal/shardstore"
 )
 
 // elasticRank is a PartitionedRank whose state is a contiguous run of
@@ -75,45 +71,20 @@ func runElastic() error {
 	fmt.Printf("elastic: N=%d ranks, %d shards, over %d iod backends R=2; restart at M=4 and M=12\n\n",
 		sourceRanks, total, backends)
 
-	servers, addrs, err := startIODs(backends)
+	t, err := liveTier(backends)
 	if err != nil {
 		return err
 	}
-	defer closeIODs(servers)
+	defer t.close()
+	store, reg := t.store, t.reg
 
-	store, err := shardstore.Dial(addrs, 2, shardstore.Config{
-		Replicas:    2,
-		CallTimeout: 300 * time.Millisecond,
-	})
-	if err != nil {
-		return err
-	}
-	defer store.Close()
-	reg := metrics.NewRegistry()
-	store.Instrument(reg)
-
-	gz, _ := compress.Lookup("gzip", 1)
 	newCluster := func(m int) (*cluster.Cluster, []*elasticRank, error) {
-		nodes := make([]*node.Node, m)
 		apps := make([]*elasticRank, m)
-		rankIfaces := make([]cluster.Rank, m)
-		for i := 0; i < m; i++ {
+		for i := range apps {
 			apps[i] = &elasticRank{}
-			rankIfaces[i] = apps[i]
-			var err error
-			nodes[i], err = node.New(node.Config{
-				Job: "elastic", Rank: i, Store: store,
-				Codec: gz, BlockSize: 1 << 14,
-			})
-			if err != nil {
-				return nil, nil, err
-			}
 		}
-		c, err := cluster.New("elastic", store, nodes, rankIfaces)
-		if err != nil {
-			return nil, nil, err
-		}
-		return c, apps, nil
+		c, err := newJob("elastic", store, m, func(i int) cluster.Rank { return apps[i] })
+		return c, apps, err
 	}
 
 	// Phase 1: run the job at N=8 and commit one restart line per step.

@@ -7,7 +7,9 @@
 //	ndpcr-experiments [flags] <experiment>
 //
 // Experiments: fig1, table1, table2, table3, table4, fig4, fig5, fig6,
-// fig7, fig8, fig9, all.
+// fig7, fig8, fig9, ext [ablations|erasure|elastic], and all (those twelve);
+// the live scenarios elastic, chaos, shardchaos, membership, asyncchaos and
+// swarm, each run by name.
 package main
 
 import (

@@ -7,13 +7,8 @@ import (
 	"time"
 
 	"ndpcr/internal/cluster"
-	"ndpcr/internal/compress"
 	"ndpcr/internal/iod"
-	"ndpcr/internal/metrics"
-	"ndpcr/internal/miniapps"
-	"ndpcr/internal/node"
 	"ndpcr/internal/node/iostore"
-	"ndpcr/internal/shardstore"
 )
 
 // runMembership demonstrates dynamic shard-tier membership under live
@@ -36,85 +31,42 @@ func runMembership() error {
 
 	fmt.Printf("membership: %d ranks over %d iod backends R=2; join + decommission land mid-drain\n\n", ranks, backends)
 
-	servers, addrs, err := startIODs(backends)
+	t, err := liveTier(backends)
 	if err != nil {
 		return err
 	}
-	defer func() { closeIODs(servers) }() // a closure: the joiner is appended below
+	defer t.close()
+	store, reg, addrs := t.store, t.reg, t.addrs
 
-	store, err := shardstore.Dial(addrs, 2, shardstore.Config{
-		Replicas:    2,
-		CallTimeout: 300 * time.Millisecond,
-	})
+	apps, err := chaosApps(ranks, 7100)
 	if err != nil {
 		return err
 	}
-	defer store.Close()
-
-	gz, _ := compress.Lookup("gzip", 1)
-	nodes := make([]*node.Node, ranks)
-	apps := make([]*chaosRank, ranks)
-	rankIfaces := make([]cluster.Rank, ranks)
-	for i := 0; i < ranks; i++ {
-		app, err := miniapps.New("HPCCG", miniapps.Small, uint64(7100+i))
-		if err != nil {
-			return err
-		}
-		apps[i] = &chaosRank{app: app}
-		rankIfaces[i] = apps[i]
-		nodes[i], err = node.New(node.Config{
-			Job: "membership", Rank: i, Store: store,
-			Codec: gz, BlockSize: 1 << 14,
-		})
-		if err != nil {
-			return err
-		}
-	}
-	c, err := cluster.New("membership", store, nodes, rankIfaces)
+	c, err := newJob("membership", store, ranks, func(i int) cluster.Rank { return apps[i] })
 	if err != nil {
 		return err
 	}
 	defer c.Close()
 
-	reg := metrics.NewRegistry()
-	store.Instrument(reg)
-
-	var committed []uint64
+	// The membership changes land while the final drain is in flight: a new
+	// backend joins and iod-0 is decommissioned.
 	var joinerAddr string
-	fmt.Println()
-	for round := 1; round <= rounds; round++ {
-		for _, a := range apps {
-			if err := a.app.Step(); err != nil {
-				return err
-			}
-		}
-		id, err := c.Checkpoint(context.Background(), round)
+	committed, err := drainRounds(c, apps, rounds, func(id uint64) error {
+		joiner, addr, err := startIOD("joiner")
 		if err != nil {
 			return err
 		}
-		committed = append(committed, id)
-		fmt.Printf("  round %d: checkpoint %d committed\n", round, id)
-
-		if round == rounds {
-			// The membership changes land while the final drain is in
-			// flight: a new backend joins and iod-0 is decommissioned.
-			var joiner *iod.Server
-			if joiner, joinerAddr, err = startIOD("joiner"); err != nil {
-				return err
-			}
-			servers = append(servers, joiner)
-			fmt.Printf("  >>> adding %s and decommissioning iod-0 (%s) mid-drain of checkpoint %d\n",
-				joinerAddr, addrs[0], id)
-			if err := store.AddBackendAddr(joinerAddr, 2); err != nil {
-				return err
-			}
-			if err := store.Decommission(addrs[0]); err != nil {
-				return err
-			}
+		joinerAddr = addr
+		t.servers = append(t.servers, joiner)
+		fmt.Printf("  >>> adding %s and decommissioning iod-0 (%s) mid-drain of checkpoint %d\n",
+			joinerAddr, addrs[0], id)
+		if err := store.AddBackendAddr(joinerAddr, 2); err != nil {
+			return err
 		}
-		if err := waitStore(c, id, 30*time.Second); err != nil {
-			return fmt.Errorf("checkpoint %d never drained: %w", id, err)
-		}
+		return store.Decommission(addrs[0])
+	})
+	if err != nil {
+		return err
 	}
 
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
@@ -143,20 +95,7 @@ func runMembership() error {
 	// Zero lost restart lines across the reshuffle.
 	lines := c.RestartLines(context.Background())
 	fmt.Printf("  restart lines after join+decommission: %v\n", lines)
-	lost := 0
-	for _, id := range committed {
-		found := false
-		for _, l := range lines {
-			if l == id {
-				found = true
-			}
-		}
-		if !found {
-			lost++
-			fmt.Printf("  LOST restart line %d\n", id)
-		}
-	}
-	fmt.Printf("  lost restart lines: %d\n", lost)
+	lost := lostLines(committed, lines)
 	if lost != 0 {
 		return fmt.Errorf("membership: %d committed restart lines lost to a membership change", lost)
 	}
@@ -177,10 +116,7 @@ func runMembership() error {
 	// assignment map, so only the inventory-driven planner can see the old
 	// objects. Damage one replica first so the repair has real work.
 	survivors := []string{addrs[1], addrs[2], joinerAddr}
-	fresh, err := shardstore.Dial(survivors, 2, shardstore.Config{
-		Replicas:    2,
-		CallTimeout: 300 * time.Millisecond,
-	})
+	fresh, err := dialTier(survivors)
 	if err != nil {
 		return err
 	}

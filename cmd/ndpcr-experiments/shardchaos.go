@@ -4,15 +4,9 @@ import (
 	"context"
 	"fmt"
 	"os"
-	"time"
 
 	"ndpcr/internal/cluster"
-	"ndpcr/internal/compress"
-	"ndpcr/internal/metrics"
-	"ndpcr/internal/miniapps"
-	"ndpcr/internal/node"
 	"ndpcr/internal/node/iostore"
-	"ndpcr/internal/shardstore"
 )
 
 // runShardChaos demonstrates the sharded, replicated store tier surviving
@@ -32,92 +26,37 @@ func runShardChaos() error {
 
 	fmt.Printf("shard-chaos: %d ranks draining through %d iod backends, R=2\n\n", ranks, backends)
 
-	// Live I/O nodes on loopback TCP.
-	servers, addrs, err := startIODs(backends)
+	t, err := liveTier(backends)
 	if err != nil {
 		return err
 	}
-	defer closeIODs(servers)
+	defer t.close()
+	store, reg := t.store, t.reg
 
-	store, err := shardstore.Dial(addrs, 2, shardstore.Config{
-		Replicas:    2,
-		CallTimeout: 300 * time.Millisecond,
-	})
+	apps, err := chaosApps(ranks, 4200)
 	if err != nil {
 		return err
 	}
-	defer store.Close()
-
-	gz, _ := compress.Lookup("gzip", 1)
-	nodes := make([]*node.Node, ranks)
-	apps := make([]*chaosRank, ranks)
-	rankIfaces := make([]cluster.Rank, ranks)
-	for i := 0; i < ranks; i++ {
-		app, err := miniapps.New("HPCCG", miniapps.Small, uint64(4200+i))
-		if err != nil {
-			return err
-		}
-		apps[i] = &chaosRank{app: app}
-		rankIfaces[i] = apps[i]
-		nodes[i], err = node.New(node.Config{
-			Job: "shardchaos", Rank: i, Store: store,
-			Codec: gz, BlockSize: 1 << 14,
-		})
-		if err != nil {
-			return err
-		}
-	}
-	c, err := cluster.New("shardchaos", store, nodes, rankIfaces)
+	c, err := newJob("shardchaos", store, ranks, func(i int) cluster.Rank { return apps[i] })
 	if err != nil {
 		return err
 	}
 	defer c.Close()
 
-	reg := metrics.NewRegistry()
-	store.Instrument(reg)
-
-	var committed []uint64
-	fmt.Println()
-	for round := 1; round <= rounds; round++ {
-		for _, a := range apps {
-			if err := a.app.Step(); err != nil {
-				return err
-			}
-		}
-		id, err := c.Checkpoint(context.Background(), round)
-		if err != nil {
-			return err
-		}
-		committed = append(committed, id)
-		fmt.Printf("  round %d: checkpoint %d committed\n", round, id)
-
-		if round == rounds {
-			// Kill a backend while the final drain is in flight.
-			fmt.Printf("  >>> killing iod-1 (%s) mid-drain of checkpoint %d\n", addrs[1], id)
-			servers[1].Close()
-		}
-		if err := waitStore(c, id, 30*time.Second); err != nil {
-			return fmt.Errorf("checkpoint %d never drained: %w", id, err)
-		}
+	// Kill a backend while the final drain is in flight.
+	committed, err := drainRounds(c, apps, rounds, func(id uint64) error {
+		fmt.Printf("  >>> killing iod-1 (%s) mid-drain of checkpoint %d\n", t.addrs[1], id)
+		t.servers[1].Close()
+		return nil
+	})
+	if err != nil {
+		return err
 	}
 
 	// Every committed line must still be restorable through the shard tier.
 	lines := c.RestartLines(context.Background())
 	fmt.Printf("\n  restart lines after backend death: %v\n", lines)
-	lost := 0
-	for _, id := range committed {
-		found := false
-		for _, l := range lines {
-			if l == id {
-				found = true
-			}
-		}
-		if !found {
-			lost++
-			fmt.Printf("  LOST restart line %d\n", id)
-		}
-	}
-	fmt.Printf("  lost restart lines: %d\n", lost)
+	lost := lostLines(committed, lines)
 	if lost != 0 {
 		return fmt.Errorf("shard-chaos: %d committed restart lines lost to a single backend death", lost)
 	}

@@ -47,7 +47,6 @@ func main() {
 		iodLanes  = flag.Int("iod-lanes", 2, "TCP connections to each remote I/O node (each carries up to 16 exchanges at once)")
 		codecID   = flag.String("codec", "gzip", "drain compression codec name (empty = none)")
 		level     = flag.Int("level", 1, "codec level")
-		drainWin  = flag.Int("drain-window", 0, "NDP send window per session drain, in blocks (0 = as many as fit 4 MiB, between 4 and 16)")
 		drainTO   = flag.Duration("drain-timeout", 30*time.Second, "how long a save may wait for its drain to reach the store")
 		asyncAck  = flag.Bool("async-ack", false, "acknowledge saves at NVM durability (202) and drain to the store in the background")
 		asyncTO   = flag.Duration("async-drain-timeout", 0, "background store-drain bound for async-acked saves (0 = 4x -drain-timeout)")
@@ -115,7 +114,6 @@ func main() {
 		Store:             store,
 		Tenants:           tenants,
 		Codec:             codec,
-		DrainWindow:       *drainWin,
 		DrainTimeout:      *drainTO,
 		AsyncAck:          *asyncAck,
 		AsyncDrainTimeout: *asyncTO,

@@ -117,7 +117,7 @@ func main() {
 
 	store := iostore.New(nvm.Pacer{})
 	gz, _ := compress.Lookup("gzip", 1)
-	n, err := node.New(node.Config{Job: "nbody", Store: store, Codec: gz, NDPWorkers: 4})
+	n, err := node.New(node.Config{Job: "nbody", Store: store, Codec: gz})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -7,7 +7,6 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
-	"testing/quick"
 
 	"ndpcr/internal/compress/inflate"
 )
@@ -198,150 +197,5 @@ func TestIDFormat(t *testing.T) {
 	c, _ := Lookup("gzip", 6)
 	if ID(c) != "gzip(6)" {
 		t.Errorf("ID = %q", ID(c))
-	}
-}
-
-func TestParallelRoundTrip(t *testing.T) {
-	base, _ := Lookup("gzip", 1)
-	data := bytes.Repeat(sampleData(), 4)
-	for _, workers := range []int{1, 4} {
-		for _, bs := range []int{1 << 12, 1 << 20, len(data) + 10} {
-			p := NewParallel(base, workers, bs)
-			comp, err := p.Compress(nil, data)
-			if err != nil {
-				t.Fatalf("workers=%d bs=%d: %v", workers, bs, err)
-			}
-			got, err := p.Decompress(nil, comp)
-			if err != nil {
-				t.Fatalf("workers=%d bs=%d: %v", workers, bs, err)
-			}
-			if !bytes.Equal(got, data) {
-				t.Fatalf("workers=%d bs=%d: mismatch", workers, bs)
-			}
-		}
-	}
-}
-
-func TestParallelEmpty(t *testing.T) {
-	base, _ := Lookup("lz4", 1)
-	p := NewParallel(base, 2, 1024)
-	comp, err := p.Compress(nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := p.Decompress(nil, comp)
-	if err != nil || len(got) != 0 {
-		t.Errorf("empty round trip: %v, %d bytes", err, len(got))
-	}
-}
-
-func TestParallelNaming(t *testing.T) {
-	base, _ := Lookup("gzip", 1)
-	p := NewParallel(base, 4, 0)
-	if p.Name() != "pgzip" || p.Level() != 1 || p.Workers() != 4 {
-		t.Errorf("got %s(%d) workers=%d", p.Name(), p.Level(), p.Workers())
-	}
-	if NewParallel(base, 0, 0).Workers() < 1 {
-		t.Error("default workers should be >= 1")
-	}
-}
-
-func TestParallelCorrupt(t *testing.T) {
-	base, _ := Lookup("lz4", 1)
-	p := NewParallel(base, 2, 1<<12)
-	data := sampleData()
-	comp, _ := p.Compress(nil, data)
-	for cut := 0; cut < len(comp)-1; cut += 97 {
-		if _, err := p.Decompress(nil, comp[:cut]); err == nil {
-			t.Errorf("truncation at %d accepted", cut)
-		}
-	}
-	if _, err := p.Decompress(nil, append(append([]byte{}, comp...), 0)); err == nil {
-		t.Error("trailing byte accepted")
-	}
-	if _, err := p.Decompress(nil, nil); err == nil {
-		t.Error("empty frame accepted")
-	}
-}
-
-func TestParallelRejectsZeroBlockSize(t *testing.T) {
-	base, _ := Lookup("lz4", 1)
-	p := NewParallel(base, 2, 1<<12)
-	// Header claims block size 0 with one block following: no valid frame
-	// has a zero block size (Compress always writes >= 1).
-	frame := []byte{0 /* blockSize */, 1 /* numBlocks */, 0 /* compLen */}
-	if _, err := p.Decompress(nil, frame); !errors.Is(err, ErrBadFrame) {
-		t.Errorf("zero block size: err = %v, want ErrBadFrame", err)
-	}
-}
-
-func TestParallelBlockCountBoundIsTight(t *testing.T) {
-	base, _ := Lookup("lz4", 1)
-	p := NewParallel(base, 2, 1<<12)
-	// numBlocks == len(remaining)+1 used to slip past the implausibility
-	// guard (`> len+1`), even though each block costs at least one length
-	// byte. Here: 5 claimed blocks, 4 bytes of frame left.
-	frame := []byte{0x80, 0x20 /* blockSize 4096 */, 5 /* numBlocks */, 0, 0, 0, 0}
-	if _, err := p.Decompress(nil, frame); !errors.Is(err, ErrBadFrame) {
-		t.Errorf("numBlocks == len+1: err = %v, want ErrBadFrame", err)
-	}
-}
-
-func TestParallelEnforcesBlockSizeField(t *testing.T) {
-	// The decoder used to ignore the header's block size entirely; a
-	// tampered field must now be caught when decoded blocks disagree.
-	base, _ := Lookup("lz4", 1)
-	p := NewParallel(base, 2, 4096)
-	data := sampleData()[:6000] // two blocks: 4096 + 1904
-	comp, err := p.Compress(nil, data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, err := p.Decompress(nil, comp); err != nil || !bytes.Equal(got, data) {
-		t.Fatalf("round trip broken before tamper: %v", err)
-	}
-	// uvarint(4096) = {0x80, 0x20}; swap in uvarint(8192) = {0x80, 0x40},
-	// same encoded length, so only the block-size claim changes.
-	tampered := append([]byte(nil), comp...)
-	if tampered[0] != 0x80 || tampered[1] != 0x20 {
-		t.Fatalf("unexpected header encoding % x", tampered[:2])
-	}
-	tampered[1] = 0x40
-	if _, err := p.Decompress(nil, tampered); !errors.Is(err, ErrBadFrame) {
-		t.Errorf("tampered block size: err = %v, want ErrBadFrame", err)
-	}
-}
-
-func TestParallelMatchesSerial(t *testing.T) {
-	// Parallel framing must be deterministic: same input, same output.
-	base, _ := Lookup("gzip", 1)
-	p := NewParallel(base, 8, 1<<14)
-	data := sampleData()
-	a, err := p.Compress(nil, data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := p.Compress(nil, data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a, b) {
-		t.Error("parallel compression is not deterministic")
-	}
-}
-
-func TestParallelQuick(t *testing.T) {
-	base, _ := Lookup("lz4", 1)
-	p := NewParallel(base, 3, 64)
-	f := func(data []byte) bool {
-		comp, err := p.Compress(nil, data)
-		if err != nil {
-			return false
-		}
-		got, err := p.Decompress(nil, comp)
-		return err == nil && bytes.Equal(got, data)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Error(err)
 	}
 }

@@ -27,21 +27,3 @@ func ExampleLookup() {
 		bytes.Equal(plain, data), compress.Factor(len(data), len(comp))*100)
 	// Output: round trip ok: true, factor 99%
 }
-
-// ExampleNewParallel spreads compression across 4 workers, the paper's NDP
-// core count.
-func ExampleNewParallel() {
-	base, _ := compress.Lookup("gzip", 1)
-	p := compress.NewParallel(base, 4, 1<<16)
-	data := bytes.Repeat([]byte("0123456789abcdef"), 64<<10)
-	comp, err := p.Compress(nil, data)
-	if err != nil {
-		panic(err)
-	}
-	plain, err := p.Decompress(nil, comp)
-	if err != nil {
-		panic(err)
-	}
-	fmt.Println("parallel round trip ok:", bytes.Equal(plain, data))
-	// Output: parallel round trip ok: true
-}

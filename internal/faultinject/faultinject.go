@@ -13,7 +13,7 @@
 // ordered; probability rules are deterministic per matching-op sequence.
 //
 // Wiring is non-invasive: the injector plugs into hooks the runtime already
-// exposes (nvm.Device.SetFaultHook, iod.Server.SetConnDropHook) or wraps
+// exposes (nvm.Device.SetFaultHook, iod.Server.SetConnFaultHook) or wraps
 // the iostore.API the NDP drains into (WrapStore), so production builds pay
 // nothing when no injector is installed.
 package faultinject
@@ -246,25 +246,14 @@ func (in *Injector) NVMHook(rank int) func(op string, id uint64) error {
 	}
 }
 
-// ConnDropHook adapts the injector to iod.Server.SetConnDropHook: when the
+// ConnFaultHook adapts the injector to iod.Server.SetConnFaultHook: when a
 // SiteIODConn rule fires, the server severs the connection mid-exchange,
-// exercising the client's reconnect+retry path. Kept for drop-only
-// callers; ConnFaultHook is the full adapter.
-func (in *Injector) ConnDropHook() func() bool {
-	h := in.ConnFaultHook()
-	return func() bool {
-		drop, corrupt := h()
-		return drop || corrupt
-	}
-}
-
-// ConnFaultHook adapts the injector to iod.Server.SetConnFaultHook. A
-// SiteIODConn rule in ModeCorrupt flips a byte of the next wire-v2
-// response frame after its checksum is computed, so the client's CRC
-// verification — not a codec decode error — must catch the damage (on a
-// gob connection, which has no checksum, the server degrades corrupt to a
-// drop). ModeStall delays the request and lets it proceed; every other
-// mode severs the connection.
+// exercising the client's reconnect+retry path. A rule in ModeCorrupt
+// instead flips a byte of the next wire-v2 response frame after its
+// checksum is computed, so the client's CRC verification — not a codec
+// decode error — must catch the damage (on a gob connection, which has no
+// checksum, the server degrades corrupt to a drop). ModeStall delays the
+// request and lets it proceed; every other mode severs the connection.
 func (in *Injector) ConnFaultHook() func() (drop, corrupt bool) {
 	return func() (bool, bool) {
 		d, ok := in.Decide(SiteIODConn, AnyRank)

@@ -154,7 +154,7 @@ func TestNVMHook(t *testing.T) {
 	var slept time.Duration
 	in.SetSleep(func(d time.Duration) { slept += d })
 
-	dev, err := nvm.NewDevice(1<<20, nvm.Pacer{})
+	dev, err := nvm.NewDevice(1 << 20)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,11 +176,13 @@ func TestNVMHook(t *testing.T) {
 
 func TestConnDropHook(t *testing.T) {
 	in := New(1, Rule{Site: SiteIODConn, Count: 2, Rank: AnyRank})
-	hook := in.ConnDropHook()
-	if !hook() || !hook() {
-		t.Error("conn-drop rule did not fire twice")
+	hook := in.ConnFaultHook()
+	for i := 0; i < 2; i++ {
+		if drop, corrupt := hook(); !drop || corrupt {
+			t.Errorf("firing %d of the conn-drop rule: drop %v, corrupt %v", i+1, drop, corrupt)
+		}
 	}
-	if hook() {
+	if drop, corrupt := hook(); drop || corrupt {
 		t.Error("conn-drop rule fired past its count")
 	}
 }

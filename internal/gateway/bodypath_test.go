@@ -281,7 +281,7 @@ func TestLoadFailsOnTornStream(t *testing.T) {
 	}
 
 	store.failFrom.Store(0)
-	// PrefetchBlocks fetchers race; whichever fails first, nothing was sent.
+	// The restore's fetchers race; whichever fails first, nothing was sent.
 	var ae *APIError
 	if _, err := c.Load(context.Background(), "acme", "r", 0, id); !errors.As(err, &ae) {
 		t.Errorf("Load with every block failing: err = %v, want a typed API error", err)

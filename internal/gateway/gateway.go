@@ -43,8 +43,6 @@ type Config struct {
 	Codec compress.Codec
 	// BlockSize is the drain streaming unit (node default when zero).
 	BlockSize int
-	// DrainWindow bounds in-flight drain writes (node default when zero).
-	DrainWindow int
 	// SessionNVM sizes each session's local NVM region (node default
 	// when zero). It is also the largest snapshot a save accepts.
 	SessionNVM int64
@@ -438,7 +436,6 @@ func (s *Server) session(ctx context.Context, job string, rank int, st *tenantSt
 		Store:             s.cfg.Store,
 		Codec:             s.cfg.Codec,
 		BlockSize:         s.cfg.BlockSize,
-		DrainWindow:       s.cfg.DrainWindow,
 		NVMCapacity:       s.cfg.SessionNVM,
 		Metrics:           s.reg,
 		MaxDrainAttempts:  s.cfg.MaxDrainAttempts,

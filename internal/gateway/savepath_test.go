@@ -353,3 +353,64 @@ func TestNewSessionsWhileSavesInFlight(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// arrivalStore parks every PutBlock on a gate, announcing each arrival first.
+type arrivalStore struct {
+	iostore.Backend
+	arrived chan struct{} // buffered to the number of writes the test makes
+	gate    chan struct{} // closed to let every write through
+}
+
+func (a *arrivalStore) PutBlock(ctx context.Context, key iostore.Key, meta iostore.Object, index int, block []byte) error {
+	a.arrived <- struct{}{}
+	select {
+	case <-a.gate:
+	case <-ctx.Done():
+		return ctx.Err()
+	}
+	return a.Backend.PutBlock(ctx, key, meta, index, block)
+}
+
+// TestSixtyFourTenantsSaveAtOnce: 64 tenants each save one block through a
+// store whose writes park. All 64 writes are parked in the store before any
+// is released — no tenant's save holds a lock, a session slot or a drain
+// another tenant's save needs — and then every save is acknowledged.
+func TestSixtyFourTenantsSaveAtOnce(t *testing.T) {
+	const tenants = 64
+	var ts []Tenant
+	for i := 0; i < tenants; i++ {
+		ts = append(ts, Tenant{Name: fmt.Sprintf("t%02d", i), Token: fmt.Sprintf("tok-%02d", i)})
+	}
+	store := &arrivalStore{Backend: iostore.New(nvm.Pacer{}), arrived: make(chan struct{}, tenants), gate: make(chan struct{})}
+	_, hs := newTestServer(t, func(c *Config) {
+		c.Store = store
+		c.Tenants = ts
+		c.Codec = nil
+	})
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+	defer cancel()
+
+	errs := make(chan error, tenants)
+	for i := 0; i < tenants; i++ {
+		go func(i int) {
+			c := NewClient(hs.URL, fmt.Sprintf("tok-%02d", i))
+			_, err := c.Save(ctx, fmt.Sprintf("t%02d", i), "run", 0, 1, []byte("one block of state"))
+			errs <- err
+		}(i)
+	}
+	for i := 0; i < tenants; i++ {
+		select {
+		case <-store.arrived:
+		case err := <-errs:
+			t.Fatalf("a save returned (%v) with %d of %d writes parked and none released", err, i, tenants)
+		case <-ctx.Done():
+			t.Fatalf("%d of %d tenants' writes reached the store while the others were parked", i, tenants)
+		}
+	}
+	close(store.gate)
+	for i := 0; i < tenants; i++ {
+		if err := <-errs; err != nil {
+			t.Errorf("save: %v", err)
+		}
+	}
+}

@@ -16,7 +16,7 @@ import (
 // never changing control flow, so the leak metric is the only trace.
 func TestDeleteErrorCounted(t *testing.T) {
 	srv, _, _ := startServer(t)
-	srv.SetConnDropHook(func() bool { return true }) // sever every exchange
+	srv.SetConnFaultHook(func() (drop, corrupt bool) { return true, false }) // sever every exchange
 
 	conn, err := net.Dial("tcp", srv.Addr().String())
 	if err != nil {
@@ -62,7 +62,7 @@ func TestConnDropHookRetried(t *testing.T) {
 	in := faultinject.New(2017, faultinject.Rule{
 		Site: faultinject.SiteIODConn, Rank: faultinject.AnyRank, Count: 1,
 	})
-	srv.SetConnDropHook(in.ConnDropHook())
+	srv.SetConnFaultHook(in.ConnFaultHook())
 	reg := metrics.NewRegistry()
 	client.Instrument(reg)
 

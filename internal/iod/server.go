@@ -101,23 +101,12 @@ func NewServer(backing iostore.Backend) (*Server, error) {
 // Prometheus scrape endpoint via metrics.Handler.
 func (s *Server) Metrics() *metrics.Registry { return s.reg }
 
-// SetConnDropHook installs (or, with nil, removes) a fault-injection hook
-// consulted before each request; when it returns true the server drops the
-// connection mid-exchange instead of answering, as a crashing or
-// restarting I/O node would. Kept as the drop-only form of
-// SetConnFaultHook for existing callers.
-func (s *Server) SetConnDropHook(h func() bool) {
-	if h == nil {
-		s.SetConnFaultHook(nil)
-		return
-	}
-	s.SetConnFaultHook(func() (bool, bool) { return h(), false })
-}
-
-// SetConnFaultHook installs (or, with nil, removes) the full fault hook:
-// drop severs the connection without answering; corrupt flips a byte of
-// that request's response frame after its checksum is computed, so the
-// client's CRC verification — not a codec decode error — must catch it.
+// SetConnFaultHook installs (or, with nil, removes) a fault-injection hook
+// consulted before each request: drop severs the connection mid-exchange
+// without answering, as a crashing or restarting I/O node would; corrupt
+// flips a byte of that request's response frame after its checksum is
+// computed, so the client's CRC verification — not a codec decode error —
+// must catch it.
 func (s *Server) SetConnFaultHook(h func() (drop, corrupt bool)) {
 	s.mu.Lock()
 	s.connFault = h

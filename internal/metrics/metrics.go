@@ -59,8 +59,11 @@ func (g *Gauge) Dec() { g.v.Add(-1) }
 func (g *Gauge) Value() int64 { return g.v.Load() }
 
 // gaugeFunc samples a value at exposition time — occupancy-style metrics
-// (NVM used bytes, NIC queue depth, dedup physical bytes) that already live
-// in their component's state and need no double accounting.
+// (store objects, dedup physical bytes, healthy backends) that already live
+// in the state of a component a registry has one of, and need no double
+// accounting. A value several components on one registry add up to (a node's
+// NVM occupancy) is a Gauge they each move: the first function registered
+// under a name is the only one ever sampled.
 type gaugeFunc func() float64
 
 // metricKind labels a registered metric for exposition.

@@ -2,6 +2,7 @@ package node
 
 import (
 	"context"
+	"strings"
 	"testing"
 	"time"
 
@@ -107,4 +108,61 @@ func TestPhaseTimelineOverlappedDrain(t *testing.T) {
 		t.Errorf("overlapped sum %v below total %v (spans must cover the envelope)",
 			tl.Sum(), tl.Total())
 	}
+}
+
+// The gateway hands one registry to every session's node, and cluster does
+// the same for its ranks: the NVM occupancy series are the sum over those
+// nodes' devices (sampled gauges kept the first node's functions and reported
+// that one device for ever), and a closed node stops counting.
+func TestNVMGaugesSumAcrossNodesOnOneRegistry(t *testing.T) {
+	reg := metrics.NewRegistry()
+	first, _ := newNode(t, func(c *Config) { c.Metrics = reg; c.NVMCapacity = 1 << 20; c.DisableNDP = true })
+	second, _ := newNode(t, func(c *Config) { c.Metrics = reg; c.NVMCapacity = 1 << 20; c.DisableNDP = true })
+	for step := 1; step <= 2; step++ {
+		if _, err := second.Commit(context.Background(), snapshot(1000, 1), Metadata{Step: step}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := first.Commit(context.Background(), snapshot(500, 2), Metadata{Step: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if err := second.Device().Lock(2); err != nil {
+		t.Fatal(err)
+	}
+	expose := func() string {
+		var sb strings.Builder
+		if err := reg.WriteProm(&sb); err != nil {
+			t.Fatal(err)
+		}
+		return sb.String()
+	}
+	check := func(when string, want ...string) {
+		t.Helper()
+		text := expose()
+		for _, line := range want {
+			if !strings.Contains(text, line+"\n") {
+				t.Errorf("%s: exposition lacks %q", when, line)
+			}
+		}
+	}
+	check("two live nodes",
+		"ndpcr_nvm_capacity_bytes 2097152",
+		"ndpcr_nvm_used_bytes 2500",
+		"ndpcr_nvm_resident_checkpoints 3",
+		"ndpcr_nvm_locked_checkpoints 1",
+		"ndpcr_nvm_locked_bytes 1000")
+
+	second.FailLocal()
+	check("second node wiped",
+		"ndpcr_nvm_capacity_bytes 2097152",
+		"ndpcr_nvm_used_bytes 500",
+		"ndpcr_nvm_resident_checkpoints 1",
+		"ndpcr_nvm_locked_checkpoints 0",
+		"ndpcr_nvm_locked_bytes 0")
+
+	first.Close()
+	check("first node closed",
+		"ndpcr_nvm_capacity_bytes 1048576",
+		"ndpcr_nvm_used_bytes 0",
+		"ndpcr_nvm_resident_checkpoints 0")
 }

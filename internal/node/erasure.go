@@ -2,7 +2,6 @@ package node
 
 import (
 	"fmt"
-	"sync"
 
 	"ndpcr/internal/node/nvm"
 )
@@ -13,8 +12,8 @@ import (
 // node group (which takes out both the local copies and the in-group
 // partner copies) still recovers from surviving shards at NVM speed
 // instead of falling back to the global store. The cluster layer owns the
-// codec and shard routing; this file holds the per-node shard region and
-// the restore hook the cluster installs.
+// codec and shard routing; this file holds the access methods of the
+// per-node shard region and the restore hook the cluster installs.
 
 // ErasureSet is the cluster-side view a node consults when recovering from
 // the erasure level. ShardIDs lists checkpoint IDs for which enough shards
@@ -25,52 +24,15 @@ type ErasureSet interface {
 	Reconstruct(rank int, id uint64) ([]byte, Metadata, error)
 }
 
-// erasureRegion lazily allocates the device that stores other ranks'
-// erasure shards, exactly like the partner region: same capacity and
-// pacing, a distinct region of the node's NVM.
-type erasureRegion struct {
-	once sync.Once
-	dev  *nvm.Device
-	err  error
-}
-
-func (n *Node) erasureDevice() (*nvm.Device, error) {
-	n.erasure.once.Do(func() {
-		n.erasure.dev, n.erasure.err = nvm.NewDevice(n.cfg.NVMCapacity,
-			nvm.Pacer{Bandwidth: n.cfg.NVMBandwidth, Sleep: n.cfg.Sleep})
-	})
-	return n.erasure.dev, n.erasure.err
-}
-
-// erasureKey packs (owner rank, shard index, checkpoint id) into the
-// device's uint64 key space: owner in bits 48+, index in bits 40..47, id
-// below. Bounds are checked.
-func erasureKey(owner, index int, id uint64) (uint64, error) {
-	if owner < 0 || owner >= 1<<15 {
-		return 0, fmt.Errorf("node: erasure owner rank %d out of range", owner)
-	}
-	if index < 0 || index >= 1<<8 {
-		return 0, fmt.Errorf("node: erasure shard index %d out of range", index)
-	}
-	if id >= 1<<40 {
-		return 0, fmt.Errorf("node: checkpoint id %d out of erasure-key range", id)
-	}
-	return uint64(owner+1)<<48 | uint64(index)<<40 | id, nil
-}
-
 // StoreErasureShard stores one wire-encoded shard of another rank's
 // checkpoint in this node's erasure region. The cluster calls it on each
 // shard holder during a coordinated checkpoint.
 func (n *Node) StoreErasureShard(owner, index int, id uint64, wire []byte, meta Metadata) error {
-	dev, err := n.erasureDevice()
+	key, err := n.erasure.key(owner, index, id)
 	if err != nil {
 		return err
 	}
-	key, err := erasureKey(owner, index, id)
-	if err != nil {
-		return err
-	}
-	if err := dev.Put(nvm.Checkpoint{ID: key, Data: wire, Meta: meta.toMap(id)}); err != nil {
+	if err := n.erasure.dev.Put(nvm.Checkpoint{ID: key, Data: wire, Meta: meta.toMap(id)}); err != nil {
 		return fmt.Errorf("node: erasure shard rank %d ckpt %d idx %d: %w", owner, id, index, err)
 	}
 	return nil
@@ -79,54 +41,21 @@ func (n *Node) StoreErasureShard(owner, index int, id uint64, wire []byte, meta 
 // ErasureShard retrieves one wire-encoded shard from this node's erasure
 // region, reporting whether it was present.
 func (n *Node) ErasureShard(owner, index int, id uint64) ([]byte, bool) {
-	dev, err := n.erasureDevice()
-	if err != nil {
-		return nil, false
-	}
-	key, err := erasureKey(owner, index, id)
-	if err != nil {
-		return nil, false
-	}
-	ckpt, err := dev.Get(key)
-	if err != nil {
-		return nil, false
-	}
-	return ckpt.Data, true
+	ckpt, err := n.erasure.get(owner, index, id)
+	return ckpt.Data, err == nil
 }
 
 // DiscardErasureShard removes one shard from this node's erasure region
 // (the abort path of a failed coordinated checkpoint). Discarding a shard
 // that was never stored is a no-op.
 func (n *Node) DiscardErasureShard(owner, index int, id uint64) {
-	dev, err := n.erasureDevice()
-	if err != nil {
-		return
-	}
-	key, err := erasureKey(owner, index, id)
-	if err != nil {
-		return
-	}
-	dev.Discard(key)
+	n.erasure.discard(owner, index, id)
 }
 
 // ErasureShardIDs lists the checkpoint IDs of the shards this node holds
 // for a given owner rank, one entry per resident shard (a node holding two
 // shards of the same checkpoint reports its ID twice).
-func (n *Node) ErasureShardIDs(owner int) []uint64 {
-	dev, err := n.erasureDevice()
-	if err != nil {
-		return nil
-	}
-	lo := uint64(owner+1) << 48
-	hi := lo + 1<<48
-	var out []uint64
-	for _, key := range dev.IDs() {
-		if key >= lo && key < hi {
-			out = append(out, key&(1<<40-1))
-		}
-	}
-	return out
-}
+func (n *Node) ErasureShardIDs(owner int) []uint64 { return n.erasure.ids(owner) }
 
 // SetErasureSet wires this node's restore path to the cluster's erasure
 // router. The cluster layer calls it during assembly.

@@ -183,7 +183,7 @@ func TestEngineStopDuringWaitReportsDurableDrain(t *testing.T) {
 }
 
 func TestEngineDrainRetryThenPermanentFail(t *testing.T) {
-	dev, err := nvm.NewDevice(64<<20, nvm.Pacer{})
+	dev, err := nvm.NewDevice(64 << 20)
 	if err != nil {
 		t.Fatal(err)
 	}

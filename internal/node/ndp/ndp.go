@@ -2,7 +2,7 @@
 // a background worker coupled to the node's local NVM that moves committed
 // checkpoints to global I/O, optionally compressing them on the way with a
 // pool of NDP cores, overlapping compression with transmission by streaming
-// fixed-size blocks through the NIC as they are produced.
+// fixed-size blocks to the store as they are produced.
 package ndp
 
 import (
@@ -10,12 +10,12 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"ndpcr/internal/compress"
 	"ndpcr/internal/metrics"
 	"ndpcr/internal/node/iostore"
-	"ndpcr/internal/node/nic"
 	"ndpcr/internal/node/nvm"
 )
 
@@ -29,8 +29,6 @@ type Config struct {
 	Device *nvm.Device
 	// Store is the global I/O store.
 	Store iostore.Backend
-	// Link is the NIC transmit path; nil sends directly to the store.
-	Link *nic.Link
 
 	// Codec compresses blocks before transmission; nil drains raw.
 	Codec compress.Codec
@@ -40,17 +38,6 @@ type Config struct {
 	// BlockSize is the streaming unit (§4.2.2's "small blocks"); zero
 	// selects 1 MB.
 	BlockSize int
-
-	// SendWindow bounds how many store writes a drain keeps in flight at
-	// once. The NIC transmit stays serial and in order — the window
-	// overlaps the store's per-block write latency (a network round trip on
-	// an iod transport), not the wire — and a drain acks only after every
-	// outstanding write lands. 1 restores the fully serial sender. Zero
-	// sizes the window from bytes in flight: as many blocks as fit
-	// sendBudget, at least 4 and at most 16 — small blocks need depth to
-	// hide latency, large ones only cost memory and CPU contention past a
-	// few. An iod client carries the window on however many lanes it has.
-	SendWindow int
 
 	// OnError receives asynchronous drain errors; nil discards them.
 	OnError func(error)
@@ -95,6 +82,15 @@ type Config struct {
 type Engine struct {
 	cfg Config
 
+	// window bounds how many store writes a drain keeps in flight at once —
+	// the §4.2.2 backpressure: when the store (a network round trip on an
+	// iod transport) falls behind, the sender blocks on it and compression
+	// pauses behind the sender. Sized from bytes in flight: as many blocks as
+	// fit sendBudget, at least 4 and at most 16 — small blocks need depth to
+	// hide latency, large ones only cost memory and CPU contention past a
+	// few. An iod client carries the window on however many lanes it has.
+	window int
+
 	bell chan struct{}
 	stop chan struct{}
 	done chan struct{}
@@ -128,7 +124,6 @@ type Engine struct {
 	mDrainSecs    *metrics.Histogram
 	mPauseWait    *metrics.Histogram
 	mCompressSecs *metrics.Histogram
-	mNICSendSecs  *metrics.Histogram
 	mStoreSecs    *metrics.Histogram
 	mInBytes      *metrics.Histogram
 	mOutBytes     *metrics.Histogram
@@ -136,8 +131,8 @@ type Engine struct {
 	mPermFailures *metrics.Counter
 }
 
-// sendBudget is the drain's default byte budget of store writes in flight
-// (see Config.SendWindow): 4 blocks at the default 1 MiB, 16 at 64 KiB.
+// sendBudget is the drain's byte budget of store writes in flight (see
+// Engine.window): 4 blocks at the default 1 MiB, 16 at 64 KiB.
 const sendBudget = 4 << 20
 
 // New creates and starts an engine.
@@ -154,11 +149,9 @@ func New(cfg Config) (*Engine, error) {
 	if cfg.BlockSize <= 0 {
 		cfg.BlockSize = 1 << 20
 	}
-	if cfg.SendWindow <= 0 {
-		cfg.SendWindow = min(max(sendBudget/cfg.BlockSize, 4), 16)
-	}
 	e := &Engine{
 		cfg:      cfg,
+		window:   min(max(sendBudget/cfg.BlockSize, 4), 16),
 		bell:     make(chan struct{}, 1),
 		stop:     make(chan struct{}),
 		done:     make(chan struct{}),
@@ -178,7 +171,6 @@ func New(cfg Config) (*Engine, error) {
 		e.mDrainSecs = r.Histogram("ndpcr_ndp_drain_seconds", "wall time per drain", metrics.UnitSeconds)
 		e.mPauseWait = r.Histogram("ndpcr_ndp_pause_wait_seconds", "time excluded from NVM by host commits", metrics.UnitSeconds)
 		e.mCompressSecs = r.Histogram("ndpcr_ndp_compress_seconds", "busy time per compressed block", metrics.UnitSeconds)
-		e.mNICSendSecs = r.Histogram("ndpcr_ndp_nic_send_seconds", "busy time per block on the NIC", metrics.UnitSeconds)
 		e.mStoreSecs = r.Histogram("ndpcr_ndp_store_write_seconds", "busy time per block written to the store", metrics.UnitSeconds)
 		e.mInBytes = r.Histogram("ndpcr_ndp_drain_in_bytes", "payload bytes entering a drain", metrics.UnitBytes)
 		e.mOutBytes = r.Histogram("ndpcr_ndp_drain_out_bytes", "bytes shipped to global I/O per drain", metrics.UnitBytes)
@@ -477,25 +469,25 @@ func (e *Engine) splitBlocks(data []byte) [][]byte {
 	return out
 }
 
-// sender ships one drain's blocks: NIC transmission is serial and in order
-// (one wire), while store writes run asynchronously behind it, bounded by
-// SendWindow. PutBlock writes by index, so out-of-order completion of the
-// windowed writes cannot tear the object; wait() is the ack barrier — no
-// drain acknowledges until every outstanding write has landed.
+// sender ships one drain's blocks: they are handed over serially and in
+// order, and the store writes run asynchronously, bounded by Engine.window.
+// PutBlock writes by index, so out-of-order completion of the windowed
+// writes cannot tear the object; wait() is the ack barrier — no drain
+// acknowledges until every outstanding write has landed.
 type sender struct {
 	e     *Engine
 	key   iostore.Key
 	meta  iostore.Object
 	sem   chan struct{}
 	wg    sync.WaitGroup
-	clock *metrics.Envelope // optional xmit envelope across NIC + store spans
+	clock *metrics.Envelope // optional xmit envelope across the store writes
 
 	errMu sync.Mutex
 	err   error
 }
 
 func (e *Engine) newSender(key iostore.Key, meta iostore.Object, clock *metrics.Envelope) *sender {
-	return &sender{e: e, key: key, meta: meta, sem: make(chan struct{}, e.cfg.SendWindow), clock: clock}
+	return &sender{e: e, key: key, meta: meta, sem: make(chan struct{}, e.window), clock: clock}
 }
 
 func (s *sender) firstErr() error {
@@ -512,29 +504,16 @@ func (s *sender) setErr(err error) {
 	s.errMu.Unlock()
 }
 
-// send transmits one block: the NIC send runs on the caller (serial, in
-// order), the store write in a windowed goroutine. A previously failed
-// write fails fast here so the drain aborts instead of streaming into a
-// broken store.
+// send transmits one block: it waits for a slot of the window — the drain's
+// one flow-control point — and starts the store write in a goroutine. A
+// previously failed write fails fast here so the drain aborts instead of
+// streaming into a broken store.
 func (s *sender) send(ctx context.Context, idx int, b []byte) error {
 	if err := s.firstErr(); err != nil {
 		return err
 	}
 	if err := ctx.Err(); err != nil {
 		return err
-	}
-	e := s.e
-	if e.cfg.Link != nil {
-		t0 := time.Now()
-		if err := e.cfg.Link.Send(ctx, b); err != nil {
-			return err
-		}
-		if e.mNICSendSecs != nil {
-			e.mNICSendSecs.ObserveSince(t0)
-		}
-		if s.clock != nil {
-			s.clock.Mark(t0, time.Now())
-		}
 	}
 	select {
 	case s.sem <- struct{}{}:
@@ -547,16 +526,17 @@ func (s *sender) send(ctx context.Context, idx int, b []byte) error {
 			<-s.sem
 			s.wg.Done()
 		}()
-		t1 := time.Now()
+		e := s.e
+		t0 := time.Now()
 		if err := e.cfg.Store.PutBlock(ctx, s.key, s.meta, idx, b); err != nil {
 			s.setErr(err)
 			return
 		}
 		if e.mStoreSecs != nil {
-			e.mStoreSecs.ObserveSince(t1)
+			e.mStoreSecs.ObserveSince(t0)
 		}
 		if s.clock != nil {
-			s.clock.Mark(t1, time.Now())
+			s.clock.Mark(t0, time.Now())
 		}
 	}()
 	return nil
@@ -569,10 +549,10 @@ func (s *sender) wait() error {
 	return s.firstErr()
 }
 
-// sendBlocks transmits blocks in order through the NIC to the store,
-// finalizing the object metadata on completion. Store writes overlap up to
-// SendWindow deep; the call returns only once all of them have landed, so
-// callers keep the strict completed-means-durable semantics.
+// sendBlocks transmits blocks in order to the store, finalizing the object
+// metadata on completion. Store writes overlap up to the window deep; the
+// call returns only once all of them have landed, so callers keep the strict
+// completed-means-durable semantics.
 func (e *Engine) sendBlocks(ctx context.Context, key iostore.Key, meta iostore.Object, blocks [][]byte) error {
 	s := e.newSender(key, meta, nil)
 	defer s.wg.Wait() // never return with writes still in flight
@@ -614,49 +594,50 @@ func (e *Engine) pipeline(ctx context.Context, id uint64, key iostore.Key, meta 
 		data []byte
 		err  error
 	}
-	jobs := make(chan int)
-	results := make(chan result, e.cfg.Workers)
+	// A block holds one of 2×Workers tokens from the moment a compressor
+	// claims it until the sender has taken it into its window, so a stalled
+	// store pauses compression that many blocks past the window — and at most
+	// that many results are ever outstanding: no send on results blocks.
+	ahead := 2 * e.cfg.Workers
+	tokens := make(chan struct{}, ahead)
+	results := make(chan result, ahead)
+	var claimed atomic.Int64 // blocks claimed by a compressor so far
 	var wg sync.WaitGroup
 	for w := 0; w < e.cfg.Workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := range jobs {
+			for {
+				select {
+				case tokens <- struct{}{}:
+				case <-ctx.Done():
+					return
+				}
+				i := int(claimed.Add(1)) - 1
+				if i >= len(raw) {
+					return
+				}
 				t0 := time.Now()
 				c, err := e.cfg.Codec.Compress(nil, raw[i])
 				compressClock.Mark(t0, time.Now())
 				if e.mCompressSecs != nil {
 					e.mCompressSecs.ObserveSince(t0)
 				}
-				select {
-				case results <- result{i, c, err}:
-				case <-ctx.Done():
-					return
-				}
+				results <- result{i, c, err}
 			}
 		}()
 	}
-	go func() {
-		defer close(jobs)
-		for i := range raw {
-			select {
-			case jobs <- i:
-			case <-ctx.Done():
-				return
-			}
-		}
-	}()
 	go func() {
 		wg.Wait()
 		close(results)
 	}()
 
 	// Reorder and hand off to the windowed sender as blocks complete: the
-	// NIC sees blocks strictly in order, while up to SendWindow store
-	// writes ride behind it concurrently.
+	// store is handed blocks strictly in order, and up to a window of its
+	// writes are in flight concurrently.
 	snd := e.newSender(key, meta, &xmitClock)
 	defer snd.wg.Wait() // never return with writes still in flight
-	pending := make(map[int][]byte, e.cfg.Workers)
+	pending := make(map[int][]byte, ahead)
 	next := 0
 	var out int64
 	for next < len(raw) {
@@ -683,6 +664,7 @@ func (e *Engine) pipeline(ctx context.Context, id uint64, key iostore.Key, meta 
 			if err := snd.send(ctx, next, b); err != nil {
 				return err
 			}
+			<-tokens
 			out += int64(len(b))
 			next++
 		}

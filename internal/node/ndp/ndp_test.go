@@ -4,29 +4,25 @@ import (
 	"bytes"
 	"context"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"ndpcr/internal/compress"
 	"ndpcr/internal/node/iostore"
-	"ndpcr/internal/node/nic"
 	"ndpcr/internal/node/nvm"
 )
 
 func testRig(t *testing.T, codec compress.Codec) (*nvm.Device, *iostore.Store, *Engine) {
 	t.Helper()
-	dev, err := nvm.NewDevice(64<<20, nvm.Pacer{})
+	dev, err := nvm.NewDevice(64 << 20)
 	if err != nil {
 		t.Fatal(err)
 	}
 	store := iostore.New(nvm.Pacer{})
-	link, err := nic.NewLink(1<<20, nvm.Pacer{})
-	if err != nil {
-		t.Fatal(err)
-	}
 	eng, err := New(Config{
 		Job: "job", Rank: 0,
-		Device: dev, Store: store, Link: link,
+		Device: dev, Store: store,
 		Codec: codec, Workers: 4, BlockSize: 4096,
 		OnError: func(err error) { t.Logf("ndp error: %v", err) },
 	})
@@ -64,33 +60,147 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := New(Config{}); err == nil {
 		t.Error("empty config accepted")
 	}
-	dev, _ := nvm.NewDevice(1024, nvm.Pacer{})
+	dev, _ := nvm.NewDevice(1024)
 	if _, err := New(Config{Device: dev, Store: iostore.New(nvm.Pacer{})}); err == nil {
 		t.Error("missing job accepted")
 	}
 }
 
-// TestSendWindowDefaultIsSizedInBytes: an unset window is as many blocks as
-// fit sendBudget, between 4 and 16; an explicit one is a block count.
+// TestSendWindowDefaultIsSizedInBytes: the send window is as many blocks as
+// fit sendBudget, between 4 and 16.
 func TestSendWindowDefaultIsSizedInBytes(t *testing.T) {
-	for _, tc := range []struct{ blockSize, set, want int }{
-		{0, 0, 4}, // the 1 MiB default block
-		{4 << 20, 0, 4},
-		{512 << 10, 0, 8},
-		{64 << 10, 0, 16},
-		{4096, 0, 16},
-		{64 << 10, 7, 7},
-		{64 << 10, 1, 1},
+	for _, tc := range []struct{ blockSize, want int }{
+		{0, 4}, // the 1 MiB default block
+		{4 << 20, 4},
+		{512 << 10, 8},
+		{64 << 10, 16},
+		{4096, 16},
 	} {
-		dev, _ := nvm.NewDevice(1024, nvm.Pacer{})
-		eng, err := New(Config{Job: "job", Device: dev, Store: iostore.New(nvm.Pacer{}), BlockSize: tc.blockSize, SendWindow: tc.set})
+		dev, _ := nvm.NewDevice(1024)
+		eng, err := New(Config{Job: "job", Device: dev, Store: iostore.New(nvm.Pacer{}), BlockSize: tc.blockSize})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := eng.cfg.SendWindow; got != tc.want {
-			t.Errorf("block size %d, SendWindow %d: window %d, want %d", tc.blockSize, tc.set, got, tc.want)
+		if eng.window != tc.want {
+			t.Errorf("block size %d: window %d, want %d", tc.blockSize, eng.window, tc.want)
 		}
 		eng.Close()
+	}
+}
+
+// parkedStore parks every PutBlock on a gate, announcing each arrival first.
+type parkedStore struct {
+	*iostore.Store
+	arrived chan struct{} // one send per PutBlock, before it parks
+	gate    chan struct{} // a send lets one parked write through; closing it, all
+}
+
+func (p *parkedStore) PutBlock(ctx context.Context, key iostore.Key, meta iostore.Object, index int, block []byte) error {
+	p.arrived <- struct{}{}
+	select {
+	case <-p.gate:
+	case <-ctx.Done():
+		return ctx.Err()
+	}
+	return p.Store.PutBlock(ctx, key, meta, index, block)
+}
+
+// countingCodec is an identity codec that checks, on every Compress, how far
+// compression has run ahead of the store: never more than bound calls plus
+// one per write the test has released.
+type countingCodec struct {
+	bound    int64
+	released atomic.Int64 // bumped by the test before it opens the gate
+	calls    atomic.Int64
+	over     atomic.Int64  // a call count that broke the bound, if any
+	called   chan struct{} // one send per Compress
+}
+
+func (c *countingCodec) Name() string { return "counting" }
+func (c *countingCodec) Level() int   { return 0 }
+func (c *countingCodec) Decompress(dst, src []byte) ([]byte, error) {
+	return append(dst, src...), nil
+}
+func (c *countingCodec) Compress(dst, src []byte) ([]byte, error) {
+	// Count, then read released: it only grows, so the allowance read is at
+	// least the one that held when this call was counted — never a false
+	// alarm, and exact while nothing is being released.
+	if n := c.calls.Add(1); n > c.bound+c.released.Load() {
+		c.over.Store(n)
+	}
+	c.called <- struct{}{}
+	return append(dst, src...), nil
+}
+
+// TestStalledStorePausesCompression pins the §4.2.2 backpressure where it
+// lives: the sender's window. With every store write parked, compression
+// runs window + 2×Workers blocks into the checkpoint — a window of writes in
+// flight, 2×Workers compressed blocks waiting for a slot — and stops; each
+// write let through lets exactly one more block be compressed.
+func TestStalledStorePausesCompression(t *testing.T) {
+	const (
+		workers   = 4
+		blockSize = 64
+		numBlocks = 64
+	)
+	dev, err := nvm.NewDevice(1 << 20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inner := iostore.New(nvm.Pacer{})
+	// Buffered to the number of sends: neither announcement ever blocks.
+	store := &parkedStore{Store: inner, arrived: make(chan struct{}, numBlocks), gate: make(chan struct{})}
+	codec := &countingCodec{called: make(chan struct{}, numBlocks)}
+	eng, err := New(Config{Job: "job", Device: dev, Store: store, Codec: codec, Workers: workers, BlockSize: blockSize})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(eng.Close)
+	codec.bound = int64(eng.window + 2*workers)
+
+	expect := func(ch chan struct{}, n int, what string) {
+		t.Helper()
+		timeout := time.After(10 * time.Second)
+		for i := 0; i < n; i++ {
+			select {
+			case <-ch:
+			case <-timeout:
+				t.Fatalf("%s: saw %d of %d", what, i, n)
+			}
+		}
+	}
+
+	data := ckptData(numBlocks * blockSize)
+	if err := dev.Put(nvm.Checkpoint{ID: 1, Data: data}); err != nil {
+		t.Fatal(err)
+	}
+	eng.Notify()
+	expect(store.arrived, eng.window, "writes parked in the store")
+	expect(codec.called, int(codec.bound), "blocks compressed behind a stalled store")
+
+	// One write through: one slot of the window, one more block compressed.
+	for i := 0; i < 3; i++ {
+		codec.released.Add(1)
+		store.gate <- struct{}{}
+		expect(store.arrived, 1, "next write after a release")
+		expect(codec.called, 1, "next block compressed after a release")
+	}
+
+	codec.released.Add(numBlocks)
+	close(store.gate)
+	waitDrain(t, eng, 1)
+	if n := codec.over.Load(); n != 0 {
+		t.Errorf("compress call %d ran more than %d blocks ahead of the released writes", n, codec.bound)
+	}
+	if n := codec.calls.Load(); n != numBlocks {
+		t.Errorf("%d compress calls, want %d", n, numBlocks)
+	}
+	obj, err := inner.Get(context.Background(), iostore.Key{Job: "job", Rank: 0, ID: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := bytes.Join(obj.Blocks, nil); !bytes.Equal(got, data) {
+		t.Errorf("drained object differs from the checkpoint: %d bytes, want %d", len(got), len(data))
 	}
 }
 
@@ -252,20 +362,16 @@ func TestDrainUnderEvictionPressure(t *testing.T) {
 	// constantly evicts while the engine drains. Every candidate the engine
 	// picks is pinned atomically (nvm.LatestLocked), so no drain may fail
 	// with a not-found error no matter how the eviction interleaves.
-	dev, err := nvm.NewDevice(8<<10, nvm.Pacer{})
+	dev, err := nvm.NewDevice(8 << 10)
 	if err != nil {
 		t.Fatal(err)
 	}
 	store := iostore.New(nvm.Pacer{})
-	link, err := nic.NewLink(1<<20, nvm.Pacer{})
-	if err != nil {
-		t.Fatal(err)
-	}
 	var mu sync.Mutex
 	var asyncErrs []error
 	eng, err := New(Config{
 		Job: "job", Rank: 0,
-		Device: dev, Store: store, Link: link,
+		Device: dev, Store: store,
 		BlockSize: 1024,
 		OnError: func(err error) {
 			mu.Lock()

@@ -19,9 +19,7 @@ import (
 	"ndpcr/internal/metrics"
 	"ndpcr/internal/node/iostore"
 	"ndpcr/internal/node/ndp"
-	"ndpcr/internal/node/nic"
 	"ndpcr/internal/node/nvm"
-	"ndpcr/internal/units"
 )
 
 // Metadata is the BLCR-style identification attached to every checkpoint
@@ -104,38 +102,17 @@ type Config struct {
 	// 4 GiB (enough for tests; real deployments size it to hold a few
 	// checkpoints).
 	NVMCapacity int64
-	// NVMBandwidth paces local commits; zero disables pacing.
-	NVMBandwidth units.Bandwidth
-	// Sleep is the pacing sleep hook shared by all paced devices; nil
-	// performs no real delay (durations are still modeled).
-	Sleep func(units.Seconds)
 
 	// Store is the shared global I/O store (required): in-process
 	// (iostore.Store), remote (iod.Client), or sharded+replicated
 	// (shardstore.Store).
 	Store iostore.Backend
 
-	// Codec enables NDP compression of drained checkpoints; nil drains
-	// raw.
+	// Codec enables NDP compression of drained checkpoints (on ndpWorkers
+	// cores); nil drains raw.
 	Codec compress.Codec
-	// NDPWorkers is the NDP core count for compression (default 4, the
-	// paper's gzip(1) configuration).
-	NDPWorkers int
 	// BlockSize is the drain streaming unit (default 1 MB).
 	BlockSize int
-	// RestoreWorkers sizes the host-side decompression pool on restore
-	// (default 8; the paper fans blocks out across host cores, §4.3).
-	RestoreWorkers int
-	// PrefetchBlocks is the restore's fetch window in blocks: how many
-	// GetBlocks it keeps in flight, and (doubled) how far fetched blocks may
-	// run ahead of the consumer. Zero sizes the window per object from
-	// bytes in flight: as many blocks as fit fetchBudget, at least 4 and at
-	// most 2×RestoreWorkers.
-	PrefetchBlocks int
-	// DrainWindow bounds, in blocks, how many store writes an NDP drain
-	// keeps in flight at once; zero sizes it from bytes in flight (see
-	// ndp.Config.SendWindow). 1 restores the fully serial sender.
-	DrainWindow int
 	// DisableNDP turns the background drain off entirely: checkpoints
 	// reach I/O only via explicit host writes (the conventional
 	// multilevel baseline).
@@ -152,25 +129,27 @@ type Config struct {
 	// gateway's QoS-weighted drain scheduler plugs in here (see
 	// ndp.Config.Gate).
 	DrainGate func(ctx context.Context) (release func(), err error)
-	// NICBuffer is the NIC transmit buffer size (default 8 MB).
-	NICBuffer int
-	// NICBandwidth paces the NIC link; zero disables pacing.
-	NICBandwidth units.Bandwidth
 
 	// OnError receives asynchronous NDP errors.
 	OnError func(error)
 
 	// Metrics, when non-nil, is the registry every layer of this node
-	// (NVM, NIC, NDP, restores) reports into; cluster passes one registry
+	// (NVM, NDP, restores) reports into; cluster passes one registry
 	// to all its nodes so per-node series aggregate. Nil creates a private
 	// registry, exposed via Node.Metrics. The store is not the node's to
 	// instrument: it is shared, and whoever assembled it registers its
 	// metrics once (re-registering swaps counters under in-flight writes).
 	Metrics *metrics.Registry
-	// Timelines, when non-nil, collects per-checkpoint phase timelines.
-	// Nil creates a private set, exposed via Node.Timelines.
-	Timelines *metrics.TimelineSet
 }
+
+const (
+	// ndpWorkers is the NDP core count for compression: the paper's
+	// gzip(1) configuration (Table 3).
+	ndpWorkers = 4
+	// restoreWorkers sizes the host-side decompression pool on restore (the
+	// paper fans blocks out across host cores, §4.3).
+	restoreWorkers = 8
+)
 
 // Node is one compute node's C/R runtime. All methods are safe for
 // concurrent use, though an application typically serializes Commit and
@@ -178,7 +157,6 @@ type Config struct {
 type Node struct {
 	cfg    Config
 	device *nvm.Device
-	link   *nic.Link
 	engine *ndp.Engine // nil when DisableNDP
 
 	// dur is the per-node durability state machine: commit marks LevelNVM,
@@ -189,13 +167,13 @@ type Node struct {
 
 	// partner is this node's region for *other* ranks' redundant copies;
 	// buddy is the node holding *this* rank's copies (§3.4 partner level).
-	partner partnerRegion
+	partner region
 	buddy   *Node
 
 	// erasure is this node's region for other ranks' erasure shards;
 	// eraSet is the cluster's shard router serving *this* rank's
 	// reconstructions (§3.4 erasure-set level).
-	erasure erasureRegion
+	erasure region
 	eraSet  ErasureSet
 
 	// commitMu serializes Publish's read-ID → NVM-write → confirm sequence
@@ -206,6 +184,11 @@ type Node struct {
 	mu     sync.Mutex
 	nextID uint64
 	closed bool
+
+	// fetchWindow, when positive, overrides the restore's fetch window (in
+	// blocks) that fetchObject otherwise sizes from fetchBudget; only
+	// in-package tests set it, to pin a narrow window.
+	fetchWindow int
 
 	reg       *metrics.Registry
 	timelines *metrics.TimelineSet
@@ -231,35 +214,19 @@ func New(cfg Config) (*Node, error) {
 	if cfg.NVMCapacity == 0 {
 		cfg.NVMCapacity = DefaultNVMCapacity
 	}
-	if cfg.NDPWorkers == 0 {
-		cfg.NDPWorkers = 4
-	}
-	if cfg.RestoreWorkers <= 0 {
-		cfg.RestoreWorkers = 8
-	}
-	if cfg.NICBuffer == 0 {
-		cfg.NICBuffer = 8 << 20
-	}
 
-	device, err := nvm.NewDevice(cfg.NVMCapacity, nvm.Pacer{Bandwidth: cfg.NVMBandwidth, Sleep: cfg.Sleep})
+	device, err := nvm.NewDevice(cfg.NVMCapacity)
 	if err != nil {
 		return nil, err
 	}
-	link, err := nic.NewLink(cfg.NICBuffer, nvm.Pacer{Bandwidth: cfg.NICBandwidth, Sleep: cfg.Sleep})
-	if err != nil {
-		return nil, err
-	}
-	n := &Node{cfg: cfg, device: device, link: link, nextID: 1, dur: ndp.NewTracker()}
+	n := &Node{cfg: cfg, device: device, nextID: 1, dur: ndp.NewTracker(),
+		timelines: metrics.NewTimelineSet(0)}
+	n.partner, n.erasure = newRegions(cfg.NVMCapacity)
 	n.reg = cfg.Metrics
 	if n.reg == nil {
 		n.reg = metrics.NewRegistry()
 	}
-	n.timelines = cfg.Timelines
-	if n.timelines == nil {
-		n.timelines = metrics.NewTimelineSet(0)
-	}
 	device.Instrument(n.reg)
-	link.Instrument(n.reg)
 	n.dur.Instrument(n.reg)
 	n.mCommits = n.reg.Counter("ndpcr_node_commits_total", "snapshots committed to local NVM")
 	n.mCommitSecs = n.reg.Histogram("ndpcr_node_commit_seconds", "host pause per NVM commit", metrics.UnitSeconds)
@@ -280,11 +247,9 @@ func New(cfg Config) (*Node, error) {
 			Rank:              cfg.Rank,
 			Device:            device,
 			Store:             cfg.Store,
-			Link:              link,
 			Codec:             cfg.Codec,
-			Workers:           cfg.NDPWorkers,
+			Workers:           ndpWorkers,
 			BlockSize:         cfg.BlockSize,
-			SendWindow:        cfg.DrainWindow,
 			OnError:           cfg.OnError,
 			Tracker:           n.dur,
 			Gate:              cfg.DrainGate,
@@ -588,7 +553,7 @@ func (n *Node) restoreByID(ctx context.Context, id uint64, sink Sink) (Level, er
 	return n.serveIO(ctx, n.cfg.Rank, id, sink)
 }
 
-// restoreFromLocal is the local level: one paced NVM read. Corrupt local
+// restoreFromLocal is the local level: one NVM read. Corrupt local
 // metadata is a level miss, not a wrong-rank restore.
 func (n *Node) restoreFromLocal(id uint64) ([]byte, Metadata, bool) {
 	ckpt, err := n.device.Get(id)
@@ -707,10 +672,13 @@ func (n *Node) checkObjectShape(numBlocks int, origSize int64) error {
 	return nil
 }
 
-// fetchBudget is a restore's default byte budget of block fetches in flight
-// (see Config.PrefetchBlocks), in payload bytes: 8 blocks of 1 MiB — what the
-// CPU-bound restore of large blocks can use — and the 2×RestoreWorkers cap
-// from 512 KiB blocks down, where depth is what hides device latency.
+// fetchBudget is a restore's byte budget of block fetches in flight, in
+// payload bytes. The fetch window — how many GetBlocks a restore keeps in
+// flight, and (doubled) how far fetched blocks may run ahead of the consumer
+// — is as many blocks as fit it, at least 4 and at most 2×restoreWorkers: 8
+// blocks of 1 MiB, what the CPU-bound restore of large blocks can use, and the
+// worker cap from 512 KiB blocks down, where depth is what hides device
+// latency.
 const fetchBudget = 8 << 20
 
 // fetchObject streams one stored object's decompressed payload, in order,
@@ -755,13 +723,13 @@ func (n *Node) fetchObject(ctx context.Context, rank int, id uint64, sink Sink) 
 		return err
 	}
 
-	window := n.cfg.PrefetchBlocks
+	window := n.fetchWindow
 	if window <= 0 {
 		blockSize := max(obj.OrigSize/int64(max(numBlocks, 1)), 1)
-		window = int(min(max(fetchBudget/blockSize, 4), int64(2*n.cfg.RestoreWorkers)))
+		window = int(min(max(fetchBudget/blockSize, 4), 2*restoreWorkers))
 	}
 	window = max(1, min(window, numBlocks))
-	workers := max(1, min(n.cfg.RestoreWorkers, numBlocks))
+	workers := max(1, min(restoreWorkers, numBlocks))
 	ahead := 2 * window
 
 	type block struct {
@@ -900,12 +868,8 @@ emitting:
 // reattaches to the same job/rank).
 func (n *Node) FailLocal() {
 	n.device.Wipe()
-	if dev, err := n.partnerDevice(); err == nil {
-		dev.Wipe()
-	}
-	if dev, err := n.erasureDevice(); err == nil {
-		dev.Wipe()
-	}
+	n.partner.dev.Wipe()
+	n.erasure.dev.Wipe()
 }
 
 // Close shuts the runtime down.
@@ -924,5 +888,5 @@ func (n *Node) Close() {
 	// MarkDurable wins the race against the stop; parked waiters then get
 	// the definitive answer rather than ErrStopped.
 	n.dur.Close()
-	n.link.Close()
+	n.device.Retire()
 }

@@ -75,7 +75,6 @@ type Device struct {
 	used     int64
 	ckpts    map[uint64]*entry
 	order    []uint64 // FIFO eviction order (ascending insertion)
-	pacer    Pacer
 
 	// faultHook, when set, is consulted at the top of Put and Get with the
 	// operation name ("put"/"get") and checkpoint ID; a non-nil return
@@ -87,6 +86,12 @@ type Device struct {
 	// on; it is closed (and nilled) whenever space may have been released
 	// (an unlock, a discard, a wipe), waking every waiter to re-check.
 	admit chan struct{}
+
+	// Occupancy gauges, moved under mu wherever the value they mirror moves,
+	// so the devices of every node on one registry add up to one sum (a
+	// sampled GaugeFunc would keep the first device's function). Private
+	// gauges until Instrument swaps in the registry's.
+	mCapacity, mUsed, mResident, mLockedCkpts, mLockedBytes *metrics.Gauge
 
 	// Metrics (nil until Instrument is called).
 	mEvictions     *metrics.Counter
@@ -105,49 +110,73 @@ type entry struct {
 }
 
 // NewDevice creates a device with the given checkpoint-region capacity in
-// bytes and pacing. Capacity must be positive.
-func NewDevice(capacity int64, pacer Pacer) (*Device, error) {
+// bytes. Capacity must be positive.
+func NewDevice(capacity int64) (*Device, error) {
 	if capacity <= 0 {
 		return nil, fmt.Errorf("nvm: capacity must be positive, got %d", capacity)
 	}
-	return &Device{
-		capacity: capacity,
-		ckpts:    make(map[uint64]*entry),
-		pacer:    pacer,
-	}, nil
+	d := &Device{capacity: capacity, ckpts: make(map[uint64]*entry)}
+	d.setGauges(func(string, string) *metrics.Gauge { return new(metrics.Gauge) })
+	return d, nil
 }
 
 // Capacity returns the device capacity in bytes.
 func (d *Device) Capacity() int64 { return d.capacity }
 
+// setGauges points the occupancy gauges at the ones get returns and adds this
+// device's share to them. Caller holds d.mu (or owns d alone).
+func (d *Device) setGauges(get func(name, help string) *metrics.Gauge) {
+	d.mCapacity = get("ndpcr_nvm_capacity_bytes", "checkpoint-region capacity")
+	d.mUsed = get("ndpcr_nvm_used_bytes", "bytes resident in the checkpoint region")
+	d.mResident = get("ndpcr_nvm_resident_checkpoints", "checkpoints resident in NVM")
+	d.mLockedCkpts = get("ndpcr_nvm_locked_checkpoints", "resident checkpoints pinned by a drain lock")
+	d.mLockedBytes = get("ndpcr_nvm_locked_bytes", "bytes pinned by drain locks (not reclaimable by admission control)")
+	d.shareLocked(+1)
+}
+
+// shareLocked adds (sign +1) or withdraws (-1) everything this device
+// contributes to the occupancy gauges. Caller holds d.mu.
+func (d *Device) shareLocked(sign int64) {
+	d.mCapacity.Add(sign * d.capacity)
+	d.mUsed.Add(sign * d.used)
+	d.mResident.Add(sign * int64(len(d.ckpts)))
+	for _, e := range d.ckpts {
+		if e.locks > 0 {
+			d.pinnedLocked(e, sign)
+		}
+	}
+}
+
+// pinnedLocked accounts e entering (sign +1) or leaving (-1) the set of
+// drain-locked residents. Caller holds d.mu.
+func (d *Device) pinnedLocked(e *entry, sign int64) {
+	d.mLockedCkpts.Add(sign)
+	d.mLockedBytes.Add(sign * int64(len(e.ckpt.Data)))
+}
+
+// addUsedLocked moves the resident-plus-reserved byte count. Caller holds d.mu.
+func (d *Device) addUsedLocked(n int64) {
+	d.used += n
+	d.mUsed.Add(n)
+}
+
+// Retire withdraws the device's share from the registry's occupancy gauges:
+// its owner is going away, and a closed node must stop counting in the sum.
+// The device itself stays usable.
+func (d *Device) Retire() {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	d.shareLocked(-1)
+	d.setGauges(func(string, string) *metrics.Gauge { return new(metrics.Gauge) })
+}
+
 // Instrument registers the device's metrics (occupancy, evictions, lock
-// conflicts, transfer sizes) with r. Occupancy-style values are sampled at
-// exposition time; the device stays allocation-free on the hot path.
+// conflicts, transfer sizes) with r. Every series is shared by name: the
+// devices of all nodes on one registry sum.
 func (d *Device) Instrument(r *metrics.Registry) {
-	r.GaugeFunc("ndpcr_nvm_capacity_bytes", "checkpoint-region capacity",
-		func() float64 { return float64(d.capacity) })
-	r.GaugeFunc("ndpcr_nvm_used_bytes", "bytes resident in the checkpoint region",
-		func() float64 { return float64(d.Used()) })
-	r.GaugeFunc("ndpcr_nvm_resident_checkpoints", "checkpoints resident in NVM",
-		func() float64 {
-			d.mu.Lock()
-			defer d.mu.Unlock()
-			return float64(len(d.ckpts))
-		})
-	r.GaugeFunc("ndpcr_nvm_locked_checkpoints", "resident checkpoints pinned by a drain lock",
-		func() float64 {
-			d.mu.Lock()
-			defer d.mu.Unlock()
-			n := 0
-			for _, e := range d.ckpts {
-				if e.locks > 0 {
-					n++
-				}
-			}
-			return float64(n)
-		})
-	r.GaugeFunc("ndpcr_nvm_locked_bytes", "bytes pinned by drain locks (not reclaimable by admission control)",
-		func() float64 { return float64(d.LockedBytes()) })
+	d.mu.Lock()
+	d.setGauges(r.Gauge)
+	d.mu.Unlock()
 	d.mEvictions = r.Counter("ndpcr_nvm_evictions_total", "checkpoints evicted by circular-buffer pressure")
 	d.mFull = r.Counter("ndpcr_nvm_full_total", "writes rejected because every resident checkpoint was locked")
 	d.mLockConflicts = r.Counter("ndpcr_nvm_lock_conflicts_total", "writes that skipped or collided with a locked checkpoint")
@@ -227,7 +256,7 @@ func (d *Device) claimLocked(size int64) bool {
 	for d.used+size > d.capacity {
 		d.evictOldestUnlocked()
 	}
-	d.used += size
+	d.addUsedLocked(size)
 	return true
 }
 
@@ -291,7 +320,7 @@ func (r *Reservation) Release() {
 		return
 	}
 	r.d.mu.Lock()
-	r.d.used -= int64(len(r.Data))
+	r.d.addUsedLocked(-int64(len(r.Data)))
 	r.d.signalAdmitLocked()
 	r.d.mu.Unlock()
 	r.Data = nil
@@ -325,12 +354,10 @@ func (r *Reservation) Publish(id uint64, meta map[string]string) error {
 	}
 	d.ckpts[id] = &entry{ckpt: stored}
 	d.order = append(d.order, id)
+	d.mResident.Inc()
 	d.mu.Unlock()
 	r.Data = nil
 
-	// Pace outside the lock: the simulated transfer time must not block
-	// metadata readers.
-	d.pacer.Move(len(stored.Data))
 	if d.mWriteBytes != nil {
 		d.mWriteBytes.Observe(int64(len(stored.Data)))
 	}
@@ -386,7 +413,11 @@ func (d *Device) removeLocked(id uint64) {
 	if !ok {
 		return
 	}
-	d.used -= int64(len(e.ckpt.Data))
+	d.addUsedLocked(-int64(len(e.ckpt.Data)))
+	d.mResident.Dec()
+	if e.locks > 0 {
+		d.pinnedLocked(e, -1)
+	}
 	delete(d.ckpts, id)
 	for i, oid := range d.order {
 		if oid == id {
@@ -397,7 +428,7 @@ func (d *Device) removeLocked(id uint64) {
 }
 
 // Get returns the checkpoint with the given ID. The returned data aliases
-// device memory and must be treated as read-only; the read is paced.
+// device memory and must be treated as read-only.
 func (d *Device) Get(id uint64) (Checkpoint, error) {
 	if err := d.checkFault("get", id); err != nil {
 		return Checkpoint{}, fmt.Errorf("nvm: get %d: %w", id, err)
@@ -410,22 +441,10 @@ func (d *Device) Get(id uint64) (Checkpoint, error) {
 	}
 	ckpt := e.ckpt
 	d.mu.Unlock()
-	d.pacer.Move(len(ckpt.Data))
 	if d.mReadBytes != nil {
 		d.mReadBytes.Observe(int64(len(ckpt.Data)))
 	}
 	return ckpt, nil
-}
-
-// Peek is Get without pacing (metadata inspection).
-func (d *Device) Peek(id uint64) (Checkpoint, bool) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	e, ok := d.ckpts[id]
-	if !ok {
-		return Checkpoint{}, false
-	}
-	return e.ckpt, true
 }
 
 // Latest returns the resident checkpoint with the highest ID, or false if
@@ -463,7 +482,7 @@ func (d *Device) LatestLocked() (Checkpoint, bool) {
 	if best == nil {
 		return Checkpoint{}, false
 	}
-	best.locks++
+	d.lockLocked(best)
 	return best.ckpt, true
 }
 
@@ -488,8 +507,15 @@ func (d *Device) Lock(id uint64) error {
 	if !ok {
 		return fmt.Errorf("%w: id %d", ErrNotFound, id)
 	}
-	e.locks++
+	d.lockLocked(e)
 	return nil
+}
+
+// lockLocked takes one lock on e. Caller holds d.mu.
+func (d *Device) lockLocked(e *entry) {
+	if e.locks++; e.locks == 1 {
+		d.pinnedLocked(e, +1)
+	}
 }
 
 // Unlock releases one lock on a checkpoint. Unlocking a missing or
@@ -507,6 +533,7 @@ func (d *Device) Unlock(id uint64) error {
 	e.locks--
 	if e.locks == 0 {
 		// The entry became evictable: admission waiters may fit now.
+		d.pinnedLocked(e, -1)
 		d.signalAdmitLocked()
 	}
 	return nil
@@ -532,8 +559,10 @@ func (d *Device) Discard(id uint64) bool {
 func (d *Device) Wipe() {
 	d.mu.Lock()
 	defer d.mu.Unlock()
+	d.shareLocked(-1)
 	d.ckpts = make(map[uint64]*entry)
 	d.order = nil
 	d.used = 0
+	d.shareLocked(+1)
 	d.signalAdmitLocked()
 }

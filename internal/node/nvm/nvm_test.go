@@ -11,7 +11,7 @@ import (
 
 func mk(t *testing.T, capacity int64) *Device {
 	t.Helper()
-	d, err := NewDevice(capacity, Pacer{})
+	d, err := NewDevice(capacity)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -19,10 +19,10 @@ func mk(t *testing.T, capacity int64) *Device {
 }
 
 func TestNewDeviceValidation(t *testing.T) {
-	if _, err := NewDevice(0, Pacer{}); err == nil {
+	if _, err := NewDevice(0); err == nil {
 		t.Error("zero capacity accepted")
 	}
-	if _, err := NewDevice(-5, Pacer{}); err == nil {
+	if _, err := NewDevice(-5); err == nil {
 		t.Error("negative capacity accepted")
 	}
 }
@@ -53,9 +53,6 @@ func TestGetMissing(t *testing.T) {
 	d := mk(t, 100)
 	if _, err := d.Get(7); !errors.Is(err, ErrNotFound) {
 		t.Errorf("err = %v, want ErrNotFound", err)
-	}
-	if _, ok := d.Peek(7); ok {
-		t.Error("Peek found missing checkpoint")
 	}
 	if _, ok := d.Latest(); ok {
 		t.Error("Latest on empty device")
@@ -181,27 +178,6 @@ func TestPacerComputesDuration(t *testing.T) {
 	}
 	if (Pacer{}).Move(1<<30) != 0 {
 		t.Error("unthrottled pacer should report zero")
-	}
-}
-
-func TestDevicePacing(t *testing.T) {
-	var slept units.Seconds
-	d, err := NewDevice(1<<20, Pacer{Bandwidth: 1 * units.MBps, Sleep: func(s units.Seconds) { slept += s }})
-	if err != nil {
-		t.Fatal(err)
-	}
-	d.Put(Checkpoint{ID: 1, Data: make([]byte, 500_000)}) // 0.5 s
-	d.Get(1)                                              // another 0.5 s
-	if slept < 0.99 || slept > 1.01 {
-		t.Errorf("total paced time = %v, want ~1 s", slept)
-	}
-	// Peek and metadata must not pace.
-	before := slept
-	d.Peek(1)
-	d.Latest()
-	d.IDs()
-	if slept != before {
-		t.Error("metadata operations paced")
 	}
 }
 

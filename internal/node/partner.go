@@ -2,7 +2,6 @@ package node
 
 import (
 	"fmt"
-	"sync"
 
 	"ndpcr/internal/node/nvm"
 )
@@ -12,53 +11,17 @@ import (
 // storage, so failures that destroy one node's NVM can still recover at
 // local-storage speed from the buddy instead of falling back to global
 // I/O. The cluster layer pairs nodes and routes copies; this file holds
-// the per-node partner region and access methods.
-
-// partnerRegion lazily allocates the device that stores other ranks'
-// partner copies. It shares the node's NVM capacity configuration (a real
-// deployment would partition one device; two Device values model the two
-// regions).
-type partnerRegion struct {
-	once sync.Once
-	dev  *nvm.Device
-	err  error
-}
-
-func (n *Node) partnerDevice() (*nvm.Device, error) {
-	n.partner.once.Do(func() {
-		n.partner.dev, n.partner.err = nvm.NewDevice(n.cfg.NVMCapacity,
-			nvm.Pacer{Bandwidth: n.cfg.NVMBandwidth, Sleep: n.cfg.Sleep})
-	})
-	return n.partner.dev, n.partner.err
-}
-
-// partnerKey packs (rank, checkpoint id) into the device's uint64 key
-// space. Ranks are bounded far below 2^23 and ids below 2^40 in any
-// realistic run; the composition is checked.
-func partnerKey(rank int, id uint64) (uint64, error) {
-	if rank < 0 || rank >= 1<<23 {
-		return 0, fmt.Errorf("node: partner rank %d out of range", rank)
-	}
-	if id >= 1<<40 {
-		return 0, fmt.Errorf("node: checkpoint id %d out of partner-key range", id)
-	}
-	return uint64(rank+1)<<40 | id, nil
-}
+// the access methods of the per-node partner region.
 
 // StorePartnerCopy stores another rank's checkpoint in this node's partner
 // region. The cluster calls it on the buddy node during a coordinated
 // checkpoint.
 func (n *Node) StorePartnerCopy(fromRank int, id uint64, data []byte, meta Metadata) error {
-	dev, err := n.partnerDevice()
+	key, err := n.partner.key(fromRank, 0, id)
 	if err != nil {
 		return err
 	}
-	key, err := partnerKey(fromRank, id)
-	if err != nil {
-		return err
-	}
-	m := meta.toMap(id)
-	if err := dev.Put(nvm.Checkpoint{ID: key, Data: data, Meta: m}); err != nil {
+	if err := n.partner.dev.Put(nvm.Checkpoint{ID: key, Data: data, Meta: meta.toMap(id)}); err != nil {
 		return fmt.Errorf("node: partner copy rank %d ckpt %d: %w", fromRank, id, err)
 	}
 	return nil
@@ -67,15 +30,7 @@ func (n *Node) StorePartnerCopy(fromRank int, id uint64, data []byte, meta Metad
 // PartnerCopy retrieves another rank's checkpoint from this node's partner
 // region.
 func (n *Node) PartnerCopy(fromRank int, id uint64) ([]byte, Metadata, error) {
-	dev, err := n.partnerDevice()
-	if err != nil {
-		return nil, Metadata{}, err
-	}
-	key, err := partnerKey(fromRank, id)
-	if err != nil {
-		return nil, Metadata{}, err
-	}
-	ckpt, err := dev.Get(key)
+	ckpt, err := n.partner.get(fromRank, 0, id)
 	if err != nil {
 		return nil, Metadata{}, err
 	}
@@ -93,35 +48,11 @@ func (n *Node) PartnerCopy(fromRank int, id uint64) ([]byte, Metadata, error) {
 // DiscardPartnerCopy removes another rank's checkpoint from this node's
 // partner region (the abort path of a failed coordinated checkpoint).
 // Discarding a copy that was never stored is a no-op.
-func (n *Node) DiscardPartnerCopy(fromRank int, id uint64) {
-	dev, err := n.partnerDevice()
-	if err != nil {
-		return
-	}
-	key, err := partnerKey(fromRank, id)
-	if err != nil {
-		return
-	}
-	dev.Discard(key)
-}
+func (n *Node) DiscardPartnerCopy(fromRank int, id uint64) { n.partner.discard(fromRank, 0, id) }
 
 // PartnerCopyIDs lists the checkpoint IDs this node's partner region holds
 // for a given rank, ascending.
-func (n *Node) PartnerCopyIDs(fromRank int) []uint64 {
-	dev, err := n.partnerDevice()
-	if err != nil {
-		return nil
-	}
-	lo := uint64(fromRank+1) << 40
-	hi := lo + (1 << 40)
-	var out []uint64
-	for _, key := range dev.IDs() {
-		if key >= lo && key < hi {
-			out = append(out, key-lo)
-		}
-	}
-	return out
-}
+func (n *Node) PartnerCopyIDs(fromRank int) []uint64 { return n.partner.ids(fromRank) }
 
 // SetPartner wires this node's restore path to the buddy holding its
 // partner copies. The cluster layer calls it during assembly. A node can

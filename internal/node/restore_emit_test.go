@@ -125,10 +125,11 @@ func rawBlocks(count, size int) [][]byte {
 // the error after a prefix, never a clean end.
 func TestBlockErrorNeverYieldsShortData(t *testing.T) {
 	store := &blockStore{Backend: iostore.New(nvm.Pacer{}), failAt: 5}
-	n, err := New(Config{Job: "job", Rank: 0, Store: store, DisableNDP: true, PrefetchBlocks: 1})
+	n, err := New(Config{Job: "job", Rank: 0, Store: store, DisableNDP: true})
 	if err != nil {
 		t.Fatal(err)
 	}
+	n.fetchWindow = 1
 	defer n.Close()
 	putRaw(t, store, 3, 10*100, rawBlocks(10, 100))
 
@@ -147,10 +148,9 @@ func TestBlockErrorNeverYieldsShortData(t *testing.T) {
 
 // TestSlowConsumerBoundsFetchAhead gates the consumer and counts the
 // store's GetBlock calls: with the consumer holding block i, the fetchers
-// run ahead to block i+2×window and no further. An explicit PrefetchBlocks
-// is the window, in blocks; the default sizes it per object from bytes in
-// flight — as many blocks as fit fetchBudget, at least 4, at most
-// 2×RestoreWorkers.
+// run ahead to block i+2×window and no further. A pinned fetchWindow is the
+// window, in blocks; the default sizes it per object from bytes in flight —
+// as many blocks as fit fetchBudget, at least 4, at most 2×restoreWorkers.
 func TestSlowConsumerBoundsFetchAhead(t *testing.T) {
 	for _, tc := range []struct {
 		name                 string
@@ -166,10 +166,11 @@ func TestSlowConsumerBoundsFetchAhead(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			window, numBlocks := tc.window, tc.numBlocks
 			store := &blockStore{Backend: iostore.New(nvm.Pacer{}), failAt: -1}
-			n, err := New(Config{Job: "job", Rank: 0, Store: store, DisableNDP: true, PrefetchBlocks: tc.prefetch})
+			n, err := New(Config{Job: "job", Rank: 0, Store: store, DisableNDP: true})
 			if err != nil {
 				t.Fatal(err)
 			}
+			n.fetchWindow = tc.prefetch
 			defer n.Close()
 			putRaw(t, store, 1, int64(numBlocks*tc.blockSize), rawBlocks(numBlocks, tc.blockSize))
 
@@ -263,10 +264,11 @@ func (s *abandonStore) GetBlock(ctx context.Context, key iostore.Key, index int)
 // back (up to one store CallTimeout per stalled replica).
 func TestFailedRestoreStopsItsFetchers(t *testing.T) {
 	store := &abandonStore{Backend: iostore.New(nvm.Pacer{}), entered: make(chan struct{})}
-	n, err := New(Config{Job: "job", Rank: 0, Store: store, DisableNDP: true, PrefetchBlocks: 4})
+	n, err := New(Config{Job: "job", Rank: 0, Store: store, DisableNDP: true})
 	if err != nil {
 		t.Fatal(err)
 	}
+	n.fetchWindow = 4
 	defer n.Close()
 	putRaw(t, store, 3, 8*100, rawBlocks(8, 100))
 

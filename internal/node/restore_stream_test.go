@@ -130,11 +130,8 @@ func TestStreamedRestoreSmallPrefetchWindow(t *testing.T) {
 	// A prefetch window smaller than the block count must still reassemble
 	// correctly — the bound throttles, it must not truncate.
 	gz, _ := compress.Lookup("gzip", 1)
-	n, _ := newNode(t, func(c *Config) {
-		c.Codec = gz
-		c.PrefetchBlocks = 1
-		c.RestoreWorkers = 2
-	})
+	n, _ := newNode(t, func(c *Config) { c.Codec = gz })
+	n.fetchWindow = 1
 	snap := snapshot(200_000, 9) // ~49 blocks at 4096
 	id, err := n.Commit(context.Background(), snap, Metadata{Step: 1})
 	if err != nil {

@@ -7,6 +7,10 @@ set -euo pipefail
 
 cd "$(dirname "$0")/.."
 
+# The gate leaves the worktree as it found it: a step that rewrites a tracked
+# file (or drops an untracked one) fails here, not in the next PR's diff.
+worktree_before=$(git status --porcelain)
+
 unformatted=$(gofmt -l .)
 if [[ -n "$unformatted" ]]; then
     echo "gofmt needed on:" >&2
@@ -84,12 +88,10 @@ echo "check.sh: elastic experiment green"
 go run ./cmd/ndpcr-experiments -quick asyncchaos > /dev/null
 echo "check.sh: asyncchaos experiment green"
 
-# Shard-tier benchmarks: regenerates BENCH_shard.json and fails if drain
-# throughput stopped scaling with the backend count.
-scripts/bench_shard.sh
-
-# Gateway benchmarks: regenerates BENCH_gateway.json and fails if the
-# multi-tenant front door collapses under 64 concurrent tenants.
-scripts/bench_gateway.sh
+if [[ "$(git status --porcelain)" != "$worktree_before" ]]; then
+    echo "check.sh: the gate changed the worktree:" >&2
+    diff <(echo "$worktree_before") <(git status --porcelain) >&2 || true
+    exit 1
+fi
 
 echo "check.sh: all green"
