@@ -1,7 +1,8 @@
 // Command ndpcr-study runs the live compression study (§5): it steps every
 // mini-app, collects checkpoints at 25/50/75% of the run, measures every
 // codec, and prints Table 2/Table 3 analogues for this machine, optionally
-// as CSV.
+// as CSV. The table run ends with a check of Table 2's compress-speed order
+// and exits non-zero when this host did not reproduce it.
 package main
 
 import (
@@ -140,6 +141,22 @@ func main() {
 			c.MinIOInterval.String())
 	}
 	t3.Fprint(os.Stdout)
+
+	// Table 2's order of compress speed, as ratios of this run's own
+	// averages: the one thing about speed that should hold on any host.
+	fmt.Println("\nCompress-speed order (Table 2: lz4(1) > gzip(1) > gzip(6) >> bwz, lzr):")
+	failed := false
+	for _, o := range res.SpeedOrders() {
+		verdict := "PASS"
+		if !o.OK() {
+			verdict, failed = "FAIL", true
+		}
+		fmt.Printf("  %s  %s > %s  (%.1f vs %.1f MB/s, %.2fx)\n", verdict, o.Faster, o.Slower,
+			float64(o.FasterSpeed)/1e6, float64(o.SlowerSpeed)/1e6, float64(o.FasterSpeed)/float64(o.SlowerSpeed))
+	}
+	if failed {
+		fatal(fmt.Errorf("compress-speed order not reproduced"))
+	}
 }
 
 func fatal(err error) {

@@ -1,8 +1,9 @@
 package bwz
 
 import (
-	"container/heap"
 	"sort"
+
+	"ndpcr/internal/compress/huffman"
 )
 
 // maxCodeLen bounds Huffman code lengths so the table header stays compact
@@ -10,110 +11,15 @@ import (
 const maxCodeLen = 20
 
 // buildCodeLengths returns a length-limited Huffman code length for each
-// symbol with a non-zero count (0 for absent symbols). If the unrestricted
-// Huffman tree exceeds maxCodeLen, counts are repeatedly halved (rounding
-// up) and the tree rebuilt — the classic bzip2 approach, which costs a
-// fraction of a percent of ratio in pathological cases.
+// symbol with a non-zero count (0 for absent symbols).
 func buildCodeLengths(counts []int) []uint8 {
+	freq := make([]uint32, len(counts))
+	for s, c := range counts {
+		freq[s] = uint32(c) // a block is under a megabyte
+	}
 	lengths := make([]uint8, len(counts))
-	working := make([]int, len(counts))
-	copy(working, counts)
-	for {
-		if tryBuild(working, lengths) {
-			return lengths
-		}
-		for i, c := range working {
-			if c > 0 {
-				working[i] = c/2 + 1
-			}
-		}
-	}
-}
-
-type hnode struct {
-	weight int
-	// depth-tie-breaking keeps trees flat for equal weights
-	depth    int
-	symbol   int // -1 for internal
-	from, to int // children indices into the pool, -1 for leaves
-}
-
-type hheap struct {
-	pool []hnode
-	idx  []int
-}
-
-func (h *hheap) Len() int { return len(h.idx) }
-func (h *hheap) Less(i, j int) bool {
-	a, b := h.pool[h.idx[i]], h.pool[h.idx[j]]
-	if a.weight != b.weight {
-		return a.weight < b.weight
-	}
-	return a.depth < b.depth
-}
-func (h *hheap) Swap(i, j int) { h.idx[i], h.idx[j] = h.idx[j], h.idx[i] }
-func (h *hheap) Push(x any)    { h.idx = append(h.idx, x.(int)) }
-func (h *hheap) Pop() any      { v := h.idx[len(h.idx)-1]; h.idx = h.idx[:len(h.idx)-1]; return v }
-
-// tryBuild computes Huffman code lengths for counts into lengths, returning
-// false if any length exceeds maxCodeLen.
-func tryBuild(counts []int, lengths []uint8) bool {
-	for i := range lengths {
-		lengths[i] = 0
-	}
-	h := &hheap{}
-	for sym, c := range counts {
-		if c > 0 {
-			h.pool = append(h.pool, hnode{weight: c, symbol: sym, from: -1, to: -1})
-			h.idx = append(h.idx, len(h.pool)-1)
-		}
-	}
-	switch len(h.idx) {
-	case 0:
-		return true
-	case 1:
-		lengths[h.pool[h.idx[0]].symbol] = 1
-		return true
-	}
-	heap.Init(h)
-	for h.Len() > 1 {
-		a := heap.Pop(h).(int)
-		b := heap.Pop(h).(int)
-		d := h.pool[a].depth
-		if h.pool[b].depth > d {
-			d = h.pool[b].depth
-		}
-		h.pool = append(h.pool, hnode{
-			weight: h.pool[a].weight + h.pool[b].weight,
-			depth:  d + 1,
-			symbol: -1, from: a, to: b,
-		})
-		heap.Push(h, len(h.pool)-1)
-	}
-	root := h.idx[0]
-	// Iterative DFS assigning depths.
-	type frame struct{ node, depth int }
-	stack := []frame{{root, 0}}
-	ok := true
-	for len(stack) > 0 {
-		f := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		n := h.pool[f.node]
-		if n.symbol >= 0 {
-			if f.depth > maxCodeLen {
-				ok = false
-				break
-			}
-			d := f.depth
-			if d == 0 {
-				d = 1
-			}
-			lengths[n.symbol] = uint8(d)
-			continue
-		}
-		stack = append(stack, frame{n.from, f.depth + 1}, frame{n.to, f.depth + 1})
-	}
-	return ok
+	new(huffman.Builder).Lengths(lengths, freq, maxCodeLen)
+	return lengths
 }
 
 // canonicalCodes assigns canonical code values for the given lengths:

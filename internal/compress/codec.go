@@ -4,8 +4,10 @@
 // The paper measures gzip, bzip2, xz, and lz4. Offline and stdlib-only, this
 // repo provides:
 //
-//   - gzip(1), gzip(6): DEFLATE via compress/flate (same algorithm family,
-//     same levels);
+//   - gzip(1): raw DEFLATE by this repo's one-shot encoder and decoder
+//     (packages deflate and inflate), the level the runtime uses;
+//   - gzip(6): raw DEFLATE by compress/flate's writer, for the study only
+//     (same algorithm family, same level), read by inflate;
 //   - lz4(1): a from-scratch implementation of the LZ4 block format;
 //   - bwz(1), bwz(9): a from-scratch Burrows-Wheeler-transform compressor
 //     (BWT + MTF + zero-run coding + canonical Huffman), the algorithm

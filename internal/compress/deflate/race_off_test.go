@@ -1,0 +1,5 @@
+//go:build !race
+
+package deflate
+
+const raceEnabled = false

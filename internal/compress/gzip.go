@@ -5,45 +5,39 @@ import (
 	"compress/flate"
 	"fmt"
 	"io"
+	"slices"
 	"sync"
 
+	"ndpcr/internal/compress/deflate"
 	"ndpcr/internal/compress/inflate"
 )
 
-// gzipCodec is raw DEFLATE: the standard library's writer, and this repo's
-// one-shot reader (package inflate) — a block to decompress is always whole
-// in memory, and a streaming reader pays for generality that cannot be used.
-// The paper's gzip measurements are DEFLATE-dominated (the gzip wrapper adds
-// a fixed 18-byte header/trailer), so compress/flate at the same level is the
-// same algorithm at the same setting.
+// gzipCodec is raw DEFLATE. gzip(1), the level the runtime uses, is this
+// repo's one-shot encoder and decoder (packages deflate and inflate): a block
+// is always whole in memory, and a streaming writer or reader pays for
+// generality that cannot be used. gzip(6) exists for the Table 2 study only
+// and keeps compress/flate's writer; every level decodes with inflate. The
+// paper's gzip measurements are DEFLATE-dominated (the gzip wrapper adds a
+// fixed 18-byte header/trailer), so raw DEFLATE of the same class is the same
+// algorithm at the same setting.
 type gzipCodec struct {
 	level int
-	// flate.Writer allocation is expensive; pool per-codec since level is
-	// baked into the writer.
-	writers sync.Pool
-}
-
-func newGzipCodec(level int) *gzipCodec {
-	c := &gzipCodec{level: level}
-	c.writers.New = func() any {
-		w, err := flate.NewWriter(io.Discard, level)
-		if err != nil {
-			// Levels are fixed at init time and valid by construction.
-			panic(fmt.Sprintf("compress: flate.NewWriter(%d): %v", level, err))
-		}
-		return w
-	}
-	return c
+	// writers is nil at level 1. Allocating a flate.Writer is expensive, and
+	// its level is baked in: one pool per codec.
+	writers *sync.Pool
 }
 
 func (c *gzipCodec) Name() string { return "gzip" }
 func (c *gzipCodec) Level() int   { return c.level }
 
 func (c *gzipCodec) Compress(dst, src []byte) ([]byte, error) {
-	buf := bytes.NewBuffer(dst)
 	// One allocation when the input halves, as checkpoints do; the buffer
 	// still grows on demand when it does not.
-	buf.Grow(len(src)/2 + 1024)
+	dst = slices.Grow(dst, len(src)/2+1024)
+	if c.writers == nil {
+		return deflate.Encode(dst, src), nil
+	}
+	buf := bytes.NewBuffer(dst)
 	w := c.writers.Get().(*flate.Writer)
 	defer c.writers.Put(w)
 	w.Reset(buf)
@@ -65,6 +59,12 @@ func (c *gzipCodec) Decompress(dst, src []byte) ([]byte, error) {
 }
 
 func init() {
-	Register(newGzipCodec(1))
-	Register(newGzipCodec(6))
+	Register(&gzipCodec{level: 1})
+	Register(&gzipCodec{level: 6, writers: &sync.Pool{New: func() any {
+		w, err := flate.NewWriter(io.Discard, 6)
+		if err != nil {
+			panic(fmt.Sprintf("compress: flate.NewWriter(6): %v", err)) // the level is valid by construction
+		}
+		return w
+	}}})
 }

@@ -3,14 +3,17 @@
 // literal/match lengths. It is the speed-over-ratio end of the paper's
 // compression-study spectrum (§5.1.2).
 //
-// The encoder is the "fast" variant: a 4-byte hash table with a single probe
-// per position, matching the lz4(1) default level the paper measures.
+// The encoder is the "fast" variant: a hash table with a single probe per
+// position, matching the lz4(1) default level the paper measures.
 package lz4
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
+	"sync"
+
+	"ndpcr/internal/compress/lzmatch"
 )
 
 const (
@@ -22,11 +25,11 @@ const (
 	minEndLiterals = 5
 
 	hashLog   = 16
-	hashShift = 64 - hashLog
-	// Knuth multiplicative hashing constant for 64-bit reads.
-	prime = 0x9e3779b185ebca87
-
+	hashBytes = 5 // as the reference encoder on 64-bit hosts: a four-byte match saves one byte
 	maxOffset = 65535
+	// A stride over data that does not match also thins what the table will
+	// hold of it, and a block repeats at up to 64 KiB: see lzmatch.Step.
+	maxStep = 16
 )
 
 // ErrCorrupt reports malformed compressed input.
@@ -36,33 +39,37 @@ var ErrCorrupt = errors.New("lz4: corrupt input")
 // (the format's worst-case expansion: n + n/255 + 16).
 func CompressBound(n int) int { return n + n/255 + 16 }
 
-func hash(v uint64) uint32 {
-	return uint32((v * prime) >> hashShift)
-}
+// table maps the hash of four bytes to where they last began; a slot never
+// written reads as position 0, a candidate like any other. 256 KiB is too
+// much to zero on a goroutine stack every call.
+type table [1 << hashLog]int32
 
-func load64(b []byte, i int) uint64 {
-	return binary.LittleEndian.Uint64(b[i:])
-}
+var tables = sync.Pool{New: func() any { return new(table) }}
 
 // Compress appends the LZ4-block-compressed form of src to dst.
 func Compress(dst, src []byte) ([]byte, error) {
 	if len(src) == 0 {
 		return append(dst, 0), nil // single empty-literal token
 	}
-	var table [1 << hashLog]int32 // positions+1; 0 means empty
+	dst = slices.Grow(dst, CompressBound(len(src)))
+	t := tables.Get().(*table)
+	*t = table{}
 
 	anchor := 0 // start of pending literals
-	pos := 0
+	pos := 1    // nothing precedes byte 0, and every unwritten slot holds it
 	limit := len(src) - mfLimit
+	matchEnd := len(src) - minEndLiterals // matches stop before the final literals
 
 	for pos < limit {
 		// Find a match: single hash probe.
-		h := hash(load64(src, pos))
-		cand := int(table[h]) - 1
-		table[h] = int32(pos + 1)
-		if cand < 0 || pos-cand > maxOffset ||
-			binary.LittleEndian.Uint32(src[cand:]) != binary.LittleEndian.Uint32(src[pos:]) {
-			pos++
+		cur := lzmatch.Load64(src, pos)
+		h := lzmatch.Hash(cur, hashBytes, hashLog)
+		cand := int(t[h])
+		t[h] = int32(pos)
+		// One branch for "four bytes match at pos−cand ≤ maxOffset".
+		x := lzmatch.Load64(src, cand) ^ cur
+		if uint32(x)|uint32(uint(pos-cand)>>16) != 0 {
+			pos += lzmatch.Step(pos-anchor, maxStep)
 			continue
 		}
 		// Extend the match backwards over pending literals.
@@ -70,29 +77,19 @@ func Compress(dst, src []byte) ([]byte, error) {
 			pos--
 			cand--
 		}
-		// Extend forwards; stop so the match ends before the final
-		// minEndLiterals bytes.
-		matchLen := minMatch
-		maxLen := len(src) - minEndLiterals - pos
-		for matchLen < maxLen && src[pos+matchLen] == src[cand+matchLen] {
-			matchLen++
-		}
-		if matchLen < minMatch {
-			pos++
-			continue
-		}
+		matchLen := minMatch + lzmatch.MatchLen(src[pos+minMatch:matchEnd], src[cand+minMatch:])
 
 		dst = emitSequence(dst, src[anchor:pos], pos-cand, matchLen)
 		pos += matchLen
 		anchor = pos
 		// Seed the table inside the match region to improve the next probe.
-		if pos-2 > 0 && pos-2 < limit {
-			table[hash(load64(src, pos-2))] = int32(pos - 1)
+		if pos-2 < limit {
+			t[lzmatch.Hash(lzmatch.Load64(src, pos-2), hashBytes, hashLog)] = int32(pos - 2)
 		}
 	}
+	tables.Put(t)
 	// Final literals-only sequence.
-	dst = emitSequence(dst, src[anchor:], 0, 0)
-	return dst, nil
+	return emitSequence(dst, src[anchor:], 0, 0), nil
 }
 
 // emitSequence writes one token + literals (+ match if matchLen >= minMatch).

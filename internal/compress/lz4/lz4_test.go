@@ -66,6 +66,23 @@ func TestRoundTripFarOffsets(t *testing.T) {
 	roundTrip(t, b)
 }
 
+// TestRoundTripAtWindowEdge: a repeat exactly at, one short of and one past
+// the largest offset the format's 16 bits can carry.
+func TestRoundTripAtWindowEdge(t *testing.T) {
+	r := rand.New(rand.NewSource(3))
+	chunk := make([]byte, 64)
+	r.Read(chunk)
+	for _, dist := range []int{maxOffset - 1, maxOffset, maxOffset + 1} {
+		b := make([]byte, dist+len(chunk)+mfLimit)
+		for i := range b {
+			b[i] = byte(i>>8) ^ byte(i*7)
+		}
+		copy(b, chunk)
+		copy(b[dist:], chunk)
+		roundTrip(t, b)
+	}
+}
+
 func TestCompressesRedundantData(t *testing.T) {
 	src := bytes.Repeat([]byte("abcdefgh"), 10000)
 	comp, err := Compress(nil, src)

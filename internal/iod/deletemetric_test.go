@@ -15,10 +15,10 @@ import (
 // the wire is counted instead of vanishing: the abort paths rely on Delete
 // never changing control flow, so the leak metric is the only trace.
 func TestDeleteErrorCounted(t *testing.T) {
-	srv, _, _ := startServer(t)
+	srv, dialled, _ := startServer(t)
 	srv.SetConnFaultHook(func() (drop, corrupt bool) { return true, false }) // sever every exchange
 
-	conn, err := net.Dial("tcp", srv.Addr().String())
+	conn, err := net.Dial("tcp", dialled.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -22,7 +22,7 @@ import (
 // the socket closed with no reply, and the server keeps serving its other
 // lanes.
 func TestServerClosesNonWirePeer(t *testing.T) {
-	srv, client, _ := startPool(t, 1)
+	_, client, _ := startPool(t, 1)
 	otherVersion := make([]byte, wire.HeaderSize)
 	wire.EncodeHeader(otherVersion, wire.Header{Magic: wire.Magic, Version: wire.Version + 1, Op: uint8(opLatest)})
 	// How a stream from the retired gob codec opens: a length-prefixed type
@@ -34,7 +34,7 @@ func TestServerClosesNonWirePeer(t *testing.T) {
 		"garbage":       bytes.Repeat([]byte{0xA5}, 4*wire.HeaderSize),
 		"other version": otherVersion,
 	} {
-		raw, err := net.Dial("tcp", srv.Addr().String())
+		raw, err := net.Dial("tcp", client.Addr())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -19,8 +19,23 @@ import (
 	"ndpcr/internal/node/nvm"
 )
 
+// serve starts srv on a listener of the test's own, on a free loopback port,
+// and returns its address and the channel Serve's result arrives on. The
+// address is known here and now: Server.Addr is nil until Serve has run, and
+// a dial that succeeds proves only that the kernel queued the connection.
+func serve(t *testing.T, srv *Server) (addr string, done <-chan error) {
+	t.Helper()
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	served := make(chan error, 1)
+	go func() { served <- srv.Serve(l) }()
+	return l.Addr().String(), served
+}
+
 // startServer launches a server on a free localhost port and returns a
-// connected client.
+// connected client (whose Addr is the server's).
 func startServer(t *testing.T) (*Server, *Client, *iostore.Store) {
 	t.Helper()
 	backing := iostore.New(nvm.Pacer{})
@@ -28,17 +43,8 @@ func startServer(t *testing.T) (*Server, *Client, *iostore.Store) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- srv.ListenAndServe("127.0.0.1:0") }()
-	// Wait for the listener to come up.
-	deadline := time.Now().Add(5 * time.Second)
-	for srv.Addr() == nil {
-		if time.Now().After(deadline) {
-			t.Fatal("server never started listening")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	client, err := Dial(srv.Addr().String())
+	addr, serveErr := serve(t, srv)
+	client, err := Dial(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,8 +187,8 @@ func TestValidationErrorsCrossWire(t *testing.T) {
 }
 
 func TestManyClientsConcurrently(t *testing.T) {
-	srv, _, _ := startServer(t)
-	addr := srv.Addr().String()
+	_, client, _ := startServer(t)
+	addr := client.Addr()
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -291,15 +297,7 @@ func TestClientRidesOutServerRestartMidDrain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	go srv.ListenAndServe("127.0.0.1:0")
-	deadline := time.Now().Add(5 * time.Second)
-	for srv.Addr() == nil {
-		if time.Now().After(deadline) {
-			t.Fatal("server never started listening")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	addr := srv.Addr().String()
+	addr, _ := serve(t, srv)
 	client, err := Dial(addr)
 	if err != nil {
 		t.Fatal(err)
@@ -370,14 +368,16 @@ func TestWrappedClientDoesNotReconnect(t *testing.T) {
 func TestServerCloseUnblocksServe(t *testing.T) {
 	backing := iostore.New(nvm.Pacer{})
 	srv, _ := NewServer(backing)
-	done := make(chan error, 1)
-	go func() { done <- srv.ListenAndServe("127.0.0.1:0") }()
-	deadline := time.Now().Add(5 * time.Second)
-	for srv.Addr() == nil {
-		if time.Now().After(deadline) {
-			t.Fatal("no listener")
-		}
-		time.Sleep(time.Millisecond)
+	addr, done := serve(t, srv)
+	// An answered call proves Serve owns the listener: a Close that came
+	// first would make Serve refuse it.
+	client, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	if _, _, err := client.Latest(context.Background(), "up", 0); err != nil {
+		t.Fatal(err)
 	}
 	srv.Close()
 	select {

@@ -2,7 +2,6 @@ package iod
 
 import (
 	"context"
-	"net"
 	"sync"
 	"testing"
 	"time"
@@ -88,19 +87,15 @@ func (g *gatedStore) awaitArrivals(t *testing.T, n int) []int {
 }
 
 // startPoolOver launches a server over backing and returns a connected
-// n-lane client.
+// n-lane client (whose Addr is the server's).
 func startPoolOver(t *testing.T, backing iostore.Backend, n int) (*Server, *Client) {
 	t.Helper()
 	srv, err := NewServer(backing)
 	if err != nil {
 		t.Fatal(err)
 	}
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go srv.Serve(l)
-	client, err := DialPool(l.Addr().String(), n)
+	addr, _ := serve(t, srv)
+	client, err := DialPool(addr, n)
 	if err != nil {
 		t.Fatal(err)
 	}

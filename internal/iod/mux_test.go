@@ -402,11 +402,11 @@ func rawRequests(t *testing.T, conn net.Conn, key iostore.Key, first, n int) {
 // finishes.
 func TestServerParksReaderAtLaneDepth(t *testing.T) {
 	g := newGatedStore()
-	srv, _ := startPoolOver(t, g, 1)
+	srv, client := startPoolOver(t, g, 1)
 	key := iostore.Key{Job: "park", Rank: 0, ID: 1}
 	putBlocks(t, g.Backend, key, laneDepth+1)
 	gateBlocks(g, laneDepth+1)
-	raw, err := net.Dial("tcp", srv.Addr().String())
+	raw, err := net.Dial("tcp", client.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -359,17 +359,10 @@ func TestServerMaxConnsRejectsSurplus(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv.SetMaxConns(1)
-	go srv.ListenAndServe("127.0.0.1:0")
-	deadline := time.Now().Add(5 * time.Second)
-	for srv.Addr() == nil {
-		if time.Now().After(deadline) {
-			t.Fatal("server never started listening")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	addr, _ := serve(t, srv)
 	defer srv.Close()
 
-	client, err := Dial(srv.Addr().String())
+	client, err := Dial(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -380,7 +373,7 @@ func TestServerMaxConnsRejectsSurplus(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	raw, err := net.Dial("tcp", srv.Addr().String())
+	raw, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}

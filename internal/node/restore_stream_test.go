@@ -2,8 +2,10 @@ package node
 
 import (
 	"bytes"
+	"compress/flate"
 	"context"
 	"errors"
+	"io"
 	"strings"
 	"testing"
 
@@ -232,6 +234,70 @@ func TestRestoreRefusesBlockWithTail(t *testing.T) {
 	}
 	if open := n.Timelines().Open(metrics.KindRestore); open != 0 {
 		t.Errorf("failed restores leaked %d open restore timeline(s)", open)
+	}
+}
+
+// TestRestoreAcrossEncoders: gzip(1) changed encoders (compress/flate's
+// writer until PR 22, package deflate since) and the stored format did not.
+// An object whose blocks the old encoder wrote restores byte-identical
+// through this tree's reader, and every block this tree's drain stores is a
+// stream compress/flate's reader — the reference for what the old tree's
+// reader accepts — decodes to the same bytes.
+func TestRestoreAcrossEncoders(t *testing.T) {
+	gz, _ := compress.Lookup("gzip", 1)
+	n, store := newNode(t, func(c *Config) { c.Codec = gz })
+	ctx := context.Background()
+
+	old := snapshot(40_000, 3)
+	w, err := flate.NewWriter(nil, flate.BestSpeed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var blocks [][]byte
+	for off := 0; off < len(old); off += 4096 {
+		var buf bytes.Buffer
+		w.Reset(&buf)
+		w.Write(old[off:min(off+4096, len(old))])
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		blocks = append(blocks, buf.Bytes())
+	}
+	if err := store.Put(ctx, iostore.Object{
+		Key:        iostore.Key{Job: "job", Rank: 0, ID: 7},
+		Codec:      "gzip",
+		CodecLevel: 1,
+		OrigSize:   int64(len(old)),
+		Blocks:     blocks,
+		Meta:       Metadata{Job: "job", Rank: 0, Step: 1}.toMap(7),
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if got, _, level, err := n.RestoreID(ctx, 7); err != nil || level != LevelIO || !bytes.Equal(got, old) {
+		t.Errorf("object written by the old encoder: level %v, err %v, identical %v", level, err, bytes.Equal(got, old))
+	}
+
+	snap := snapshot(300_000, 9)
+	id, err := n.Commit(ctx, snap, Metadata{Step: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitDrained(t, n, id)
+	obj, err := store.Get(ctx, iostore.Key{Job: "job", Rank: 0, ID: id})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []byte
+	for i, b := range obj.Blocks {
+		in := bytes.NewReader(b)
+		plain, err := io.ReadAll(flate.NewReader(in))
+		if err != nil || in.Len() != 0 {
+			t.Fatalf("block %d of an object written by this tree: compress/flate err %v, %d bytes unread", i, err, in.Len())
+		}
+		got = append(got, plain...)
+	}
+	if obj.Codec != "gzip" || obj.CodecLevel != 1 || !bytes.Equal(got, snap) {
+		t.Errorf("object written by this tree: codec %s(%d), identical under compress/flate %v", obj.Codec, obj.CodecLevel, bytes.Equal(got, snap))
 	}
 }
 

@@ -241,3 +241,38 @@ func (r *Results) AverageDecompressSpeed(codec string) units.Bandwidth {
 	}
 	return units.Bandwidth(sum / float64(n))
 }
+
+// speedRanks is Table 2's order of compress speed, fastest first: lz4(1),
+// gzip(1), gzip(6), and far behind them the BWT and range-coder codecs,
+// which the paper does not rank among themselves.
+var speedRanks = [][]string{
+	{"lz4(1)"}, {"gzip(1)"}, {"gzip(6)"}, {"bwz(1)", "bwz(9)", "lzr(1)", "lzr(6)"},
+}
+
+// SpeedOrder is one adjacent pair of Table 2's compress-speed order, as this
+// run measured it.
+type SpeedOrder struct {
+	Faster, Slower           string
+	FasterSpeed, SlowerSpeed units.Bandwidth
+}
+
+// OK reports whether the run reproduced the pair's order. It compares two
+// averages taken in one run on one host; no absolute speed is involved.
+func (o SpeedOrder) OK() bool { return o.FasterSpeed > o.SlowerSpeed }
+
+// SpeedOrders returns every pair of codecs from adjacent ranks of Table 2's
+// compress-speed order that this run measured both of.
+func (r *Results) SpeedOrders() []SpeedOrder {
+	var out []SpeedOrder
+	for i := 0; i+1 < len(speedRanks); i++ {
+		for _, fast := range speedRanks[i] {
+			for _, slow := range speedRanks[i+1] {
+				f, s := r.AverageSpeed(fast), r.AverageSpeed(slow)
+				if f > 0 && s > 0 {
+					out = append(out, SpeedOrder{fast, slow, f, s})
+				}
+			}
+		}
+	}
+	return out
+}

@@ -214,6 +214,31 @@ func TestLiveStudyRuns(t *testing.T) {
 	}
 }
 
+// TestSpeedOrders: the Table 2 order check pairs adjacent ranks only, skips
+// codecs the run did not measure, and fails a pair measured the wrong way
+// round.
+func TestSpeedOrders(t *testing.T) {
+	cell := func(codec string, mbps float64) Measurement {
+		return Measurement{App: "a", Codec: codec, UncompressedBytes: 1e6, CompressedBytes: 5e5, CompressSeconds: 1 / mbps}
+	}
+	r := &Results{Measurements: []Measurement{
+		cell("lz4(1)", 400), cell("gzip(1)", 450), cell("gzip(6)", 30), cell("bwz(9)", 8), cell("lzr(1)", 35),
+	}}
+	got := map[string]bool{}
+	for _, o := range r.SpeedOrders() {
+		got[o.Faster+">"+o.Slower] = o.OK()
+	}
+	want := map[string]bool{"lz4(1)>gzip(1)": false, "gzip(1)>gzip(6)": true, "gzip(6)>bwz(9)": true, "gzip(6)>lzr(1)": false}
+	if len(got) != len(want) {
+		t.Fatalf("pairs %v, want %v", got, want)
+	}
+	for pair, ok := range want {
+		if v, seen := got[pair]; !seen || v != ok {
+			t.Errorf("%s: checked %v, OK %v; want OK %v", pair, seen, v, ok)
+		}
+	}
+}
+
 func TestStudyValidation(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.StepsPerApp = 2

@@ -36,7 +36,8 @@ go test -race -count=2 ./internal/cluster/... ./internal/node/... ./internal/iod
 go test -race -count=3 -cpu 1 ./internal/iod/...
 
 # The codecs are called by 8 restore workers and the NDP's compress workers
-# at once, over pooled compressors and pooled inflate tables.
+# at once, over the pooled deflate encoder (hash table, sequences, Huffman
+# scratch), the pooled lz4 table and the pooled inflate tables.
 go test -race ./internal/compress/...
 
 # inflate reads bytes off the store: a 10 s smoke of its differential and
@@ -44,6 +45,9 @@ go test -race ./internal/compress/...
 # The minimiser is capped: by default it may spend a minute on one new input.
 go test -run '^$' -fuzz FuzzDecodeAgainstFlate -fuzztime 10s -fuzzminimizetime 1s ./internal/compress/inflate
 go test -run '^$' -fuzz FuzzRoundTrip -fuzztime 10s -fuzzminimizetime 1s ./internal/compress/inflate
+# deflate writes what both of those readers must read back: the same smoke
+# for its encoder-side target (any input → both readers return it).
+go test -run '^$' -fuzz FuzzEncode -fuzztime 10s -fuzzminimizetime 1s ./internal/compress/deflate
 
 # The iod codec reads frames any peer can send, on goroutines with no
 # recover: the same smoke for its two targets (the request one also
