@@ -24,7 +24,8 @@ import (
 //     sleeps Delay first (an NDP drain stall), then writes normally.
 //   - store.get / store.getblock: ModeErr fails the read; ModeTorn drops
 //     the object's last block (or truncates the block); ModeCorrupt flips a
-//     byte of the returned copy; ModeStall delays the read.
+//     byte of what is returned — a fetched block in place, since GetBlock's
+//     caller owns it, a copy of one of Get's — ModeStall delays the read.
 //
 // Metadata operations (Stat, IDs, Latest, StatBlocks, Delete) pass through
 // untouched: sabotaging the rollback path itself would make every chaos
@@ -141,10 +142,10 @@ func (s *Store) GetBlock(ctx context.Context, key iostore.Key, index int) ([]byt
 		return s.inner.GetBlock(ctx, key, index)
 	case ModeCorrupt:
 		b, err := s.inner.GetBlock(ctx, key, index)
-		if err != nil {
-			return nil, err
+		if err == nil && len(b) > 0 {
+			b[len(b)/2] ^= 0xff
 		}
-		return flipByte(b), nil
+		return b, err
 	case ModeTorn:
 		b, err := s.inner.GetBlock(ctx, key, index)
 		if err != nil {

@@ -407,19 +407,24 @@ func saveLoadAllocs(t *testing.T, codec compress.Codec, payload []byte) float64 
 // when an 8 MiB payload is saved and loaded uncompressed. It is a count, not
 // a clock: one whole-object buffer coming back anywhere between HTTP and the
 // store (an io.ReadAll doubling buffer alone is ~5 bytes per byte) fails it
-// here instead of in the next benchmark run.
+// here instead of in the next benchmark run. What is left is 1.50: the NVM
+// region, the store's copy-in and the client's result buffer, over the two
+// moves. One block-sized buffer a block allocated again anywhere on the
+// restore (the store's copy-out, the fetch) is 2.0.
 func TestSaveLoadAllocBudget(t *testing.T) {
-	if perByte := saveLoadAllocs(t, nil, bytes.Repeat([]byte{0xa5}, 8<<20)); perByte > 3.5 {
-		t.Errorf("%.2f bytes allocated per payload byte moved, budget 3.5: a whole-object buffer is back on the path", perByte)
+	if perByte := saveLoadAllocs(t, nil, bytes.Repeat([]byte{0xa5}, 8<<20)); perByte > 1.7 {
+		t.Errorf("%.2f bytes allocated per payload byte moved, budget 1.7: a block (or whole-object) buffer is back on the path", perByte)
 	}
 }
 
 // TestSaveLoadAllocBudgetGzip is the same count through gzip(1), over a
-// compressible multi-block payload: every block is compressed into a buffer
-// sized once and decompressed into one sized from the object's shape, 1.99
-// bytes per byte when the budget was set. The budget sits below what either
-// codec buffer costs when it is grown from nil again (decompress 2.16,
-// compress 2.23), far below a decoder that buffers internally (4.1).
+// compressible multi-block payload: every block is compressed into a pooled
+// buffer and decompressed into one, and the fetched blocks go back to the
+// pool, 1.23 bytes per byte when the budget was set (the raw budget's three
+// buffers, the stored one at 0.45 of its size). The budget sits below what
+// one codec buffer allocated per block again costs (a decode buffer is +0.5,
+// a compress buffer of half the input +0.25), far below one grown from nil
+// (2.2) or a decoder that buffers internally (4.1).
 func TestSaveLoadAllocBudgetGzip(t *testing.T) {
 	gz, err := compress.Lookup("gzip", 1)
 	if err != nil {
@@ -429,7 +434,7 @@ func TestSaveLoadAllocBudgetGzip(t *testing.T) {
 	for i := 0; i+8 <= len(payload); i += 8 { // a smooth field, 28 mantissa bits dropped: 0.45 under gzip(1)
 		binary.LittleEndian.PutUint64(payload[i:], math.Float64bits(1000+100*math.Sin(float64(i)/5000))&^(1<<28-1))
 	}
-	if perByte := saveLoadAllocs(t, gz, payload); perByte > 2.1 {
-		t.Errorf("%.2f bytes allocated per payload byte moved through gzip(1), budget 2.1", perByte)
+	if perByte := saveLoadAllocs(t, gz, payload); perByte > 1.4 {
+		t.Errorf("%.2f bytes allocated per payload byte moved through gzip(1), budget 1.4", perByte)
 	}
 }

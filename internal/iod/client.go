@@ -10,6 +10,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"ndpcr/internal/blockpool"
 	"ndpcr/internal/iod/wire"
 	"ndpcr/internal/metrics"
 	"ndpcr/internal/node/iostore"
@@ -138,9 +139,6 @@ type Client struct {
 	// dial opens one connection to addr; tests substitute it.
 	dial func(ctx context.Context) (net.Conn, error)
 
-	// arena pools receive buffers across every lane's frames.
-	arena *wire.Arena
-
 	// slots holds one token per exchange in flight, laneDepth per lane: a
 	// call that holds a token is sure to find a lane with room.
 	slots chan struct{}
@@ -189,8 +187,7 @@ func (c *Client) Instrument(r *metrics.Registry) {
 	r.GaugeFunc("ndpcr_iod_lanes", "TCP lanes in this client's pool", func() float64 {
 		return float64(len(c.lanes))
 	})
-	c.arena.Hit = r.Counter("ndpcr_iod_arena_hits_total", "wire receive buffers served from the pooled arena")
-	c.arena.Miss = r.Counter("ndpcr_iod_arena_misses_total", "wire receive buffers freshly allocated (pool empty or oversized)")
+	instrumentPool(r)
 }
 
 var _ iostore.Backend = (*Client)(nil)
@@ -250,7 +247,7 @@ func NewClient(conn net.Conn) *Client {
 }
 
 func newClient(addr string, n int) *Client {
-	c := &Client{addr: addr, arena: wire.NewArena(), lanes: make([]*lane, n), slots: make(chan struct{}, n*laneDepth)}
+	c := &Client{addr: addr, lanes: make([]*lane, n), slots: make(chan struct{}, n*laneDepth)}
 	c.dial = func(ctx context.Context) (net.Conn, error) {
 		var d net.Dialer
 		return d.DialContext(ctx, "tcp", addr)
@@ -264,7 +261,7 @@ func newClient(addr string, n int) *Client {
 // install makes conn the lane's link and starts its reader. Caller holds
 // c.mu (or, in a constructor, the only reference to c).
 func (c *Client) install(ln *lane, conn net.Conn) {
-	ln.link = &link{conn: conn, wc: wire.NewConn(conn, c.arena)}
+	ln.link = &link{conn: conn, wc: wire.NewConn(conn)}
 	c.readers.Add(1)
 	go c.readLoop(ln, ln.link)
 }
@@ -469,7 +466,7 @@ func (c *Client) readLoop(ln *lane, lk *link) {
 		var resp *response
 		if err == nil {
 			if resp, err = decodeResponseWire(h, meta, payload); err != nil {
-				c.arena.Put(payload)
+				blockpool.Put(payload)
 			} else if strings.HasPrefix(resp.Err, checksumErrPrefix) {
 				// The server read a corrupted frame from us.
 				err = fmt.Errorf("%w: peer reports %s", wire.ErrChecksum, resp.Err)
@@ -490,7 +487,7 @@ func (c *Client) readLoop(ln *lane, lk *link) {
 		}
 		c.mu.Unlock()
 		if cl == nil {
-			c.arena.Put(payload)
+			blockpool.Put(payload)
 			continue
 		}
 		cl.resp = resp
@@ -676,7 +673,8 @@ func (c *Client) Get(ctx context.Context, key iostore.Key) (iostore.Object, erro
 
 // GetBlock implements iostore.Backend: fetch one block of a stored
 // object, so a streamed restore can overlap fetching block i+1 with
-// decompressing block i.
+// decompressing block i. The block is the reply frame's receive buffer,
+// now the caller's.
 func (c *Client) GetBlock(ctx context.Context, key iostore.Key, index int) ([]byte, error) {
 	resp, err := c.call(ctx, &request{Op: opGetBlock, Key: key, Index: index})
 	if err != nil {

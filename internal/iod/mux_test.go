@@ -252,7 +252,7 @@ func newScriptedPeer(t *testing.T) (*Client, *scriptedPeer) {
 		client.Close()
 		b.Close()
 	})
-	return client, &scriptedPeer{t: t, conn: b, wc: wire.NewConn(b, nil)}
+	return client, &scriptedPeer{t: t, conn: b, wc: wire.NewConn(b)}
 }
 
 // request reads the next request frame and returns its ID. It runs on the
@@ -386,7 +386,7 @@ func TestCloseFailsPendingAndJoinsReaders(t *testing.T) {
 // connection, reading no reply.
 func rawRequests(t *testing.T, conn net.Conn, key iostore.Key, first, n int) {
 	t.Helper()
-	wc := wire.NewConn(conn, nil)
+	wc := wire.NewConn(conn)
 	for i := first; i < first+n; i++ {
 		req := &request{Op: opGetBlock, Key: key, Index: i}
 		h := wire.Header{Op: uint8(opGetBlock), Index: uint32(i), Aux: uint64(i + 1)}

@@ -21,6 +21,8 @@
 package iod
 
 import (
+	"ndpcr/internal/blockpool"
+	"ndpcr/internal/metrics"
 	"ndpcr/internal/node/iostore"
 )
 
@@ -123,3 +125,15 @@ type response struct {
 // unknownOpPrefix opens the server's reply to a frame whose op byte names no
 // operation.
 const unknownOpPrefix = "iod: unknown op"
+
+// instrumentPool exposes blockpool's counts on r. The pool is the process's,
+// and so is the pair: every registry that asks reports the same two numbers,
+// fed by every user of the pool (wire receives, store copy-outs, codec
+// buffers), so a second client or server on the registry takes nothing from
+// the first. Sampled, hence gauges in the exposition, though they only rise.
+func instrumentPool(r *metrics.Registry) {
+	r.GaugeFunc("ndpcr_blockpool_hits_total", "block buffers served from the process-wide pool",
+		func() float64 { hit, _ := blockpool.Stats(); return float64(hit) })
+	r.GaugeFunc("ndpcr_blockpool_misses_total", "block buffers freshly allocated (pool empty or oversized)",
+		func() float64 { _, miss := blockpool.Stats(); return float64(miss) })
+}

@@ -1,0 +1,5 @@
+//go:build race
+
+package iod
+
+const raceEnabled = true

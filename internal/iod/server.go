@@ -9,6 +9,7 @@ import (
 	"sync"
 	"time"
 
+	"ndpcr/internal/blockpool"
 	"ndpcr/internal/iod/wire"
 	"ndpcr/internal/metrics"
 	"ndpcr/internal/node/iostore"
@@ -46,10 +47,6 @@ type Server struct {
 	// its surplus lanes break and retries on the funded ones.
 	maxConns int
 
-	// arena pools receive buffers across every connection; a request's
-	// payload is recycled as soon as its handler returns (every
-	// iostore.Backend copies block bytes it keeps, so recycling is safe).
-	arena *wire.Arena
 	// calls pools the per-request state (*srvCall), so the steady drain
 	// state allocates nothing per block on either path.
 	calls sync.Pool
@@ -69,7 +66,7 @@ func NewServer(backing iostore.Backend) (*Server, error) {
 	if backing == nil {
 		return nil, errors.New("iod: backing store is required")
 	}
-	s := &Server{backing: backing, conns: make(map[net.Conn]struct{}), arena: wire.NewArena()}
+	s := &Server{backing: backing, conns: make(map[net.Conn]struct{})}
 	s.calls.New = func() any { return new(srvCall) }
 	s.ctx, s.cancel = context.WithCancel(context.Background())
 	s.reg = metrics.NewRegistry()
@@ -84,8 +81,7 @@ func NewServer(backing iostore.Backend) (*Server, error) {
 	s.mRejected = s.reg.Counter("ndpcr_iod_conns_rejected_total", "connections refused by the -max-conns lane budget")
 	s.mChecksumErrs = s.reg.Counter("ndpcr_iod_checksum_errors_total",
 		"received wire frames whose CRC32C verification failed (corruption caught before it reached the store)")
-	s.arena.Hit = s.reg.Counter("ndpcr_iod_arena_hits_total", "wire receive buffers served from the pooled arena")
-	s.arena.Miss = s.reg.Counter("ndpcr_iod_arena_misses_total", "wire receive buffers freshly allocated (pool empty or oversized)")
+	instrumentPool(s.reg)
 	s.reg.GaugeFunc("ndpcr_iod_connections", "compute-node connections currently open", func() float64 {
 		s.mu.Lock()
 		defer s.mu.Unlock()
@@ -212,7 +208,7 @@ type srvCall struct {
 	op      uint8
 	id      uint64 // echoed in the reply's aux
 	corrupt bool   // fault injection: corrupt this reply
-	payload []byte // the request's arena buffer
+	payload []byte // the request's receive buffer, the server's to release
 	scratch []byte // reused response-meta encode buffer
 }
 
@@ -224,9 +220,11 @@ type srvCall struct {
 // a peer that keeps sending past the bound is simply not read: TCP
 // backpressure is the refusal. The reader decodes (or memo-hits) before it
 // reads on, because a frame's meta section is only valid until the next
-// ReadFrame. Request payloads land in pooled arena buffers and are recycled
-// the moment their handler returns; response blocks ride the scatter/gather
-// list straight from the backing store. A frame that fails CRC verification
+// ReadFrame. The server owns two buffers per request and releases both in
+// reply: the request's payload once its handler has returned (every
+// iostore.Backend copies block bytes it keeps), and the block a GetBlock
+// handed it (the caller's, by that method's contract) once the reply frame
+// that carries it has been written. A frame that fails CRC verification
 // is answered with a checksumErrPrefix error under request ID 0 — the
 // stream stays aligned, and the client fails and redials the lane.
 func (s *Server) serveConn(conn net.Conn) {
@@ -237,7 +235,7 @@ func (s *Server) serveConn(conn net.Conn) {
 		s.mu.Unlock()
 		s.wg.Done()
 	}()
-	sc := &srvConn{conn: conn, wc: wire.NewConn(conn, s.arena), slots: make(chan struct{}, laneDepth)}
+	sc := &srvConn{conn: conn, wc: wire.NewConn(conn), slots: make(chan struct{}, laneDepth)}
 	// A drain (or streamed restore) repeats a byte-identical meta section
 	// on every block — same key, same checkpoint metadata, only the header
 	// index and the payload change. Memoize the last decoded request per
@@ -293,7 +291,7 @@ func (s *Server) serveConn(conn net.Conn) {
 		}
 		drop, corrupt := s.fault()
 		if drop {
-			s.arena.Put(payload)
+			blockpool.Put(payload)
 			return // sever without responding: the client must reconnect
 		}
 		call.corrupt = corrupt
@@ -309,17 +307,19 @@ func (s *Server) serveConn(conn net.Conn) {
 }
 
 // reply recycles the request's payload, writes call's response under the
-// connection's write lock, and returns the call to the pool and its slot to
-// the connection. A failed write closes the connection, which ends its
-// reader.
+// connection's write lock, recycles the GetBlock block it carried (a
+// whole-object Get's blocks stay the store's), and returns the call to the
+// pool and its slot to the connection. A failed write closes the connection,
+// which ends its reader.
 func (s *Server) reply(sc *srvConn, call *srvCall) {
-	s.arena.Put(call.payload)
+	blockpool.Put(call.payload)
 	sc.wmu.Lock()
 	call.scratch = appendResponseMeta(call.scratch[:0], &call.resp)
 	sc.wc.CorruptNext = call.corrupt
 	h := wire.Header{Op: call.op, Flags: respFlags(&call.resp), Aux: call.id}
 	err := sc.wc.WriteFrame(h, call.scratch, responsePayload(&call.resp)...)
 	sc.wmu.Unlock()
+	blockpool.Put(call.resp.Block)
 	if err != nil {
 		sc.conn.Close()
 	}

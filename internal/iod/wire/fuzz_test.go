@@ -3,6 +3,8 @@ package wire
 import (
 	"bytes"
 	"testing"
+
+	"ndpcr/internal/blockpool"
 )
 
 // FuzzWireDecode throws arbitrary bytes at the frame reader. The decoder
@@ -12,7 +14,7 @@ func FuzzWireDecode(f *testing.F) {
 	// Seed with a valid frame (carrying a request ID), a truncated one, a
 	// corrupted one, and last the same frame as the previous version's peer sent it.
 	var buf bytes.Buffer
-	tx := NewConn(pipeConn{Writer: &buf}, nil)
+	tx := NewConn(pipeConn{Writer: &buf})
 	if err := tx.WriteFrame(Header{Op: 4, Index: 7, Aux: 0x1122334455}, []byte("meta"), []byte("payload")); err != nil {
 		f.Fatal(err)
 	}
@@ -28,9 +30,8 @@ func FuzzWireDecode(f *testing.F) {
 	old[4] = Version - 1
 	f.Add(old)
 
-	arena := NewArena()
 	f.Fuzz(func(t *testing.T, data []byte) {
-		rx := NewConn(pipeConn{Reader: bytes.NewReader(data)}, arena)
+		rx := NewConn(pipeConn{Reader: bytes.NewReader(data)})
 		for {
 			h, meta, payload, err := rx.ReadFrame()
 			if err != nil {
@@ -43,7 +44,7 @@ func FuzzWireDecode(f *testing.F) {
 			if crc := Checksum(h, meta, payload); crc != h.CRC {
 				t.Fatalf("ReadFrame returned a frame whose checksum does not verify")
 			}
-			arena.Put(payload)
+			blockpool.Put(payload)
 		}
 	})
 }

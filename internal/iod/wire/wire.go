@@ -1,8 +1,9 @@
 // Package wire implements the iod binary wire protocol (version 4, the
 // only one spoken): fixed little-endian frame headers, varint-coded
-// metadata sections, CRC32C frame checksums, and size-class pooled buffer
-// arenas. At GB/s drain rates a reflective codec that allocates and copies
-// per block, not the network, is the ceiling. A frame is
+// metadata sections, CRC32C frame checksums, and payloads received into
+// pooled buffers (package blockpool). At GB/s drain rates a reflective
+// codec that allocates and copies per block, not the network, is the
+// ceiling. A frame is
 //
 //	+--------+---------+----+-------+-------+---------+------------+-------+-------+
 //	| magic  | version | op | flags | index | metaLen | payloadLen |  aux  |  crc  |
@@ -15,7 +16,7 @@
 //
 // so a sender ships header+meta+payload with a single scatter/gather
 // (writev) system call and zero intermediate copies, and a receiver reads
-// the payload straight into a pooled arena buffer. aux is the request ID:
+// the payload straight into a pooled buffer. aux is the request ID:
 // a connection carries many exchanges at once, a reply echoes its request's
 // aux, and the iod client matches the two by it. The crc field is CRC32C
 // (Castagnoli) over the header (with the crc field itself zeroed), then
@@ -34,6 +35,8 @@ import (
 	"hash/crc32"
 	"io"
 	"net"
+
+	"ndpcr/internal/blockpool"
 )
 
 const (
@@ -154,9 +157,8 @@ func DecodeHeader(src []byte) (Header, error) {
 // either: both iod ends keep one reader per connection and serialize
 // writers behind a lock.
 type Conn struct {
-	w     io.Writer
-	br    *bufio.Reader
-	arena *Arena
+	w  io.Writer
+	br *bufio.Reader
 
 	// CorruptNext, when set, makes the next WriteFrame flip one byte of the
 	// frame body after the checksum is computed — the faultinject iod.conn
@@ -176,9 +178,8 @@ type Conn struct {
 const readBufSize = 128 << 10
 
 // NewConn wraps rw (a net.Conn in production; any ReadWriter in tests).
-// Payload buffers are drawn from arena when it is non-nil.
-func NewConn(rw io.ReadWriter, arena *Arena) *Conn {
-	return &Conn{w: rw, br: bufio.NewReaderSize(rw, readBufSize), arena: arena}
+func NewConn(rw io.ReadWriter) *Conn {
+	return &Conn{w: rw, br: bufio.NewReaderSize(rw, readBufSize)}
 }
 
 // WriteFrame sends one frame: header, meta section, and the payload slices
@@ -207,8 +208,8 @@ func (c *Conn) WriteFrame(h Header, meta []byte, payloads ...[]byte) error {
 	}
 	if c.CorruptNext {
 		c.CorruptNext = false
-		// Flip a byte of the last checksummed section, in a copy: payload
-		// slices are owned by the backing store and must stay intact.
+		// Flip a byte of the last checksummed section, in a copy: a payload
+		// slice is the caller's (a retry resends it) and must stay intact.
 		for i := len(bufs) - 1; i > 0; i-- {
 			if len(bufs[i]) == 0 {
 				continue
@@ -233,11 +234,10 @@ func (c *Conn) WriteFrame(h Header, meta []byte, payloads ...[]byte) error {
 
 // ReadFrame reads one frame. The meta slice is valid only until the next
 // ReadFrame (it lives in the Conn's scratch buffer); the payload slice is
-// drawn from the arena and becomes the caller's — return it with
-// arena.Put when done, or keep it (handing it to the application) and let
-// the pool re-allocate. A checksum mismatch returns ErrChecksum with the
-// frame fully consumed, so the stream stays aligned and the connection can
-// answer with an error instead of dying.
+// drawn from blockpool and becomes the caller's — to blockpool.Put after
+// its last read, or to hand on with that duty. A checksum mismatch returns
+// ErrChecksum with the frame fully consumed, so the stream stays aligned
+// and the connection can answer with an error instead of dying.
 func (c *Conn) ReadFrame() (Header, []byte, []byte, error) {
 	if _, err := io.ReadFull(c.br, c.hdrR[:]); err != nil {
 		return Header{}, nil, nil, err
@@ -255,14 +255,14 @@ func (c *Conn) ReadFrame() (Header, []byte, []byte, error) {
 	}
 	var payload []byte
 	if h.PayloadLen > 0 {
-		payload = c.arena.Get(int(h.PayloadLen))
+		payload = blockpool.Get(int(h.PayloadLen))
 		if _, err := io.ReadFull(c.br, payload); err != nil {
-			c.arena.Put(payload)
+			blockpool.Put(payload)
 			return Header{}, nil, nil, fmt.Errorf("wire: payload section: %w", err)
 		}
 	}
 	if crc := Checksum(h, meta, payload); crc != h.CRC {
-		c.arena.Put(payload)
+		blockpool.Put(payload)
 		return h, nil, nil, fmt.Errorf("%w: op %d: computed %08x, header %08x", ErrChecksum, h.Op, crc, h.CRC)
 	}
 	return h, meta, payload, nil

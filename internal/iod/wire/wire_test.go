@@ -69,8 +69,8 @@ type pipeConn struct {
 
 func TestFrameRoundTrip(t *testing.T) {
 	var net bytes.Buffer
-	tx := NewConn(pipeConn{Writer: &net}, nil)
-	rx := NewConn(pipeConn{Reader: &net}, NewArena())
+	tx := NewConn(pipeConn{Writer: &net})
+	rx := NewConn(pipeConn{Reader: &net})
 
 	meta := []byte("meta-section")
 	p1, p2 := []byte("hello "), []byte("world")
@@ -95,8 +95,8 @@ func TestFrameRoundTrip(t *testing.T) {
 
 func TestFrameEmptySections(t *testing.T) {
 	var net bytes.Buffer
-	tx := NewConn(pipeConn{Writer: &net}, nil)
-	rx := NewConn(pipeConn{Reader: &net}, nil)
+	tx := NewConn(pipeConn{Writer: &net})
+	rx := NewConn(pipeConn{Reader: &net})
 	if err := tx.WriteFrame(Header{Op: 1}, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -111,8 +111,8 @@ func TestFrameEmptySections(t *testing.T) {
 
 func TestCorruptNextTripsChecksum(t *testing.T) {
 	var net bytes.Buffer
-	tx := NewConn(pipeConn{Writer: &net}, nil)
-	rx := NewConn(pipeConn{Reader: &net}, nil)
+	tx := NewConn(pipeConn{Writer: &net})
+	rx := NewConn(pipeConn{Reader: &net})
 
 	payload := []byte("precious checkpoint bytes")
 	keep := append([]byte(nil), payload...)
@@ -151,7 +151,7 @@ func TestCorruptNextTripsChecksum(t *testing.T) {
 func TestHeaderCorruptionTripsChecksum(t *testing.T) {
 	frame := func() []byte {
 		var net bytes.Buffer
-		tx := NewConn(pipeConn{Writer: &net}, nil)
+		tx := NewConn(pipeConn{Writer: &net})
 		h := Header{Op: 4, Flags: FlagOK, Index: 7, Aux: 0x1234}
 		if err := tx.WriteFrame(h, []byte("meta"), []byte("payload")); err != nil {
 			t.Fatal(err)
@@ -169,7 +169,7 @@ func TestHeaderCorruptionTripsChecksum(t *testing.T) {
 	for name, off := range offsets {
 		fr := frame()
 		fr[off] ^= 0x01
-		rx := NewConn(pipeConn{Reader: bytes.NewReader(fr)}, nil)
+		rx := NewConn(pipeConn{Reader: bytes.NewReader(fr)})
 		_, _, _, err := rx.ReadFrame()
 		if err == nil {
 			t.Errorf("%s: flipped header byte %d decoded cleanly", name, off)
@@ -181,38 +181,4 @@ func TestHeaderCorruptionTripsChecksum(t *testing.T) {
 			t.Errorf("%s: err = %v, want ErrChecksum", name, err)
 		}
 	}
-}
-
-func TestArenaClassesAndReuse(t *testing.T) {
-	a := NewArena()
-	b := a.Get(1000)
-	if len(b) != 1000 || cap(b) != 1<<10 {
-		t.Fatalf("Get(1000): len %d cap %d, want 1000/%d", len(b), cap(b), 1<<10)
-	}
-	a.Put(b)
-	b2 := a.Get(512)
-	if cap(b2) != 1<<10 {
-		t.Errorf("recycled buffer cap %d, want %d", cap(b2), 1<<10)
-	}
-
-	big := a.Get(8 << 20) // beyond the largest class
-	if len(big) != 8<<20 {
-		t.Fatalf("oversize Get len %d", len(big))
-	}
-	a.Put(big) // dropped silently: capacity matches no class
-
-	// Foreign slices are never pooled.
-	a.Put(make([]byte, 777))
-	if got := a.Get(777); cap(got) != 1<<10 {
-		t.Errorf("foreign slice entered the pool: cap %d", cap(got))
-	}
-}
-
-func TestNilArenaDegrades(t *testing.T) {
-	var a *Arena
-	b := a.Get(4096)
-	if len(b) != 4096 {
-		t.Fatalf("nil arena Get len %d", len(b))
-	}
-	a.Put(b) // must not panic
 }

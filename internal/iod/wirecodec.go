@@ -198,10 +198,12 @@ func responsePayload(resp *response) [][]byte {
 	return nil
 }
 
-// decodeResponseWire rebuilds a response from a received frame. Object
-// blocks (and the GetBlock block) alias the payload buffer, which the
-// caller hands off to the application — the arena simply never gets that
-// buffer back.
+// decodeResponseWire rebuilds a response from a received frame. The
+// GetBlock block is the payload buffer itself and goes to GetBlock's caller,
+// who owns it (iostore.Backend). A whole-object Get's blocks are capped
+// sub-slices of it, and those nobody may release: a block's capacity can be
+// a pool class while its neighbours are still being read, so that buffer is
+// garbage once the application drops the object.
 func decodeResponseWire(h wire.Header, meta, payload []byte) (*response, error) {
 	var r wire.Reader
 	r.Reset(meta)

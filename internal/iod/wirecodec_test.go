@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"testing"
 
+	"ndpcr/internal/blockpool"
 	"ndpcr/internal/iod/wire"
 	"ndpcr/internal/node/iostore"
 )
@@ -144,5 +145,40 @@ func TestDecodeRejectsHostileCounts(t *testing.T) {
 	r := wire.NewReader(meta)
 	if _, _ = readObjectMeta(r); r.Err() == nil {
 		t.Error("hostile meta-map count decoded without error")
+	}
+}
+
+// TestWholeObjectBlocksStayOutOfThePool: a whole-object Get's blocks are
+// sub-slices of one pooled receive buffer, which the application may read for
+// as long as it likes, so no block of it may ever be recycled. splitPayload
+// caps every block at its own length — a block cannot be stretched over its
+// neighbours, and Put drops one of odd length. (A block that is itself a pool
+// class long would pass Put's check; that nobody releases a Get block is the
+// rule, and the capacity check only its backstop.)
+func TestWholeObjectBlocksStayOutOfThePool(t *testing.T) {
+	blocks := [][]byte{bytes.Repeat([]byte{1}, 1000), bytes.Repeat([]byte{2}, 3000), bytes.Repeat([]byte{3}, 96)}
+	resp := &response{Object: iostore.Object{Key: iostore.Key{Job: "j", ID: 1}, Blocks: blocks}}
+	payload := blockpool.Get(4096) // as wire.Conn.ReadFrame receives it
+	copy(payload, flatten(blocks))
+	want := append([]byte(nil), payload...)
+	meta := appendResponseMeta(nil, resp)
+	got, err := decodeResponseWire(wire.Header{Op: uint8(opGet), PayloadLen: uint32(len(payload))}, meta, payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, b := range got.Object.Blocks {
+		if cap(b) != len(b) || len(b) != len(blocks[i]) {
+			t.Errorf("block %d: len %d cap %d, want both %d: it reaches into its neighbour", i, len(b), cap(b), len(blocks[i]))
+		}
+		blockpool.Put(b) // what no caller may do; it must not take
+	}
+	for _, n := range []int{96, 1000, 3000, 4096} {
+		g := blockpool.Get(n)
+		for i := range g {
+			g[i] = 0xEE
+		}
+	}
+	if !bytes.Equal(payload, want) {
+		t.Error("a block of a whole-object Get entered the pool: the application's object changed under it")
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"sort"
 	"sync"
 
+	"ndpcr/internal/blockpool"
 	"ndpcr/internal/metrics"
 	"ndpcr/internal/node/nvm"
 )
@@ -297,8 +298,9 @@ func (s *DedupStore) StatBlocks(ctx context.Context, key Key) (Object, int, bool
 }
 
 // GetBlock reconstructs one block from the content table, pacing its
-// logical size. A block the object does not hold (past its end, or a gap no
-// PutBlock filled) is ErrNotFound.
+// logical size, as a copy the caller owns (the content is shared by every
+// object that references it). A block the object does not hold (past its
+// end, or a gap no PutBlock filled) is ErrNotFound.
 func (s *DedupStore) GetBlock(ctx context.Context, key Key, index int) ([]byte, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -321,7 +323,7 @@ func (s *DedupStore) GetBlock(ctx context.Context, key Key, index int) ([]byte, 
 	data := rb.data
 	s.mu.Unlock()
 	s.pacer.Move(len(data))
-	return data, nil
+	return append(blockpool.Get(len(data))[:0], data...), nil
 }
 
 // DedupStats reports the storage savings.

@@ -12,6 +12,7 @@ import (
 	"sort"
 	"sync"
 
+	"ndpcr/internal/blockpool"
 	"ndpcr/internal/metrics"
 	"ndpcr/internal/node/nvm"
 )
@@ -82,6 +83,13 @@ func (o Object) StoredSize() int64 {
 //     a gap inside it that no PutBlock ever filled (windowed writes land out
 //     of order, so a writer that died mid-object leaves gaps) — wraps
 //     ErrNotFound: a gap is never served as an empty block.
+//   - A block has one owner at a time. PutBlock's block stays the caller's:
+//     a backend copies what it keeps and does not read the slice after it
+//     returns. GetBlock's result belongs to the caller, as the buffer a
+//     device read filled would: the backend keeps no reference to it, and the
+//     caller may change it, blockpool.Put it after its last read, or simply
+//     drop it. Get's blocks are the exception that stays read-only — they
+//     may be the backend's own memory or one shared buffer, never released.
 type Backend interface {
 	Put(ctx context.Context, o Object) error
 	PutBlock(ctx context.Context, key Key, meta Object, index int, block []byte) error
@@ -365,7 +373,9 @@ func (s *Store) StatBlocks(ctx context.Context, key Key) (Object, int, bool, err
 }
 
 // GetBlock returns one block's payload, paced individually so a streamed
-// restore pays the same total transfer cost as a whole-object Get. A block
+// restore pays the same total transfer cost as a whole-object Get. The block
+// is copied out into a pooled buffer, as PutBlock copied it in: the store
+// never lends its memory to a caller who owns what it is handed. A block
 // the object does not hold (past its end, or a gap) is ErrNotFound.
 func (s *Store) GetBlock(ctx context.Context, key Key, index int) ([]byte, error) {
 	if err := ctx.Err(); err != nil {
@@ -388,7 +398,7 @@ func (s *Store) GetBlock(ctx context.Context, key Key, index int) ([]byte, error
 	if s.mReadBytes != nil {
 		s.mReadBytes.Observe(int64(len(b)))
 	}
-	return b, nil
+	return append(blockpool.Get(len(b))[:0], b...), nil
 }
 
 // Store satisfies the unified Backend surface.

@@ -8,6 +8,7 @@ import (
 	"sync"
 	"testing"
 
+	"ndpcr/internal/blockpool"
 	"ndpcr/internal/node/nvm"
 	"ndpcr/internal/units"
 )
@@ -268,5 +269,40 @@ func TestPutBlockRejectsIndexOutOfRange(t *testing.T) {
 	}
 	if st := dedup.Stats(); st.LogicalBytes != 3 || st.PhysicalBytes != 3 {
 		t.Errorf("dedup accounting after the refused writes = %+v; want 3 logical, 3 physical", st)
+	}
+}
+
+// TestFetchedBlockIsTheCallers: GetBlock's result belongs to whoever called
+// it, as the buffer a device read filled would. Scribbling on it, and then
+// releasing it to the pool the way a restore does, changes nothing the store
+// serves afterwards — by GetBlock, by Get, or under another key that shares
+// the content (DedupStore). The block is a pool class in size, the case where
+// a store lending its own memory would see it recycled under it.
+func TestFetchedBlockIsTheCallers(t *testing.T) {
+	ctx := context.Background()
+	want := bytes.Repeat([]byte("ndp!"), 256) // 1 KiB
+	for name, s := range map[string]Backend{"Store": New(nvm.Pacer{}), "DedupStore": NewDedup(nvm.Pacer{})} {
+		k1, k2 := Key{Job: "j", Rank: 0, ID: 1}, Key{Job: "j", Rank: 1, ID: 1}
+		for _, k := range []Key{k1, k2} {
+			if err := s.Put(ctx, Object{Key: k, OrigSize: 2048, Blocks: [][]byte{want, want}}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for round := 0; round < 3; round++ {
+			b, err := s.GetBlock(ctx, k1, 0)
+			if err != nil || !bytes.Equal(b, want) {
+				t.Fatalf("%s round %d: GetBlock = %d bytes, %v; a caller's scribble reached the store", name, round, len(b), err)
+			}
+			for i := range b {
+				b[i] = 0xEE
+			}
+			blockpool.Put(b)
+		}
+		for _, k := range []Key{k1, k2} {
+			o, err := s.Get(ctx, k)
+			if err != nil || len(o.Blocks) != 2 || !bytes.Equal(o.Blocks[0], want) || !bytes.Equal(o.Blocks[1], want) {
+				t.Errorf("%s: Get(%s) after scribbling on a fetched block: %v, blocks changed", name, k, err)
+			}
+		}
 	}
 }

@@ -13,6 +13,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"ndpcr/internal/blockpool"
 	"ndpcr/internal/compress"
 	"ndpcr/internal/metrics"
 	"ndpcr/internal/node/iostore"
@@ -481,6 +482,11 @@ type sender struct {
 	sem   chan struct{}
 	wg    sync.WaitGroup
 	clock *metrics.Envelope // optional xmit envelope across the store writes
+	// owned says the blocks sent are the pipeline's compressed buffers, to
+	// release once their write returns. The raw drain's are slices of the
+	// NVM region — device memory a restore may be reading, and the last of
+	// them can have a pool class for capacity: never released.
+	owned bool
 
 	errMu sync.Mutex
 	err   error
@@ -528,7 +534,11 @@ func (s *sender) send(ctx context.Context, idx int, b []byte) error {
 		}()
 		e := s.e
 		t0 := time.Now()
-		if err := e.cfg.Store.PutBlock(ctx, s.key, s.meta, idx, b); err != nil {
+		err := e.cfg.Store.PutBlock(ctx, s.key, s.meta, idx, b)
+		if s.owned {
+			blockpool.Put(b) // no Backend reads a block after PutBlock returns
+		}
+		if err != nil {
 			s.setErr(err)
 			return
 		}
@@ -618,7 +628,9 @@ func (e *Engine) pipeline(ctx context.Context, id uint64, key iostore.Key, meta 
 					return
 				}
 				t0 := time.Now()
-				c, err := e.cfg.Codec.Compress(nil, raw[i])
+				// Into a pooled buffer the size of the input (output that
+				// outgrows it moves to the heap); the sender releases it.
+				c, err := e.cfg.Codec.Compress(blockpool.Get(len(raw[i]))[:0], raw[i])
 				compressClock.Mark(t0, time.Now())
 				if e.mCompressSecs != nil {
 					e.mCompressSecs.ObserveSince(t0)
@@ -636,6 +648,7 @@ func (e *Engine) pipeline(ctx context.Context, id uint64, key iostore.Key, meta 
 	// store is handed blocks strictly in order, and up to a window of its
 	// writes are in flight concurrently.
 	snd := e.newSender(key, meta, &xmitClock)
+	snd.owned = true    // every block it is sent is a compressor's pooled buffer
 	defer snd.wg.Wait() // never return with writes still in flight
 	pending := make(map[int][]byte, ahead)
 	next := 0

@@ -15,6 +15,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"ndpcr/internal/blockpool"
 	"ndpcr/internal/compress"
 	"ndpcr/internal/metrics"
 	"ndpcr/internal/node/iostore"
@@ -432,8 +433,11 @@ var ErrNoCheckpoint = errors.New("node: no checkpoint available at any level")
 // Sink receives one restored snapshot. It is called once, when the
 // snapshot's identity, level and exact size are known and before any
 // payload; the emit function it returns is then handed the payload in
-// order, in pieces that sum to size. A piece aliases device or store memory
-// (keep it, never change it). A failed restore emitted at most a prefix.
+// order, in pieces that sum to size. A piece is read-only, and whose it is
+// depends on the level: a local level's one piece aliases device memory and
+// may be kept; a piece at LevelIO is a pooled buffer of the restore's, valid
+// until emit returns and recycled then — copy or write it before returning.
+// A failed restore emitted at most a prefix.
 type Sink func(meta Metadata, size int64, level Level) (emit func(piece []byte) error, err error)
 
 // collect runs a streaming restore into memory: a local level's one piece
@@ -694,6 +698,11 @@ const fetchBudget = 8 << 20
 // been emitted: a slow consumer holds the fetchers — and the restore's
 // memory — to that many blocks ahead of it. No byte past the declared size
 // is emitted; a shortfall is an error after the fact.
+//
+// Every block buffer is this restore's, from blockpool and back to it: the
+// fetched block (GetBlock's caller owns it) once it is decoded, or emitted
+// when there is no codec; the decode destination once emit has returned.
+// What a failed restore leaves in its channels is garbage, never released.
 func (n *Node) fetchObject(ctx context.Context, rank int, id uint64, sink Sink) error {
 	key := iostore.Key{Job: n.cfg.Job, Rank: rank, ID: id}
 	obj, numBlocks, ok, err := n.cfg.Store.StatBlocks(ctx, key)
@@ -747,9 +756,10 @@ func (n *Node) fetchObject(ctx context.Context, rank int, id uint64, sink Sink) 
 		stop     = make(chan struct{})
 		stopOnce sync.Once
 		failure  error // why stop was closed; read only after <-stop
-		// Capacity a block is decompressed into, so its output is allocated
-		// once: the largest decoded block so far, starting from the mean. A
-		// hint, never a limit; workers racing to raise it differ by a block.
+		// Size of the pooled buffer a block is decompressed into, so its
+		// output never outgrows it: the largest decoded block so far, starting
+		// from the mean. A hint, never a limit; workers racing to raise it
+		// differ by a block.
 		decHint atomic.Int64
 	)
 	decHint.Store((obj.OrigSize + int64(numBlocks) - 1) / int64(max(numBlocks, 1)))
@@ -805,7 +815,8 @@ func (n *Node) fetchObject(ctx context.Context, rank int, id uint64, sink Sink) 
 			for blk := range fetched {
 				if codec != nil {
 					t0 := time.Now()
-					p, derr := codec.Decompress(make([]byte, 0, decHint.Load()), blk.data)
+					p, derr := codec.Decompress(blockpool.Get(int(decHint.Load()))[:0], blk.data)
+					blockpool.Put(blk.data)
 					decClock.Mark(t0, time.Now())
 					n.mDecompressSecs.ObserveSince(t0)
 					if derr != nil {
@@ -834,6 +845,7 @@ emitting:
 			} else {
 				err = emit(p)
 			}
+			blockpool.Put(p)
 			if err != nil {
 				abort(err)
 				break emitting

@@ -7,6 +7,7 @@ import (
 	"slices"
 	"sync"
 
+	"ndpcr/internal/blockpool"
 	"ndpcr/internal/node/iostore"
 )
 
@@ -393,9 +394,11 @@ func (s *Store) copyBlocks(ctx context.Context, kp keyPlan) (passed int, err err
 				return passed, fmt.Errorf("shardstore: move %s: block %d from %s: %w", kp.key, i, src.name, err)
 			}
 		}
-		if err := land(func(ctx context.Context, dst *backend) error {
+		err = land(func(ctx context.Context, dst *backend) error {
 			return dst.store.PutBlock(ctx, kp.key, meta, i, blk)
-		}); err != nil {
+		})
+		blockpool.Put(blk) // the mover fetched it; no PutBlock reads it once returned
+		if err != nil {
 			return passed, err
 		}
 	}

@@ -744,7 +744,8 @@ func (s *Store) Get(ctx context.Context, key iostore.Key) (iostore.Object, error
 // the blocks of one object are dealt across its healthy holders, and each
 // block fails over independently, so a backend dying mid-restore — or a
 // holder torn mid-write that lacks this block — costs a failover per block
-// dealt to it, not the restore.
+// dealt to it, not the restore. The block is the serving member's answer,
+// passed on with its ownership.
 func (s *Store) GetBlock(ctx context.Context, key iostore.Key, index int) ([]byte, error) {
 	var out []byte
 	err := s.readFrom(ctx, key, index, func(ctx context.Context, b *backend) error {

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"ndpcr/internal/blockpool"
 	"ndpcr/internal/faultinject"
 	"ndpcr/internal/metrics"
 	"ndpcr/internal/node/iostore"
@@ -608,4 +609,32 @@ func TestClosedStoreRefuses(t *testing.T) {
 		t.Error("IDs on closed store succeeded")
 	}
 	s.Close() // idempotent
+}
+
+// TestFetchedBlockIsTheCallers: the shard tier passes a member's block on
+// with its ownership. Scribbling on it and releasing it, as a restore does,
+// changes what no holder serves next — whichever replica the read is dealt.
+func TestFetchedBlockIsTheCallers(t *testing.T) {
+	s, _, _ := rig(t, 3, Config{Replicas: 2})
+	ctx := context.Background()
+	want := bytes.Repeat([]byte("ndp!"), 256) // 1 KiB: a pool class
+	for i := 0; i < 2; i++ {
+		if err := s.PutBlock(ctx, key(1), iostore.Object{OrigSize: 2048}, i, want); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for round := 0; round < 6; round++ { // both holders get asked, more than once
+		b, err := s.GetBlock(ctx, key(1), round%2)
+		if err != nil || !bytes.Equal(b, want) {
+			t.Fatalf("round %d: GetBlock = %d bytes, %v; a caller's scribble reached a holder", round, len(b), err)
+		}
+		for i := range b {
+			b[i] = 0xEE
+		}
+		blockpool.Put(b)
+	}
+	o, err := s.Get(ctx, key(1))
+	if err != nil || len(o.Blocks) != 2 || !bytes.Equal(o.Blocks[0], want) || !bytes.Equal(o.Blocks[1], want) {
+		t.Errorf("Get after scribbling on fetched blocks: %v, blocks changed", err)
+	}
 }

@@ -20,7 +20,7 @@ fi
 
 go vet ./...
 
-go test -race ./internal/erasure/... ./internal/metrics/... ./internal/faultinject/...
+go test -race ./internal/erasure/... ./internal/metrics/... ./internal/faultinject/... ./internal/blockpool/...
 
 # The packages whose concurrency is the riskiest in the tree (membership
 # drain controller and mover, durability tracker and async commits, NVM
@@ -55,10 +55,11 @@ go test -run '^$' -fuzz FuzzEncode -fuzztime 10s -fuzzminimizetime 1s ./internal
 go test -run '^$' -fuzz FuzzDecodeRequestWire -fuzztime 10s -fuzzminimizetime 1s ./internal/iod
 go test -run '^$' -fuzz FuzzDecodeResponseWire -fuzztime 10s -fuzzminimizetime 1s ./internal/iod
 
-# Allocation budgets of the HTTP save/load path, raw and through gzip (counts;
-# skipped under -race above): a whole-object buffer or a codec buffer grown
-# from nil coming back fails here, not in the next bench.
-go test -run AllocBudget ./internal/gateway
+# Allocation budgets of the HTTP save/load path and of a restore over a
+# loopback iod server, raw and through gzip (counts; skipped under -race
+# above): a whole-object buffer, a codec buffer grown from nil or a block
+# buffer that stopped going back to the pool fails here, not in the next bench.
+go test -run AllocBudget ./internal/gateway ./internal/iod
 
 # The benchmark is a module of its own (cmd/ndpcr-bench/go.mod), invisible
 # to ./... above: build and test it here so an internal-API change that
