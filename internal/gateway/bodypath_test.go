@@ -15,6 +15,7 @@ import (
 	"runtime"
 	"runtime/debug"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -235,17 +236,59 @@ func TestHTTPSaveStoresWhatCommitStores(t *testing.T) {
 	}
 }
 
-// failingBlockStore fails GetBlock from one index on.
+// failingBlockStore fails GetBlock from one index on. With a tear armed, a
+// failing fetch first waits until the client has read a byte of the response:
+// a restore may have every block in flight at once, and the failure must land
+// in the middle of the body, not before its head.
 type failingBlockStore struct {
 	iostore.Backend
 	failFrom atomic.Int64 // -1: never
+	tear     atomic.Pointer[firstByte]
 }
 
 func (s *failingBlockStore) GetBlock(ctx context.Context, key iostore.Key, index int) ([]byte, error) {
 	if from := s.failFrom.Load(); from >= 0 && int64(index) >= from {
+		if fb := s.tear.Load(); fb != nil {
+			select {
+			case <-fb.read:
+			case <-ctx.Done():
+				return nil, ctx.Err()
+			}
+		}
 		return nil, errors.New("backend lost the block")
 	}
 	return s.Backend.GetBlock(ctx, key, index)
+}
+
+// firstByte closes read once a response body has handed the client a byte.
+type firstByte struct {
+	read chan struct{}
+	once sync.Once
+}
+
+// bodyWatch is a client transport that reports the first byte of every
+// response body to the armed firstByte, if any.
+type bodyWatch struct{ tear *atomic.Pointer[firstByte] }
+
+func (w bodyWatch) RoundTrip(r *http.Request) (*http.Response, error) {
+	resp, err := http.DefaultTransport.RoundTrip(r)
+	if fb := w.tear.Load(); err == nil && fb != nil {
+		resp.Body = watchedBody{resp.Body, fb}
+	}
+	return resp, err
+}
+
+type watchedBody struct {
+	io.ReadCloser
+	fb *firstByte
+}
+
+func (b watchedBody) Read(p []byte) (int, error) {
+	n, err := b.ReadCloser.Read(p)
+	if n > 0 {
+		b.fb.once.Do(func() { close(b.fb.read) })
+	}
+	return n, err
 }
 
 // TestLoadFailsOnTornStream: the load response's headers promise the whole
@@ -258,6 +301,7 @@ func TestLoadFailsOnTornStream(t *testing.T) {
 	store.failFrom.Store(-1)
 	srv, ts := newTestServer(t, func(c *Config) { c.Store, c.Codec, c.BlockSize = store, nil, 4096 })
 	c := NewClient(ts.URL, "tok-acme")
+	c.http.Transport = bodyWatch{&store.tear}
 	payload := bytes.Repeat([]byte("0123456789abcdef"), 64<<10/16*4) // 64 blocks
 	id, err := c.Save(context.Background(), "acme", "r", 0, 1, payload)
 	if err != nil {
@@ -266,10 +310,12 @@ func TestLoadFailsOnTornStream(t *testing.T) {
 	sessionNode(t, srv, "r", 0).FailLocal() // restores come from the store
 
 	store.failFrom.Store(40)
+	store.tear.Store(&firstByte{read: make(chan struct{})})
 	if ck, err := c.Load(context.Background(), "acme", "r", 0, id); err == nil {
 		t.Errorf("Load of a stream torn at block 40 returned %d of %d bytes and no error", len(ck.Data), len(payload))
 	}
 	var got bytes.Buffer
+	store.tear.Store(&firstByte{read: make(chan struct{})})
 	if _, err := c.LoadTo(context.Background(), "acme", "r", 0, id, &got); err == nil {
 		t.Errorf("LoadTo of a torn stream returned no error after %d of %d bytes", got.Len(), len(payload))
 	}
@@ -281,6 +327,7 @@ func TestLoadFailsOnTornStream(t *testing.T) {
 	}
 
 	store.failFrom.Store(0)
+	store.tear.Store(nil)
 	// The restore's fetchers race; whichever fails first, nothing was sent.
 	var ae *APIError
 	if _, err := c.Load(context.Background(), "acme", "r", 0, id); !errors.As(err, &ae) {

@@ -148,13 +148,14 @@ func TestPoolMetricsCannotBeStolen(t *testing.T) {
 		}
 		var out []string
 		for _, line := range strings.Split(buf.String(), "\n") {
-			if strings.HasPrefix(line, "ndpcr_blockpool_") {
+			if strings.HasPrefix(line, "ndpcr_blockpool_") || strings.HasPrefix(line, "# TYPE ndpcr_blockpool_") {
 				out = append(out, line)
 			}
 		}
 		return strings.Join(out, "\n")
 	}
-	want := fmt.Sprintf("ndpcr_blockpool_hits_total %d\nndpcr_blockpool_misses_total %d", hit1, miss1)
+	want := fmt.Sprintf("# TYPE ndpcr_blockpool_hits_total counter\nndpcr_blockpool_hits_total %d\n"+
+		"# TYPE ndpcr_blockpool_misses_total counter\nndpcr_blockpool_misses_total %d", hit1, miss1)
 	for name, r := range map[string]*metrics.Registry{"shared": shared, "own": own, "server": srv.Metrics()} {
 		if got := series(r); got != want {
 			t.Errorf("%s registry:\n%s\nwant\n%s", name, got, want)

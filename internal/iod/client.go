@@ -110,8 +110,8 @@ func (lk *link) send(ctx context.Context, id uint64, req *request) error {
 // writes its own request frame, one reader goroutine per lane matches every
 // reply to the call its request ID names, and a lane carries up to
 // laneDepth exchanges at once — so the PutBlocks of a windowed drain and the
-// block fetches of a streamed restore are all on the wire together, on
-// however few connections the pool has. Dial builds a single-lane client;
+// block fetches of a streamed restore are on the wire together, up to
+// laneDepth per connection the pool has. Dial builds a single-lane client;
 // DialPool sizes the pool explicitly.
 //
 // Clients created with Dial/DialPool reconnect automatically. A transport

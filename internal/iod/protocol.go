@@ -130,10 +130,10 @@ const unknownOpPrefix = "iod: unknown op"
 // and so is the pair: every registry that asks reports the same two numbers,
 // fed by every user of the pool (wire receives, store copy-outs, codec
 // buffers), so a second client or server on the registry takes nothing from
-// the first. Sampled, hence gauges in the exposition, though they only rise.
+// the first. Sampled from the pool, and counters: they only rise.
 func instrumentPool(r *metrics.Registry) {
-	r.GaugeFunc("ndpcr_blockpool_hits_total", "block buffers served from the process-wide pool",
-		func() float64 { hit, _ := blockpool.Stats(); return float64(hit) })
-	r.GaugeFunc("ndpcr_blockpool_misses_total", "block buffers freshly allocated (pool empty or oversized)",
-		func() float64 { _, miss := blockpool.Stats(); return float64(miss) })
+	r.CounterFunc("ndpcr_blockpool_hits_total", "block buffers served from the process-wide pool",
+		func() uint64 { hit, _ := blockpool.Stats(); return hit })
+	r.CounterFunc("ndpcr_blockpool_misses_total", "block buffers freshly allocated (pool empty or oversized)",
+		func() uint64 { _, miss := blockpool.Stats(); return miss })
 }

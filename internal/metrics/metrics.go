@@ -71,6 +71,7 @@ type metricKind int
 
 const (
 	kindCounter metricKind = iota
+	kindCounterFunc
 	kindGauge
 	kindGaugeFunc
 	kindHistogram
@@ -82,6 +83,7 @@ type registered struct {
 	kind metricKind
 
 	counter *Counter
+	count   func() uint64
 	gauge   *Gauge
 	fn      gaugeFunc
 	hist    *Histogram
@@ -136,6 +138,18 @@ func (r *Registry) Counter(name, help string) *Counter {
 		m.counter = &Counter{}
 	}
 	return m.counter
+}
+
+// CounterFunc registers a counter sampled by calling fn at exposition time,
+// for a count that already lives in a component's state; fn must never
+// decrease. Re-registering an existing name keeps the first function.
+func (r *Registry) CounterFunc(name, help string, fn func() uint64) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	m, existed := r.lookup(name, help, kindCounterFunc)
+	if !existed {
+		m.count = fn
+	}
 }
 
 // Gauge returns the gauge registered under name, creating it on first use.
@@ -202,10 +216,11 @@ func (r *Registry) WriteProm(w io.Writer) error {
 	for _, series := range r.snapshot() {
 		head := series[0]
 		promType := map[metricKind]string{
-			kindCounter:   "counter",
-			kindGauge:     "gauge",
-			kindGaugeFunc: "gauge",
-			kindHistogram: "histogram",
+			kindCounter:     "counter",
+			kindCounterFunc: "counter",
+			kindGauge:       "gauge",
+			kindGaugeFunc:   "gauge",
+			kindHistogram:   "histogram",
 		}[head.kind]
 		if head.help != "" {
 			if _, err := fmt.Fprintf(w, "# HELP %s %s\n", head.family(), head.help); err != nil {
@@ -220,6 +235,8 @@ func (r *Registry) WriteProm(w io.Writer) error {
 			switch m.kind {
 			case kindCounter:
 				_, err = fmt.Fprintf(w, "%s %d\n", m.name, m.counter.Value())
+			case kindCounterFunc:
+				_, err = fmt.Fprintf(w, "%s %d\n", m.name, m.count())
 			case kindGauge:
 				_, err = fmt.Fprintf(w, "%s %d\n", m.name, m.gauge.Value())
 			case kindGaugeFunc:
@@ -245,6 +262,8 @@ func (r *Registry) Dump(w io.Writer) error {
 			switch m.kind {
 			case kindCounter:
 				_, err = fmt.Fprintf(w, "%-58s %d\n", m.name, m.counter.Value())
+			case kindCounterFunc:
+				_, err = fmt.Fprintf(w, "%-58s %d\n", m.name, m.count())
 			case kindGauge:
 				_, err = fmt.Fprintf(w, "%-58s %d\n", m.name, m.gauge.Value())
 			case kindGaugeFunc:

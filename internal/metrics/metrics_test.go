@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"bytes"
+	"fmt"
 	"net/http/httptest"
 	"strings"
 	"sync"
@@ -159,6 +160,37 @@ func TestPromExposition(t *testing.T) {
 	// Each family's # TYPE line appears exactly once.
 	if strings.Count(out, "# TYPE ndpcr_test_total ") != 1 {
 		t.Errorf("family header duplicated:\n%s", out)
+	}
+}
+
+// TestCounterFuncExposition: a sampled counter renders as a counter, as an
+// integer at any size, reads its function at every exposition, and keeps the
+// first function registered under its name.
+func TestCounterFuncExposition(t *testing.T) {
+	r := NewRegistry()
+	n := uint64(12_345_678)
+	r.CounterFunc("ndpcr_sampled_total", "a sampled counter", func() uint64 { return n })
+	r.CounterFunc("ndpcr_sampled_total", "a sampled counter", func() uint64 { return 0 })
+	render := func() (prom, dump string) {
+		var p, d bytes.Buffer
+		if err := r.WriteProm(&p); err != nil {
+			t.Fatal(err)
+		}
+		if err := r.Dump(&d); err != nil {
+			t.Fatal(err)
+		}
+		return p.String(), d.String()
+	}
+	prom, dump := render()
+	if want := "# HELP ndpcr_sampled_total a sampled counter\n# TYPE ndpcr_sampled_total counter\nndpcr_sampled_total 12345678\n"; prom != want {
+		t.Errorf("exposition:\n%s\nwant\n%s", prom, want)
+	}
+	if want := fmt.Sprintf("%-58s %d\n", "ndpcr_sampled_total", 12345678); dump != want {
+		t.Errorf("dump %q, want %q", dump, want)
+	}
+	n++
+	if prom, _ := render(); !strings.HasSuffix(prom, "ndpcr_sampled_total 12345679\n") {
+		t.Errorf("a second exposition did not sample again:\n%s", prom)
 	}
 }
 

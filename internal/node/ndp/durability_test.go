@@ -43,7 +43,7 @@ func TestTrackerWaitSatisfiedByNewerMark(t *testing.T) {
 	defer tr.Close()
 	done := make(chan error, 1)
 	go func() { done <- tr.WaitDurableCtx(context.Background(), 2, LevelStore) }()
-	time.Sleep(2 * time.Millisecond)
+	await(t, "the waiter parks", func() bool { return tr.waiterCount() == 1 })
 	tr.MarkDurable(LevelStore, 5) // skips 2; superseded counts as durable
 	select {
 	case err := <-done:
@@ -82,7 +82,7 @@ func TestTrackerFailWakesParkedWaiters(t *testing.T) {
 	defer tr.Close()
 	done := make(chan error, 1)
 	go func() { done <- tr.WaitDurableCtx(context.Background(), 4, LevelPartner) }()
-	time.Sleep(2 * time.Millisecond)
+	await(t, "the waiter parks", func() bool { return tr.waiterCount() == 1 })
 	tr.Fail(4, errors.New("propagation aborted"))
 	select {
 	case err := <-done:
@@ -98,7 +98,7 @@ func TestTrackerCloseUnblocksWaiters(t *testing.T) {
 	tr := NewTracker()
 	done := make(chan error, 1)
 	go func() { done <- tr.WaitDurableCtx(context.Background(), 1, LevelStore) }()
-	time.Sleep(2 * time.Millisecond)
+	await(t, "the waiter parks", func() bool { return tr.waiterCount() == 1 })
 	tr.Close()
 	select {
 	case err := <-done:

@@ -86,10 +86,10 @@ type Engine struct {
 	// window bounds how many store writes a drain keeps in flight at once —
 	// the §4.2.2 backpressure: when the store (a network round trip on an
 	// iod transport) falls behind, the sender blocks on it and compression
-	// pauses behind the sender. Sized from bytes in flight: as many blocks as
-	// fit sendBudget, at least 4 and at most 16 — small blocks need depth to
-	// hide latency, large ones only cost memory and CPU contention past a
-	// few. An iod client carries the window on however many lanes it has.
+	// pauses behind the sender. It is bytes in flight, Window(sendBudget,
+	// BlockSize): small blocks need depth to hide latency, large ones only
+	// cost memory and CPU contention past a few. An iod client carries the
+	// window on however many lanes it has.
 	window int
 
 	bell chan struct{}
@@ -133,8 +133,22 @@ type Engine struct {
 }
 
 // sendBudget is the drain's byte budget of store writes in flight (see
-// Engine.window): 4 blocks at the default 1 MiB, 16 at 64 KiB.
+// Engine.window): 4 blocks at the default 1 MiB, 64 at 64 KiB.
 const sendBudget = 4 << 20
+
+// maxWindow caps a window in blocks. It binds only below 8 KiB blocks: it is
+// a robustness bound, not a tuning knob — a restore's block size comes off
+// the wire (OrigSize ÷ block count), and a reply of a million one-byte blocks
+// must not start a million fetchers.
+const maxWindow = 1024
+
+// Window is how many blocks of blockSize bytes fit budget bytes in flight —
+// the depth of a drain's send window and of a restore's fetch window: at
+// least 4, so large blocks still overlap a few round trips, and at most
+// maxWindow.
+func Window(budget, blockSize int64) int {
+	return int(min(max(budget/max(blockSize, 1), 4), maxWindow))
+}
 
 // New creates and starts an engine.
 func New(cfg Config) (*Engine, error) {
@@ -152,7 +166,7 @@ func New(cfg Config) (*Engine, error) {
 	}
 	e := &Engine{
 		cfg:      cfg,
-		window:   min(max(sendBudget/cfg.BlockSize, 4), 16),
+		window:   Window(sendBudget, int64(cfg.BlockSize)),
 		bell:     make(chan struct{}, 1),
 		stop:     make(chan struct{}),
 		done:     make(chan struct{}),

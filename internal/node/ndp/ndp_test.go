@@ -3,6 +3,7 @@ package ndp
 import (
 	"bytes"
 	"context"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -67,14 +68,15 @@ func TestConfigValidation(t *testing.T) {
 }
 
 // TestSendWindowDefaultIsSizedInBytes: the send window is as many blocks as
-// fit sendBudget, between 4 and 16.
+// fit sendBudget, at least 4; only maxWindow caps it, below 8 KiB blocks.
 func TestSendWindowDefaultIsSizedInBytes(t *testing.T) {
 	for _, tc := range []struct{ blockSize, want int }{
 		{0, 4}, // the 1 MiB default block
 		{4 << 20, 4},
 		{512 << 10, 8},
-		{64 << 10, 16},
-		{4096, 16},
+		{64 << 10, 64},
+		{4096, 1024},
+		{64, maxWindow},
 	} {
 		dev, _ := nvm.NewDevice(1024)
 		eng, err := New(Config{Job: "job", Device: dev, Store: iostore.New(nvm.Pacer{}), BlockSize: tc.blockSize})
@@ -85,6 +87,62 @@ func TestSendWindowDefaultIsSizedInBytes(t *testing.T) {
 			t.Errorf("block size %d: window %d, want %d", tc.blockSize, eng.window, tc.want)
 		}
 		eng.Close()
+	}
+}
+
+// settle yields the processor until n() stops changing — every goroutine
+// that could still move it has had its turn — and returns the value. It runs
+// on one P, so the caller's yields hand that P to the runnable goroutines and
+// none of them waits on an OS thread the host has descheduled. No clock: a
+// count that stalls short of what a test wants is a failure the test
+// reports, not a hang.
+func settle(n func() int) int {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	v := n()
+	for still := 0; still < 10000; still++ {
+		runtime.Gosched()
+		if w := n(); w != v {
+			v, still = w, 0
+		}
+	}
+	return v
+}
+
+// TestDrainWindowIsBytesInFlight: with every store write parked, a drain has
+// exactly sendBudget ÷ block size writes in flight — 64 of 64 KiB blocks, 4
+// of 1 MiB — and not one more until a write returns.
+func TestDrainWindowIsBytesInFlight(t *testing.T) {
+	for _, tc := range []struct{ blockSize, numBlocks, want int }{
+		{64 << 10, 128, 64},
+		{1 << 20, 8, 4},
+	} {
+		dev, err := nvm.NewDevice(16 << 20)
+		if err != nil {
+			t.Fatal(err)
+		}
+		inner := iostore.New(nvm.Pacer{})
+		store := &parkedStore{Store: inner, arrived: make(chan struct{}, tc.numBlocks), gate: make(chan struct{})}
+		eng, err := New(Config{Job: "job", Device: dev, Store: store, BlockSize: tc.blockSize})
+		if err != nil {
+			t.Fatal(err)
+		}
+		data := ckptData(tc.numBlocks * tc.blockSize)
+		if err := dev.Put(nvm.Checkpoint{ID: 1, Data: data}); err != nil {
+			t.Fatal(err)
+		}
+		eng.Notify()
+		if got := settle(func() int { return len(store.arrived) }); got != tc.want {
+			t.Errorf("%d KiB blocks: %d writes parked in the store, want %d", tc.blockSize>>10, got, tc.want)
+		}
+		close(store.gate)
+		if err := eng.Tracker().WaitDurableCtx(context.Background(), 1, LevelStore); err != nil {
+			t.Fatal(err)
+		}
+		eng.Close()
+		obj, err := inner.Get(context.Background(), iostore.Key{Job: "job", Rank: 0, ID: 1})
+		if err != nil || !bytes.Equal(bytes.Join(obj.Blocks, nil), data) {
+			t.Errorf("%d KiB blocks: drained object differs from the checkpoint (err %v)", tc.blockSize>>10, err)
+		}
 	}
 }
 
@@ -140,10 +198,10 @@ func (c *countingCodec) Compress(dst, src []byte) ([]byte, error) {
 func TestStalledStorePausesCompression(t *testing.T) {
 	const (
 		workers   = 4
-		blockSize = 64
-		numBlocks = 64
+		blockSize = 256 << 10 // a window of 16: it and the compressors' lead fit well inside the checkpoint
+		numBlocks = 32
 	)
-	dev, err := nvm.NewDevice(1 << 20)
+	dev, err := nvm.NewDevice(16 << 20)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,6 +215,9 @@ func TestStalledStorePausesCompression(t *testing.T) {
 	}
 	t.Cleanup(eng.Close)
 	codec.bound = int64(eng.window + 2*workers)
+	if codec.bound+3 >= numBlocks {
+		t.Fatalf("window %d: the checkpoint is too short to stall the drain", eng.window)
+	}
 
 	expect := func(ch chan struct{}, n int, what string) {
 		t.Helper()
@@ -308,26 +369,57 @@ func TestWipeDuringIdleIsSafe(t *testing.T) {
 	waitDrain(t, eng, 1)
 	dev.Wipe()
 	eng.Notify() // nothing to drain; must not wedge or error fatally
-	time.Sleep(10 * time.Millisecond)
+	await(t, "the engine takes the doorbell", func() bool { return len(eng.bell) == 0 })
 	if id, ok := eng.Tracker().Watermark(LevelStore); !ok || id != 1 {
 		t.Errorf("last drained = %d, %v", id, ok)
 	}
+	// The idle sweep left the engine working: the next commit drains.
+	if err := dev.Put(nvm.Checkpoint{ID: 2, Data: ckptData(100)}); err != nil {
+		t.Fatal(err)
+	}
+	eng.Notify()
+	waitDrain(t, eng, 2)
 }
 
+// await yields the processor until cond holds: the observable park a test
+// waits for instead of sleeping. It fails the test if cond never holds.
+func await(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	for i := 0; !cond(); i++ {
+		if i == 1<<24 {
+			t.Fatalf("%s: never happened", what)
+		}
+		runtime.Gosched()
+	}
+}
+
+// TestPauseResumeNVM: a drain that starts while the host holds the NVM reads
+// nothing from it until the host resumes, then proceeds.
 func TestPauseResumeNVM(t *testing.T) {
 	dev, _, eng := testRig(t, nil)
-	// Pause, commit while paused, resume: drain must proceed afterwards.
+	var resumed, readWhilePaused atomic.Bool
+	dev.SetFaultHook(func(op string, id uint64) error {
+		if op == "get" && !resumed.Load() {
+			readWhilePaused.Store(true)
+		}
+		return nil
+	})
 	eng.PauseNVM()
 	if err := dev.Put(nvm.Checkpoint{ID: 1, Data: ckptData(5000)}); err != nil {
 		t.Fatal(err)
 	}
 	eng.Notify()
-	time.Sleep(20 * time.Millisecond) // engine should be blocked at the gate
+	// The engine pins its candidate just before it waits on the NVM gate.
+	await(t, "the engine picks checkpoint 1", func() bool { return dev.LockedBytes() > 0 })
 	if _, ok := eng.Tracker().Watermark(LevelStore); ok {
 		t.Error("drain completed while NVM was paused")
 	}
+	resumed.Store(true)
 	eng.ResumeNVM()
 	waitDrain(t, eng, 1)
+	if readWhilePaused.Load() {
+		t.Error("the engine read the NVM while the host held it")
+	}
 }
 
 func TestConcurrentCommitsAllEventuallyDrainLatest(t *testing.T) {

@@ -57,7 +57,7 @@ func TestWaitDrainedUnblocksOnClose(t *testing.T) {
 	_, _, eng := testRig(t, nil)
 	done := make(chan error, 1)
 	go func() { done <- waitStore(eng, 42, time.Minute) }()
-	time.Sleep(5 * time.Millisecond) // let the waiter park
+	await(t, "the waiter parks", func() bool { return eng.Tracker().waiterCount() == 1 })
 	eng.Close()
 	select {
 	case err := <-done:

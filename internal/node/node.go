@@ -679,10 +679,9 @@ func (n *Node) checkObjectShape(numBlocks int, origSize int64) error {
 // fetchBudget is a restore's byte budget of block fetches in flight, in
 // payload bytes. The fetch window — how many GetBlocks a restore keeps in
 // flight, and (doubled) how far fetched blocks may run ahead of the consumer
-// — is as many blocks as fit it, at least 4 and at most 2×restoreWorkers: 8
-// blocks of 1 MiB, what the CPU-bound restore of large blocks can use, and the
-// worker cap from 512 KiB blocks down, where depth is what hides device
-// latency.
+// — is ndp.Window(fetchBudget, block size), clamped to the block count: 8
+// blocks of 1 MiB, what the CPU-bound restore of large blocks can use, and 128
+// of 64 KiB, where depth is what hides device latency.
 const fetchBudget = 8 << 20
 
 // fetchObject streams one stored object's decompressed payload, in order,
@@ -734,8 +733,7 @@ func (n *Node) fetchObject(ctx context.Context, rank int, id uint64, sink Sink) 
 
 	window := n.fetchWindow
 	if window <= 0 {
-		blockSize := max(obj.OrigSize/int64(max(numBlocks, 1)), 1)
-		window = int(min(max(fetchBudget/blockSize, 4), 2*restoreWorkers))
+		window = ndp.Window(fetchBudget, obj.OrigSize/int64(max(numBlocks, 1)))
 	}
 	window = max(1, min(window, numBlocks))
 	workers := max(1, min(restoreWorkers, numBlocks))

@@ -150,7 +150,7 @@ func TestBlockErrorNeverYieldsShortData(t *testing.T) {
 // store's GetBlock calls: with the consumer holding block i, the fetchers
 // run ahead to block i+2×window and no further. A pinned fetchWindow is the
 // window, in blocks; the default sizes it per object from bytes in flight —
-// as many blocks as fit fetchBudget, at least 4, at most 2×restoreWorkers.
+// as many blocks as fit fetchBudget, at least 4.
 func TestSlowConsumerBoundsFetchAhead(t *testing.T) {
 	for _, tc := range []struct {
 		name                 string
@@ -159,7 +159,7 @@ func TestSlowConsumerBoundsFetchAhead(t *testing.T) {
 		window               int
 	}{
 		{"explicit block count", 2, 24, 64, 2},
-		{"default, small blocks: the worker cap", 0, 40, 64, 16},
+		{"default, small blocks: the byte budget", 0, 260, 64 << 10, 128},
 		{"default, 1 MiB blocks: the byte budget", 0, 20, 1 << 20, 8},
 		{"default, 4 MiB blocks: the floor", 0, 10, 4 << 20, 4},
 	} {
@@ -201,6 +201,116 @@ func TestSlowConsumerBoundsFetchAhead(t *testing.T) {
 				t.Fatalf("restore: %d pieces, err %v", i, err)
 			}
 		})
+	}
+}
+
+// gatedFetchStore parks every GetBlock, counting arrivals, until a receive
+// from gate lets it through (closing gate lets all through); a let-through
+// fetch fails with fail when it is set. A parked fetch whose context ends
+// returns at once.
+type gatedFetchStore struct {
+	iostore.Backend
+	arrived atomic.Int64
+	gate    chan struct{}
+	fail    error
+}
+
+func (s *gatedFetchStore) GetBlock(ctx context.Context, key iostore.Key, index int) ([]byte, error) {
+	s.arrived.Add(1)
+	select {
+	case <-s.gate:
+	case <-ctx.Done():
+		return nil, ctx.Err()
+	}
+	if s.fail != nil {
+		return nil, s.fail
+	}
+	return s.Backend.GetBlock(ctx, key, index)
+}
+
+// settle yields the processor until n() stops changing — every goroutine
+// that could still move it has had its turn — and returns the value. It runs
+// on one P, so the caller's yields hand that P to the runnable goroutines and
+// none of them waits on an OS thread the host has descheduled. No clock: a
+// count that stalls short of what a test wants is a failure the test
+// reports, not a hang.
+func settle[T comparable](n func() T) T {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	v := n()
+	for still := 0; still < 10000; still++ {
+		runtime.Gosched()
+		if w := n(); w != v {
+			v, still = w, 0
+		}
+	}
+	return v
+}
+
+// TestFetchWindowIsBytesInFlight: with every GetBlock parked, a restore has
+// exactly fetchBudget ÷ block size fetches in flight — 128 of 64 KiB blocks, 8
+// of 1 MiB — and restores byte-identical once they are let through.
+func TestFetchWindowIsBytesInFlight(t *testing.T) {
+	for _, tc := range []struct{ numBlocks, blockSize, want int }{
+		{256, 64 << 10, 128},
+		{16, 1 << 20, 8},
+	} {
+		store := &gatedFetchStore{Backend: iostore.New(nvm.Pacer{}), gate: make(chan struct{})}
+		n, err := New(Config{Job: "job", Rank: 0, Store: store, DisableNDP: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		blocks := rawBlocks(tc.numBlocks, tc.blockSize)
+		putRaw(t, store, 1, int64(tc.numBlocks*tc.blockSize), blocks)
+		var data []byte
+		done := make(chan error, 1)
+		go func() {
+			var err error
+			data, _, _, err = n.RestoreID(context.Background(), 1)
+			done <- err
+		}()
+		if got := settle(store.arrived.Load); got != int64(tc.want) {
+			t.Errorf("%d KiB blocks: %d fetches parked in the store, want %d", tc.blockSize>>10, got, tc.want)
+		}
+		close(store.gate)
+		if err := <-done; err != nil || !bytes.Equal(data, bytes.Join(blocks, nil)) {
+			t.Errorf("%d KiB blocks: restore err %v, identical %v", tc.blockSize>>10, err, bytes.Equal(data, bytes.Join(blocks, nil)))
+		}
+		n.Close()
+	}
+}
+
+// TestHostileShapeCannotWidenTheWindow: a StatBlocks answer of 2^20 one-byte
+// blocks passes every shape check and sizes the window from a one-byte block,
+// yet no more than ndp's cap of 1024 fetches are ever in flight; the first
+// block error fails the restore and leaves no goroutine behind.
+func TestHostileShapeCannotWidenTheWindow(t *testing.T) {
+	const numBlocks = 1 << 20
+	meta := Metadata{Job: "job", Rank: 0, Step: 1}.toMap(5)
+	stat := &statBlocksStore{Backend: iostore.New(nvm.Pacer{})}
+	stat.reply = func(key iostore.Key) (iostore.Object, int, bool, error) {
+		return iostore.Object{Key: key, OrigSize: numBlocks, Meta: meta}, numBlocks, true, nil
+	}
+	store := &gatedFetchStore{Backend: stat, gate: make(chan struct{}), fail: errBlockGone}
+	n, err := New(Config{Job: "job", Rank: 0, Store: store, DisableNDP: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.Close()
+	before := runtime.NumGoroutine()
+	done := make(chan error, 1)
+	go func() {
+		_, _, _, err := n.RestoreID(context.Background(), 5)
+		done <- err
+	}()
+	if got := settle(store.arrived.Load); got != 1024 {
+		t.Errorf("%d fetches in flight for %d one-byte blocks, want the cap of 1024", got, numBlocks)
+	}
+	store.gate <- struct{}{} // one fetch fails; the rest are cancelled
+	if err := <-done; !errors.Is(err, errBlockGone) {
+		t.Errorf("restore err = %v, want the block's error", err)
+	}
+	if after := settle(runtime.NumGoroutine); after > before {
+		t.Errorf("%d goroutines after the failed restore, %d before it", after, before)
 	}
 }
 

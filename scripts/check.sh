@@ -35,6 +35,11 @@ go test -race -count=2 ./internal/cluster/... ./internal/node/... ./internal/iod
 # one core is the schedule most likely to show a lost wake-up between them.
 go test -race -count=3 -cpu 1 ./internal/iod/...
 
+# The NDP engine's tests wait on what they can observe — a parked waiter, a
+# pinned drain candidate, a parked store write — never on a sleep: twenty
+# runs on one core hold them to it.
+go test -race -count=20 -cpu 1 ./internal/node/ndp/...
+
 # The codecs are called by 8 restore workers and the NDP's compress workers
 # at once, over the pooled deflate encoder (hash table, sequences, Huffman
 # scratch), the pooled lz4 table and the pooled inflate tables.
