@@ -457,7 +457,9 @@ func saveLoadAllocs(t *testing.T, codec compress.Codec, payload []byte) float64 
 // here instead of in the next benchmark run. What is left is 1.50: the NVM
 // region, the store's copy-in and the client's result buffer, over the two
 // moves. One block-sized buffer a block allocated again anywhere on the
-// restore (the store's copy-out, the fetch) is 2.0.
+// restore (the store's copy-out, the fetch) is 2.0. Every round opens a
+// fresh session, whose device has no retired region to reuse: the NVM
+// region is fresh here, and TestSteadySaveAllocBudget counts the warm case.
 func TestSaveLoadAllocBudget(t *testing.T) {
 	if perByte := saveLoadAllocs(t, nil, bytes.Repeat([]byte{0xa5}, 8<<20)); perByte > 1.7 {
 		t.Errorf("%.2f bytes allocated per payload byte moved, budget 1.7: a block (or whole-object) buffer is back on the path", perByte)
@@ -483,5 +485,41 @@ func TestSaveLoadAllocBudgetGzip(t *testing.T) {
 	}
 	if perByte := saveLoadAllocs(t, gz, payload); perByte > 1.4 {
 		t.Errorf("%.2f bytes allocated per payload byte moved through gzip(1), budget 1.4", perByte)
+	}
+}
+
+// TestSteadySaveAllocBudget bounds what a save allocates on a warm session:
+// sync 8 MiB saves to one run. Past RetainLocal + 1 saves, retention discards
+// one drained checkpoint per save, and the device hands that checkpoint's
+// region to the next save instead of a fresh one — what is left is the
+// store's copy-in (1.0) and the HTTP path. A fresh region per save is 2.0.
+func TestSteadySaveAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's shadow allocations are not the program's")
+	}
+	srv, ts := newTestServer(t, func(c *Config) { c.Codec = nil })
+	c := NewClient(ts.URL, "tok-acme")
+	payload := bytes.Repeat([]byte{0xa5}, 8<<20)
+	step := 0
+	save := func() {
+		step++
+		if _, err := c.Save(context.Background(), "acme", "steady", 0, step, payload); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i <= srv.cfg.RetainLocal; i++ {
+		save()
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	for round := 1; round <= 3; round++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		save()
+		runtime.ReadMemStats(&after)
+		perByte := float64(after.TotalAlloc-before.TotalAlloc) / float64(len(payload))
+		t.Logf("save %d: %.3f bytes allocated per payload byte", step, perByte)
+		if perByte > 1.2 {
+			t.Errorf("save %d allocated %.2f bytes per payload byte, budget 1.2: the NVM region is fresh again", step, perByte)
+		}
 	}
 }

@@ -381,11 +381,13 @@ func (e *Engine) drain(id uint64) error {
 
 	// Read the checkpoint under the NVM gate so host commits exclude us.
 	// The wait for the gate is the paper's §4.2.1 pause; the read itself is
-	// the NDP's paced NVM access.
+	// the NDP's paced NVM access. The read borrows the region under the
+	// eviction lock: nothing here reads it once drain returns and unlocks,
+	// so the device may hand it to a later commit.
 	e.gate.RLock()
 	gateHeld := time.Now()
 	e.span(id, metrics.PhasePause, drainStart, gateHeld)
-	ckpt, err := dev.Get(id)
+	ckpt, err := dev.GetLocked(id)
 	e.gate.RUnlock()
 	e.span(id, metrics.PhaseRead, gateHeld, time.Now())
 	if err != nil {
@@ -498,8 +500,8 @@ type sender struct {
 	clock *metrics.Envelope // optional xmit envelope across the store writes
 	// owned says the blocks sent are the pipeline's compressed buffers, to
 	// release once their write returns. The raw drain's are slices of the
-	// NVM region — device memory a restore may be reading, and the last of
-	// them can have a pool class for capacity: never released.
+	// NVM region — device memory, which only the device retires, and the
+	// last of them can have a pool class for capacity: never released.
 	owned bool
 
 	errMu sync.Mutex
@@ -627,6 +629,13 @@ func (e *Engine) pipeline(ctx context.Context, id uint64, key iostore.Key, meta 
 	results := make(chan result, ahead)
 	var claimed atomic.Int64 // blocks claimed by a compressor so far
 	var wg sync.WaitGroup
+	// The compressors read the NVM region, which may be reused once the
+	// drain unlocks: a failed pipeline stops them and waits before returning.
+	ctx, stop := context.WithCancel(ctx)
+	defer func() {
+		stop()
+		wg.Wait()
+	}()
 	for w := 0; w < e.cfg.Workers; w++ {
 		wg.Add(1)
 		go func() {

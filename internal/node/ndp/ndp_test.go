@@ -3,6 +3,7 @@ package ndp
 import (
 	"bytes"
 	"context"
+	"errors"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -262,6 +263,56 @@ func TestStalledStorePausesCompression(t *testing.T) {
 	}
 	if got := bytes.Join(obj.Blocks, nil); !bytes.Equal(got, data) {
 		t.Errorf("drained object differs from the checkpoint: %d bytes, want %d", len(got), len(data))
+	}
+}
+
+// stuckCodec parks every Compress but the first on gate, announcing it
+// first; the first fails once others are parked: compressors still reading
+// the checkpoint when the pipeline has already failed.
+type stuckCodec struct {
+	others int
+	calls  atomic.Int64
+	parked chan struct{}
+	gate   chan struct{}
+}
+
+func (c *stuckCodec) Name() string { return "stuck" }
+func (c *stuckCodec) Level() int   { return 0 }
+func (c *stuckCodec) Decompress(dst, src []byte) ([]byte, error) {
+	return append(dst, src...), nil
+}
+func (c *stuckCodec) Compress(dst, src []byte) ([]byte, error) {
+	if c.calls.Add(1) == 1 {
+		for len(c.parked) < c.others {
+			runtime.Gosched()
+		}
+		return nil, errors.New("compress failed")
+	}
+	c.parked <- struct{}{}
+	<-c.gate
+	return append(dst, src...), nil
+}
+
+// TestFailedDrainKeepsItsLockUntilCompressorsStop: once a drain unlocks, the
+// device may hand the region to the next commit, so a failed pipeline does not
+// return — and the drain does not unlock — while a compressor still reads it.
+func TestFailedDrainKeepsItsLockUntilCompressorsStop(t *testing.T) {
+	const numBlocks = 16
+	codec := &stuckCodec{parked: make(chan struct{}, numBlocks), gate: make(chan struct{})}
+	dev, _, eng := testRig(t, codec)
+	codec.others = eng.cfg.Workers - 1
+	if err := dev.Put(nvm.Checkpoint{ID: 1, Data: ckptData(numBlocks * 4096)}); err != nil {
+		t.Fatal(err)
+	}
+	eng.Notify()
+	await(t, "the other compressors to park", func() bool { return len(codec.parked) >= codec.others })
+	if locked := settle(func() int { return int(dev.LockedBytes()) }); locked == 0 {
+		t.Error("the failed drain unlocked its checkpoint while compressors still read it")
+	}
+	close(codec.gate)
+	await(t, "the drain to unlock", func() bool { return dev.LockedBytes() == 0 })
+	if _, ok := eng.Tracker().Watermark(LevelStore); ok {
+		t.Error("a drain whose compression failed reached the store")
 	}
 }
 

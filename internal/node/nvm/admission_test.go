@@ -3,9 +3,12 @@ package nvm
 import (
 	"context"
 	"errors"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
+
+	"ndpcr/internal/metrics"
 )
 
 // waitAdmit is admission without the write: reserve, then hand the bytes
@@ -16,6 +19,20 @@ func waitAdmit(d *Device, ctx context.Context, size int64) error {
 		r.Release()
 	}
 	return err
+}
+
+// parked instruments d and returns a wait for n commits to have parked in
+// admission. A wait is counted after the waiter took its wake channel, so
+// space released after the wait returns wakes every one of them: no sleep.
+func parked(d *Device) func(n uint64) {
+	reg := metrics.NewRegistry()
+	d.Instrument(reg)
+	waits := reg.Counter("ndpcr_nvm_admission_waits_total", "")
+	return func(n uint64) {
+		for waits.Value() < n {
+			runtime.Gosched()
+		}
+	}
 }
 
 func TestWaitAdmitImmediateWhenSpaceFree(t *testing.T) {
@@ -74,12 +91,14 @@ func TestWaitAdmitBlocksThenAdmitsOnUnlock(t *testing.T) {
 	if err := d.Lock(1); err != nil {
 		t.Fatal(err)
 	}
+	await := parked(d)
 	done := make(chan error, 1)
 	go func() { done <- waitAdmit(d, context.Background(), 80) }()
+	await(1)
 	select {
 	case err := <-done:
 		t.Fatalf("admission did not block on a locked full device (err=%v)", err)
-	case <-time.After(10 * time.Millisecond):
+	default:
 	}
 	if err := d.Unlock(1); err != nil { // drain finished: resident evictable
 		t.Fatal(err)
@@ -102,9 +121,10 @@ func TestWaitAdmitWokenByDiscard(t *testing.T) {
 	if err := d.Lock(1); err != nil {
 		t.Fatal(err)
 	}
+	await := parked(d)
 	done := make(chan error, 1)
 	go func() { done <- waitAdmit(d, context.Background(), 50) }()
-	time.Sleep(5 * time.Millisecond)
+	await(1)
 	d.Discard(1) // rollback path: locked resident dropped outright
 	select {
 	case err := <-done:
@@ -127,6 +147,7 @@ func TestWaitAdmitConcurrentCommitters(t *testing.T) {
 	if err := d.Lock(1); err != nil {
 		t.Fatal(err)
 	}
+	await := parked(d)
 	var wg sync.WaitGroup
 	errs := make([]error, 16)
 	for i := range errs {
@@ -138,7 +159,7 @@ func TestWaitAdmitConcurrentCommitters(t *testing.T) {
 			errs[i] = waitAdmit(d, ctx, 40)
 		}(i)
 	}
-	time.Sleep(5 * time.Millisecond)
+	await(uint64(len(errs)))
 	if err := d.Unlock(1); err != nil {
 		t.Fatal(err)
 	}

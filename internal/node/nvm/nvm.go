@@ -87,6 +87,10 @@ type Device struct {
 	// (an unlock, a discard, a wipe), waking every waiter to re-check.
 	admit chan struct{}
 
+	// spare is the region retired last (retireLocked), for the next claim
+	// it fits: the §4.2.1 ring is rewritten, not allocated afresh.
+	spare []byte
+
 	// Occupancy gauges, moved under mu wherever the value they mirror moves,
 	// so the devices of every node on one registry add up to one sum (a
 	// sampled GaugeFunc would keep the first device's function). Private
@@ -102,11 +106,16 @@ type Device struct {
 	mAdmitWaits    *metrics.Counter
 	mBackpressure  *metrics.Counter
 	mAdmitWaitSecs *metrics.Histogram
+
+	mReuses, mAllocs *metrics.Counter // region claims; private until Instrument, never nil
 }
 
 type entry struct {
 	ckpt  Checkpoint
 	locks int
+	// lent says a reader outside a drain lock (Get, Latest) has seen the
+	// region and may keep it: it is never reused.
+	lent bool
 }
 
 // NewDevice creates a device with the given checkpoint-region capacity in
@@ -115,7 +124,8 @@ func NewDevice(capacity int64) (*Device, error) {
 	if capacity <= 0 {
 		return nil, fmt.Errorf("nvm: capacity must be positive, got %d", capacity)
 	}
-	d := &Device{capacity: capacity, ckpts: make(map[uint64]*entry)}
+	d := &Device{capacity: capacity, ckpts: make(map[uint64]*entry),
+		mReuses: new(metrics.Counter), mAllocs: new(metrics.Counter)}
 	d.setGauges(func(string, string) *metrics.Gauge { return new(metrics.Gauge) })
 	return d, nil
 }
@@ -166,6 +176,7 @@ func (d *Device) addUsedLocked(n int64) {
 func (d *Device) Retire() {
 	d.mu.Lock()
 	defer d.mu.Unlock()
+	d.spare = nil
 	d.shareLocked(-1)
 	d.setGauges(func(string, string) *metrics.Gauge { return new(metrics.Gauge) })
 }
@@ -185,6 +196,8 @@ func (d *Device) Instrument(r *metrics.Registry) {
 	d.mAdmitWaits = r.Counter("ndpcr_nvm_admission_waits_total", "commits that had to wait for drain-locked space")
 	d.mBackpressure = r.Counter("ndpcr_nvm_backpressure_total", "admission waits abandoned at the caller's deadline (ErrBackpressure)")
 	d.mAdmitWaitSecs = r.Histogram("ndpcr_nvm_admission_wait_seconds", "time commits spent blocked on admission", metrics.UnitSeconds)
+	d.mReuses = r.Counter("ndpcr_nvm_region_reuses_total", "claims served the region the device retired last")
+	d.mAllocs = r.Counter("ndpcr_nvm_region_allocs_total", "claims that allocated a fresh region")
 }
 
 // SetFaultHook installs (or, with nil, removes) a failure-injection hook
@@ -243,7 +256,10 @@ func (d *Device) signalAdmitLocked() {
 // space plus every unlocked (evictable) resident covers them, evicting the
 // oldest to make room (circular-buffer semantics). Claimed bytes count as
 // used and belong to no resident: nothing evicts them, none are overcommitted.
-func (d *Device) claimLocked(size int64) bool {
+// The region for them is the spare — a region evicted here is the spare —
+// when its capacity is at least size and at most twice it; otherwise region
+// is nil and the caller allocates, outside d.mu.
+func (d *Device) claimLocked(size int64) (region []byte, ok bool) {
 	free := d.capacity - d.used
 	for _, e := range d.ckpts {
 		if e.locks == 0 {
@@ -251,13 +267,41 @@ func (d *Device) claimLocked(size int64) bool {
 		}
 	}
 	if free < size {
-		return false
+		return nil, false
 	}
 	for d.used+size > d.capacity {
 		d.evictOldestUnlocked()
 	}
 	d.addUsedLocked(size)
-	return true
+	if c := int64(cap(d.spare)); c > 0 && size <= c && c <= 2*size {
+		region, d.spare = d.spare[:size], nil
+	}
+	return region, true
+}
+
+// region is the memory of a successful claim: the spare it took, or fresh.
+func (d *Device) region(spare []byte, size int64) []byte {
+	if spare != nil {
+		d.mReuses.Inc()
+		return spare
+	}
+	d.mAllocs.Inc()
+	return make([]byte, size)
+}
+
+// retireLocked makes region, which just left the device, the spare. Only a
+// region no reader can still hold may be retired: one never lent (Get,
+// Latest) and not under a drain lock as it left. Under the race detector it
+// is poisoned first, so a reader that kept it fails a byte comparison.
+// Caller holds d.mu.
+func (d *Device) retireLocked(region []byte) {
+	region = region[:cap(region)]
+	if raceEnabled {
+		for i := range region {
+			region[i] = 0xDB
+		}
+	}
+	d.spare = region
 }
 
 // Reservation is a claimed region no reader can see yet: the writer fills
@@ -273,6 +317,8 @@ type Reservation struct {
 // admission control: instead of failing ErrFull when drain locks pin the
 // space, the committer parks here and is woken as drains release their
 // locks or reservations are released. Publish cannot find the device full.
+// Data holds unspecified bytes: an older checkpoint of this device, never
+// another device's.
 func (d *Device) Reserve(ctx context.Context, size int64) (*Reservation, error) {
 	if size > d.capacity {
 		return nil, fmt.Errorf("%w: %d > %d", ErrTooLarge, size, d.capacity)
@@ -281,12 +327,12 @@ func (d *Device) Reserve(ctx context.Context, size int64) (*Reservation, error) 
 	waited := false
 	for {
 		d.mu.Lock()
-		if d.claimLocked(size) {
+		if spare, ok := d.claimLocked(size); ok {
 			d.mu.Unlock()
 			if waited && d.mAdmitWaitSecs != nil {
 				d.mAdmitWaitSecs.ObserveSince(start)
 			}
-			return &Reservation{Data: make([]byte, size), Start: start, d: d}, nil
+			return &Reservation{Data: d.region(spare, size), Start: start, d: d}, nil
 		}
 		if d.admit == nil {
 			d.admit = make(chan struct{})
@@ -313,14 +359,16 @@ func (d *Device) Reserve(ctx context.Context, size int64) (*Reservation, error) 
 	}
 }
 
-// Release returns an unpublished reservation's bytes, waking admission
-// waiters; a no-op after Publish, so writers defer it.
+// Release returns an unpublished reservation's bytes, and its region to the
+// spare slot, waking admission waiters; a no-op after Publish, so writers
+// defer it. The writer must not touch Data after Release.
 func (r *Reservation) Release() {
 	if r.Data == nil {
 		return
 	}
 	r.d.mu.Lock()
 	r.d.addUsedLocked(-int64(len(r.Data)))
+	r.d.retireLocked(r.Data)
 	r.d.signalAdmitLocked()
 	r.d.mu.Unlock()
 	r.Data = nil
@@ -373,7 +421,7 @@ func (d *Device) Put(ckpt Checkpoint) error {
 		return fmt.Errorf("%w: %d > %d", ErrTooLarge, size, d.capacity)
 	}
 	d.mu.Lock()
-	ok := d.claimLocked(size)
+	spare, ok := d.claimLocked(size)
 	d.mu.Unlock()
 	if !ok {
 		if d.mFull != nil {
@@ -381,9 +429,8 @@ func (d *Device) Put(ckpt Checkpoint) error {
 		}
 		return ErrFull
 	}
-	data := make([]byte, len(ckpt.Data))
-	copy(data, ckpt.Data)
-	r := &Reservation{Data: data, d: d}
+	r := &Reservation{Data: d.region(spare, size), d: d}
+	copy(r.Data, ckpt.Data)
 	defer r.Release()
 	return r.Publish(ckpt.ID, ckpt.Meta)
 }
@@ -407,7 +454,8 @@ func (d *Device) evictOldestUnlocked() bool {
 	return false
 }
 
-// removeLocked removes id from the maps. Caller holds d.mu.
+// removeLocked removes id from the maps, retiring its region if no reader
+// can hold it. Caller holds d.mu.
 func (d *Device) removeLocked(id uint64) {
 	e, ok := d.ckpts[id]
 	if !ok {
@@ -417,6 +465,8 @@ func (d *Device) removeLocked(id uint64) {
 	d.mResident.Dec()
 	if e.locks > 0 {
 		d.pinnedLocked(e, -1)
+	} else if !e.lent {
+		d.retireLocked(e.ckpt.Data)
 	}
 	delete(d.ckpts, id)
 	for i, oid := range d.order {
@@ -428,8 +478,17 @@ func (d *Device) removeLocked(id uint64) {
 }
 
 // Get returns the checkpoint with the given ID. The returned data aliases
-// device memory and must be treated as read-only.
-func (d *Device) Get(id uint64) (Checkpoint, error) {
+// device memory and must be treated as read-only; it is lent for keeps, so
+// the device never reuses the region.
+func (d *Device) Get(id uint64) (Checkpoint, error) { return d.get(id, true) }
+
+// GetLocked is Get for a reader that holds an eviction lock on id (the NDP
+// drain took one in LatestLocked) and reads the data only until it unlocks.
+// It lends nothing, so the region stays reusable once it leaves the device;
+// an unlocked checkpoint is an error.
+func (d *Device) GetLocked(id uint64) (Checkpoint, error) { return d.get(id, false) }
+
+func (d *Device) get(id uint64, lend bool) (Checkpoint, error) {
 	if err := d.checkFault("get", id); err != nil {
 		return Checkpoint{}, fmt.Errorf("nvm: get %d: %w", id, err)
 	}
@@ -439,6 +498,11 @@ func (d *Device) Get(id uint64) (Checkpoint, error) {
 		d.mu.Unlock()
 		return Checkpoint{}, fmt.Errorf("%w: id %d", ErrNotFound, id)
 	}
+	if !lend && e.locks == 0 {
+		d.mu.Unlock()
+		return Checkpoint{}, fmt.Errorf("nvm: checkpoint %d read without an eviction lock", id)
+	}
+	e.lent = e.lent || lend
 	ckpt := e.ckpt
 	d.mu.Unlock()
 	if d.mReadBytes != nil {
@@ -448,7 +512,7 @@ func (d *Device) Get(id uint64) (Checkpoint, error) {
 }
 
 // Latest returns the resident checkpoint with the highest ID, or false if
-// the device is empty.
+// the device is empty. Its data is lent like Get's.
 func (d *Device) Latest() (Checkpoint, bool) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -461,6 +525,7 @@ func (d *Device) Latest() (Checkpoint, bool) {
 	if best == nil {
 		return Checkpoint{}, false
 	}
+	best.lent = true
 	return best.ckpt, true
 }
 
@@ -469,7 +534,7 @@ func (d *Device) Latest() (Checkpoint, bool) {
 // The separate Latest-then-Lock sequence leaves a window where circular-
 // buffer eviction can reclaim the chosen checkpoint; the NDP engine uses
 // this to pin its drain candidate race-free. The caller must Unlock the
-// returned ID.
+// returned ID, and may read its data only until then (GetLocked's rule).
 func (d *Device) LatestLocked() (Checkpoint, bool) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -563,6 +628,7 @@ func (d *Device) Wipe() {
 	d.ckpts = make(map[uint64]*entry)
 	d.order = nil
 	d.used = 0
+	d.spare = nil
 	d.shareLocked(+1)
 	d.signalAdmitLocked()
 }

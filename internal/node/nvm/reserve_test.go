@@ -4,12 +4,9 @@ import (
 	"bytes"
 	"context"
 	"errors"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
-
-	"ndpcr/internal/metrics"
 )
 
 // TestReservationsNeverOvercommit churns concurrent reserve → fill →
@@ -143,19 +140,14 @@ func TestFailedPublishKeepsTheReservation(t *testing.T) {
 // back, and admission waiters hear of it like they do of an unlock.
 func TestReleaseWakesParkedAdmission(t *testing.T) {
 	d := mk(t, 100)
-	reg := metrics.NewRegistry()
-	d.Instrument(reg)
+	await := parked(d)
 	r, err := d.Reserve(context.Background(), 90)
 	if err != nil {
 		t.Fatal(err)
 	}
 	done := make(chan error, 1)
 	go func() { done <- waitAdmit(d, context.Background(), 50) }()
-	// The wait is counted after the waiter took its wake channel.
-	waits := reg.Counter("ndpcr_nvm_admission_waits_total", "")
-	for waits.Value() == 0 {
-		runtime.Gosched()
-	}
+	await(1)
 	select {
 	case err := <-done:
 		t.Fatalf("admitted 50 bytes beside a 90-byte reservation (err=%v)", err)

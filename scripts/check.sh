@@ -40,6 +40,10 @@ go test -race -count=3 -cpu 1 ./internal/iod/...
 # runs on one core hold them to it.
 go test -race -count=20 -cpu 1 ./internal/node/ndp/...
 
+# The NVM device's admission tests wait on parked committers the same way,
+# and its region-lifetime tests run with retired regions poisoned.
+go test -race -count=20 -cpu 1 ./internal/node/nvm/...
+
 # The codecs are called by 8 restore workers and the NDP's compress workers
 # at once, over the pooled deflate encoder (hash table, sequences, Huffman
 # scratch), the pooled lz4 table and the pooled inflate tables.
