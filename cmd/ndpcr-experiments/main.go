@@ -46,8 +46,10 @@ func usage() {
 experiments:
   fig1     progress rate vs M/delta (Daly closed form)
   table1   exascale system projection
-  table2   compression study (paper data; -live adds our codecs on our mini-apps)
-  table3   NDP compression configuration
+  table2   compression study (paper data; -live adds our codecs on our mini-apps
+           and checks Table 2's compress-speed order, exit 1 on a FAIL)
+  table3   NDP compression configuration (paper data; -live adds it from the
+           live study's factors and a compress core-scaling sweep)
   table4   evaluation parameters
   fig4     overhead breakdown vs locally:I/O ratio
   fig5     optimal locally:I/O ratios

@@ -3,7 +3,9 @@ package main
 import (
 	"fmt"
 	"os"
+	"runtime"
 
+	"ndpcr/internal/compress"
 	"ndpcr/internal/daly"
 	"ndpcr/internal/miniapps"
 	"ndpcr/internal/model"
@@ -101,12 +103,7 @@ func runTable2() error {
 		fmt.Println("\n(-live runs this repo's codecs on live mini-app checkpoints)")
 		return nil
 	}
-	cfg := study.Config{Size: miniapps.Medium, StepsPerApp: 12, Seed: *flagSeed}
-	if *flagQuick {
-		cfg.Size = miniapps.Small
-	}
-	fmt.Println("\nRunning live study (our codecs, our mini-app checkpoints)...")
-	res, err := study.Run(cfg)
+	res, err := liveStudy()
 	if err != nil {
 		return err
 	}
@@ -135,10 +132,49 @@ func runTable2() error {
 	}
 	live.AddRow(avgRow...)
 	live.Fprint(os.Stdout)
+
+	// Table 2's order of compress speed, as ratios of this run's own
+	// averages: the one thing about speed that should hold on any host.
+	fmt.Println("\nCompress-speed order (Table 2: lz4(1) > gzip(1) > gzip(6) >> bwz, lzr):")
+	failed := false
+	for _, o := range res.SpeedOrders() {
+		verdict := "PASS"
+		if !o.OK() {
+			verdict, failed = "FAIL", true
+		}
+		fmt.Printf("  %s  %s > %s  (%.1f vs %.1f MB/s, %.2fx)\n", verdict, o.Faster, o.Slower,
+			float64(o.FasterSpeed)/1e6, float64(o.SlowerSpeed)/1e6, float64(o.FasterSpeed)/float64(o.SlowerSpeed))
+	}
+	if failed {
+		return fmt.Errorf("compress-speed order not reproduced")
+	}
 	return nil
 }
 
-// runTable3 prints the NDP configuration (Table 3).
+// liveResults caches liveStudy's run: -live table2 and table3 (and so
+// all -live) share one study per process.
+var liveResults *study.Results
+
+// liveStudy runs the live compression study once: every mini-app at Medium
+// size (Small under -quick) for 12 steps, every codec of the study set.
+func liveStudy() (*study.Results, error) {
+	if liveResults != nil {
+		return liveResults, nil
+	}
+	cfg := study.Config{Size: miniapps.Medium, StepsPerApp: 12, Seed: *flagSeed}
+	if *flagQuick {
+		cfg.Size = miniapps.Small
+	}
+	fmt.Println("\nRunning live study (our codecs, our mini-app checkpoints)...")
+	res, err := study.Run(cfg)
+	liveResults = res
+	return res, err
+}
+
+// runTable3 prints the NDP configuration (Table 3) from the paper's factors
+// and speeds; with -live, then the same analysis from the live study's
+// measured ones and a sweep of compress throughput over worker counts
+// (Table 3's assumption that it scales with NDP cores).
 func runTable3() error {
 	perNode := units.Bandwidth(100 * units.MBps)
 	size := 112 * units.GB
@@ -171,6 +207,49 @@ func runTable3() error {
 		return err
 	}
 	fmt.Printf("\nChosen utility with a 4-core NDP budget: %s (paper SS5.3 picks gzip(1))\n", best.Utility)
+
+	if !*flagLive {
+		fmt.Println("\n(-live adds this table from measured factors and a compress core-scaling sweep)")
+		return nil
+	}
+	res, err := liveStudy()
+	if err != nil {
+		return err
+	}
+	configs, err = res.Table3(perNode, size)
+	if err != nil {
+		return err
+	}
+	measured := &report.Table{
+		Title:   "Table 3 (measured factors and speeds): required NDP compression speed, cores, min I/O checkpoint interval",
+		Headers: []string{"Utility", "Required speed", "NDP cores", "Ckpt interval"},
+	}
+	for _, c := range configs {
+		measured.AddRow(c.Utility, c.RequiredSpeed.String(), fmt.Sprintf("%d", c.Cores), c.MinIOInterval.String())
+	}
+	fmt.Println()
+	measured.Fprint(os.Stdout)
+
+	gz, err := compress.Lookup("gzip", 1)
+	if err != nil {
+		return err
+	}
+	// Medium even under -quick: a Small checkpoint is too few 1 MiB blocks
+	// to spread over workers, and the sweep takes about a second.
+	pts, err := study.MeasureScaling("HPCCG", miniapps.Medium, gz, []int{1, 2, 4, 8}, 3, *flagSeed)
+	if err != nil {
+		return err
+	}
+	scaling := &report.Table{
+		Title:   "Compression scaling, gzip(1) on HPCCG checkpoints (Table 3's core assumption)",
+		Headers: []string{"Workers", "Throughput", "Speedup"},
+	}
+	for _, p := range pts {
+		scaling.AddRow(fmt.Sprintf("%d", p.Workers), p.Speed.String(), fmt.Sprintf("%.2fx", p.Speedup))
+	}
+	fmt.Println()
+	scaling.Fprint(os.Stdout)
+	fmt.Printf("\n(GOMAXPROCS here: %d — scaling saturates at the physical core count.)\n", runtime.GOMAXPROCS(0))
 	return nil
 }
 

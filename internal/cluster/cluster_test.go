@@ -136,6 +136,10 @@ func TestRecoverFromIOAfterNodeLoss(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	sigs := make([]uint64, len(apps))
+	for i, a := range apps {
+		sigs[i] = a.app.Signature()
+	}
 	// Wait for every rank's drain ack: the store's Latest turns visible at
 	// the first landed block, but only the ack means every block landed
 	// (the windowed sender writes them out of order).
@@ -143,7 +147,10 @@ func TestRecoverFromIOAfterNodeLoss(t *testing.T) {
 	if latest, ok, err := store.Latest(context.Background(), "job", 1); err != nil || !ok || latest < id {
 		t.Fatalf("rank 1 drained but store.Latest = %d, %v", latest, ok)
 	}
-	// Rank 1 loses its node entirely.
+	// Everyone runs ahead, then rank 1 loses its node entirely.
+	for _, a := range apps {
+		a.app.Step()
+	}
 	if err := c.FailNode(1); err != nil {
 		t.Fatal(err)
 	}
@@ -159,6 +166,13 @@ func TestRecoverFromIOAfterNodeLoss(t *testing.T) {
 	}
 	if out.Levels[0] != node.LevelLocal {
 		t.Errorf("rank 0 restored from %v, want local", out.Levels[0])
+	}
+	// Every rank is back at the checkpointed state, the I/O-restored one
+	// included.
+	for i, a := range apps {
+		if a.app.Signature() != sigs[i] {
+			t.Errorf("rank %d state differs after recover", i)
+		}
 	}
 	// All ranks advance in lockstep afterwards.
 	for _, a := range apps {
@@ -187,7 +201,7 @@ func TestRestartLineDropsPartiallyAvailable(t *testing.T) {
 }
 
 func TestRestartLinePrefersNewestCommon(t *testing.T) {
-	c, apps, store := testCluster(t, 2, true)
+	c, apps, _ := testCluster(t, 2, true)
 	var lastID uint64
 	for s := 1; s <= 3; s++ {
 		for _, a := range apps {
@@ -199,19 +213,8 @@ func TestRestartLinePrefersNewestCommon(t *testing.T) {
 		}
 		lastID = id
 	}
-	// Ensure at least checkpoint 3 drained everywhere.
-	deadline := time.Now().Add(5 * time.Second)
-	for rank := 0; rank < 2; rank++ {
-		for {
-			if latest, ok, _ := store.Latest(context.Background(), "job", rank); ok && latest >= lastID {
-				break
-			}
-			if time.Now().After(deadline) {
-				t.Fatalf("rank %d never drained", rank)
-			}
-			time.Sleep(time.Millisecond)
-		}
-	}
+	// Checkpoint 3 drained everywhere.
+	waitStore(t, c, lastID, 5*time.Second)
 	line, err := c.RestartLine(context.Background())
 	if err != nil {
 		t.Fatal(err)

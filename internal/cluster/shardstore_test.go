@@ -3,6 +3,7 @@ package cluster
 import (
 	"context"
 	"fmt"
+	"net"
 	"testing"
 	"time"
 
@@ -27,16 +28,14 @@ func startIODBackend(t *testing.T) *iodBackend {
 	if err != nil {
 		t.Fatal(err)
 	}
-	go srv.ListenAndServe("127.0.0.1:0")
-	deadline := time.Now().Add(5 * time.Second)
-	for srv.Addr() == nil {
-		if time.Now().After(deadline) {
-			t.Fatal("iod server never started listening")
-		}
-		time.Sleep(time.Millisecond)
+	// Listen first, so the address is known before Serve runs.
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
 	}
-	t.Cleanup(srv.Close)
-	return &iodBackend{srv: srv, addr: srv.Addr().String()}
+	go srv.Serve(ln)
+	t.Cleanup(func() { srv.Close(); ln.Close() })
+	return &iodBackend{srv: srv, addr: ln.Addr().String()}
 }
 
 // shardCluster wires the full acceptance rig: `backends` live iod servers

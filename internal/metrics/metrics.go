@@ -59,7 +59,7 @@ func (g *Gauge) Dec() { g.v.Add(-1) }
 func (g *Gauge) Value() int64 { return g.v.Load() }
 
 // gaugeFunc samples a value at exposition time — occupancy-style metrics
-// (store objects, dedup physical bytes, healthy backends) that already live
+// (store objects, stored bytes, healthy backends) that already live
 // in the state of a component a registry has one of, and need no double
 // accounting. A value several components on one registry add up to (a node's
 // NVM occupancy) is a Gauge they each move: the first function registered

@@ -171,138 +171,125 @@ func TestConcurrentUse(t *testing.T) {
 
 // TestGetBlockNeverServesAGap: windowed block writes land out of order, so a
 // writer that dies mid-object leaves indexes nothing ever wrote. Reading one
-// — or an index past the end — is ErrNotFound in both stores, never an empty
-// block and never a generic fault; a block that was written empty is served.
+// — or an index past the end — is ErrNotFound, never an empty block and never
+// a generic fault; a block that was written empty is served.
 func TestGetBlockNeverServesAGap(t *testing.T) {
 	ctx := context.Background()
-	dedup := NewDedup(nvm.Pacer{})
-	for name, s := range map[string]Backend{"Store": New(nvm.Pacer{}), "DedupStore": dedup} {
-		key := Key{Job: "j", Rank: 0, ID: 1}
-		for _, w := range []struct {
-			index int
-			block []byte
-		}{{0, []byte("abc")}, {2, nil}, {4, []byte("ghi")}} {
-			if err := s.PutBlock(ctx, key, Object{}, w.index, w.block); err != nil {
-				t.Fatal(err)
-			}
-		}
-		for _, index := range []int{1, 3, 5, -1} {
-			if b, err := s.GetBlock(ctx, key, index); !errors.Is(err, ErrNotFound) {
-				t.Errorf("%s: GetBlock(%d) of a block never written = %q, %v; want ErrNotFound", name, index, b, err)
-			}
-		}
-		// StatBlocks counts the blocks held (0, 2, 4), not the length: a copy
-		// with gaps disagrees with a whole one.
-		if _, n, ok, err := s.StatBlocks(ctx, key); err != nil || !ok || n != 3 {
-			t.Errorf("%s: StatBlocks of 3 blocks held over 5 indexes = %d, %v, %v; want 3", name, n, ok, err)
-		}
-		if b, err := s.GetBlock(ctx, key, 2); err != nil || len(b) != 0 {
-			t.Errorf("%s: GetBlock of a block written empty = %q, %v", name, b, err)
-		}
-		if b, err := s.GetBlock(ctx, key, 4); err != nil || !bytes.Equal(b, []byte("ghi")) {
-			t.Errorf("%s: GetBlock(4) = %q, %v", name, b, err)
-		}
-		// A whole-object Put writes every block it lists, empty ones included.
-		whole := Key{Job: "j", Rank: 0, ID: 2}
-		if err := s.Put(ctx, Object{Key: whole, Blocks: [][]byte{nil}}); err != nil {
+	s := New(nvm.Pacer{})
+	key := Key{Job: "j", Rank: 0, ID: 1}
+	for _, w := range []struct {
+		index int
+		block []byte
+	}{{0, []byte("abc")}, {2, nil}, {4, []byte("ghi")}} {
+		if err := s.PutBlock(ctx, key, Object{}, w.index, w.block); err != nil {
 			t.Fatal(err)
-		}
-		if b, err := s.GetBlock(ctx, whole, 0); err != nil || len(b) != 0 {
-			t.Errorf("%s: GetBlock of a Put empty block = %q, %v", name, b, err)
-		}
-		// ... and replaces what was there: a shorter re-Put under the same key
-		// keeps neither the old metadata nor the old tail.
-		if err := s.Put(ctx, Object{Key: whole, OrigSize: 3, Blocks: [][]byte{{'a'}, {'b'}, {'c'}}}); err != nil {
-			t.Fatal(err)
-		}
-		if err := s.Put(ctx, Object{Key: whole, OrigSize: 1, Blocks: [][]byte{{'z'}}}); err != nil {
-			t.Fatal(err)
-		}
-		if o, n, ok, err := s.StatBlocks(ctx, whole); err != nil || !ok || n != 1 || o.OrigSize != 1 {
-			t.Errorf("%s: StatBlocks after a 1-block re-Put over 3 blocks = %d blocks, OrigSize %d, %v, %v; want 1, 1",
-				name, n, o.OrigSize, ok, err)
-		}
-		if b, err := s.GetBlock(ctx, whole, 1); !errors.Is(err, ErrNotFound) {
-			t.Errorf("%s: GetBlock(1) after the re-Put = %q, %v; want ErrNotFound", name, b, err)
 		}
 	}
-	// The replaced blocks' references were released: "abc", "", "ghi" and "z".
-	if st := dedup.Stats(); st.LogicalBytes != 7 || st.PhysicalBytes != 7 || st.UniqueBlocks != 4 {
-		t.Errorf("dedup accounting after the re-Put = %+v; want 7 logical, 7 physical, 4 blocks", st)
+	for _, index := range []int{1, 3, 5, -1} {
+		if b, err := s.GetBlock(ctx, key, index); !errors.Is(err, ErrNotFound) {
+			t.Errorf("GetBlock(%d) of a block never written = %q, %v; want ErrNotFound", index, b, err)
+		}
+	}
+	// StatBlocks counts the blocks held (0, 2, 4), not the length: a copy
+	// with gaps disagrees with a whole one.
+	if _, n, ok, err := s.StatBlocks(ctx, key); err != nil || !ok || n != 3 {
+		t.Errorf("StatBlocks of 3 blocks held over 5 indexes = %d, %v, %v; want 3", n, ok, err)
+	}
+	if b, err := s.GetBlock(ctx, key, 2); err != nil || len(b) != 0 {
+		t.Errorf("GetBlock of a block written empty = %q, %v", b, err)
+	}
+	if b, err := s.GetBlock(ctx, key, 4); err != nil || !bytes.Equal(b, []byte("ghi")) {
+		t.Errorf("GetBlock(4) = %q, %v", b, err)
+	}
+	// A whole-object Put writes every block it lists, empty ones included.
+	whole := Key{Job: "j", Rank: 0, ID: 2}
+	if err := s.Put(ctx, Object{Key: whole, Blocks: [][]byte{nil}}); err != nil {
+		t.Fatal(err)
+	}
+	if b, err := s.GetBlock(ctx, whole, 0); err != nil || len(b) != 0 {
+		t.Errorf("GetBlock of a Put empty block = %q, %v", b, err)
+	}
+	// ... and replaces what was there: a shorter re-Put under the same key
+	// keeps neither the old metadata nor the old tail.
+	if err := s.Put(ctx, Object{Key: whole, OrigSize: 3, Blocks: [][]byte{{'a'}, {'b'}, {'c'}}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Put(ctx, Object{Key: whole, OrigSize: 1, Blocks: [][]byte{{'z'}}}); err != nil {
+		t.Fatal(err)
+	}
+	if o, n, ok, err := s.StatBlocks(ctx, whole); err != nil || !ok || n != 1 || o.OrigSize != 1 {
+		t.Errorf("StatBlocks after a 1-block re-Put over 3 blocks = %d blocks, OrigSize %d, %v, %v; want 1, 1",
+			n, o.OrigSize, ok, err)
+	}
+	if b, err := s.GetBlock(ctx, whole, 1); !errors.Is(err, ErrNotFound) {
+		t.Errorf("GetBlock(1) after the re-Put = %q, %v; want ErrNotFound", b, err)
 	}
 }
 
 // TestPutBlockRejectsIndexOutOfRange: a block index arrives off the wire. One
-// below zero or at or past MaxBlocks is an error in both stores — not an
-// index-out-of-range panic, not a billion appended slots — and the object is
-// left as it was.
+// below zero or at or past MaxBlocks is an error — not an index-out-of-range
+// panic, not a billion appended slots — and the object is left as it was.
 func TestPutBlockRejectsIndexOutOfRange(t *testing.T) {
 	ctx := context.Background()
-	dedup := NewDedup(nvm.Pacer{})
-	for name, s := range map[string]Backend{"Store": New(nvm.Pacer{}), "DedupStore": dedup} {
-		key := Key{Job: "j", Rank: 0, ID: 1}
-		if err := s.PutBlock(ctx, key, Object{OrigSize: 3}, 0, []byte("abc")); err != nil {
-			t.Fatal(err)
+	s := New(nvm.Pacer{})
+	key := Key{Job: "j", Rank: 0, ID: 1}
+	if err := s.PutBlock(ctx, key, Object{OrigSize: 3}, 0, []byte("abc")); err != nil {
+		t.Fatal(err)
+	}
+	for _, index := range []int{-1, MaxBlocks, math.MaxInt32} {
+		if err := s.PutBlock(ctx, key, Object{OrigSize: 3}, index, []byte("xyz")); err == nil {
+			t.Errorf("PutBlock at index %d accepted", index)
 		}
-		for _, index := range []int{-1, MaxBlocks, math.MaxInt32} {
-			if err := s.PutBlock(ctx, key, Object{OrigSize: 3}, index, []byte("xyz")); err == nil {
-				t.Errorf("%s: PutBlock at index %d accepted", name, index)
-			}
-			if err := s.PutBlock(ctx, Key{Job: "j", Rank: 0, ID: 2}, Object{}, index, nil); err == nil {
-				t.Errorf("%s: PutBlock at index %d of a new object accepted", name, index)
-			}
+		if err := s.PutBlock(ctx, Key{Job: "j", Rank: 0, ID: 2}, Object{}, index, nil); err == nil {
+			t.Errorf("PutBlock at index %d of a new object accepted", index)
 		}
-		if o, n, ok, err := s.StatBlocks(ctx, key); err != nil || !ok || n != 1 || o.OrigSize != 3 {
-			t.Errorf("%s: StatBlocks after the refused writes = %d blocks, OrigSize %d, %v, %v; want 1, 3", name, n, o.OrigSize, ok, err)
-		}
-		if b, err := s.GetBlock(ctx, key, 0); err != nil || !bytes.Equal(b, []byte("abc")) {
-			t.Errorf("%s: GetBlock(0) after the refused writes = %q, %v", name, b, err)
-		}
-		if keys, err := s.Keys(ctx); err != nil || len(keys) != 1 {
-			t.Errorf("%s: Keys after the refused writes = %v, %v; want the one object", name, keys, err)
-		}
+	}
+	if o, n, ok, err := s.StatBlocks(ctx, key); err != nil || !ok || n != 1 || o.OrigSize != 3 {
+		t.Errorf("StatBlocks after the refused writes = %d blocks, OrigSize %d, %v, %v; want 1, 3", n, o.OrigSize, ok, err)
+	}
+	if b, err := s.GetBlock(ctx, key, 0); err != nil || !bytes.Equal(b, []byte("abc")) {
+		t.Errorf("GetBlock(0) after the refused writes = %q, %v", b, err)
+	}
+	if keys, err := s.Keys(ctx); err != nil || len(keys) != 1 {
+		t.Errorf("Keys after the refused writes = %v, %v; want the one object", keys, err)
 	}
 	// The bound is exact (checked on the shared validation: a store would
 	// grow a million slots to take the write).
 	if err := checkWrite(ctx, Key{Job: "j"}, MaxBlocks-1, MaxBlocks-1); err != nil {
 		t.Errorf("the last legal index is refused: %v", err)
 	}
-	if st := dedup.Stats(); st.LogicalBytes != 3 || st.PhysicalBytes != 3 {
-		t.Errorf("dedup accounting after the refused writes = %+v; want 3 logical, 3 physical", st)
-	}
 }
 
 // TestFetchedBlockIsTheCallers: GetBlock's result belongs to whoever called
 // it, as the buffer a device read filled would. Scribbling on it, and then
 // releasing it to the pool the way a restore does, changes nothing the store
-// serves afterwards — by GetBlock, by Get, or under another key that shares
-// the content (DedupStore). The block is a pool class in size, the case where
-// a store lending its own memory would see it recycled under it.
+// serves afterwards — by GetBlock, by Get, or under another key written with
+// the same content. The block is a pool class in size, the case where a store
+// lending its own memory would see it recycled under it.
 func TestFetchedBlockIsTheCallers(t *testing.T) {
 	ctx := context.Background()
 	want := bytes.Repeat([]byte("ndp!"), 256) // 1 KiB
-	for name, s := range map[string]Backend{"Store": New(nvm.Pacer{}), "DedupStore": NewDedup(nvm.Pacer{})} {
-		k1, k2 := Key{Job: "j", Rank: 0, ID: 1}, Key{Job: "j", Rank: 1, ID: 1}
-		for _, k := range []Key{k1, k2} {
-			if err := s.Put(ctx, Object{Key: k, OrigSize: 2048, Blocks: [][]byte{want, want}}); err != nil {
-				t.Fatal(err)
-			}
+	s := New(nvm.Pacer{})
+	k1, k2 := Key{Job: "j", Rank: 0, ID: 1}, Key{Job: "j", Rank: 1, ID: 1}
+	for _, k := range []Key{k1, k2} {
+		if err := s.Put(ctx, Object{Key: k, OrigSize: 2048, Blocks: [][]byte{want, want}}); err != nil {
+			t.Fatal(err)
 		}
-		for round := 0; round < 3; round++ {
-			b, err := s.GetBlock(ctx, k1, 0)
-			if err != nil || !bytes.Equal(b, want) {
-				t.Fatalf("%s round %d: GetBlock = %d bytes, %v; a caller's scribble reached the store", name, round, len(b), err)
-			}
-			for i := range b {
-				b[i] = 0xEE
-			}
-			blockpool.Put(b)
+	}
+	for round := 0; round < 3; round++ {
+		b, err := s.GetBlock(ctx, k1, 0)
+		if err != nil || !bytes.Equal(b, want) {
+			t.Fatalf("round %d: GetBlock = %d bytes, %v; a caller's scribble reached the store", round, len(b), err)
 		}
-		for _, k := range []Key{k1, k2} {
-			o, err := s.Get(ctx, k)
-			if err != nil || len(o.Blocks) != 2 || !bytes.Equal(o.Blocks[0], want) || !bytes.Equal(o.Blocks[1], want) {
-				t.Errorf("%s: Get(%s) after scribbling on a fetched block: %v, blocks changed", name, k, err)
-			}
+		for i := range b {
+			b[i] = 0xEE
+		}
+		blockpool.Put(b)
+	}
+	for _, k := range []Key{k1, k2} {
+		o, err := s.Get(ctx, k)
+		if err != nil || len(o.Blocks) != 2 || !bytes.Equal(o.Blocks[0], want) || !bytes.Equal(o.Blocks[1], want) {
+			t.Errorf("Get(%s) after scribbling on a fetched block: %v, blocks changed", k, err)
 		}
 	}
 }

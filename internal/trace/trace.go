@@ -1,7 +1,7 @@
 // Package trace generates and replays deterministic failure schedules.
-// The model assumes interrupts are exponentially distributed (§6.1.1);
-// examples and cluster tests draw their injected failures from the same
-// process so behaviour matches the analytical assumptions.
+// The model assumes interrupts are exponentially distributed (§6.1.1); the
+// sched manager and its tests replay failures drawn from the same process
+// against a live cluster, so behaviour matches the analytical assumptions.
 package trace
 
 import (

@@ -102,6 +102,19 @@ echo "check.sh: elastic experiment green"
 go run ./cmd/ndpcr-experiments -quick asyncchaos > /dev/null
 echo "check.sh: asyncchaos experiment green"
 
+# Chaos experiment: a 4-rank cluster with partner and erasure levels under a
+# fault-injection schedule — an aborted checkpoint rolls back, two nodes are
+# lost, recovery falls back across restart lines, and the healed cluster must
+# commit one more checkpoint; a failed recovery or checkpoint exits 1.
+go run ./cmd/ndpcr-experiments -quick chaos > /dev/null
+echo "check.sh: chaos experiment green"
+
+# Live compression study (Small mini-apps): ends with a PASS/FAIL line per
+# adjacent pair of Table 2's compress-speed order, lz4(1) > gzip(1) >
+# gzip(6) >> bwz, lzr, as ratios of the run's own averages; a FAIL exits 1.
+go run ./cmd/ndpcr-experiments -quick -live table2 > /dev/null
+echo "check.sh: live table2 speed order green"
+
 if [[ "$(git status --porcelain)" != "$worktree_before" ]]; then
     echo "check.sh: the gate changed the worktree:" >&2
     diff <(echo "$worktree_before") <(git status --porcelain) >&2 || true
