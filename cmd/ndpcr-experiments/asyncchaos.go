@@ -62,8 +62,6 @@ func runAsyncChaos() error {
 		AsyncAck:          true,
 		AsyncDrainTimeout: 30 * time.Second,
 		DrainSlots:        2,
-		MaxDrainAttempts:  3,
-		DrainRetryBackoff: 50 * time.Millisecond,
 		Metrics:           reg,
 	})
 	if err != nil {

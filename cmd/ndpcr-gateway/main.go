@@ -51,8 +51,6 @@ func main() {
 		asyncAck  = flag.Bool("async-ack", false, "acknowledge saves at NVM durability (202) and drain to the store in the background")
 		asyncTO   = flag.Duration("async-drain-timeout", 0, "background store-drain bound for async-acked saves (0 = 4x -drain-timeout)")
 		drSlots   = flag.Int("drain-slots", 0, "concurrent NDP drain slots shared across sessions, QoS-weighted by tenant drain_weight (0 = ungated)")
-		drTries   = flag.Int("drain-attempts", 0, "automatic drain retries per checkpoint before permanent failure (0 = no retry)")
-		drBackoff = flag.Duration("drain-retry-backoff", 50*time.Millisecond, "base linear backoff between automatic drain retries")
 		shutTO    = flag.Duration("shutdown-timeout", 20*time.Second, "how long shutdown waits for in-flight requests to drain")
 		sessNVM   = flag.Int64("session-nvm", 0, "per-session NVM region bytes (0 = default)")
 		retain    = flag.Int("retain-local", 0, "drained checkpoints kept in each session's local NVM cache (0 = default 4, <0 = all)")
@@ -118,8 +116,6 @@ func main() {
 		AsyncAck:          *asyncAck,
 		AsyncDrainTimeout: *asyncTO,
 		DrainSlots:        *drSlots,
-		MaxDrainAttempts:  *drTries,
-		DrainRetryBackoff: *drBackoff,
 		SessionNVM:        *sessNVM,
 		RetainLocal:       *retain,
 		Injector:          injector,

@@ -41,7 +41,6 @@ func main() {
 		iodAddrs = flag.String("iod-addrs", "", "comma-separated ndpcr-iod addresses: drain through the sharded, replicated store tier")
 		replicas = flag.Int("replicas", 2, "replica count R per checkpoint object across -iod-addrs backends")
 		iodLanes = flag.Int("iod-lanes", 2, "TCP connections to each remote I/O node (each carries up to 16 exchanges at once)")
-		drTries  = flag.Int("drain-attempts", 0, "automatic drain retries per checkpoint before permanent failure (0 = no retry)")
 		dumpMet  = flag.Bool("metrics", false, "print per-checkpoint phase timelines and pipeline metrics after the run")
 		rrRanks  = flag.Int("restart-ranks", 0, "commit elastic (framed) checkpoints and, at -fail-at, restart through the restore planner onto this many in-process targets instead of the same-shape path (0 = classic restore)")
 		joinAddr = flag.String("join", "", "shard tier: add this ndpcr-iod backend to the member set at -member-at (requires -iod-addrs)")
@@ -96,8 +95,7 @@ func main() {
 	iostore.Instrument(store, reg)
 	n, err := node.New(node.Config{
 		Job: "demo", Rank: 0, Store: store, Codec: codec, Metrics: reg,
-		MaxDrainAttempts: *drTries,
-		OnError:          func(err error) { fmt.Fprintf(os.Stderr, "ndp async error: %v\n", err) },
+		OnError: func(err error) { fmt.Fprintf(os.Stderr, "ndp async error: %v\n", err) },
 	})
 	if err != nil {
 		fatal(err)

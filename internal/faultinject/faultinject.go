@@ -39,9 +39,8 @@ var ErrInjected = errors.New("faultinject: injected fault")
 const (
 	SiteNVMPut        = "nvm.put"         // node-local NVM checkpoint write
 	SiteNVMGet        = "nvm.get"         // node-local NVM checkpoint read
-	SiteStorePut      = "store.put"       // whole-object global-store write
-	SiteStorePutBlock = "store.putblock"  // streamed drain block write
-	SiteStoreGet      = "store.get"       // global-store object fetch
+	SiteStorePutBlock = "store.putblock"  // global-store block write
+	SiteStoreGet      = "store.get"       // global-store block fetch
 	SiteIODConn       = "iod.conn"        // I/O-node connection (drop or corrupt mid-exchange)
 	SiteGatewayFront  = "gateway.handler" // gateway request handling (the service front door)
 	SiteShardMove     = "shard.move"      // shardstore rebalance mover (one object copy during drain/backfill)
@@ -323,7 +322,7 @@ func parseRule(s string) (Rule, error) {
 	fields := strings.Split(s, ",")
 	r := Rule{Site: strings.TrimSpace(fields[0]), Rank: AnyRank}
 	switch r.Site {
-	case SiteNVMPut, SiteNVMGet, SiteStorePut, SiteStorePutBlock, SiteStoreGet, SiteIODConn, SiteGatewayFront, SiteShardMove:
+	case SiteNVMPut, SiteNVMGet, SiteStorePutBlock, SiteStoreGet, SiteIODConn, SiteGatewayFront, SiteShardMove:
 	default:
 		return Rule{}, fmt.Errorf("faultinject: unknown site %q", r.Site)
 	}

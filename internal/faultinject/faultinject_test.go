@@ -200,7 +200,8 @@ func testObject(blocks int) iostore.Object {
 }
 
 func TestStoreWrapperErr(t *testing.T) {
-	in := New(1, Rule{Site: SiteStorePut, Rank: AnyRank, Count: 1})
+	// A whole-object Put is its block writes: the first one meets the rule.
+	in := New(1, Rule{Site: SiteStorePutBlock, Rank: AnyRank, Count: 1})
 	s := WrapStore(iostore.New(nvm.Pacer{}), in)
 	if err := s.Put(context.Background(), testObject(4)); !errors.Is(err, ErrInjected) {
 		t.Fatalf("put error = %v", err)
@@ -214,26 +215,22 @@ func TestStoreWrapperErr(t *testing.T) {
 }
 
 func TestStoreWrapperTornPut(t *testing.T) {
-	in := New(1, Rule{Site: SiteStorePut, Rank: AnyRank, Mode: ModeTorn, Count: 1})
+	// The third block write of a whole-object Put tears.
+	in := New(1, Rule{Site: SiteStorePutBlock, Rank: AnyRank, Mode: ModeTorn, After: 2, Count: 1})
 	inner := iostore.New(nvm.Pacer{})
 	s := WrapStore(inner, in)
 	if err := s.Put(context.Background(), testObject(4)); !errors.Is(err, ErrInjected) {
 		t.Fatalf("torn put error = %v", err)
 	}
 	// The torn object is visible in the store with only a prefix of its
-	// blocks — exactly the damage an abort path must clean up.
+	// blocks, the last one cut short — exactly the damage an abort path must
+	// clean up.
 	obj, err := inner.Get(context.Background(), iostore.Key{Job: "j", Rank: 0, ID: 1})
 	if err != nil {
 		t.Fatalf("torn put left nothing behind: %v", err)
 	}
-	whole := 0
-	for _, b := range obj.Blocks {
-		if len(b) > 0 {
-			whole++
-		}
-	}
-	if whole == 0 || whole >= 4 {
-		t.Errorf("torn object has %d of 4 blocks, want a strict prefix", whole)
+	if len(obj.Blocks) != 3 || len(obj.Blocks[1]) != 4 || len(obj.Blocks[2]) != 2 {
+		t.Errorf("torn object = %q; want 3 of 4 blocks, the last cut to 2 bytes", obj.Blocks)
 	}
 }
 
@@ -290,7 +287,7 @@ func TestStoreWrapperStall(t *testing.T) {
 func TestStoreWrapperPassThrough(t *testing.T) {
 	// Metadata ops never inject, even with greedy any-site rules.
 	in := New(1,
-		Rule{Site: SiteStorePut, Rank: AnyRank},
+		Rule{Site: SiteStorePutBlock, Rank: AnyRank},
 		Rule{Site: SiteStoreGet, Rank: AnyRank, After: 1},
 	)
 	inner := iostore.New(nvm.Pacer{})

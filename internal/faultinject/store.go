@@ -15,21 +15,23 @@ import (
 // shardstore itself) lets a chaos run stall or fail exactly one replica
 // while the others stay healthy.
 //
-// Site behavior:
+// Site behavior, per block:
 //
-//   - store.put / store.putblock: ModeErr fails the write outright;
-//     ModeTorn writes a truncated prefix and then fails (a torn object the
-//     abort path must clean up); ModeCorrupt flips a payload byte and
-//     reports success (silent damage caught only by validation); ModeStall
-//     sleeps Delay first (an NDP drain stall), then writes normally.
-//   - store.get / store.getblock: ModeErr fails the read; ModeTorn drops
-//     the object's last block (or truncates the block); ModeCorrupt flips a
-//     byte of what is returned — a fetched block in place, since GetBlock's
-//     caller owns it, a copy of one of Get's — ModeStall delays the read.
+//   - store.putblock: ModeErr fails the write outright; ModeTorn writes a
+//     truncated prefix of the block and then fails (a torn object the abort
+//     path must clean up); ModeCorrupt flips a payload byte and reports
+//     success (silent damage caught only by validation); ModeStall sleeps
+//     Delay first (an NDP drain stall), then writes normally.
+//   - store.get: ModeErr fails the read; ModeTorn truncates the block;
+//     ModeCorrupt flips a byte of the fetched block in place (GetBlock's
+//     caller owns it); ModeStall delays the read.
 //
-// Metadata operations (Stat, IDs, Latest, StatBlocks, Delete) pass through
-// untouched: sabotaging the rollback path itself would make every chaos
-// test vacuously "pass" by leaking.
+// Put, Get, Stat and Latest are iostore's functions over the wrapper, so a
+// whole-object write meets the store.putblock rules block by block and a
+// whole-object read the store.get rules, as drains and restores do. The
+// metadata operations (StatBlocks, IDs, Keys, Delete) pass through untouched:
+// sabotaging the rollback path itself would make every chaos test vacuously
+// "pass" by leaking.
 type Store struct {
 	inner iostore.Backend
 	in    *Injector
@@ -49,31 +51,8 @@ func (s *Store) Instrument(r *metrics.Registry) {
 	iostore.Instrument(s.inner, r)
 }
 
-// Put implements iostore.Backend.
-func (s *Store) Put(ctx context.Context, o iostore.Object) error {
-	d, ok := s.in.Decide(SiteStorePut, o.Key.Rank)
-	if !ok {
-		return s.inner.Put(ctx, o)
-	}
-	switch d.Mode {
-	case ModeStall:
-		s.in.StallCtx(ctx, d)
-		return s.inner.Put(ctx, o)
-	case ModeCorrupt:
-		return s.inner.Put(ctx, corruptObject(o))
-	case ModeTorn:
-		// Land a truncated prefix of the object, then fail: the store is
-		// left holding a torn write the caller must clean up.
-		for i := 0; i < len(o.Blocks)/2; i++ {
-			if err := s.inner.PutBlock(ctx, o.Key, o, i, o.Blocks[i]); err != nil {
-				return err
-			}
-		}
-		return d.Err
-	default:
-		return d.Err
-	}
-}
+// Put implements iostore.Backend with iostore.Put.
+func (s *Store) Put(ctx context.Context, o iostore.Object) error { return iostore.Put(ctx, s, o) }
 
 // PutBlock implements iostore.Backend.
 func (s *Store) PutBlock(ctx context.Context, key iostore.Key, meta iostore.Object, index int, block []byte) error {
@@ -99,38 +78,12 @@ func (s *Store) PutBlock(ctx context.Context, key iostore.Key, meta iostore.Obje
 	}
 }
 
-// Get implements iostore.Backend.
+// Get implements iostore.Backend with iostore.Get.
 func (s *Store) Get(ctx context.Context, key iostore.Key) (iostore.Object, error) {
-	d, ok := s.in.Decide(SiteStoreGet, key.Rank)
-	if !ok {
-		return s.inner.Get(ctx, key)
-	}
-	switch d.Mode {
-	case ModeStall:
-		s.in.StallCtx(ctx, d)
-		return s.inner.Get(ctx, key)
-	case ModeCorrupt:
-		o, err := s.inner.Get(ctx, key)
-		if err != nil {
-			return o, err
-		}
-		return corruptObject(o), nil
-	case ModeTorn:
-		o, err := s.inner.Get(ctx, key)
-		if err != nil {
-			return o, err
-		}
-		if len(o.Blocks) > 0 {
-			o.Blocks = o.Blocks[:len(o.Blocks)-1]
-		}
-		return o, nil
-	default:
-		return iostore.Object{}, d.Err
-	}
+	return iostore.Get(ctx, s, key)
 }
 
-// GetBlock implements iostore.Backend, sharing SiteStoreGet's rules so the
-// streamed restore path sees the same read faults as the monolithic one.
+// GetBlock implements iostore.Backend under the store.get rules.
 func (s *Store) GetBlock(ctx context.Context, key iostore.Key, index int) ([]byte, error) {
 	d, ok := s.in.Decide(SiteStoreGet, key.Rank)
 	if !ok {
@@ -171,9 +124,9 @@ func (s *Store) Delete(ctx context.Context, key iostore.Key) error {
 	return s.inner.Delete(ctx, key)
 }
 
-// Stat implements iostore.Backend (pass-through).
+// Stat implements iostore.Backend with iostore.Stat.
 func (s *Store) Stat(ctx context.Context, key iostore.Key) (iostore.Object, bool, error) {
-	return s.inner.Stat(ctx, key)
+	return iostore.Stat(ctx, s, key)
 }
 
 // IDs implements iostore.Backend (pass-through).
@@ -181,29 +134,15 @@ func (s *Store) IDs(ctx context.Context, job string, rank int) ([]uint64, error)
 	return s.inner.IDs(ctx, job, rank)
 }
 
-// Latest implements iostore.Backend (pass-through).
+// Latest implements iostore.Backend with iostore.Latest.
 func (s *Store) Latest(ctx context.Context, job string, rank int) (uint64, bool, error) {
-	return s.inner.Latest(ctx, job, rank)
+	return iostore.Latest(ctx, s, job, rank)
 }
 
 // Keys implements iostore.Backend (pass-through; the mover's faults are
 // injected via Injector.ShardMoveHook, not the enumeration).
 func (s *Store) Keys(ctx context.Context) ([]iostore.Key, error) {
 	return s.inner.Keys(ctx)
-}
-
-// corruptObject returns o with one payload byte flipped in a copied block;
-// the caller's and store's memory stay intact.
-func corruptObject(o iostore.Object) iostore.Object {
-	for i, b := range o.Blocks {
-		if len(b) > 0 {
-			blocks := append([][]byte(nil), o.Blocks...)
-			blocks[i] = flipByte(b)
-			o.Blocks = blocks
-			return o
-		}
-	}
-	return o
 }
 
 // flipByte returns a copy of b with its middle byte inverted.

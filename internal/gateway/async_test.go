@@ -136,26 +136,27 @@ func TestAsyncSaveBackpressure429(t *testing.T) {
 // gateway shutdown must fail with the shutting_down code, not masquerade as
 // a drain_timeout — and a checkpoint whose drain completed in the same
 // instant must not be rolled back (covered at the ndp layer; here the code
-// path). The shutdown uses an already-expired context so session teardown
-// begins while the save is still parked in its durability wait.
+// path). The held store keeps the save's drain from landing, and the
+// shutdown uses an already-expired context, so session teardown begins
+// while the save is still waiting for its durability.
 func TestSyncSaveShutdownReportsShuttingDown(t *testing.T) {
-	in := faultinject.New(13,
-		faultinject.Rule{Site: faultinject.SiteStorePut, Mode: faultinject.ModeStall, Delay: 1500 * time.Millisecond},
-		faultinject.Rule{Site: faultinject.SiteStorePutBlock, Mode: faultinject.ModeStall, Delay: 1500 * time.Millisecond},
-	)
-	srv, ts := newTestServer(t, func(c *Config) {
-		c.Store = faultinject.WrapStore(iostore.New(nvm.Pacer{}), in)
-		c.Codec = nil
+	srv, c, gs, _ := newGatedServer(t, func(c *Config) {
 		c.DrainTimeout = 30 * time.Second // the save would happily wait
 	})
-	c := NewClient(ts.URL, "tok-acme")
-
+	gs.block()
 	saveErr := make(chan error, 1)
 	go func() {
 		_, err := c.Save(context.Background(), "acme", "run1", 0, 1, bytes.Repeat([]byte("s"), 8<<10))
 		saveErr <- err
 	}()
-	time.Sleep(100 * time.Millisecond) // let the save park in its drain wait
+	// A drain-locked checkpoint is a committed one: the save has been
+	// acknowledged by NVM and waits on the held store from here on.
+	waitFor(t, "the drain to lock the checkpoint", func() bool {
+		srv.mu.Lock()
+		n := srv.sessions[sessKey{job: JobKey("acme", "run1"), rank: 0}]
+		srv.mu.Unlock()
+		return n != nil && n.Device().LockedBytes() > 0
+	})
 
 	sctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
@@ -183,7 +184,6 @@ func TestSyncSaveShutdownReportsShuttingDown(t *testing.T) {
 // shutdown).
 func TestAsyncShutdownWaitsForPendingDrains(t *testing.T) {
 	in := faultinject.New(17,
-		faultinject.Rule{Site: faultinject.SiteStorePut, Mode: faultinject.ModeStall, Delay: 150 * time.Millisecond},
 		faultinject.Rule{Site: faultinject.SiteStorePutBlock, Mode: faultinject.ModeStall, Delay: 150 * time.Millisecond},
 	)
 	inner := iostore.New(nvm.Pacer{})

@@ -69,11 +69,6 @@ type Config struct {
 	// sessions; tenants share the pool in proportion to their DrainWeight
 	// (stride-scheduled, starvation-free). Zero leaves drains ungated.
 	DrainSlots int
-	// MaxDrainAttempts / DrainRetryBackoff forward to every session node:
-	// automatic NDP drain retries with linear backoff before a checkpoint
-	// is permanently failed (zero keeps the legacy no-retry behavior).
-	MaxDrainAttempts  int
-	DrainRetryBackoff time.Duration
 
 	// Injector enables fault injection at the gateway.handler site.
 	Injector *faultinject.Injector
@@ -431,16 +426,14 @@ func (s *Server) session(ctx context.Context, job string, rank int, st *tenantSt
 	// Build outside the lock: node.New allocates NVM and spins up the NDP
 	// engine. A racing builder for the same key loses and closes its copy.
 	n, err := node.New(node.Config{
-		Job:               job,
-		Rank:              rank,
-		Store:             s.cfg.Store,
-		Codec:             s.cfg.Codec,
-		BlockSize:         s.cfg.BlockSize,
-		NVMCapacity:       s.cfg.SessionNVM,
-		Metrics:           s.reg,
-		MaxDrainAttempts:  s.cfg.MaxDrainAttempts,
-		DrainRetryBackoff: s.cfg.DrainRetryBackoff,
-		DrainGate:         gate,
+		Job:         job,
+		Rank:        rank,
+		Store:       s.cfg.Store,
+		Codec:       s.cfg.Codec,
+		BlockSize:   s.cfg.BlockSize,
+		NVMCapacity: s.cfg.SessionNVM,
+		Metrics:     s.reg,
+		DrainGate:   gate,
 	})
 	if err != nil {
 		return nil, err

@@ -83,7 +83,7 @@ func (cl *call) take() (*response, error) {
 
 // send writes one request frame under the link's write lock, so the caller's
 // block slice is not read after send returns. The request's meta section is
-// encoded into the reused scratch buffer and block payloads ride the
+// encoded into the reused scratch buffer and the block payload rides the
 // scatter/gather list untouched. A context deadline bounds the write.
 func (lk *link) send(ctx context.Context, id uint64, req *request) error {
 	lk.wmu.Lock()
@@ -94,12 +94,12 @@ func (lk *link) send(ctx context.Context, id uint64, req *request) error {
 	}
 	lk.scratch = appendRequestMeta(lk.scratch[:0], req)
 	h := wire.Header{Op: uint8(req.Op), Index: uint32(int32(req.Index)), Aux: id}
-	payloads := req.Meta.Blocks
-	if len(payloads) == 0 && req.Block != nil {
+	var payload [][]byte
+	if req.Block != nil {
 		lk.pbuf[0] = req.Block
-		payloads = lk.pbuf[:]
+		payload = lk.pbuf[:]
 	}
-	err := lk.wc.WriteFrame(h, lk.scratch, payloads...)
+	err := lk.wc.WriteFrame(h, lk.scratch, payload...)
 	lk.pbuf[0] = nil
 	return err
 }
@@ -130,10 +130,13 @@ func (lk *link) send(ctx context.Context, id uint64, req *request) error {
 // A call's deadline bounds its frame write and its wait for the reply, and
 // its expiry severs the lane (the peer is stalled; the next caller redials).
 // A canceled read returns at once and abandons its request ID: the late
-// reply is dropped and the lane keeps serving. A canceled write (Put,
-// PutBlock, Delete) still waits for its reply or its deadline — a write
+// reply is dropped and the lane keeps serving. A canceled write (PutBlock,
+// Delete) still waits for its reply or its deadline — a write
 // running on the server after its call returned could re-create an object
 // the caller has since deleted.
+//
+// Put, Get, Stat and Latest are iostore's functions over the other six
+// methods, so a whole object crosses the wire a block to a frame.
 type Client struct {
 	addr string // "" disables reconnection (NewClient-wrapped conns)
 	// dial opens one connection to addr; tests substitute it.
@@ -181,7 +184,7 @@ func (c *Client) Instrument(r *metrics.Registry) {
 	c.mChecksumErrs = r.Counter("ndpcr_iod_checksum_errors_total",
 		"wire frames whose CRC32C verification failed (corruption caught before it reached a checkpoint)")
 	c.mMaskedInv = r.Counter("ndpcr_iod_masked_inventory_errors_total",
-		"remote Stat/IDs/Latest/StatBlocks errors surfaced to the caller (read as absence, they would hide a checkpoint from a restore)")
+		"remote StatBlocks/IDs/Keys errors surfaced to the caller (read as absence, they would hide a checkpoint from a restore)")
 	c.mInFlight = r.Gauge("ndpcr_iod_inflight_calls", "calls currently on the wire (drain streams in flight)")
 	c.mCallSecs = r.Histogram("ndpcr_iod_call_seconds", "round-trip time per call", metrics.UnitSeconds)
 	r.GaugeFunc("ndpcr_iod_lanes", "TCP lanes in this client's pool", func() float64 {
@@ -518,7 +521,7 @@ func (c *Client) attempt(ctx context.Context, req *request) (*response, error) {
 	case <-ctx.Done():
 	}
 	if ctx.Err() == context.Canceled {
-		if req.Op != opPut && req.Op != opPutBlock && req.Op != opDelete {
+		if req.Op != opPutBlock && req.Op != opDelete {
 			c.mu.Lock()
 			abandoned := ln.pending[cl.id] == cl
 			if abandoned {
@@ -623,14 +626,8 @@ func (c *Client) call(ctx context.Context, req *request) (*response, error) {
 	return nil, err
 }
 
-// Put implements iostore.Backend.
-func (c *Client) Put(ctx context.Context, o iostore.Object) error {
-	resp, err := c.call(ctx, &request{Op: opPut, Meta: o})
-	if err != nil {
-		return err
-	}
-	return respErr(resp)
-}
+// Put implements iostore.Backend with iostore.Put.
+func (c *Client) Put(ctx context.Context, o iostore.Object) error { return iostore.Put(ctx, c, o) }
 
 // PutBlock implements iostore.Backend.
 func (c *Client) PutBlock(ctx context.Context, key iostore.Key, meta iostore.Object, index int, block []byte) error {
@@ -656,19 +653,9 @@ func (c *Client) Delete(ctx context.Context, key iostore.Key) error {
 	return err
 }
 
-// Get implements iostore.Backend.
+// Get implements iostore.Backend with iostore.Get.
 func (c *Client) Get(ctx context.Context, key iostore.Key) (iostore.Object, error) {
-	resp, err := c.call(ctx, &request{Op: opGet, Key: key})
-	if err != nil {
-		return iostore.Object{}, err
-	}
-	if resp.NotFound {
-		return iostore.Object{}, fmt.Errorf("%w: %s", iostore.ErrNotFound, key)
-	}
-	if resp.Err != "" {
-		return iostore.Object{}, errors.New(resp.Err)
-	}
-	return resp.Object, nil
+	return iostore.Get(ctx, c, key)
 }
 
 // GetBlock implements iostore.Backend: fetch one block of a stored
@@ -721,17 +708,9 @@ func (c *Client) StatBlocks(ctx context.Context, key iostore.Key) (iostore.Objec
 	return resp.Object, resp.NumBlocks, true, nil
 }
 
-// Stat implements iostore.Backend: transport errors and remote failures
-// kept distinct from "no such checkpoint".
+// Stat implements iostore.Backend with iostore.Stat.
 func (c *Client) Stat(ctx context.Context, key iostore.Key) (iostore.Object, bool, error) {
-	resp, err := c.call(ctx, &request{Op: opStat, Key: key})
-	if err != nil {
-		return iostore.Object{}, false, err
-	}
-	if err := c.inventoryErr(resp); err != nil {
-		return iostore.Object{}, false, err
-	}
-	return resp.Object, resp.OK, nil
+	return iostore.Stat(ctx, c, key)
 }
 
 // IDs implements iostore.Backend: transport errors and remote failures
@@ -760,17 +739,9 @@ func (c *Client) Keys(ctx context.Context) ([]iostore.Key, error) {
 	return resp.Keys, nil
 }
 
-// Latest implements iostore.Backend: transport errors and remote failures
-// kept distinct from "no checkpoints stored".
+// Latest implements iostore.Backend with iostore.Latest.
 func (c *Client) Latest(ctx context.Context, job string, rank int) (uint64, bool, error) {
-	resp, err := c.call(ctx, &request{Op: opLatest, Job: job, Rank: rank})
-	if err != nil {
-		return 0, false, err
-	}
-	if err := c.inventoryErr(resp); err != nil {
-		return 0, false, err
-	}
-	return resp.Latest, resp.OK, nil
+	return iostore.Latest(ctx, c, job, rank)
 }
 
 func respErr(resp *response) error {

@@ -24,7 +24,7 @@ import (
 func TestServerClosesNonWirePeer(t *testing.T) {
 	_, client, _ := startPool(t, 1)
 	otherVersion := make([]byte, wire.HeaderSize)
-	wire.EncodeHeader(otherVersion, wire.Header{Magic: wire.Magic, Version: wire.Version + 1, Op: uint8(opLatest)})
+	wire.EncodeHeader(otherVersion, wire.Header{Magic: wire.Magic, Version: wire.Version + 1, Op: uint8(opIDs)})
 	// How a stream from the retired gob codec opens: a length-prefixed type
 	// definition, padded here so the server has a whole header to judge.
 	gobStream := append([]byte("\x2d\xff\x81\x03\x01\x01\x07request\x01\xff\x82\x00\x01\x07\x01\x02Op\x01\x06\x00\x01\x03Key"),

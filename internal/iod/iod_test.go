@@ -123,6 +123,11 @@ func TestBlockGapIsNotFoundAcrossWire(t *testing.T) {
 	if b, err := client.GetBlock(ctx, key, 2); err != nil || !bytes.Equal(b, []byte("abc")) {
 		t.Errorf("GetBlock(2) = %q, %v", b, err)
 	}
+	// The whole-object read refuses the torn copy too, naming the gap: it
+	// must not come back whole with an empty block 1.
+	if o, err := client.Get(ctx, key); !errors.Is(err, iostore.ErrNotFound) || !strings.Contains(err.Error(), "block 1") {
+		t.Errorf("Get of an object with a gap at 1 = %d blocks, %v; want ErrNotFound naming block 1", len(o.Blocks), err)
+	}
 }
 
 // TestBadBlockIndexIsAnErrorReply: the block index is a header field any peer
@@ -178,7 +183,7 @@ func TestPutBlockStreamingOverTCP(t *testing.T) {
 
 func TestValidationErrorsCrossWire(t *testing.T) {
 	_, client, _ := startServer(t)
-	if err := client.Put(context.Background(), iostore.Object{}); err == nil {
+	if err := client.Put(context.Background(), iostore.Object{Blocks: [][]byte{{1}}}); err == nil {
 		t.Error("empty job accepted over wire")
 	}
 	if err := client.PutBlock(context.Background(), iostore.Key{}, iostore.Object{}, 0, nil); err == nil {
@@ -223,7 +228,7 @@ func TestClientAfterClose(t *testing.T) {
 	if err := client.Close(); err != nil {
 		t.Errorf("second close: %v", err)
 	}
-	if err := client.Put(context.Background(), iostore.Object{Key: iostore.Key{Job: "j"}}); err == nil {
+	if err := client.Put(context.Background(), iostore.Object{Key: iostore.Key{Job: "j"}, Blocks: [][]byte{{1}}}); err == nil {
 		t.Error("call after close succeeded")
 	}
 }
@@ -360,7 +365,7 @@ func TestWrappedClientDoesNotReconnect(t *testing.T) {
 	defer b.Close()
 	c := NewClient(a)
 	a.Close()
-	if err := c.Put(context.Background(), iostore.Object{Key: iostore.Key{Job: "x"}}); err == nil {
+	if err := c.Put(context.Background(), iostore.Object{Key: iostore.Key{Job: "x"}, Blocks: [][]byte{{1}}}); err == nil {
 		t.Error("call on closed pipe succeeded")
 	}
 }

@@ -380,7 +380,7 @@ func TestServerMaxConnsRejectsSurplus(t *testing.T) {
 	defer raw.Close()
 	raw.SetDeadline(time.Now().Add(3 * time.Second))
 	wc := wire.NewConn(raw)
-	_ = wc.WriteFrame(wire.Header{Op: uint8(opLatest)}, appendRequestMeta(nil, &request{Op: opLatest, Job: "cap"}))
+	_ = wc.WriteFrame(wire.Header{Op: uint8(opIDs)}, appendRequestMeta(nil, &request{Op: opIDs, Job: "cap"}))
 	if _, _, _, err := wc.ReadFrame(); err == nil {
 		t.Error("surplus connection was served past the lane budget")
 	}

@@ -4,7 +4,7 @@
 // drain engine) can target a remote I/O node instead of an in-process
 // store.
 //
-// There is one wire codec (internal/iod/wire, protocol v4): length-prefixed
+// There is one wire codec (internal/iod/wire, protocol v5): length-prefixed
 // little-endian binary frames with CRC32C checksums, pooled receive buffers,
 // and scatter/gather sends — the zero-copy wire that lets a drain run at
 // hardware speed. The first bytes on a connection are a frame; every header
@@ -29,16 +29,14 @@ import (
 // op identifies a request type.
 type op uint8
 
-// Protocol operations, one per iostore.Backend method. The values are the
-// wire header's op byte.
+// Protocol operations: the block and listing methods of iostore.Backend. A
+// whole-object Put, Get, Stat or Latest is the client's iostore function over
+// these, so a frame carries one block or none. The values are the wire
+// header's op byte.
 const (
-	opPut op = iota + 1
-	opPutBlock
+	opPutBlock op = iota + 1
 	opDelete
-	opGet
-	opStat
 	opIDs
-	opLatest
 	opGetBlock
 	opStatBlocks
 	// opKeys enumerates every key the backing store holds (the inventory
@@ -66,20 +64,12 @@ const checksumErrPrefix = "iod: payload checksum mismatch"
 // opName labels operations in metric series.
 func opName(o op) string {
 	switch o {
-	case opPut:
-		return "put"
 	case opPutBlock:
 		return "put_block"
 	case opDelete:
 		return "delete"
-	case opGet:
-		return "get"
-	case opStat:
-		return "stat"
 	case opIDs:
 		return "ids"
-	case opLatest:
-		return "latest"
 	case opGetBlock:
 		return "get_block"
 	case opStatBlocks:
@@ -95,12 +85,12 @@ func opName(o op) string {
 type request struct {
 	Op   op
 	Key  iostore.Key
-	Meta iostore.Object // PutBlock metadata / Put object
+	Meta iostore.Object // PutBlock metadata
 	// Index is PutBlock's block index (also GetBlock's).
 	Index int
 	// Block is PutBlock's payload.
 	Block []byte
-	// Job/Rank parameterize IDs and Latest.
+	// Job/Rank parameterize IDs.
 	Job  string
 	Rank int
 }
@@ -114,7 +104,6 @@ type response struct {
 	Object   iostore.Object
 	OK       bool
 	IDs      []uint64
-	Latest   uint64
 	// Block is GetBlock's payload; NumBlocks is StatBlocks's block count.
 	Block     []byte
 	NumBlocks int

@@ -70,7 +70,7 @@ func NewServer(backing iostore.Backend) (*Server, error) {
 	s.calls.New = func() any { return new(srvCall) }
 	s.ctx, s.cancel = context.WithCancel(context.Background())
 	s.reg = metrics.NewRegistry()
-	for op := opPut; op <= opMax; op++ {
+	for op := opPutBlock; op <= opMax; op++ {
 		s.mRequests[op] = s.reg.Counter(
 			fmt.Sprintf("ndpcr_iod_requests_total{op=%q}", opName(op)),
 			"requests served, by operation")
@@ -240,10 +240,8 @@ func (s *Server) serveConn(conn net.Conn) {
 	// on every block — same key, same checkpoint metadata, only the header
 	// index and the payload change. Memoize the last decoded request per
 	// connection so the steady state skips the meta decode and its map and
-	// string allocations entirely. Multi-block frames (whole-object Put)
-	// split the payload by a meta-coded length table, so they bypass the
-	// cache. Handing the same decoded Meta map to many requests is safe:
-	// every backend treats it as read-only.
+	// string allocations entirely. Handing the same decoded Meta map to many
+	// requests is safe: every backend treats it as read-only.
 	var (
 		lastMeta  []byte
 		lastOp    uint8
@@ -282,12 +280,9 @@ func (s *Server) serveConn(conn net.Conn) {
 			continue
 		} else {
 			call.req = *req
-			if haveCache = req.Meta.Blocks == nil; haveCache {
-				lastMeta = append(lastMeta[:0], meta...)
-				lastOp = h.Op
-				cached = *req
-				cached.Index, cached.Block = 0, nil
-			}
+			lastMeta = append(lastMeta[:0], meta...)
+			lastOp, cached, haveCache = h.Op, *req, true
+			cached.Index, cached.Block = 0, nil
 		}
 		drop, corrupt := s.fault()
 		if drop {
@@ -307,10 +302,9 @@ func (s *Server) serveConn(conn net.Conn) {
 }
 
 // reply recycles the request's payload, writes call's response under the
-// connection's write lock, recycles the GetBlock block it carried (a
-// whole-object Get's blocks stay the store's), and returns the call to the
-// pool and its slot to the connection. A failed write closes the connection,
-// which ends its reader.
+// connection's write lock, recycles the GetBlock block it carried, and returns
+// the call to the pool and its slot to the connection. A failed write closes
+// the connection, which ends its reader.
 func (s *Server) reply(sc *srvConn, call *srvCall) {
 	blockpool.Put(call.payload)
 	sc.wmu.Lock()
@@ -336,16 +330,12 @@ func (s *Server) handleInto(req *request, resp *response) {
 		s.mInFlight.Dec()
 		s.mReqSecs.ObserveSince(start)
 	}()
-	if req.Op >= opPut && req.Op <= opMax {
+	if req.Op >= opPutBlock && req.Op <= opMax {
 		s.mRequests[req.Op].Inc()
 	}
 	*resp = response{}
 	ctx := s.ctx
 	switch req.Op {
-	case opPut:
-		if err := s.backing.Put(ctx, req.Meta); err != nil {
-			resp.Err = err.Error()
-		}
 	case opPutBlock:
 		if err := s.backing.PutBlock(ctx, req.Key, req.Meta, req.Index, req.Block); err != nil {
 			resp.Err = err.Error()
@@ -354,37 +344,12 @@ func (s *Server) handleInto(req *request, resp *response) {
 		if err := s.backing.Delete(ctx, req.Key); err != nil {
 			resp.Err = err.Error()
 		}
-	case opGet:
-		obj, err := s.backing.Get(ctx, req.Key)
-		switch {
-		case errors.Is(err, iostore.ErrNotFound):
-			resp.NotFound = true
-			resp.Err = err.Error()
-		case err != nil:
-			resp.Err = err.Error()
-		default:
-			resp.Object = obj
-		}
-	case opStat:
-		obj, ok, err := s.backing.Stat(ctx, req.Key)
-		if err != nil {
-			resp.Err = err.Error()
-		} else {
-			resp.Object, resp.OK = obj, ok
-		}
 	case opIDs:
 		ids, err := s.backing.IDs(ctx, req.Job, req.Rank)
 		if err != nil {
 			resp.Err = err.Error()
 		} else {
 			resp.IDs = ids
-		}
-	case opLatest:
-		latest, ok, err := s.backing.Latest(ctx, req.Job, req.Rank)
-		if err != nil {
-			resp.Err = err.Error()
-		} else {
-			resp.Latest, resp.OK = latest, ok
 		}
 	case opGetBlock:
 		block, err := s.backing.GetBlock(ctx, req.Key, req.Index)

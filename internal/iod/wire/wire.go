@@ -1,4 +1,4 @@
-// Package wire implements the iod binary wire protocol (version 4, the
+// Package wire implements the iod binary wire protocol (version 5, the
 // only one spoken): fixed little-endian frame headers, varint-coded
 // metadata sections, CRC32C frame checksums, and payloads received into
 // pooled buffers (package blockpool). At GB/s drain rates a reflective
@@ -11,7 +11,7 @@
 //	+--------+---------+----+-------+-------+---------+------------+-------+-------+
 //	| meta section (metaLen bytes: varint-coded key/object/inventory fields)       |
 //	+-------------------------------------------------------------------------------+
-//	| payload (payloadLen bytes: the raw block bytes, or concatenated blocks)       |
+//	| payload (payloadLen bytes: one block's raw bytes, or none)                    |
 //	+-------------------------------------------------------------------------------+
 //
 // so a sender ships header+meta+payload with a single scatter/gather
@@ -44,7 +44,7 @@ const (
 	Magic uint32 = 0x3250444e
 	// Version is the protocol revision carried in every header. A peer of
 	// another revision fails DecodeHeader with ErrBadVersion.
-	Version = 4
+	Version = 5
 	// HeaderSize is the fixed frame header length in bytes.
 	HeaderSize = 32
 
@@ -59,7 +59,7 @@ const (
 const (
 	// FlagNotFound marks an iostore.ErrNotFound result.
 	FlagNotFound uint16 = 1 << 0
-	// FlagOK carries the bool of Stat/Latest/StatBlocks replies.
+	// FlagOK carries the bool of StatBlocks replies.
 	FlagOK uint16 = 1 << 1
 )
 

@@ -13,11 +13,11 @@ import (
 // turns a verified frame's meta and payload sections into protocol structs.
 // A frame can carry a valid CRC and still be hostile (a peer can *send*
 // anything), so decodeRequestWire and decodeResponseWire must reject every
-// malformed meta section or block-length table with an error, never a
-// panic: the server decodes peer frames — and handles what decodes — on
-// goroutines with no recover. So the request target also dispatches: every
-// request that decodes goes through handleInto over a fresh in-memory store
-// and must come back, whatever block index, key or op the frame carried.
+// malformed meta section with an error, never a panic: the server decodes
+// peer frames — and handles what decodes — on goroutines with no recover. So
+// the request target also dispatches: every request that decodes goes through
+// handleInto over a fresh in-memory store and must come back, whatever block
+// index, key or op the frame carried.
 
 // fuzzHeader reconstitutes the header fields a decoder actually consumes.
 func fuzzHeader(op uint8, flags uint16, index uint32, meta, payload []byte) wire.Header {
@@ -31,22 +31,18 @@ func fuzzHeader(op uint8, flags uint16, index uint32, meta, payload []byte) wire
 }
 
 func FuzzDecodeRequestWire(f *testing.F) {
-	// Seed with every op's valid encoding, plus the crafted frame that used
-	// to panic splitPayload: a block-length table entry near MaxInt64 that
-	// wrapped the bounds check negative.
-	obj := iostore.Object{
-		Key:    iostore.Key{Job: "sim", Rank: 3, ID: 17},
-		Codec:  "zstd",
-		Meta:   map[string]string{"step": "400"},
-		Blocks: [][]byte{[]byte("b0"), []byte("block-one")},
-	}
+	// Seed with valid encodings of the ops that carry a block, a key and a
+	// listing, plus two crafted frames: a meta-map count far past what the
+	// section holds, and the PutBlock at index -1 that used to kill the
+	// server.
+	key := iostore.Key{Job: "sim", Rank: 3, ID: 17}
+	meta := iostore.Object{Key: key, Codec: "zstd", Meta: map[string]string{"step": "400"}}
 	for _, req := range []*request{
-		{Op: opPut, Meta: obj},
-		{Op: opPutBlock, Key: obj.Key, Index: 5, Block: []byte("payload!")},
-		{Op: opLatest, Job: "sim", Rank: -1},
+		{Op: opPutBlock, Key: key, Meta: meta, Index: 5, Block: []byte("payload!")},
+		{Op: opGetBlock, Key: key, Index: 1},
+		{Op: opIDs, Job: "sim", Rank: -1},
 	} {
-		meta := appendRequestMeta(nil, req)
-		f.Add(uint8(req.Op), uint32(int32(req.Index)), meta, flatten(requestPayload(req)))
+		f.Add(uint8(req.Op), uint32(int32(req.Index)), appendRequestMeta(nil, req), req.Block)
 	}
 	var hostile []byte
 	hostile = wire.AppendString(hostile, "j")      // req key job
@@ -60,13 +56,9 @@ func FuzzDecodeRequestWire(f *testing.F) {
 	hostile = wire.AppendString(hostile, "")       // codec
 	hostile = wire.AppendInt(hostile, 0)           // codec level
 	hostile = wire.AppendInt(hostile, 8)           // orig size
-	hostile = wire.AppendUvarint(hostile, 0)       // meta map
-	hostile = wire.AppendUvarint(hostile, 2)       // block count
-	hostile = wire.AppendUvarint(hostile, 1)       // block 0 length
-	hostile = wire.AppendUvarint(hostile, 1<<63-1) // block 1 length: MaxInt64
-	f.Add(uint8(opPut), uint32(0), hostile, []byte("payload"))
-	// The frame that used to kill the server: a PutBlock at index -1.
-	f.Add(uint8(opPutBlock), ^uint32(0), appendRequestMeta(nil, &request{Key: obj.Key}), []byte("payload!"))
+	hostile = wire.AppendUvarint(hostile, 1<<63-1) // meta-map count
+	f.Add(uint8(opPutBlock), uint32(0), hostile, []byte("payload"))
+	f.Add(uint8(opPutBlock), ^uint32(0), appendRequestMeta(nil, &request{Key: key}), []byte("payload!"))
 
 	srv, err := NewServer(iostore.New(nvm.Pacer{}))
 	if err != nil {
@@ -89,12 +81,9 @@ func FuzzDecodeRequestWire(f *testing.F) {
 
 func FuzzDecodeResponseWire(f *testing.F) {
 	for _, resp := range []*response{
-		{OK: true, Latest: 99, IDs: []uint64{1, 5, 44}},
+		{IDs: []uint64{1, 5, 44}},
 		{Err: "disk full"},
-		{Object: iostore.Object{
-			Key:    iostore.Key{Job: "j", Rank: 0, ID: 9},
-			Blocks: [][]byte{[]byte("aa"), []byte("bbb")},
-		}},
+		{OK: true, NumBlocks: 2, Object: iostore.Object{Key: iostore.Key{Job: "j", Rank: 0, ID: 9}, OrigSize: 5}},
 	} {
 		meta := appendResponseMeta(nil, resp)
 		f.Add(uint16(respFlags(resp)), meta, flatten(responsePayload(resp)))

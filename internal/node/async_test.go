@@ -44,7 +44,6 @@ func TestCommitAcksAtNVMThenReachesStore(t *testing.T) {
 // nvm.ErrFull to the committer.
 func TestCommitAdmissionNeverErrFull(t *testing.T) {
 	in := faultinject.New(7,
-		faultinject.Rule{Site: faultinject.SiteStorePut, Mode: faultinject.ModeStall, Delay: 5 * time.Millisecond},
 		faultinject.Rule{Site: faultinject.SiteStorePutBlock, Mode: faultinject.ModeStall, Delay: 5 * time.Millisecond},
 	)
 	inner := iostore.New(nvm.Pacer{})
@@ -100,7 +99,6 @@ func TestCommitAdmissionNeverErrFull(t *testing.T) {
 // not a bare deadline error.
 func TestCommitBackpressureTypedError(t *testing.T) {
 	in := faultinject.New(7,
-		faultinject.Rule{Site: faultinject.SiteStorePut, Mode: faultinject.ModeStall, Delay: 2 * time.Second},
 		faultinject.Rule{Site: faultinject.SiteStorePutBlock, Mode: faultinject.ModeStall, Delay: 2 * time.Second},
 	)
 	n, _ := newNode(t, func(c *Config) {
@@ -149,7 +147,6 @@ func TestDiscardCommitFailsDurability(t *testing.T) {
 	// A stalled store keeps the checkpoint un-drained long enough to
 	// discard it first.
 	in := faultinject.New(7,
-		faultinject.Rule{Site: faultinject.SiteStorePut, Mode: faultinject.ModeStall, Delay: 200 * time.Millisecond},
 		faultinject.Rule{Site: faultinject.SiteStorePutBlock, Mode: faultinject.ModeStall, Delay: 200 * time.Millisecond},
 	)
 	n, _ := newNode(t, func(c *Config) {

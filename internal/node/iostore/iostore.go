@@ -89,7 +89,12 @@ func (o Object) StoredSize() int64 {
 //     device read filled would: the backend keeps no reference to it, and the
 //     caller may change it, blockpool.Put it after its last read, or simply
 //     drop it. Get's blocks are the exception that stays read-only — they
-//     may be the backend's own memory or one shared buffer, never released.
+//     may be the backend's own memory, never released.
+//   - A stored object is its blocks. Put, Get, Stat and Latest have one
+//     meaning for every backend, the package functions of the same names over
+//     the block and listing methods; an implementation either is one call to
+//     them or (Store.Get, shardstore's Put) keeps their meaning. So Get, like
+//     GetBlock, never serves a gap as an empty block.
 type Backend interface {
 	Put(ctx context.Context, o Object) error
 	PutBlock(ctx context.Context, key Key, meta Object, index int, block []byte) error
@@ -165,55 +170,89 @@ func New(pacer nvm.Pacer) *Store {
 // index out of range nor make a store append billions of empty slots.
 const MaxBlocks = 1 << 20
 
-// checkWrite is what every write validates first: a live context, a named
-// job, and the block indexes it writes (first..last: one index for PutBlock,
-// 0..len-1 for Put) inside 0..MaxBlocks-1.
-func checkWrite(ctx context.Context, key Key, first, last int) error {
+// checkWrite is what every block write validates first: a live context, a
+// named job, and a block index inside 0..MaxBlocks-1.
+func checkWrite(ctx context.Context, key Key, index int) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	if key.Job == "" {
-		return errors.New("iostore: empty job name")
-	}
 	switch {
-	case first < 0:
-		return fmt.Errorf("iostore: %s: block index %d is negative", key, first)
-	case last >= MaxBlocks:
-		return fmt.Errorf("iostore: %s: block index %d is past the %d-block bound", key, last, MaxBlocks)
+	case key.Job == "":
+		return errors.New("iostore: empty job name")
+	case index < 0:
+		return fmt.Errorf("iostore: %s: block index %d is negative", key, index)
+	case index >= MaxBlocks:
+		return fmt.Errorf("iostore: %s: block index %d is past the %d-block bound", key, index, MaxBlocks)
 	}
 	return nil
 }
 
-// Put stores an object, replacing any previous version. Blocks are copied
-// (into non-nil slices: a nil entry of the stored Blocks is a gap, see
-// PutBlock).
-func (s *Store) Put(ctx context.Context, o Object) error {
-	if err := checkWrite(ctx, o.Key, 0, len(o.Blocks)-1); err != nil {
+// Put stores o on b, replacing any previous version: it refuses an object of
+// no blocks or more than MaxBlocks, deletes the key, then writes each block
+// with PutBlock. It is not atomic: a reader may see the object absent or
+// partly written, as it may during a drain.
+func Put(ctx context.Context, b Backend, o Object) error {
+	switch {
+	case len(o.Blocks) == 0:
+		return fmt.Errorf("iostore: %s: an object has at least one block", o.Key)
+	case len(o.Blocks) > MaxBlocks:
+		return fmt.Errorf("iostore: %s: %d blocks is past the %d-block bound", o.Key, len(o.Blocks), MaxBlocks)
+	}
+	if err := b.Delete(ctx, o.Key); err != nil {
 		return err
 	}
-	cp := o
-	cp.Blocks = make([][]byte, len(o.Blocks))
-	for i, b := range o.Blocks {
-		cp.Blocks[i] = append([]byte{}, b...)
-	}
-	if o.Meta != nil {
-		cp.Meta = make(map[string]string, len(o.Meta))
-		for k, v := range o.Meta {
-			cp.Meta[k] = v
+	meta := o
+	meta.Blocks = nil
+	for i, blk := range o.Blocks {
+		if err := b.PutBlock(ctx, o.Key, meta, i, blk); err != nil {
+			return err
 		}
-	}
-	// Sized before the object is published: a concurrent PutBlock on the
-	// same key writes into the stored Blocks slice.
-	size := cp.StoredSize()
-	s.mu.Lock()
-	s.objects[o.Key] = cp
-	s.mu.Unlock()
-	s.pacer.Move(int(size))
-	if s.mWriteBytes != nil {
-		s.mWriteBytes.Observe(size)
 	}
 	return nil
 }
+
+// Get reads the object under key from b: StatBlocks, then GetBlock for each
+// block it holds. The blocks are the caller's, as GetBlock's are. An index the
+// object does not hold — a gap a dead writer left — fails the read with an
+// ErrNotFound that names the block.
+func Get(ctx context.Context, b Backend, key Key) (Object, error) {
+	o, n, ok, err := b.StatBlocks(ctx, key)
+	switch {
+	case err != nil:
+		return Object{}, err
+	case !ok:
+		return Object{}, fmt.Errorf("%w: %s", ErrNotFound, key)
+	case n < 0 || n > MaxBlocks:
+		return Object{}, fmt.Errorf("iostore: %s: a count of %d blocks is outside 0..%d", key, n, MaxBlocks)
+	}
+	o.Blocks = make([][]byte, n)
+	for i := range o.Blocks {
+		if o.Blocks[i], err = b.GetBlock(ctx, key, i); err != nil {
+			return Object{}, fmt.Errorf("iostore: %s block %d: %w", key, i, err)
+		}
+	}
+	return o, nil
+}
+
+// Stat is StatBlocks without the count: ok=false with a nil error means the
+// object is absent.
+func Stat(ctx context.Context, b Backend, key Key) (Object, bool, error) {
+	o, _, ok, err := b.StatBlocks(ctx, key)
+	return o, ok, err
+}
+
+// Latest is the newest of IDs: ok=false with a nil error means (job, rank)
+// has no checkpoint on b.
+func Latest(ctx context.Context, b Backend, job string, rank int) (uint64, bool, error) {
+	ids, err := b.IDs(ctx, job, rank)
+	if err != nil || len(ids) == 0 {
+		return 0, false, err
+	}
+	return ids[len(ids)-1], true, nil
+}
+
+// Put implements Backend with the package function: a block write each.
+func (s *Store) Put(ctx context.Context, o Object) error { return Put(ctx, s, o) }
 
 // PutBlock writes one block of an object by index, creating the object on
 // first use. This is the streaming path the NDP uses: blocks arrive as they
@@ -221,7 +260,7 @@ func (s *Store) Put(ctx context.Context, o Object) error {
 // nothing has written yet stay nil — gaps GetBlock refuses to serve — while
 // a written block is never nil, however empty.
 func (s *Store) PutBlock(ctx context.Context, key Key, meta Object, index int, block []byte) error {
-	if err := checkWrite(ctx, key, index, index); err != nil {
+	if err := checkWrite(ctx, key, index); err != nil {
 		return err
 	}
 	// Copied before the lock: every lane writing to this backend shares
@@ -259,16 +298,29 @@ func (s *Store) Delete(ctx context.Context, key Key) error {
 	return nil
 }
 
-// Get returns an object, pacing the full transfer.
+// Get returns an object, pacing the full transfer. Its blocks are the store's
+// own memory, lent without a copy: read-only. An object with a gap — an index
+// below its last that no PutBlock filled — is ErrNotFound naming the gap, as
+// GetBlock of that index is.
 func (s *Store) Get(ctx context.Context, key Key) (Object, error) {
 	if err := ctx.Err(); err != nil {
 		return Object{}, err
 	}
 	s.mu.Lock()
 	o, ok := s.objects[key]
+	gap := -1
+	for i, b := range o.Blocks {
+		if b == nil {
+			gap = i
+			break
+		}
+	}
 	s.mu.Unlock()
-	if !ok {
+	switch {
+	case !ok:
 		return Object{}, fmt.Errorf("%w: %s", ErrNotFound, key)
+	case gap >= 0:
+		return Object{}, fmt.Errorf("%w: %s holds no block %d", ErrNotFound, key, gap)
 	}
 	s.pacer.Move(int(o.StoredSize()))
 	if s.mReadBytes != nil {
@@ -277,21 +329,8 @@ func (s *Store) Get(ctx context.Context, key Key) (Object, error) {
 	return o, nil
 }
 
-// Stat returns an object's metadata without pacing a transfer. The
-// in-process store is always reachable, so err is always nil.
-func (s *Store) Stat(ctx context.Context, key Key) (Object, bool, error) {
-	if err := ctx.Err(); err != nil {
-		return Object{}, false, err
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	o, ok := s.objects[key]
-	if !ok {
-		return Object{}, false, nil
-	}
-	o.Blocks = nil
-	return o, true, nil
-}
+// Stat implements Backend with the package function.
+func (s *Store) Stat(ctx context.Context, key Key) (Object, bool, error) { return Stat(ctx, s, key) }
 
 // IDs returns the checkpoint IDs stored for (job, rank), ascending.
 func (s *Store) IDs(ctx context.Context, job string, rank int) ([]uint64, error) {
@@ -340,13 +379,9 @@ func SortKeys(keys []Key) {
 	})
 }
 
-// Latest returns the newest checkpoint ID for (job, rank).
+// Latest implements Backend with the package function.
 func (s *Store) Latest(ctx context.Context, job string, rank int) (uint64, bool, error) {
-	ids, err := s.IDs(ctx, job, rank)
-	if err != nil || len(ids) == 0 {
-		return 0, false, err
-	}
-	return ids[len(ids)-1], true, nil
+	return Latest(ctx, s, job, rank)
 }
 
 // StatBlocks returns metadata plus the count of blocks held (a gap is not

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"strings"
 	"sync"
 	"testing"
 
@@ -171,8 +172,9 @@ func TestConcurrentUse(t *testing.T) {
 
 // TestGetBlockNeverServesAGap: windowed block writes land out of order, so a
 // writer that dies mid-object leaves indexes nothing ever wrote. Reading one
-// — or an index past the end — is ErrNotFound, never an empty block and never
-// a generic fault; a block that was written empty is served.
+// — or an index past the end, or the whole object around it — is ErrNotFound,
+// never an empty block and never a generic fault; a block that was written
+// empty is served.
 func TestGetBlockNeverServesAGap(t *testing.T) {
 	ctx := context.Background()
 	s := New(nvm.Pacer{})
@@ -200,6 +202,17 @@ func TestGetBlockNeverServesAGap(t *testing.T) {
 	}
 	if b, err := s.GetBlock(ctx, key, 4); err != nil || !bytes.Equal(b, []byte("ghi")) {
 		t.Errorf("GetBlock(4) = %q, %v", b, err)
+	}
+	// The whole-object reads refuse it too, the store's own and the package
+	// function over the block reads, each naming a gap.
+	for name, get := range map[string]func(context.Context, Key) (Object, error){
+		"Store.Get": s.Get,
+		"Get":       func(ctx context.Context, key Key) (Object, error) { return Get(ctx, s, key) },
+	} {
+		if o, err := get(ctx, key); !errors.Is(err, ErrNotFound) || !strings.Contains(err.Error(), "block 1") {
+			t.Errorf("%s of an object with gaps at 1 and 3 = %d blocks, %v; want ErrNotFound naming block 1",
+				name, len(o.Blocks), err)
+		}
 	}
 	// A whole-object Put writes every block it lists, empty ones included.
 	whole := Key{Job: "j", Rank: 0, ID: 2}
@@ -255,7 +268,7 @@ func TestPutBlockRejectsIndexOutOfRange(t *testing.T) {
 	}
 	// The bound is exact (checked on the shared validation: a store would
 	// grow a million slots to take the write).
-	if err := checkWrite(ctx, Key{Job: "j"}, MaxBlocks-1, MaxBlocks-1); err != nil {
+	if err := checkWrite(ctx, Key{Job: "j"}, MaxBlocks-1); err != nil {
 		t.Errorf("the last legal index is refused: %v", err)
 	}
 }

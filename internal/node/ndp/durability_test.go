@@ -194,8 +194,6 @@ func TestEngineDrainRetryThenPermanentFail(t *testing.T) {
 		Job: "job", Rank: 0,
 		Device: dev, Store: store,
 		Workers: 2, BlockSize: 4096,
-		MaxDrainAttempts:  3,
-		DrainRetryBackoff: time.Millisecond,
 		OnError: func(error) {
 			mu.Lock()
 			errs++
@@ -218,7 +216,7 @@ func TestEngineDrainRetryThenPermanentFail(t *testing.T) {
 	n := errs
 	mu.Unlock()
 	if n < 3 {
-		t.Errorf("engine reported %d errors, want >= MaxDrainAttempts (3)", n)
+		t.Errorf("engine reported %d errors, want >= maxDrainAttempts (%d)", n, maxDrainAttempts)
 	}
 	// The poisoned ID must not wedge the pipeline for later commits —
 	// but the store still fails, so just confirm the engine keeps running.

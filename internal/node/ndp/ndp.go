@@ -58,16 +58,6 @@ type Config struct {
 	// treated as "stopping" and ends the current drain sweep.
 	Gate func(ctx context.Context) (release func(), err error)
 
-	// MaxDrainAttempts bounds automatic retries of a failing drain. Zero
-	// keeps the legacy behavior: no automatic retry, the next doorbell
-	// re-attempts the newest checkpoint. With N > 0, a drain that fails N
-	// times is permanently failed on the tracker (waiters get
-	// ErrCheckpointFailed) and skipped thereafter.
-	MaxDrainAttempts int
-	// DrainRetryBackoff is the base delay between automatic retries
-	// (default 50ms, growing linearly per attempt, capped at 2s).
-	DrainRetryBackoff time.Duration
-
 	// Metrics, when non-nil, receives drain counters and per-phase
 	// latency/byte histograms.
 	Metrics *metrics.Registry
@@ -111,7 +101,7 @@ type Engine struct {
 	runCancel context.CancelFunc
 
 	// Only the run goroutine touches attempts: consecutive drain failures
-	// per ID. An ID that exhausts MaxDrainAttempts — or is rolled back by
+	// per ID. An ID that exhausts maxDrainAttempts — or is rolled back by
 	// its owner — is failed on the tracker, the one record of IDs that must
 	// never be drained or acknowledged (IDs are never reused, so it stays
 	// tiny).
@@ -131,6 +121,16 @@ type Engine struct {
 	mRetries      *metrics.Counter
 	mPermFailures *metrics.Counter
 }
+
+// The drain-failure policy, the one every engine runs: a failed drain is
+// retried after drainRetryBackoff × the failures so far, and the
+// maxDrainAttempts-th failure fails the ID on the tracker, so its waiters get
+// ErrCheckpointFailed within a fraction of a second instead of waiting out
+// their timeouts for a later commit's doorbell.
+const (
+	maxDrainAttempts  = 3
+	drainRetryBackoff = 50 * time.Millisecond
+)
 
 // sendBudget is the drain's byte budget of store writes in flight (see
 // Engine.window): 4 blocks at the default 1 MiB, 64 at 64 KiB.
@@ -190,7 +190,7 @@ func New(cfg Config) (*Engine, error) {
 		e.mInBytes = r.Histogram("ndpcr_ndp_drain_in_bytes", "payload bytes entering a drain", metrics.UnitBytes)
 		e.mOutBytes = r.Histogram("ndpcr_ndp_drain_out_bytes", "bytes shipped to global I/O per drain", metrics.UnitBytes)
 		e.mRetries = r.Counter("ndpcr_ndp_drain_retries_total", "automatic drain retries scheduled after a failure")
-		e.mPermFailures = r.Counter("ndpcr_ndp_drain_failures_total", "drains permanently failed after exhausting MaxDrainAttempts")
+		e.mPermFailures = r.Counter("ndpcr_ndp_drain_failures_total", fmt.Sprintf("drains permanently failed after %d attempts", maxDrainAttempts))
 	}
 	go e.run()
 	return e, nil
@@ -300,17 +300,12 @@ func (e *Engine) acquireGate() (func(), bool) {
 }
 
 // retryOrFail accounts one drain failure. It reports true when the ID was
-// permanently failed (the sweep should continue to other work); false
-// means either a retry was scheduled via the doorbell or legacy
-// no-auto-retry mode is in effect.
+// permanently failed (the sweep should continue to other work); false means a
+// retry is scheduled via the doorbell.
 func (e *Engine) retryOrFail(id uint64, cause error) bool {
-	max := e.cfg.MaxDrainAttempts
-	if max <= 0 {
-		return false // legacy: wait for the next doorbell edge
-	}
 	e.attempts[id]++
 	n := e.attempts[id]
-	if n >= max {
+	if n >= maxDrainAttempts {
 		delete(e.attempts, id)
 		e.tracker.Fail(id, cause)
 		if e.mPermFailures != nil {
@@ -321,15 +316,7 @@ func (e *Engine) retryOrFail(id uint64, cause error) bool {
 	if e.mRetries != nil {
 		e.mRetries.Inc()
 	}
-	backoff := e.cfg.DrainRetryBackoff
-	if backoff <= 0 {
-		backoff = 50 * time.Millisecond
-	}
-	d := backoff * time.Duration(n)
-	if d > 2*time.Second {
-		d = 2 * time.Second
-	}
-	time.AfterFunc(d, e.Notify)
+	time.AfterFunc(drainRetryBackoff*time.Duration(n), e.Notify)
 	return false
 }
 

@@ -118,14 +118,6 @@ type Config struct {
 	// reach I/O only via explicit host writes (the conventional
 	// multilevel baseline).
 	DisableNDP bool
-	// MaxDrainAttempts bounds automatic NDP drain retries; after N
-	// failures the checkpoint is permanently failed on the durability
-	// tracker instead of blocking async waiters forever. Zero keeps the
-	// legacy no-auto-retry behavior (see ndp.Config.MaxDrainAttempts).
-	MaxDrainAttempts int
-	// DrainRetryBackoff is the base delay between automatic drain retries
-	// (default 50ms).
-	DrainRetryBackoff time.Duration
 	// DrainGate, when non-nil, is acquired around every NDP drain — the
 	// gateway's QoS-weighted drain scheduler plugs in here (see
 	// ndp.Config.Gate).
@@ -244,20 +236,18 @@ func New(cfg Config) (*Node, error) {
 	}
 	if !cfg.DisableNDP {
 		n.engine, err = ndp.New(ndp.Config{
-			Job:               cfg.Job,
-			Rank:              cfg.Rank,
-			Device:            device,
-			Store:             cfg.Store,
-			Codec:             cfg.Codec,
-			Workers:           ndpWorkers,
-			BlockSize:         cfg.BlockSize,
-			OnError:           cfg.OnError,
-			Tracker:           n.dur,
-			Gate:              cfg.DrainGate,
-			MaxDrainAttempts:  cfg.MaxDrainAttempts,
-			DrainRetryBackoff: cfg.DrainRetryBackoff,
-			Metrics:           n.reg,
-			Timelines:         n.timelines,
+			Job:       cfg.Job,
+			Rank:      cfg.Rank,
+			Device:    device,
+			Store:     cfg.Store,
+			Codec:     cfg.Codec,
+			Workers:   ndpWorkers,
+			BlockSize: cfg.BlockSize,
+			OnError:   cfg.OnError,
+			Tracker:   n.dur,
+			Gate:      cfg.DrainGate,
+			Metrics:   n.reg,
+			Timelines: n.timelines,
 		})
 		if err != nil {
 			return nil, err

@@ -374,8 +374,9 @@ func (s *Store) copyBlocks(ctx context.Context, kp keyPlan) (passed int, err err
 	meta := kp.meta
 	meta.Key = kp.key
 	if kp.blocks == 0 {
-		// A blockless object is its metadata: nothing to stream.
-		return 0, land(func(ctx context.Context, dst *backend) error { return dst.store.Put(ctx, meta) })
+		// No write makes an object without a block (iostore.Put refuses one),
+		// and a copy of nothing would not be a replica.
+		return 0, fmt.Errorf("shardstore: move %s: the source holds no blocks", kp.key)
 	}
 	for i := 0; i < kp.blocks; i++ {
 		var blk []byte

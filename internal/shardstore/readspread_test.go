@@ -295,9 +295,10 @@ func TestDrainingHolderStillServes(t *testing.T) {
 	r.expectClean(t)
 }
 
-// TestIndexZeroReadsGoToFirstHolder: Stat, StatBlocks, Get and block 0 —
-// all a single-block object has — are dealt as index 0, to the read set's
-// first member when nothing is in flight.
+// TestIndexZeroReadsGoToFirstHolder: Stat, StatBlocks, Get's StatBlocks and
+// block 0 — all a single-block object has — are dealt as index 0, to the read
+// set's first member when nothing is in flight. Get's blocks are a restore's,
+// dealt across both holders.
 func TestIndexZeroReadsGoToFirstHolder(t *testing.T) {
 	r := newSpreadRig(t)
 	ctx := context.Background()
@@ -307,16 +308,21 @@ func TestIndexZeroReadsGoToFirstHolder(t *testing.T) {
 	if _, n, ok, err := r.s.StatBlocks(ctx, key(1)); !ok || err != nil || n != spreadBlocks {
 		t.Fatalf("StatBlocks = %d, %v, %v", n, ok, err)
 	}
-	if o, err := r.s.Get(ctx, key(1)); err != nil || len(o.Blocks) != spreadBlocks {
-		t.Fatalf("Get = %d blocks, %v", len(o.Blocks), err)
-	}
 	if _, err := r.s.GetBlock(ctx, key(1), 0); err != nil {
 		t.Fatal(err)
 	}
 	first, second := r.holders[0], r.holders[1]
-	if first.others.Load() != 3 || first.blocks.Load() != 1 || second.others.Load()+second.blocks.Load() != 0 {
-		t.Errorf("first holder saw %d+%d reads, second %d+%d; want 3+1 and none",
+	if first.others.Load() != 2 || first.blocks.Load() != 1 || second.others.Load()+second.blocks.Load() != 0 {
+		t.Errorf("first holder saw %d+%d reads, second %d+%d; want 2+1 and none",
 			first.others.Load(), first.blocks.Load(), second.others.Load(), second.blocks.Load())
+	}
+	if o, err := r.s.Get(ctx, key(1)); err != nil || len(o.Blocks) != spreadBlocks {
+		t.Fatalf("Get = %d blocks, %v", len(o.Blocks), err)
+	}
+	half := int64(spreadBlocks / 2)
+	if first.others.Load() != 3 || first.blocks.Load() != 1+half || second.others.Load() != 0 || second.blocks.Load() != half {
+		t.Errorf("after Get: first holder saw %d+%d reads, second %d+%d; want 3+%d and 0+%d",
+			first.others.Load(), first.blocks.Load(), second.others.Load(), second.blocks.Load(), 1+half, half)
 	}
 }
 

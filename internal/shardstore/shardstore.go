@@ -595,7 +595,10 @@ func (s *Store) fanOutWrite(ctx context.Context, key iostore.Key,
 }
 
 // Put implements iostore.Backend: the object lands on R replicas (or as
-// many as survive the write — the repair pass restores R later).
+// many as survive the write — the repair pass restores R later), each a
+// member Put. It is not iostore.Put over the tier: that opens with a Delete,
+// which fans to every member and fails while any is unreachable, so one dead
+// member would fail every whole-object write.
 func (s *Store) Put(ctx context.Context, o iostore.Object) error {
 	return s.fanOutWrite(ctx, o.Key, func(ctx context.Context, b *backend) error {
 		return b.store.Put(ctx, o)
@@ -675,12 +678,12 @@ ranked:
 }
 
 // readFrom deals one read of key to the least busy member of its read set
-// (readOrder; index is the block for GetBlock, 0 otherwise), so every healthy
-// holder's lanes carry a streamed restore. Behind that choice the read fails
-// over, one CallTimeout each at most, to the rest of the read set, then the
-// unhealthy holders, then every other backend in HRW order. Transport errors
-// blame the candidate; "not found" answers (a replica that never got the
-// object, or lacks this block of it) do not, and are reported only when no
+// (readOrder; index is the block for GetBlock, 0 for StatBlocks), so every
+// healthy holder's lanes carry a streamed restore. Behind that choice the read
+// fails over, one CallTimeout each at most, to the rest of the read set, then
+// the unhealthy holders, then every other backend in HRW order. Transport
+// errors blame the candidate; "not found" answers (a replica that never got
+// the object, or lacks this block of it) do not, and are reported only when no
 // candidate errored — a replica that is missing the object while another is
 // unreachable proves nothing.
 func (s *Store) readFrom(ctx context.Context, key iostore.Key, index int,
@@ -727,17 +730,10 @@ func (s *Store) readFrom(ctx context.Context, key iostore.Key, index int,
 	return fmt.Errorf("shardstore: read %s: %w", key, lastErr)
 }
 
-// Get implements iostore.Backend.
+// Get implements iostore.Backend with iostore.Get: one StatBlocks, then its
+// blocks dealt across the holders as a restore's are.
 func (s *Store) Get(ctx context.Context, key iostore.Key) (iostore.Object, error) {
-	var out iostore.Object
-	err := s.readFrom(ctx, key, 0, func(ctx context.Context, b *backend) error {
-		o, err := b.store.Get(ctx, key)
-		if err == nil {
-			out = o
-		}
-		return err
-	})
-	return out, err
+	return iostore.Get(ctx, s, key)
 }
 
 // GetBlock implements iostore.Backend (the streamed-restore fetch path):
@@ -832,10 +828,9 @@ func (s *Store) statUntracked(ctx context.Context, key iostore.Key) (iostore.Obj
 	return c.meta, c.blocks, true, nil
 }
 
-// Stat implements iostore.Backend: StatBlocks minus the count.
+// Stat implements iostore.Backend with iostore.Stat.
 func (s *Store) Stat(ctx context.Context, key iostore.Key) (iostore.Object, bool, error) {
-	meta, _, ok, err := s.StatBlocks(ctx, key)
-	return meta, ok, err
+	return iostore.Stat(ctx, s, key)
 }
 
 // askAll runs ask against every given backend in parallel, each call under
@@ -994,13 +989,9 @@ func (s *Store) IDs(ctx context.Context, job string, rank int) ([]uint64, error)
 	return slices.Compact(ids), nil // replicas list the same ID
 }
 
-// Latest implements iostore.Backend with IDs' merge semantics.
+// Latest implements iostore.Backend with iostore.Latest, over IDs' merge.
 func (s *Store) Latest(ctx context.Context, job string, rank int) (uint64, bool, error) {
-	ids, err := s.IDs(ctx, job, rank)
-	if err != nil || len(ids) == 0 {
-		return 0, false, err
-	}
-	return ids[len(ids)-1], true, nil
+	return iostore.Latest(ctx, s, job, rank)
 }
 
 // Keys implements iostore.Backend: the union of every reachable backend's

@@ -122,3 +122,7 @@ if [[ "$(git status --porcelain)" != "$worktree_before" ]]; then
 fi
 
 echo "check.sh: all green"
+
+# The size every simplicity change is measured by, counted one way: non-test
+# Go lines outside the bench module.
+echo "check.sh: non-test Go lines outside cmd/ndpcr-bench: $(find . -name '*.go' ! -name '*_test.go' ! -path './cmd/ndpcr-bench/*' | xargs cat | wc -l)"
