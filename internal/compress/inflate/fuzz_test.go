@@ -37,6 +37,16 @@ func FuzzDecodeAgainstFlate(f *testing.F) {
 	} {
 		f.Add(seed)
 	}
+	// Matches around the word copy's limits: distances 7 to 9, lengths whose
+	// last word holds 1, 8 and 2 bytes of the match, with 0 and 6 literals
+	// after it.
+	for _, dist := range []int{7, 8, 9} {
+		for _, length := range []int{9, 16, 258} {
+			for _, tail := range []int{0, 6} {
+				f.Add(matchStream(noise(24), dist, length, make([]byte, tail)))
+			}
+		}
+	}
 	f.Fuzz(func(t *testing.T, src []byte) {
 		checkAgainstOracle(t, src)
 	})
@@ -51,6 +61,12 @@ func FuzzRoundTrip(f *testing.F) {
 	f.Add(bytes.Repeat([]byte{0}, 3000), 6)
 	f.Add(bytes.Repeat([]byte("abc"), 1000), 9)
 	f.Add(noise(700), 0)
+	// Periods 7 to 9, and a repeat at distance 20: long matches at and
+	// around the 8 bytes a word copy needs, ending the stream.
+	for _, period := range []int{7, 8, 9} {
+		f.Add(bytes.Repeat(noise(period), 300/period), 1)
+	}
+	f.Add(append(noise(20), noise(20)...), 6)
 	f.Fuzz(func(t *testing.T, data []byte, level int) {
 		roundTrip(t, ((level%12)+12)%12-2, data) // -2 (HuffmanOnly) … 9
 	})

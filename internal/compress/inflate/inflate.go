@@ -5,6 +5,13 @@
 // compress/flate's reader accepts and returns the same bytes (the differential
 // fuzz target holds it to that), except that input left over after the final
 // block is corrupt, not ignored.
+//
+// The hot loop keeps the next symbol's table entry across its refills and
+// copies a match at distance 8 or more eight bytes at a time, which lets the
+// last word run up to 7 bytes past the match: into output the next symbols
+// overwrite, or into dst's spare capacity past the result. A match at a
+// shorter distance, or too close to the end of the buffer for a whole word,
+// is copied exactly.
 package inflate
 
 import (
@@ -118,10 +125,12 @@ var pool = sync.Pool{New: func() any { return new(decoder) }}
 
 // Decode appends the decompressed form of the raw DEFLATE stream src to dst
 // and returns the extended slice. It allocates only when dst's spare capacity
-// is smaller than the decoded size. On error it returns nil and ErrCorrupt,
-// having left dst[:len(dst)] unchanged. Bytes already in dst are not history:
-// a match may only reach bytes this call appended. Decode never retains or
-// returns a reference into src and is safe for concurrent use.
+// is smaller than the decoded size. Past the result it may write up to 7
+// bytes of slack, inside cap(dst), and none when cap(dst) ends at the result.
+// On error it returns nil and ErrCorrupt, having left dst[:len(dst)]
+// unchanged. Bytes already in dst are not history: a match may only reach
+// bytes this call appended. Decode never retains or returns a reference into
+// src and is safe for concurrent use.
 func Decode(dst, src []byte) ([]byte, error) {
 	d := pool.Get().(*decoder)
 	d.src, d.ip, d.bb, d.nb = src, 0, 0, 0
@@ -338,8 +347,16 @@ func (d *decoder) build(t []uint32, width int, lens []uint8, syms []uint32) bool
 
 // huffman decodes the symbols of one compressed block up to its end-of-block.
 func (d *decoder) huffman(lit *[litSize]uint32, dist *[distSize]uint32) bool {
+	// e is the first-level entry of the next symbol, read as soon as the
+	// symbols before it are consumed (a match's before its copy, so that the
+	// load overlaps the stores) and kept across the refill at the top of the
+	// loop: after an eight-byte refill all 64 bits of bb are input, and no
+	// path consumes more than 50 of them before it reads the next 10. The
+	// byte-wise tail promises no bit past nb and reads e again.
+	d.refill()
 	src, out, low := d.src, d.out, d.low
 	ip, bb, nb, op := d.ip, d.bb, d.nb, d.op
+	e := lit[bb&(1<<litBits-1)]
 	for {
 		// One refill covers a whole length + distance pair:
 		// 15+5+15+13 = 48 bits.
@@ -354,8 +371,8 @@ func (d *decoder) huffman(lit *[litSize]uint32, dist *[distSize]uint32) bool {
 			for ; nb <= 56 && ip < len(src); ip, nb = ip+1, nb+8 {
 				bb |= uint64(src[ip]) << (uint(nb) & 63)
 			}
+			e = lit[bb&(1<<litBits-1)]
 		}
-		e := lit[bb&(1<<litBits-1)]
 		if e&kindMask == kindLit && op+4 < len(out) {
 			// A run of up to five first-level literals, at most 50 bits,
 			// needs no second refill.
@@ -382,6 +399,7 @@ func (d *decoder) huffman(lit *[litSize]uint32, dist *[distSize]uint32) bool {
 			}
 			out[op] = byte(e >> 16)
 			op++
+			e = lit[bb&(1<<litBits-1)]
 			continue
 		case kindLen:
 		case kindEOB:
@@ -416,9 +434,18 @@ func (d *decoder) huffman(lit *[litSize]uint32, dist *[distSize]uint32) bool {
 		if len(out)-op < length {
 			out = d.grow(out, op, length)
 		}
-		if op-from >= length {
+		e = lit[bb&(1<<litBits-1)]
+		switch {
+		case op-from >= 8 && op+length+7 <= len(out):
+			// By words, without a memmove call: each word is read before
+			// any of it is written, and the last may write up to 7 bytes
+			// past the match, into output the next symbols overwrite.
+			for i := 0; i < length; i += 8 {
+				binary.LittleEndian.PutUint64(out[op+i:], binary.LittleEndian.Uint64(out[from+i:]))
+			}
+		case op-from >= length:
 			copy(out[op:op+length], out[from:])
-		} else {
+		default:
 			for i := 0; i < length; i++ { // overlapping: the copy feeds itself
 				out[op+i] = out[from+i]
 			}

@@ -12,6 +12,8 @@ import (
 	"runtime"
 	"sync"
 	"testing"
+
+	ndpcrdeflate "ndpcr/internal/compress/deflate"
 )
 
 // oracle is compress/flate's reader, the decoder Decode must agree with.
@@ -401,6 +403,27 @@ func TestFifteenBitCodes(t *testing.T) {
 	}
 }
 
+// TestRunsOfLongLiteralsNearTheEnd: in the last eight bytes of input, five
+// 10-bit literals can leave fewer than 10 counted bits, so the entry read
+// after them may take in bits not loaded yet, and the next refill must read
+// it again. Padding shifts such runs across every bit offset of the tail.
+func TestRunsOfLongLiteralsNearTheEnd(t *testing.T) {
+	lens := sparse(257, map[int]int{'b': 1, 'c': 2, 'd': 3, 'e': 4, 'f': 5, 'g': 6, 'h': 7, 'i': 8, 'j': 9, 'k': 10, 256: 10})
+	codes, header := canon(lens), lengths(append(lens, 0)...)
+	for pad := 0; pad < 64; pad++ {
+		for run := 5; run <= 12; run++ {
+			s := new(stream).dynamic(1, 0, 0, header...)
+			for i := 0; i < pad; i++ {
+				s.code(codes['b'], 1)
+			}
+			for i := 0; i < run; i++ {
+				s.code(codes['k'], 10)
+			}
+			checkAgainstOracle(t, s.code(codes['j'], 9).code(codes['c'], 2).code(codes[256], 10).buf)
+		}
+	}
+}
+
 // TestHistoryStartsAtThisCall: bytes already in dst are not history, and an
 // error returns nil leaving them as they were.
 func TestHistoryStartsAtThisCall(t *testing.T) {
@@ -415,18 +438,79 @@ func TestHistoryStartsAtThisCall(t *testing.T) {
 	}
 }
 
-// TestSpareCapacityBeyondResultUntouched: like append, Decode writes only
-// the bytes it returns.
+// TestSpareCapacityBeyondResultUntouched: past the bytes it returns, Decode
+// writes at most 7 bytes of slack, and into a dst whose capacity ends at the
+// result it decodes in place, with no slack to write.
 func TestSpareCapacityBeyondResultUntouched(t *testing.T) {
 	data := append(matchHeavy(5000), benchBlock(5000)...)
+	data = append(data, data[2000:3000]...) // ends in matches at distance 8000
 	for _, level := range levels {
-		buf := bytes.Repeat([]byte{0xee}, len(data)+64)
-		got, err := Decode(buf[:0], deflate(t, level, data))
-		if err != nil || !bytes.Equal(got, data) {
-			t.Fatalf("level %d: err %v", level, err)
+		comp := deflate(t, level, data)
+		for _, spare := range []int{0, 64} {
+			buf := bytes.Repeat([]byte{0xee}, len(data)+64)
+			got, err := Decode(buf[:0:len(data)+spare], comp)
+			if err != nil || !bytes.Equal(got, data) || &got[0] != &buf[0] {
+				t.Fatalf("level %d, %d spare bytes: err %v, or not decoded in place", level, spare, err)
+			}
+			if n := len(bytes.TrimRight(buf[len(data):], "\xee")); n > min(spare, 7) {
+				t.Errorf("level %d, %d spare bytes: %d bytes past the result were written", level, spare, n)
+			}
 		}
-		if !bytes.Equal(buf[len(data):], bytes.Repeat([]byte{0xee}, 64)) {
-			t.Errorf("level %d: bytes past the result were written", level)
+	}
+}
+
+// matchStream is one fixed-code block: the literals before, one match of
+// length at distance dist, the literals after.
+func matchStream(before []byte, dist, length int, after []byte) []byte {
+	s := new(stream).put(1, 1).put(1, 2)
+	for _, b := range before {
+		s.fixed(int(b))
+	}
+	sym, x, base := symbolFor(litSyms[257:286], length)
+	s.fixed(257+sym).put(length-base, x)
+	sym, x, base = symbolFor(distSyms[:30], dist)
+	s.code(sym, 5).put(dist-base, x)
+	for _, b := range after {
+		s.fixed(int(b))
+	}
+	return s.fixed(256).buf
+}
+
+// symbolFor returns the symbol of syms (entries of litSyms or distSyms)
+// whose range holds v, with its extra-bit count and base.
+func symbolFor(syms []uint32, v int) (sym, x, base int) {
+	sym = len(syms) - 1
+	for int(syms[sym]>>16) > v {
+		sym--
+	}
+	return sym, int(syms[sym] >> 8 & 15), int(syms[sym] >> 16)
+}
+
+// TestMatchShapes holds the match copy to compress/flate's reader at every
+// distance from 1 to 20 (below, at and past the 8 bytes a word copy needs)
+// by every length up to 18, so that a copy's last word ends at each offset,
+// and the longest four. Each match is followed by 0 to 8 literals and
+// decoded into a dst of exactly the result's size, where the matches near
+// its end must fall back to the exact copy, and into one with 64 spare
+// bytes.
+func TestMatchShapes(t *testing.T) {
+	before := noise(24)
+	for dist := 1; dist <= 20; dist++ {
+		for _, length := range []int{3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 255, 256, 257, 258} {
+			for tail := 0; tail <= 8; tail++ {
+				src := matchStream(before, dist, length, before[:tail])
+				want, _, err := oracle(src)
+				if err != nil {
+					t.Fatalf("distance %d, length %d: compress/flate: %v", dist, length, err)
+				}
+				for _, spare := range []int{0, 64} {
+					got, err := Decode(make([]byte, 0, len(want)+spare), src)
+					if err != nil || !bytes.Equal(got, want) {
+						t.Fatalf("distance %d, length %d, %d literals after, %d spare bytes: err %v, output matches compress/flate: %v",
+							dist, length, tail, spare, err, bytes.Equal(got, want))
+					}
+				}
+			}
 		}
 	}
 }
@@ -526,7 +610,8 @@ func TestDecodeAllocates(t *testing.T) {
 var sink []byte
 
 // BenchmarkDecode is the single-thread rate EXPERIMENTS.md quotes: 1 MiB
-// blocks of the bench payload through flate.Writer, decoded by compress/flate
+// blocks of the bench payload through flate.Writer at levels 1 and 6 and
+// through deflate.Encode (what the drain stores), decoded by compress/flate
 // as gzipCodec.Decompress did before this package, and by Decode into nil and
 // into a sized dst.
 func BenchmarkDecode(b *testing.B) {
@@ -534,10 +619,17 @@ func BenchmarkDecode(b *testing.B) {
 		name string
 		data []byte
 	}{{"bench", benchBlock(1 << 20)}, {"text", matchHeavy(1 << 20)}} {
-		for _, level := range []int{1, 6} {
-			comp := deflate(b, level, in.data)
+		for _, enc := range []struct {
+			name string
+			comp []byte
+		}{
+			{"gzip(1)", deflate(b, 1, in.data)},
+			{"gzip(6)", deflate(b, 6, in.data)},
+			{"deflate.Encode", ndpcrdeflate.Encode(nil, in.data)},
+		} {
+			comp := enc.comp
 			run := func(how string, decode func() ([]byte, error)) {
-				b.Run(fmt.Sprintf("%s/gzip(%d)/%s", in.name, level, how), func(b *testing.B) {
+				b.Run(fmt.Sprintf("%s/%s/%s", in.name, enc.name, how), func(b *testing.B) {
 					b.SetBytes(int64(len(in.data)))
 					b.ReportAllocs()
 					for i := 0; i < b.N; i++ {

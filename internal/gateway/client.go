@@ -79,8 +79,16 @@ func (c *Client) do(ctx context.Context, method, u string, body []byte) (*http.R
 }
 
 func decodeJSON(resp *http.Response, v any) error {
-	defer resp.Body.Close()
+	defer drain(resp)
 	return json.NewDecoder(resp.Body).Decode(v)
+}
+
+// drain reads the rest of a reply's body and closes it: net/http reuses the
+// connection only for a body read to EOF, and dials a new one for the next
+// request otherwise. A read that fails costs no more than that.
+func drain(resp *http.Response) {
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
 }
 
 // Save writes one snapshot as rank's next checkpoint of ns/run and returns
@@ -226,7 +234,7 @@ func (c *Client) Delete(ctx context.Context, ns, run string, rank int, id uint64
 	if err != nil {
 		return err
 	}
-	resp.Body.Close()
+	drain(resp)
 	return nil
 }
 

@@ -5,10 +5,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -89,6 +91,36 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	}
 	if !bytes.Equal(cp.Data, payload) {
 		t.Fatal("Resume returned wrong payload")
+	}
+}
+
+// TestClientKeepsItsConnection: saves and then deletes on one client ride one
+// keep-alive connection. A delete that closed its reply unread made net/http
+// drop the connection and dial a new one for the next request.
+func TestClientKeepsItsConnection(t *testing.T) {
+	_, ts := newTestServer(t, nil)
+	c := NewClient(ts.URL, "tok-acme")
+	var dials atomic.Int32
+	c.http = &http.Client{Transport: &http.Transport{DialContext: func(ctx context.Context, network, addr string) (net.Conn, error) {
+		dials.Add(1)
+		return new(net.Dialer).DialContext(ctx, network, addr)
+	}}}
+	ctx := context.Background()
+	var ids []uint64
+	for step := 0; step < 5; step++ {
+		id, err := c.Save(ctx, "acme", "r", 0, step, []byte("state"))
+		if err != nil {
+			t.Fatalf("Save: %v", err)
+		}
+		ids = append(ids, id)
+	}
+	for _, id := range ids {
+		if err := c.Delete(ctx, "acme", "r", 0, id); err != nil {
+			t.Fatalf("Delete %d: %v", id, err)
+		}
+	}
+	if n := dials.Load(); n != 1 {
+		t.Errorf("5 saves and 5 deletes dialled %d connections, want 1", n)
 	}
 }
 

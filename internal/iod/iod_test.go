@@ -328,10 +328,13 @@ func TestClientRidesOutServerRestartMidDrain(t *testing.T) {
 		rest <- client.PutBlock(context.Background(), key, meta, 2, []byte("ijkl"))
 	}()
 
-	// Stay down past the old single-reconnect window (~0.8 s) but inside
-	// the new retry window, then restart on the same address and store — an
-	// I/O node reboot that preserves its file system.
-	time.Sleep(1200 * time.Millisecond)
+	// Stay down until the client starts its second retry — past the old
+	// single reconnect, whose dial backoff the first retry has served out —
+	// then restart on the same address and store: an I/O node reboot that
+	// preserves its file system.
+	eventually(t, "a second retry", func() bool {
+		return reg.Counter("ndpcr_iod_call_retries_total", "").Value() >= 2
+	})
 	srv2, err := NewServer(backing)
 	if err != nil {
 		t.Fatal(err)

@@ -58,6 +58,25 @@ go test -run '^$' -fuzz FuzzRoundTrip -fuzztime 10s -fuzzminimizetime 1s ./inter
 # for its encoder-side target (any input → both readers return it).
 go test -run '^$' -fuzz FuzzEncode -fuzztime 10s -fuzzminimizetime 1s ./internal/compress/deflate
 
+# inflate's fast paths (matches copied by words, the next symbol's entry
+# kept across refills) are invisible in its output: a ratio smoke of its
+# single-core rate on what the drain stores, deflate.Encode streams of the
+# bench payload, against compress/flate's reader on the same streams. Five
+# interleaved rounds, medians, a same-host ratio (about 2.7x on a 2-vCPU
+# host); not under -race, which slows the two readers unequally.
+rates=$(for round in 1 2 3 4 5; do
+    go test -run '^$' -bench 'Decode/bench/deflate.Encode/(flate|sized)$' -benchtime 20x -cpu 1 ./internal/compress/inflate
+done)
+median_rate() {
+    echo "$rates" | awk -v row="$1" '$1 ~ row { for (i = 2; i < NF; i++) if ($(i+1) == "MB/s") print $i }' | sort -n | sed -n 3p
+}
+flate_rate=$(median_rate '/flate$') inflate_rate=$(median_rate '/sized$')
+if ! awk -v a="$inflate_rate" -v b="$flate_rate" 'BEGIN { exit !(a > 0 && b > 0 && a >= 2.0 * b) }'; then
+    echo "check.sh: inflate decodes deflate.Encode streams at $inflate_rate MB/s, compress/flate at $flate_rate: want at least 2.0x" >&2
+    exit 1
+fi
+echo "check.sh: inflate $inflate_rate MB/s vs compress/flate $flate_rate MB/s on deflate.Encode streams"
+
 # The iod codec reads frames any peer can send, on goroutines with no
 # recover: the same smoke for its two targets (the request one also
 # dispatches what it decodes to a store).
