@@ -7,9 +7,7 @@
 //	ndpcr-experiments [flags] <experiment>
 //
 // Experiments: fig1, table1, table2, table3, table4, fig4, fig5, fig6,
-// fig7, fig8, fig9, ext [ablations|erasure|elastic], and all (those twelve);
-// the live scenarios elastic, chaos, shardchaos, membership, asyncchaos and
-// swarm, each run by name.
+// fig7, fig8, fig9, ext [ablations|erasure|elastic], and all (those twelve).
 package main
 
 import (
@@ -30,9 +28,6 @@ var (
 	flagLive    = flag.Bool("live", false, "table2/table3: run the live compression study instead of (in addition to) paper data only")
 	flagCSVDir  = flag.String("csv-dir", "", "also write each experiment's data as CSV into this directory")
 	flagMetrics = flag.Bool("metrics", false, "dump per-phase wall-time histograms accumulated across every simulated trial")
-	flagFaults  = flag.String("faults", "", "chaos: fault-injection schedule (rules 'site,key=value,...' joined by ';'; empty = a representative default)")
-
-	flagSwarmTenants = flag.Int("swarm-tenants", 64, "swarm: concurrent tenant clients (-quick caps at 8)")
 
 	// simPhases accumulates phase observations from every Monte-Carlo run
 	// when -metrics is set; nil otherwise.
@@ -61,32 +56,7 @@ experiments:
            "ext ablations" (drain/restore/dedup studies),
            "ext erasure" (redundancy-set level sweep), or
            "ext elastic" (N->M restart reshape-cost model sweep)
-  elastic  elastic N->M restart over 3 live iod backends (R=2): a job
-           checkpointed at N=8 restarts at M=4 and M=12 through the
-           restore planner with byte-identical merged state, falling
-           back a restart line when the newest is made unreadable
-  chaos    functional cluster under a deterministic fault-injection
-           schedule (-faults, -seed): aborted checkpoints roll back,
-           recovery falls back across restart lines
-  shardchaos
-           sharded replicated store tier (3 live iod backends, R=2):
-           one backend is killed mid-drain; no committed restart line
-           may be lost, and re-replication restores 2 copies
-  membership
-           dynamic shard-tier membership: a backend joins and another
-           is decommissioned mid-drain; zero lost restart lines, the
-           leaver ends empty, and a fresh (restart-blind) client's
-           inventory repair restores R copies
-  asyncchaos
-           async-acknowledge gateway over 3 live iod backends (R=2):
-           one backend is killed while acked checkpoints are still
-           propagating; every acked ID must reach store durability or
-           be reported failed — zero silent losses
-  swarm    multi-tenant gateway under -swarm-tenants concurrent clients
-           over a 3-backend shard tier: zero lost checkpoints, zero
-           cross-tenant visibility, quotas and rate limits enforced
-  all      everything above (except the chaos, shardchaos, asyncchaos,
-           membership, and swarm live runs)
+  all      everything above
 
 flags:
 `)
@@ -145,24 +115,18 @@ func main() {
 		os.Exit(2)
 	}
 	runners := map[string]func() error{
-		"fig1":       runFig1,
-		"table1":     runTable1,
-		"table2":     runTable2,
-		"table3":     runTable3,
-		"table4":     runTable4,
-		"fig4":       runFig4,
-		"fig5":       runFig5,
-		"fig6":       runFig6,
-		"fig7":       runFig7,
-		"fig8":       runFig8,
-		"fig9":       runFig9,
-		"ext":        func() error { return runExt(extSection) },
-		"elastic":    runElastic,
-		"chaos":      runChaos,
-		"shardchaos": runShardChaos,
-		"asyncchaos": runAsyncChaos,
-		"membership": runMembership,
-		"swarm":      runSwarm,
+		"fig1":   runFig1,
+		"table1": runTable1,
+		"table2": runTable2,
+		"table3": runTable3,
+		"table4": runTable4,
+		"fig4":   runFig4,
+		"fig5":   runFig5,
+		"fig6":   runFig6,
+		"fig7":   runFig7,
+		"fig8":   runFig8,
+		"fig9":   runFig9,
+		"ext":    func() error { return runExt(extSection) },
 	}
 	if exp == "all" {
 		order := []string{"fig1", "table1", "table2", "table3", "table4",

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"testing"
+	"time"
 
 	"ndpcr/internal/cluster/elastic"
 	"ndpcr/internal/node"
@@ -67,20 +68,29 @@ func (r *elasticRank) step() {
 func elasticCluster(t *testing.T, store iostore.Backend, total, m int, seedShards bool) (*Cluster, []*elasticRank) {
 	t.Helper()
 	nodes := make([]*node.Node, m)
+	for i := range nodes {
+		var err error
+		nodes[i], err = node.New(node.Config{Job: "ejob", Rank: i, Store: store, DisableNDP: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	return elasticClusterOf(t, store, nodes, total, seedShards)
+}
+
+// elasticClusterOf assembles a cluster of elasticRanks, one per node.
+func elasticClusterOf(t *testing.T, store iostore.Backend, nodes []*node.Node, total int, seedShards bool) (*Cluster, []*elasticRank) {
+	t.Helper()
+	m := len(nodes)
 	ranks := make([]*elasticRank, m)
 	ifaces := make([]Rank, m)
-	for i := 0; i < m; i++ {
+	for i := range ranks {
 		if seedShards {
 			ranks[i] = newElasticRank(total, m, i)
 		} else {
 			ranks[i] = &elasticRank{}
 		}
 		ifaces[i] = ranks[i]
-		var err error
-		nodes[i], err = node.New(node.Config{Job: "ejob", Rank: i, Store: store, DisableNDP: true})
-		if err != nil {
-			t.Fatal(err)
-		}
 	}
 	c, err := New("ejob", store, nodes, ifaces)
 	if err != nil {
@@ -209,6 +219,82 @@ func TestElasticRecoverFallsBackMidReshape(t *testing.T) {
 	}
 	if got := mergedState(t, tgtRanks); !bytes.Equal(got, want) {
 		t.Fatal("fallback restart did not reproduce the older line's state")
+	}
+}
+
+// TestElasticRestartOverLiveTier is N→M restart over three loopback iod
+// servers (R = 2) with gzip NDP drains: a job checkpointed at N = 8 restarts
+// at M = 4 and M = 12 with byte-identical merged state. Then the newest line
+// is poisoned past its metadata: the restart falls back one line, and the
+// next checkpoint lands past the source history.
+func TestElasticRestartOverLiveTier(t *testing.T) {
+	const total, n = 48, 8
+	ctx := context.Background()
+	store, _ := shardTier(t, 3)
+	src, srcRanks := elasticClusterOf(t, store, drainingNodes(t, "ejob", store, n), total, true)
+	var lines []uint64
+	var states [][]byte
+	for step := 1; step <= 2; step++ {
+		for _, r := range srcRanks {
+			r.step()
+		}
+		id, err := src.Checkpoint(ctx, step)
+		if err != nil {
+			t.Fatal(err)
+		}
+		waitStore(t, src, id, 20*time.Second)
+		lines = append(lines, id)
+		states = append(states, mergedState(t, srcRanks))
+	}
+	src.Close()
+
+	restart := func(m int) (*Cluster, RecoverOutcome, []*elasticRank) {
+		t.Helper()
+		tgt, ranks := elasticClusterOf(t, store, drainingNodes(t, "ejob", store, m), total, false)
+		out, err := tgt.Recover(ctx, RecoverOptions{SourceRanks: n})
+		if err != nil {
+			t.Fatalf("recover %d->%d: %v", n, m, err)
+		}
+		return tgt, out, ranks
+	}
+	for _, m := range []int{4, 12} {
+		tgt, out, ranks := restart(m)
+		if out.ID != lines[1] || len(out.FailedLines) != 0 {
+			t.Fatalf("recover %d->%d: line %d, abandoned %v; want line %d", n, m, out.ID, out.FailedLines, lines[1])
+		}
+		if !bytes.Equal(mergedState(t, ranks), states[1]) {
+			t.Fatalf("recover %d->%d: merged state differs from the checkpointed state", n, m)
+		}
+		tgt.Close()
+	}
+
+	err := store.Put(ctx, iostore.Object{
+		Key:      iostore.Key{Job: "ejob", Rank: 0, ID: lines[1]},
+		OrigSize: 9,
+		Blocks:   [][]byte{[]byte("not-frame")},
+		Meta: map[string]string{
+			"job": "ejob", "rank": "0", "step": "2",
+			"ckpt":   fmt.Sprint(lines[1]),
+			"shards": fmt.Sprint(total / n),
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tgt, out, ranks := restart(4)
+	if out.ID != lines[0] || out.Step != 1 || len(out.FailedLines) != 1 || out.FailedLines[0] != lines[1] {
+		t.Fatalf("recover past a poisoned line: id=%d step=%d abandoned %v; want id=%d step=1 abandoned [%d]",
+			out.ID, out.Step, out.FailedLines, lines[0], lines[1])
+	}
+	if !bytes.Equal(mergedState(t, ranks), states[0]) {
+		t.Fatal("fallback restart did not reproduce the older line's state")
+	}
+	id, err := tgt.Checkpoint(ctx, out.Step+1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if id <= lines[1] {
+		t.Errorf("post-restart checkpoint %d would overwrite source history ending at %d", id, lines[1])
 	}
 }
 

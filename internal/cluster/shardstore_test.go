@@ -38,10 +38,9 @@ func startIODBackend(t *testing.T) *iodBackend {
 	return &iodBackend{srv: srv, addr: ln.Addr().String()}
 }
 
-// shardCluster wires the full acceptance rig: `backends` live iod servers
-// over TCP, a shardstore client with R=2 placing across them, and a
-// coordinated cluster of `ranks` nodes draining through the shard tier.
-func shardCluster(t *testing.T, ranks, backends int) (*Cluster, []*appRank, *shardstore.Store, []*iodBackend) {
+// shardTier boots `backends` live iod servers over TCP and a shardstore
+// client with R=2 placing across them.
+func shardTier(t *testing.T, backends int) (*shardstore.Store, []*iodBackend) {
 	t.Helper()
 	iods := make([]*iodBackend, backends)
 	addrs := make([]string, backends)
@@ -60,27 +59,41 @@ func shardCluster(t *testing.T, ranks, backends int) (*Cluster, []*appRank, *sha
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { store.Close() })
+	return store, iods
+}
 
+// drainingNodes builds one node per rank of job over store, each draining
+// gzip(1) in 16 KiB blocks through its NDP engine.
+func drainingNodes(t *testing.T, job string, store iostore.Backend, ranks int) []*node.Node {
+	t.Helper()
 	gz, _ := compress.Lookup("gzip", 1)
 	nodes := make([]*node.Node, ranks)
+	for i := range nodes {
+		var err error
+		nodes[i], err = node.New(node.Config{Job: job, Rank: i, Store: store, Codec: gz, BlockSize: 1 << 14})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	return nodes
+}
+
+// shardCluster wires the full acceptance rig: a shardTier of `backends`
+// servers and a coordinated cluster of `ranks` nodes draining through it.
+func shardCluster(t *testing.T, ranks, backends int) (*Cluster, []*appRank, *shardstore.Store, []*iodBackend) {
+	t.Helper()
+	store, iods := shardTier(t, backends)
 	apps := make([]*appRank, ranks)
 	rankIfaces := make([]Rank, ranks)
-	for i := 0; i < ranks; i++ {
+	for i := range apps {
 		app, err := miniapps.New("HPCCG", miniapps.Small, uint64(900+i))
 		if err != nil {
 			t.Fatal(err)
 		}
 		apps[i] = &appRank{app: app}
 		rankIfaces[i] = apps[i]
-		nodes[i], err = node.New(node.Config{
-			Job: "shardjob", Rank: i, Store: store,
-			Codec: gz, BlockSize: 1 << 14,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
 	}
-	c, err := New("shardjob", store, nodes, rankIfaces)
+	c, err := New("shardjob", store, drainingNodes(t, "shardjob", store, ranks), rankIfaces)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,36 +101,49 @@ func shardCluster(t *testing.T, ranks, backends int) (*Cluster, []*appRank, *sha
 	return c, apps, store, iods
 }
 
-// TestShardClusterSurvivesBackendDeathMidDrain is the PR's acceptance
-// scenario: with 3 backends and R=2, killing any single I/O node while the
-// NDP engines are draining a committed checkpoint must lose no restart
-// line — the drain completes on surviving replicas, recovery succeeds from
-// the I/O level, and the repair pass returns every object to 2 whole copies.
+// TestShardClusterSurvivesBackendDeathMidDrain is the shard tier's
+// acceptance scenario: with 3 backends and R=2, killing any single I/O node
+// while the NDP engines are draining a committed checkpoint must lose no
+// restart line — the drain completes on surviving replicas, recovery
+// succeeds from the I/O level, and the repair pass returns every object to 2
+// whole copies, the one drained whole before the kill included.
 func TestShardClusterSurvivesBackendDeathMidDrain(t *testing.T) {
 	const ranks, backends = 2, 3
 	for victim := 0; victim < backends; victim++ {
 		t.Run(fmt.Sprintf("kill-iod-%d", victim), func(t *testing.T) {
 			c, apps, store, iods := shardCluster(t, ranks, backends)
-			for _, a := range apps {
-				if err := a.app.Step(); err != nil {
+			var committed []uint64
+			for step := 1; step <= 2; step++ {
+				for _, a := range apps {
+					if err := a.app.Step(); err != nil {
+						t.Fatal(err)
+					}
+				}
+				id, err := c.Checkpoint(context.Background(), step)
+				if err != nil {
 					t.Fatal(err)
 				}
+				committed = append(committed, id)
+				if step == 2 {
+					// The checkpoint is committed locally; the NDP drains
+					// are now racing the kill. Whatever the interleaving,
+					// the committed line must survive on the other two
+					// backends.
+					iods[victim].srv.Close()
+				}
+				waitStore(t, c, id, 20*time.Second)
 			}
-			id, err := c.Checkpoint(context.Background(), 1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			// The checkpoint is committed locally; the NDP drains are now
-			// racing the kill. Whatever the interleaving, the committed
-			// line must survive on the other two backends.
-			iods[victim].srv.Close()
-			waitStore(t, c, id, 20*time.Second)
+			id := committed[1]
 
-			// All local state gone: recovery must come from the shard tier.
+			// All local state gone: recovery must come from the shard tier,
+			// and both committed lines are still there.
 			for i := 0; i < ranks; i++ {
 				if err := c.FailNode(i); err != nil {
 					t.Fatal(err)
 				}
+			}
+			if lines := c.RestartLines(context.Background()); !contains(lines, committed[0]) || !contains(lines, id) {
+				t.Fatalf("restart lines %v after the kill, want both of %v", lines, committed)
 			}
 			out, err := c.Recover(context.Background(), RecoverOptions{})
 			if err != nil {
@@ -132,15 +158,18 @@ func TestShardClusterSurvivesBackendDeathMidDrain(t *testing.T) {
 				}
 			}
 
-			// The repair pass restores every surviving object to R whole
-			// copies across the two live backends.
+			// The repair pass restores every committed object to R whole
+			// copies across the two live backends: those the victim held
+			// whole before it died as well as those it died writing.
 			if _, err := store.RepairInventory(context.Background()); err != nil {
 				t.Fatalf("repair: %v", err)
 			}
-			for i := 0; i < ranks; i++ {
-				k := iostore.Key{Job: "shardjob", Rank: i, ID: id}
-				if n := store.ReplicaCount(context.Background(), k); n != 2 {
-					t.Errorf("rank %d checkpoint on %d replicas after repair, want 2", i, n)
+			for _, ckpt := range committed {
+				for i := 0; i < ranks; i++ {
+					k := iostore.Key{Job: "shardjob", Rank: i, ID: ckpt}
+					if n := store.ReplicaCount(context.Background(), k); n != 2 {
+						t.Errorf("rank %d checkpoint %d on %d replicas after repair, want 2", i, ckpt, n)
+					}
 				}
 			}
 		})

@@ -250,9 +250,8 @@ func (in *Injector) NVMHook(rank int) func(op string, id uint64) error {
 // exercising the client's reconnect+retry path. A rule in ModeCorrupt
 // instead flips a byte of the next wire-v2 response frame after its
 // checksum is computed, so the client's CRC verification — not a codec
-// decode error — must catch the damage (on a gob connection, which has no
-// checksum, the server degrades corrupt to a drop). ModeStall delays the
-// request and lets it proceed; every other mode severs the connection.
+// decode error — must catch the damage. ModeStall delays the request and
+// lets it proceed; every other mode severs the connection.
 func (in *Injector) ConnFaultHook() func() (drop, corrupt bool) {
 	return func() (bool, bool) {
 		d, ok := in.Decide(SiteIODConn, AnyRank)

@@ -70,7 +70,8 @@ type Config struct {
 	// (stride-scheduled, starvation-free). Zero leaves drains ungated.
 	DrainSlots int
 
-	// Injector enables fault injection at the gateway.handler site.
+	// Injector enables fault injection at the gateway.handler site, the
+	// only site the gateway injects; New rejects a rule at any other.
 	Injector *faultinject.Injector
 	// Metrics receives the ndpcr_gateway_* series (and every session
 	// node's series); nil creates a private registry.
@@ -119,6 +120,12 @@ func New(cfg Config) (*Server, error) {
 	}
 	if err := ValidateTenants(cfg.Tenants); err != nil {
 		return nil, fmt.Errorf("gateway: %w", err)
+	}
+	// A rule at any other site would parse and never fire.
+	for site := range cfg.Injector.Fired() {
+		if site != faultinject.SiteGatewayFront {
+			return nil, fmt.Errorf("gateway: fault site %q is never injected here (only %s is)", site, faultinject.SiteGatewayFront)
+		}
 	}
 	if cfg.DrainTimeout <= 0 {
 		cfg.DrainTimeout = 30 * time.Second

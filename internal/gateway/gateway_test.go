@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -239,6 +240,19 @@ func TestRateLimited(t *testing.T) {
 	}
 }
 
+// TestDefaultBurstRoundsPerSecUp: an unset Burst is max(1, ceil(PerSec)).
+func TestDefaultBurstRoundsPerSecUp(t *testing.T) {
+	for _, tc := range []struct {
+		perSec float64
+		want   int
+	}{{0.5, 1}, {2.5, 3}, {5, 5}} {
+		st := newTenantState(Tenant{Name: "acme", Token: "tok-acme", Rate: Rate{PerSec: tc.perSec}}, time.Time{})
+		if st.Rate.Burst != tc.want {
+			t.Errorf("PerSec %g: default burst %d, want %d", tc.perSec, st.Rate.Burst, tc.want)
+		}
+	}
+}
+
 func TestNotFoundAndBadRequest(t *testing.T) {
 	_, ts := newTestServer(t, nil)
 	c := NewClient(ts.URL, "tok-acme")
@@ -355,6 +369,20 @@ func TestInjectedFault(t *testing.T) {
 	// The schedule fired once; the next request sails through.
 	if _, err := c.List(context.Background(), "acme", "r", 0); err != nil {
 		t.Fatalf("request after fault: %v", err)
+	}
+}
+
+// TestNewRejectsFaultSitesItNeverInjects: the gateway injects only at
+// gateway.handler, so a schedule with a rule at any other site is refused
+// by name instead of being accepted and never firing.
+func TestNewRejectsFaultSitesItNeverInjects(t *testing.T) {
+	_, err := New(Config{
+		Store:    iostore.New(nvm.Pacer{}),
+		Tenants:  testTenants(),
+		Injector: faultinject.New(1, faultinject.Rule{Site: faultinject.SiteStoreGet, Rank: faultinject.AnyRank, Prob: 0.1}),
+	})
+	if err == nil || !strings.Contains(err.Error(), faultinject.SiteStoreGet) {
+		t.Fatalf("New with a %s rule: err = %v, want one naming the site", faultinject.SiteStoreGet, err)
 	}
 }
 

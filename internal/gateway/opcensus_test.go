@@ -3,16 +3,10 @@ package gateway
 import (
 	"bytes"
 	"context"
-	"net"
 	"regexp"
 	"slices"
 	"strconv"
 	"testing"
-
-	"ndpcr/internal/iod"
-	"ndpcr/internal/node/iostore"
-	"ndpcr/internal/node/nvm"
-	"ndpcr/internal/shardstore"
 )
 
 // TestProductSendsOnlyBlockOps drives every tenant request kind through two
@@ -22,30 +16,10 @@ import (
 // and a delete between them use the five that move or find blocks. A whole
 // object never crosses the wire in one frame.
 func TestProductSendsOnlyBlockOps(t *testing.T) {
-	var servers []*iod.Server
-	var addrs []string
-	for i := 0; i < 3; i++ {
-		srv, err := iod.NewServer(iostore.New(nvm.Pacer{}))
-		if err != nil {
-			t.Fatal(err)
-		}
-		l, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		go srv.Serve(l)
-		t.Cleanup(srv.Close)
-		servers = append(servers, srv)
-		addrs = append(addrs, l.Addr().String())
-	}
+	servers, addrs := liveTier(t)
 	gatewayOverTier := func() *Client {
-		tier, err := shardstore.Dial(addrs, 1, shardstore.Config{Replicas: 2, Probe: -1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { tier.Close() })
 		_, ts := newTestServer(t, func(c *Config) {
-			c.Store = tier
+			c.Store = dialTier(t, addrs)
 			c.BlockSize = 4 << 10 // multi-block objects
 		})
 		return NewClient(ts.URL, "tok-acme")

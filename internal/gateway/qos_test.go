@@ -2,6 +2,7 @@ package gateway
 
 import (
 	"context"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -230,7 +231,9 @@ func TestDrainSchedulerConcurrentChurn(t *testing.T) {
 				t.Errorf("acquire %d: %v", i, err)
 				return
 			}
-			time.Sleep(time.Duration(i%3) * time.Millisecond)
+			for j := 0; j < i%3; j++ { // hold the slot while others queue
+				runtime.Gosched()
+			}
 			release()
 		}(i)
 	}

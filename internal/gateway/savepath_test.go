@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"reflect"
 	"regexp"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -85,7 +86,7 @@ func sessionNode(t *testing.T, srv *Server, run string, rank int) *node.Node {
 	return n
 }
 
-// waitFor polls cond (every millisecond, for up to 5s).
+// waitFor yields until cond holds, for up to 5s.
 func waitFor(t *testing.T, what string, cond func() bool) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
@@ -93,7 +94,7 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 		if time.Now().After(deadline) {
 			t.Fatalf("timed out waiting for %s", what)
 		}
-		time.Sleep(time.Millisecond)
+		runtime.Gosched()
 	}
 }
 

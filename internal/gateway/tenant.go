@@ -3,6 +3,7 @@ package gateway
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
 	"sync"
 	"time"
@@ -112,10 +113,7 @@ func newTenantState(t Tenant, now time.Time) *tenantState {
 		st.allowed[ns] = true
 	}
 	if st.Rate.PerSec > 0 && st.Rate.Burst <= 0 {
-		st.Rate.Burst = int(st.Rate.PerSec)
-		if st.Rate.Burst < 1 {
-			st.Rate.Burst = 1
-		}
+		st.Rate.Burst = max(1, int(math.Ceil(st.Rate.PerSec)))
 	}
 	st.tokens = float64(st.Rate.Burst)
 	st.lastRefill = now

@@ -27,7 +27,10 @@ go test -race ./internal/erasure/... ./internal/metrics/... ./internal/faultinje
 # admission, the QoS drain scheduler, the elastic restore planner, the iod
 # lanes and their corruption recovery) run twice under the race detector,
 # whole packages at a time: a -run regex silently stops matching the day a
-# test is renamed.
+# test is renamed. Cluster and gateway hold the live-tier scenarios: a
+# backend killed mid-drain and repaired, a join and a decommission
+# mid-drain, elastic N->M restart with a poisoned line, async acks across
+# a backend death, a tenant swarm, and the fault-schedule fallback walk.
 go test -race -count=2 ./internal/cluster/... ./internal/node/... ./internal/iod/... \
     ./internal/shardstore/... ./internal/gateway/...
 
@@ -93,40 +96,6 @@ go test -run AllocBudget ./internal/gateway ./internal/iod
 # to ./... above: build and test it here so an internal-API change that
 # breaks it fails the gate, not the next benchmark run.
 (cd cmd/ndpcr-bench && go vet . && go test .)
-
-# Membership chaos experiment: a backend joins and another is
-# decommissioned while a live multi-rank drain is in flight; zero lost
-# restart lines, the leaver ends empty, and a fresh client's
-# inventory-driven repair restores R copies.
-go run ./cmd/ndpcr-experiments -quick membership > /dev/null
-echo "check.sh: membership experiment green"
-
-# Shard chaos experiment: the one live scenario that kills a backend
-# (mid-drain) and then repairs; it fails unless every committed key is back
-# on R whole holders after RepairInventory.
-go run ./cmd/ndpcr-experiments -quick shardchaos > /dev/null
-echo "check.sh: shardchaos experiment green"
-
-# Elastic restart experiment: a job checkpointed at N=8 over 3 live iod
-# backends (R=2) restarts at M=4 and M=12 through the restore planner —
-# merged state byte-identical both ways, and the poisoned newest line
-# forces a restart-line fallback mid-reshape.
-go run ./cmd/ndpcr-experiments -quick elastic > /dev/null
-echo "check.sh: elastic experiment green"
-
-# Async chaos experiment: an async-ack gateway over 3 live iod backends
-# (R=2) loses one backend while acked checkpoints are still propagating;
-# every acked ID must reach store durability or be reported failed —
-# zero silent losses.
-go run ./cmd/ndpcr-experiments -quick asyncchaos > /dev/null
-echo "check.sh: asyncchaos experiment green"
-
-# Chaos experiment: a 4-rank cluster with partner and erasure levels under a
-# fault-injection schedule — an aborted checkpoint rolls back, two nodes are
-# lost, recovery falls back across restart lines, and the healed cluster must
-# commit one more checkpoint; a failed recovery or checkpoint exits 1.
-go run ./cmd/ndpcr-experiments -quick chaos > /dev/null
-echo "check.sh: chaos experiment green"
 
 # Live compression study (Small mini-apps): ends with a PASS/FAIL line per
 # adjacent pair of Table 2's compress-speed order, lz4(1) > gzip(1) >
