@@ -19,7 +19,7 @@ import (
 
 const (
 	tableBits = 14 // 64 KiB of hash table, as compress/flate's level 1
-	minMatch  = 4  // what the hash covers; the format allows 3
+	hashLen   = 5  // bytes a position is hashed by; a probe compares four, the format allows 3
 	maxStep   = 64 // see lzmatch.Step
 	maxMatch  = 258
 	maxDist   = 32768
@@ -133,7 +133,7 @@ type sequence = uint64
 // encoder is the state of one Encode call, pooled so that concurrent callers
 // each get their own and steady state allocates only dst's growth.
 type encoder struct {
-	table [1 << tableBits]int32 // hash of four bytes → where they last began
+	table [1 << tableBits]int32 // hash of five bytes → where they last began
 	seqs  [maxSeqs]sequence
 	nseq  int
 	nlit  int // literals counted into litFreq for the open batch
@@ -199,26 +199,15 @@ func (e *encoder) encode(src []byte, final bool) {
 	var (
 		from   = 0            // first byte of the open batch
 		anchor = 0            // first byte no sequence covers yet
-		pos    = 0            // next byte to probe
-		limit  = len(src) - 8 // last position a probe can load
+		pos    = 1            // next byte to probe; see find
+		limit  = len(src) - 7 // last position find can probe from
 	)
 	for {
 		stop := min(limit, from+batchBytes)
 		for pos <= stop {
-			cur := lzmatch.Load64(src, pos)
-			h := lzmatch.Hash(cur, minMatch, tableBits)
-			cand := int(e.table[h])
-			e.table[h] = int32(pos)
-			// One branch for "four bytes match at 1 ≤ pos−cand ≤ maxDist". An
-			// empty slot reads as position 0, a candidate like any other.
-			x := lzmatch.Load64(src, cand) ^ cur
-			if uint32(x)|uint32(uint(pos-cand-1)>>15) != 0 {
-				pos += lzmatch.Step(pos-anchor, maxStep)
-				continue
-			}
-			n := bits.TrailingZeros64(x) >> 3
-			if x == 0 {
-				n = 8 + lzmatch.MatchLen(src[pos+8:], src[cand+8:])
+			p, cand, n := e.find(src, pos, stop, anchor)
+			if pos = p; n == 0 {
+				break
 			}
 			d := uint32(pos - cand - 1)
 			ds := distSym(d)
@@ -246,9 +235,6 @@ func (e *encoder) encode(src []byte, final bool) {
 				n -= l
 			}
 			anchor = pos
-			if pos <= limit+1 {
-				e.table[lzmatch.Hash(lzmatch.Load64(src, pos-1), minMatch, tableBits)] = int32(pos - 1)
-			}
 			if e.nseq+e.nlit >= batchSyms {
 				break
 			}
@@ -260,6 +246,54 @@ func (e *encoder) encode(src []byte, final bool) {
 		from, anchor = pos, pos
 	}
 	e.flush(src, from, anchor, len(src), final)
+}
+
+// find searches src from pos to stop for the next match and returns it: its
+// position p, the earlier position cand it repeats and its length n. With no
+// match in reach, n is 0 and p is where the search goes on.
+//
+// One load of the eight bytes at pos−1 serves a probe at each of pos, pos+1
+// and pos+2, of the five bytes that start there, and enters pos−1 in the
+// table too: after a match, that is the position its last byte began. The
+// three table reads and candidate loads do not wait on one another; each
+// probe asks in one branch whether four bytes match at 1 ≤ distance ≤
+// maxDist (an empty slot reads as position 0, a candidate like any other).
+// Past a load that found nothing the search skips as lzmatch.Step does, at
+// twice its rate and up to three times its limit: every load tests three
+// positions, so at the limit a byte is probed as often as by one probe a
+// step.
+func (e *encoder) find(src []byte, pos, stop, anchor int) (p, cand, n int) {
+	t := &e.table
+	for ; pos <= stop; pos += 2 + lzmatch.Step(2*(pos-anchor), 3*maxStep) {
+		cur := lzmatch.Load64(src, pos-1)
+		hp := lzmatch.Hash(cur, hashLen, tableBits)
+		h0 := lzmatch.Hash(cur>>8, hashLen, tableBits)
+		h1 := lzmatch.Hash(cur>>16, hashLen, tableBits)
+		h2 := lzmatch.Hash(cur>>24, hashLen, tableBits)
+		t[hp] = int32(pos - 1)
+		c0, c1, c2 := int(t[h0]), int(t[h1]), int(t[h2])
+		t[h0], t[h1], t[h2] = int32(pos), int32(pos+1), int32(pos+2)
+		switch {
+		case uint32(lzmatch.Load64(src, c0)^cur>>8)|uint32(uint(pos-c0-1)>>15) == 0:
+			p, cand = pos, c0
+		case uint32(lzmatch.Load64(src, c1)^cur>>16)|uint32(uint(pos-c1)>>15) == 0:
+			p, cand = pos+1, c1
+		case uint32(lzmatch.Load64(src, c2)^cur>>24)|uint32(uint(pos+1-c2)>>15) == 0:
+			p, cand = pos+2, c2
+		default:
+			continue
+		}
+		// Most matches end inside the next eight bytes: one compare of
+		// words that are in cache, not a call of MatchLen.
+		if p+8 > len(src) {
+			return p, cand, lzmatch.MatchLen(src[p:], src[cand:])
+		}
+		if x := lzmatch.Load64(src, p) ^ lzmatch.Load64(src, cand); x != 0 {
+			return p, cand, bits.TrailingZeros64(x) >> 3
+		}
+		return p, cand, 8 + lzmatch.MatchLen(src[p+8:], src[cand+8:])
+	}
+	return pos, 0, 0
 }
 
 // flush writes the open batch — the sequences, which cover src[from:anchor],
@@ -405,6 +439,29 @@ func (e *encoder) writeHeader() {
 	}
 }
 
+// literals codes the literals src[i:end] four at a time into out at op,
+// leaving the last end−i mod 4 to its caller.
+func (e *encoder) literals(src []byte, i, end, op int, acc uint64, nb uint32) (int, int, uint64, uint32) {
+	out := e.out
+	for ; i+4 <= end; i += 4 {
+		p := src[i : i+4 : i+4]
+		c0, c1, c2, c3 := e.lit[p[0]], e.lit[p[1]], e.lit[p[2]], e.lit[p[3]]
+		acc |= uint64(c0>>8) << (nb & 63)
+		nb += c0
+		acc |= uint64(c1>>8) << (nb & 63)
+		nb += c1
+		acc |= uint64(c2>>8) << (nb & 63)
+		nb += c2
+		acc |= uint64(c3>>8) << (nb & 63)
+		nb += c3
+		binary.LittleEndian.PutUint64(out[op:], acc)
+		op += int(nb & 0xff >> 3)
+		acc >>= nb & 56
+		nb &= 7
+	}
+	return i, op, acc, nb
+}
+
 // reserve makes room in out for n more bytes and a whole accumulator.
 func (e *encoder) reserve(n int) {
 	if need := e.op + n + 16; need > len(e.out) {
@@ -443,36 +500,20 @@ func (e *encoder) write(src []byte, from, to int) {
 	// literals (4 × 14 bits), or a match whole (19 + 15 + 13), fit on top.
 	nb := uint32(e.nb)
 	i := from
-	for k := 0; ; k++ {
-		s, end := sequence(0), to // the literals after the last match
-		if k < e.nseq {
-			s = e.seqs[k]
-			end = i + int(s>>32)
+	for _, s := range e.seqs[:e.nseq] {
+		end := i + int(s>>32)
+		if i+4 <= end { // a long run: rare where matches are dense
+			i, op, acc, nb = e.literals(src, i, end, op, acc, nb)
 		}
-		for ; i+4 <= end; i += 4 {
-			p := src[i : i+4 : i+4]
-			c0, c1, c2, c3 := e.lit[p[0]], e.lit[p[1]], e.lit[p[2]], e.lit[p[3]]
-			acc |= uint64(c0>>8) << (nb & 63)
-			nb += c0
-			acc |= uint64(c1>>8) << (nb & 63)
-			nb += c1
-			acc |= uint64(c2>>8) << (nb & 63)
-			nb += c2
-			acc |= uint64(c3>>8) << (nb & 63)
-			nb += c3
-			binary.LittleEndian.PutUint64(out[op:], acc)
-			op += int(nb & 0xff >> 3)
-			acc >>= nb & 56
-			nb &= 7
-		}
-		for ; i < end; i++ {
-			c := e.lit[src[i]]
-			acc |= uint64(c>>8) << (nb & 63)
-			nb += c
-		}
-		if k == e.nseq {
-			break
-		}
+		// The match makes three bytes readable: no branch per literal.
+		p, r := src[i:i+3:i+3], int32(end-i)
+		c0, c1, c2 := e.lit[p[0]]&uint32(-r>>31), e.lit[p[1]]&uint32((1-r)>>31), e.lit[p[2]]&uint32((2-r)>>31)
+		acc |= uint64(c0>>8) << (nb & 63)
+		nb += c0
+		acc |= uint64(c1>>8) << (nb & 63)
+		nb += c1
+		acc |= uint64(c2>>8) << (nb & 63)
+		nb += c2
 		binary.LittleEndian.PutUint64(out[op:], acc)
 		op += int(nb & 0xff >> 3)
 		acc >>= nb & 56
@@ -489,7 +530,14 @@ func (e *encoder) write(src []byte, from, to int) {
 		op += int(nb & 0xff >> 3)
 		acc >>= nb & 56
 		nb &= 7
-		i += int(uint8(s>>16)) + 3
+		i = end + int(uint8(s>>16)) + 3
+	}
+	// The literals after the last match.
+	i, op, acc, nb = e.literals(src, i, to, op, acc, nb)
+	for ; i < to; i++ {
+		c := e.lit[src[i]]
+		acc |= uint64(c>>8) << (nb & 63)
+		nb += c
 	}
 	// At most 7 + 3 × 14 bits are pending: the end-of-block symbol fits.
 	c := e.lit[eob]

@@ -159,6 +159,56 @@ func TestZeros(t *testing.T) {
 	}
 }
 
+// TestProbesEveryPositionOfALoad: a load probes three positions, and a
+// repeat of five bytes (what a position is hashed by) that starts at the
+// second or third of them is a match — a matcher that probed only the first
+// position of each load would leave it literals. In noise the loads come
+// three bytes apart, at bytes 0, 3, 6, …; the one at byte 6 probes 7, 8, 9.
+func TestProbesEveryPositionOfALoad(t *testing.T) {
+	for k := 1; k <= 2; k++ {
+		src := noise(32, int64(20+k))
+		at := 7 + k
+		copy(src[at:], src[1:1+hashLen])
+		src[at-1], src[at+hashLen] = ^src[0], ^src[1+hashLen] // the repeat is exactly five bytes
+		roundTrip(t, src)
+		seqs := sequences(src)
+		if len(seqs) != 1 {
+			t.Fatalf("repeat at the probe %d of a load: %d sequences, want 1", k+1, len(seqs))
+		}
+		s := seqs[0]
+		if run, length, dist := int(s>>32), int(uint8(s>>16))+3, int(s&0x7fff)+1; run != at || length != hashLen || dist != at-1 {
+			t.Errorf("repeat at the probe %d of a load: %d literals, length %d, distance %d; want %d, %d, %d",
+				k+1, run, length, dist, at, hashLen, at-1)
+		}
+	}
+}
+
+// TestRatio: the match finder's ratio on what the drain stores, held to the
+// single-probe finder it replaced (four-byte hash, one probe per load): no
+// worse on the bench payload, within 2 % on each mini-app's checkpoint.
+func TestRatio(t *testing.T) {
+	before := map[string]int{ // Encode's output in bytes, single-probe finder
+		"bench": 494085, "CoMD": 17821, "HPCCG": 150245, "miniAero": 35065,
+		"miniFE": 388232, "miniMD": 28964, "miniSmac": 50517, "pHPCCG": 68335,
+	}
+	for name, was := range before {
+		var src []byte
+		if name == "bench" {
+			src = benchBlock(1 << 20)
+		} else {
+			src = checkpoint(t, name)
+		}
+		limit := was
+		if name != "bench" {
+			limit += was / 50
+		}
+		if got := len(Encode(nil, src)); got > limit {
+			t.Errorf("%s: %d bytes encode to %d (%.4f), the single-probe finder's %d (%.4f): want at most %d",
+				name, len(src), got, float64(got)/float64(len(src)), was, float64(was)/float64(len(src)), limit)
+		}
+	}
+}
+
 // TestNoise: what does not compress is stored, batch by batch.
 func TestNoise(t *testing.T) {
 	src := noise(1<<20, 5)
@@ -173,10 +223,15 @@ func TestNoise(t *testing.T) {
 
 // TestDistances: no sequence reaches further back than the format can say.
 func TestDistances(t *testing.T) {
+	// Copies of one page, each further from the last — 4096, 20096, 32096
+	// and 36096 bytes from start to start — behind runs of a two-byte
+	// pattern, which leave the page's table entries standing: one batch,
+	// whose longest match reaches just under the limit and whose last copy
+	// finds none.
 	page := noise(4096, 6)
-	var src []byte
-	for i := 0; i < 40; i++ { // copies of one page 4 KiB to 156 KiB back
-		src = append(append(src, page...), noise(i, int64(i))...)
+	src := page
+	for _, gap := range []int{0, 16000, 28000, 32000} {
+		src = append(append(src, bytes.Repeat([]byte{1, 2}, gap/2)...), page...)
 	}
 	roundTrip(t, src)
 	far := 0
@@ -208,14 +263,15 @@ func TestAppendsBehindPrefix(t *testing.T) {
 // matches with literals pending, which belong to the next batch's histogram,
 // and inside one match longer than maxSeqs × 258 bytes.
 func TestSequenceBufferFills(t *testing.T) {
-	// Four-byte words of a small vocabulary, every third followed by a byte
-	// seen nowhere else: matches of 4 to 8 with at most one literal between,
-	// so the sequences run out before the symbols do.
+	// Five-byte words (what the match finder hashes) of a small vocabulary,
+	// every third followed by a byte seen nowhere else: matches of 5 to 10
+	// with at most one literal between, so the sequences run out before the
+	// symbols do.
 	r := rand.New(rand.NewSource(8))
 	var src []byte
 	for i := 0; len(src) < 600_000; i++ {
-		w := uint32(r.Intn(64)+1) * 2654435761
-		src = binary.LittleEndian.AppendUint32(src, w)
+		w := uint64(r.Intn(64)+1) * 0x9e3779b97f4a7c15
+		src = binary.LittleEndian.AppendUint64(src, w)[:len(src)+hashLen]
 		if i%3 == 0 {
 			src = append(src, byte(r.Intn(256)))
 		}

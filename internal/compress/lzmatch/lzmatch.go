@@ -1,4 +1,4 @@
-// Package lzmatch holds what the single-probe LZ77 match finders of this
+// Package lzmatch holds what the LZ77 match finders of this
 // repo (deflate, lz4) have in common: the hash, the match extension and the
 // rule by which a search speeds up over data that does not match.
 package lzmatch

@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 	"strconv"
 	"sync"
 	"time"
@@ -467,20 +468,21 @@ func (s *Server) session(ctx context.Context, job string, rank int, st *tenantSt
 }
 
 // reqScope extracts the common request scope: namespace, run, rank, and
-// the derived store job key.
-func reqScope(r *http.Request) (job string, rank int, aerr *apiError) {
+// the derived store job key, plus the query string parsed once for the
+// handler's own parameters (each r.URL.Query() call parses it again).
+func reqScope(r *http.Request) (job string, rank int, q url.Values, aerr *apiError) {
 	ns, run := r.PathValue("ns"), r.PathValue("run")
 	if ns == "" || run == "" {
-		return "", 0, errf(http.StatusBadRequest, "bad_request", "namespace and run are required")
+		return "", 0, nil, errf(http.StatusBadRequest, "bad_request", "namespace and run are required")
 	}
-	rank = 0
-	if v := r.URL.Query().Get("rank"); v != "" {
+	q = r.URL.Query()
+	if v := q.Get("rank"); v != "" {
 		var err error
 		if rank, err = strconv.Atoi(v); err != nil || rank < 0 {
-			return "", 0, errf(http.StatusBadRequest, "bad_request", "invalid rank %q", v)
+			return "", 0, nil, errf(http.StatusBadRequest, "bad_request", "invalid rank %q", v)
 		}
 	}
-	return JobKey(ns, run), rank, nil
+	return JobKey(ns, run), rank, q, nil
 }
 
 // mapStoreErr translates pipeline errors into API errors.
@@ -516,19 +518,19 @@ func mapStoreErr(err error, what string) *apiError {
 // rolled back and reported failed through the durability endpoint, never
 // silently lost.
 func (s *Server) handleSave(w http.ResponseWriter, r *http.Request, st *tenantState) *apiError {
-	job, rank, aerr := reqScope(r)
+	job, rank, q, aerr := reqScope(r)
 	if aerr != nil {
 		return aerr
 	}
 	step := 0
-	if v := r.URL.Query().Get("step"); v != "" {
+	if v := q.Get("step"); v != "" {
 		var err error
 		if step, err = strconv.Atoi(v); err != nil {
 			return errf(http.StatusBadRequest, "bad_request", "invalid step %q", v)
 		}
 	}
 	async := s.cfg.AsyncAck
-	switch v := r.URL.Query().Get("durable"); v {
+	switch v := q.Get("durable"); v {
 	case "":
 	case "nvm":
 		async = true
@@ -678,7 +680,7 @@ func (s *Server) resolve(ctx context.Context, n *node.Node, id uint64, release f
 // (e.g. after a gateway restart) the store is consulted directly, so
 // store-level truth survives the tracker's loss of state.
 func (s *Server) handleDurability(w http.ResponseWriter, r *http.Request, st *tenantState) *apiError {
-	job, rank, aerr := reqScope(r)
+	job, rank, q, aerr := reqScope(r)
 	if aerr != nil {
 		return aerr
 	}
@@ -690,13 +692,13 @@ func (s *Server) handleDurability(w http.ResponseWriter, r *http.Request, st *te
 	n := s.sessions[sessKey{job: job, rank: rank}]
 	s.mu.Unlock()
 
-	if v := r.URL.Query().Get("wait"); v != "" && n != nil {
+	if v := q.Get("wait"); v != "" && n != nil {
 		lvl, err := ndp.ParseLevel(v)
 		if err != nil {
 			return errf(http.StatusBadRequest, "bad_request", "invalid wait level %q", v)
 		}
 		timeout := s.cfg.DrainTimeout
-		if tv := r.URL.Query().Get("timeout"); tv != "" {
+		if tv := q.Get("timeout"); tv != "" {
 			if timeout, err = time.ParseDuration(tv); err != nil || timeout <= 0 {
 				return errf(http.StatusBadRequest, "bad_request", "invalid timeout %q", tv)
 			}
@@ -754,7 +756,7 @@ func (s *Server) evictLocal(n *node.Node, id uint64) {
 // handleList reports the checkpoint IDs the store holds for one rank of a
 // run, newest last, plus the newest ID for convenience.
 func (s *Server) handleList(w http.ResponseWriter, r *http.Request, st *tenantState) *apiError {
-	job, rank, aerr := reqScope(r)
+	job, rank, _, aerr := reqScope(r)
 	if aerr != nil {
 		return aerr
 	}
@@ -840,7 +842,7 @@ func parseID(r *http.Request) (uint64, *apiError) {
 
 // handleLoad restores one specific checkpoint ID.
 func (s *Server) handleLoad(w http.ResponseWriter, r *http.Request, st *tenantState) *apiError {
-	job, rank, aerr := reqScope(r)
+	job, rank, _, aerr := reqScope(r)
 	if aerr != nil {
 		return aerr
 	}
@@ -858,7 +860,7 @@ func (s *Server) handleLoad(w http.ResponseWriter, r *http.Request, st *tenantSt
 
 // handleDelete removes one checkpoint and returns its quota to the tenant.
 func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request, st *tenantState) *apiError {
-	job, rank, aerr := reqScope(r)
+	job, rank, _, aerr := reqScope(r)
 	if aerr != nil {
 		return aerr
 	}
@@ -900,11 +902,11 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request, st *tenant
 // (a resuming rank may still hold the line in NVM). Without ?ranks= it
 // serves this rank's newest checkpoint, labeled with the ID it restored.
 func (s *Server) handleResume(w http.ResponseWriter, r *http.Request, st *tenantState) *apiError {
-	job, rank, aerr := reqScope(r)
+	job, rank, q, aerr := reqScope(r)
 	if aerr != nil {
 		return aerr
 	}
-	if v := r.URL.Query().Get("ranks"); v != "" {
+	if v := q.Get("ranks"); v != "" {
 		ranks, err := strconv.Atoi(v)
 		if err != nil || ranks <= 0 || rank >= ranks {
 			return errf(http.StatusBadRequest, "bad_request", "invalid ranks %q for rank %d", v, rank)

@@ -44,7 +44,7 @@ type restoreResponse struct {
 // the next-older one. Clients restoring many members should plan once and
 // pin the returned line so every member restores the same cut.
 func (s *Server) handleRestore(w http.ResponseWriter, r *http.Request, st *tenantState) *apiError {
-	job, _, aerr := reqScope(r)
+	job, _, q, aerr := reqScope(r)
 	if aerr != nil {
 		return aerr
 	}
@@ -62,7 +62,7 @@ func (s *Server) handleRestore(w http.ResponseWriter, r *http.Request, st *tenan
 		return errf(http.StatusBadRequest, "bad_request", "target_ranks must be positive, got %d", req.TargetRanks)
 	}
 	member := -1
-	if v := r.URL.Query().Get("member"); v != "" {
+	if v := q.Get("member"); v != "" {
 		m, err := strconv.Atoi(v)
 		if err != nil || m < 0 || m >= req.TargetRanks {
 			return errf(http.StatusBadRequest, "bad_request",

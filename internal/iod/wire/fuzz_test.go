@@ -41,7 +41,7 @@ func FuzzWireDecode(f *testing.F) {
 				t.Fatalf("section lengths disagree with header: %d/%d vs %d/%d",
 					h.MetaLen, h.PayloadLen, len(meta), len(payload))
 			}
-			if crc := Checksum(h, meta, payload); crc != h.CRC {
+			if crc := checksum(new([HeaderSize]byte), h, meta, payload); crc != h.CRC {
 				t.Fatalf("ReadFrame returned a frame whose checksum does not verify")
 			}
 			blockpool.Put(payload)

@@ -74,14 +74,15 @@ var (
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// Checksum computes the frame checksum: CRC32C over the encoded header
+// checksum computes the frame checksum: CRC32C over the encoded header
 // with its CRC field zeroed (so Op, Flags, Index, Aux, and the section
 // lengths are all covered — a flipped header bit must not silently
 // redirect a block or invert a reply flag), then the meta section, then
-// every payload slice in order. h.CRC is ignored.
-func Checksum(h Header, meta []byte, payloads ...[]byte) uint32 {
+// every payload slice in order. h.CRC is ignored. The header is encoded
+// into hdr, scratch of the caller's: a local array would escape into the
+// CRC call and cost every frame an allocation.
+func checksum(hdr *[HeaderSize]byte, h Header, meta []byte, payloads ...[]byte) uint32 {
 	h.CRC = 0
-	var hdr [HeaderSize]byte
 	EncodeHeader(hdr[:], h)
 	crc := crc32.Update(0, castagnoli, hdr[:])
 	crc = crc32.Update(crc, castagnoli, meta)
@@ -152,7 +153,7 @@ func DecodeHeader(src []byte) (Header, error) {
 }
 
 // Conn frames one side of a connection. Its read half (br, hdrR, meta) and
-// its write half (hdrW, bufs, CorruptNext) share nothing, so one goroutine
+// its write half (hdrW, bufs, out, CorruptNext) share nothing, so one goroutine
 // may be in ReadFrame while another is in WriteFrame — but never two in
 // either: both iod ends keep one reader per connection and serialize
 // writers behind a lock.
@@ -168,7 +169,8 @@ type Conn struct {
 
 	hdrW [HeaderSize]byte
 	hdrR [HeaderSize]byte
-	bufs net.Buffers
+	bufs net.Buffers // the frame's sections; out is what WriteTo has left of them
+	out  net.Buffers
 	meta []byte
 }
 
@@ -195,7 +197,7 @@ func (c *Conn) WriteFrame(h Header, meta []byte, payloads ...[]byte) error {
 		plen += len(p)
 	}
 	h.PayloadLen = uint32(plen)
-	h.CRC = Checksum(h, meta, payloads...)
+	h.CRC = checksum(&c.hdrW, h, meta, payloads...)
 	EncodeHeader(c.hdrW[:], h)
 	bufs := append(c.bufs[:0], c.hdrW[:])
 	if len(meta) > 0 {
@@ -221,14 +223,13 @@ func (c *Conn) WriteFrame(h Header, meta []byte, payloads ...[]byte) error {
 		}
 	}
 	// Keep the scatter/gather list's backing array for the next frame
-	// (WriteTo re-slices its receiver as it consumes entries), and drop the
+	// (WriteTo re-slices its receiver as it consumes entries: it consumes
+	// c.out, a field, as a local's address would escape), and drop the
 	// payload references so a sent buffer is not pinned past its frame.
-	c.bufs = bufs
-	_, err := bufs.WriteTo(c.w)
-	for i := range c.bufs {
-		c.bufs[i] = nil
-	}
-	c.bufs = c.bufs[:0]
+	c.bufs, c.out = bufs, bufs
+	_, err := c.out.WriteTo(c.w)
+	clear(c.bufs)
+	c.bufs, c.out = c.bufs[:0], nil
 	return err
 }
 
@@ -261,7 +262,7 @@ func (c *Conn) ReadFrame() (Header, []byte, []byte, error) {
 			return Header{}, nil, nil, fmt.Errorf("wire: payload section: %w", err)
 		}
 	}
-	if crc := Checksum(h, meta, payload); crc != h.CRC {
+	if crc := checksum(&c.hdrR, h, meta, payload); crc != h.CRC {
 		blockpool.Put(payload)
 		return h, nil, nil, fmt.Errorf("%w: op %d: computed %08x, header %08x", ErrChecksum, h.Op, crc, h.CRC)
 	}

@@ -93,6 +93,22 @@ func TestFrameRoundTrip(t *testing.T) {
 	}
 }
 
+// TestWriteFrameAllocatesNothing: the header is checksummed in the Conn's
+// own scratch and the scatter/gather list reuses its backing array, so a
+// frame costs no allocation however many the connection sends.
+func TestWriteFrameAllocatesNothing(t *testing.T) {
+	tx := NewConn(pipeConn{Writer: io.Discard})
+	meta, p1, p2 := []byte("meta-section"), make([]byte, 4096), make([]byte, 100)
+	h := Header{Op: 3, Index: 42, Aux: 99}
+	if n := testing.AllocsPerRun(100, func() {
+		if err := tx.WriteFrame(h, meta, p1, p2); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("WriteFrame of a frame with meta and payload allocates %v times, want 0", n)
+	}
+}
+
 func TestFrameEmptySections(t *testing.T) {
 	var net bytes.Buffer
 	tx := NewConn(pipeConn{Writer: &net})
