@@ -48,12 +48,10 @@ func main() {
 		codecID   = flag.String("codec", "gzip", "drain compression codec name (empty = none)")
 		level     = flag.Int("level", 1, "codec level")
 		drainTO   = flag.Duration("drain-timeout", 30*time.Second, "how long a save may wait for its drain to reach the store")
-		asyncAck  = flag.Bool("async-ack", false, "acknowledge saves at NVM durability (202) and drain to the store in the background")
-		asyncTO   = flag.Duration("async-drain-timeout", 0, "background store-drain bound for async-acked saves (0 = 4x -drain-timeout)")
+		asyncTO   = flag.Duration("async-drain-timeout", 0, "background store-drain bound for saves acked at NVM durability, ?durable=nvm (0 = 4x -drain-timeout)")
 		drSlots   = flag.Int("drain-slots", 0, "concurrent NDP drain slots shared across sessions, QoS-weighted by tenant drain_weight (0 = ungated)")
 		shutTO    = flag.Duration("shutdown-timeout", 20*time.Second, "how long shutdown waits for in-flight requests to drain")
 		sessNVM   = flag.Int64("session-nvm", 0, "per-session NVM region bytes (0 = default)")
-		retain    = flag.Int("retain-local", 0, "drained checkpoints kept in each session's local NVM cache (0 = default 4, <0 = all)")
 		faults    = flag.String("faults", "", "fault schedule, e.g. \"gateway.handler,p=0.01,mode=err\"")
 		faultSeed = flag.Uint64("fault-seed", 1, "fault schedule seed")
 		adminAddr = flag.String("admin-listen", "", "serve shard-tier membership admin endpoints on this address (requires -iod-addrs; keep off the tenant-facing network)")
@@ -113,11 +111,9 @@ func main() {
 		Tenants:           tenants,
 		Codec:             codec,
 		DrainTimeout:      *drainTO,
-		AsyncAck:          *asyncAck,
 		AsyncDrainTimeout: *asyncTO,
 		DrainSlots:        *drSlots,
 		SessionNVM:        *sessNVM,
-		RetainLocal:       *retain,
 		Injector:          injector,
 		Metrics:           reg,
 	})

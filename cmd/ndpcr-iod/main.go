@@ -1,5 +1,5 @@
 // Command ndpcr-iod runs a global I/O node: a TCP service exposing the
-// checkpoint store to compute-node runtimes. Point ndpcr-node (or any
+// checkpoint store to compute-node runtimes. Point ndpcr-gateway (or any
 // program using the node runtime) at it with -iod <addr> and every drained
 // block will traverse a real TCP connection, per §4.2.2's requirement that
 // the NDP run the network stack.

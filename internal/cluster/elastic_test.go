@@ -113,9 +113,32 @@ func mergedState(t *testing.T, ranks []*elasticRank) []byte {
 	return out
 }
 
-// checkpointThrough commits a coordinated checkpoint and write-through
-// pushes every rank's object to the store (the clusters here run without
-// NDP so store content is deterministic).
+// putCommitted puts the bytes n committed as id into store as one whole
+// object, keyed and labelled by the metadata they were committed with.
+func putCommitted(t *testing.T, store iostore.Backend, n *node.Node, id uint64) {
+	t.Helper()
+	ckpt, err := n.Device().Get(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	meta, err := node.MetadataFromMap(ckpt.Meta)
+	if err != nil {
+		t.Fatal(err)
+	}
+	obj := iostore.Object{
+		Key:      iostore.Key{Job: meta.Job, Rank: meta.Rank, ID: id},
+		OrigSize: int64(len(ckpt.Data)),
+		Blocks:   [][]byte{ckpt.Data},
+		Meta:     ckpt.Meta,
+	}
+	if err := iostore.Put(context.Background(), store, obj); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// checkpointThrough commits a coordinated checkpoint and puts every rank's
+// committed bytes in the store (the clusters here run without NDP so store
+// content is deterministic).
 func checkpointThrough(t *testing.T, c *Cluster, step int) uint64 {
 	t.Helper()
 	id, err := c.Checkpoint(context.Background(), step)
@@ -123,9 +146,7 @@ func checkpointThrough(t *testing.T, c *Cluster, step int) uint64 {
 		t.Fatal(err)
 	}
 	for i := 0; i < c.Size(); i++ {
-		if err := c.Node(i).WriteThrough(context.Background(), id); err != nil {
-			t.Fatal(err)
-		}
+		putCommitted(t, c.store, c.Node(i), id)
 	}
 	return id
 }
@@ -319,9 +340,7 @@ func TestElasticRecoverOpaqueSnapshotsRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < c.Size(); i++ {
-		if err := c.Node(i).WriteThrough(context.Background(), id); err != nil {
-			t.Fatal(err)
-		}
+		putCommitted(t, c.store, c.Node(i), id)
 	}
 	store := c.store
 	tgt, _ := elasticCluster(t, store, 0, 2, false)

@@ -159,9 +159,7 @@ func TestPartnerPrefersNewestAcrossLevels(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := a.WriteThrough(context.Background(), id1); err != nil {
-		t.Fatal(err)
-	}
+	putCommitted(t, store, a, id1)
 	id2, err := a.Commit(context.Background(), []byte("version-two"), node.Metadata{Step: 2})
 	if err != nil {
 		t.Fatal(err)

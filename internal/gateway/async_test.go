@@ -15,7 +15,7 @@ import (
 )
 
 func TestAsyncSaveAcksAtNVMThenStoreDurable(t *testing.T) {
-	_, ts := newTestServer(t, func(c *Config) { c.AsyncAck = true })
+	_, ts := newTestServer(t, nil)
 	c := NewClient(ts.URL, "tok-acme")
 	ctx := context.Background()
 
@@ -75,22 +75,6 @@ func TestAsyncSaveReturns202WithDurableField(t *testing.T) {
 	}
 	if out.ID == 0 || out.Durable != "nvm" {
 		t.Errorf("async save response = %+v, want id>0 durable=nvm", out)
-	}
-}
-
-func TestSyncOverrideOnAsyncServer(t *testing.T) {
-	_, ts := newTestServer(t, func(c *Config) { c.AsyncAck = true })
-	req, _ := http.NewRequest(http.MethodPost,
-		ts.URL+"/v1/ns/acme/runs/r/checkpoints?rank=0&durable=store",
-		bytes.NewReader(bytes.Repeat([]byte("y"), 4096)))
-	req.Header.Set("Authorization", "Bearer tok-acme")
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("?durable=store on an async server = %d, want 200 (durable ack)", resp.StatusCode)
 	}
 }
 
@@ -190,7 +174,6 @@ func TestAsyncShutdownWaitsForPendingDrains(t *testing.T) {
 	srv, ts := newTestServer(t, func(c *Config) {
 		c.Store = faultinject.WrapStore(inner, in)
 		c.Codec = nil
-		c.AsyncAck = true
 	})
 	c := NewClient(ts.URL, "tok-acme")
 	id, err := c.SaveAsync(context.Background(), "acme", "run1", 0, 1, bytes.Repeat([]byte("p"), 8<<10))

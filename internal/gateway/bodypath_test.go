@@ -489,7 +489,7 @@ func TestSaveLoadAllocBudgetGzip(t *testing.T) {
 }
 
 // TestSteadySaveAllocBudget bounds what a save allocates on a warm session:
-// sync 8 MiB saves to one run. Past RetainLocal + 1 saves, retention discards
+// sync 8 MiB saves to one run. Past retainLocal + 1 saves, retention discards
 // one drained checkpoint per save, and the device hands that checkpoint's
 // region to the next save instead of a fresh one — what is left is the
 // store's copy-in (1.0) and the HTTP path. A fresh region per save is 2.0.
@@ -497,7 +497,7 @@ func TestSteadySaveAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's shadow allocations are not the program's")
 	}
-	srv, ts := newTestServer(t, func(c *Config) { c.Codec = nil })
+	_, ts := newTestServer(t, func(c *Config) { c.Codec = nil })
 	c := NewClient(ts.URL, "tok-acme")
 	payload := bytes.Repeat([]byte{0xa5}, 8<<20)
 	step := 0
@@ -507,7 +507,7 @@ func TestSteadySaveAllocBudget(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	for i := 0; i <= srv.cfg.RetainLocal; i++ {
+	for i := 0; i <= retainLocal; i++ {
 		save()
 	}
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))

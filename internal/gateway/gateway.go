@@ -47,24 +47,14 @@ type Config struct {
 	// SessionNVM sizes each session's local NVM region (node default
 	// when zero). It is also the largest snapshot a save accepts.
 	SessionNVM int64
-	// RetainLocal bounds how many drained checkpoints each session keeps
-	// in local NVM as a restore cache; older ones are evicted once their
-	// drain completes. Zero selects 4; negative retains everything.
-	RetainLocal int
 	// DrainTimeout bounds how long a save waits for its NDP drain to
 	// reach the global store before rolling the checkpoint back
 	// (default 30s).
 	DrainTimeout time.Duration
 
-	// AsyncAck switches saves to VELOC-style asynchronous acknowledgment:
-	// a save returns 202 as soon as the snapshot is NVM-durable, and the
-	// drain to the global store completes in the background (observable
-	// through the durability endpoint). A per-request ?durable=store|nvm
-	// query overrides the mode either way.
-	AsyncAck bool
-	// AsyncDrainTimeout bounds the background store-durability wait for an
-	// async-acked save before it is rolled back and reported failed
-	// (default 4×DrainTimeout).
+	// AsyncDrainTimeout bounds the background store-durability wait for a
+	// save acked at NVM durability (?durable=nvm) before it is rolled back
+	// and reported failed (default 4×DrainTimeout).
 	AsyncDrainTimeout time.Duration
 	// DrainSlots bounds how many NDP drains run concurrently across all
 	// sessions; tenants share the pool in proportion to their DrainWeight
@@ -133,9 +123,6 @@ func New(cfg Config) (*Server, error) {
 	}
 	if cfg.AsyncDrainTimeout <= 0 {
 		cfg.AsyncDrainTimeout = 4 * cfg.DrainTimeout
-	}
-	if cfg.RetainLocal == 0 {
-		cfg.RetainLocal = 4
 	}
 	if cfg.SessionNVM == 0 {
 		cfg.SessionNVM = node.DefaultNVMCapacity
@@ -512,11 +499,10 @@ func mapStoreErr(err error, what string) *apiError {
 // default synchronous mode the request does: a 200 means
 // durable at the I/O level, not merely accepted, and a failed or timed-out
 // drain rolls the commit back so the run's checkpoint sequence holds only
-// durable IDs. In async mode (Config.AsyncAck or ?durable=nvm) the save
-// returns 202 as soon as the snapshot is NVM-durable and the same resolve
-// runs in the background: the acked ID either reaches store durability or is
-// rolled back and reported failed through the durability endpoint, never
-// silently lost.
+// durable IDs. In async mode (?durable=nvm) the save returns 202 as soon as
+// the snapshot is NVM-durable and the same resolve runs in the background:
+// the acked ID either reaches store durability or is rolled back and
+// reported failed through the durability endpoint, never silently lost.
 func (s *Server) handleSave(w http.ResponseWriter, r *http.Request, st *tenantState) *apiError {
 	job, rank, q, aerr := reqScope(r)
 	if aerr != nil {
@@ -529,13 +515,11 @@ func (s *Server) handleSave(w http.ResponseWriter, r *http.Request, st *tenantSt
 			return errf(http.StatusBadRequest, "bad_request", "invalid step %q", v)
 		}
 	}
-	async := s.cfg.AsyncAck
+	async := false
 	switch v := q.Get("durable"); v {
-	case "":
+	case "", "store":
 	case "nvm":
 		async = true
-	case "store":
-		async = false
 	default:
 		return errf(http.StatusBadRequest, "bad_request",
 			"invalid durable mode %q (want nvm or store)", v)
@@ -742,14 +726,16 @@ func (s *Server) handleDurability(w http.ResponseWriter, r *http.Request, st *te
 	return nil
 }
 
-// evictLocal bounds the session's local-NVM restore cache to RetainLocal
-// drained checkpoints.
+// retainLocal is how many drained checkpoints each session keeps in local
+// NVM as a restore cache.
+const retainLocal = 4
+
+// evictLocal bounds the session's local-NVM restore cache once id has
+// drained: every resident checkpoint retainLocal or more IDs older goes,
+// including one a rolled-back save skipped over.
 func (s *Server) evictLocal(n *node.Node, id uint64) {
-	if s.cfg.RetainLocal < 0 {
-		return
-	}
-	if keep := uint64(s.cfg.RetainLocal); id > keep {
-		n.Device().Discard(id - keep)
+	if id > retainLocal {
+		n.Device().DiscardThrough(id - retainLocal)
 	}
 }
 

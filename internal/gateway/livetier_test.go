@@ -54,9 +54,9 @@ func dialTier(t *testing.T, addrs []string) *shardstore.Store {
 	return tier
 }
 
-// TestAsyncAcksSurviveBackendDeath: an async-ack gateway over the live tier
-// acks four saves on one session at NVM durability, and one server dies right
-// after the third ack, while acked checkpoints are still draining. Every
+// TestAsyncAcksSurviveBackendDeath: a gateway over the live tier acks four
+// saves on one session at NVM durability, and one server dies right after
+// the third ack, while acked checkpoints are still draining. Every
 // acked ID must end store-durable and load back byte-identical, or be
 // reported failed; at least one must be durable, none may be neither, and
 // none reported durable may be rolled back later. The drains run under QoS
@@ -70,7 +70,6 @@ func TestAsyncAcksSurviveBackendDeath(t *testing.T) {
 		c.Tenants = []Tenant{{Name: "acme", Token: "tok-acme", DrainWeight: 2}}
 		c.BlockSize = 16 << 10
 		c.DrainTimeout = 5 * time.Second
-		c.AsyncAck = true
 		c.AsyncDrainTimeout = 30 * time.Second
 		c.DrainSlots = 2
 	})

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"ndpcr/internal/faultinject"
 	"ndpcr/internal/metrics"
 	"ndpcr/internal/node"
 	"ndpcr/internal/node/iostore"
@@ -251,6 +252,32 @@ func TestSaveModesEquivalent(t *testing.T) {
 	if syncOut.usedBytes != asyncOut.usedBytes || syncOut.checkpoints != asyncOut.checkpoints {
 		t.Errorf("quota accounting differs: sync %d B/%d ckpts, async %d B/%d ckpts",
 			syncOut.usedBytes, syncOut.checkpoints, asyncOut.usedBytes, asyncOut.checkpoints)
+	}
+}
+
+// TestRetentionTrimsPastARolledBackSave: a save whose drain fails is rolled
+// back, and the saves after it still hold the session's NVM to retainLocal
+// checkpoints. The failed save trims nothing, so the ID it would have
+// trimmed must go with a later trim, not stay resident for good.
+func TestRetentionTrimsPastARolledBackSave(t *testing.T) {
+	const good = retainLocal + 1 // saves before the failed one, one block each
+	in := faultinject.New(1, faultinject.Rule{
+		Site: faultinject.SiteStorePutBlock, Rank: faultinject.AnyRank,
+		After: good, Count: 3, Mode: faultinject.ModeErr, // the drain's three attempts
+	})
+	srv, ts := newTestServer(t, func(c *Config) {
+		c.Store = faultinject.WrapStore(iostore.New(nvm.Pacer{}), in)
+	})
+	c := NewClient(ts.URL, "tok-acme")
+	payload := bytes.Repeat([]byte("retained state "), 256)
+	for step := 1; step <= good+1+retainLocal; step++ {
+		_, err := c.Save(context.Background(), "acme", "trim", 0, step, payload)
+		if failed := step == good+1; failed != (err != nil) {
+			t.Fatalf("save %d: err = %v, want a failure only at save %d", step, err, good+1)
+		}
+	}
+	if ids := sessionNode(t, srv, "trim", 0).Device().IDs(); len(ids) > retainLocal {
+		t.Errorf("session NVM holds checkpoints %v, want at most %d", ids, retainLocal)
 	}
 }
 

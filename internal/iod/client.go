@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -168,6 +169,9 @@ type Client struct {
 	mMaskedInv    *metrics.Counter
 	mInFlight     *metrics.Gauge
 	mCallSecs     *metrics.Histogram
+	// mLanes are the ndpcr_iod_lanes gauges of the registries this pool's
+	// size was added to, each once; Close takes it back out. Guarded by mu.
+	mLanes []*metrics.Gauge
 }
 
 // Instrument registers the client's metrics (dial retries, reconnect+retry
@@ -187,9 +191,13 @@ func (c *Client) Instrument(r *metrics.Registry) {
 		"remote StatBlocks/IDs/Keys errors surfaced to the caller (read as absence, they would hide a checkpoint from a restore)")
 	c.mInFlight = r.Gauge("ndpcr_iod_inflight_calls", "calls currently on the wire (drain streams in flight)")
 	c.mCallSecs = r.Histogram("ndpcr_iod_call_seconds", "round-trip time per call", metrics.UnitSeconds)
-	r.GaugeFunc("ndpcr_iod_lanes", "TCP lanes in this client's pool", func() float64 {
-		return float64(len(c.lanes))
-	})
+	lanes := r.Gauge("ndpcr_iod_lanes", "TCP lanes in the pools of the open iod clients instrumented here")
+	c.mu.Lock()
+	if !c.closing.Load() && !slices.Contains(c.mLanes, lanes) {
+		c.mLanes = append(c.mLanes, lanes)
+		lanes.Add(int64(len(c.lanes)))
+	}
+	c.mu.Unlock()
 	instrumentPool(r)
 }
 
@@ -232,10 +240,14 @@ func Dial(addr string) (*Client, error) {
 // handshake, and a peer answering with anything else fails the lane with
 // wire.ErrBadMagic or wire.ErrBadVersion.
 func DialPool(addr string, n int) (*Client, error) {
-	c := newClient(addr, max(n, 1))
+	return newClient(addr, max(n, 1)).connect()
+}
+
+// connect dials lane 0 through dialRetry and installs it.
+func (c *Client) connect() (*Client, error) {
 	conn, err := c.dialRetry(context.Background())
 	if err != nil {
-		return nil, fmt.Errorf("iod: dial %s: %w", addr, err)
+		return nil, fmt.Errorf("iod: dial %s: %w", c.addr, err)
 	}
 	c.install(c.lanes[0], conn)
 	return c, nil
@@ -553,7 +565,14 @@ func (c *Client) attempt(ctx context.Context, req *request) (*response, error) {
 // Close shuts every lane down and joins their readers; in-flight calls
 // fail. closing is flagged first so retry loops abort at their next check.
 func (c *Client) Close() error {
-	c.closing.Store(true)
+	if !c.closing.Swap(true) {
+		c.mu.Lock()
+		for _, g := range c.mLanes {
+			g.Add(-int64(len(c.lanes)))
+		}
+		c.mLanes = nil
+		c.mu.Unlock()
+	}
 	for _, ln := range c.lanes {
 		c.mu.Lock()
 		lk := ln.link

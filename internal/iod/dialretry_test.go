@@ -10,9 +10,9 @@ import (
 	"ndpcr/internal/node/nvm"
 )
 
-// TestDialRetriesUntilServerUp starts the server only after Dial has begun
-// retrying: the connect must survive the startup window instead of failing
-// on the first refused attempt.
+// TestDialRetriesUntilServerUp starts the server only after Dial has been
+// refused twice: the connect must survive the startup window instead of
+// failing on the first refused attempt.
 func TestDialRetriesUntilServerUp(t *testing.T) {
 	// Reserve a port, then free it so the first dial attempts are refused.
 	l, err := net.Listen("tcp", "127.0.0.1:0")
@@ -27,13 +27,24 @@ func TestDialRetriesUntilServerUp(t *testing.T) {
 		t.Fatal(err)
 	}
 	serveErr := make(chan error, 1)
-	go func() {
-		// Come up mid-way through the client's backoff schedule.
-		time.Sleep(100 * time.Millisecond)
-		serveErr <- srv.ListenAndServe(addr)
-	}()
-
-	client, err := Dial(addr)
+	// Come up mid-way through the client's backoff schedule: its dial
+	// starts the server once the second attempt has been refused.
+	c := newClient(addr, 1)
+	dial, refused := c.dial, 0
+	c.dial = func(ctx context.Context) (net.Conn, error) {
+		conn, err := dial(ctx)
+		if err != nil {
+			if refused++; refused == 2 {
+				ln, lerr := net.Listen("tcp", addr)
+				if lerr != nil {
+					t.Fatal(lerr)
+				}
+				go func() { serveErr <- srv.Serve(ln) }()
+			}
+		}
+		return conn, err
+	}
+	client, err := c.connect()
 	if err != nil {
 		t.Fatalf("Dial did not survive server startup: %v", err)
 	}

@@ -2,6 +2,7 @@ package iod
 
 import (
 	"context"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -109,7 +110,7 @@ func startPoolOver(t *testing.T, backing iostore.Backend, n int) (*Server, *Clie
 	return srv, client
 }
 
-// eventually polls cond until it holds.
+// eventually yields until cond holds, for up to 10s.
 func eventually(t *testing.T, what string, cond func() bool) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
@@ -117,7 +118,7 @@ func eventually(t *testing.T, what string, cond func() bool) {
 		if time.Now().After(deadline) {
 			t.Fatalf("never happened: %s", what)
 		}
-		time.Sleep(time.Millisecond)
+		runtime.Gosched()
 	}
 }
 

@@ -1,8 +1,7 @@
 // Package lifecycle provides the small shared pieces of server process
 // management: a signal-bound context for orderly shutdown, so every ndpcr
-// daemon (gateway, I/O node, compute-node runtime) traps SIGINT/SIGTERM
-// the same way — stop accepting new work, drain what is in flight, flush
-// metrics, exit 0.
+// daemon (gateway, I/O node) traps SIGINT/SIGTERM the same way — stop
+// accepting new work, drain what is in flight, flush metrics, exit 0.
 package lifecycle
 
 import (

@@ -254,7 +254,7 @@ func (r *Registry) WriteProm(w io.Writer) error {
 
 // Dump renders a human-readable summary: counters and gauges as plain
 // values, histograms as count/mean/p50/p99/max lines. This is what the
-// -metrics flag of ndpcr-node and ndpcr-experiments prints.
+// -metrics flag of ndpcr-experiments and ndpcr-gateway's final metrics print.
 func (r *Registry) Dump(w io.Writer) error {
 	for _, series := range r.snapshot() {
 		for _, m := range series {

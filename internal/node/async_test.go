@@ -129,20 +129,6 @@ func TestCommitBackpressureTypedError(t *testing.T) {
 	}
 }
 
-func TestWriteThroughMarksStoreDurable(t *testing.T) {
-	n, _ := newNode(t, nil)
-	id, err := n.Commit(context.Background(), snapshot(4<<10, 3), Metadata{Step: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := n.WriteThrough(context.Background(), id); err != nil {
-		t.Fatal(err)
-	}
-	if !n.DurableAt(id, ndp.LevelStore) {
-		t.Error("WriteThrough did not advance the store watermark")
-	}
-}
-
 func TestDiscardCommitFailsDurability(t *testing.T) {
 	// A stalled store keeps the checkpoint un-drained long enough to
 	// discard it first.

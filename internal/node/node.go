@@ -396,27 +396,6 @@ func (n *Node) DiscardCommit(id uint64) error {
 		iostore.Key{Job: n.cfg.Job, Rank: n.cfg.Rank, ID: id})
 }
 
-// WriteThrough writes a committed checkpoint to global I/O from the host —
-// the conventional multilevel path used when the NDP is disabled. It
-// blocks for the full (uncompressed) transfer.
-func (n *Node) WriteThrough(ctx context.Context, id uint64) error {
-	ckpt, err := n.device.Get(id)
-	if err != nil {
-		return fmt.Errorf("node: write-through %d: %w", id, err)
-	}
-	obj := iostore.Object{
-		Key:      iostore.Key{Job: n.cfg.Job, Rank: n.cfg.Rank, ID: id},
-		OrigSize: int64(len(ckpt.Data)),
-		Blocks:   [][]byte{ckpt.Data},
-		Meta:     ckpt.Meta,
-	}
-	if err := n.cfg.Store.Put(ctx, obj); err != nil {
-		return err
-	}
-	n.dur.MarkDurable(ndp.LevelStore, id)
-	return nil
-}
-
 // ErrNoCheckpoint reports that neither level holds a restorable checkpoint.
 var ErrNoCheckpoint = errors.New("node: no checkpoint available at any level")
 

@@ -206,36 +206,6 @@ func TestStoredCheckpointsRestoreIndependently(t *testing.T) {
 	}
 }
 
-func TestWriteThroughWithoutNDP(t *testing.T) {
-	n, store := newNode(t, func(c *Config) { c.DisableNDP = true })
-	if n.Engine() != nil {
-		t.Fatal("engine exists despite DisableNDP")
-	}
-	snap := snapshot(50000, 6)
-	id, err := n.Commit(context.Background(), snap, Metadata{Step: 9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Nothing reaches I/O until the host writes it through.
-	if _, ok, _ := store.Latest(context.Background(), "job", 0); ok {
-		t.Error("checkpoint reached I/O without host write")
-	}
-	if err := n.WriteThrough(context.Background(), id); err != nil {
-		t.Fatal(err)
-	}
-	n.FailLocal()
-	data, meta, level, err := n.Restore(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if level != LevelIO || meta.Step != 9 || !bytes.Equal(data, snap) {
-		t.Error("write-through restore failed")
-	}
-	if err := n.WriteThrough(context.Background(), 99); err == nil {
-		t.Error("write-through of missing id accepted")
-	}
-}
-
 func TestRestoreThenStepEquivalence(t *testing.T) {
 	// End-to-end with a real mini-app through the runtime: commit, fail,
 	// restore, and verify trajectory equivalence against a twin.

@@ -619,6 +619,24 @@ func (d *Device) Discard(id uint64) bool {
 	return true
 }
 
+// DiscardThrough force-removes every resident checkpoint whose ID is at or
+// below id, by Discard's rule. It allocates nothing.
+func (d *Device) DiscardThrough(id uint64) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	removed := false
+	// Backwards: removeLocked shifts only the entries after the one it drops.
+	for i := len(d.order) - 1; i >= 0; i-- {
+		if old := d.order[i]; old <= id {
+			d.removeLocked(old)
+			removed = true
+		}
+	}
+	if removed {
+		d.signalAdmitLocked()
+	}
+}
+
 // Wipe simulates node-local storage loss (a failure that the local level
 // cannot recover from): every checkpoint disappears, locks and all.
 func (d *Device) Wipe() {

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"ndpcr/internal/iod"
+	"ndpcr/internal/node/iostore"
 )
 
 // Dynamic membership: backends can be added to and decommissioned from a
@@ -121,6 +122,9 @@ func (s *Store) AddBackend(m Member) error {
 	b := &backend{name: m.Name, store: m.Store, close: m.Close, hash: h.Sum64()}
 	b.healthy.Store(true)
 	b.state.Store(int32(StateJoining))
+	if reg := s.reg.Load(); reg != nil {
+		iostore.Instrument(m.Store, reg) // before it takes traffic
+	}
 	s.mu.Lock()
 	for _, old := range s.backends {
 		if old.name == m.Name {

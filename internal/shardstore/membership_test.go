@@ -15,19 +15,45 @@ import (
 	"ndpcr/internal/node/nvm"
 )
 
-// waitState polls until name reaches want (or is gone when want < 0).
-func waitState(t *testing.T, s *Store, name string, want MemberState) {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		st, ok := s.MemberState(name)
-		if ok && st == want {
-			return
+// activations delivers the name of every backend s activates, after
+// whatever OnEvent hook s already has. Install it before the AddBackend
+// whose activation it waits on.
+func activations(s *Store) <-chan string {
+	ch := make(chan string, 8) // more than any test activates
+	next := s.cfg.OnEvent
+	s.cfg.OnEvent = func(ev Event) {
+		if next != nil {
+			next(ev)
 		}
-		time.Sleep(10 * time.Millisecond)
+		if ev.Kind == EventActivated {
+			select {
+			case ch <- ev.Backend:
+			default: // never block the watcher
+			}
+		}
 	}
-	st, ok := s.MemberState(name)
-	t.Fatalf("backend %s never reached %s (state %s, present %v)", name, want, st, ok)
+	return ch
+}
+
+// waitState waits for name's activation on activated, then checks that
+// name is in state want.
+func waitState(t *testing.T, s *Store, activated <-chan string, name string, want MemberState) {
+	t.Helper()
+	timeout := time.After(5 * time.Second)
+wait:
+	for {
+		select {
+		case got := <-activated:
+			if got == name {
+				break wait
+			}
+		case <-timeout:
+			break wait
+		}
+	}
+	if st, ok := s.MemberState(name); !ok || st != want {
+		t.Fatalf("backend %s never reached %s (state %s, present %v)", name, want, st, ok)
+	}
 }
 
 func TestAddBackendBackfillsAndActivates(t *testing.T) {
@@ -39,6 +65,7 @@ func TestAddBackendBackfillsAndActivates(t *testing.T) {
 		events = append(events, ev)
 		evMu.Unlock()
 	}
+	activated := activations(s)
 	for id := uint64(1); id <= 24; id++ {
 		if err := s.Put(context.Background(), obj(id, "spread-me")); err != nil {
 			t.Fatal(err)
@@ -51,7 +78,7 @@ func TestAddBackendBackfillsAndActivates(t *testing.T) {
 	if err := s.AddBackend(Member{Name: "iod-new", Store: joiner}); err == nil {
 		t.Error("duplicate AddBackend accepted")
 	}
-	waitState(t, s, "iod-new", StateActive)
+	waitState(t, s, activated, "iod-new", StateActive)
 
 	// The joiner must have been backfilled with exactly the keys it now
 	// wins under HRW: over 24 keys and 4 backends some reshuffle onto it.
@@ -398,13 +425,14 @@ func TestRebalanceMoverFaultsAreRetried(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	activated := activations(s)
 	joiner := iostore.New(nvm.Pacer{})
 	if err := s.AddBackend(Member{Name: "iod-new", Store: joiner}); err != nil {
 		t.Fatal(err)
 	}
 	// The first 3 moves fail injected; the watcher's retry passes finish
 	// the backfill anyway.
-	waitState(t, s, "iod-new", StateActive)
+	waitState(t, s, activated, "iod-new", StateActive)
 	if got := in.Fired()[faultinject.SiteShardMove]; got != 3 {
 		t.Errorf("injected %d move faults, want 3", got)
 	}

@@ -57,9 +57,9 @@ func (s *Store) listedKeys(ctx context.Context) (map[iostore.Key][]*backend, boo
 // sticky set is short of R or names an unhealthy member, each with every
 // healthy member as a candidate (an unhealthy one can be neither source nor
 // target, and asking a dead one costs a CallTimeout per key). The scoping is
-// deliberate: every ndpcr-node rank runs its own client over shared iod
-// servers, and a background pass over the whole inventory on every rank
-// would have N processes racing to repair each other's objects.
+// deliberate: every process (a gateway, a cluster rank) runs its own client
+// over shared iod servers, and a background pass over the whole inventory
+// on every one would have N processes racing to repair each other's objects.
 func (s *Store) suspectKeys(context.Context) (map[iostore.Key][]*backend, bool, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -191,6 +191,10 @@ type Store struct {
 
 	closed atomic.Bool
 
+	// reg is the registry Instrument was given (nil before): AddBackend
+	// instruments a new member on it.
+	reg atomic.Pointer[metrics.Registry]
+
 	// Metrics (nil until Instrument is called).
 	mPuts         *metrics.Counter
 	mReads        *metrics.Counter
@@ -217,8 +221,8 @@ func (s *Store) snapshot() []*backend {
 }
 
 // New assembles a shard client over pre-built members (tests compose
-// in-process stores or faultinject wrappers; cmd/ndpcr-node composes
-// iod clients via Dial). Member names must be unique.
+// in-process stores or faultinject wrappers; Dial composes iod clients).
+// Member names must be unique.
 func New(members []Member, cfg Config) (*Store, error) {
 	if len(members) == 0 {
 		return nil, errors.New("shardstore: at least one backend is required")
@@ -280,9 +284,15 @@ func Dial(addrs []string, lanes int, cfg Config) (*Store, error) {
 var _ iostore.Backend = (*Store)(nil)
 
 // Instrument registers the shard tier's placement/failover/repair
-// metrics with r. Call it once, before traffic (see iostore.Instrument): it
+// metrics with r, and every member's own (an iod client's calls, retries
+// and lanes); a member AddBackend adds later is instrumented on r before it
+// takes traffic. Call it once, before traffic (see iostore.Instrument): it
 // assigns the counters the write and read paths bump.
 func (s *Store) Instrument(r *metrics.Registry) {
+	s.reg.Store(r)
+	for _, b := range s.snapshot() {
+		iostore.Instrument(b.store, r)
+	}
 	r.GaugeFunc("ndpcr_shardstore_backends", "I/O backends in the shard set", func() float64 {
 		return float64(len(s.snapshot()))
 	})

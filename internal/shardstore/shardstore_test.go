@@ -5,12 +5,14 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"net"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"ndpcr/internal/blockpool"
 	"ndpcr/internal/faultinject"
+	"ndpcr/internal/iod"
 	"ndpcr/internal/metrics"
 	"ndpcr/internal/node/iostore"
 	"ndpcr/internal/node/nvm"
@@ -636,5 +638,51 @@ func TestFetchedBlockIsTheCallers(t *testing.T) {
 	o, err := s.Get(ctx, key(1))
 	if err != nil || len(o.Blocks) != 2 || !bytes.Equal(o.Blocks[0], want) || !bytes.Equal(o.Blocks[1], want) {
 		t.Errorf("Get after scribbling on fetched blocks: %v, blocks changed", err)
+	}
+}
+
+// TestInstrumentCoversIodMembers: a tier over three loopback iod servers of
+// two lanes each exports its members' client series through its own
+// Instrument, a member added after it included, and ndpcr_iod_lanes sums
+// the pools once per registry however often a client is instrumented on it.
+func TestInstrumentCoversIodMembers(t *testing.T) {
+	addrs := make([]string, 3)
+	for i := range addrs {
+		srv, err := iod.NewServer(iostore.New(nvm.Pacer{}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		go srv.Serve(ln)
+		t.Cleanup(func() { srv.Close() })
+		addrs[i] = ln.Addr().String()
+	}
+	s, err := Dial(addrs[:2], 2, Config{Replicas: 2, Probe: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { s.Close() })
+	reg := metrics.NewRegistry()
+	s.Instrument(reg)
+	s.Instrument(reg)
+	if err := s.AddBackendAddr(addrs[2], 2); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Put(context.Background(), obj(1, "instrumented")); err != nil {
+		t.Fatal(err)
+	}
+	lanes := reg.Gauge("ndpcr_iod_lanes", "")
+	if got := lanes.Value(); got != 6 {
+		t.Errorf("ndpcr_iod_lanes = %d, want 6 (three pools of 2)", got)
+	}
+	if n := reg.Histogram("ndpcr_iod_call_seconds", "", metrics.UnitSeconds).Count(); n == 0 {
+		t.Error("ndpcr_iod_call_seconds counted no call of the tier's members")
+	}
+	s.Close()
+	if got := lanes.Value(); got != 0 {
+		t.Errorf("ndpcr_iod_lanes = %d once the tier closed its members, want 0", got)
 	}
 }

@@ -34,9 +34,11 @@ go test -race ./internal/erasure/... ./internal/metrics/... ./internal/faultinje
 go test -race -count=2 ./internal/cluster/... ./internal/node/... ./internal/iod/... \
     ./internal/shardstore/... ./internal/gateway/...
 
-# The iod lanes hand every reply from a reader goroutine to a waiting caller:
-# one core is the schedule most likely to show a lost wake-up between them.
-go test -race -count=3 -cpu 1 ./internal/iod/...
+# The iod lanes hand every reply from a reader goroutine to a waiting caller,
+# and the shard tier's controller hands membership changes to its waiters
+# through events: one core is the schedule most likely to show a lost
+# wake-up between them.
+go test -race -count=3 -cpu 1 ./internal/iod/... ./internal/shardstore/...
 
 # The NDP engine's tests wait on what they can observe — a parked waiter, a
 # pinned drain candidate, a parked store write — never on a sleep: twenty
