@@ -1,9 +1,9 @@
 // Package blockpool is the process's one pool of block-sized byte buffers.
 // Every layer that moves a checkpoint block into a buffer of its own — a
-// wire receive, a store's copy-out, a codec's output — draws the buffer here
-// and, when it is the buffer's last owner, returns it here. At GB/s a fresh
-// buffer per block is hundreds of MB/s of garbage, zeroed and page-faulted
-// only to be overwritten before anyone reads the zeroes.
+// wire receive, a store's copy-in and copy-out, a codec's output — draws the
+// buffer here and, when it is the buffer's last owner, returns it here. At
+// GB/s a fresh buffer per block is hundreds of MB/s of garbage, zeroed and
+// page-faulted only to be overwritten before anyone reads the zeroes.
 //
 // Ownership is a rule, not something Put can check: a buffer has one owner
 // at a time, only the owner may Put it, and only after its last read. A

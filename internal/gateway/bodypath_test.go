@@ -523,3 +523,47 @@ func TestSteadySaveAllocBudget(t *testing.T) {
 		}
 	}
 }
+
+// TestSteadySaveDeleteAllocBudget is the warm save of a run that also deletes
+// what it no longer needs: after each sync 8 MiB save the client deletes the
+// checkpoint retainLocal back, which retention already dropped from NVM. The
+// store returns that object's blocks to the pool and the next save's copy-in
+// draws them, so what is left is the HTTP path. A store that copies into
+// fresh memory is 1.0 again.
+func TestSteadySaveDeleteAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's shadow allocations are not the program's")
+	}
+	_, ts := newTestServer(t, func(c *Config) { c.Codec = nil })
+	c := NewClient(ts.URL, "tok-acme")
+	ctx := context.Background()
+	payload := bytes.Repeat([]byte{0xa5}, 8<<20)
+	step := 0
+	save := func() float64 {
+		step++
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		id, err := c.Save(ctx, "acme", "steady", 0, step, payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if id > retainLocal {
+			if err := c.Delete(ctx, "acme", "steady", 0, id-retainLocal); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		return float64(after.TotalAlloc-before.TotalAlloc) / float64(len(payload))
+	}
+	for i := 0; i <= retainLocal+1; i++ {
+		save()
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	for round := 1; round <= 3; round++ {
+		perByte := save()
+		t.Logf("save and delete %d: %.3f bytes allocated per payload byte", round, perByte)
+		if perByte > 0.25 {
+			t.Errorf("save %d allocated %.2f bytes per payload byte, budget 0.25: the store's copy-in is fresh memory again", round, perByte)
+		}
+	}
+}

@@ -89,7 +89,8 @@ func (o Object) StoredSize() int64 {
 //     device read filled would: the backend keeps no reference to it, and the
 //     caller may change it, blockpool.Put it after its last read, or simply
 //     drop it. Get's blocks are the exception that stays read-only — they
-//     may be the backend's own memory, never released.
+//     may be the backend's own memory, valid until the key is deleted or
+//     that block rewritten (Store pools what it keeps and recycles it then).
 //   - A stored object is its blocks. Put, Get, Stat and Latest have one
 //     meaning for every backend, the package functions of the same names over
 //     the block and listing methods; an implementation either is one call to
@@ -124,10 +125,13 @@ func Instrument(b Backend, r *metrics.Registry) {
 }
 
 // Store is the shared global store. All methods are safe for concurrent
-// use by many node goroutines.
+// use by many node goroutines. The blocks it keeps are blockpool buffers,
+// released when Delete removes their object or PutBlock replaces them: every
+// read of one happens under mu, so none is read after its release.
 type Store struct {
-	mu      sync.Mutex
+	mu      sync.RWMutex
 	objects map[Key]Object
+	stored  int64     // bytes in the objects' blocks, kept by PutBlock and Delete
 	pacer   nvm.Pacer // per-node share pacing applied to each transfer
 
 	// Metrics (nil until Instrument is called).
@@ -140,19 +144,15 @@ type Store struct {
 func (s *Store) Instrument(r *metrics.Registry) {
 	r.GaugeFunc("ndpcr_iostore_objects", "checkpoint objects resident in the global store",
 		func() float64 {
-			s.mu.Lock()
-			defer s.mu.Unlock()
+			s.mu.RLock()
+			defer s.mu.RUnlock()
 			return float64(len(s.objects))
 		})
 	r.GaugeFunc("ndpcr_iostore_stored_bytes", "bytes resident in the global store",
 		func() float64 {
-			s.mu.Lock()
-			defer s.mu.Unlock()
-			var n int64
-			for _, o := range s.objects {
-				n += o.StoredSize()
-			}
-			return float64(n)
+			s.mu.RLock()
+			defer s.mu.RUnlock()
+			return float64(s.stored)
 		})
 	s.mWriteBytes = r.Histogram("ndpcr_iostore_write_bytes", "bytes per store write", metrics.UnitBytes)
 	s.mReadBytes = r.Histogram("ndpcr_iostore_read_bytes", "bytes per store read", metrics.UnitBytes)
@@ -258,14 +258,16 @@ func (s *Store) Put(ctx context.Context, o Object) error { return Put(ctx, s, o)
 // first use. This is the streaming path the NDP uses: blocks arrive as they
 // are compressed (§4.2.2), each paced individually. Indexes below it that
 // nothing has written yet stay nil — gaps GetBlock refuses to serve — while
-// a written block is never nil, however empty.
+// a written block is never nil, however empty. The block it replaces, if
+// any, goes back to the pool.
 func (s *Store) PutBlock(ctx context.Context, key Key, meta Object, index int, block []byte) error {
 	if err := checkWrite(ctx, key, index); err != nil {
 		return err
 	}
 	// Copied before the lock: every lane writing to this backend shares
 	// s.mu, and a block-sized memcpy under it serialises them all.
-	stored := append([]byte{}, block...)
+	stored := blockpool.Get(len(block))
+	copy(stored, block)
 	s.mu.Lock()
 	o, ok := s.objects[key]
 	if !ok {
@@ -276,9 +278,12 @@ func (s *Store) PutBlock(ctx context.Context, key Key, meta Object, index int, b
 	for len(o.Blocks) <= index {
 		o.Blocks = append(o.Blocks, nil)
 	}
+	old := o.Blocks[index]
 	o.Blocks[index] = stored
 	s.objects[key] = o
+	s.stored += int64(len(stored) - len(old))
 	s.mu.Unlock()
+	blockpool.Put(old)
 	s.pacer.Move(len(block))
 	if s.mWriteBytes != nil {
 		s.mWriteBytes.Observe(int64(len(block)))
@@ -287,27 +292,36 @@ func (s *Store) PutBlock(ctx context.Context, key Key, meta Object, index int, b
 }
 
 // Delete removes an object (used when an aborted drain must not leave a
-// torn checkpoint behind). Deleting an absent object is not an error.
+// torn checkpoint behind) and returns its blocks to the pool. Deleting an
+// absent object is not an error.
 func (s *Store) Delete(ctx context.Context, key Key) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
 	s.mu.Lock()
+	o := s.objects[key]
 	delete(s.objects, key)
+	s.stored -= o.StoredSize()
 	s.mu.Unlock()
+	for _, b := range o.Blocks {
+		blockpool.Put(b)
+	}
 	return nil
 }
 
-// Get returns an object, pacing the full transfer. Its blocks are the store's
-// own memory, lent without a copy: read-only. An object with a gap — an index
-// below its last that no PutBlock filled — is ErrNotFound naming the gap, as
-// GetBlock of that index is.
+// Get returns an object, pacing the full transfer. Its Blocks slice is the
+// caller's, but the blocks are the store's own memory, lent without a copy:
+// read-only, and valid until the key is deleted or that block rewritten. An
+// object with a gap — an index below its last that no PutBlock filled — is
+// ErrNotFound naming the gap, as GetBlock of that index is.
 func (s *Store) Get(ctx context.Context, key Key) (Object, error) {
 	if err := ctx.Err(); err != nil {
 		return Object{}, err
 	}
-	s.mu.Lock()
+	s.mu.RLock()
 	o, ok := s.objects[key]
+	o.Blocks = append([][]byte(nil), o.Blocks...)
+	s.mu.RUnlock()
 	gap := -1
 	for i, b := range o.Blocks {
 		if b == nil {
@@ -315,7 +329,6 @@ func (s *Store) Get(ctx context.Context, key Key) (Object, error) {
 			break
 		}
 	}
-	s.mu.Unlock()
 	switch {
 	case !ok:
 		return Object{}, fmt.Errorf("%w: %s", ErrNotFound, key)
@@ -337,8 +350,8 @@ func (s *Store) IDs(ctx context.Context, job string, rank int) ([]uint64, error)
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.mu.RLock()
+	defer s.mu.RUnlock()
 	var out []uint64
 	for k := range s.objects {
 		if k.Job == job && k.Rank == rank {
@@ -354,12 +367,12 @@ func (s *Store) Keys(ctx context.Context) ([]Key, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	s.mu.Lock()
+	s.mu.RLock()
 	out := make([]Key, 0, len(s.objects))
 	for k := range s.objects {
 		out = append(out, k)
 	}
-	s.mu.Unlock()
+	s.mu.RUnlock()
 	SortKeys(out)
 	return out, nil
 }
@@ -391,8 +404,8 @@ func (s *Store) StatBlocks(ctx context.Context, key Key) (Object, int, bool, err
 	if err := ctx.Err(); err != nil {
 		return Object{}, 0, false, err
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.mu.RLock()
+	defer s.mu.RUnlock()
 	o, ok := s.objects[key]
 	if !ok {
 		return Object{}, 0, false, nil
@@ -410,30 +423,32 @@ func (s *Store) StatBlocks(ctx context.Context, key Key) (Object, int, bool, err
 // GetBlock returns one block's payload, paced individually so a streamed
 // restore pays the same total transfer cost as a whole-object Get. The block
 // is copied out into a pooled buffer, as PutBlock copied it in: the store
-// never lends its memory to a caller who owns what it is handed. A block
+// never lends its memory to a caller who owns what it is handed. The copy is
+// made under the read lock, so the block cannot be released mid-copy. A block
 // the object does not hold (past its end, or a gap) is ErrNotFound.
 func (s *Store) GetBlock(ctx context.Context, key Key, index int) ([]byte, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	var b []byte
-	s.mu.Lock()
+	var out []byte
+	s.mu.RLock()
 	o, ok := s.objects[key]
-	if ok && index >= 0 && index < len(o.Blocks) {
-		b = o.Blocks[index]
+	if ok && index >= 0 && index < len(o.Blocks) && o.Blocks[index] != nil {
+		b := o.Blocks[index]
+		out = append(blockpool.Get(len(b))[:0], b...)
 	}
-	s.mu.Unlock()
+	s.mu.RUnlock()
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrNotFound, key)
 	}
-	if b == nil {
+	if out == nil {
 		return nil, fmt.Errorf("%w: %s holds no block %d", ErrNotFound, key, index)
 	}
-	s.pacer.Move(len(b))
+	s.pacer.Move(len(out))
 	if s.mReadBytes != nil {
-		s.mReadBytes.Observe(int64(len(b)))
+		s.mReadBytes.Observe(int64(len(out)))
 	}
-	return append(blockpool.Get(len(b))[:0], b...), nil
+	return out, nil
 }
 
 // Store satisfies the unified Backend surface.

@@ -1,0 +1,5 @@
+//go:build race
+
+package iostore
+
+const raceEnabled = true

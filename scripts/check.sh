@@ -49,6 +49,11 @@ go test -race -count=20 -cpu 1 ./internal/node/ndp/...
 # and its region-lifetime tests run with retired regions poisoned.
 go test -race -count=20 -cpu 1 ./internal/node/nvm/...
 
+# The in-memory store releases a block to the pool when a rewrite replaces it
+# or a Delete removes its object, while GetBlock may be copying it out: its
+# block-lifetime test runs with released blocks poisoned, on one core.
+go test -race -count=20 -cpu 1 ./internal/node/iostore/...
+
 # The codecs are called by 8 restore workers and the NDP's compress workers
 # at once, over the pooled deflate encoder (hash table, sequences, Huffman
 # scratch), the pooled lz4 table and the pooled inflate tables.
