@@ -558,8 +558,8 @@ func TestMutatedStreamsAgainstFlate(t *testing.T) {
 	}
 }
 
-// TestConcurrentDecode: the Codec contract — 8 restore workers call Decode
-// at once over the pooled tables.
+// TestConcurrentDecode: the Codec contract — a restore's 8 workers (its
+// window at 1 MiB blocks) call Decode at once over the pooled tables.
 func TestConcurrentDecode(t *testing.T) {
 	data := append(benchBlock(64<<10), matchHeavy(64<<10)...)
 	var wg sync.WaitGroup

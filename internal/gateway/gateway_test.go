@@ -439,3 +439,37 @@ func TestMetricsEndpoint(t *testing.T) {
 		}
 	}
 }
+
+// TestMetricsCarryNoPerSessionWatermark: every session's node reports into
+// the gateway's one registry, so a per-node durability watermark there could
+// only be one session's — the first ever created — and is no series at all.
+// The per-checkpoint durability endpoint is where a watermark is read.
+func TestMetricsCarryNoPerSessionWatermark(t *testing.T) {
+	_, ts := newTestServer(t, nil)
+	c := NewClient(ts.URL, "tok-acme")
+	ctx := context.Background()
+	if _, err := c.Save(ctx, "acme", "first", 0, 0, []byte("x")); err != nil {
+		t.Fatalf("Save: %v", err)
+	}
+	var last uint64
+	for step := 0; step < 3; step++ {
+		id, err := c.Save(ctx, "acme", "second", 0, step, []byte("y"))
+		if err != nil {
+			t.Fatalf("Save: %v", err)
+		}
+		last = id
+	}
+	if d, err := c.Durability(ctx, "acme", "second", 0, last, ""); err != nil || !d.Durable("store") {
+		t.Fatalf("second session's checkpoint %d: durability %+v, err %v; want store", last, d, err)
+	}
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatalf("GET /metrics: %v", err)
+	}
+	defer resp.Body.Close()
+	var buf bytes.Buffer
+	buf.ReadFrom(resp.Body)
+	if bytes.Contains(buf.Bytes(), []byte("ndpcr_node_durable_level")) {
+		t.Errorf("/metrics carries a per-session durability watermark:\n%s", buf.String())
+	}
+}

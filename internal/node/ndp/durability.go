@@ -14,8 +14,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-
-	"ndpcr/internal/metrics"
 )
 
 // Level identifies one rung of the durability hierarchy a checkpoint climbs
@@ -292,22 +290,4 @@ func (t *Tracker) Close() {
 		close(t.stop)
 	}
 	t.mu.Unlock()
-}
-
-// Instrument registers the per-level durability watermarks
-// (ndpcr_node_durable_level{level="..."}) with r, sampled at exposition
-// time.
-func (t *Tracker) Instrument(r *metrics.Registry) {
-	for l := LevelNVM; l < numLevels; l++ {
-		l := l
-		r.GaugeFunc(fmt.Sprintf("ndpcr_node_durable_level{level=%q}", l.String()),
-			"newest checkpoint ID durable at each redundancy level",
-			func() float64 {
-				id, ok := t.Watermark(l)
-				if !ok {
-					return 0
-				}
-				return float64(id)
-			})
-	}
 }

@@ -2,7 +2,9 @@
 // a background worker coupled to the node's local NVM that moves committed
 // checkpoints to global I/O, optionally compressing them on the way with a
 // pool of NDP cores, overlapping compression with transmission by streaming
-// fixed-size blocks to the store as they are produced.
+// fixed-size blocks to the store as they are produced. Its block stage,
+// Ordered, is the one the host's streamed restore (§4.3) runs too: blocks
+// produced on a bounded set of workers, consumed in order by the caller.
 package ndp
 
 import (
@@ -10,7 +12,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"ndpcr/internal/blockpool"
@@ -455,36 +456,18 @@ func (e *Engine) span(id uint64, phase metrics.Phase, start, end time.Time) {
 	}
 }
 
-// splitBlocks cuts data into BlockSize units (the last may be short).
-func (e *Engine) splitBlocks(data []byte) [][]byte {
-	bs := e.cfg.BlockSize
-	n := (len(data) + bs - 1) / bs
-	if n == 0 {
-		return [][]byte{nil}
-	}
-	out := make([][]byte, 0, n)
-	for off := 0; off < len(data); off += bs {
-		end := off + bs
-		if end > len(data) {
-			end = len(data)
-		}
-		out = append(out, data[off:end])
-	}
-	return out
-}
-
 // sender ships one drain's blocks: they are handed over serially and in
 // order, and the store writes run asynchronously, bounded by Engine.window.
 // PutBlock writes by index, so out-of-order completion of the windowed
 // writes cannot tear the object; wait() is the ack barrier — no drain
 // acknowledges until every outstanding write has landed.
 type sender struct {
-	e     *Engine
-	key   iostore.Key
-	meta  iostore.Object
-	sem   chan struct{}
-	wg    sync.WaitGroup
-	clock *metrics.Envelope // optional xmit envelope across the store writes
+	e    *Engine
+	key  iostore.Key
+	meta iostore.Object
+	sem  chan struct{}
+	wg   sync.WaitGroup
+	xmit metrics.Envelope // wall-clock envelope of the store writes
 	// owned says the blocks sent are the pipeline's compressed buffers, to
 	// release once their write returns. The raw drain's are slices of the
 	// NVM region — device memory, which only the device retires, and the
@@ -495,8 +478,8 @@ type sender struct {
 	err   error
 }
 
-func (e *Engine) newSender(key iostore.Key, meta iostore.Object, clock *metrics.Envelope) *sender {
-	return &sender{e: e, key: key, meta: meta, sem: make(chan struct{}, e.window), clock: clock}
+func (e *Engine) newSender(key iostore.Key, meta iostore.Object) *sender {
+	return &sender{e: e, key: key, meta: meta, sem: make(chan struct{}, e.window)}
 }
 
 func (s *sender) firstErr() error {
@@ -548,9 +531,7 @@ func (s *sender) send(ctx context.Context, idx int, b []byte) error {
 		if e.mStoreSecs != nil {
 			e.mStoreSecs.ObserveSince(t0)
 		}
-		if s.clock != nil {
-			s.clock.Mark(t0, time.Now())
-		}
+		s.xmit.Mark(t0, time.Now())
 	}()
 	return nil
 }
@@ -562,144 +543,63 @@ func (s *sender) wait() error {
 	return s.firstErr()
 }
 
-// sendBlocks transmits blocks in order to the store, finalizing the object
-// metadata on completion. Store writes overlap up to the window deep; the
-// call returns only once all of them have landed, so callers keep the strict
-// completed-means-durable semantics.
-func (e *Engine) sendBlocks(ctx context.Context, key iostore.Key, meta iostore.Object, blocks [][]byte) error {
-	s := e.newSender(key, meta, nil)
-	defer s.wg.Wait() // never return with writes still in flight
-	for i, b := range blocks {
-		if err := s.send(ctx, i, b); err != nil {
-			return err
-		}
-	}
-	return s.wait()
-}
-
-// pipeline overlaps block compression (Workers cores) with in-order
-// transmission: block i+1 compresses while block i is on the wire. The
-// compress and xmit timeline spans are wall-clock envelopes across workers,
-// so on an overlapped drain the timeline's Sum exceeds its Total by exactly
-// the realized overlap.
+// pipeline cuts the checkpoint into BlockSize blocks (the last may be short;
+// an empty checkpoint is one empty block) and streams them through Ordered
+// into the windowed sender, which hands them to the store in order. A raw
+// drain's blocks are slices of the NVM region, on one worker; a compressed
+// drain's are compressed into pooled buffers on Workers cores, so block i+1
+// compresses while block i is on the wire. A block holds one of Ordered's
+// 2×workers tokens until the sender has taken it into its window, so a
+// stalled store pauses compression that many blocks past the window. The
+// call returns only once every store write has landed, so callers keep the
+// strict completed-means-durable semantics. The compress and xmit timeline
+// spans are wall-clock envelopes across workers, so on an overlapped drain
+// the timeline's Sum exceeds its Total by exactly the realized overlap.
 func (e *Engine) pipeline(ctx context.Context, id uint64, key iostore.Key, meta iostore.Object, data []byte) error {
-	raw := e.splitBlocks(data)
-	if e.cfg.Codec == nil {
-		xmitStart := time.Now()
-		err := e.sendBlocks(ctx, key, meta, raw)
-		e.span(id, metrics.PhaseXmit, xmitStart, time.Now())
-		if err == nil && e.mOutBytes != nil {
-			e.mOutBytes.Observe(int64(len(data)))
-		}
-		return err
-	}
-
-	var compressClock, xmitClock metrics.Envelope
-	if ts := e.cfg.Timelines; ts != nil {
-		defer func() {
-			ts.ObserveEnvelope(metrics.KindCheckpoint, id, metrics.PhaseCompress, &compressClock)
-			ts.ObserveEnvelope(metrics.KindCheckpoint, id, metrics.PhaseXmit, &xmitClock)
-		}()
-	}
-
-	type result struct {
-		idx  int
-		data []byte
-		err  error
-	}
-	// A block holds one of 2×Workers tokens from the moment a compressor
-	// claims it until the sender has taken it into its window, so a stalled
-	// store pauses compression that many blocks past the window — and at most
-	// that many results are ever outstanding: no send on results blocks.
-	ahead := 2 * e.cfg.Workers
-	tokens := make(chan struct{}, ahead)
-	results := make(chan result, ahead)
-	var claimed atomic.Int64 // blocks claimed by a compressor so far
-	var wg sync.WaitGroup
-	// The compressors read the NVM region, which may be reused once the
-	// drain unlocks: a failed pipeline stops them and waits before returning.
-	ctx, stop := context.WithCancel(ctx)
-	defer func() {
-		stop()
-		wg.Wait()
-	}()
-	for w := 0; w < e.cfg.Workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				select {
-				case tokens <- struct{}{}:
-				case <-ctx.Done():
-					return
-				}
-				i := int(claimed.Add(1)) - 1
-				if i >= len(raw) {
-					return
-				}
-				t0 := time.Now()
-				// Into a pooled buffer the size of the input (output that
-				// outgrows it moves to the heap); the sender releases it.
-				c, err := e.cfg.Codec.Compress(blockpool.Get(len(raw[i]))[:0], raw[i])
-				compressClock.Mark(t0, time.Now())
-				if e.mCompressSecs != nil {
-					e.mCompressSecs.ObserveSince(t0)
-				}
-				results <- result{i, c, err}
+	bs := e.cfg.BlockSize
+	snd := e.newSender(key, meta)
+	produce := func(_ context.Context, i int) ([]byte, error) { return block(data, bs, i), nil }
+	workers := 1
+	var compressClock *metrics.Envelope // nil on a raw drain
+	if codec := e.cfg.Codec; codec != nil {
+		snd.owned = true // every block it is sent is a compressor's pooled buffer
+		clock := new(metrics.Envelope)
+		compressClock, workers = clock, e.cfg.Workers
+		produce = func(_ context.Context, i int) ([]byte, error) {
+			raw := block(data, bs, i)
+			t0 := time.Now()
+			// Into a pooled buffer the size of the input (output that outgrows
+			// it moves to the heap); the sender releases it.
+			c, err := codec.Compress(blockpool.Get(len(raw))[:0], raw)
+			clock.Mark(t0, time.Now())
+			if e.mCompressSecs != nil {
+				e.mCompressSecs.ObserveSince(t0)
 			}
-		}()
+			return c, err
+		}
 	}
-	go func() {
-		wg.Wait()
-		close(results)
-	}()
-
-	// Reorder and hand off to the windowed sender as blocks complete: the
-	// store is handed blocks strictly in order, and up to a window of its
-	// writes are in flight concurrently.
-	snd := e.newSender(key, meta, &xmitClock)
-	snd.owned = true    // every block it is sent is a compressor's pooled buffer
-	defer snd.wg.Wait() // never return with writes still in flight
-	pending := make(map[int][]byte, ahead)
-	next := 0
 	var out int64
-	for next < len(raw) {
-		var r result
-		var ok bool
-		select {
-		case r, ok = <-results:
-		case <-ctx.Done():
-			return ctx.Err()
-		}
-		if !ok {
-			return fmt.Errorf("ndp: pipeline ended with %d/%d blocks sent", next, len(raw))
-		}
-		if r.err != nil {
-			return r.err
-		}
-		pending[r.idx] = r.data
-		for {
-			b, ready := pending[next]
-			if !ready {
-				break
-			}
-			delete(pending, next)
-			if err := snd.send(ctx, next, b); err != nil {
-				return err
-			}
-			<-tokens
-			out += int64(len(b))
-			next++
-		}
+	err := Ordered(ctx, max(1, (len(data)+bs-1)/bs), workers, produce, func(i int, b []byte) error {
+		out += int64(len(b))
+		return snd.send(ctx, i, b)
+	})
+	if werr := snd.wait(); err == nil { // never return with writes still in flight
+		err = werr
 	}
-	if err := snd.wait(); err != nil {
-		return err
+	if ts := e.cfg.Timelines; ts != nil {
+		if compressClock != nil {
+			ts.ObserveEnvelope(metrics.KindCheckpoint, id, metrics.PhaseCompress, compressClock)
+		}
+		ts.ObserveEnvelope(metrics.KindCheckpoint, id, metrics.PhaseXmit, &snd.xmit)
 	}
-	if e.mOutBytes != nil {
+	if err == nil && e.mOutBytes != nil {
 		e.mOutBytes.Observe(out)
 	}
-	return nil
+	return err
 }
+
+// block is data's i-th block of bs bytes; the last may be short.
+func block(data []byte, bs, i int) []byte { return data[i*bs : min((i+1)*bs, len(data))] }
 
 func (e *Engine) reportError(err error) {
 	if e.cfg.OnError != nil && err != nil {

@@ -114,9 +114,9 @@ type Config struct {
 	Codec compress.Codec
 	// BlockSize is the drain streaming unit (default 1 MB).
 	BlockSize int
-	// DisableNDP turns the background drain off entirely: checkpoints
-	// reach I/O only via explicit host writes (the conventional
-	// multilevel baseline).
+	// DisableNDP turns the background drain off entirely: no checkpoint
+	// leaves NVM, and whatever the store holds under this job was placed
+	// there by someone else (tests put objects there themselves).
 	DisableNDP bool
 	// DrainGate, when non-nil, is acquired around every NDP drain — the
 	// gateway's QoS-weighted drain scheduler plugs in here (see
@@ -135,14 +135,9 @@ type Config struct {
 	Metrics *metrics.Registry
 }
 
-const (
-	// ndpWorkers is the NDP core count for compression: the paper's
-	// gzip(1) configuration (Table 3).
-	ndpWorkers = 4
-	// restoreWorkers sizes the host-side decompression pool on restore (the
-	// paper fans blocks out across host cores, §4.3).
-	restoreWorkers = 8
-)
+// ndpWorkers is the NDP core count for compression: the paper's gzip(1)
+// configuration (Table 3).
+const ndpWorkers = 4
 
 // Node is one compute node's C/R runtime. All methods are safe for
 // concurrent use, though an application typically serializes Commit and
@@ -220,7 +215,6 @@ func New(cfg Config) (*Node, error) {
 		n.reg = metrics.NewRegistry()
 	}
 	device.Instrument(n.reg)
-	n.dur.Instrument(n.reg)
 	n.mCommits = n.reg.Counter("ndpcr_node_commits_total", "snapshots committed to local NVM")
 	n.mCommitSecs = n.reg.Histogram("ndpcr_node_commit_seconds", "host pause per NVM commit", metrics.UnitSeconds)
 	n.mCommitBytes = n.reg.Histogram("ndpcr_node_commit_bytes", "snapshot sizes committed", metrics.UnitBytes)
@@ -656,21 +650,22 @@ const fetchBudget = 8 << 20
 // fetchObject streams one stored object's decompressed payload, in order,
 // to the emit function sink returns. sink is called once — after the
 // StatBlocks answer passed every shape check, before any block is fetched —
-// with the object's metadata and exact payload size. The object is fetched
-// block by block, each block fed into the decompression pool as
-// it lands so decompressing block i overlaps fetching block i+1 (§4.3
-// mirrored onto the restore path), and emitted by the calling goroutine
-// once every earlier block has been. A window of fetchers runs concurrently
-// (parallel GetBlocks, all on the wire at once over the iod client's
-// lanes), each block against one of 2×window tokens returned when it has
-// been emitted: a slow consumer holds the fetchers — and the restore's
-// memory — to that many blocks ahead of it. No byte past the declared size
-// is emitted; a shortfall is an error after the fact.
+// with the object's metadata and exact payload size. The blocks run through
+// ndp.Ordered on window workers, each of which fetches a block and
+// decompresses it, so decompressing block i overlaps fetching block i+1
+// (§4.3 mirrored onto the restore path) and every fetch of the window is on
+// the wire at once over the iod client's lanes; the calling goroutine emits
+// each block once every earlier block has been. Each block holds one of
+// 2×window tokens until it has been emitted: a slow consumer holds the
+// workers — and the restore's memory — to that many blocks ahead of it. No
+// byte past the declared size is emitted; a shortfall is an error after the
+// fact.
 //
 // Every block buffer is this restore's, from blockpool and back to it: the
 // fetched block (GetBlock's caller owns it) once it is decoded, or emitted
 // when there is no codec; the decode destination once emit has returned.
-// What a failed restore leaves in its channels is garbage, never released.
+// What a failed restore has fetched and not emitted is garbage, never
+// released.
 func (n *Node) fetchObject(ctx context.Context, rank int, id uint64, sink Sink) error {
 	key := iostore.Key{Job: n.cfg.Job, Rank: rank, ID: id}
 	obj, numBlocks, ok, err := n.cfg.Store.StatBlocks(ctx, key)
@@ -704,133 +699,54 @@ func (n *Node) fetchObject(ctx context.Context, rank int, id uint64, sink Sink) 
 	if window <= 0 {
 		window = ndp.Window(fetchBudget, obj.OrigSize/int64(max(numBlocks, 1)))
 	}
-	window = max(1, min(window, numBlocks))
-	workers := max(1, min(restoreWorkers, numBlocks))
-	ahead := 2 * window
-
-	type block struct {
-		idx  int
-		data []byte
-	}
 	var (
 		fetchClock, decClock metrics.Envelope
-		tokens               = make(chan struct{}, ahead)
-		next                 atomic.Int64 // next block index to fetch
-		fetched              = make(chan block, window)
-		// Block i lands in ready[i%ahead]. It was claimed under a token, so
-		// block i-ahead has been emitted: the slot is free, no send blocks.
-		ready    = make([]chan []byte, ahead)
-		stop     = make(chan struct{})
-		stopOnce sync.Once
-		failure  error // why stop was closed; read only after <-stop
 		// Size of the pooled buffer a block is decompressed into, so its
 		// output never outgrows it: the largest decoded block so far, starting
 		// from the mean. A hint, never a limit; workers racing to raise it
 		// differ by a block.
 		decHint atomic.Int64
+		emitted int64
 	)
 	decHint.Store((obj.OrigSize + int64(numBlocks) - 1) / int64(max(numBlocks, 1)))
-	for i := range ready {
-		ready[i] = make(chan []byte, 1)
-	}
-	// The fetchers' context ends with the restore: a fetch still in flight
-	// when another block has failed it is abandoned, not waited out.
-	fctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	abort := func(err error) { stopOnce.Do(func() { failure = err; close(stop); cancel() }) }
-
-	var fwg sync.WaitGroup
-	for f := 0; f < window; f++ {
-		fwg.Add(1)
-		go func() {
-			defer fwg.Done()
-			for {
-				select {
-				case tokens <- struct{}{}:
-				case <-stop:
-					return
-				}
-				i := int(next.Add(1)) - 1
-				if i >= numBlocks {
-					return
-				}
-				t0 := time.Now()
-				b, ferr := n.cfg.Store.GetBlock(fctx, key, i)
-				fetchClock.Mark(t0, time.Now())
-				if ferr != nil {
-					abort(fmt.Errorf("block %d: %w", i, ferr))
-					return
-				}
-				select {
-				case fetched <- block{i, b}:
-				case <-stop:
-					return
-				}
-			}
-		}()
-	}
-	go func() {
-		fwg.Wait()
-		close(fetched)
-	}()
-
-	var dwg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		dwg.Add(1)
-		go func() {
-			defer dwg.Done()
-			for blk := range fetched {
-				if codec != nil {
-					t0 := time.Now()
-					p, derr := codec.Decompress(blockpool.Get(int(decHint.Load()))[:0], blk.data)
-					blockpool.Put(blk.data)
-					decClock.Mark(t0, time.Now())
-					n.mDecompressSecs.ObserveSince(t0)
-					if derr != nil {
-						abort(fmt.Errorf("block %d: %w", blk.idx, derr))
-						return
-					}
-					if int64(len(p)) > decHint.Load() {
-						decHint.Store(int64(len(p)))
-					}
-					blk.data = p
-				}
-				ready[blk.idx%ahead] <- blk.data
-			}
-		}()
-	}
-
-	var emitted int64
-emitting:
-	for i := 0; i < numBlocks; i++ {
-		select {
-		case p := <-ready[i%ahead]:
-			var err error
-			if emitted += int64(len(p)); emitted > obj.OrigSize {
-				err = fmt.Errorf("%w: block %d takes the payload past its declared %d bytes",
-					ErrBadObject, i, obj.OrigSize)
-			} else {
-				err = emit(p)
-			}
-			blockpool.Put(p)
-			if err != nil {
-				abort(err)
-				break emitting
-			}
-			<-tokens
-		case <-stop:
-			break emitting
+	err = ndp.Ordered(ctx, numBlocks, window, func(ctx context.Context, i int) ([]byte, error) {
+		t0 := time.Now()
+		b, err := n.cfg.Store.GetBlock(ctx, key, i)
+		fetchClock.Mark(t0, time.Now())
+		if err != nil {
+			return nil, fmt.Errorf("block %d: %w", i, err)
 		}
-	}
-	fwg.Wait()
-	dwg.Wait()
+		if codec == nil {
+			return b, nil
+		}
+		t0 = time.Now()
+		p, err := codec.Decompress(blockpool.Get(int(decHint.Load()))[:0], b)
+		blockpool.Put(b)
+		decClock.Mark(t0, time.Now())
+		n.mDecompressSecs.ObserveSince(t0)
+		if err != nil {
+			return nil, fmt.Errorf("block %d: %w", i, err)
+		}
+		if int64(len(p)) > decHint.Load() {
+			decHint.Store(int64(len(p)))
+		}
+		return p, nil
+	}, func(i int, p []byte) error {
+		var err error
+		if emitted += int64(len(p)); emitted > obj.OrigSize {
+			err = fmt.Errorf("%w: block %d takes the payload past its declared %d bytes",
+				ErrBadObject, i, obj.OrigSize)
+		} else {
+			err = emit(p)
+		}
+		blockpool.Put(p)
+		return err
+	})
 
 	n.timelines.ObserveEnvelope(metrics.KindRestore, id, metrics.PhaseFetch, &fetchClock)
 	n.timelines.ObserveEnvelope(metrics.KindRestore, id, metrics.PhaseDecompress, &decClock)
-	select {
-	case <-stop:
-		return fmt.Errorf("node: restore %d: %w", id, failure)
-	default:
+	if err != nil {
+		return fmt.Errorf("node: restore %d: %w", id, err)
 	}
 	if emitted != obj.OrigSize {
 		return fmt.Errorf("node: restore %d: %w: blocks hold %d bytes, %d declared",

@@ -16,8 +16,8 @@ import (
 )
 
 func TestStreamedRestoreMatchesWholeObject(t *testing.T) {
-	// The streamed restore (StatBlocks + per-block GetBlock feeding the
-	// decompression pool) must reproduce the committed snapshot byte for
+	// The streamed restore (StatBlocks, then a window of workers that each
+	// GetBlock and decompress a block) must reproduce the committed snapshot byte for
 	// byte — on the node that drained it and on a fresh node that only
 	// shares the store.
 	gz, _ := compress.Lookup("gzip", 1)

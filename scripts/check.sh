@@ -40,10 +40,15 @@ go test -race -count=2 ./internal/cluster/... ./internal/node/... ./internal/iod
 # wake-up between them.
 go test -race -count=3 -cpu 1 ./internal/iod/... ./internal/shardstore/...
 
-# The NDP engine's tests wait on what they can observe — a parked waiter, a
-# pinned drain candidate, a parked store write — never on a sleep: twenty
-# runs on one core hold them to it.
+# The NDP engine's tests, and those of the ordered block pipeline its drain
+# and the restore share, wait on what they can observe — a parked waiter, a
+# pinned drain candidate, a parked store write, a parked consumer — never on
+# a sleep: twenty runs on one core hold them to it.
 go test -race -count=20 -cpu 1 ./internal/node/ndp/...
+
+# The node's restore drives that pipeline: its fetch-ahead, fetch-window
+# and abort tests count parked fetches and a parked consumer, on one core.
+go test -race -count=5 -cpu 1 ./internal/node
 
 # The NVM device's admission tests wait on parked committers the same way,
 # and its region-lifetime tests run with retired regions poisoned.
@@ -54,9 +59,10 @@ go test -race -count=20 -cpu 1 ./internal/node/nvm/...
 # block-lifetime test runs with released blocks poisoned, on one core.
 go test -race -count=20 -cpu 1 ./internal/node/iostore/...
 
-# The codecs are called by 8 restore workers and the NDP's compress workers
-# at once, over the pooled deflate encoder (hash table, sequences, Huffman
-# scratch), the pooled lz4 table and the pooled inflate tables.
+# The codecs are called by a restore's window of workers and the NDP's
+# compress workers at once, over the pooled deflate encoder (hash table,
+# sequences, Huffman scratch), the pooled lz4 table and the pooled inflate
+# tables.
 go test -race ./internal/compress/...
 
 # inflate reads bytes off the store: a 10 s smoke of its differential and
