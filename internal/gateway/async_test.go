@@ -6,9 +6,11 @@ import (
 	"encoding/json"
 	"errors"
 	"net/http"
+	"runtime"
 	"testing"
 	"time"
 
+	"ndpcr/internal/blockpool"
 	"ndpcr/internal/faultinject"
 	"ndpcr/internal/node/iostore"
 	"ndpcr/internal/node/nvm"
@@ -213,5 +215,41 @@ func TestDurabilityEndpointStoreFallback(t *testing.T) {
 	}
 	if d.Failed {
 		t.Error("store-held checkpoint reported failed")
+	}
+}
+
+// TestAsyncSaveDeleteKeepsBlockPoolWarm is the service loop at tier 1: 16 KiB
+// async saves, each waited to the store and deleted, with collections between
+// them. The store's copy-in draws the block its last Delete released, so once
+// warm the loop allocates no block buffer — collections or not.
+func TestAsyncSaveDeleteKeepsBlockPoolWarm(t *testing.T) {
+	_, ts := newTestServer(t, func(c *Config) { c.Codec = nil })
+	c := NewClient(ts.URL, "tok-acme")
+	ctx := context.Background()
+	payload := bytes.Repeat([]byte("svc-state "), 16<<10/10)
+	cycle := func(step int) {
+		id, err := c.SaveAsync(ctx, "acme", "svc", 0, step, payload)
+		if err != nil {
+			t.Fatalf("SaveAsync: %v", err)
+		}
+		if d, err := c.Durability(ctx, "acme", "svc", 0, id, "store"); err != nil || !d.Durable("store") {
+			t.Fatalf("save %d never store-durable: %+v, %v", id, d, err)
+		}
+		if err := c.Delete(ctx, "acme", "svc", 0, id); err != nil {
+			t.Fatalf("Delete(%d): %v", id, err)
+		}
+		runtime.GC()
+		runtime.GC()
+	}
+	step := 0
+	for ; step < 3; step++ {
+		cycle(step)
+	}
+	_, miss0 := blockpool.Stats()
+	for ; step < 11; step++ {
+		cycle(step)
+	}
+	if _, miss1 := blockpool.Stats(); miss1 != miss0 {
+		t.Errorf("8 warm save+delete cycles allocated %d block buffers, want 0", miss1-miss0)
 	}
 }

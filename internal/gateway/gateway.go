@@ -141,7 +141,13 @@ func New(cfg Config) (*Server, error) {
 		s.now = time.Now
 	}
 	for _, t := range cfg.Tenants {
-		s.byToken[t.Token] = newTenantState(t, s.now())
+		st := newTenantState(t, s.now())
+		st.mRequests = s.reg.Counter(fmt.Sprintf("ndpcr_gateway_tenant_requests_total{tenant=%q}", t.Name),
+			"API requests served, by tenant")
+		bytesHelp := "checkpoint payload bytes moved, by tenant and direction"
+		st.mBytesIn = s.reg.Counter(fmt.Sprintf("ndpcr_gateway_tenant_bytes_total{tenant=%q,dir=\"in\"}", t.Name), bytesHelp)
+		st.mBytesOut = s.reg.Counter(fmt.Sprintf("ndpcr_gateway_tenant_bytes_total{tenant=%q,dir=\"out\"}", t.Name), bytesHelp)
+		s.byToken[t.Token] = st
 	}
 	// Every session node shares the store, so its metrics are registered
 	// here, once, before any session writes through it.
@@ -250,8 +256,7 @@ func (s *Server) wrap(op string, fn func(w http.ResponseWriter, r *http.Request,
 			s.fail(w, aerr)
 			return
 		}
-		s.reg.Counter(fmt.Sprintf("ndpcr_gateway_tenant_requests_total{tenant=%q}", st.Name),
-			"API requests served, by tenant").Inc()
+		st.mRequests.Inc()
 
 		if ns := r.PathValue("ns"); !st.allowed[ns] {
 			s.fail(w, errf(http.StatusForbidden, "namespace_forbidden",
@@ -307,12 +312,6 @@ func (s *Server) countError(code string) {
 func (s *Server) quotaReject(kind string) {
 	s.reg.Counter(fmt.Sprintf("ndpcr_gateway_quota_rejections_total{kind=%q}", kind),
 		"requests rejected by a tenant quota, by exhausted dimension").Inc()
-}
-
-// tenantBytes counts payload bytes moved for a tenant (dir in|out).
-func (s *Server) tenantBytes(st *tenantState, dir string, n int64) {
-	s.reg.Counter(fmt.Sprintf("ndpcr_gateway_tenant_bytes_total{tenant=%q,dir=%q}", st.Name, dir),
-		"checkpoint payload bytes moved, by tenant and direction").Add(uint64(n))
 }
 
 func (s *Server) authenticate(r *http.Request) (*tenantState, *apiError) {
@@ -606,7 +605,7 @@ func (s *Server) handleSave(w http.ResponseWriter, r *http.Request, st *tenantSt
 				s.mAsyncFails.Inc()
 			}
 		}()
-		s.tenantBytes(st, "in", size)
+		st.mBytesIn.Add(uint64(size))
 		writeJSON(w, http.StatusAccepted, map[string]any{
 			"id": id, "bytes": size, "step": step, "durable": "nvm",
 		})
@@ -631,7 +630,7 @@ func (s *Server) handleSave(w http.ResponseWriter, r *http.Request, st *tenantSt
 				"checkpoint %d not drained within %s; rolled back", id, s.cfg.DrainTimeout)
 		}
 	}
-	s.tenantBytes(st, "in", size)
+	st.mBytesIn.Add(uint64(size))
 	writeJSON(w, http.StatusOK, map[string]any{"id": id, "bytes": size, "step": step, "durable": "store"})
 	return nil
 }
@@ -810,7 +809,7 @@ func (o *snapshotResponse) finish(err error, what string) *apiError {
 	if !o.started {
 		o.head() // an empty snapshot: no piece came
 	}
-	o.s.tenantBytes(o.st, "out", o.sent)
+	o.st.mBytesOut.Add(uint64(o.sent))
 	if err != nil {
 		o.s.countError("aborted")
 		panic(http.ErrAbortHandler)
@@ -841,7 +840,10 @@ func (s *Server) handleLoad(w http.ResponseWriter, r *http.Request, st *tenantSt
 		return mapStoreErr(err, "session")
 	}
 	out := snapshotResponse{s: s, w: w, st: st, id: id}
-	return out.finish(n.RestoreIDTo(r.Context(), id, out.sink), fmt.Sprintf("restore %d", id))
+	if err := n.RestoreIDTo(r.Context(), id, out.sink); err != nil {
+		return out.finish(err, fmt.Sprintf("restore %d", id))
+	}
+	return out.finish(nil, "")
 }
 
 // handleDelete removes one checkpoint and returns its quota to the tenant.

@@ -7,6 +7,8 @@ import (
 	"os"
 	"sync"
 	"time"
+
+	"ndpcr/internal/metrics"
 )
 
 // Quota bounds one tenant's footprint. Zero fields are unlimited.
@@ -95,6 +97,10 @@ func ValidateTenants(tenants []Tenant) error {
 type tenantState struct {
 	Tenant
 	allowed map[string]bool // namespace -> permitted
+
+	// The tenant's series, looked up once when the gateway is built:
+	// requests served, and payload bytes saved (in) and loaded (out).
+	mRequests, mBytesIn, mBytesOut *metrics.Counter
 
 	mu          sync.Mutex
 	usedBytes   int64

@@ -116,13 +116,16 @@ type response struct {
 const unknownOpPrefix = "iod: unknown op"
 
 // instrumentPool exposes blockpool's counts on r. The pool is the process's,
-// and so is the pair: every registry that asks reports the same two numbers,
+// and so are its series: every registry that asks reports the same numbers,
 // fed by every user of the pool (wire receives, store copy-outs, codec
 // buffers), so a second client or server on the registry takes nothing from
-// the first. Sampled from the pool, and counters: they only rise.
+// the first. Sampled from the pool: two counters, which only rise, and the
+// bytes it holds idle.
 func instrumentPool(r *metrics.Registry) {
 	r.CounterFunc("ndpcr_blockpool_hits_total", "block buffers served from the process-wide pool",
 		func() uint64 { hit, _ := blockpool.Stats(); return hit })
 	r.CounterFunc("ndpcr_blockpool_misses_total", "block buffers freshly allocated (pool empty or oversized)",
 		func() uint64 { _, miss := blockpool.Stats(); return miss })
+	r.GaugeFunc("ndpcr_blockpool_idle_bytes", "bytes of block buffers the process-wide pool holds idle, summed over size classes",
+		func() float64 { return float64(blockpool.IdleBytes()) })
 }

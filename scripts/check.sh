@@ -20,7 +20,11 @@ fi
 
 go vet ./...
 
-go test -race ./internal/erasure/... ./internal/metrics/... ./internal/faultinject/... ./internal/blockpool/...
+go test -race ./internal/erasure/... ./internal/metrics/... ./internal/faultinject/...
+
+# The block pool's free lists, and the trims that shrink them, are the
+# package's own shared state.
+go test -race -count=20 -cpu 1 ./internal/blockpool/...
 
 # The packages whose concurrency is the riskiest in the tree (membership
 # drain controller and mover, durability tracker and async commits, NVM
