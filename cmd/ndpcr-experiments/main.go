@@ -15,24 +15,16 @@ import (
 	"fmt"
 	"os"
 
-	"ndpcr/internal/metrics"
 	"ndpcr/internal/model"
-	"ndpcr/internal/sim"
 	"ndpcr/internal/units"
 )
 
 var (
-	flagQuick   = flag.Bool("quick", false, "fewer Monte-Carlo trials and shorter simulated runs")
-	flagSeed    = flag.Uint64("seed", 2017, "simulation seed")
-	flagTrials  = flag.Int("trials", 0, "Monte-Carlo trials per point (0 = default)")
-	flagLive    = flag.Bool("live", false, "table2/table3: run the live compression study instead of (in addition to) paper data only")
-	flagCSVDir  = flag.String("csv-dir", "", "also write each experiment's data as CSV into this directory")
-	flagMetrics = flag.Bool("metrics", false, "dump per-phase wall-time histograms accumulated across every simulated trial")
-
-	// simPhases accumulates phase observations from every Monte-Carlo run
-	// when -metrics is set; nil otherwise.
-	simReg    *metrics.Registry
-	simPhases *metrics.PhaseHistograms
+	flagQuick  = flag.Bool("quick", false, "fewer Monte-Carlo trials and shorter simulated runs")
+	flagSeed   = flag.Uint64("seed", 2017, "simulation seed")
+	flagTrials = flag.Int("trials", 0, "Monte-Carlo trials per point (0 = default)")
+	flagLive   = flag.Bool("live", false, "table2/table3: also run the live compression study, after the paper data")
+	flagCSVDir = flag.String("csv-dir", "", "also write each experiment's data as CSV into this directory")
 )
 
 func usage() {
@@ -73,33 +65,7 @@ func params() model.Params {
 	if *flagTrials > 0 {
 		p.Trials = *flagTrials
 	}
-	p.SimObserver = simObserver()
 	return p
-}
-
-// simObserver lazily builds the shared phase-histogram observer installed
-// on every simulator run under -metrics; it returns nil (no observation)
-// otherwise.
-func simObserver() sim.PhaseObserver {
-	if !*flagMetrics {
-		return nil
-	}
-	if simPhases == nil {
-		simReg = metrics.NewRegistry()
-		simPhases = metrics.NewPhaseHistograms(simReg, "ndpcr_sim")
-	}
-	return simPhases
-}
-
-// dumpSimMetrics prints the accumulated phase histograms, if any.
-func dumpSimMetrics() {
-	if simReg == nil {
-		return
-	}
-	fmt.Println("\n--- simulated phase histograms (all trials) ---")
-	if err := simReg.Dump(os.Stdout); err != nil {
-		fmt.Fprintf(os.Stderr, "ndpcr-experiments: metrics dump: %v\n", err)
-	}
 }
 
 func main() {
@@ -138,7 +104,6 @@ func main() {
 				os.Exit(1)
 			}
 		}
-		dumpSimMetrics()
 		return
 	}
 	run, ok := runners[exp]
@@ -151,5 +116,4 @@ func main() {
 		fmt.Fprintf(os.Stderr, "ndpcr-experiments: %v\n", err)
 		os.Exit(1)
 	}
-	dumpSimMetrics()
 }

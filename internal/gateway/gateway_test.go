@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -417,6 +418,36 @@ func TestLoadTenantsFile(t *testing.T) {
 		if _, err := LoadTenants(path); err == nil {
 			t.Fatalf("%s: accepted invalid token file", name)
 		}
+	}
+}
+
+// TestValidateTenantsRefusesNegativeLimits: every quota and rate check is
+// "> 0 limits", so a negative field would silently mean unlimited. Each is
+// refused with an error naming the tenant and the field; drain_weight's
+// "<= 0 means 1" stays accepted.
+func TestValidateTenantsRefusesNegativeLimits(t *testing.T) {
+	for _, c := range []struct {
+		field string
+		set   func(*Tenant)
+	}{
+		{"max_bytes", func(t *Tenant) { t.Quota.MaxBytes = -1 }},
+		{"max_checkpoints", func(t *Tenant) { t.Quota.MaxCheckpoints = -1 }},
+		{"max_in_flight", func(t *Tenant) { t.Quota.MaxInFlight = -1 }},
+		{"per_sec", func(t *Tenant) { t.Rate.PerSec = -0.5 }},
+		{"per_sec", func(t *Tenant) { t.Rate.PerSec = math.NaN() }},
+		{"burst", func(t *Tenant) { t.Rate.Burst = -1 }},
+	} {
+		tenants := []Tenant{{Name: "acme", Token: "t1"}, {Name: "umbra", Token: "t2"}}
+		c.set(&tenants[1])
+		err := ValidateTenants(tenants)
+		if err == nil || !strings.Contains(err.Error(), `"umbra"`) || !strings.Contains(err.Error(), c.field) {
+			t.Errorf("%s: err = %v, want one naming tenant \"umbra\" and the field", c.field, err)
+		}
+	}
+	ok := []Tenant{{Name: "acme", Token: "t1", DrainWeight: -2,
+		Quota: Quota{MaxBytes: 0, MaxCheckpoints: 3}, Rate: Rate{PerSec: 0, Burst: 0}}}
+	if err := ValidateTenants(ok); err != nil {
+		t.Errorf("zero limits and a negative drain weight refused: %v", err)
 	}
 }
 

@@ -11,7 +11,8 @@ import (
 	"ndpcr/internal/metrics"
 )
 
-// Quota bounds one tenant's footprint. Zero fields are unlimited.
+// Quota bounds one tenant's footprint. Zero fields are unlimited; negative
+// ones are refused.
 type Quota struct {
 	// MaxBytes caps the original (pre-compression) bytes the tenant may
 	// have resident across all its namespaces.
@@ -23,7 +24,7 @@ type Quota struct {
 }
 
 // Rate is a token-bucket request rate limit. A zero PerSec disables
-// limiting.
+// limiting; negative fields are refused.
 type Rate struct {
 	// PerSec is the sustained requests-per-second refill rate.
 	PerSec float64 `json:"per_sec"`
@@ -49,7 +50,9 @@ type Tenant struct {
 
 // LoadTenants reads a JSON token file: an array of Tenant objects. Every
 // tenant needs a non-empty name and token; names and tokens must be
-// unique (a shared token would make per-tenant accounting ambiguous).
+// unique (a shared token would make per-tenant accounting ambiguous); no
+// quota or rate field may be negative (every limit is "> 0 limits", so a
+// negative one would silently mean unlimited).
 func LoadTenants(path string) ([]Tenant, error) {
 	raw, err := os.ReadFile(path)
 	if err != nil {
@@ -85,6 +88,20 @@ func ValidateTenants(tenants []Tenant) error {
 		}
 		names[t.Name] = true
 		tokens[t.Token] = true
+		for _, f := range []struct {
+			field    string
+			negative bool
+		}{
+			{"max_bytes", t.Quota.MaxBytes < 0},
+			{"max_checkpoints", t.Quota.MaxCheckpoints < 0},
+			{"max_in_flight", t.Quota.MaxInFlight < 0},
+			{"per_sec", !(t.Rate.PerSec >= 0)}, // NaN too
+			{"burst", t.Rate.Burst < 0},
+		} {
+			if f.negative {
+				return fmt.Errorf("tenant %q: %s must not be negative", t.Name, f.field)
+			}
+		}
 	}
 	return nil
 }

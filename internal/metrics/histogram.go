@@ -73,15 +73,6 @@ func (h *Histogram) ObserveDuration(d time.Duration) { h.Observe(d.Nanoseconds()
 // ObserveSince records the time elapsed since start.
 func (h *Histogram) ObserveSince(start time.Time) { h.ObserveDuration(time.Since(start)) }
 
-// ObserveSeconds records a duration given in (possibly simulated) seconds.
-func (h *Histogram) ObserveSeconds(s float64) {
-	ns := s * 1e9
-	if ns > math.MaxInt64 {
-		ns = math.MaxInt64
-	}
-	h.Observe(int64(ns))
-}
-
 // Count returns the number of observations.
 func (h *Histogram) Count() uint64 { return h.count.Load() }
 

@@ -288,34 +288,3 @@ func Handler(r *Registry) http.Handler {
 		}
 	})
 }
-
-// PhaseHistograms adapts a registry into a per-phase duration recorder: the
-// simulator's Config.Observer hook feeds it so Monte-Carlo runs emit the
-// same phase histograms as the functional runtime, enabling cross-layer
-// validation of where checkpoint time goes.
-type PhaseHistograms struct {
-	reg    *Registry
-	prefix string
-
-	mu    sync.Mutex
-	cache map[string]*Histogram
-}
-
-// NewPhaseHistograms creates a recorder registering series named
-// `<prefix>_phase_seconds{phase="<phase>"}`.
-func NewPhaseHistograms(reg *Registry, prefix string) *PhaseHistograms {
-	return &PhaseHistograms{reg: reg, prefix: prefix, cache: make(map[string]*Histogram)}
-}
-
-// ObservePhase records one phase duration in seconds.
-func (p *PhaseHistograms) ObservePhase(phase string, seconds float64) {
-	p.mu.Lock()
-	h, ok := p.cache[phase]
-	if !ok {
-		name := fmt.Sprintf("%s_phase_seconds{phase=%q}", p.prefix, phase)
-		h = p.reg.Histogram(name, "time spent per pipeline phase", UnitSeconds)
-		p.cache[phase] = h
-	}
-	p.mu.Unlock()
-	h.ObserveSeconds(seconds)
-}

@@ -121,12 +121,8 @@ func TestHistogramSeconds(t *testing.T) {
 	if s := h.Sum(); s < 1.49 || s > 1.51 {
 		t.Errorf("sum = %v s, want 1.5", s)
 	}
-	h.ObserveSeconds(0.5)
-	if h.Count() != 2 {
+	if h.Count() != 1 {
 		t.Errorf("count = %d", h.Count())
-	}
-	if s := h.Sum(); s < 1.99 || s > 2.01 {
-		t.Errorf("sum = %v s, want 2.0", s)
 	}
 }
 
@@ -233,25 +229,6 @@ func TestHandler(t *testing.T) {
 	}
 	if !strings.Contains(buf.String(), "h_total 1") {
 		t.Errorf("handler output:\n%s", buf.String())
-	}
-}
-
-func TestPhaseHistograms(t *testing.T) {
-	r := NewRegistry()
-	p := NewPhaseHistograms(r, "ndpcr_sim")
-	p.ObservePhase("commit", 0.25)
-	p.ObservePhase("commit", 0.5)
-	p.ObservePhase("drain", 3)
-	var buf bytes.Buffer
-	if err := r.WriteProm(&buf); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	if !strings.Contains(out, `ndpcr_sim_phase_seconds_count{phase="commit"} 2`) {
-		t.Errorf("missing commit phase:\n%s", out)
-	}
-	if !strings.Contains(out, `ndpcr_sim_phase_seconds_count{phase="drain"} 1`) {
-		t.Errorf("missing drain phase:\n%s", out)
 	}
 }
 

@@ -107,7 +107,6 @@ func SimConfig(cfg Configuration, p Params) (sim.Config, int, error) {
 			RestoreLocal:  p.RestoreIO(),
 			RestoreIO:     p.RestoreIO(),
 			Seed:          p.Seed,
-			Observer:      p.SimObserver,
 		}, 1, nil
 
 	case ConfigLocalIOHost:
@@ -139,7 +138,6 @@ func SimConfig(cfg Configuration, p Params) (sim.Config, int, error) {
 			RestoreErasure: p.RestoreErasure(),
 			RestoreIO:      p.RestoreIO(),
 			Seed:           p.Seed,
-			Observer:       p.SimObserver,
 		}, ratio, nil
 
 	case ConfigLocalIONDP:
@@ -169,7 +167,6 @@ func SimConfig(cfg Configuration, p Params) (sim.Config, int, error) {
 			RestoreErasure: p.RestoreErasure(),
 			RestoreIO:      p.RestoreIO(),
 			Seed:           p.Seed,
-			Observer:       p.SimObserver,
 		}, ratio, nil
 	}
 	return sim.Config{}, 0, errUnknownConfig(cfg)

@@ -12,7 +12,6 @@ import (
 	"math"
 
 	"ndpcr/internal/daly"
-	"ndpcr/internal/sim"
 	"ndpcr/internal/units"
 )
 
@@ -113,11 +112,6 @@ type Params struct {
 	Trials int
 	// Seed drives the simulation.
 	Seed uint64
-
-	// SimObserver, when non-nil, is installed on every simulator run so
-	// Monte-Carlo trials emit per-phase wall-time histograms comparable to
-	// the runtime's (metrics.PhaseHistograms satisfies it).
-	SimObserver sim.PhaseObserver
 }
 
 // DefaultParams returns Table 4's values on the projected exascale system,

@@ -9,7 +9,7 @@ import (
 	"ndpcr/internal/node/nvm"
 )
 
-// Regression tests for the metadataFrom bug: strconv.Atoi errors were
+// Regression tests for the MetadataFromMap bug: strconv.Atoi errors were
 // discarded, so corrupt metadata silently decoded as rank 0 / step 0 and a
 // restore could resurrect the wrong rank's state at the wrong step.
 
@@ -21,14 +21,46 @@ func TestMetadataFromRejectsCorrupt(t *testing.T) {
 		{"job": "j", "rank": "0", "step": "3", "ckpt": "seven"},
 	}
 	for _, mm := range cases {
-		if _, err := metadataFrom(mm); !errors.Is(err, ErrBadMetadata) {
-			t.Errorf("metadataFrom(%v) err = %v, want ErrBadMetadata", mm, err)
+		if _, err := MetadataFromMap(mm); !errors.Is(err, ErrBadMetadata) {
+			t.Errorf("MetadataFromMap(%v) err = %v, want ErrBadMetadata", mm, err)
 		}
 	}
-	m, err := metadataFrom(map[string]string{"job": "j", "rank": "2", "step": "41", "ckpt": "9"})
+	m, err := MetadataFromMap(map[string]string{"job": "j", "rank": "2", "step": "41", "ckpt": "9"})
 	if err != nil || m.Rank != 2 || m.Step != 41 || m.Job != "j" || m.ID != 9 {
-		t.Errorf("metadataFrom(valid) = %+v, %v", m, err)
+		t.Errorf("MetadataFromMap(valid) = %+v, %v", m, err)
 	}
+}
+
+// FuzzMetadataFromMap: the decoder reads maps off NVM, a partner and the
+// store. Arbitrary field strings never panic; an accepted map re-encodes
+// through toMap and decodes to the same Metadata; a refused one is an
+// ErrBadMetadata.
+func FuzzMetadataFromMap(f *testing.F) {
+	f.Add("j", "2", "41", "9", "", true, false)
+	f.Add("job", "-1", "+7", "18446744073709551615", "8", true, true)
+	f.Add("", "banana", "3", "", "", false, false)
+	f.Add("j", "0", "3", "seven", "0", true, true)
+	f.Add("j", "0", "3", "1", "-2", true, true)
+	f.Fuzz(func(t *testing.T, job, rank, step, ckpt, shards string, hasCkpt, hasShards bool) {
+		mm := map[string]string{"job": job, "rank": rank, "step": step}
+		if hasCkpt {
+			mm["ckpt"] = ckpt
+		}
+		if hasShards {
+			mm["shards"] = shards
+		}
+		m, err := MetadataFromMap(mm)
+		if err != nil {
+			if !errors.Is(err, ErrBadMetadata) {
+				t.Fatalf("MetadataFromMap(%q) err = %v, want ErrBadMetadata", mm, err)
+			}
+			return
+		}
+		again, err := MetadataFromMap(m.toMap(m.ID))
+		if err != nil || again != m {
+			t.Fatalf("MetadataFromMap(%q) = %+v; re-encoded it decodes to %+v, %v", mm, m, again, err)
+		}
+	})
 }
 
 func TestRestoreRejectsCorruptIOMetadata(t *testing.T) {

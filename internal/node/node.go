@@ -61,7 +61,11 @@ func (m Metadata) toMap(id uint64) map[string]string {
 // on it could resurrect the wrong rank's state.
 var ErrBadMetadata = errors.New("node: corrupt checkpoint metadata")
 
-func metadataFrom(mm map[string]string) (Metadata, error) {
+// MetadataFromMap decodes the meta map a checkpoint carries in NVM, on a
+// partner or in the store into Metadata; the restore planner reads shard
+// counts off Stat results with it. A map it cannot decode is an
+// ErrBadMetadata.
+func MetadataFromMap(mm map[string]string) (Metadata, error) {
 	var m Metadata
 	var err error
 	m.Job = mm["job"]
@@ -86,10 +90,6 @@ func metadataFrom(mm map[string]string) (Metadata, error) {
 	}
 	return m, nil
 }
-
-// MetadataFromMap decodes a store meta map into Metadata — the exported
-// form the restore planner uses to read shard counts off Stat results.
-func MetadataFromMap(mm map[string]string) (Metadata, error) { return metadataFrom(mm) }
 
 // DefaultNVMCapacity is what a zero Config.NVMCapacity selects.
 const DefaultNVMCapacity = 4 << 30
@@ -527,7 +527,7 @@ func (n *Node) restoreFromLocal(id uint64) ([]byte, Metadata, bool) {
 	if err != nil {
 		return nil, Metadata{}, false
 	}
-	meta, err := metadataFrom(ckpt.Meta)
+	meta, err := MetadataFromMap(ckpt.Meta)
 	if err != nil {
 		n.mMetaErrs.Inc()
 		return nil, Metadata{}, false
@@ -678,7 +678,7 @@ func (n *Node) fetchObject(ctx context.Context, rank int, id uint64, sink Sink) 
 	if err := n.checkObjectShape(numBlocks, obj.OrigSize); err != nil {
 		return fmt.Errorf("node: restore %d: %w", id, err)
 	}
-	meta, err := metadataFrom(obj.Meta)
+	meta, err := MetadataFromMap(obj.Meta)
 	if err != nil {
 		n.mMetaErrs.Inc()
 		return fmt.Errorf("node: restore %d: %w", id, err)

@@ -34,7 +34,7 @@ func (n *Node) PartnerCopy(fromRank int, id uint64) ([]byte, Metadata, error) {
 	if err != nil {
 		return nil, Metadata{}, err
 	}
-	meta, err := metadataFrom(ckpt.Meta)
+	meta, err := MetadataFromMap(ckpt.Meta)
 	if err != nil {
 		// restoreFromPartner treats any error as a level miss, so corrupt
 		// partner metadata falls through the hierarchy instead of

@@ -141,40 +141,3 @@ func Series(w io.Writer, title string, labels []string, fracs []float64, width i
 		fmt.Fprintf(w, "  %s %s\n", pad(l, lw), Bar(f, width))
 	}
 }
-
-// StackedRow renders one stacked-breakdown line (for Figure 4/7-style
-// output): each segment gets a letter code proportional to its share.
-func StackedRow(label string, segments []Segment, width int) string {
-	total := 0.0
-	for _, s := range segments {
-		total += s.Value
-	}
-	var sb strings.Builder
-	sb.WriteString(label)
-	sb.WriteString(" |")
-	if total <= 0 {
-		sb.WriteString(strings.Repeat(" ", width))
-		sb.WriteString("|")
-		return sb.String()
-	}
-	used := 0
-	for i, s := range segments {
-		n := int(s.Value/total*float64(width) + 0.5)
-		if used+n > width || i == len(segments)-1 {
-			n = width - used
-		}
-		if n < 0 {
-			n = 0
-		}
-		sb.WriteString(strings.Repeat(string(s.Code), n))
-		used += n
-	}
-	sb.WriteString("|")
-	return sb.String()
-}
-
-// Segment is one component of a stacked row.
-type Segment struct {
-	Code  rune
-	Value float64
-}

@@ -91,21 +91,3 @@ func TestSeries(t *testing.T) {
 		t.Errorf("bars not aligned: %d vs %d", i1, i2)
 	}
 }
-
-func TestStackedRow(t *testing.T) {
-	row := StackedRow("cfg", []Segment{{'C', 3}, {'K', 1}}, 20)
-	if !strings.HasPrefix(row, "cfg |") || !strings.HasSuffix(row, "|") {
-		t.Errorf("row = %q", row)
-	}
-	inner := row[strings.Index(row, "|")+1 : len(row)-1]
-	if len(inner) != 20 {
-		t.Errorf("inner width = %d", len(inner))
-	}
-	if strings.Count(inner, "C") != 15 || strings.Count(inner, "K") != 5 {
-		t.Errorf("segments = %q", inner)
-	}
-	empty := StackedRow("x", nil, 10)
-	if !strings.Contains(empty, strings.Repeat(" ", 10)) {
-		t.Errorf("empty row = %q", empty)
-	}
-}

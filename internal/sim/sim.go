@@ -85,18 +85,6 @@ type Config struct {
 	// trace-driven runs and for cross-validating the simulator against
 	// the functional runtime under identical failure histories.
 	FailureTimes []units.Seconds
-
-	// Observer, when non-nil, receives every simulated activity's wall
-	// time as it elapses, labeled with the same phase vocabulary the
-	// runtime's timelines use ("commit", "drain", "restore_io", ...), so
-	// Monte-Carlo runs emit phase histograms directly comparable to the
-	// functional runtime's. metrics.PhaseHistograms satisfies it.
-	Observer PhaseObserver
-}
-
-// PhaseObserver receives per-phase wall times from a running simulation.
-type PhaseObserver interface {
-	ObservePhase(phase string, seconds float64)
 }
 
 // Validate reports configuration errors.
@@ -202,30 +190,6 @@ const (
 	actRestoreErasure
 	actRestoreIO
 )
-
-// phaseName labels an activity for Config.Observer, aligned with the
-// runtime's phase vocabulary where the activities correspond.
-func (k actKind) phaseName() string {
-	switch k {
-	case actCompute:
-		return "compute"
-	case actCkptLocal:
-		return "commit"
-	case actCkptErasure:
-		return "erasure"
-	case actCkptIO:
-		return "io_write"
-	case actRestoreLocal:
-		return "restore_local"
-	case actRestorePartner:
-		return "restore_partner"
-	case actRestoreErasure:
-		return "restore_erasure"
-	case actRestoreIO:
-		return "restore_io"
-	}
-	return "unknown"
-}
 
 type state struct {
 	cfg Config
@@ -406,9 +370,6 @@ func (s *state) advance(d float64, kind actKind, pauseDrain bool) bool {
 	default:
 		panic("sim: advance called with compute kind")
 	}
-	if s.cfg.Observer != nil && elapsed > 0 {
-		s.cfg.Observer.ObservePhase(kind.phaseName(), elapsed)
-	}
 	return failed
 }
 
@@ -454,10 +415,6 @@ func (s *state) commitDrain() {
 	s.drainActive = false
 	if s.drainPos > s.lastIO {
 		s.lastIO = s.drainPos
-	}
-	if s.cfg.Observer != nil {
-		// A completed drain occupied the NDP for the full DrainTime.
-		s.cfg.Observer.ObservePhase("drain", float64(s.cfg.DrainTime))
 	}
 	s.maybeStartDrain()
 }

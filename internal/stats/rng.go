@@ -122,14 +122,3 @@ func (r *RNG) Normal(mean, stddev float64) float64 {
 		}
 	}
 }
-
-// Perm fills a permutation of [0, n) into a new slice.
-func (r *RNG) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		j := r.Intn(i + 1)
-		p[i] = p[j]
-		p[j] = i
-	}
-	return p
-}

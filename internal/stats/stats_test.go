@@ -150,18 +150,6 @@ func TestNormal(t *testing.T) {
 	}
 }
 
-func TestPerm(t *testing.T) {
-	r := NewRNG(19)
-	p := r.Perm(50)
-	seen := make([]bool, 50)
-	for _, v := range p {
-		if v < 0 || v >= 50 || seen[v] {
-			t.Fatalf("invalid permutation: %v", p)
-		}
-		seen[v] = true
-	}
-}
-
 func TestSummaryBasics(t *testing.T) {
 	var s Summary
 	for _, x := range []float64{2, 4, 4, 4, 5, 5, 7, 9} {
@@ -249,39 +237,11 @@ func TestCI95ShrinksWithN(t *testing.T) {
 	}
 }
 
-func TestPercentile(t *testing.T) {
-	xs := []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
-	if got := Percentile(xs, 0); got != 1 {
-		t.Errorf("p0 = %v", got)
-	}
-	if got := Percentile(xs, 100); got != 10 {
-		t.Errorf("p100 = %v", got)
-	}
-	if got := Percentile(xs, 50); math.Abs(got-5.5) > 1e-12 {
-		t.Errorf("p50 = %v", got)
-	}
-	if !math.IsNaN(Percentile(nil, 50)) {
-		t.Error("empty percentile should be NaN")
-	}
-	// Must not mutate input.
-	ys := []float64{3, 1, 2}
-	Percentile(ys, 50)
-	if ys[0] != 3 || ys[1] != 1 || ys[2] != 2 {
-		t.Error("Percentile mutated its input")
-	}
-}
-
-func TestMeanAndGeoMean(t *testing.T) {
+func TestMean(t *testing.T) {
 	if got := Mean([]float64{2, 4, 6}); got != 4 {
 		t.Errorf("Mean = %v", got)
 	}
 	if !math.IsNaN(Mean(nil)) {
 		t.Error("Mean(nil) should be NaN")
-	}
-	if got := GeoMean([]float64{1, 100}); math.Abs(got-10) > 1e-9 {
-		t.Errorf("GeoMean = %v", got)
-	}
-	if !math.IsNaN(GeoMean([]float64{1, -1})) {
-		t.Error("GeoMean with negative input should be NaN")
 	}
 }

@@ -226,22 +226,6 @@ func (r *Results) AverageSpeed(codec string) units.Bandwidth {
 	return units.Bandwidth(sum / float64(n))
 }
 
-// AverageDecompressSpeed returns the mean single-thread decompression speed
-// across apps for a codec (used to size host-side restore, §6.1.3).
-func (r *Results) AverageDecompressSpeed(codec string) units.Bandwidth {
-	sum, n := 0.0, 0
-	for _, m := range r.Measurements {
-		if m.Codec == codec {
-			sum += float64(m.DecompressSpeed())
-			n++
-		}
-	}
-	if n == 0 {
-		return 0
-	}
-	return units.Bandwidth(sum / float64(n))
-}
-
 // speedRanks is Table 2's order of compress speed, fastest first: lz4(1),
 // gzip(1), gzip(6), and far behind them the BWT and range-coder codecs,
 // which the paper does not rank among themselves.

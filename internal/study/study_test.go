@@ -209,9 +209,6 @@ func TestLiveStudyRuns(t *testing.T) {
 	if res.AverageFactor("gzip(1)") <= 0 || res.AverageSpeed("gzip(1)") <= 0 {
 		t.Error("averages not computed")
 	}
-	if res.AverageDecompressSpeed("gzip(1)") <= 0 {
-		t.Error("decompress average not computed")
-	}
 }
 
 // TestSpeedOrders: the Table 2 order check pairs adjacent ranks only, skips
@@ -257,7 +254,7 @@ func TestAverageOfUnknownCodec(t *testing.T) {
 	if !math.IsNaN(r.AverageFactor("x")) {
 		t.Error("empty results should give NaN factor")
 	}
-	if r.AverageSpeed("x") != 0 || r.AverageDecompressSpeed("x") != 0 {
-		t.Error("empty results should give zero speeds")
+	if r.AverageSpeed("x") != 0 {
+		t.Error("empty results should give zero speed")
 	}
 }

@@ -3,11 +3,10 @@
 //
 // All quantities are simple float64 or int64 wrappers so they can be used in
 // arithmetic directly; the types exist to make function signatures
-// self-documenting and to attach parsing/formatting helpers.
+// self-documenting and to attach formatting helpers.
 package units
 
 import (
-	"fmt"
 	"math"
 	"strconv"
 	"strings"
@@ -67,52 +66,6 @@ func trimFloat(v float64) string {
 	s = strings.TrimRight(s, "0")
 	s = strings.TrimRight(s, ".")
 	return s
-}
-
-// ParseBytes parses strings like "112GB", "14 PB", "512", "3.5 MB".
-// Units are decimal; "KiB"/"MiB"/"GiB"/"TiB" select binary units.
-func ParseBytes(s string) (Bytes, error) {
-	t := strings.TrimSpace(s)
-	i := 0
-	for i < len(t) && (t[i] == '.' || t[i] == '-' || t[i] == '+' || (t[i] >= '0' && t[i] <= '9')) {
-		i++
-	}
-	numPart := t[:i]
-	unitPart := strings.TrimSpace(t[i:])
-	v, err := strconv.ParseFloat(numPart, 64)
-	if err != nil {
-		return 0, fmt.Errorf("units: parse bytes %q: %w", s, err)
-	}
-	mult := Bytes(1)
-	switch strings.ToUpper(unitPart) {
-	case "", "B":
-		mult = 1
-	case "KB", "K":
-		mult = KB
-	case "MB", "M":
-		mult = MB
-	case "GB", "G":
-		mult = GB
-	case "TB", "T":
-		mult = TB
-	case "PB", "P":
-		mult = PB
-	case "KIB":
-		mult = KiB
-	case "MIB":
-		mult = MiB
-	case "GIB":
-		mult = GiB
-	case "TIB":
-		mult = TiB
-	default:
-		return 0, fmt.Errorf("units: parse bytes %q: unknown unit %q", s, unitPart)
-	}
-	res := v * float64(mult)
-	if math.IsNaN(res) || res > math.MaxInt64 || res < math.MinInt64 {
-		return 0, fmt.Errorf("units: parse bytes %q: out of range", s)
-	}
-	return Bytes(res), nil
 }
 
 // Bandwidth is a data rate in bytes per second.

@@ -3,7 +3,6 @@ package units
 import (
 	"math"
 	"testing"
-	"testing/quick"
 	"time"
 )
 
@@ -26,75 +25,6 @@ func TestBytesString(t *testing.T) {
 			t.Errorf("Bytes(%d).String() = %q, want %q", int64(c.in), got, c.want)
 		}
 	}
-}
-
-func TestParseBytes(t *testing.T) {
-	cases := []struct {
-		in   string
-		want Bytes
-	}{
-		{"112GB", 112 * GB},
-		{"112 GB", 112 * GB},
-		{"14 PB", 14 * PB},
-		{"512", 512},
-		{"3.5 MB", 3500 * KB},
-		{"1 KiB", 1024},
-		{"2GiB", 2 * GiB},
-		{"100 mb", 100 * MB},
-	}
-	for _, c := range cases {
-		got, err := ParseBytes(c.in)
-		if err != nil {
-			t.Fatalf("ParseBytes(%q): %v", c.in, err)
-		}
-		if got != c.want {
-			t.Errorf("ParseBytes(%q) = %d, want %d", c.in, got, c.want)
-		}
-	}
-}
-
-func TestParseBytesErrors(t *testing.T) {
-	for _, in := range []string{"", "GB", "12 XB", "1e309 GB", "--3 MB"} {
-		if _, err := ParseBytes(in); err == nil {
-			t.Errorf("ParseBytes(%q): expected error", in)
-		}
-	}
-}
-
-func TestParseBytesRoundTrip(t *testing.T) {
-	f := func(n int64) bool {
-		b := Bytes(n % (1 << 40)) // stay well within float64 exactness
-		got, err := ParseBytes(b.String())
-		if err != nil {
-			return false
-		}
-		// String() rounds to 3 decimals of the chosen unit, so allow that error.
-		diff := math.Abs(float64(got - b))
-		var unit float64 = 1
-		switch {
-		case abs64(b) >= PB:
-			unit = float64(PB)
-		case abs64(b) >= TB:
-			unit = float64(TB)
-		case abs64(b) >= GB:
-			unit = float64(GB)
-		case abs64(b) >= MB:
-			unit = float64(MB)
-		case abs64(b) >= KB:
-			unit = float64(KB)
-		}
-		return diff <= unit*0.0005+1
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func abs64(b Bytes) Bytes {
-	if b < 0 {
-		return -b
-	}
-	return b
 }
 
 func TestBandwidthTimeToMove(t *testing.T) {

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Pre-PR gate: formatting, vet, and race-stressed tests for the packages
 # with the most concurrency (cluster coordination, node runtime, erasure
-# coding, metrics collection, the iod network service, the codecs). Run from
-# the repo root before sending a PR; the full suite is still `go test ./...`.
+# coding, metrics collection, the iod network service, the codecs), and the
+# paper driver's output held to experiments_full.txt. Run from the repo root
+# before sending a PR; the full suite is still `go test ./...`.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -119,6 +120,12 @@ echo "check.sh: deflate $deflate_rate MB/s vs compress/flate $flate_rate MB/s on
 go test -run '^$' -fuzz FuzzDecodeRequestWire -fuzztime 10s -fuzzminimizetime 1s ./internal/iod
 go test -run '^$' -fuzz FuzzDecodeResponseWire -fuzztime 10s -fuzzminimizetime 1s ./internal/iod
 
+# A checkpoint's metadata map is read back off NVM, a partner and the store,
+# and the restore acts on the rank, step and ID it decodes: the same smoke
+# for its decoder (no panic, a refusal is ErrBadMetadata, an accepted map
+# survives a re-encode).
+go test -run '^$' -fuzz FuzzMetadataFromMap -fuzztime 10s -fuzzminimizetime 1s ./internal/node
+
 # Allocation budgets of the HTTP save/load path and of a restore over a
 # loopback iod server, raw and through gzip (counts; skipped under -race
 # above): a whole-object buffer, a codec buffer grown from nil or a block
@@ -136,6 +143,15 @@ go test -run AllocBudget ./internal/gateway ./internal/iod
 go run ./cmd/ndpcr-experiments -quick -live table2 > /dev/null
 echo "check.sh: live table2 speed order green"
 
+# The paper side: every table and figure the model and simulator reproduce,
+# regenerated (about 10 s) and held byte for byte to the committed record.
+if ! go run ./cmd/ndpcr-experiments all | diff - experiments_full.txt >&2; then
+    echo "check.sh: ndpcr-experiments all no longer prints experiments_full.txt (diff above)." >&2
+    echo "check.sh: if the move is meant, regenerate it (go run ./cmd/ndpcr-experiments all > experiments_full.txt) and say why in EXPERIMENTS.md" >&2
+    exit 1
+fi
+echo "check.sh: ndpcr-experiments all matches experiments_full.txt"
+
 if [[ "$(git status --porcelain)" != "$worktree_before" ]]; then
     echo "check.sh: the gate changed the worktree:" >&2
     diff <(echo "$worktree_before") <(git status --porcelain) >&2 || true
@@ -145,5 +161,6 @@ fi
 echo "check.sh: all green"
 
 # The size every simplicity change is measured by, counted one way: non-test
-# Go lines outside the bench module.
+# Go lines outside the bench module, and beside them the test lines.
 echo "check.sh: non-test Go lines outside cmd/ndpcr-bench: $(find . -name '*.go' ! -name '*_test.go' ! -path './cmd/ndpcr-bench/*' | xargs cat | wc -l)"
+echo "check.sh: test Go lines outside cmd/ndpcr-bench: $(find . -name '*_test.go' ! -path './cmd/ndpcr-bench/*' | xargs cat | wc -l)"
