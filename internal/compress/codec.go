@@ -55,15 +55,6 @@ func Factor(uncompressed, compressed int) float64 {
 	return 1 - float64(compressed)/float64(uncompressed)
 }
 
-// Ratio converts a compression factor into the uncompressed/compressed size
-// ratio used by the paper's §4.4 NDP-speed equation.
-func Ratio(factor float64) float64 {
-	if factor >= 1 {
-		return 0
-	}
-	return 1 / (1 - factor)
-}
-
 var registry = map[string]Codec{}
 
 // Register adds a codec to the global registry. It panics on duplicates;

@@ -177,19 +177,12 @@ func TestGzipAppendsBehindPrefix(t *testing.T) {
 	}
 }
 
-func TestFactorAndRatio(t *testing.T) {
+func TestFactor(t *testing.T) {
 	if f := Factor(100, 25); f != 0.75 {
 		t.Errorf("Factor(100,25) = %v", f)
 	}
 	if f := Factor(0, 10); f != 0 {
 		t.Errorf("Factor(0,10) = %v", f)
-	}
-	// Paper §5.3: gzip(1)'s 72.77% factor ↔ ratio 3.67.
-	if r := Ratio(0.7277); math.Abs(r-3.67) > 0.01 {
-		t.Errorf("Ratio(0.7277) = %v, want ~3.67", r)
-	}
-	if Ratio(1.0) != 0 {
-		t.Error("Ratio(1) should be 0 (degenerate)")
 	}
 }
 

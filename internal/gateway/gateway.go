@@ -16,6 +16,7 @@ import (
 	"io"
 	"net/http"
 	"net/url"
+	"os"
 	"strconv"
 	"sync"
 	"time"
@@ -493,7 +494,8 @@ func mapStoreErr(err error, what string) *apiError {
 // handleSave commits one checkpoint snapshot (the request body) — one NVM
 // commit under admission control, so a device crowded by drain-locked
 // residents blocks (bounded by DrainTimeout, then 429 backpressure) instead
-// of failing, the body read once, straight into the reserved region — and
+// of failing, the body read once, straight into the reserved region, its
+// drain started on the first blocks while the rest arrive (node.Stream) — and
 // then resolves it, the two modes differing only in who waits. In the
 // default synchronous mode the request does: a 200 means
 // durable at the I/O level, not merely accepted, and a failed or timed-out
@@ -561,9 +563,11 @@ func (s *Server) handleSave(w http.ResponseWriter, r *http.Request, st *tenantSt
 	if err != nil {
 		return mapStoreErr(err, "session")
 	}
+	// One bound for the save's two waits on its node: NVM admission, and
+	// the ID order behind a streaming save on the same rank (Publish).
 	actx, cancel := context.WithTimeout(r.Context(), s.cfg.DrainTimeout)
+	defer cancel()
 	res, err := n.Reserve(actx, size)
-	cancel()
 	if err != nil {
 		if errors.Is(err, nvm.ErrBackpressure) {
 			s.mBackpressure.Inc()
@@ -574,22 +578,51 @@ func (s *Server) handleSave(w http.ResponseWriter, r *http.Request, st *tenantSt
 	}
 	defer res.Release()
 	body := res.Data
+	meta := node.Metadata{Job: job, Rank: rank, Step: step}
 	if chunked != nil {
 		copy(body, chunked)
-	} else if _, err := io.ReadFull(r.Body, body); err != nil {
-		return errf(http.StatusBadRequest, "bad_request", "reading snapshot: %v", err)
-	}
-	meta := node.Metadata{Job: job, Rank: rank, Step: step}
-	// A snapshot framed by the client (elastic.Encode) self-describes its
-	// shard count; stamping it into the checkpoint metadata is what makes
-	// the run restorable onto a different rank count later.
-	if elastic.IsFrame(body) {
-		if shards, err := elastic.ShardCount(body); err == nil {
-			meta.Shards = shards
+		meta.Shards = shardCount(body)
+	} else {
+		// A fill unit at a time, each marked Filled as it lands. The first
+		// fixes the metadata, and with it known a body with more to come
+		// streams: its drain starts on the blocks already here (node.Stream).
+		// A stream holds the rank's ID order until its body ends, so the
+		// rest of that body must arrive within DrainTimeout. Not every
+		// writer can bound its body (a test recorder): there the client's
+		// own timeout is the bound.
+		var rc *http.ResponseController
+		unit := max(n.BlockSize(), fillUnit)
+		for off := 0; off < len(body); {
+			end := min(off+unit, len(body))
+			if _, err := io.ReadFull(r.Body, body[off:end]); err != nil {
+				if errors.Is(err, os.ErrDeadlineExceeded) {
+					return errf(http.StatusRequestTimeout, "body_timeout",
+						"streamed snapshot did not arrive within %s", s.cfg.DrainTimeout)
+				}
+				return errf(http.StatusBadRequest, "bad_request", "reading snapshot: %v", err)
+			}
+			res.Filled(end)
+			if off == 0 {
+				meta.Shards = shardCount(body[:end])
+				if end < len(body) && n.Stream(res, meta) {
+					rc = http.NewResponseController(w)
+					_ = rc.SetReadDeadline(time.Now().Add(s.cfg.DrainTimeout))
+				}
+			}
+			off = end
+		}
+		if rc != nil {
+			// The body is in: the connection's next read (the next request
+			// on it) is not bound by this one's deadline.
+			_ = rc.SetReadDeadline(time.Time{})
 		}
 	}
-	id, err := n.Publish(res, meta)
+	id, err := n.Publish(actx, res, meta)
 	if err != nil {
+		if errors.Is(err, context.DeadlineExceeded) {
+			return errf(http.StatusTooManyRequests, "commit_busy",
+				"another save on this rank held the checkpoint ID order past %s: %v", s.cfg.DrainTimeout, err)
+		}
 		return mapStoreErr(err, "commit")
 	}
 	committed = true
@@ -633,6 +666,22 @@ func (s *Server) handleSave(w http.ResponseWriter, r *http.Request, st *tenantSt
 	st.mBytesIn.Add(uint64(size))
 	writeJSON(w, http.StatusOK, map[string]any{"id": id, "bytes": size, "step": step, "durable": "store"})
 	return nil
+}
+
+// fillUnit is the least a save reads of its body before it marks the bytes
+// Filled for the drain. Each mark wakes the drain, and with 64 KiB blocks a
+// mark a block is 128 hand-offs an 8 MiB save: those cost more on two cores
+// than the earlier start of each block gains (EXPERIMENTS.md, "Cut-through
+// drain").
+const fillUnit = 1 << 20
+
+// shardCount is the shard count a snapshot framed by the client
+// (elastic.Encode) declares in its header, 0 for an opaque one. Stamping it
+// into the checkpoint metadata is what makes the run restorable onto a
+// different rank count later.
+func shardCount(head []byte) int {
+	n, _ := elastic.ShardCount(head) // 0 unless head starts a frame
+	return n
 }
 
 // resolve settles one committed save: wait (bounded by ctx) for store

@@ -174,7 +174,7 @@ func TestConcurrentFillsPublishInOrder(t *testing.T) {
 	}
 	for i := len(rs) - 1; i >= 0; i-- { // last reserved, first published
 		copy(rs[i].Data, snapshot(100, byte(i)))
-		id, err := n.Publish(rs[i], Metadata{Step: i})
+		id, err := n.Publish(context.Background(), rs[i], Metadata{Step: i})
 		if want := uint64(len(rs) - i); err != nil || id != want {
 			t.Fatalf("publish of reservation %d: id=%d err=%v, want id %d", i, id, err, want)
 		}

@@ -38,7 +38,7 @@ type Config struct {
 	// (Table 3/4: 4 cores of gzip(1)). Minimum 1.
 	Workers int
 	// BlockSize is the streaming unit (§4.2.2's "small blocks"); zero
-	// selects 1 MB.
+	// selects DefaultBlockSize.
 	BlockSize int
 
 	// OnError receives asynchronous drain errors; nil discards them.
@@ -101,6 +101,11 @@ type Engine struct {
 	runCtx    context.Context
 	runCancel context.CancelFunc
 
+	// mu guards the hand-over of a stream (Stream) to the run loop.
+	mu      sync.Mutex
+	stream  *stream // claimed by Stream, not yet taken by the run loop
+	stopped bool    // the run loop has exited: no stream is claimed again
+
 	// Only the run goroutine touches attempts: consecutive drain failures
 	// per ID. An ID that exhausts maxDrainAttempts — or is rolled back by
 	// its owner — is failed on the tracker, the one record of IDs that must
@@ -133,6 +138,9 @@ const (
 	drainRetryBackoff = 50 * time.Millisecond
 )
 
+// DefaultBlockSize is the streaming unit a zero Config.BlockSize selects.
+const DefaultBlockSize = 1 << 20
+
 // sendBudget is the drain's byte budget of store writes in flight (see
 // Engine.window): 4 blocks at the default 1 MiB, 64 at 64 KiB.
 const sendBudget = 4 << 20
@@ -163,7 +171,7 @@ func New(cfg Config) (*Engine, error) {
 		cfg.Workers = 1
 	}
 	if cfg.BlockSize <= 0 {
-		cfg.BlockSize = 1 << 20
+		cfg.BlockSize = DefaultBlockSize
 	}
 	e := &Engine{
 		cfg:      cfg,
@@ -206,6 +214,65 @@ func (e *Engine) Notify() {
 	}
 }
 
+// stream is a checkpoint whose drain starts while its bytes are still
+// arriving (a cut-through commit): its blocks come from a reservation the
+// host is filling, each once the fill watermark has passed it.
+type stream struct {
+	id     uint64
+	res    *nvm.Reservation
+	data   []byte // res.Data when the stream was claimed
+	meta   map[string]string
+	unhold func() // set when the run loop takes the stream
+}
+
+// Stream claims the engine for checkpoint id, whose bytes are still arriving
+// in r: the drain ships each block of r once r's writer has marked it
+// Filled, and acknowledges only once r is published as id. The run loop takes
+// a stream before any published checkpoint, as soon as the drain in progress,
+// if any, ends, and holds r from then on (nvm.Reservation.Hold); r released
+// or published before that was never read, and a published one drains as any
+// commit. Stream reports false, claiming nothing, while another stream waits
+// to be taken, once the engine has stopped, or when the engine drains under
+// a Gate: a stream's drain waits on its writer, and a slot held through that
+// wait is one no other engine sharing the gate can drain with. The caller
+// keeps id off its ID sequence until r is published or released; releasing r
+// stops the drain, which deletes what it shipped before Release returns. A
+// drain that fails while r fills is reported and not retried: once
+// published, id drains again from the doorbell like any commit.
+func (e *Engine) Stream(id uint64, r *nvm.Reservation, meta map[string]string) bool {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if e.stream != nil || e.stopped || e.cfg.Gate != nil {
+		return false
+	}
+	e.stream = &stream{id: id, res: r, data: r.Data, meta: meta}
+	e.Notify()
+	return true
+}
+
+// next takes the run loop's next drain candidate: a claimed stream first,
+// held, else the newest undrained checkpoint, locked (see nextUndrained).
+func (e *Engine) next() (s *stream, id uint64, ok bool) {
+	e.mu.Lock()
+	s, e.stream = e.stream, nil
+	e.mu.Unlock()
+	if s != nil {
+		if s.unhold, ok = s.res.Hold(); ok {
+			return s, s.id, true
+		}
+	}
+	id, ok = e.nextUndrained()
+	return nil, id, ok
+}
+
+// dropStream refuses every later Stream and forgets a stream claimed but
+// never taken: the run loop has exited.
+func (e *Engine) dropStream() {
+	e.mu.Lock()
+	e.stream, e.stopped = nil, true
+	e.mu.Unlock()
+}
+
 // Tracker exposes the engine's durability tracker: the single completion
 // surface for drain progress. WaitDurableCtx(ctx, id, LevelStore) blocks
 // until id (or anything newer) is fully on global I/O, and reports a
@@ -243,6 +310,7 @@ func (e *Engine) Close() {
 
 func (e *Engine) run() {
 	defer close(e.done)
+	defer e.dropStream()
 	for {
 		select {
 		case <-e.stop:
@@ -257,12 +325,12 @@ func (e *Engine) run() {
 			if !ok {
 				break // gate refused: the engine is stopping
 			}
-			id, ok := e.nextUndrained() // holds an eviction lock on id
+			s, id, ok := e.next() // holds an eviction lock on id, or s's hold
 			if !ok {
 				release()
 				break
 			}
-			err := e.drain(id)
+			err := e.drain(id, s)
 			release()
 			if err != nil {
 				// A drain aborted by engine shutdown is expected, not an
@@ -343,19 +411,26 @@ func (e *Engine) nextUndrained() (uint64, bool) {
 	return latest.ID, true
 }
 
-// drain moves one checkpoint to global I/O. The caller has already locked
-// id in NVM; drain releases the lock.
-func (e *Engine) drain(id uint64) error {
+// drain moves one checkpoint to global I/O: a published one, which the
+// caller has locked in NVM, or the claimed stream s, whose bytes may still be
+// arriving. drain releases the lock (or the hold). A stream's drain never
+// returns an error: a failure is reported here, and its ID is not counted
+// against the retry policy, because it may yet be offered to another commit.
+func (e *Engine) drain(id uint64, s *stream) error {
 	dev := e.cfg.Device
-	defer func() {
-		if err := dev.Unlock(id); err != nil && !errors.Is(err, nvm.ErrNotFound) {
-			e.reportError(fmt.Errorf("ndp: unlock %d: %w", id, err))
-		}
-	}()
+	key := iostore.Key{Job: e.cfg.Job, Rank: e.cfg.Rank, ID: id}
+	if s != nil {
+		defer s.unhold()
+	} else {
+		defer func() {
+			if err := dev.Unlock(id); err != nil && !errors.Is(err, nvm.ErrNotFound) {
+				e.reportError(fmt.Errorf("ndp: unlock %d: %w", id, err))
+			}
+		}()
+	}
 	if e.dead(id) {
 		// Rolled back between pick and drain: clean any shipped blocks. A
 		// failed cleanup leaks a torn object — surface it.
-		key := iostore.Key{Job: e.cfg.Job, Rank: e.cfg.Rank, ID: id}
 		if derr := e.cfg.Store.Delete(context.Background(), key); derr != nil {
 			e.reportError(fmt.Errorf("ndp: discard cleanup %d: %w", id, derr))
 		}
@@ -367,36 +442,46 @@ func (e *Engine) drain(id uint64) error {
 	}
 	drainStart := time.Now()
 
-	// Read the checkpoint under the NVM gate so host commits exclude us.
-	// The wait for the gate is the paper's §4.2.1 pause; the read itself is
-	// the NDP's paced NVM access. The read borrows the region under the
-	// eviction lock: nothing here reads it once drain returns and unlocks,
-	// so the device may hand it to a later commit.
-	e.gate.RLock()
-	gateHeld := time.Now()
-	e.span(id, metrics.PhasePause, drainStart, gateHeld)
-	ckpt, err := dev.GetLocked(id)
-	e.gate.RUnlock()
-	e.span(id, metrics.PhaseRead, gateHeld, time.Now())
-	if err != nil {
-		if errors.Is(err, nvm.ErrNotFound) {
-			return nil
+	var (
+		data   []byte
+		meta   map[string]string
+		filled func(ctx context.Context, n int) error // nil: data is whole
+	)
+	if s != nil {
+		// The stream reads the reservation's filled prefix while the host
+		// writes the rest — no pause gate: that is the point.
+		data, meta, filled = s.data, s.meta, s.res.WaitFilled
+	} else {
+		// Read the checkpoint under the NVM gate so host commits exclude us.
+		// The wait for the gate is the paper's §4.2.1 pause; the read itself
+		// is the NDP's paced NVM access. The read borrows the region under the
+		// eviction lock: nothing here reads it once drain returns and unlocks,
+		// so the device may hand it to a later commit.
+		e.gate.RLock()
+		gateHeld := time.Now()
+		e.span(id, metrics.PhasePause, drainStart, gateHeld)
+		ckpt, err := dev.GetLocked(id)
+		e.gate.RUnlock()
+		e.span(id, metrics.PhaseRead, gateHeld, time.Now())
+		if err != nil {
+			if errors.Is(err, nvm.ErrNotFound) {
+				return nil
+			}
+			return err
 		}
-		return err
+		data, meta = ckpt.Data, ckpt.Meta
+		if e.mPauseWait != nil {
+			e.mPauseWait.ObserveDuration(gateHeld.Sub(drainStart))
+		}
 	}
 
-	key := iostore.Key{Job: e.cfg.Job, Rank: e.cfg.Rank, ID: id}
-	meta := iostore.Object{
-		OrigSize: int64(len(ckpt.Data)),
-		Meta:     ckpt.Meta,
-	}
+	obj := iostore.Object{OrigSize: int64(len(data)), Meta: meta}
 	if e.cfg.Codec != nil {
-		meta.Codec = e.cfg.Codec.Name()
-		meta.CodecLevel = e.cfg.Codec.Level()
+		obj.Codec = e.cfg.Codec.Name()
+		obj.CodecLevel = e.cfg.Codec.Level()
 	}
-	if e.mPauseWait != nil {
-		e.mPauseWait.ObserveDuration(gateHeld.Sub(drainStart))
-		e.mInBytes.Observe(int64(len(ckpt.Data)))
+	if e.mInBytes != nil {
+		e.mInBytes.Observe(int64(len(data)))
 	}
 
 	ctx, cancel := context.WithCancel(context.Background())
@@ -409,17 +494,36 @@ func (e *Engine) drain(id uint64) error {
 		}
 	}()
 
-	if err := e.pipeline(ctx, id, key, meta, ckpt.Data); err != nil {
+	err := e.pipeline(ctx, id, key, obj, data, filled)
+	if err == nil && s != nil {
+		// Store durability needs NVM durability first: a stream whose
+		// bytes never all arrive is acknowledged at no level.
+		err = s.res.WaitPublished(ctx)
+	}
+	if err != nil {
 		// A torn object must not be restorable. The delete runs on a fresh
 		// context: the drain ctx may already be canceled (engine shutdown),
 		// but the cleanup must still be attempted.
 		if derr := e.cfg.Store.Delete(context.Background(), key); derr != nil {
 			e.reportError(fmt.Errorf("ndp: abort cleanup %d: %w", id, derr))
 		}
+		if s != nil && (errors.Is(err, nvm.ErrAbandoned) || ctx.Err() != nil) {
+			// The upload was cut off (or the engine is stopping): no drain
+			// failed, and the ID goes back to the host, timeline and all.
+			if ts := e.cfg.Timelines; ts != nil {
+				ts.Discard(metrics.KindCheckpoint, id)
+			}
+			return nil
+		}
 		if e.mDrainErrors != nil {
 			e.mDrainErrors.Inc()
 		}
-		return fmt.Errorf("ndp: drain %d: %w", id, err)
+		err = fmt.Errorf("ndp: drain %d: %w", id, err)
+		if s != nil {
+			e.reportError(err)
+			return nil
+		}
+		return err
 	}
 	ackStart := time.Now()
 	if e.dead(id) {
@@ -555,22 +659,37 @@ func (s *sender) wait() error {
 // strict completed-means-durable semantics. The compress and xmit timeline
 // spans are wall-clock envelopes across workers, so on an overlapped drain
 // the timeline's Sum exceeds its Total by exactly the realized overlap.
-func (e *Engine) pipeline(ctx context.Context, id uint64, key iostore.Key, meta iostore.Object, data []byte) error {
+func (e *Engine) pipeline(ctx context.Context, id uint64, key iostore.Key, meta iostore.Object, data []byte,
+	filled func(ctx context.Context, n int) error) error {
 	bs := e.cfg.BlockSize
 	snd := e.newSender(key, meta)
-	produce := func(_ context.Context, i int) ([]byte, error) { return block(data, bs, i), nil }
+	// A block is ready once the host has filled it: at once for a published
+	// checkpoint, at the fill watermark for a stream's.
+	produce := func(ctx context.Context, i int) ([]byte, error) {
+		b := block(data, bs, i)
+		if filled != nil {
+			if err := filled(ctx, i*bs+len(b)); err != nil {
+				return nil, err
+			}
+		}
+		return b, nil
+	}
+	raw := produce
 	workers := 1
 	var compressClock *metrics.Envelope // nil on a raw drain
 	if codec := e.cfg.Codec; codec != nil {
 		snd.owned = true // every block it is sent is a compressor's pooled buffer
 		clock := new(metrics.Envelope)
 		compressClock, workers = clock, e.cfg.Workers
-		produce = func(_ context.Context, i int) ([]byte, error) {
-			raw := block(data, bs, i)
+		produce = func(ctx context.Context, i int) ([]byte, error) {
+			b, err := raw(ctx, i)
+			if err != nil {
+				return nil, err
+			}
 			t0 := time.Now()
 			// Into a pooled buffer the size of the input (output that outgrows
 			// it moves to the heap); the sender releases it.
-			c, err := codec.Compress(blockpool.Get(len(raw))[:0], raw)
+			c, err := codec.Compress(blockpool.Get(len(b))[:0], b)
 			clock.Mark(t0, time.Now())
 			if e.mCompressSecs != nil {
 				e.mCompressSecs.ObserveSince(t0)

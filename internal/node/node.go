@@ -164,14 +164,20 @@ type Node struct {
 	erasure region
 	eraSet  ErasureSet
 
-	// commitMu serializes Publish's read-ID → NVM-write → confirm sequence
-	// so a failed NVM write never burns a checkpoint ID (the ID is only
-	// consumed once the write succeeded).
-	commitMu sync.Mutex
+	// turn is the ID order: one token, held by whoever may take the next
+	// ID. A Publish holds it over its read-ID → NVM-write → confirm
+	// sequence, so a failed NVM write never burns a checkpoint ID (the ID is
+	// only consumed once the write succeeded); a stream (Stream) holds it
+	// from taking its ID until it is published or released. A channel, not a
+	// mutex, so a Publish waiting behind a stream can give up with its ctx.
+	turn chan struct{}
 
 	mu     sync.Mutex
 	nextID uint64
 	closed bool
+	// stream is the commit whose drain started while its bytes arrive
+	// (Stream); nil when none is open.
+	stream *openStream
 
 	// fetchWindow, when positive, overrides the restore's fetch window (in
 	// blocks) that fetchObject otherwise sizes from fetchBudget; only
@@ -207,8 +213,11 @@ func New(cfg Config) (*Node, error) {
 	if err != nil {
 		return nil, err
 	}
+	if cfg.BlockSize <= 0 {
+		cfg.BlockSize = ndp.DefaultBlockSize
+	}
 	n := &Node{cfg: cfg, device: device, nextID: 1, dur: ndp.NewTracker(),
-		timelines: metrics.NewTimelineSet(0)}
+		timelines: metrics.NewTimelineSet(0), turn: make(chan struct{}, 1)}
 	n.partner, n.erasure = newRegions(cfg.NVMCapacity)
 	n.reg = cfg.Metrics
 	if n.reg == nil {
@@ -249,6 +258,9 @@ func New(cfg Config) (*Node, error) {
 	}
 	return n, nil
 }
+
+// BlockSize is the unit the node drains and a committer fills in.
+func (n *Node) BlockSize() int { return n.cfg.BlockSize }
 
 // Device exposes the NVM device (tests, metrics).
 func (n *Node) Device() *nvm.Device { return n.device }
@@ -293,7 +305,7 @@ func (n *Node) Commit(ctx context.Context, snapshot []byte, meta Metadata) (uint
 	}
 	defer r.Release()
 	copy(r.Data, snapshot)
-	return n.Publish(r, meta)
+	return n.Publish(ctx, r, meta)
 }
 
 // Reserve starts a commit: it claims size bytes of local NVM for a snapshot
@@ -308,42 +320,135 @@ func (n *Node) Reserve(ctx context.Context, size int64) (*nvm.Reservation, error
 	return n.device.Reserve(ctx, size)
 }
 
+// openStream is a commit that streams (Stream): its reservation, and the ID
+// and metadata its drain took.
+type openStream struct {
+	res  *nvm.Reservation
+	id   uint64
+	meta map[string]string
+}
+
+// Stream starts the drain of a commit whose bytes are still arriving in r (a
+// cut-through commit: §4.2.2's block streaming, begun before the commit ends).
+// The NDP ships each block once r's writer has marked it Filled, and marks
+// the checkpoint store-durable only after Publish has made it NVM-durable. The
+// ID is taken here, so the drain has its key: it is the stream's until
+// Publish consumes it or r's Release offers it again — Release returns only
+// once the drain has stopped and deleted what it shipped, so no late cleanup
+// can touch the next commit's object under the same key, and a plain Publish
+// meanwhile waits its turn (bounded by its ctx). A commit streams only when r
+// spans more than one block, no other commit of this node is filling or
+// taking an ID, and the NDP takes the stream (ndp.Engine.Stream); otherwise
+// Stream reports false and the commit stays an ordinary one. meta is stamped
+// on the stored object before its first block; Publish then uses it, not its
+// own.
+func (n *Node) Stream(r *nvm.Reservation, meta Metadata) bool {
+	if n.engine == nil || len(r.Data) <= n.cfg.BlockSize || n.device.OpenReservations() > 1 {
+		return false
+	}
+	select {
+	case n.turn <- struct{}{}:
+	default: // another commit is taking an ID: this one does not wait for it
+		return false
+	}
+	n.mu.Lock()
+	id, closed := n.nextID, n.closed
+	n.mu.Unlock()
+	mm := n.identify(meta).toMap(id)
+	if closed || !n.engine.Stream(id, r, mm) {
+		<-n.turn
+		return false
+	}
+	n.mu.Lock()
+	n.stream = &openStream{res: r, id: id, meta: mm}
+	n.mu.Unlock()
+	r.OnRelease(func() {
+		n.mu.Lock()
+		n.stream = nil
+		n.mu.Unlock()
+		<-n.turn
+	})
+	return true
+}
+
+// identify stamps this node's job and rank on metadata that names none.
+func (n *Node) identify(meta Metadata) Metadata {
+	if meta.Job == "" {
+		meta.Job = n.cfg.Job
+		meta.Rank = n.cfg.Rank
+	}
+	return meta
+}
+
 // Publish commits a filled reservation as the node's next checkpoint. The
 // host "pauses" for the NVM write — any concurrent NDP NVM access is
 // excluded for the duration (§4.2.1). The ID is read here and consumed only
 // once the write succeeds: a failed Publish — or a reservation released
 // because its bytes never arrived — leaves nextID untouched, so the same ID
 // is offered again and a single rank's NVM failure cannot desynchronize a
-// coordinated checkpoint's ID sequence.
-func (n *Node) Publish(r *nvm.Reservation, meta Metadata) (uint64, error) {
-	n.commitMu.Lock()
-	defer n.commitMu.Unlock()
+// coordinated checkpoint's ID sequence. A streamed reservation publishes
+// under the ID and metadata its Stream took; any other waits for the ID turn
+// while a stream holds it, and gives up when ctx ends (an error wrapping
+// ctx.Err()).
+func (n *Node) Publish(ctx context.Context, r *nvm.Reservation, meta Metadata) (uint64, error) {
 	n.mu.Lock()
-	id, closed := n.nextID, n.closed
+	s := n.stream
+	n.mu.Unlock()
+	streamed := s != nil && s.res == r
+	var (
+		id uint64
+		mm map[string]string
+	)
+	if streamed {
+		id, mm = s.id, s.meta
+	} else {
+		if err := n.takeTurn(ctx); err != nil {
+			return 0, fmt.Errorf("node: commit: waiting for the ID turn: %w", err)
+		}
+		defer func() { <-n.turn }()
+		n.mu.Lock()
+		id = n.nextID
+		n.mu.Unlock()
+		mm = n.identify(meta).toMap(id)
+	}
+	n.mu.Lock()
+	closed := n.closed
 	n.mu.Unlock()
 	if closed {
 		return 0, errors.New("node: closed")
-	}
-	if meta.Job == "" {
-		meta.Job = n.cfg.Job
-		meta.Rank = n.cfg.Rank
 	}
 	size := len(r.Data)
 	if n.engine != nil {
 		n.engine.PauseNVM()
 	}
-	err := r.Publish(id, meta.toMap(id))
+	if streamed {
+		// Before the write: the stream's drain may finish the timeline the
+		// moment the write lands.
+		n.timelines.Observe(metrics.KindCheckpoint, id, metrics.PhaseCommit, r.Start, time.Now())
+	}
+	err := r.Publish(id, mm)
 	if n.engine != nil {
 		n.engine.ResumeNVM()
 	}
 	if err != nil {
+		if streamed {
+			n.timelines.Discard(metrics.KindCheckpoint, id)
+		}
 		return 0, fmt.Errorf("node: commit %d: %w", id, err)
 	}
 	n.mu.Lock()
 	n.nextID = id + 1
+	if streamed {
+		n.stream = nil
+	}
 	n.mu.Unlock()
+	if streamed {
+		<-n.turn
+	}
 	n.dur.MarkDurable(ndp.LevelNVM, id)
-	n.timelines.Observe(metrics.KindCheckpoint, id, metrics.PhaseCommit, r.Start, time.Now())
+	if !streamed {
+		n.timelines.Observe(metrics.KindCheckpoint, id, metrics.PhaseCommit, r.Start, time.Now())
+	}
 	n.mCommits.Inc()
 	n.mCommitSecs.ObserveSince(r.Start)
 	n.mCommitBytes.Observe(int64(size))
@@ -351,6 +456,22 @@ func (n *Node) Publish(r *nvm.Reservation, meta Metadata) (uint64, error) {
 		n.engine.Notify()
 	}
 	return id, nil
+}
+
+// takeTurn waits for the ID turn, or for ctx to end. A free turn is taken
+// whatever ctx says, so an ended ctx fails only a commit that would wait.
+func (n *Node) takeTurn(ctx context.Context) error {
+	select {
+	case n.turn <- struct{}{}:
+		return nil
+	default:
+	}
+	select {
+	case n.turn <- struct{}{}:
+		return nil
+	case <-ctx.Done():
+		return ctx.Err()
+	}
 }
 
 // NextID returns the checkpoint ID the next successful Commit will use.
@@ -366,8 +487,8 @@ func (n *Node) NextID() uint64 {
 // next global ID — the aborted ID is skipped, keeping IDs monotonic and
 // never reusing a poisoned one.
 func (n *Node) ResyncNextID(next uint64) {
-	n.commitMu.Lock()
-	defer n.commitMu.Unlock()
+	n.takeTurn(context.Background())
+	defer func() { <-n.turn }()
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if next > n.nextID {

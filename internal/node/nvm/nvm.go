@@ -32,6 +32,9 @@ var (
 	// write before the caller's deadline. The node commit path surfaces
 	// this typed error instead of ErrFull.
 	ErrBackpressure = errors.New("nvm: admission backpressure (locked residents exceed free space)")
+	// ErrAbandoned reports that a reservation a reader waits on was released
+	// unpublished: the bytes it waits for will never arrive.
+	ErrAbandoned = errors.New("nvm: reservation released unpublished")
 )
 
 // Pacer throttles data movement to a simulated bandwidth. The zero-value
@@ -90,6 +93,9 @@ type Device struct {
 	// spare is the region retired last (retireLocked), for the next claim
 	// it fits: the §4.2.1 ring is rewritten, not allocated afresh.
 	spare []byte
+
+	// open counts the reservations neither published nor released.
+	open int
 
 	// Occupancy gauges, moved under mu wherever the value they mirror moves,
 	// so the devices of every node on one registry add up to one sum (a
@@ -273,6 +279,7 @@ func (d *Device) claimLocked(size int64) (region []byte, ok bool) {
 		d.evictOldestUnlocked()
 	}
 	d.addUsedLocked(size)
+	d.open++
 	if c := int64(cap(d.spare)); c > 0 && size <= c && c <= 2*size {
 		region, d.spare = d.spare[:size], nil
 	}
@@ -305,11 +312,24 @@ func (d *Device) retireLocked(region []byte) {
 }
 
 // Reservation is a claimed region no reader can see yet: the writer fills
-// Data holding no device lock, then Publishes or Releases it.
+// Data holding no device lock, then Publishes or Releases it. One reader may
+// Hold it while it fills — a cut-through drain, which reads each block of
+// the filled prefix as the writer's Filled watermark passes it.
 type Reservation struct {
 	Data  []byte    // exactly the reserved size; nil once published or released
 	Start time.Time // when Reserve was called: the commit's start
 	d     *Device
+
+	onRelease func() // the writer's, run by Release (OnRelease)
+
+	// The fill state, under d.mu. wake is closed (and nilled) whenever it
+	// moves, waking every WaitFilled, WaitPublished and Release to re-check.
+	filled    int
+	held      bool // a reader holds the region (Hold)
+	gone      bool // released unpublished
+	published bool
+	id        uint64 // the ID it was published as
+	wake      chan struct{}
 }
 
 // Reserve claims size bytes for one write, blocking until they can be or
@@ -361,22 +381,136 @@ func (d *Device) Reserve(ctx context.Context, size int64) (*Reservation, error) 
 
 // Release returns an unpublished reservation's bytes, and its region to the
 // spare slot, waking admission waiters; a no-op after Publish, so writers
-// defer it. The writer must not touch Data after Release.
+// defer it. A reader that holds the region is told the bytes will never come
+// (ErrAbandoned) and waited for: the region is retired only once no reader
+// can touch it. The writer must not touch Data after Release.
 func (r *Reservation) Release() {
 	if r.Data == nil {
 		return
 	}
-	r.d.mu.Lock()
-	r.d.addUsedLocked(-int64(len(r.Data)))
-	r.d.retireLocked(r.Data)
-	r.d.signalAdmitLocked()
-	r.d.mu.Unlock()
+	d := r.d
+	d.mu.Lock()
+	r.gone = true
+	r.wakeLocked()
+	for r.held {
+		ch := r.waitLocked()
+		d.mu.Unlock()
+		<-ch
+		d.mu.Lock()
+	}
+	d.addUsedLocked(-int64(len(r.Data)))
+	d.open--
+	d.retireLocked(r.Data)
+	d.signalAdmitLocked()
+	d.mu.Unlock()
 	r.Data = nil
+	if r.onRelease != nil {
+		r.onRelease()
+	}
+}
+
+// OnRelease makes Release run f once it has given the reservation up
+// unpublished, after no reader holds it; a published reservation never runs
+// it. It is how a writer that handed the reservation to a reader undoes what
+// the hand-over took, whichever way the reservation is released.
+func (r *Reservation) OnRelease(f func()) { r.onRelease = f }
+
+// Filled advances the fill watermark: the writer has filled Data's first n
+// bytes, and a reader holding the region may read them. It never moves back.
+func (r *Reservation) Filled(n int) {
+	r.d.mu.Lock()
+	if n > r.filled {
+		r.filled = n
+		r.wakeLocked()
+	}
+	r.d.mu.Unlock()
+}
+
+// WaitFilled blocks until Data's first m bytes are filled (nil), the
+// reservation is released unpublished (ErrAbandoned), or ctx ends. A
+// published reservation is filled whole.
+func (r *Reservation) WaitFilled(ctx context.Context, m int) error {
+	return r.await(ctx, func() bool { return r.filled >= m })
+}
+
+// WaitPublished blocks until the reservation is published (nil), released
+// unpublished (ErrAbandoned), or ctx ends.
+func (r *Reservation) WaitPublished(ctx context.Context) error {
+	return r.await(ctx, func() bool { return r.published })
+}
+
+func (r *Reservation) await(ctx context.Context, done func() bool) error {
+	d := r.d
+	for {
+		d.mu.Lock()
+		if done() {
+			d.mu.Unlock()
+			return nil
+		}
+		if r.gone {
+			d.mu.Unlock()
+			return ErrAbandoned
+		}
+		ch := r.waitLocked()
+		d.mu.Unlock()
+		select {
+		case <-ch:
+		case <-ctx.Done():
+			return ctx.Err()
+		}
+	}
+}
+
+// Hold makes the caller the reservation's reader: it may read the filled
+// prefix of the region — Data as it was when the writer handed it over —
+// until it calls unhold. Release waits for unhold; Publish turns the hold into
+// an eviction lock on the new checkpoint, which unhold then releases. A
+// reservation already published or released cannot be held (ok false): its
+// region is a resident's, or no one's.
+func (r *Reservation) Hold() (unhold func(), ok bool) {
+	d := r.d
+	d.mu.Lock()
+	if r.gone || r.published {
+		d.mu.Unlock()
+		return nil, false
+	}
+	r.held = true
+	d.mu.Unlock()
+	return func() {
+		d.mu.Lock()
+		published, id := r.published, r.id
+		if !published {
+			r.held = false
+			r.wakeLocked()
+		}
+		d.mu.Unlock()
+		if published {
+			d.Unlock(id) // ErrNotFound: discarded while held, nothing to unlock
+		}
+	}, true
+}
+
+// waitLocked is the channel the next move of the fill state closes. Caller
+// holds d.mu.
+func (r *Reservation) waitLocked() chan struct{} {
+	if r.wake == nil {
+		r.wake = make(chan struct{})
+	}
+	return r.wake
+}
+
+// wakeLocked wakes everyone parked on the fill state. Caller holds d.mu.
+func (r *Reservation) wakeLocked() {
+	if r.wake != nil {
+		close(r.wake)
+		r.wake = nil
+	}
 }
 
 // Publish makes the filled region visible as checkpoint id; the region
-// becomes the resident data, nothing is copied. On failure (fault hook,
-// locked resident of the same ID) the reservation stays held.
+// becomes the resident data, nothing is copied. A held reservation publishes
+// locked against eviction, the lock its reader releases. On failure (fault
+// hook, locked resident of the same ID) the reservation stays held.
 func (r *Reservation) Publish(id uint64, meta map[string]string) error {
 	d := r.d
 	if err := d.checkFault("put", id); err != nil {
@@ -400,9 +534,16 @@ func (r *Reservation) Publish(id uint64, meta map[string]string) error {
 		}
 		d.removeLocked(id)
 	}
-	d.ckpts[id] = &entry{ckpt: stored}
+	e := &entry{ckpt: stored}
+	d.ckpts[id] = e
 	d.order = append(d.order, id)
 	d.mResident.Inc()
+	d.open--
+	if r.held {
+		d.lockLocked(e)
+	}
+	r.published, r.id, r.filled = true, id, len(r.Data)
+	r.wakeLocked()
 	d.mu.Unlock()
 	r.Data = nil
 
@@ -549,6 +690,14 @@ func (d *Device) LatestLocked() (Checkpoint, bool) {
 	}
 	d.lockLocked(best)
 	return best.ckpt, true
+}
+
+// OpenReservations counts the reservations neither published nor released:
+// commits whose bytes are still arriving.
+func (d *Device) OpenReservations() int {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.open
 }
 
 // IDs returns resident checkpoint IDs in ascending order.

@@ -158,3 +158,161 @@ func TestReleaseWakesParkedAdmission(t *testing.T) {
 		t.Fatalf("admission after release: %v", err)
 	}
 }
+
+// TestFillWatermark: a reader waiting on the fill watermark wakes exactly
+// when the writer marks its bytes filled, never before; a published
+// reservation is filled whole; a released one wakes its waiters with
+// ErrAbandoned.
+func TestFillWatermark(t *testing.T) {
+	d := mk(t, 1000)
+	ctx := context.Background()
+	r, err := d.Reserve(ctx, 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := d.OpenReservations(); got != 1 {
+		t.Fatalf("open reservations = %d, want 1", got)
+	}
+	woke := make(chan error, 1)
+	go func() { woke <- r.WaitFilled(ctx, 60) }()
+	r.Filled(59)
+	canceled, cancel := context.WithCancel(ctx)
+	cancel()
+	if err := r.WaitFilled(canceled, 60); !errors.Is(err, context.Canceled) {
+		t.Fatalf("wait on 59 filled bytes of 60 = %v, want it still waiting", err)
+	}
+	r.Filled(60)
+	if err := <-woke; err != nil {
+		t.Fatalf("wait after 60 bytes filled = %v", err)
+	}
+	r.Filled(10) // never moves back
+	if err := r.WaitFilled(canceled, 60); err != nil {
+		t.Errorf("the watermark moved back: %v", err)
+	}
+	if err := r.Publish(1, nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.WaitFilled(canceled, 100); err != nil {
+		t.Errorf("a published reservation is not filled whole: %v", err)
+	}
+	if err := r.WaitPublished(canceled); err != nil {
+		t.Errorf("wait for a done publish = %v", err)
+	}
+
+	r2, err := d.Reserve(ctx, 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	go func() { woke <- r2.WaitPublished(ctx) }()
+	r2.Release()
+	if err := <-woke; !errors.Is(err, ErrAbandoned) {
+		t.Errorf("wait on a released reservation = %v, want ErrAbandoned", err)
+	}
+	if err := r2.WaitFilled(ctx, 1); !errors.Is(err, ErrAbandoned) {
+		t.Errorf("wait after the release = %v, want ErrAbandoned", err)
+	}
+	if got := d.OpenReservations(); got != 0 {
+		t.Errorf("open reservations = %d after a publish and a release, want 0", got)
+	}
+}
+
+// TestReleaseWaitsForHolder: Release of a held reservation returns only
+// once its reader lets go, and retires the region only then — so a reader
+// never sees the region poisoned or handed to the next claim while it reads.
+// A held reservation that publishes is locked against eviction until its
+// reader lets go.
+func TestReleaseWaitsForHolder(t *testing.T) {
+	d := mk(t, 100)
+	ctx := context.Background()
+	r, err := d.Reserve(ctx, 60)
+	if err != nil {
+		t.Fatal(err)
+	}
+	copy(r.Data, bytes.Repeat([]byte{7}, 60))
+	r.Filled(60)
+	data := r.Data
+	unhold, _ := r.Hold()
+	released := make(chan struct{})
+	go func() {
+		r.Release()
+		close(released)
+	}()
+	// The releaser is told the bytes will never come before it waits.
+	if err := r.WaitPublished(ctx); !errors.Is(err, ErrAbandoned) {
+		t.Fatalf("wait during a release = %v, want ErrAbandoned", err)
+	}
+	select {
+	case <-released:
+		t.Fatal("Release returned while a reader held the region")
+	default:
+	}
+	if !bytes.Equal(data, bytes.Repeat([]byte{7}, 60)) {
+		t.Fatal("the region changed under its reader")
+	}
+	unhold()
+	<-released
+	if u := d.Used(); u != 0 {
+		t.Errorf("used = %d after the release, want 0", u)
+	}
+
+	r, err = d.Reserve(ctx, 60)
+	if err != nil {
+		t.Fatal(err)
+	}
+	unhold, _ = r.Hold()
+	if err := r.Publish(2, nil); err != nil {
+		t.Fatal(err)
+	}
+	if got := d.LockedBytes(); got != 60 {
+		t.Errorf("locked bytes = %d after a held publish, want 60", got)
+	}
+	if _, err := d.Reserve(canceledCtx(), 60); !errors.Is(err, ErrBackpressure) {
+		t.Errorf("a claim evicted a checkpoint its reader still holds: %v", err)
+	}
+	unhold()
+	if got := d.LockedBytes(); got != 0 {
+		t.Errorf("locked bytes = %d after the reader let go, want 0", got)
+	}
+	if r2, err := d.Reserve(ctx, 60); err != nil {
+		t.Errorf("claim after the reader let go: %v", err)
+	} else {
+		r2.Release()
+	}
+}
+
+func canceledCtx() context.Context {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	return ctx
+}
+
+// TestHoldAndReleaseHook: a reservation already published or released cannot
+// be held, and the writer's release hook runs once, after a release, never
+// after a publish.
+func TestHoldAndReleaseHook(t *testing.T) {
+	d := mk(t, 100)
+	ctx := context.Background()
+	hooked := 0
+	r, err := d.Reserve(ctx, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.OnRelease(func() { hooked++ })
+	if err := r.Publish(1, nil); err != nil {
+		t.Fatal(err)
+	}
+	r.Release()
+	if _, ok := r.Hold(); ok || hooked != 0 {
+		t.Errorf("published reservation: held %v, hook ran %d times, want neither", ok, hooked)
+	}
+	r, err = d.Reserve(ctx, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.OnRelease(func() { hooked++ })
+	r.Release()
+	r.Release()
+	if _, ok := r.Hold(); ok || hooked != 1 {
+		t.Errorf("released reservation: held %v, hook ran %d times, want not held and once", ok, hooked)
+	}
+}

@@ -236,12 +236,3 @@ func TestCI95ShrinksWithN(t *testing.T) {
 		t.Errorf("CI95 did not shrink: %v vs %v", large.CI95(), small.CI95())
 	}
 }
-
-func TestMean(t *testing.T) {
-	if got := Mean([]float64{2, 4, 6}); got != 4 {
-		t.Errorf("Mean = %v", got)
-	}
-	if !math.IsNaN(Mean(nil)) {
-		t.Error("Mean(nil) should be NaN")
-	}
-}

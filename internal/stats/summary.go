@@ -95,15 +95,3 @@ func (s *Summary) CI95() float64 { return 1.96 * s.StdErr() }
 func (s *Summary) String() string {
 	return fmt.Sprintf("%.6g ± %.2g (n=%d)", s.Mean(), s.CI95(), s.n)
 }
-
-// Mean returns the arithmetic mean of xs (NaN for empty input).
-func Mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	sum := 0.0
-	for _, x := range xs {
-		sum += x
-	}
-	return sum / float64(len(xs))
-}

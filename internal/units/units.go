@@ -155,6 +155,3 @@ func (s Seconds) String() string {
 	}
 	return neg + trimFloat(v*1e6) + " us"
 }
-
-// FromDuration converts a time.Duration to Seconds.
-func FromDuration(d time.Duration) Seconds { return Seconds(d.Seconds()) }

@@ -97,7 +97,4 @@ func TestSecondsDuration(t *testing.T) {
 	if got := Seconds(math.Inf(1)).Duration(); got != time.Duration(math.MaxInt64) {
 		t.Errorf("infinite Seconds should saturate, got %v", got)
 	}
-	if got := FromDuration(250 * time.Millisecond); math.Abs(float64(got)-0.25) > 1e-12 {
-		t.Errorf("FromDuration = %v, want 0.25", got)
-	}
 }

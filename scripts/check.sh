@@ -55,6 +55,12 @@ go test -race -count=20 -cpu 1 ./internal/node/ndp/...
 # and abort tests count parked fetches and a parked consumer, on one core.
 go test -race -count=5 -cpu 1 ./internal/node
 
+# A cut-through save's drain reads a reservation while its writer fills it,
+# and a body cut off mid-stream releases the region the drain reads: on one
+# core, a produce that reads past the fill watermark shows up as a race, and
+# a region released under a reader as a 0xDB byte in what the store holds.
+go test -race -count=20 -cpu 1 -run 'TestCutThrough' ./internal/gateway ./internal/node
+
 # The NVM device's admission tests wait on parked committers the same way,
 # and its region-lifetime tests run with retired regions poisoned.
 go test -race -count=20 -cpu 1 ./internal/node/nvm/...
