@@ -211,10 +211,9 @@ func TestCutThroughCutOffBodyLeavesNoResidue(t *testing.T) {
 }
 
 // TestCutThroughConcurrentSavesStayDense: save A's body parks mid-stream and
-// save B arrives on the same rank. B takes the plain path and waits its turn
-// for an ID: when A completes, the two are consecutive; when A is cut off, B
-// gets the ID A gave back. No ID is skipped or used twice, and each loads
-// its own bytes.
+// save B arrives on the same rank. B waits in Reserve for the rank's ID order:
+// when A completes, the two are consecutive; when A is cut off, B gets the ID
+// A gave back. No ID is skipped or used twice, and each loads its own bytes.
 func TestCutThroughConcurrentSavesStayDense(t *testing.T) {
 	srv, ts := newTestServer(t, func(c *Config) { c.Codec = nil })
 	c := NewClient(ts.URL, "tok-acme")
@@ -225,9 +224,10 @@ func TestCutThroughConcurrentSavesStayDense(t *testing.T) {
 		body := newParkedBody(t, pa, 2*block)
 		doneA := startSave(srv, "dense", int(tag), body, len(pa))
 		<-body.parked
-		n := sessionNode(t, srv, "dense", 0)
 		doneB := startSave(srv, "dense", int(tag)+1, bytes.NewReader(pb), len(pb))
-		waitFor(t, "save B to reserve beside A", func() bool { return n.Device().OpenReservations() == 2 })
+		waitFor(t, "save B to arrive beside A", func() bool {
+			return gaugeValue(t, srv.reg, "ndpcr_gateway_inflight_requests") == "2"
+		})
 		if cutOff {
 			body.resume <- errBodyTorn
 		} else {
@@ -259,14 +259,15 @@ func TestCutThroughConcurrentSavesStayDense(t *testing.T) {
 	}
 }
 
-// TestCutThroughStalledBodyGivesBackTheRank: a streaming save whose client
-// stops sending holds the rank's ID order only until its body deadline
-// (DrainTimeout): it then answers 408, its drain stops and deletes what it
-// shipped, and a save that arrived on the same rank meanwhile takes the ID
-// it gave back within that save's own deadline.
-func TestCutThroughStalledBodyGivesBackTheRank(t *testing.T) {
-	const stall = 400 * time.Millisecond
-	watch := newBlockWatch(iostore.New(nvm.Pacer{}))
+// TestCutThroughStalledBodyAnswers408: a streaming save whose client stops
+// sending holds the rank's ID order only until its body deadline
+// (DrainTimeout): it then answers 408, and by then its drain has stopped and
+// deleted what it shipped and NVM holds none of it, so the next save on the
+// rank takes the ID it gave back.
+func TestCutThroughStalledBodyAnswers408(t *testing.T) {
+	const stall = 200 * time.Millisecond
+	store := iostore.New(nvm.Pacer{})
+	watch := newBlockWatch(store)
 	srv, ts := newTestServer(t, func(c *Config) { c.Store, c.Codec, c.DrainTimeout = watch, nil, stall })
 	const block = 1 << 20
 	body := newParkedBody(t, pattern(4*block, 1), 2*block)
@@ -287,15 +288,22 @@ func TestCutThroughStalledBodyGivesBackTheRank(t *testing.T) {
 		stalled <- resp.StatusCode
 	}()
 	watch.awaitPut(t, 1, 0) // the stalled save streams under ID 1
-	time.Sleep(stall / 2)   // the second save's deadline ends well after the first's
-	payload := pattern(2*block, 2)
-	if res := serveSave(srv, "stall", 2, bytes.NewReader(payload), len(payload)); res.status != http.StatusOK || res.id != 1 {
-		t.Fatalf("save beside the stalled one = %d id %d, want 200 with the stalled save's id 1", res.status, res.id)
-	}
 	if code := <-stalled; code != http.StatusRequestTimeout {
-		t.Errorf("stalled save = %d, want 408", code)
+		t.Fatalf("stalled save = %d, want 408", code)
 	}
-	if ck, err := NewClient(ts.URL, "tok-acme").Load(context.Background(), "acme", "stall", 0, 1); err != nil || !bytes.Equal(ck.Data, payload) {
+	ctx := context.Background()
+	if ids, err := store.IDs(ctx, JobKey("acme", "stall"), 0); err != nil || len(ids) != 0 {
+		t.Errorf("the store holds %v (err %v) after the stalled save answered: want nothing", ids, err)
+	}
+	if n := sessionNode(t, srv, "stall", 0); len(n.Device().IDs()) != 0 || n.Device().Used() != 0 {
+		t.Errorf("NVM holds %v, %d bytes used, after the stalled save answered: want nothing", n.Device().IDs(), n.Device().Used())
+	}
+	c := NewClient(ts.URL, "tok-acme")
+	payload := pattern(2*block, 2)
+	if id, err := c.Save(ctx, "acme", "stall", 0, 2, payload); err != nil || id != 1 {
+		t.Fatalf("save after the stalled one: id %d err %v, want the stalled save's 1", id, err)
+	}
+	if ck, err := c.Load(ctx, "acme", "stall", 0, 1); err != nil || !bytes.Equal(ck.Data, payload) {
 		t.Errorf("checkpoint 1 is not the save that took the ID (err %v)", err)
 	}
 }

@@ -563,16 +563,20 @@ func (s *Server) handleSave(w http.ResponseWriter, r *http.Request, st *tenantSt
 	if err != nil {
 		return mapStoreErr(err, "session")
 	}
-	// One bound for the save's two waits on its node: NVM admission, and
-	// the ID order behind a streaming save on the same rank (Publish).
+	// One bound for the save's two waits on its node: the rank's ID order,
+	// held by another save until it publishes, then NVM admission.
 	actx, cancel := context.WithTimeout(r.Context(), s.cfg.DrainTimeout)
 	defer cancel()
 	res, err := n.Reserve(actx, size)
 	if err != nil {
-		if errors.Is(err, nvm.ErrBackpressure) {
+		switch {
+		case errors.Is(err, nvm.ErrBackpressure):
 			s.mBackpressure.Inc()
 			return errf(http.StatusTooManyRequests, "backpressure",
 				"NVM admission wait expired (drain-locked residents hold the device): %v", err)
+		case errors.Is(err, context.DeadlineExceeded):
+			return errf(http.StatusTooManyRequests, "commit_busy",
+				"another save on this rank held the checkpoint ID order past %s: %v", s.cfg.DrainTimeout, err)
 		}
 		return mapStoreErr(err, "commit")
 	}
@@ -586,43 +590,36 @@ func (s *Server) handleSave(w http.ResponseWriter, r *http.Request, st *tenantSt
 		// A fill unit at a time, each marked Filled as it lands. The first
 		// fixes the metadata, and with it known a body with more to come
 		// streams: its drain starts on the blocks already here (node.Stream).
-		// A stream holds the rank's ID order until its body ends, so the
-		// rest of that body must arrive within DrainTimeout. Not every
-		// writer can bound its body (a test recorder): there the client's
-		// own timeout is the bound.
-		var rc *http.ResponseController
+		// The save holds the rank's ID order until it publishes, so its body
+		// must arrive within DrainTimeout. Not every writer can bound its
+		// body (a test recorder): there the client's own timeout is the bound.
+		rc := http.NewResponseController(w)
+		_ = rc.SetReadDeadline(time.Now().Add(s.cfg.DrainTimeout))
 		unit := max(n.BlockSize(), fillUnit)
 		for off := 0; off < len(body); {
 			end := min(off+unit, len(body))
 			if _, err := io.ReadFull(r.Body, body[off:end]); err != nil {
 				if errors.Is(err, os.ErrDeadlineExceeded) {
 					return errf(http.StatusRequestTimeout, "body_timeout",
-						"streamed snapshot did not arrive within %s", s.cfg.DrainTimeout)
+						"snapshot did not arrive within %s", s.cfg.DrainTimeout)
 				}
 				return errf(http.StatusBadRequest, "bad_request", "reading snapshot: %v", err)
 			}
 			res.Filled(end)
 			if off == 0 {
 				meta.Shards = shardCount(body[:end])
-				if end < len(body) && n.Stream(res, meta) {
-					rc = http.NewResponseController(w)
-					_ = rc.SetReadDeadline(time.Now().Add(s.cfg.DrainTimeout))
+				if end < len(body) {
+					n.Stream(res, meta)
 				}
 			}
 			off = end
 		}
-		if rc != nil {
-			// The body is in: the connection's next read (the next request
-			// on it) is not bound by this one's deadline.
-			_ = rc.SetReadDeadline(time.Time{})
-		}
+		// The body is in: the connection's next read (the next request on
+		// it) is not bound by this one's deadline.
+		_ = rc.SetReadDeadline(time.Time{})
 	}
-	id, err := n.Publish(actx, res, meta)
+	id, err := n.Publish(res, meta)
 	if err != nil {
-		if errors.Is(err, context.DeadlineExceeded) {
-			return errf(http.StatusTooManyRequests, "commit_busy",
-				"another save on this rank held the checkpoint ID order past %s: %v", s.cfg.DrainTimeout, err)
-		}
 		return mapStoreErr(err, "commit")
 	}
 	committed = true

@@ -117,7 +117,7 @@ func (lk *link) send(ctx context.Context, id uint64, req *request) error {
 //
 // Clients created with Dial/DialPool reconnect automatically. A transport
 // failure on a lane fails every exchange pending on it, and each of those
-// calls runs capped-backoff redial+retry cycles — rotating to other lanes,
+// calls runs redial+retry cycles with exponential backoff — rotating to other lanes,
 // so a retried exchange resumes on a healthy lane while the broken one
 // repairs — until the exchange succeeds, the retry budget is exhausted, the
 // call's context is canceled, or Close is called. Every operation is
@@ -205,28 +205,27 @@ var _ iostore.Backend = (*Client)(nil)
 
 // Dial retry schedule: during a coordinated startup the I/O node may come
 // up seconds after the compute nodes, so a single failed connect must not
-// abort a drain. Attempts back off exponentially from dialBackoffBase,
-// capped at dialBackoffMax.
+// abort a drain. Attempts back off exponentially from dialBackoffBase:
+// 25, 50, 100, 200 and 400 ms, 775 ms in all.
 const (
 	dialAttempts    = 6
 	dialBackoffBase = 25 * time.Millisecond
-	dialBackoffMax  = 800 * time.Millisecond
 )
 
 // Call retry schedule: a broken exchange triggers redial+retry cycles
-// (each cycle itself runs the dial schedule above), backing off between
-// cycles. The combined window (~4.5 s of inter-cycle backoff plus up to
-// ~0.8 s of dial backoff per cycle) rides out an I/O node restart, which
-// the single-reconnect policy it replaces could not. A caller that cannot
-// afford the window bounds it with a context deadline.
+// (each attempt, the first included, may run the dial schedule above),
+// backing off between cycles: 50, 100, 200 and 400 ms, 750 ms in all. The
+// combined window — that backoff plus up to six dial schedules, about 5.4 s
+// at worst — rides out an I/O node restart, which the single-reconnect
+// policy it replaces could not. A caller that cannot afford the window
+// bounds it with a context deadline.
 const (
 	callAttempts    = 5
 	callBackoffBase = 50 * time.Millisecond
-	callBackoffMax  = 2 * time.Second
 )
 
 // Dial connects to an iod server with a single lane, retrying transient
-// connect failures with capped exponential backoff. Equivalent to
+// connect failures with exponential backoff. Equivalent to
 // DialPool(addr, 1): one connection, still carrying up to laneDepth
 // exchanges at once.
 func Dial(addr string) (*Client, error) {
@@ -318,9 +317,6 @@ func (c *Client) dialRetry(ctx context.Context) (net.Conn, error) {
 				break
 			}
 			backoff *= 2
-			if backoff > dialBackoffMax {
-				backoff = dialBackoffMax
-			}
 		}
 		if c.closing.Load() {
 			return nil, errors.New("client closed")
@@ -586,7 +582,7 @@ func (c *Client) Close() error {
 }
 
 // call performs one exchange. A failed exchange triggers redial+retry
-// cycles with capped backoff: every operation is idempotent, so a retried
+// cycles with exponential backoff: every operation is idempotent, so a retried
 // exchange after an I/O node restart resumes exactly where the drain stream
 // broke. Each retry claims a lane afresh, so a stream broken on one lane
 // resumes on whichever lane is healthy first. Backoff sleeps hold no lane
@@ -620,9 +616,6 @@ func (c *Client) call(ctx context.Context, req *request) (*response, error) {
 				break
 			}
 			backoff *= 2
-			if backoff > callBackoffMax {
-				backoff = callBackoffMax
-			}
 		}
 		if c.closing.Load() || ctx.Err() != nil {
 			break

@@ -294,9 +294,10 @@ func TestClientRidesOutServerRestartMidDrain(t *testing.T) {
 	// Regression: the retry policy used to cover only the initial connect —
 	// a call that broke mid-exchange got exactly one immediate reconnect
 	// attempt (~0.8 s of dial backoff) and then failed, so an I/O node
-	// restart abandoned the in-flight drain. The fix runs capped-backoff
-	// reconnect+retry cycles (~4.5 s window), and PutBlock is idempotent by
-	// index, so the drain stream resumes where it broke.
+	// restart abandoned the in-flight drain. The fix runs reconnect+retry
+	// cycles with exponential backoff (a window of about 5.4 s at worst), and
+	// PutBlock is idempotent by index, so the drain stream resumes where it
+	// broke.
 	backing := iostore.New(nvm.Pacer{})
 	srv, err := NewServer(backing)
 	if err != nil {

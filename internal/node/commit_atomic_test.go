@@ -1,7 +1,6 @@
 package node
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -160,27 +159,34 @@ func TestAbandonedReservationDoesNotBurnID(t *testing.T) {
 	}
 }
 
-// TestConcurrentFillsPublishInOrder: reservations fill in parallel, holding
-// nothing, and IDs are handed out in publish order, dense.
-func TestConcurrentFillsPublishInOrder(t *testing.T) {
-	n, _ := newNode(t, func(cfg *Config) { cfg.DisableNDP = true })
-	var rs []*nvm.Reservation
-	for i := 0; i < 4; i++ {
-		r, err := n.Reserve(context.Background(), 100)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rs = append(rs, r)
+// TestFailLocalWhileACommitFills: a wipe of the node's NVM while a commit is
+// filling drops the residents but keeps the filling commit's bytes claimed,
+// so the device admits no more than it holds; once the commit is abandoned
+// its bytes and its ID are free again.
+func TestFailLocalWhileACommitFills(t *testing.T) {
+	n, _ := newNode(t, func(cfg *Config) { cfg.NVMCapacity, cfg.DisableNDP = 10000, true })
+	ctx := context.Background()
+	canceled, cancel := context.WithCancel(ctx)
+	cancel()
+	if id, err := n.Commit(ctx, snapshot(3000, 1), Metadata{Step: 1}); err != nil || id != 1 {
+		t.Fatalf("commit 1: id=%d err=%v", id, err)
 	}
-	for i := len(rs) - 1; i >= 0; i-- { // last reserved, first published
-		copy(rs[i].Data, snapshot(100, byte(i)))
-		id, err := n.Publish(context.Background(), rs[i], Metadata{Step: i})
-		if want := uint64(len(rs) - i); err != nil || id != want {
-			t.Fatalf("publish of reservation %d: id=%d err=%v, want id %d", i, id, err, want)
-		}
+	r, err := n.Reserve(ctx, 6000)
+	if err != nil {
+		t.Fatal(err)
 	}
-	got, meta, _, err := n.RestoreID(context.Background(), 1)
-	if err != nil || meta.Step != 3 || !bytes.Equal(got, snapshot(100, 3)) {
-		t.Errorf("checkpoint 1 = step %d, err %v; want the last reservation's bytes", meta.Step, err)
+	n.FailLocal()
+	if got := n.Device().Used(); got != 6000 {
+		t.Fatalf("NVM used = %d after a wipe beside a filling commit, want its 6000", got)
+	}
+	if _, err := n.Device().Reserve(canceled, 5000); !errors.Is(err, nvm.ErrBackpressure) {
+		t.Fatalf("the wiped device admitted 5000 bytes beside a 6000-byte commit (err=%v)", err)
+	}
+	r.Release()
+	if got := n.Device().Used(); got != 0 {
+		t.Fatalf("NVM used = %d once the filling commit is abandoned, want 0", got)
+	}
+	if id, err := n.Commit(ctx, snapshot(10000, 2), Metadata{Step: 2}); err != nil || id != 2 {
+		t.Fatalf("full-device commit after the wipe: id=%d err=%v, want 2", id, err)
 	}
 }

@@ -164,20 +164,21 @@ type Node struct {
 	erasure region
 	eraSet  ErasureSet
 
-	// turn is the ID order: one token, held by whoever may take the next
-	// ID. A Publish holds it over its read-ID → NVM-write → confirm
-	// sequence, so a failed NVM write never burns a checkpoint ID (the ID is
-	// only consumed once the write succeeded); a stream (Stream) holds it
-	// from taking its ID until it is published or released. A channel, not a
-	// mutex, so a Publish waiting behind a stream can give up with its ctx.
+	// turn is the ID order: one token, held by the node's open commit from
+	// Reserve until Publish consumes its ID or Release gives the commit up. So
+	// commits take IDs one at a time and in order, and one that fails or is
+	// abandoned never burns an ID: nextID moves only once a write succeeded.
+	// A channel, not a mutex, so a Reserve waiting its turn can give up with
+	// its ctx.
 	turn chan struct{}
 
 	mu     sync.Mutex
 	nextID uint64
 	closed bool
-	// stream is the commit whose drain started while its bytes arrive
-	// (Stream); nil when none is open.
-	stream *openStream
+	// streamMeta is the metadata the open commit's drain stamped on its
+	// object (Stream), and so the metadata it publishes under; nil when the
+	// open commit does not stream.
+	streamMeta map[string]string
 
 	// fetchWindow, when positive, overrides the restore's fetch window (in
 	// blocks) that fetchObject otherwise sizes from fetchBudget; only
@@ -305,69 +306,60 @@ func (n *Node) Commit(ctx context.Context, snapshot []byte, meta Metadata) (uint
 	}
 	defer r.Release()
 	copy(r.Data, snapshot)
-	return n.Publish(ctx, r, meta)
+	return n.Publish(r, meta)
 }
 
-// Reserve starts a commit: it claims size bytes of local NVM for a snapshot
-// still to arrive. The caller fills Data (a copy, a request body) and
-// Publishes, or Releases (a no-op after Publish, so defer it). Reserve is
-// admission-controlled: when NVM occupancy minus drain-locked residents
-// cannot admit the snapshot, it blocks until drains release space or ctx
-// ends (a typed nvm.ErrBackpressure); a snapshot larger than the device
-// fails at once, nvm.ErrTooLarge. Nothing is held while waiting or filling:
-// a drain needs the NVM pause gate, and its progress is what frees space.
+// Reserve starts a commit: it takes the node's ID order, then claims size
+// bytes of local NVM for a snapshot still to arrive. The commit is the node's
+// one open commit — it will be published as NextID — until the caller
+// Publishes it or Releases it (a no-op after Publish, so defer it); another
+// Reserve meanwhile waits its turn, holding no NVM, and gives up when ctx
+// ends (an error wrapping ctx.Err()). Admission comes second: when NVM
+// occupancy minus drain-locked residents cannot admit the snapshot, Reserve
+// blocks until drains release space or ctx ends (a typed nvm.ErrBackpressure);
+// a snapshot larger than the device fails nvm.ErrTooLarge. No NVM lock is
+// held while waiting or filling: a drain needs the NVM pause gate, and its
+// progress is what frees space.
 func (n *Node) Reserve(ctx context.Context, size int64) (*nvm.Reservation, error) {
-	return n.device.Reserve(ctx, size)
-}
-
-// openStream is a commit that streams (Stream): its reservation, and the ID
-// and metadata its drain took.
-type openStream struct {
-	res  *nvm.Reservation
-	id   uint64
-	meta map[string]string
-}
-
-// Stream starts the drain of a commit whose bytes are still arriving in r (a
-// cut-through commit: §4.2.2's block streaming, begun before the commit ends).
-// The NDP ships each block once r's writer has marked it Filled, and marks
-// the checkpoint store-durable only after Publish has made it NVM-durable. The
-// ID is taken here, so the drain has its key: it is the stream's until
-// Publish consumes it or r's Release offers it again — Release returns only
-// once the drain has stopped and deleted what it shipped, so no late cleanup
-// can touch the next commit's object under the same key, and a plain Publish
-// meanwhile waits its turn (bounded by its ctx). A commit streams only when r
-// spans more than one block, no other commit of this node is filling or
-// taking an ID, and the NDP takes the stream (ndp.Engine.Stream); otherwise
-// Stream reports false and the commit stays an ordinary one. meta is stamped
-// on the stored object before its first block; Publish then uses it, not its
-// own.
-func (n *Node) Stream(r *nvm.Reservation, meta Metadata) bool {
-	if n.engine == nil || len(r.Data) <= n.cfg.BlockSize || n.device.OpenReservations() > 1 {
-		return false
+	if err := n.takeTurn(ctx); err != nil {
+		return nil, fmt.Errorf("node: commit: waiting for the ID order: %w", err)
 	}
-	select {
-	case n.turn <- struct{}{}:
-	default: // another commit is taking an ID: this one does not wait for it
-		return false
-	}
-	n.mu.Lock()
-	id, closed := n.nextID, n.closed
-	n.mu.Unlock()
-	mm := n.identify(meta).toMap(id)
-	if closed || !n.engine.Stream(id, r, mm) {
+	r, err := n.device.Reserve(ctx, size)
+	if err != nil {
 		<-n.turn
-		return false
+		return nil, err
 	}
-	n.mu.Lock()
-	n.stream = &openStream{res: r, id: id, meta: mm}
-	n.mu.Unlock()
 	r.OnRelease(func() {
 		n.mu.Lock()
-		n.stream = nil
+		n.streamMeta = nil
 		n.mu.Unlock()
 		<-n.turn
 	})
+	return r, nil
+}
+
+// Stream starts the drain of the open commit r while its bytes are still
+// arriving (a cut-through commit: §4.2.2's block streaming, begun before the
+// commit ends). The NDP ships each block once r's writer has marked it
+// Filled, under the ID the commit will publish as, and marks the checkpoint
+// store-durable only after Publish has made it NVM-durable. Releasing r stops
+// the drain, which deletes what it shipped before Release returns, so no late
+// cleanup can touch the next commit's object under the same key. A commit
+// streams only when r spans more than one block and the NDP takes the stream
+// (ndp.Engine.Stream); otherwise Stream reports false and the commit drains
+// once published. meta is stamped on the stored object before its first
+// block; Publish then uses it, not its own.
+func (n *Node) Stream(r *nvm.Reservation, meta Metadata) bool {
+	if n.engine == nil || len(r.Data) <= n.cfg.BlockSize {
+		return false
+	}
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	mm := n.identify(meta).toMap(n.nextID)
+	if n.closed || !n.engine.Stream(n.nextID, r, mm) {
+		return false
+	}
+	n.streamMeta = mm
 	return true
 }
 
@@ -380,75 +372,44 @@ func (n *Node) identify(meta Metadata) Metadata {
 	return meta
 }
 
-// Publish commits a filled reservation as the node's next checkpoint. The
-// host "pauses" for the NVM write — any concurrent NDP NVM access is
-// excluded for the duration (§4.2.1). The ID is read here and consumed only
-// once the write succeeds: a failed Publish — or a reservation released
-// because its bytes never arrived — leaves nextID untouched, so the same ID
-// is offered again and a single rank's NVM failure cannot desynchronize a
-// coordinated checkpoint's ID sequence. A streamed reservation publishes
-// under the ID and metadata its Stream took; any other waits for the ID turn
-// while a stream holds it, and gives up when ctx ends (an error wrapping
-// ctx.Err()).
-func (n *Node) Publish(ctx context.Context, r *nvm.Reservation, meta Metadata) (uint64, error) {
+// Publish commits the open commit r, filled, as the node's next checkpoint
+// and passes the ID order on. The host "pauses" for the NVM write — any
+// concurrent NDP NVM access is excluded for the duration (§4.2.1). The ID is
+// consumed only once the write succeeds: a failed Publish leaves nextID
+// untouched and the commit open, and its Release offers the same ID again,
+// so a single rank's NVM failure cannot desynchronize a coordinated
+// checkpoint's ID sequence. A streamed commit publishes under the metadata
+// its Stream took.
+func (n *Node) Publish(r *nvm.Reservation, meta Metadata) (uint64, error) {
 	n.mu.Lock()
-	s := n.stream
-	n.mu.Unlock()
-	streamed := s != nil && s.res == r
-	var (
-		id uint64
-		mm map[string]string
-	)
-	if streamed {
-		id, mm = s.id, s.meta
-	} else {
-		if err := n.takeTurn(ctx); err != nil {
-			return 0, fmt.Errorf("node: commit: waiting for the ID turn: %w", err)
-		}
-		defer func() { <-n.turn }()
-		n.mu.Lock()
-		id = n.nextID
-		n.mu.Unlock()
-		mm = n.identify(meta).toMap(id)
-	}
-	n.mu.Lock()
-	closed := n.closed
+	id, closed, mm := n.nextID, n.closed, n.streamMeta
 	n.mu.Unlock()
 	if closed {
 		return 0, errors.New("node: closed")
+	}
+	if mm == nil {
+		mm = n.identify(meta).toMap(id)
 	}
 	size := len(r.Data)
 	if n.engine != nil {
 		n.engine.PauseNVM()
 	}
-	if streamed {
-		// Before the write: the stream's drain may finish the timeline the
-		// moment the write lands.
-		n.timelines.Observe(metrics.KindCheckpoint, id, metrics.PhaseCommit, r.Start, time.Now())
-	}
+	// Before the write: a streamed commit's drain may finish the timeline the
+	// moment the write lands.
+	n.timelines.Observe(metrics.KindCheckpoint, id, metrics.PhaseCommit, r.Start, time.Now())
 	err := r.Publish(id, mm)
 	if n.engine != nil {
 		n.engine.ResumeNVM()
 	}
 	if err != nil {
-		if streamed {
-			n.timelines.Discard(metrics.KindCheckpoint, id)
-		}
+		n.timelines.Discard(metrics.KindCheckpoint, id)
 		return 0, fmt.Errorf("node: commit %d: %w", id, err)
 	}
 	n.mu.Lock()
-	n.nextID = id + 1
-	if streamed {
-		n.stream = nil
-	}
+	n.nextID, n.streamMeta = id+1, nil
 	n.mu.Unlock()
-	if streamed {
-		<-n.turn
-	}
 	n.dur.MarkDurable(ndp.LevelNVM, id)
-	if !streamed {
-		n.timelines.Observe(metrics.KindCheckpoint, id, metrics.PhaseCommit, r.Start, time.Now())
-	}
+	<-n.turn
 	n.mCommits.Inc()
 	n.mCommitSecs.ObserveSince(r.Start)
 	n.mCommitBytes.Observe(int64(size))
@@ -458,7 +419,7 @@ func (n *Node) Publish(ctx context.Context, r *nvm.Reservation, meta Metadata) (
 	return id, nil
 }
 
-// takeTurn waits for the ID turn, or for ctx to end. A free turn is taken
+// takeTurn waits for the ID order, or for ctx to end. A free turn is taken
 // whatever ctx says, so an ended ctx fails only a commit that would wait.
 func (n *Node) takeTurn(ctx context.Context) error {
 	select {

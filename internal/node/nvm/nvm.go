@@ -94,9 +94,6 @@ type Device struct {
 	// it fits: the §4.2.1 ring is rewritten, not allocated afresh.
 	spare []byte
 
-	// open counts the reservations neither published nor released.
-	open int
-
 	// Occupancy gauges, moved under mu wherever the value they mirror moves,
 	// so the devices of every node on one registry add up to one sum (a
 	// sampled GaugeFunc would keep the first device's function). Private
@@ -279,7 +276,6 @@ func (d *Device) claimLocked(size int64) (region []byte, ok bool) {
 		d.evictOldestUnlocked()
 	}
 	d.addUsedLocked(size)
-	d.open++
 	if c := int64(cap(d.spare)); c > 0 && size <= c && c <= 2*size {
 		region, d.spare = d.spare[:size], nil
 	}
@@ -399,7 +395,6 @@ func (r *Reservation) Release() {
 		d.mu.Lock()
 	}
 	d.addUsedLocked(-int64(len(r.Data)))
-	d.open--
 	d.retireLocked(r.Data)
 	d.signalAdmitLocked()
 	d.mu.Unlock()
@@ -538,7 +533,6 @@ func (r *Reservation) Publish(id uint64, meta map[string]string) error {
 	d.ckpts[id] = e
 	d.order = append(d.order, id)
 	d.mResident.Inc()
-	d.open--
 	if r.held {
 		d.lockLocked(e)
 	}
@@ -692,14 +686,6 @@ func (d *Device) LatestLocked() (Checkpoint, bool) {
 	return best.ckpt, true
 }
 
-// OpenReservations counts the reservations neither published nor released:
-// commits whose bytes are still arriving.
-func (d *Device) OpenReservations() int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.open
-}
-
 // IDs returns resident checkpoint IDs in ascending order.
 func (d *Device) IDs() []uint64 {
 	d.mu.Lock()
@@ -787,14 +773,17 @@ func (d *Device) DiscardThrough(id uint64) {
 }
 
 // Wipe simulates node-local storage loss (a failure that the local level
-// cannot recover from): every checkpoint disappears, locks and all.
+// cannot recover from): every checkpoint disappears, locks and all. The bytes
+// of open reservations stay used: their Release or Publish accounts for them.
 func (d *Device) Wipe() {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.shareLocked(-1)
+	for _, e := range d.ckpts {
+		d.used -= int64(len(e.ckpt.Data))
+	}
 	d.ckpts = make(map[uint64]*entry)
 	d.order = nil
-	d.used = 0
 	d.spare = nil
 	d.shareLocked(+1)
 	d.signalAdmitLocked()

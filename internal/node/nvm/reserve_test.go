@@ -170,8 +170,8 @@ func TestFillWatermark(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := d.OpenReservations(); got != 1 {
-		t.Fatalf("open reservations = %d, want 1", got)
+	if got := d.Used(); got != 100 {
+		t.Fatalf("used = %d with a 100-byte reservation open, want 100", got)
 	}
 	woke := make(chan error, 1)
 	go func() { woke <- r.WaitFilled(ctx, 60) }()
@@ -211,8 +211,44 @@ func TestFillWatermark(t *testing.T) {
 	if err := r2.WaitFilled(ctx, 1); !errors.Is(err, ErrAbandoned) {
 		t.Errorf("wait after the release = %v, want ErrAbandoned", err)
 	}
-	if got := d.OpenReservations(); got != 0 {
-		t.Errorf("open reservations = %d after a publish and a release, want 0", got)
+	if got := d.Used(); got != 100 {
+		t.Errorf("used = %d after a publish and a release, want the published 100", got)
+	}
+}
+
+// TestWipeKeepsOpenReservations: a wipe drops the residents but not the
+// bytes an open reservation claims — its Release returns them — so the count
+// never goes negative and the device never admits more than it holds.
+func TestWipeKeepsOpenReservations(t *testing.T) {
+	d := mk(t, 100)
+	ctx := context.Background()
+	canceled, cancel := context.WithCancel(ctx)
+	cancel()
+	if err := d.Put(Checkpoint{ID: 1, Data: make([]byte, 30)}); err != nil {
+		t.Fatal(err)
+	}
+	r, err := d.Reserve(ctx, 60)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.Wipe()
+	if got := d.Used(); got != 60 {
+		t.Fatalf("used = %d after a wipe beside a 60-byte reservation, want 60", got)
+	}
+	if _, err := d.Reserve(canceled, 50); !errors.Is(err, ErrBackpressure) {
+		t.Fatalf("admitted 50 bytes beside a 60-byte reservation after a wipe (err=%v)", err)
+	}
+	r.Release()
+	if got := d.Used(); got != 0 {
+		t.Fatalf("used = %d once the reservation is released, want 0", got)
+	}
+	full, err := d.Reserve(ctx, 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer full.Release()
+	if _, err := d.Reserve(canceled, 60); !errors.Is(err, ErrBackpressure) {
+		t.Errorf("admitted 60 bytes beside a 100-byte reservation on a 100-byte device (err=%v)", err)
 	}
 }
 

@@ -91,7 +91,7 @@ func TestCutThroughShipsBeforeBodyEnds(t *testing.T) {
 		copy(r.Data[off:end], payload[off:end])
 		r.Filled(end)
 	}
-	id, err := n.Publish(ctx, r, Metadata{Step: 99}) // the streamed metadata wins
+	id, err := n.Publish(r, Metadata{Step: 99}) // the streamed metadata wins
 	if err != nil || id != 1 {
 		t.Fatalf("publish: id %d err %v, want 1", id, err)
 	}
@@ -104,8 +104,8 @@ func TestCutThroughShipsBeforeBodyEnds(t *testing.T) {
 	if err != nil || level != LevelIO || meta.Step != 3 || meta.ID != 1 || !bytes.Equal(got, payload) {
 		t.Errorf("restore: level %s step %d id %d err %v, match %v", level, meta.Step, meta.ID, err, bytes.Equal(got, payload))
 	}
-	if got := n.Device().OpenReservations(); got != 0 {
-		t.Errorf("%d reservations left open", got)
+	if got := n.Device().Used(); got != 0 {
+		t.Errorf("%d bytes of NVM still reserved after a wipe", got)
 	}
 }
 
@@ -155,16 +155,16 @@ func TestCutThroughAbortReoffersID(t *testing.T) {
 	}
 }
 
-// TestCutThroughPlainPublishWaitsItsTurn: while a commit streams under the
-// ID it took, a second commit of the node does not stream, and its Publish
-// takes the ID after the stream's once the stream publishes — or the
-// stream's own ID once the stream is cut off. IDs stay dense, none is used
-// twice, and each holds its own commit's bytes.
-func TestCutThroughPlainPublishWaitsItsTurn(t *testing.T) {
+// TestCutThroughReserveWaitsItsTurn: while a commit streams, a second
+// commit of the node waits in Reserve, holding no NVM, and takes the ID after
+// the stream's once the stream publishes — or the stream's own ID once the
+// stream is cut off. IDs stay dense, none is used twice, and each holds its
+// own commit's bytes.
+func TestCutThroughReserveWaitsItsTurn(t *testing.T) {
 	n, store, _ := newStreamNode(t)
 	ctx := context.Background()
 	bs := n.BlockSize()
-	round := func(tag byte, cutOff bool) (streamID, plainID uint64) {
+	round := func(tag byte, cutOff bool) (streamID, nextID uint64) {
 		a, err := n.Reserve(ctx, int64(3*bs))
 		if err != nil {
 			t.Fatal(err)
@@ -176,48 +176,49 @@ func TestCutThroughPlainPublishWaitsItsTurn(t *testing.T) {
 		if !n.Stream(a, Metadata{Step: int(tag)}) {
 			t.Fatal("commit did not stream")
 		}
-		b, err := n.Reserve(ctx, int64(3*bs))
-		if err != nil {
-			t.Fatal(err)
-		}
-		copy(b.Data, snapshot(3*bs, tag+1))
-		if n.Stream(b, Metadata{}) {
-			t.Fatal("a second commit streamed beside an open one")
-		}
+		used := n.Device().Used()
 		type result struct {
 			id  uint64
 			err error
 		}
-		plain := make(chan result, 1)
+		next := make(chan result, 1)
 		go func() {
-			id, err := n.Publish(ctx, b, Metadata{Step: int(tag) + 1})
-			plain <- result{id, err}
+			id, err := n.Commit(ctx, snapshot(3*bs, tag+1), Metadata{Step: int(tag) + 1})
+			next <- result{id, err}
 		}()
 		for i := 0; i < 100; i++ {
-			runtime.Gosched() // let the plain Publish reach its turn
+			runtime.Gosched() // let the second commit reach its turn
+		}
+		select {
+		case res := <-next:
+			t.Fatalf("a commit beside an open one did not wait its turn: id %d err %v", res.id, res.err)
+		default:
+		}
+		if got := n.Device().Used(); got != used {
+			t.Fatalf("a commit waiting its turn holds NVM: %d bytes used, want %d", got, used)
 		}
 		if cutOff {
 			a.Release()
 		} else {
 			copy(a.Data[bs:], body[bs:])
 			a.Filled(len(body))
-			if streamID, err = n.Publish(ctx, a, Metadata{}); err != nil {
+			if streamID, err = n.Publish(a, Metadata{}); err != nil {
 				t.Fatal(err)
 			}
 		}
-		res := <-plain
+		res := <-next
 		if res.err != nil {
 			t.Fatal(res.err)
 		}
 		return streamID, res.id
 	}
 
-	streamID, plainID := round(10, false)
-	if streamID != 1 || plainID != 2 {
-		t.Fatalf("stream got %d, the commit beside it %d: want 1 and 2", streamID, plainID)
+	streamID, nextID := round(10, false)
+	if streamID != 1 || nextID != 2 {
+		t.Fatalf("stream got %d, the commit beside it %d: want 1 and 2", streamID, nextID)
 	}
-	if _, plainID = round(20, true); plainID != 3 {
-		t.Fatalf("the commit beside a cut-off stream got %d, want the stream's 3", plainID)
+	if _, nextID = round(20, true); nextID != 3 {
+		t.Fatalf("the commit beside a cut-off stream got %d, want the stream's 3", nextID)
 	}
 	if id, err := n.Commit(ctx, snapshot(bs, 30), Metadata{}); err != nil || id != 4 {
 		t.Fatalf("next commit: id %d err %v, want 4", id, err)
@@ -269,7 +270,7 @@ func TestCutThroughFailedDrainDrainsAgainAfterPublish(t *testing.T) {
 	}
 	copy(r.Data[bs:], payload[bs:])
 	r.Filled(len(payload))
-	id, err := n.Publish(ctx, r, Metadata{})
+	id, err := n.Publish(r, Metadata{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -339,10 +340,11 @@ func TestCutThroughReleaseBeforeDrainStarts(t *testing.T) {
 	}
 }
 
-// TestCutThroughPlainPublishGivesUpWithItsCtx: a Publish waiting for the ID
-// order behind a stream returns when its ctx ends, consuming no ID, and the
-// stream then publishes under the ID it took.
-func TestCutThroughPlainPublishGivesUpWithItsCtx(t *testing.T) {
+// TestCutThroughReserveGivesUpWithItsCtx: a Reserve beside the node's open
+// commit waits for the ID order holding no NVM, and returns when its ctx
+// ends, taking no ID; the open commit then publishes as ID 1, and the next
+// commit gets ID 2.
+func TestCutThroughReserveGivesUpWithItsCtx(t *testing.T) {
 	n, _, _ := newStreamNode(t)
 	ctx := context.Background()
 	bs := n.BlockSize()
@@ -355,25 +357,41 @@ func TestCutThroughPlainPublishGivesUpWithItsCtx(t *testing.T) {
 	if !n.Stream(a, Metadata{}) {
 		t.Fatal("commit did not stream")
 	}
-	b, err := n.Reserve(ctx, int64(bs))
-	if err != nil {
-		t.Fatal(err)
+	used := n.Device().Used()
+	wctx, cancel := context.WithCancel(ctx)
+	gaveUp := make(chan error, 1)
+	go func() {
+		b, err := n.Reserve(wctx, int64(bs))
+		if err == nil {
+			b.Release()
+		}
+		gaveUp <- err
+	}()
+	for i := 0; i < 100; i++ {
+		runtime.Gosched() // let the Reserve reach its turn
 	}
-	defer b.Release()
-	wctx, cancel := context.WithTimeout(ctx, 20*time.Millisecond)
-	defer cancel()
-	if _, err := n.Publish(wctx, b, Metadata{}); !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("publish behind a stream = %v, want its ctx's deadline", err)
+	select {
+	case err := <-gaveUp:
+		t.Fatalf("reserve beside an open commit = %v before its ctx ended", err)
+	default:
 	}
-	if n.NextID() != 1 || len(n.Device().IDs()) != 0 {
-		t.Fatalf("a publish that gave up took an ID: next %d, NVM %v", n.NextID(), n.Device().IDs())
+	if got := n.Device().Used(); got != used {
+		t.Fatalf("a reserve waiting its turn holds NVM: %d bytes used, want %d", got, used)
+	}
+	cancel()
+	if err := <-gaveUp; !errors.Is(err, context.Canceled) {
+		t.Fatalf("reserve beside an open commit = %v, want its ctx's end", err)
+	}
+	if n.NextID() != 1 || len(n.Device().IDs()) != 0 || n.Device().Used() != used {
+		t.Fatalf("a reserve that gave up took an ID or NVM: next %d, NVM %v, %d bytes used",
+			n.NextID(), n.Device().IDs(), n.Device().Used())
 	}
 	a.Filled(3 * bs)
-	if id, err := n.Publish(ctx, a, Metadata{}); err != nil || id != 1 {
+	if id, err := n.Publish(a, Metadata{}); err != nil || id != 1 {
 		t.Fatalf("stream publish: id %d err %v, want 1", id, err)
 	}
-	if id, err := n.Publish(ctx, b, Metadata{}); err != nil || id != 2 {
-		t.Fatalf("publish after the stream: id %d err %v, want 2", id, err)
+	if id, err := n.Commit(ctx, snapshot(bs, 2), Metadata{}); err != nil || id != 2 {
+		t.Fatalf("commit after the stream: id %d err %v, want 2", id, err)
 	}
 }
 
@@ -396,7 +414,7 @@ func TestCutThroughNotUnderADrainGate(t *testing.T) {
 		t.Fatal("a commit streamed under a drain gate")
 	}
 	r.Filled(3 * bs)
-	id, err := n.Publish(ctx, r, Metadata{})
+	id, err := n.Publish(r, Metadata{})
 	if err != nil {
 		t.Fatal(err)
 	}

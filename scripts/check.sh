@@ -21,6 +21,16 @@ fi
 
 go vet ./...
 
+# Tier-1 waits on what it can observe, never on the clock: a test that sleeps
+# passes or fails with the host's load. The bench module measures time and
+# is exempt.
+sleepers=$(grep -rl --include='*_test.go' 'time\.Sleep(' . | grep -v '^\./cmd/ndpcr-bench/' || true)
+if [[ -n "$sleepers" ]]; then
+    echo "check.sh: time.Sleep in tests outside cmd/ndpcr-bench:" >&2
+    echo "$sleepers" >&2
+    exit 1
+fi
+
 go test -race ./internal/erasure/... ./internal/metrics/... ./internal/faultinject/...
 
 # The block pool's free lists, and the trims that shrink them, are the
