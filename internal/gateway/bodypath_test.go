@@ -567,3 +567,61 @@ func TestSteadySaveDeleteAllocBudget(t *testing.T) {
 		}
 	}
 }
+
+// TestSmallSaveLoadAllocBudget bounds the bytes allocated per payload byte
+// moved by a small checkpoint's request path, the bench's service loop: a
+// 16 KiB async save, a durability wait and a cold load from a second gateway
+// over the same store, on four warm sessions. At that size the HTTP path is
+// most of what a request allocates. When the budget was set the loop read
+// 1.95 bytes per byte: the store's copy-in and the loaded snapshot, 1.0
+// together, and the HTTP requests and replies. It read 2.48 while the
+// client's 4 KiB write buffer copied each save's last 12 KiB through a fresh
+// buffer into a second write, and a load grew a bytes.Buffer to its
+// Content-Length plus 512 (the 18 KiB size class).
+func TestSmallSaveLoadAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's shadow allocations are not the program's")
+	}
+	store := iostore.New(nvm.Pacer{})
+	_, saveTS := newTestServer(t, func(c *Config) { c.Store, c.Codec = store, nil })
+	_, loadTS := newTestServer(t, func(c *Config) { c.Store, c.Codec = store, nil })
+	saver, loader := NewClient(saveTS.URL, "tok-acme"), NewClient(loadTS.URL, "tok-acme")
+	ctx := context.Background()
+	payload := bytes.Repeat([]byte{0x5a}, 16<<10)
+	const sessions = 4
+	step := 0
+	cycle := func() {
+		rank := step % sessions
+		step++
+		id, err := saver.SaveAsync(ctx, "acme", "svc", rank, step, payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d, err := saver.Durability(ctx, "acme", "svc", rank, id, "store"); err != nil || !d.Durable("store") {
+			t.Fatalf("durability of %d: %+v, %v", id, d, err)
+		}
+		ck, err := loader.Load(ctx, "acme", "svc", rank, id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(ck.Data, payload) || ck.Level != "io" {
+			t.Fatalf("round trip of %d: level %s, match %v", id, ck.Level, bytes.Equal(ck.Data, payload))
+		}
+	}
+	for i := 0; i < 8*sessions; i++ {
+		cycle()
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	const cycles = 64
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < cycles; i++ {
+		cycle()
+	}
+	runtime.ReadMemStats(&after)
+	perByte := float64(after.TotalAlloc-before.TotalAlloc) / float64(2*cycles*len(payload))
+	t.Logf("%.3f bytes allocated per payload byte moved (16 KiB async save, durability wait, cold load)", perByte)
+	if perByte > 2.2 {
+		t.Errorf("%.2f bytes allocated per payload byte moved, budget 2.2: a per-request copy buffer or an oversized load buffer is back", perByte)
+	}
+}

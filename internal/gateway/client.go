@@ -30,10 +30,25 @@ type Client struct {
 	http  *http.Client
 }
 
+// writeBufferSize is the client connections' write buffer. A request whose
+// headers and body fit in it leaves in one write. Past net/http's default
+// 4 KiB, a body is copied through a fresh buffer per request and sent in a
+// second write; a body larger than this buffer still is, after filling it.
+const writeBufferSize = 64 << 10
+
+// transport is the one transport every Client shares: http.DefaultTransport's
+// settings with the larger write buffer. Its idle connections are its own;
+// http.DefaultTransport.CloseIdleConnections does not reach them.
+var transport = func() *http.Transport {
+	t := http.DefaultTransport.(*http.Transport).Clone()
+	t.WriteBufferSize = writeBufferSize
+	return t
+}()
+
 // NewClient builds a client for the gateway at base (e.g.
 // "http://127.0.0.1:9600") presenting the given bearer token.
 func NewClient(base, token string) *Client {
-	return &Client{base: base, token: token, http: &http.Client{}}
+	return &Client{base: base, token: token, http: &http.Client{Transport: transport}}
 }
 
 // Checkpoint is one restored checkpoint: its payload plus identity.
@@ -123,17 +138,40 @@ func (c *Client) save(ctx context.Context, ns, run string, rank, step int, snaps
 	return out.ID, nil
 }
 
-// Durability is one checkpoint's per-level durability state.
+// Durability is one checkpoint's per-level durability state, and the
+// durability endpoint's reply as the gateway encodes it. Its fields, and
+// those of Levels, are in sorted key order, the order the reply has always
+// had.
 type Durability struct {
-	ID      uint64          `json:"id"`
-	Levels  map[string]bool `json:"levels"`
-	Failed  bool            `json:"failed"`
-	Failure string          `json:"failure"`
+	Failed  bool   `json:"failed"`
+	Failure string `json:"failure,omitempty"`
+	ID      uint64 `json:"id"`
+	Levels  Levels `json:"levels"`
+}
+
+// Levels is which durability levels a checkpoint has reached.
+type Levels struct {
+	Erasure bool `json:"erasure"`
+	NVM     bool `json:"nvm"`
+	Partner bool `json:"partner"`
+	Store   bool `json:"store"`
 }
 
 // Durable reports whether the checkpoint reached the named level
 // ("nvm", "partner", "erasure", "store").
-func (d Durability) Durable(level string) bool { return d.Levels[level] }
+func (d Durability) Durable(level string) bool {
+	switch level {
+	case "nvm":
+		return d.Levels.NVM
+	case "partner":
+		return d.Levels.Partner
+	case "erasure":
+		return d.Levels.Erasure
+	case "store":
+		return d.Levels.Store
+	}
+	return false
+}
 
 // Durability fetches one checkpoint's durability state. A non-empty wait
 // names a level ("store", "nvm", ...) to block for (bounded by the
@@ -171,11 +209,8 @@ func (c *Client) List(ctx context.Context, ns, run string, rank int) ([]uint64, 
 	return out.IDs, nil
 }
 
-// streamSnapshot decodes a snapshot-bearing response, streaming the payload
-// into w; the returned Checkpoint has the identity and no Data. A body short
-// of its Content-Length (a restore that failed mid-stream) is an error.
-func streamSnapshot(resp *http.Response, w io.Writer) (Checkpoint, error) {
-	defer resp.Body.Close()
+// snapshotHead decodes a snapshot-bearing response's identity headers.
+func snapshotHead(resp *http.Response) (Checkpoint, error) {
 	id, err := strconv.ParseUint(resp.Header.Get("X-Ndpcr-Checkpoint"), 10, 64)
 	if err != nil {
 		return Checkpoint{}, fmt.Errorf("gateway: snapshot response: X-Ndpcr-Checkpoint: %w", err)
@@ -183,6 +218,18 @@ func streamSnapshot(resp *http.Response, w io.Writer) (Checkpoint, error) {
 	step, err := strconv.Atoi(resp.Header.Get("X-Ndpcr-Step"))
 	if err != nil {
 		return Checkpoint{}, fmt.Errorf("gateway: snapshot response: X-Ndpcr-Step: %w", err)
+	}
+	return Checkpoint{ID: id, Step: step, Level: resp.Header.Get("X-Ndpcr-Level")}, nil
+}
+
+// streamSnapshot decodes a snapshot-bearing response, streaming the payload
+// into w; the returned Checkpoint has the identity and no Data. A body short
+// of its Content-Length (a restore that failed mid-stream) is an error.
+func streamSnapshot(resp *http.Response, w io.Writer) (Checkpoint, error) {
+	defer resp.Body.Close()
+	ck, err := snapshotHead(resp)
+	if err != nil {
+		return Checkpoint{}, err
 	}
 	// A bytes.Buffer takes the body in one allocation (MinRead to spare, or
 	// ReadFrom regrows it all to see EOF); no lying header sizes it.
@@ -192,20 +239,36 @@ func streamSnapshot(resp *http.Response, w io.Writer) (Checkpoint, error) {
 	if _, err := io.Copy(w, resp.Body); err != nil {
 		return Checkpoint{}, fmt.Errorf("gateway: reading snapshot: %w", err)
 	}
-	return Checkpoint{ID: id, Step: step, Level: resp.Header.Get("X-Ndpcr-Level")}, nil
+	return ck, nil
 }
 
-// snapshotFrom reads a snapshot-bearing response into memory.
+// snapshotFrom reads a snapshot-bearing response into memory. A body of
+// known length (every snapshot the gateway serves) lands in a buffer of
+// exactly that length, read on to EOF so net/http keeps the connection; no
+// lying header past 4 GiB sizes it. One without a length grows a
+// bytes.Buffer.
 func snapshotFrom(resp *http.Response, err error) (Checkpoint, error) {
 	if err != nil {
 		return Checkpoint{}, err
 	}
-	var buf bytes.Buffer
-	ck, err := streamSnapshot(resp, &buf)
+	if n := resp.ContentLength; n < 0 || n >= 1<<32 {
+		var buf bytes.Buffer
+		ck, err := streamSnapshot(resp, &buf)
+		if err != nil {
+			return Checkpoint{}, err
+		}
+		ck.Data = buf.Bytes()
+		return ck, nil
+	}
+	defer drain(resp)
+	ck, err := snapshotHead(resp)
 	if err != nil {
 		return Checkpoint{}, err
 	}
-	ck.Data = buf.Bytes()
+	ck.Data = make([]byte, resp.ContentLength)
+	if _, err := io.ReadFull(resp.Body, ck.Data); err != nil {
+		return Checkpoint{}, fmt.Errorf("gateway: reading snapshot: %w", err)
+	}
 	return ck, nil
 }
 
@@ -269,9 +332,7 @@ type RestorePlan struct {
 }
 
 func restoreBody(ranks, targetRanks int, line uint64) []byte {
-	b, _ := json.Marshal(map[string]any{
-		"ranks": ranks, "target_ranks": targetRanks, "line": line,
-	})
+	b, _ := json.Marshal(restoreRequest{Ranks: ranks, TargetRanks: targetRanks, Line: line})
 	return b
 }
 

@@ -636,9 +636,7 @@ func (s *Server) handleSave(w http.ResponseWriter, r *http.Request, st *tenantSt
 			}
 		}()
 		st.mBytesIn.Add(uint64(size))
-		writeJSON(w, http.StatusAccepted, map[string]any{
-			"id": id, "bytes": size, "step": step, "durable": "nvm",
-		})
+		writeJSON(w, http.StatusAccepted, saveReply{Bytes: size, Durable: "nvm", ID: id, Step: step})
 		return nil
 	}
 
@@ -661,8 +659,17 @@ func (s *Server) handleSave(w http.ResponseWriter, r *http.Request, st *tenantSt
 		}
 	}
 	st.mBytesIn.Add(uint64(size))
-	writeJSON(w, http.StatusOK, map[string]any{"id": id, "bytes": size, "step": step, "durable": "store"})
+	writeJSON(w, http.StatusOK, saveReply{Bytes: size, Durable: "store", ID: id, Step: step})
 	return nil
+}
+
+// saveReply is a save's 200 or 202 answer, its fields in sorted key order,
+// the order the reply has always had.
+type saveReply struct {
+	Bytes   int64  `json:"bytes"`
+	Durable string `json:"durable"`
+	ID      uint64 `json:"id"`
+	Step    int    `json:"step"`
 }
 
 // fillUnit is the least a save reads of its body before it marks the bytes
@@ -739,33 +746,25 @@ func (s *Server) handleDurability(w http.ResponseWriter, r *http.Request, st *te
 		cancel()
 	}
 
-	levels := make(map[string]bool, 4)
-	failed := false
-	failure := ""
+	resp := Durability{ID: id}
 	if n != nil {
-		tr := n.Durability()
-		for _, lvl := range []ndp.Level{ndp.LevelNVM, ndp.LevelPartner, ndp.LevelErasure, ndp.LevelStore} {
-			levels[lvl.String()] = n.DurableAt(id, lvl)
+		resp.Levels = Levels{
+			NVM:     n.DurableAt(id, ndp.LevelNVM),
+			Partner: n.DurableAt(id, ndp.LevelPartner),
+			Erasure: n.DurableAt(id, ndp.LevelErasure),
+			Store:   n.DurableAt(id, ndp.LevelStore),
 		}
-		if err := tr.FailedErr(id); err != nil {
-			failed, failure = true, err.Error()
-		}
-	} else {
-		for _, lvl := range []ndp.Level{ndp.LevelNVM, ndp.LevelPartner, ndp.LevelErasure, ndp.LevelStore} {
-			levels[lvl.String()] = false
+		if err := n.Durability().FailedErr(id); err != nil {
+			resp.Failed, resp.Failure = true, err.Error()
 		}
 	}
-	if !levels[ndp.LevelStore.String()] && !failed {
+	if !resp.Levels.Store && !resp.Failed {
 		// Tracker says not yet store-durable (or no tracker at all): the
 		// store itself is the authority for drained objects, e.g. after a
 		// gateway restart rebuilt the session with an empty tracker.
 		if _, ok, err := s.cfg.Store.Stat(r.Context(), iostore.Key{Job: job, Rank: rank, ID: id}); err == nil && ok {
-			levels[ndp.LevelStore.String()] = true
+			resp.Levels.Store = true
 		}
-	}
-	resp := map[string]any{"id": id, "levels": levels, "failed": failed}
-	if failure != "" {
-		resp["failure"] = failure
 	}
 	writeJSON(w, http.StatusOK, resp)
 	return nil
@@ -942,7 +941,7 @@ func (s *Server) handleResume(w http.ResponseWriter, r *http.Request, st *tenant
 	}
 	if v := q.Get("ranks"); v != "" {
 		ranks, err := strconv.Atoi(v)
-		if err != nil || ranks <= 0 || rank >= ranks {
+		if err != nil || ranks <= 0 || ranks > maxRanks || rank >= ranks {
 			return errf(http.StatusBadRequest, "bad_request", "invalid ranks %q for rank %d", v, rank)
 		}
 		return s.restore(w, r, st, job, restoreRequest{Ranks: ranks, TargetRanks: ranks}, rank, false)

@@ -126,6 +126,48 @@ func TestClientKeepsItsConnection(t *testing.T) {
 	}
 }
 
+// TestClientReusesOneConnection: a small checkpoint's whole cycle — async
+// save, durability wait, load — rides one keep-alive connection, counted as
+// the server sees new connections. net/http keeps a connection only for a
+// reply read to EOF, so a load that stops reading short of its body's end
+// dials again for the next request.
+func TestClientReusesOneConnection(t *testing.T) {
+	srv, err := New(Config{Store: iostore.New(nvm.Pacer{}), Tenants: testTenants(), DrainTimeout: 10 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewUnstartedServer(srv)
+	var conns atomic.Int32
+	ts.Config.ConnState = func(_ net.Conn, state http.ConnState) {
+		if state == http.StateNew {
+			conns.Add(1)
+		}
+	}
+	ts.Start()
+	t.Cleanup(func() {
+		ts.Close()
+		srv.Shutdown(context.Background())
+	})
+	c := NewClient(ts.URL, "tok-acme")
+	ctx := context.Background()
+	payload := bytes.Repeat([]byte{0x3c}, 16<<10)
+	for step := 1; step <= 100; step++ {
+		id, err := c.SaveAsync(ctx, "acme", "conn", 0, step, payload)
+		if err != nil {
+			t.Fatalf("SaveAsync: %v", err)
+		}
+		if _, err := c.Durability(ctx, "acme", "conn", 0, id, "store"); err != nil {
+			t.Fatalf("Durability: %v", err)
+		}
+		if _, err := c.Load(ctx, "acme", "conn", 0, id); err != nil {
+			t.Fatalf("Load: %v", err)
+		}
+	}
+	if n := conns.Load(); n != 1 {
+		t.Errorf("100 saves, polls and loads opened %d connections, want 1", n)
+	}
+}
+
 func TestSaveIsDurableBeforeAck(t *testing.T) {
 	store := iostore.New(nvm.Pacer{})
 	_, ts := newTestServer(t, func(c *Config) { c.Store = store })

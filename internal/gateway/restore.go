@@ -26,6 +26,13 @@ type restoreResponse struct {
 	FailedLines []uint64 `json:"failed_lines,omitempty"`
 }
 
+// maxRanks bounds a restore's source and target rank counts, checked before
+// anything is sized from them: a plan holds an entry per target and the
+// planner counts per source rank, so an unchecked count is an allocation of
+// the tenant's choosing. The paper's largest machine (Table 1) has 100,000
+// nodes.
+const maxRanks = 100_000
+
 // handleRestore is the elastic restore endpoint:
 //
 //	POST /v1/ns/{ns}/runs/{run}/restore            — plan mode
@@ -52,14 +59,14 @@ func (s *Server) handleRestore(w http.ResponseWriter, r *http.Request, st *tenan
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 		return errf(http.StatusBadRequest, "bad_request", "decoding restore request: %v", err)
 	}
-	if req.Ranks <= 0 {
-		return errf(http.StatusBadRequest, "bad_request", "ranks must be positive, got %d", req.Ranks)
+	if req.Ranks <= 0 || req.Ranks > maxRanks {
+		return errf(http.StatusBadRequest, "bad_request", "ranks must be in [1, %d], got %d", maxRanks, req.Ranks)
 	}
 	if req.TargetRanks == 0 {
 		req.TargetRanks = req.Ranks
 	}
-	if req.TargetRanks < 0 {
-		return errf(http.StatusBadRequest, "bad_request", "target_ranks must be positive, got %d", req.TargetRanks)
+	if req.TargetRanks < 0 || req.TargetRanks > maxRanks {
+		return errf(http.StatusBadRequest, "bad_request", "target_ranks must be in [1, %d], got %d", maxRanks, req.TargetRanks)
 	}
 	member := -1
 	if v := q.Get("member"); v != "" {

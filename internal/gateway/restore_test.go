@@ -5,6 +5,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
+	"runtime"
+	"strings"
 	"testing"
 
 	"ndpcr/internal/cluster/elastic"
@@ -176,5 +180,33 @@ func TestResumeFallsBackAcrossLines(t *testing.T) {
 	}
 	if srv2.mRestoreFallbacks.Value() == 0 {
 		t.Error("fallback not counted in ndpcr_gateway_restore_fallbacks_total")
+	}
+}
+
+// TestRestoreRanksBounded: a restore's rank counts are refused above
+// maxRanks before anything is sized from them. Unchecked, a pinned-line
+// identity plan held one entry per requested rank, and a reshape's planner
+// a count per source rank before its first Stat: a tenant's one request
+// allocated as much as its body asked for.
+func TestRestoreRanksBounded(t *testing.T) {
+	srv, _ := newTestServer(t, nil)
+	for _, tc := range []struct{ method, target, body string }{
+		{http.MethodPost, "/v1/ns/acme/runs/r/restore", `{"ranks": 2000000000, "line": 1}`},
+		{http.MethodPost, "/v1/ns/acme/runs/r/restore", `{"ranks": 4, "target_ranks": 2000000000, "line": 1}`},
+		{http.MethodGet, "/v1/ns/acme/runs/r/resume?rank=0&ranks=2000000000", ""},
+	} {
+		req := httptest.NewRequest(tc.method, tc.target, strings.NewReader(tc.body))
+		req.Header.Set("Authorization", "Bearer tok-acme")
+		w := httptest.NewRecorder()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		srv.ServeHTTP(w, req)
+		runtime.ReadMemStats(&after)
+		if w.Code != http.StatusBadRequest || !strings.Contains(w.Body.String(), `"bad_request"`) {
+			t.Errorf("%s %s %s: %d %s, want 400 bad_request", tc.method, tc.target, tc.body, w.Code, w.Body)
+		}
+		if alloc := after.TotalAlloc - before.TotalAlloc; !raceEnabled && alloc >= 1<<20 {
+			t.Errorf("%s %s %s allocated %d bytes before answering, want under 1 MiB", tc.method, tc.target, tc.body, alloc)
+		}
 	}
 }

@@ -58,12 +58,21 @@ func LoadTenants(path string) ([]Tenant, error) {
 	if err != nil {
 		return nil, fmt.Errorf("gateway: token file: %w", err)
 	}
-	var tenants []Tenant
-	if err := json.Unmarshal(raw, &tenants); err != nil {
+	tenants, err := parseTenants(raw)
+	if err != nil {
 		return nil, fmt.Errorf("gateway: token file %s: %w", path, err)
 	}
+	return tenants, nil
+}
+
+// parseTenants decodes and validates a token file's contents.
+func parseTenants(raw []byte) ([]Tenant, error) {
+	var tenants []Tenant
+	if err := json.Unmarshal(raw, &tenants); err != nil {
+		return nil, err
+	}
 	if err := ValidateTenants(tenants); err != nil {
-		return nil, fmt.Errorf("gateway: token file %s: %w", path, err)
+		return nil, err
 	}
 	return tenants, nil
 }

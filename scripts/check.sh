@@ -142,6 +142,13 @@ go test -run '^$' -fuzz FuzzDecodeResponseWire -fuzztime 10s -fuzzminimizetime 1
 # survives a re-encode).
 go test -run '^$' -fuzz FuzzMetadataFromMap -fuzztime 10s -fuzzminimizetime 1s ./internal/node
 
+# The gateway decodes two JSON documents it does not write: a restore body
+# any tenant sends, sized into a plan (no panic; a 4xx/5xx or a plan within
+# the rank bound, over an empty store), and the token file (no panic; what
+# it accepts ValidateTenants accepts).
+go test -run '^$' -fuzz FuzzRestoreRequest -fuzztime 10s -fuzzminimizetime 1s ./internal/gateway
+go test -run '^$' -fuzz FuzzParseTenants -fuzztime 10s -fuzzminimizetime 1s ./internal/gateway
+
 # Allocation budgets of the HTTP save/load path and of a restore over a
 # loopback iod server, raw and through gzip (counts; skipped under -race
 # above): a whole-object buffer, a codec buffer grown from nil or a block
