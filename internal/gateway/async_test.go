@@ -253,3 +253,28 @@ func TestAsyncSaveDeleteKeepsBlockPoolWarm(t *testing.T) {
 		t.Errorf("8 warm save+delete cycles allocated %d block buffers, want 0", miss1-miss0)
 	}
 }
+
+// TestDurabilityMidDrainIsNotStoreDurable: while an async save's drain has
+// stored block 0 and the store holds blocks 1-3, the durability endpoint
+// must not report it store-durable: the store holds a torn object, and a
+// drain that then fails leaves a client told "store" with nothing to
+// restore. The session's tracker answers for an ID it committed.
+func TestDurabilityMidDrainIsNotStoreDurable(t *testing.T) {
+	store := newParkingStore(1)
+	_, ts := newTestServer(t, func(c *Config) { c.Store, c.Codec, c.BlockSize = store, nil, 4096 })
+	t.Cleanup(store.release)
+	c := NewClient(ts.URL, "tok-acme")
+	ctx := context.Background()
+	id, err := c.SaveAsync(ctx, "acme", "r", 0, 1, pattern(16<<10, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	await(t, store.landed, 0, "landed")
+	if d, err := c.Durability(ctx, "acme", "r", 0, id, ""); err != nil || d.Durable("store") {
+		t.Errorf("durability with 1 of 4 blocks stored: %+v, %v; want not store-durable", d, err)
+	}
+	store.release()
+	if d, err := c.Durability(ctx, "acme", "r", 0, id, "store"); err != nil || !d.Durable("store") {
+		t.Errorf("durability once the drain finished: %+v, %v; want store-durable", d, err)
+	}
+}

@@ -1,14 +1,22 @@
 package gateway
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/url"
+	"os"
 	"strconv"
+	"strings"
+	"sync"
+	"syscall"
+	"time"
 )
 
 // APIError is a gateway rejection decoded back into its typed form: the
@@ -23,32 +31,69 @@ func (e *APIError) Error() string {
 	return fmt.Sprintf("gateway: %s (%d): %s", e.Code, e.Status, e.Message)
 }
 
-// Client is a Go client for the gateway API, scoped to one tenant token.
+// Client is a Go client for the gateway API, scoped to one tenant token. It
+// speaks HTTP/1.1 itself, one synchronous exchange per request on the
+// caller's goroutine: the request head and body leave in one write, the body
+// never copied, and the reply is read off the same connection. Connections
+// are kept alive, at most maxIdle of them idle. It does not read the proxy
+// environment, and speaks neither https nor HTTP/2. A Client is safe for
+// concurrent use.
 type Client struct {
-	base  string
-	token string
-	http  *http.Client
+	addr   string // host:port dialed
+	host   string // the Host header
+	prefix string // the base URL's path, without a trailing slash
+	token  string
+	err    error // a base or token NewClient refused: every request returns it
+	dial   func(ctx context.Context, addr string) (net.Conn, error)
+
+	mu   sync.Mutex
+	idle []*conn
 }
 
-// writeBufferSize is the client connections' write buffer. A request whose
-// headers and body fit in it leaves in one write. Past net/http's default
-// 4 KiB, a body is copied through a fresh buffer per request and sent in a
-// second write; a body larger than this buffer still is, after filling it.
-const writeBufferSize = 64 << 10
+// maxIdle is how many idle connections a Client keeps, net/http's default
+// per host. A connection handed back past it is closed.
+const maxIdle = 2
 
-// transport is the one transport every Client shares: http.DefaultTransport's
-// settings with the larger write buffer. Its idle connections are its own;
-// http.DefaultTransport.CloseIdleConnections does not reach them.
-var transport = func() *http.Transport {
-	t := http.DefaultTransport.(*http.Transport).Clone()
-	t.WriteBufferSize = writeBufferSize
-	return t
-}()
+// dialer is net/http's default dialer: a dial gives up after 30 s, and an
+// idle connection sends TCP keep-alive probes.
+var dialer = net.Dialer{Timeout: 30 * time.Second, KeepAlive: 30 * time.Second}
+
+func dialTCP(ctx context.Context, addr string) (net.Conn, error) {
+	return dialer.DialContext(ctx, "tcp", addr)
+}
 
 // NewClient builds a client for the gateway at base (e.g.
-// "http://127.0.0.1:9600") presenting the given bearer token.
+// "http://127.0.0.1:9600", or "http://host:port/prefix" behind a path
+// prefix) presenting the given bearer token. A base that is not
+// http://host[:port][/prefix], or a token holding a byte not allowed in a
+// header value, fails every request, before anything is dialed.
 func NewClient(base, token string) *Client {
-	return &Client{base: base, token: token, http: &http.Client{Transport: transport}}
+	c := &Client{token: token, dial: dialTCP}
+	c.addr, c.host, c.prefix, c.err = parseBase(base)
+	for i := 0; c.err == nil && i < len(token); i++ {
+		if b := token[i]; b < ' ' && b != '\t' || b == 0x7f {
+			c.err = fmt.Errorf("gateway: the token holds byte %#02x, not allowed in a header value", b)
+		}
+	}
+	return c
+}
+
+// parseBase splits a base URL into the address to dial, the Host header and
+// the path prefix of every request.
+func parseBase(base string) (addr, host, prefix string, err error) {
+	u, err := url.Parse(base)
+	if err != nil {
+		return "", "", "", fmt.Errorf("gateway: base: %w", err)
+	}
+	if u.Scheme != "http" || u.Host == "" || u.Opaque != "" || u.User != nil ||
+		u.RawQuery != "" || u.ForceQuery || u.Fragment != "" {
+		return "", "", "", fmt.Errorf("gateway: base %q is not http://host[:port][/prefix]", base)
+	}
+	port := u.Port()
+	if port == "" {
+		port = "80"
+	}
+	return net.JoinHostPort(u.Hostname(), port), u.Host, strings.TrimSuffix(u.EscapedPath(), "/"), nil
 }
 
 // Checkpoint is one restored checkpoint: its payload plus identity.
@@ -59,25 +104,225 @@ type Checkpoint struct {
 	Data  []byte
 }
 
-func (c *Client) runURL(ns, run, tail string) string {
-	u := c.base + "/v1/ns/" + url.PathEscape(ns) + "/runs/" + url.PathEscape(run) + tail
-	return u
+// runPath is the request target of one run's endpoint; tail carries the
+// rest of the path and the query.
+func runPath(ns, run, tail string) string {
+	return "/v1/ns/" + url.PathEscape(ns) + "/runs/" + url.PathEscape(run) + tail
 }
 
-func (c *Client) do(ctx context.Context, method, u string, body []byte) (*http.Response, error) {
-	var rd io.Reader
+// conn is one keep-alive connection to the gateway and the exchange it
+// carries, one at a time.
+type conn struct {
+	client   *Client
+	nc       net.Conn
+	br       *bufio.Reader
+	raw      syscall.RawConn // nil: no peek before reuse
+	peekFn   func(fd uintptr) bool
+	peekBuf  [1]byte
+	live     bool // the last peek's verdict
+	head     []byte
+	deadline bool // nc carries a deadline from an earlier exchange
+	ex       exchange
+}
+
+func newConn(c *Client, nc net.Conn) *conn {
+	pc := &conn{client: c, nc: nc, br: bufio.NewReader(nc)}
+	pc.ex.conn = pc
+	if sc, ok := nc.(syscall.Conn); ok {
+		if raw, err := sc.SyscallConn(); err == nil {
+			pc.raw = raw
+			pc.peekFn = pc.peek
+		}
+	}
+	return pc
+}
+
+// peek reads the socket without blocking and without consuming: an idle
+// connection is live only while there is nothing to read — no byte the
+// gateway sent unasked, and no close.
+func (pc *conn) peek(fd uintptr) bool {
+	_, _, err := syscall.Recvfrom(int(fd), pc.peekBuf[:], syscall.MSG_PEEK|syscall.MSG_DONTWAIT)
+	pc.live = err == syscall.EAGAIN
+	return true // done: never wait for readability
+}
+
+// reusable checks an idle connection before it carries a request.
+func (pc *conn) reusable() bool {
+	if pc.br.Buffered() > 0 {
+		return false
+	}
+	if pc.raw == nil {
+		return true
+	}
+	pc.live = false
+	return pc.raw.Read(pc.peekFn) == nil && pc.live
+}
+
+// getConn takes the newest idle connection that passes its check, or dials
+// a new one.
+func (c *Client) getConn(ctx context.Context) (*conn, error) {
+	for {
+		c.mu.Lock()
+		n := len(c.idle)
+		if n == 0 {
+			c.mu.Unlock()
+			break
+		}
+		pc := c.idle[n-1]
+		c.idle[n-1] = nil
+		c.idle = c.idle[:n-1]
+		c.mu.Unlock()
+		if pc.reusable() {
+			return pc, nil
+		}
+		pc.nc.Close()
+	}
+	nc, err := c.dial(ctx, c.addr)
+	if err != nil {
+		return nil, err
+	}
+	return newConn(c, nc), nil
+}
+
+// putIdle hands a connection back for the next request.
+func (c *Client) putIdle(pc *conn) {
+	c.mu.Lock()
+	if len(c.idle) < maxIdle {
+		c.idle = append(c.idle, pc)
+		pc = nil
+	}
+	c.mu.Unlock()
+	if pc != nil {
+		pc.nc.Close()
+	}
+}
+
+// exchange is the reply body of a connection's current request. Read to EOF
+// and closed, it hands the connection back to the idle list, unless the
+// reply closes it; closed short of EOF, or after its ctx ended the exchange,
+// it closes the connection.
+type exchange struct {
+	conn *conn
+	ctx  context.Context
+	stop func() bool // unregisters the ctx's cancel hook; nil without one
+	body io.ReadCloser
+	eof  bool
+	keep bool
+}
+
+func (x *exchange) Read(p []byte) (int, error) {
+	n, err := x.body.Read(p)
+	if err == io.EOF {
+		x.eof = true
+	} else if err != nil {
+		// A body cut short says EOF on the next read: it is the error that
+		// keeps the connection from the idle list.
+		x.keep = false
+		err = ctxErr(x.ctx, err)
+	}
+	return n, err
+}
+
+func (x *exchange) Close() error {
+	if x.body != nil { // not closed already
+		x.finish(x.eof && x.keep)
+	}
+	return nil
+}
+
+// finish ends the exchange: its connection goes back to the idle list if
+// keep holds and the ctx did not end the exchange, and is closed otherwise.
+func (x *exchange) finish(keep bool) {
+	if x.stop != nil && !x.stop() {
+		keep = false // the cancel hook ran: the connection's deadline is past
+	}
+	pc := x.conn
+	*x = exchange{conn: pc}
+	if keep {
+		pc.client.putIdle(pc)
+	} else {
+		pc.nc.Close()
+	}
+}
+
+// aLongTimeAgo is a deadline in the past: set on a connection, it fails the
+// I/O under way at once.
+var aLongTimeAgo = time.Unix(1, 0)
+
+// ctxErr names the ctx that ended an exchange, if one did, in place of the
+// I/O error its deadline caused: a ctx deadline is the connection's, and a
+// cancel sets one in the past.
+func ctxErr(ctx context.Context, err error) error {
+	if cerr := ctx.Err(); cerr != nil {
+		return fmt.Errorf("gateway: %w (%v)", cerr, err)
+	}
+	if _, ok := ctx.Deadline(); ok && errors.Is(err, os.ErrDeadlineExceeded) {
+		return fmt.Errorf("gateway: %w (%v)", context.DeadlineExceeded, err)
+	}
+	return err
+}
+
+// do runs one exchange: method on target (the API path and query) with
+// body, nil for none. A 2xx reply is returned with its body unread, and the
+// connection goes back to the idle list when that body is read to EOF and
+// closed; any other status is decoded into an *APIError. The request is
+// never sent twice: a save the gateway may have read is not resent.
+func (c *Client) do(ctx context.Context, method, target string, body []byte) (*http.Response, error) {
+	if c.err != nil {
+		return nil, c.err
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, fmt.Errorf("gateway: %w", err)
+	}
+	pc, err := c.getConn(ctx)
+	if err != nil {
+		return nil, ctxErr(ctx, err)
+	}
+	x := &pc.ex
+	x.ctx = ctx
+	if d, ok := ctx.Deadline(); ok {
+		pc.nc.SetDeadline(d)
+		pc.deadline = true
+	} else if pc.deadline {
+		pc.nc.SetDeadline(time.Time{})
+		pc.deadline = false
+	}
+	if ctx.Done() != nil {
+		x.stop = context.AfterFunc(ctx, func() { pc.nc.SetDeadline(aLongTimeAgo) })
+	}
+
+	h := append(pc.head[:0], method...)
+	h = append(h, ' ')
+	h = append(h, c.prefix...)
+	h = append(h, target...)
+	h = append(h, " HTTP/1.1\r\nHost: "...)
+	h = append(h, c.host...)
+	h = append(h, "\r\nAuthorization: Bearer "...)
+	h = append(h, c.token...)
 	if body != nil {
-		rd = bytes.NewReader(body)
+		h = append(h, "\r\nContent-Length: "...)
+		h = strconv.AppendInt(h, int64(len(body)), 10)
 	}
-	req, err := http.NewRequestWithContext(ctx, method, u, rd)
+	h = append(h, "\r\n\r\n"...)
+	pc.head = h
+	w := io.Writer(pc.nc)
+	if raceEnabled {
+		w = struct{ io.Writer }{w} // no writev: see raceEnabled
+	}
+	_, werr := (&net.Buffers{h, body}).WriteTo(w)
+
+	// A gateway that refuses a save before reading its body (413, 403, 429)
+	// answers and closes: a failed write still reads that answer.
+	resp, err := http.ReadResponse(pc.br, nil)
 	if err != nil {
-		return nil, err
+		x.finish(false)
+		if werr != nil {
+			err = werr
+		}
+		return nil, ctxErr(ctx, err)
 	}
-	req.Header.Set("Authorization", "Bearer "+c.token)
-	resp, err := c.http.Do(req)
-	if err != nil {
-		return nil, err
-	}
+	x.body, x.keep = resp.Body, werr == nil && !resp.Close
+	resp.Body = x
 	if resp.StatusCode/100 != 2 {
 		defer resp.Body.Close()
 		var e struct {
@@ -90,6 +335,10 @@ func (c *Client) do(ctx context.Context, method, u string, body []byte) (*http.R
 		}
 		return nil, &APIError{Status: resp.StatusCode, Code: e.Error, Message: e.Message}
 	}
+	if werr != nil {
+		resp.Body.Close()
+		return nil, ctxErr(ctx, werr)
+	}
 	return resp, nil
 }
 
@@ -98,9 +347,9 @@ func decodeJSON(resp *http.Response, v any) error {
 	return json.NewDecoder(resp.Body).Decode(v)
 }
 
-// drain reads the rest of a reply's body and closes it: net/http reuses the
-// connection only for a body read to EOF, and dials a new one for the next
-// request otherwise. A read that fails costs no more than that.
+// drain reads the rest of a reply's body and closes it: the connection goes
+// back to the idle list only for a body read to EOF, and a new one is dialed
+// for the next request otherwise. A read that fails costs no more than that.
 func drain(resp *http.Response) {
 	io.Copy(io.Discard, resp.Body)
 	resp.Body.Close()
@@ -124,7 +373,7 @@ func (c *Client) SaveAsync(ctx context.Context, ns, run string, rank, step int, 
 // save is the one save request; mode is the durable= query suffix that
 // picks who waits for the drain.
 func (c *Client) save(ctx context.Context, ns, run string, rank, step int, snapshot []byte, mode string) (uint64, error) {
-	u := c.runURL(ns, run, "/checkpoints") + "?rank=" + strconv.Itoa(rank) + "&step=" + strconv.Itoa(step) + mode
+	u := runPath(ns, run, "/checkpoints") + "?rank=" + strconv.Itoa(rank) + "&step=" + strconv.Itoa(step) + mode
 	resp, err := c.do(ctx, http.MethodPost, u, snapshot)
 	if err != nil {
 		return 0, err
@@ -177,7 +426,7 @@ func (d Durability) Durable(level string) bool {
 // names a level ("store", "nvm", ...) to block for (bounded by the
 // gateway's drain timeout) before reporting.
 func (c *Client) Durability(ctx context.Context, ns, run string, rank int, id uint64, wait string) (Durability, error) {
-	u := c.runURL(ns, run, "/checkpoints/"+strconv.FormatUint(id, 10)+"/durability") +
+	u := runPath(ns, run, "/checkpoints/"+strconv.FormatUint(id, 10)+"/durability") +
 		"?rank=" + strconv.Itoa(rank)
 	if wait != "" {
 		u += "&wait=" + url.QueryEscape(wait)
@@ -195,7 +444,7 @@ func (c *Client) Durability(ctx context.Context, ns, run string, rank int, id ui
 
 // List reports the checkpoint IDs stored for rank of ns/run.
 func (c *Client) List(ctx context.Context, ns, run string, rank int) ([]uint64, error) {
-	u := c.runURL(ns, run, "/checkpoints") + "?rank=" + strconv.Itoa(rank)
+	u := runPath(ns, run, "/checkpoints") + "?rank=" + strconv.Itoa(rank)
 	resp, err := c.do(ctx, http.MethodGet, u, nil)
 	if err != nil {
 		return nil, err
@@ -244,7 +493,7 @@ func streamSnapshot(resp *http.Response, w io.Writer) (Checkpoint, error) {
 
 // snapshotFrom reads a snapshot-bearing response into memory. A body of
 // known length (every snapshot the gateway serves) lands in a buffer of
-// exactly that length, read on to EOF so net/http keeps the connection; no
+// exactly that length, read on to EOF so the client keeps the connection; no
 // lying header past 4 GiB sizes it. One without a length grows a
 // bytes.Buffer.
 func snapshotFrom(resp *http.Response, err error) (Checkpoint, error) {
@@ -272,19 +521,19 @@ func snapshotFrom(resp *http.Response, err error) (Checkpoint, error) {
 	return ck, nil
 }
 
-func (c *Client) ckptURL(ns, run string, rank int, id uint64) string {
-	return c.runURL(ns, run, "/checkpoints/"+strconv.FormatUint(id, 10)) + "?rank=" + strconv.Itoa(rank)
+func ckptPath(ns, run string, rank int, id uint64) string {
+	return runPath(ns, run, "/checkpoints/"+strconv.FormatUint(id, 10)) + "?rank=" + strconv.Itoa(rank)
 }
 
 // Load restores one specific checkpoint ID.
 func (c *Client) Load(ctx context.Context, ns, run string, rank int, id uint64) (Checkpoint, error) {
-	return snapshotFrom(c.do(ctx, http.MethodGet, c.ckptURL(ns, run, rank, id), nil))
+	return snapshotFrom(c.do(ctx, http.MethodGet, ckptPath(ns, run, rank, id), nil))
 }
 
 // LoadTo is Load streaming the payload into w as the gateway streams it out
 // of the store. On error w may hold a prefix of the snapshot.
 func (c *Client) LoadTo(ctx context.Context, ns, run string, rank int, id uint64, w io.Writer) (Checkpoint, error) {
-	resp, err := c.do(ctx, http.MethodGet, c.ckptURL(ns, run, rank, id), nil)
+	resp, err := c.do(ctx, http.MethodGet, ckptPath(ns, run, rank, id), nil)
 	if err != nil {
 		return Checkpoint{}, err
 	}
@@ -293,7 +542,7 @@ func (c *Client) LoadTo(ctx context.Context, ns, run string, rank int, id uint64
 
 // Delete removes one checkpoint.
 func (c *Client) Delete(ctx context.Context, ns, run string, rank int, id uint64) error {
-	resp, err := c.do(ctx, http.MethodDelete, c.ckptURL(ns, run, rank, id), nil)
+	resp, err := c.do(ctx, http.MethodDelete, ckptPath(ns, run, rank, id), nil)
 	if err != nil {
 		return err
 	}
@@ -304,7 +553,7 @@ func (c *Client) Delete(ctx context.Context, ns, run string, rank int, id uint64
 // Resume restores rank's newest checkpoint; with ranks > 0 it restores
 // this rank's member of the newest restart line common to ranks [0,ranks).
 func (c *Client) Resume(ctx context.Context, ns, run string, rank, ranks int) (Checkpoint, error) {
-	u := c.runURL(ns, run, "/resume") + "?rank=" + strconv.Itoa(rank)
+	u := runPath(ns, run, "/resume") + "?rank=" + strconv.Itoa(rank)
 	if ranks > 0 {
 		u += "&ranks=" + strconv.Itoa(ranks)
 	}
@@ -342,7 +591,7 @@ func restoreBody(ranks, targetRanks int, line uint64) []byte {
 // payload bytes move: the returned plan says which source shard ranges
 // each restart target will fetch.
 func (c *Client) PlanRestore(ctx context.Context, ns, run string, ranks, targetRanks int, line uint64) (RestorePlan, error) {
-	resp, err := c.do(ctx, http.MethodPost, c.runURL(ns, run, "/restore"),
+	resp, err := c.do(ctx, http.MethodPost, runPath(ns, run, "/restore"),
 		restoreBody(ranks, targetRanks, line))
 	if err != nil {
 		return RestorePlan{}, err
@@ -359,6 +608,6 @@ func (c *Client) PlanRestore(ctx context.Context, ns, run string, ranks, targetR
 // prior PlanRestore) when restoring several members so they all restore
 // the same cut.
 func (c *Client) RestoreMember(ctx context.Context, ns, run string, ranks, targetRanks, member int, line uint64) (Checkpoint, error) {
-	u := c.runURL(ns, run, "/restore") + "?member=" + strconv.Itoa(member)
+	u := runPath(ns, run, "/restore") + "?member=" + strconv.Itoa(member)
 	return snapshotFrom(c.do(ctx, http.MethodPost, u, restoreBody(ranks, targetRanks, line)))
 }

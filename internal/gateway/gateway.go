@@ -83,8 +83,12 @@ type Server struct {
 	sched   *drainScheduler // nil unless DrainSlots > 0
 	asyncWG sync.WaitGroup  // background async-save completion waits
 
-	mu        sync.Mutex
-	sessions  map[sessKey]*node.Node
+	mu       sync.Mutex
+	sessions map[sessKey]*node.Node
+	// resynced is each session's first checkpoint ID: the store's newest
+	// plus one when the session was built. An older ID is one the session's
+	// tracker never saw.
+	resynced  map[sessKey]uint64
 	draining  bool
 	active    int
 	drainDone chan struct{}
@@ -134,6 +138,7 @@ func New(cfg Config) (*Server, error) {
 		now:      cfg.Now,
 		byToken:  make(map[string]*tenantState, len(cfg.Tenants)),
 		sessions: make(map[sessKey]*node.Node),
+		resynced: make(map[sessKey]uint64),
 	}
 	if s.reg == nil {
 		s.reg = metrics.NewRegistry()
@@ -389,6 +394,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	s.mu.Lock()
 	sessions := s.sessions
 	s.sessions = make(map[sessKey]*node.Node)
+	s.resynced = make(map[sessKey]uint64)
 	s.mu.Unlock()
 	for _, n := range sessions {
 		n.Close()
@@ -451,6 +457,7 @@ func (s *Server) session(ctx context.Context, job string, rank int, st *tenantSt
 		return nil, errors.New("gateway: shutting down")
 	}
 	s.sessions[key] = n
+	s.resynced[key] = n.NextID()
 	return n, nil
 }
 
@@ -712,9 +719,12 @@ func (s *Server) resolve(ctx context.Context, n *node.Node, id uint64, release f
 // handleDurability reports one checkpoint's per-level durability:
 // GET .../checkpoints/{id}/durability?rank=N[&wait=LEVEL][&timeout=DUR].
 // With wait= it blocks (bounded by timeout, default DrainTimeout) until the
-// checkpoint reaches that level or fails. When no session holds the rank
-// (e.g. after a gateway restart) the store is consulted directly, so
-// store-level truth survives the tracker's loss of state.
+// checkpoint reaches that level or fails. The session's tracker alone
+// answers for an ID the session committed: a drain in flight has stored
+// some blocks, not the checkpoint. The store answers for an ID no session
+// can know, its rank's session gone (e.g. after a gateway restart) or the
+// ID older than the one the session resynced to, so store-level truth
+// survives the tracker's loss of state.
 func (s *Server) handleDurability(w http.ResponseWriter, r *http.Request, st *tenantState) *apiError {
 	job, rank, q, aerr := reqScope(r)
 	if aerr != nil {
@@ -724,47 +734,47 @@ func (s *Server) handleDurability(w http.ResponseWriter, r *http.Request, st *te
 	if aerr != nil {
 		return aerr
 	}
+	wait, timeout := q.Get("wait"), s.cfg.DrainTimeout
+	var lvl ndp.Level
+	var err error
+	if wait != "" {
+		if lvl, err = ndp.ParseLevel(wait); err != nil {
+			return errf(http.StatusBadRequest, "bad_request", "invalid wait level %q", wait)
+		}
+	}
+	if tv := q.Get("timeout"); tv != "" {
+		if timeout, err = time.ParseDuration(tv); err != nil || timeout <= 0 {
+			return errf(http.StatusBadRequest, "bad_request", "invalid timeout %q", tv)
+		}
+	}
+	key := sessKey{job: job, rank: rank}
 	s.mu.Lock()
-	n := s.sessions[sessKey{job: job, rank: rank}]
+	n, first := s.sessions[key], s.resynced[key]
 	s.mu.Unlock()
 
-	if v := q.Get("wait"); v != "" && n != nil {
-		lvl, err := ndp.ParseLevel(v)
-		if err != nil {
-			return errf(http.StatusBadRequest, "bad_request", "invalid wait level %q", v)
+	resp := Durability{ID: id}
+	if n == nil || id < first {
+		if _, ok, err := s.cfg.Store.Stat(r.Context(), iostore.Key{Job: job, Rank: rank, ID: id}); err == nil && ok {
+			resp.Levels.Store = true
 		}
-		timeout := s.cfg.DrainTimeout
-		if tv := q.Get("timeout"); tv != "" {
-			if timeout, err = time.ParseDuration(tv); err != nil || timeout <= 0 {
-				return errf(http.StatusBadRequest, "bad_request", "invalid timeout %q", tv)
-			}
-		}
+		writeJSON(w, http.StatusOK, resp)
+		return nil
+	}
+	if wait != "" {
 		ctx, cancel := context.WithTimeout(r.Context(), timeout)
 		// The wait is advisory — the response below reports whatever state
 		// the checkpoint reached, including a failure.
 		n.WaitDurableCtx(ctx, id, lvl)
 		cancel()
 	}
-
-	resp := Durability{ID: id}
-	if n != nil {
-		resp.Levels = Levels{
-			NVM:     n.DurableAt(id, ndp.LevelNVM),
-			Partner: n.DurableAt(id, ndp.LevelPartner),
-			Erasure: n.DurableAt(id, ndp.LevelErasure),
-			Store:   n.DurableAt(id, ndp.LevelStore),
-		}
-		if err := n.Durability().FailedErr(id); err != nil {
-			resp.Failed, resp.Failure = true, err.Error()
-		}
+	resp.Levels = Levels{
+		NVM:     n.DurableAt(id, ndp.LevelNVM),
+		Partner: n.DurableAt(id, ndp.LevelPartner),
+		Erasure: n.DurableAt(id, ndp.LevelErasure),
+		Store:   n.DurableAt(id, ndp.LevelStore),
 	}
-	if !resp.Levels.Store && !resp.Failed {
-		// Tracker says not yet store-durable (or no tracker at all): the
-		// store itself is the authority for drained objects, e.g. after a
-		// gateway restart rebuilt the session with an empty tracker.
-		if _, ok, err := s.cfg.Store.Stat(r.Context(), iostore.Key{Job: job, Rank: rank, ID: id}); err == nil && ok {
-			resp.Levels.Store = true
-		}
+	if err := n.Durability().FailedErr(id); err != nil {
+		resp.Failed, resp.Failure = true, err.Error()
 	}
 	writeJSON(w, http.StatusOK, resp)
 	return nil

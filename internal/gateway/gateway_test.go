@@ -96,17 +96,23 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	}
 }
 
+// countDials points c's dial seam at a counter of the connections it opens.
+func countDials(c *Client) *atomic.Int32 {
+	var dials atomic.Int32
+	c.dial = func(ctx context.Context, addr string) (net.Conn, error) {
+		dials.Add(1)
+		return dialTCP(ctx, addr)
+	}
+	return &dials
+}
+
 // TestClientKeepsItsConnection: saves and then deletes on one client ride one
-// keep-alive connection. A delete that closed its reply unread made net/http
-// drop the connection and dial a new one for the next request.
+// keep-alive connection. A delete that closed its reply unread would drop
+// the connection and dial a new one for the next request.
 func TestClientKeepsItsConnection(t *testing.T) {
 	_, ts := newTestServer(t, nil)
 	c := NewClient(ts.URL, "tok-acme")
-	var dials atomic.Int32
-	c.http = &http.Client{Transport: &http.Transport{DialContext: func(ctx context.Context, network, addr string) (net.Conn, error) {
-		dials.Add(1)
-		return new(net.Dialer).DialContext(ctx, network, addr)
-	}}}
+	dials := countDials(c)
 	ctx := context.Background()
 	var ids []uint64
 	for step := 0; step < 5; step++ {
@@ -127,28 +133,13 @@ func TestClientKeepsItsConnection(t *testing.T) {
 }
 
 // TestClientReusesOneConnection: a small checkpoint's whole cycle — async
-// save, durability wait, load — rides one keep-alive connection, counted as
-// the server sees new connections. net/http keeps a connection only for a
-// reply read to EOF, so a load that stops reading short of its body's end
-// dials again for the next request.
+// save, durability wait, load — rides one keep-alive connection. The client
+// keeps a connection only for a reply read to EOF, so a load that stops
+// reading short of its body's end dials again for the next request.
 func TestClientReusesOneConnection(t *testing.T) {
-	srv, err := New(Config{Store: iostore.New(nvm.Pacer{}), Tenants: testTenants(), DrainTimeout: 10 * time.Second})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewUnstartedServer(srv)
-	var conns atomic.Int32
-	ts.Config.ConnState = func(_ net.Conn, state http.ConnState) {
-		if state == http.StateNew {
-			conns.Add(1)
-		}
-	}
-	ts.Start()
-	t.Cleanup(func() {
-		ts.Close()
-		srv.Shutdown(context.Background())
-	})
+	_, ts := newTestServer(t, func(c *Config) { c.Codec = nil })
 	c := NewClient(ts.URL, "tok-acme")
+	conns := countDials(c)
 	ctx := context.Background()
 	payload := bytes.Repeat([]byte{0x3c}, 16<<10)
 	for step := 1; step <= 100; step++ {
@@ -314,12 +305,21 @@ func TestNotFoundAndBadRequest(t *testing.T) {
 	if !errors.As(err, &ae) || ae.Status != http.StatusBadRequest {
 		t.Fatalf("empty save: err = %v, want 400", err)
 	}
-	resp, derr := c.do(ctx, http.MethodGet, ts.URL+"/v1/ns/acme/runs/r/checkpoints/zero?rank=0", nil)
-	if derr == nil {
-		resp.Body.Close()
-	}
-	if !errors.As(derr, &ae) || ae.Status != http.StatusBadRequest {
-		t.Fatalf("bad id: err = %v, want 400", derr)
+	// A bad checkpoint ID; bad wait= and timeout= values on a rank no
+	// session holds, refused as on one a session holds.
+	for _, target := range []string{
+		"/v1/ns/acme/runs/r/checkpoints/zero?rank=0",
+		"/v1/ns/acme/runs/r/checkpoints/1/durability?rank=0&wait=bogus",
+		"/v1/ns/acme/runs/r/checkpoints/1/durability?rank=0&wait=store&timeout=-1s",
+		"/v1/ns/acme/runs/r/checkpoints/1/durability?rank=0&timeout=soon",
+	} {
+		resp, derr := c.do(ctx, http.MethodGet, target, nil)
+		if derr == nil {
+			resp.Body.Close()
+		}
+		if !errors.As(derr, &ae) || ae.Status != http.StatusBadRequest {
+			t.Errorf("GET %s: err = %v, want 400", target, derr)
+		}
 	}
 }
 

@@ -71,6 +71,12 @@ go test -race -count=5 -cpu 1 ./internal/node
 # a region released under a reader as a 0xDB byte in what the store holds.
 go test -race -count=20 -cpu 1 -run 'TestCutThrough' ./internal/gateway ./internal/node
 
+# The gateway client runs each exchange on the caller's goroutine, and a
+# ctx's cancel hook sets the connection's deadline from another: on one
+# core, a canceled exchange whose connection went back to the idle list, or
+# an idle connection the server closed and the client reused, fails here.
+go test -race -count=20 -cpu 1 -run 'TestClient' ./internal/gateway
+
 # The NVM device's admission tests wait on parked committers the same way,
 # and its region-lifetime tests run with retired regions poisoned.
 go test -race -count=20 -cpu 1 ./internal/node/nvm/...
