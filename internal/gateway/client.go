@@ -48,6 +48,8 @@ type Client struct {
 
 	mu   sync.Mutex
 	idle []*conn
+
+	acks acks // async saves' store durability, off the replies (settle.go)
 }
 
 // maxIdle is how many idle connections a Client keeps, net/http's default
@@ -102,12 +104,6 @@ type Checkpoint struct {
 	Step  int
 	Level string
 	Data  []byte
-}
-
-// runPath is the request target of one run's endpoint; tail carries the
-// rest of the path and the query.
-func runPath(ns, run, tail string) string {
-	return "/v1/ns/" + url.PathEscape(ns) + "/runs/" + url.PathEscape(run) + tail
 }
 
 // conn is one keep-alive connection to the gateway and the exchange it
@@ -262,12 +258,14 @@ func ctxErr(ctx context.Context, err error) error {
 	return err
 }
 
-// do runs one exchange: method on target (the API path and query) with
-// body, nil for none. A 2xx reply is returned with its body unread, and the
-// connection goes back to the idle list when that body is read to EOF and
-// closed; any other status is decoded into an *APIError. The request is
-// never sent twice: a save the gateway may have read is not resent.
-func (c *Client) do(ctx context.Context, method, target string, body []byte) (*http.Response, error) {
+// do runs one exchange: method on an endpoint of ns/run, tail the rest of
+// its path and the query, with body, nil for none. A 2xx reply is returned
+// with its body unread, and the connection goes back to the idle list when
+// that body is read to EOF and closed; any other status is decoded into an
+// *APIError. The request is never sent twice: a save the gateway may have
+// read is not resent. The request names the async IDs of ns/run the client
+// awaits, and the reply's answer for them is taken whatever its status.
+func (c *Client) do(ctx context.Context, method, ns, run, tail string, body []byte) (*http.Response, error) {
 	if c.err != nil {
 		return nil, c.err
 	}
@@ -294,11 +292,16 @@ func (c *Client) do(ctx context.Context, method, target string, body []byte) (*h
 	h := append(pc.head[:0], method...)
 	h = append(h, ' ')
 	h = append(h, c.prefix...)
-	h = append(h, target...)
+	h = append(h, "/v1/ns/"...)
+	h = append(h, url.PathEscape(ns)...)
+	h = append(h, "/runs/"...)
+	h = append(h, url.PathEscape(run)...)
+	h = append(h, tail...)
 	h = append(h, " HTTP/1.1\r\nHost: "...)
 	h = append(h, c.host...)
 	h = append(h, "\r\nAuthorization: Bearer "...)
 	h = append(h, c.token...)
+	h = c.acks.appendHeader(h, ns, run)
 	if body != nil {
 		h = append(h, "\r\nContent-Length: "...)
 		h = strconv.AppendInt(h, int64(len(body)), 10)
@@ -320,6 +323,9 @@ func (c *Client) do(ctx context.Context, method, target string, body []byte) (*h
 			err = werr
 		}
 		return nil, ctxErr(ctx, err)
+	}
+	if v := resp.Header[settledHeader]; len(v) > 0 {
+		c.acks.settle(ns, run, v[0])
 	}
 	x.body, x.keep = resp.Body, werr == nil && !resp.Close
 	resp.Body = x
@@ -365,7 +371,9 @@ func (c *Client) Save(ctx context.Context, ns, run string, rank, step int, snaps
 // (?durable=nvm): it returns as soon as the gateway holds the snapshot
 // NVM-durably, while propagation to the global store continues in the
 // background. Poll Durability (or call it with wait="store") to learn when
-// — or whether — the checkpoint became store-durable.
+// — or whether — the checkpoint became store-durable. Until it learns, the
+// client names the ID on its requests to the run, and a reply that says it
+// is store-durable answers that Durability call without a request.
 func (c *Client) SaveAsync(ctx context.Context, ns, run string, rank, step int, snapshot []byte) (uint64, error) {
 	return c.save(ctx, ns, run, rank, step, snapshot, "&durable=nvm")
 }
@@ -373,8 +381,8 @@ func (c *Client) SaveAsync(ctx context.Context, ns, run string, rank, step int, 
 // save is the one save request; mode is the durable= query suffix that
 // picks who waits for the drain.
 func (c *Client) save(ctx context.Context, ns, run string, rank, step int, snapshot []byte, mode string) (uint64, error) {
-	u := runPath(ns, run, "/checkpoints") + "?rank=" + strconv.Itoa(rank) + "&step=" + strconv.Itoa(step) + mode
-	resp, err := c.do(ctx, http.MethodPost, u, snapshot)
+	tail := "/checkpoints?rank=" + strconv.Itoa(rank) + "&step=" + strconv.Itoa(step) + mode
+	resp, err := c.do(ctx, http.MethodPost, ns, run, tail, snapshot)
 	if err != nil {
 		return 0, err
 	}
@@ -383,6 +391,9 @@ func (c *Client) save(ctx context.Context, ns, run string, rank, step int, snaps
 	}
 	if err := decodeJSON(resp, &out); err != nil {
 		return 0, fmt.Errorf("gateway: decoding save response: %w", err)
+	}
+	if resp.StatusCode == http.StatusAccepted {
+		c.acks.await(ackKey{ns: ns, run: run, rank: rank, id: out.ID})
 	}
 	return out.ID, nil
 }
@@ -424,14 +435,19 @@ func (d Durability) Durable(level string) bool {
 
 // Durability fetches one checkpoint's durability state. A non-empty wait
 // names a level ("store", "nvm", ...) to block for (bounded by the
-// gateway's drain timeout) before reporting.
+// gateway's drain timeout) before reporting. For an ID this client saved
+// with SaveAsync, a reply that already said it was store-durable answers
+// once, with no request, when it reached wait.
 func (c *Client) Durability(ctx context.Context, ns, run string, rank int, id uint64, wait string) (Durability, error) {
-	u := runPath(ns, run, "/checkpoints/"+strconv.FormatUint(id, 10)+"/durability") +
-		"?rank=" + strconv.Itoa(rank)
-	if wait != "" {
-		u += "&wait=" + url.QueryEscape(wait)
+	k := ackKey{ns: ns, run: run, rank: rank, id: id}
+	if d, ok := c.acks.take(k, wait); ok {
+		return d, nil
 	}
-	resp, err := c.do(ctx, http.MethodGet, u, nil)
+	tail := "/checkpoints/" + strconv.FormatUint(id, 10) + "/durability?rank=" + strconv.Itoa(rank)
+	if wait != "" {
+		tail += "&wait=" + url.QueryEscape(wait)
+	}
+	resp, err := c.do(ctx, http.MethodGet, ns, run, tail, nil)
 	if err != nil {
 		return Durability{}, err
 	}
@@ -439,13 +455,15 @@ func (c *Client) Durability(ctx context.Context, ns, run string, rank int, id ui
 	if err := decodeJSON(resp, &out); err != nil {
 		return Durability{}, fmt.Errorf("gateway: decoding durability response: %w", err)
 	}
+	if out.Failed || out.Levels.Store {
+		c.acks.forget(k) // settled: this answer is the one the caller gets
+	}
 	return out, nil
 }
 
 // List reports the checkpoint IDs stored for rank of ns/run.
 func (c *Client) List(ctx context.Context, ns, run string, rank int) ([]uint64, error) {
-	u := runPath(ns, run, "/checkpoints") + "?rank=" + strconv.Itoa(rank)
-	resp, err := c.do(ctx, http.MethodGet, u, nil)
+	resp, err := c.do(ctx, http.MethodGet, ns, run, "/checkpoints?rank="+strconv.Itoa(rank), nil)
 	if err != nil {
 		return nil, err
 	}
@@ -521,28 +539,31 @@ func snapshotFrom(resp *http.Response, err error) (Checkpoint, error) {
 	return ck, nil
 }
 
-func ckptPath(ns, run string, rank int, id uint64) string {
-	return runPath(ns, run, "/checkpoints/"+strconv.FormatUint(id, 10)) + "?rank=" + strconv.Itoa(rank)
+// ckptTail is the path tail and query of one checkpoint's endpoint.
+func ckptTail(rank int, id uint64) string {
+	return "/checkpoints/" + strconv.FormatUint(id, 10) + "?rank=" + strconv.Itoa(rank)
 }
 
 // Load restores one specific checkpoint ID.
 func (c *Client) Load(ctx context.Context, ns, run string, rank int, id uint64) (Checkpoint, error) {
-	return snapshotFrom(c.do(ctx, http.MethodGet, ckptPath(ns, run, rank, id), nil))
+	return snapshotFrom(c.do(ctx, http.MethodGet, ns, run, ckptTail(rank, id), nil))
 }
 
 // LoadTo is Load streaming the payload into w as the gateway streams it out
 // of the store. On error w may hold a prefix of the snapshot.
 func (c *Client) LoadTo(ctx context.Context, ns, run string, rank int, id uint64, w io.Writer) (Checkpoint, error) {
-	resp, err := c.do(ctx, http.MethodGet, ckptPath(ns, run, rank, id), nil)
+	resp, err := c.do(ctx, http.MethodGet, ns, run, ckptTail(rank, id), nil)
 	if err != nil {
 		return Checkpoint{}, err
 	}
 	return streamSnapshot(resp, w)
 }
 
-// Delete removes one checkpoint.
+// Delete removes one checkpoint, and what this client knows of its
+// durability.
 func (c *Client) Delete(ctx context.Context, ns, run string, rank int, id uint64) error {
-	resp, err := c.do(ctx, http.MethodDelete, ckptPath(ns, run, rank, id), nil)
+	c.acks.forget(ackKey{ns: ns, run: run, rank: rank, id: id})
+	resp, err := c.do(ctx, http.MethodDelete, ns, run, ckptTail(rank, id), nil)
 	if err != nil {
 		return err
 	}
@@ -553,11 +574,11 @@ func (c *Client) Delete(ctx context.Context, ns, run string, rank int, id uint64
 // Resume restores rank's newest checkpoint; with ranks > 0 it restores
 // this rank's member of the newest restart line common to ranks [0,ranks).
 func (c *Client) Resume(ctx context.Context, ns, run string, rank, ranks int) (Checkpoint, error) {
-	u := runPath(ns, run, "/resume") + "?rank=" + strconv.Itoa(rank)
+	tail := "/resume?rank=" + strconv.Itoa(rank)
 	if ranks > 0 {
-		u += "&ranks=" + strconv.Itoa(ranks)
+		tail += "&ranks=" + strconv.Itoa(ranks)
 	}
-	return snapshotFrom(c.do(ctx, http.MethodGet, u, nil))
+	return snapshotFrom(c.do(ctx, http.MethodGet, ns, run, tail, nil))
 }
 
 // RestorePlan mirrors the restore endpoint's plan-mode response.
@@ -591,8 +612,7 @@ func restoreBody(ranks, targetRanks int, line uint64) []byte {
 // payload bytes move: the returned plan says which source shard ranges
 // each restart target will fetch.
 func (c *Client) PlanRestore(ctx context.Context, ns, run string, ranks, targetRanks int, line uint64) (RestorePlan, error) {
-	resp, err := c.do(ctx, http.MethodPost, runPath(ns, run, "/restore"),
-		restoreBody(ranks, targetRanks, line))
+	resp, err := c.do(ctx, http.MethodPost, ns, run, "/restore", restoreBody(ranks, targetRanks, line))
 	if err != nil {
 		return RestorePlan{}, err
 	}
@@ -608,6 +628,6 @@ func (c *Client) PlanRestore(ctx context.Context, ns, run string, ranks, targetR
 // prior PlanRestore) when restoring several members so they all restore
 // the same cut.
 func (c *Client) RestoreMember(ctx context.Context, ns, run string, ranks, targetRanks, member int, line uint64) (Checkpoint, error) {
-	u := runPath(ns, run, "/restore") + "?member=" + strconv.Itoa(member)
-	return snapshotFrom(c.do(ctx, http.MethodPost, u, restoreBody(ranks, targetRanks, line)))
+	tail := "/restore?member=" + strconv.Itoa(member)
+	return snapshotFrom(c.do(ctx, http.MethodPost, ns, run, tail, restoreBody(ranks, targetRanks, line)))
 }

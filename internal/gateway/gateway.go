@@ -236,8 +236,8 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 
 // wrap is the common front half of every API handler: shutdown gating,
 // bearer-token auth, namespace authorization, rate limiting, in-flight
-// caps, fault injection, and metrics. Handlers behind it only do the
-// operation.
+// caps, fault injection, metrics, and the settled header answering a
+// request's awaitHeader. Handlers behind it only do the operation.
 func (s *Server) wrap(op string, fn func(w http.ResponseWriter, r *http.Request, st *tenantState) *apiError) http.HandlerFunc {
 	mReqs := s.reg.Counter(fmt.Sprintf("ndpcr_gateway_requests_total{op=%q}", op),
 		"API requests served, by operation")
@@ -294,6 +294,11 @@ func (s *Server) wrap(op string, fn func(w http.ResponseWriter, r *http.Request,
 			}
 		}
 
+		if v := r.Header[awaitHeader]; len(v) > 0 {
+			if settled := s.settled(r.PathValue("ns"), r.PathValue("run"), v[0]); settled != "" {
+				w.Header()[settledHeader] = []string{settled}
+			}
+		}
 		if err := fn(w, r, st); err != nil {
 			if r.Context().Err() != nil {
 				s.mCanceled.Inc()
@@ -716,14 +721,61 @@ func (s *Server) resolve(ctx context.Context, n *node.Node, id uint64, release f
 	return err
 }
 
+// settled answers a request's awaitHeader: the settledHeader value listing
+// which of the IDs it names in ns/run are store-durable or failed, "" for
+// none. The sessions are looked up under one hold of s.mu; each answer is
+// the one the durability endpoint gives now.
+func (s *Server) settled(ns, run, await string) string {
+	var spare [maxAwait]awaited
+	ents := parseAwait(await, spare[:0])
+	if len(ents) == 0 {
+		return ""
+	}
+	job := JobKey(ns, run)
+	s.mu.Lock()
+	for i := range ents {
+		key := sessKey{job: job, rank: ents[i].rank}
+		ents[i].n, ents[i].first = s.sessions[key], s.resynced[key]
+	}
+	s.mu.Unlock()
+	var buf [1024]byte // 64 entries of "r:nn=nvm+store" fit
+	b := buf[:0]
+	for _, e := range ents {
+		if d, ok := sessionDurability(e.n, e.first, e.id); ok && (d.Failed || d.Levels.Store) {
+			b = appendSettled(b, e.rank, d)
+		}
+	}
+	return string(b)
+}
+
+// sessionDurability is the one answer for a checkpoint ID a session can
+// know, the durability endpoint's and settledHeader's: the levels the
+// session's tracker holds and the failure it recorded. A drain in flight has
+// stored some blocks, not the checkpoint. ok is false for an ID no session
+// can know, its rank's session gone (e.g. after a gateway restart) or the ID
+// older than first, the one the session resynced to: only the store can
+// answer for it.
+func sessionDurability(n *node.Node, first, id uint64) (d Durability, ok bool) {
+	if n == nil || id < first {
+		return Durability{ID: id}, false
+	}
+	d = Durability{ID: id, Levels: Levels{
+		NVM:     n.DurableAt(id, ndp.LevelNVM),
+		Partner: n.DurableAt(id, ndp.LevelPartner),
+		Erasure: n.DurableAt(id, ndp.LevelErasure),
+		Store:   n.DurableAt(id, ndp.LevelStore),
+	}}
+	if err := n.Durability().FailedErr(id); err != nil {
+		d.Failed, d.Failure = true, err.Error()
+	}
+	return d, true
+}
+
 // handleDurability reports one checkpoint's per-level durability:
 // GET .../checkpoints/{id}/durability?rank=N[&wait=LEVEL][&timeout=DUR].
 // With wait= it blocks (bounded by timeout, default DrainTimeout) until the
-// checkpoint reaches that level or fails. The session's tracker alone
-// answers for an ID the session committed: a drain in flight has stored
-// some blocks, not the checkpoint. The store answers for an ID no session
-// can know, its rank's session gone (e.g. after a gateway restart) or the
-// ID older than the one the session resynced to, so store-level truth
+// checkpoint reaches that level or fails. sessionDurability answers for an
+// ID a session can know, and the store for any other, so store-level truth
 // survives the tracker's loss of state.
 func (s *Server) handleDurability(w http.ResponseWriter, r *http.Request, st *tenantState) *apiError {
 	job, rank, q, aerr := reqScope(r)
@@ -752,29 +804,18 @@ func (s *Server) handleDurability(w http.ResponseWriter, r *http.Request, st *te
 	n, first := s.sessions[key], s.resynced[key]
 	s.mu.Unlock()
 
-	resp := Durability{ID: id}
-	if n == nil || id < first {
-		if _, ok, err := s.cfg.Store.Stat(r.Context(), iostore.Key{Job: job, Rank: rank, ID: id}); err == nil && ok {
-			resp.Levels.Store = true
-		}
-		writeJSON(w, http.StatusOK, resp)
-		return nil
-	}
-	if wait != "" {
+	if wait != "" && n != nil && id >= first {
 		ctx, cancel := context.WithTimeout(r.Context(), timeout)
 		// The wait is advisory — the response below reports whatever state
 		// the checkpoint reached, including a failure.
 		n.WaitDurableCtx(ctx, id, lvl)
 		cancel()
 	}
-	resp.Levels = Levels{
-		NVM:     n.DurableAt(id, ndp.LevelNVM),
-		Partner: n.DurableAt(id, ndp.LevelPartner),
-		Erasure: n.DurableAt(id, ndp.LevelErasure),
-		Store:   n.DurableAt(id, ndp.LevelStore),
-	}
-	if err := n.Durability().FailedErr(id); err != nil {
-		resp.Failed, resp.Failure = true, err.Error()
+	resp, ok := sessionDurability(n, first, id)
+	if !ok {
+		if _, held, err := s.cfg.Store.Stat(r.Context(), iostore.Key{Job: job, Rank: rank, ID: id}); err == nil && held {
+			resp.Levels.Store = true
+		}
 	}
 	writeJSON(w, http.StatusOK, resp)
 	return nil

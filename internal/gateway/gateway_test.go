@@ -308,12 +308,12 @@ func TestNotFoundAndBadRequest(t *testing.T) {
 	// A bad checkpoint ID; bad wait= and timeout= values on a rank no
 	// session holds, refused as on one a session holds.
 	for _, target := range []string{
-		"/v1/ns/acme/runs/r/checkpoints/zero?rank=0",
-		"/v1/ns/acme/runs/r/checkpoints/1/durability?rank=0&wait=bogus",
-		"/v1/ns/acme/runs/r/checkpoints/1/durability?rank=0&wait=store&timeout=-1s",
-		"/v1/ns/acme/runs/r/checkpoints/1/durability?rank=0&timeout=soon",
+		"/checkpoints/zero?rank=0",
+		"/checkpoints/1/durability?rank=0&wait=bogus",
+		"/checkpoints/1/durability?rank=0&wait=store&timeout=-1s",
+		"/checkpoints/1/durability?rank=0&timeout=soon",
 	} {
-		resp, derr := c.do(ctx, http.MethodGet, target, nil)
+		resp, derr := c.do(ctx, http.MethodGet, "acme", "r", target, nil)
 		if derr == nil {
 			resp.Body.Close()
 		}

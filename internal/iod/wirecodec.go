@@ -20,7 +20,9 @@ import (
 // way out.
 
 // appendObjectMeta codes an object's metadata (its blocks travel one to a
-// frame, as payload).
+// frame, as payload). The meta map's entries go in sorted key order, so one
+// object always codes to the same bytes: the server's meta memo compares
+// them frame to frame, and Go ranges over a map in a new order every time.
 func appendObjectMeta(b []byte, o *iostore.Object) []byte {
 	b = wire.AppendString(b, o.Key.Job)
 	b = wire.AppendInt(b, int64(o.Key.Rank))
@@ -29,9 +31,19 @@ func appendObjectMeta(b []byte, o *iostore.Object) []byte {
 	b = wire.AppendInt(b, int64(o.CodecLevel))
 	b = wire.AppendInt(b, o.OrigSize)
 	b = wire.AppendUvarint(b, uint64(len(o.Meta)))
-	for k, v := range o.Meta {
+	var spare [8]string // a checkpoint's meta has 4 keys: no allocation
+	keys := spare[:0]
+	for k := range o.Meta {
+		keys = append(keys, k)
+	}
+	for i := 1; i < len(keys); i++ { // insertion sort: a handful of keys
+		for j := i; j > 0 && keys[j] < keys[j-1]; j-- {
+			keys[j], keys[j-1] = keys[j-1], keys[j]
+		}
+	}
+	for _, k := range keys {
 		b = wire.AppendString(b, k)
-		b = wire.AppendString(b, v)
+		b = wire.AppendString(b, o.Meta[k])
 	}
 	return b
 }

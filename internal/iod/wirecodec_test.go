@@ -108,3 +108,26 @@ func TestDecodeRejectsHostileCounts(t *testing.T) {
 		t.Error("hostile meta-map count decoded without error")
 	}
 }
+
+// One object codes to the same bytes every time, whatever order the map
+// ranges in: the server's meta memo hits only on identical bytes. Coding
+// into a buffer with room allocates nothing.
+func TestObjectMetaCodesDeterministically(t *testing.T) {
+	o := iostore.Object{
+		Key:      iostore.Key{Job: "ns/run", Rank: 2, ID: 41},
+		OrigSize: 16 << 10,
+		Meta:     map[string]string{"job": "ns/run", "rank": "2", "step": "9", "ckpt": "41", "shards": "4"},
+	}
+	first := appendObjectMeta(nil, &o)
+	buf := make([]byte, 0, 2*len(first))
+	for i := 0; i < 100; i++ {
+		if got := appendObjectMeta(buf[:0], &o); string(got) != string(first) {
+			t.Fatalf("coding %d differs from the first:\n got %q\nwant %q", i, got, first)
+		}
+	}
+	if !raceEnabled {
+		if n := testing.AllocsPerRun(100, func() { appendObjectMeta(buf[:0], &o) }); n != 0 {
+			t.Errorf("appendObjectMeta allocated %.1f times a call, want 0", n)
+		}
+	}
+}

@@ -97,7 +97,8 @@ type Engine struct {
 	// created it and closes it on Close.
 	tracker    *Tracker
 	ownTracker bool
-	// runCtx is canceled when the engine stops; it bounds Gate waits.
+	// runCtx is canceled when the engine stops; it bounds Gate waits and
+	// every drain.
 	runCtx    context.Context
 	runCancel context.CancelFunc
 
@@ -484,15 +485,10 @@ func (e *Engine) drain(id uint64, s *stream) error {
 		e.mInBytes.Observe(int64(len(data)))
 	}
 
-	ctx, cancel := context.WithCancel(context.Background())
+	// Close cancels runCtx right after closing e.stop: the drain ends with
+	// the engine.
+	ctx, cancel := context.WithCancel(e.runCtx)
 	defer cancel()
-	go func() {
-		select {
-		case <-e.stop:
-			cancel()
-		case <-ctx.Done():
-		}
-	}()
 
 	err := e.pipeline(ctx, id, key, obj, data, filled)
 	if err == nil && s != nil {

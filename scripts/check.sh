@@ -154,6 +154,12 @@ go test -run '^$' -fuzz FuzzMetadataFromMap -fuzztime 10s -fuzzminimizetime 1s .
 # it accepts ValidateTenants accepts).
 go test -run '^$' -fuzz FuzzRestoreRequest -fuzztime 10s -fuzzminimizetime 1s ./internal/gateway
 go test -run '^$' -fuzz FuzzParseTenants -fuzztime 10s -fuzzminimizetime 1s ./internal/gateway
+# It also reads the await header any tenant sends on any request, and the
+# client the settled header off every reply: neither parser panics, the
+# gateway answers only for IDs named in the request's own run, and the
+# client keeps answers only for IDs it awaits in the reply's run.
+go test -run '^$' -fuzz FuzzAwaitHeader -fuzztime 10s -fuzzminimizetime 1s ./internal/gateway
+go test -run '^$' -fuzz FuzzSettledHeader -fuzztime 10s -fuzzminimizetime 1s ./internal/gateway
 
 # Allocation budgets of the HTTP save/load path and of a restore over a
 # loopback iod server, raw and through gzip (counts; skipped under -race
